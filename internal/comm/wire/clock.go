@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -61,8 +62,8 @@ func (n *Node) observeClockSample(t1, t2, t3, t4 int64) {
 
 func encodePong(t1, t2 int64) []byte {
 	b := make([]byte, 16)
-	putU64(b[0:], uint64(t1))
-	putU64(b[8:], uint64(t2))
+	binary.LittleEndian.PutUint64(b[0:], uint64(t1))
+	binary.LittleEndian.PutUint64(b[8:], uint64(t2))
 	return b
 }
 
@@ -70,7 +71,7 @@ func decodePong(b []byte) (t1, t2 int64, ok bool) {
 	if len(b) != 16 {
 		return 0, 0, false
 	}
-	return int64(getU64(b[0:])), int64(getU64(b[8:])), true
+	return int64(binary.LittleEndian.Uint64(b[0:])), int64(binary.LittleEndian.Uint64(b[8:])), true
 }
 
 // syncClockDial runs the handshake's synchronous ping/pong rounds on a fresh
@@ -84,7 +85,7 @@ func (n *Node) syncClockDial(conn net.Conn) error {
 		if _, err := conn.Write(f.encode(nil)); err != nil {
 			return fmt.Errorf("wire: node %d clock-sync ping to node 0: %w", n.index, err)
 		}
-		rf, err := readFrame(conn)
+		rf, err := readFrame(conn, nil)
 		if err != nil || rf.typ != framePong {
 			return fmt.Errorf("wire: node %d clock-sync pong from node 0: %v (frame type %d)", n.index, err, rf.typ)
 		}
@@ -105,7 +106,7 @@ func answerClockSync(conn net.Conn, index int, timeout time.Duration) error {
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	defer conn.SetDeadline(time.Time{})
 	for i := 0; i < clockSyncRounds; i++ {
-		f, err := readFrame(conn)
+		f, err := readFrame(conn, nil)
 		if err != nil || f.typ != framePing {
 			return fmt.Errorf("wire: clock sync expected ping: %v (frame type %d)", err, f.typ)
 		}

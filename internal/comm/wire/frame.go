@@ -14,6 +14,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -72,28 +73,40 @@ type frame struct {
 	payload []byte
 }
 
+// putHeader writes the frame's header, announcing payloadLen payload bytes
+// behind it, into hdr[:headerBytes]. Ship uses it to back-fill the header in
+// front of a payload it encoded in place; f.payload is not consulted.
+func (f *frame) putHeader(hdr []byte, payloadLen int) {
+	le := binary.LittleEndian
+	le.PutUint32(hdr[0:], uint32(headerBytes-4+payloadLen))
+	hdr[4] = frameVersion
+	hdr[5] = byte(f.typ)
+	le.PutUint16(hdr[6:], uint16(f.kind))
+	le.PutUint32(hdr[8:], f.dst)
+	le.PutUint32(hdr[12:], f.src)
+	le.PutUint64(hdr[16:], f.ctx)
+	le.PutUint64(hdr[24:], uint64(f.tag))
+	le.PutUint64(hdr[32:], uint64(f.sendNS))
+}
+
 // encode appends the framed bytes to dst and returns the extended slice.
 func (f *frame) encode(dst []byte) []byte {
 	var hdr [headerBytes]byte
-	putU32(hdr[0:], uint32(headerBytes-4+len(f.payload)))
-	hdr[4] = frameVersion
-	hdr[5] = byte(f.typ)
-	putU16(hdr[6:], uint16(f.kind))
-	putU32(hdr[8:], f.dst)
-	putU32(hdr[12:], f.src)
-	putU64(hdr[16:], f.ctx)
-	putU64(hdr[24:], uint64(f.tag))
-	putU64(hdr[32:], uint64(f.sendNS))
+	f.putHeader(hdr[:], len(f.payload))
 	return append(append(dst, hdr[:]...), f.payload...)
 }
 
-// readFrame reads and validates one frame from r.
-func readFrame(r io.Reader) (frame, error) {
+// readFrame reads and validates one frame from r. With a non-nil buf the
+// payload is read into *buf (grown when too small) and is valid only until
+// the next call with the same buf — how a reader loop moves every payload
+// through one buffer; with nil the payload is freshly allocated.
+func readFrame(r io.Reader, buf *[]byte) (frame, error) {
 	var hdr [headerBytes]byte
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return frame{}, err
 	}
-	n := int(getU32(hdr[0:]))
+	le := binary.LittleEndian
+	n := int(le.Uint32(hdr[0:]))
 	if n < headerBytes-4 || n > maxFrameBody {
 		return frame{}, fmt.Errorf("wire: implausible frame length %d", n)
 	}
@@ -105,45 +118,26 @@ func readFrame(r io.Reader) (frame, error) {
 	}
 	f := frame{
 		typ:    frameType(hdr[5]),
-		kind:   pup.Kind(getU16(hdr[6:])),
-		dst:    getU32(hdr[8:]),
-		src:    getU32(hdr[12:]),
-		ctx:    getU64(hdr[16:]),
-		tag:    int64(getU64(hdr[24:])),
-		sendNS: int64(getU64(hdr[32:])),
+		kind:   pup.Kind(le.Uint16(hdr[6:])),
+		dst:    le.Uint32(hdr[8:]),
+		src:    le.Uint32(hdr[12:]),
+		ctx:    le.Uint64(hdr[16:]),
+		tag:    int64(le.Uint64(hdr[24:])),
+		sendNS: int64(le.Uint64(hdr[32:])),
 	}
 	if pl := n - (headerBytes - 4); pl > 0 {
-		f.payload = make([]byte, pl)
+		if buf == nil {
+			buf = new([]byte)
+		}
+		if cap(*buf) < pl {
+			*buf = make([]byte, pl)
+		}
+		f.payload = (*buf)[:pl]
 		if _, err := io.ReadFull(r, f.payload); err != nil {
 			return frame{}, fmt.Errorf("wire: short frame payload: %w", err)
 		}
 	}
 	return f, nil
-}
-
-func putU16(b []byte, v uint16) {
-	b[0], b[1] = byte(v), byte(v>>8)
-}
-
-func getU16(b []byte) uint16 {
-	return uint16(b[0]) | uint16(b[1])<<8
-}
-
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putU64(b []byte, v uint64) {
-	putU32(b[0:], uint32(v))
-	putU32(b[4:], uint32(v>>32))
-}
-
-func getU64(b []byte) uint64 {
-	return uint64(getU32(b[0:])) | uint64(getU32(b[4:]))<<32
 }
 
 // Abort frames carry a structured payload so typed failures survive the

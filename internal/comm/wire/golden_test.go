@@ -47,7 +47,7 @@ func TestFrameGolden(t *testing.T) {
 		t.Fatalf("frame encoding drifted:\n got %#v\nwant %#v", got, want)
 	}
 
-	back, err := readFrame(bytes.NewReader(got))
+	back, err := readFrame(bytes.NewReader(got), nil)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
@@ -68,20 +68,20 @@ func TestFrameHeaderSize(t *testing.T) {
 
 func TestReadFrameRejectsGarbage(t *testing.T) {
 	// Implausible length.
-	if _, err := readFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})); err == nil {
+	if _, err := readFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}), nil); err == nil {
 		t.Fatal("accepted an implausible frame length")
 	}
 	// Wrong version.
 	f := frame{typ: frameData}
 	b := f.encode(nil)
 	b[4] = 99
-	if _, err := readFrame(bytes.NewReader(b)); err == nil {
+	if _, err := readFrame(bytes.NewReader(b), nil); err == nil {
 		t.Fatal("accepted a wrong protocol version")
 	}
 	// Truncated payload.
 	g := frame{typ: frameData, payload: []byte{1, 2, 3, 4}}
 	gb := g.encode(nil)
-	if _, err := readFrame(bytes.NewReader(gb[:len(gb)-2])); err == nil {
+	if _, err := readFrame(bytes.NewReader(gb[:len(gb)-2]), nil); err == nil {
 		t.Fatal("accepted a truncated frame")
 	}
 }

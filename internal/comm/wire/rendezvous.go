@@ -174,7 +174,7 @@ func (r *Rendezvous) serve(worldSize int) {
 			return
 		}
 		_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
-		f, err := readFrame(conn)
+		f, err := readFrame(conn, nil)
 		if err != nil || f.typ != frameHello {
 			_ = conn.Close()
 			fail(fmt.Errorf("wire: rendezvous handshake: %v (frame type %d)", err, f.typ))
@@ -383,7 +383,7 @@ func rendezvousHandshake(network, addr string, h helloPayload, timeout time.Dura
 	if _, err := conn.Write(f.encode(nil)); err != nil {
 		return nil, fmt.Errorf("wire: send hello: %w", err)
 	}
-	rf, err := readFrame(conn)
+	rf, err := readFrame(conn, nil)
 	if err != nil || rf.typ != frameHello {
 		return nil, fmt.Errorf("wire: read welcome: %v (frame type %d)", err, rf.typ)
 	}
@@ -443,7 +443,7 @@ func (n *Node) mesh() error {
 			return fmt.Errorf("wire: node %d mesh accept: %w", n.index, err)
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(n.hsTimeout))
-		f, err := readFrame(conn)
+		f, err := readFrame(conn, nil)
 		if err != nil || f.typ != frameHello {
 			_ = conn.Close()
 			return fmt.Errorf("wire: node %d mesh accept handshake: %v (frame type %d)", n.index, err, f.typ)

@@ -123,23 +123,26 @@ func (n *Node) Start(h comm.Handler) {
 	n.release()
 }
 
-// bufPool recycles frame and payload encode buffers between Ship calls: a
-// data frame's bytes live from encode until the writer batch containing it
-// is handed to the kernel, after which the writer returns the buffer here.
-// Control and broadcast frames stay unpooled (one buffer may sit on several
-// peers' queues, so no single write completion owns it).
+// bufPool recycles data-frame buffers between Ship calls: a frame's bytes
+// live from encode until the writer batch containing it is handed to the
+// kernel, after which the writer returns the buffer here. Control and
+// broadcast frames stay unpooled (one buffer may sit on several peers'
+// queues, so no single write completion owns it).
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // Ship implements comm.Transport: serialize the payload through the pup
 // codec registry and enqueue the frame on the destination node's writer.
+// The payload is encoded in place behind a reserved header in one pooled
+// buffer and the header back-filled once the length and kind are known, so
+// each payload byte is written exactly once on this side of the socket.
 // Unlike the in-process substrate, even locally-hosted destinations cross
 // the socket (via the self-dial), so a loopback world exercises the exact
 // frames a distributed one would.
 func (n *Node) Ship(dst int, m comm.Message) {
-	pb := bufPool.Get().(*[]byte)
-	body, kind, err := pup.EncodePayload((*pb)[:0], m.Data)
+	fb := bufPool.Get().(*[]byte)
+	b, kind, err := pup.EncodePayload((*fb)[:headerBytes], m.Data)
 	if err != nil {
-		bufPool.Put(pb)
+		bufPool.Put(fb)
 		// Abort instead of panicking: Ship may run on a chaos-delay
 		// goroutine, where a panic would crash the process rather than
 		// surface through World.Run.
@@ -150,15 +153,10 @@ func (n *Node) Ship(dst int, m comm.Message) {
 		typ: frameData, kind: kind,
 		dst: uint32(dst), src: uint32(m.Src),
 		ctx: m.Ctx, tag: int64(m.Tag),
-		sendNS: n.WallClockNS(), payload: body,
+		sendNS: n.WallClockNS(),
 	}
-	fb := bufPool.Get().(*[]byte)
-	b := f.encode((*fb)[:0])
+	f.putHeader(b, len(b)-headerBytes)
 	*fb = b
-	// The frame encode copied the payload, so the payload buffer is free
-	// again already; the frame buffer comes back once its batch is written.
-	*pb = body
-	bufPool.Put(pb)
 	atomic.AddInt64(&n.sent[m.Src], int64(len(b)))
 	n.peers[n.owner[dst]].enqueuePooled(b, fb)
 }
@@ -364,8 +362,12 @@ func (n *Node) noteBye() {
 // peer as a typed comm.ErrPeerLost rather than a generic read error.
 func (n *Node) readLoop(conn net.Conn, peerIdx int) {
 	<-n.started
+	// Every payload of this connection lands in buf, which the next frame
+	// overwrites: nothing below may retain f.payload past its case, which
+	// holds because pup codecs copy out of the body they decode.
+	var buf []byte
 	for {
-		f, err := readFrame(conn)
+		f, err := readFrame(conn, &buf)
 		if err != nil {
 			if !n.isClosing() {
 				n.handler.RemoteAbort(n.peerLostError(peerIdx, err))

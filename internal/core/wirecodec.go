@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"github.com/parres/picprk/internal/pup"
 )
@@ -26,9 +28,18 @@ func PUPColumns(p *pup.PUPer, c *Columns) {
 		p.Uint64(&lens[i])
 	}
 	if p.Mode() == pup.Unpacking {
-		need := 8*(lens[0]+lens[1]+lens[2]+lens[3]+lens[4]) + 40*lens[5]
-		if need > uint64(p.Remaining()) {
-			p.Fail(fmt.Errorf("core: columns shard claims %d bytes, %d remain", need, p.Remaining()))
+		// Each section is checked on its own before the sum, which could
+		// otherwise wrap past 2^64 and pass.
+		rem, need := uint64(p.Remaining()), uint64(0)
+		for i, width := range [6]uint64{8, 8, 8, 8, 8, soaMetaBytes} {
+			if lens[i] > rem/width {
+				p.Fail(fmt.Errorf("core: columns shard section %d claims %d elements, %d bytes remain", i, lens[i], rem))
+				return
+			}
+			need += lens[i] * width
+		}
+		if need > rem {
+			p.Fail(fmt.Errorf("core: columns shard claims %d bytes, %d remain", need, rem))
 			return
 		}
 		c.X = make([]float64, lens[0])
@@ -38,47 +49,77 @@ func PUPColumns(p *pup.PUPer, c *Columns) {
 		c.Q = make([]float64, lens[4])
 		c.Meta = make([]SoAMeta, lens[5])
 	}
-	for _, col := range [5][]float64{c.X, c.Y, c.VX, c.VY, c.Q} {
-		for i := range col {
-			p.Float64(&col[i])
-		}
-	}
-	for i := range c.Meta {
-		PUPSoAMeta(p, &c.Meta[i])
-	}
+	p.Float64Column(c.X)
+	p.Float64Column(c.Y)
+	p.Float64Column(c.VX)
+	p.Float64Column(c.VY)
+	p.Float64Column(c.Q)
+	pupMetaColumn(p, c.Meta)
 }
 
 // PUPSoA serializes a whole SoA container — the block substrate's
-// checkpoint payload. Each column is length-prefixed independently (the
-// traversal reuses the container's existing capacity when unpacking, like
-// every other PUP path), and a ragged container fails cleanly rather than
-// producing a silently corrupt particle set.
+// checkpoint payload and a migrating VP's particles. Each column is
+// length-prefixed independently (the traversal reuses the container's
+// existing capacity when unpacking, like every other PUP path), and a ragged
+// container fails cleanly rather than producing a silently corrupt particle
+// set.
 func PUPSoA(p *pup.PUPer, s *SoA) {
 	p.Float64s(&s.X)
 	p.Float64s(&s.Y)
 	p.Float64s(&s.VX)
 	p.Float64s(&s.VY)
 	p.Float64s(&s.Q)
-	pup.Slice(p, &s.Meta, PUPSoAMeta)
+	if !pup.SliceLen(p, &s.Meta, soaMetaBytes) {
+		return
+	}
+	pupMetaColumn(p, s.Meta)
 	if p.Err() == nil && p.Mode() == pup.Unpacking {
 		n := len(s.X)
 		if len(s.Y) != n || len(s.VX) != n || len(s.VY) != n || len(s.Q) != n || len(s.Meta) != n {
-			p.Fail(fmt.Errorf("core: ragged SoA checkpoint (%d/%d/%d/%d/%d/%d)",
+			p.Fail(fmt.Errorf("core: ragged SoA columns (%d/%d/%d/%d/%d/%d)",
 				len(s.X), len(s.Y), len(s.VX), len(s.VY), len(s.Q), len(s.Meta)))
 		}
 	}
 }
 
-// PUPSoAMeta serializes one 40-byte metadata record (8 ID + 2×8 origin +
-// 4×4 trajectory ints).
-func PUPSoAMeta(p *pup.PUPer, m *SoAMeta) {
-	p.Uint64(&m.ID)
-	p.Float64(&m.X0)
-	p.Float64(&m.Y0)
-	p.Int32(&m.K)
-	p.Int32(&m.M)
-	p.Int32(&m.Dir)
-	p.Int32(&m.Born)
+// soaMetaBytes is the encoded size of one metadata record: 8 ID + 2×8
+// origin + 4×4 trajectory ints.
+const soaMetaBytes = 40
+
+// pupMetaColumn serializes m's records back to back through one window —
+// the only place the record's field order and widths are spelled (pinned by
+// TestColumnsWireGolden and TestBulkCodecsMatchPerElementReference). Like
+// pup.Float64Column it writes no length: the caller fixed len(m).
+func pupMetaColumn(p *pup.PUPer, m []SoAMeta) {
+	b := p.Window(soaMetaBytes * len(m))
+	if b == nil {
+		return
+	}
+	le := binary.LittleEndian
+	switch p.Mode() {
+	case pup.Packing:
+		for i := range m {
+			e, r := &m[i], b[soaMetaBytes*i:soaMetaBytes*(i+1)]
+			le.PutUint64(r[0:], e.ID)
+			le.PutUint64(r[8:], math.Float64bits(e.X0))
+			le.PutUint64(r[16:], math.Float64bits(e.Y0))
+			le.PutUint32(r[24:], uint32(e.K))
+			le.PutUint32(r[28:], uint32(e.M))
+			le.PutUint32(r[32:], uint32(e.Dir))
+			le.PutUint32(r[36:], uint32(e.Born))
+		}
+	case pup.Unpacking:
+		for i := range m {
+			e, r := &m[i], b[soaMetaBytes*i:soaMetaBytes*(i+1)]
+			e.ID = le.Uint64(r[0:])
+			e.X0 = math.Float64frombits(le.Uint64(r[8:]))
+			e.Y0 = math.Float64frombits(le.Uint64(r[16:]))
+			e.K = int32(le.Uint32(r[24:]))
+			e.M = int32(le.Uint32(r[28:]))
+			e.Dir = int32(le.Uint32(r[32:]))
+			e.Born = int32(le.Uint32(r[36:]))
+		}
+	}
 }
 
 func init() {

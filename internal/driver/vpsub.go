@@ -39,10 +39,11 @@ func (v *picVP) VPID() int { return v.id }
 // Load implements ampi.VP: work is exactly proportional to particle count.
 func (v *picVP) Load() float64 { return float64(v.soa.Len()) }
 
-// PUP implements pup.PUPable. Particles travel column-wise: the SoA slices
-// serialize directly, with no AoS staging, and unpacking resizes into
-// whatever storage the shell still holds — a recycled shell (the runtime's
-// freelist) makes steady-state migration nearly allocation-free.
+// PUP implements pup.PUPable. Particles travel column-wise through
+// core.PUPSoA: the SoA slices serialize directly, with no AoS staging, and
+// unpacking resizes into whatever storage the shell still holds — a recycled
+// shell (the runtime's freelist) makes steady-state migration nearly
+// allocation-free.
 func (v *picVP) PUP(p *pup.PUPer) {
 	p.Int(&v.id)
 	p.Int(&v.mesh.L)
@@ -58,27 +59,8 @@ func (v *picVP) PUP(p *pup.PUPer) {
 	if v.soa == nil {
 		v.soa = &core.SoA{}
 	}
-	p.Float64s(&v.soa.X)
-	p.Float64s(&v.soa.Y)
-	p.Float64s(&v.soa.VX)
-	p.Float64s(&v.soa.VY)
-	p.Float64s(&v.soa.Q)
-	pup.Slice(p, &v.soa.Meta, func(p *pup.PUPer, e *core.SoAMeta) {
-		p.Uint64(&e.ID)
-		p.Float64(&e.X0)
-		p.Float64(&e.Y0)
-		p.Int32(&e.K)
-		p.Int32(&e.M)
-		p.Int32(&e.Dir)
-		p.Int32(&e.Born)
-	})
+	core.PUPSoA(p, v.soa)
 	if p.Mode() == pup.Unpacking && p.Err() == nil {
-		n := len(v.soa.X)
-		if len(v.soa.Y) != n || len(v.soa.VX) != n || len(v.soa.VY) != n ||
-			len(v.soa.Q) != n || len(v.soa.Meta) != n {
-			p.Fail(fmt.Errorf("driver: VP %d migrated with ragged particle columns", v.id))
-			return
-		}
 		if v.block == nil {
 			v.block = &grid.Block{}
 		}

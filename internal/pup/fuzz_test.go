@@ -9,6 +9,9 @@ func FuzzUnpack(f *testing.F) {
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
+	for _, b := range overflowingLengths() {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var d demo
 		if err := Unpack(&d, data); err != nil {

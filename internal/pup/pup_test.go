@@ -1,8 +1,10 @@
 package pup
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -110,6 +112,36 @@ func TestUnpackCorruptLength(t *testing.T) {
 	var out demo
 	if err := Unpack(&out, buf); err == nil {
 		t.Error("corrupt slice length accepted")
+	}
+}
+
+// overflowingLengths returns demo encodings whose slice length prefixes pass
+// a whole-buffer plausibility check but not one against the bytes actually
+// left: decoding them must fail at the guard, before any allocation sized
+// by the prefix. Shared with FuzzUnpack's corpus.
+func overflowingLengths() [][]byte {
+	head := make([]byte, 29) // A(8)+B(8)+C(4)+D(8)+E(1)
+	le := binary.LittleEndian
+	// F claims len(buf)/8 floats with two floats' worth of bytes behind it.
+	f := le.AppendUint64(append([]byte(nil), head...), 6)
+	f = append(f, make([]byte, 16)...)
+	// F and G empty; Sub claims len(buf) elements with 32 bytes behind it.
+	sub := append(append([]byte(nil), head...), make([]byte, 16)...)
+	sub = le.AppendUint64(sub, 85)
+	sub = append(sub, make([]byte, 32)...)
+	return [][]byte{f, sub}
+}
+
+func TestUnpackLengthBoundedByRemaining(t *testing.T) {
+	for i, buf := range overflowingLengths() {
+		var out demo
+		err := Unpack(&out, buf)
+		if err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Errorf("case %d: length prefix beyond the remaining bytes not rejected by the guard: %v", i, err)
+		}
+		if cap(out.F) > len(buf)/8 || cap(out.Sub) > len(buf) {
+			t.Errorf("case %d: allocated %d floats / %d pairs for a %d-byte buffer", i, cap(out.F), cap(out.Sub), len(buf))
+		}
 	}
 }
 

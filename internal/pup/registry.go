@@ -9,6 +9,14 @@ package pup
 // receive. Registration happens in package init functions (each package
 // registers the payloads it sends), so an unregistered type surfaces as a
 // clear send-time error instead of a silent corruption.
+//
+// The codec contract has two rules. Packing must not mutate the payload: a
+// transport may serialize while the sending rank is still reading the value
+// it sent, so a traversal writes through its pointers only when unpacking.
+// Unpacking must not alias the body: a transport decodes out of a buffer it
+// overwrites with the next message, so everything a decoded value keeps is
+// copied out (String, ByteSlice, the column traversals and Slice all do;
+// a traversal that calls Window itself must too).
 
 import (
 	"fmt"
@@ -129,41 +137,24 @@ func RegisterPtrCodec[T any](kind Kind, fn func(p *PUPer, v *T)) {
 		})
 }
 
-// PayloadKind returns the registered kind for a payload value, or an error
-// naming the unregistered type. A nil payload is KindNil.
-func PayloadKind(v any) (Kind, error) {
+// EncodePayload serializes a payload for the wire, appending the PUP-packed
+// body to dst (pass nil for a fresh buffer) and returning the extended slice
+// with the codec's kind. The body is packed in place behind len(dst) — dst
+// grows only when its capacity falls short — so a caller that reserved room
+// for a header in a reused buffer pays no copy and no allocation.
+func EncodePayload(dst []byte, v any) ([]byte, Kind, error) {
 	if v == nil {
-		return KindNil, nil
+		return dst, KindNil, nil
 	}
 	c := lookupType(reflect.TypeOf(v))
 	if c == nil {
-		return 0, fmt.Errorf("pup: no codec registered for payload type %T", v)
+		return nil, 0, fmt.Errorf("pup: no codec registered for payload type %T", v)
 	}
-	return c.kind, nil
-}
-
-// EncodePayload serializes a payload for the wire: the codec's kind followed
-// by the PUP-packed body, appended to dst (pass nil for a fresh buffer).
-func EncodePayload(dst []byte, v any) ([]byte, Kind, error) {
-	kind, err := PayloadKind(v)
+	dst, err := appendPacked(dst, func(p *PUPer) { c.enc(p, v) })
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("pup: encoding %T: %w", v, err)
 	}
-	if kind == KindNil {
-		return dst, KindNil, nil
-	}
-	c := lookupKind(kind)
-	s := NewSizer()
-	c.enc(s, v)
-	if s.Err() != nil {
-		return nil, 0, fmt.Errorf("pup: sizing %T: %w", v, s.Err())
-	}
-	pk := NewPacker(s.Size())
-	c.enc(pk, v)
-	if pk.Err() != nil {
-		return nil, 0, fmt.Errorf("pup: packing %T: %w", v, pk.Err())
-	}
-	return append(dst, pk.Bytes()...), kind, nil
+	return dst, c.kind, nil
 }
 
 // DecodePayload reconstructs a payload from its kind and packed body. The

@@ -16,7 +16,11 @@ type testPair struct {
 const (
 	testKindPair    Kind = 100
 	testKindPairPtr Kind = 101
+	testKindShrink  Kind = 102
 )
+
+// testShrinker's codec sizes 16 bytes and packs 8.
+type testShrinker struct{}
 
 func init() {
 	RegisterCodec[testPair](testKindPair, func(p *PUPer, v *testPair) {
@@ -26,6 +30,13 @@ func init() {
 	RegisterPtrCodec[testPair](testKindPairPtr, func(p *PUPer, v *testPair) {
 		p.Int(&v.A)
 		p.Float64(&v.B)
+	})
+	RegisterCodec[testShrinker](testKindShrink, func(p *PUPer, v *testShrinker) {
+		var x int
+		p.Int(&x)
+		if p.Mode() == Sizing {
+			p.Int(&x)
+		}
 	})
 }
 
@@ -89,6 +100,38 @@ func TestPayloadTypedNilPointer(t *testing.T) {
 	tp, ok = got.(*testPair)
 	if !ok || tp == nil || tp.A != 1 || tp.B != -1 {
 		t.Fatalf("pointer payload: got %#v (%T)", got, got)
+	}
+}
+
+// TestEncodePayloadAppendsInPlace pins what lets a transport reserve a
+// header and encode behind it: the body lands in dst's own storage when the
+// capacity suffices, and what dst already held is untouched.
+func TestEncodePayloadAppendsInPlace(t *testing.T) {
+	dst := make([]byte, 3, 256)
+	copy(dst, "hdr")
+	out, kind, err := EncodePayload(dst, []float64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out[0] != &dst[0] || string(out[:3]) != "hdr" {
+		t.Fatalf("encode did not append in place: prefix %q, moved=%v", out[:3], &out[0] != &dst[0])
+	}
+	got, err := DecodePayload(kind, out[3:])
+	if err != nil || !reflect.DeepEqual(got, []float64{1, 2, 3}) {
+		t.Fatalf("body behind the prefix decoded to %v, %v", got, err)
+	}
+	// A dst too small grows, still keeping the prefix.
+	out, _, err = EncodePayload(dst[:3:3], []float64{1, 2, 3})
+	if err != nil || string(out[:3]) != "hdr" || len(out) != 3+8+24 {
+		t.Fatalf("grown encode: len %d prefix %q err %v", len(out), out[:3], err)
+	}
+}
+
+// TestEncodePayloadRejectsSizeMismatch: a traversal that packs fewer bytes
+// than it sized would leave stale buffer contents in the body.
+func TestEncodePayloadRejectsSizeMismatch(t *testing.T) {
+	if _, _, err := EncodePayload(nil, testShrinker{}); err == nil {
+		t.Fatal("a codec that packs less than it sized was accepted")
 	}
 }
 
