@@ -70,7 +70,7 @@ func main() {
 		stealTh   = flag.Float64("steal-threshold", 0, "worksteal: hunger trigger fraction (0 = default 0.25)")
 		verify    = flag.Bool("verify", true, "verify against the closed-form solution")
 		workers   = flag.Int("workers", 0, "move-phase worker goroutines per rank (0 = GOMAXPROCS/p, min 1)")
-		tile      = flag.Int("tile", 0, "tile edge in cells for the pipelined step (0 = auto, -1 = unpipelined Move+Exchange)")
+		tile      = flag.Int("tile", 0, "-1 = sequential Move then Exchange; any other value = pipelined step (frontier particles first, interior while the exchange is in flight; the size is no longer used)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		timeline  = flag.String("timeline", "", "write the per-step telemetry timeline (JSONL) to this file")

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/parres/picprk/internal/grid"
 )
@@ -213,18 +212,9 @@ type MovePool struct {
 	ot   *OwnerTable
 	self int32
 	lv   *Leavers
-	// Range restriction of the job: chunk mode splits [rLo, rHi) into even
-	// static chunks instead of the whole container.
+	// Range restriction of the job: [rLo, rHi) splits into even static
+	// chunks.
 	rLo, rHi int
-	// Tile-queue extension of the job: when tiles is set the workers claim
-	// tiles [tLo, tHi) dynamically off the shared cursor instead of taking
-	// static chunks — tile t covers particles [tStarts[t], tStarts[t+1])
-	// and its leavers land in chunk t-tLo, so results are independent of
-	// which worker claims which tile.
-	tiles    bool
-	tStarts  []int32
-	tLo, tHi int
-	cursor   atomic.Int64
 }
 
 // NewMovePool starts a pool with the given number of workers (minimum 1).
@@ -251,33 +241,14 @@ func (p *MovePool) Workers() int { return p.workers }
 
 func (p *MovePool) worker(w int, wake <-chan struct{}) {
 	for range wake {
-		if p.tiles {
-			p.runTiles()
+		lo, hi := chunkBounds(p.rHi-p.rLo, p.workers, w)
+		lo, hi = lo+p.rLo, hi+p.rLo
+		if p.lv != nil {
+			moveClassifyRange(p.s, lo, hi, p.src, p.m, p.ot, p.self, p.lv, w)
 		} else {
-			lo, hi := chunkBounds(p.rHi-p.rLo, p.workers, w)
-			lo, hi = lo+p.rLo, hi+p.rLo
-			if p.lv != nil {
-				moveClassifyRange(p.s, lo, hi, p.src, p.m, p.ot, p.self, p.lv, w)
-			} else {
-				moveRange(p.s, lo, hi, p.src, p.m)
-			}
+			moveRange(p.s, lo, hi, p.src, p.m)
 		}
 		p.busy.Done()
-	}
-}
-
-// runTiles drains the tile queue: claim the next unprocessed tile off the
-// shared cursor, run the fused move+classify on its particle range, repeat
-// until the queue is empty. Completion-driven claiming is what balances
-// unevenly loaded tiles across workers; determinism is untouched because a
-// tile's particles and its leaver chunk depend only on the tile id.
-func (p *MovePool) runTiles() {
-	for {
-		t := int(p.cursor.Add(1)) - 1
-		if t >= p.tHi {
-			return
-		}
-		moveClassifyRange(p.s, int(p.tStarts[t]), int(p.tStarts[t+1]), p.src, p.m, p.ot, p.self, p.lv, t-p.tLo)
 	}
 }
 
@@ -291,7 +262,6 @@ func (p *MovePool) Move(s *SoA, src ChargeSource, m grid.Mesh) {
 	}
 	p.s, p.src, p.m = s, src, m
 	p.rLo, p.rHi = 0, s.Len()
-	p.tiles = false
 	p.busy.Add(p.workers)
 	for _, ch := range p.wake {
 		ch <- struct{}{}
@@ -314,8 +284,8 @@ func (p *MovePool) MoveClassify(s *SoA, src ChargeSource, m grid.Mesh, ot *Owner
 // MoveClassifyRange is MoveClassify restricted to particles [lo, hi). The
 // leaver chunks cover only the range, in ascending index order, so they
 // still feed SoA.ScatterRemove directly; particles outside the range are
-// untouched. The tile-pipelined step uses it for the per-wave moves of the
-// VP substrate (frontier tail first, interior head after).
+// untouched. The pipelined step runs its two waves through it (frontier
+// tail first, interior head after).
 func (p *MovePool) MoveClassifyRange(s *SoA, lo, hi int, src ChargeSource, m grid.Mesh, ot *OwnerTable, self int32, lv *Leavers) {
 	if p.workers == 1 || hi-lo < parallelThreshold {
 		lv.Reset(1)
@@ -326,48 +296,12 @@ func (p *MovePool) MoveClassifyRange(s *SoA, lo, hi int, src ChargeSource, m gri
 	p.s, p.src, p.m = s, src, m
 	p.ot, p.self, p.lv = ot, self, lv
 	p.rLo, p.rHi = lo, hi
-	p.tiles = false
 	p.busy.Add(p.workers)
 	for _, ch := range p.wake {
 		ch <- struct{}{}
 	}
 	p.busy.Wait()
 	p.s, p.src, p.ot, p.lv = nil, nil, nil, nil
-}
-
-// MoveClassifyTiles is the tile-queue mode of the fused move+classify:
-// workers dynamically claim tiles [tLo, tHi) — tile t covering the sorted
-// particle range [starts[t], starts[t+1]) — off a shared cursor, finishing
-// busy tiles without idling on static chunk boundaries. Leavers land in
-// chunk t-tLo regardless of the claiming worker, and tiles are ascending
-// particle ranges, so the concatenated leaver indices stay ascending (the
-// ScatterRemove precondition) and results are bitwise identical at any
-// worker count — dynamic claiming changes who computes, never what.
-func (p *MovePool) MoveClassifyTiles(s *SoA, src ChargeSource, m grid.Mesh, ot *OwnerTable, self int32, lv *Leavers, starts []int32, tLo, tHi int) {
-	nt := tHi - tLo
-	if nt <= 0 {
-		lv.Reset(0)
-		return
-	}
-	lv.Reset(nt)
-	if p.workers == 1 || int(starts[tHi]-starts[tLo]) < parallelThreshold {
-		for t := tLo; t < tHi; t++ {
-			moveClassifyRange(s, int(starts[t]), int(starts[t+1]), src, m, ot, self, lv, t-tLo)
-		}
-		return
-	}
-	p.s, p.src, p.m = s, src, m
-	p.ot, p.self, p.lv = ot, self, lv
-	p.tStarts, p.tLo, p.tHi = starts, tLo, tHi
-	p.tiles = true
-	p.cursor.Store(int64(tLo))
-	p.busy.Add(p.workers)
-	for _, ch := range p.wake {
-		ch <- struct{}{}
-	}
-	p.busy.Wait()
-	p.s, p.src, p.ot, p.lv = nil, nil, nil, nil
-	p.tStarts, p.tiles = nil, false
 }
 
 // Close terminates the worker goroutines. The pool must be idle; Move must

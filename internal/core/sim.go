@@ -43,6 +43,7 @@ func NewSimulation(cfg dist.Config, sched dist.Schedule) (*Simulation, error) {
 	if dir == 0 {
 		dir = 1
 	}
+	_, nextID := cfg.IDRange()
 	return &Simulation{
 		Mesh:      cfg.Mesh,
 		Particles: ps,
@@ -50,7 +51,7 @@ func NewSimulation(cfg dist.Config, sched dist.Schedule) (*Simulation, error) {
 		Seed:      cfg.Seed,
 		Dir:       dir,
 		cfg:       cfg,
-		nextID:    uint64(cfg.N) + 1,
+		nextID:    nextID,
 	}, nil
 }
 
@@ -100,7 +101,7 @@ func (s *Simulation) Steps() int { return s.step }
 func (s *Simulation) NextID() uint64 { return s.nextID }
 
 // Verify checks the final state against the closed-form solution; see
-// VerifyState for the rules.
+// the package-level Verify for the rules.
 func (s *Simulation) Verify(tol float64) error {
 	return Verify(s.cfg, s.Schedule, s.Particles, s.step, tol)
 }

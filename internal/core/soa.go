@@ -98,13 +98,6 @@ func (s *SoA) Append(p particle.Particle) {
 	s.Meta = append(s.Meta, SoAMeta{ID: p.ID, X0: p.X0, Y0: p.Y0, K: p.K, M: p.M, Dir: p.Dir, Born: p.Born})
 }
 
-// AppendAll adds every particle of ps.
-func (s *SoA) AppendAll(ps []particle.Particle) {
-	for i := range ps {
-		s.Append(ps[i])
-	}
-}
-
 // Copy copies slot i onto slot w (the in-place compaction primitive).
 func (s *SoA) Copy(w, i int) {
 	if w == i {
@@ -122,24 +115,6 @@ func (s *SoA) Truncate(n int) {
 	s.VX, s.VY = s.VX[:n], s.VY[:n]
 	s.Q = s.Q[:n]
 	s.Meta = s.Meta[:n]
-}
-
-// SplitRetain compacts s in place, keeping particles for which keep returns
-// true (order preserved) and appending the rest, in AoS form, to moved.
-// Passing a reused moved buffer makes the steady-state exchange split
-// allocation-free.
-func (s *SoA) SplitRetain(keep func(i int) bool, moved []particle.Particle) []particle.Particle {
-	w := 0
-	for i := range s.X {
-		if keep(i) {
-			s.Copy(w, i)
-			w++
-		} else {
-			moved = append(moved, s.At(i))
-		}
-	}
-	s.Truncate(w)
-	return moved
 }
 
 // Filter keeps only the particles for which keep returns true, in place.

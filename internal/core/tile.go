@@ -1,20 +1,22 @@
 package core
 
-// This file is the spatial side of the tile-pipelined step: a Frontier mask
+import "github.com/parres/picprk/internal/grid"
+
+// This file is the spatial side of the pipelined step: a Frontier mask
 // marking every cell from which one move could reach remotely-owned
-// territory, and a TilePlan splitting a rank's (or VP's) cell rectangle into
-// boundary tiles (frontier cells) and interior tiles (everything else).
+// territory, and PartitionFrontier, which splits a particle container into
+// an interior head (no particle there can leave this step) and a frontier
+// tail.
 //
-// The pipeline they enable: particles are sorted by tile each step, the
-// boundary tiles move first and their leavers go on the wire immediately,
-// and the interior tiles move while that exchange is in flight. The split
-// is sound because the kernel's trajectories have an exact per-step
-// displacement bound — (2K+1) cells in x and |M| cells in y (verify.go's
-// closed form: both half-steps advance Dir·(2K+1) in x, and VY is constant
-// M) — so a particle in a cell farther than that from any remote cell
-// cannot leave this step. The driver still classifies interior particles
-// and hard-errors if one tries to leave, so a wrong ring width is a loud
-// failure, never silent corruption.
+// The pipeline they enable: the frontier tail moves first and its leavers
+// go on the wire immediately, and the interior head moves while that
+// exchange is in flight. The split is sound because the kernel's
+// trajectories have an exact per-step displacement bound — (2K+1) cells in
+// x and |M| cells in y (verify.go's closed form: both half-steps advance
+// Dir·(2K+1) in x, and VY is constant M) — so a particle in a cell farther
+// than that from any remote cell cannot leave this step. The driver still
+// classifies interior particles and hard-errors if one tries to leave, so a
+// wrong ring width is a loud failure, never silent corruption.
 
 // Frontier is a dense per-cell mask over the full L×L domain: true means a
 // particle in that cell could reach a cell with a remote owner in one step.
@@ -86,6 +88,47 @@ func (f *Frontier) Rebuild(ot *OwnerTable, L, rx, ry int, remote func(owner int3
 // At reports whether cell (cx, cy) is a frontier cell.
 func (f *Frontier) At(cx, cy int) bool { return f.mask[cy*f.L+cx] }
 
+// PartitionFrontier reorders s in place so that every particle in a
+// non-frontier cell precedes every particle in a frontier cell, and returns
+// the number of interior particles: [0, n) is the interior head, [n, Len)
+// the frontier tail. It is a two-ended swap partition — each particle is
+// classified once and only one whose class disagrees with its end of the
+// container moves — so a step costs one pass over the positions plus a swap
+// per particle that drifted across the ring's edge since the last step, not
+// a full reorder. Order within a container is no contract: updates are
+// per-particle independent, and every identity test and verification is
+// order-free or sorts by ID.
+func PartitionFrontier(s *SoA, m grid.Mesh, f *Frontier) int {
+	frontier := func(i int) bool {
+		cx, cy := m.CellOf(s.X[i], s.Y[i])
+		return f.At(cx, cy)
+	}
+	i, j := 0, s.Len()-1
+	for {
+		for i <= j && !frontier(i) {
+			i++
+		}
+		for i < j && frontier(j) {
+			j--
+		}
+		if i >= j {
+			return i
+		}
+		s.swap(i, j)
+		i++
+		j--
+	}
+}
+
+func (s *SoA) swap(i, j int) {
+	s.X[i], s.X[j] = s.X[j], s.X[i]
+	s.Y[i], s.Y[j] = s.Y[j], s.Y[i]
+	s.VX[i], s.VX[j] = s.VX[j], s.VX[i]
+	s.VY[i], s.VY[j] = s.VY[j], s.VY[i]
+	s.Q[i], s.Q[j] = s.Q[j], s.Q[i]
+	s.Meta[i], s.Meta[j] = s.Meta[j], s.Meta[i]
+}
+
 func wrapCell(c, L int) int {
 	c %= L
 	if c < 0 {
@@ -93,6 +136,10 @@ func wrapCell(c, L int) int {
 	}
 	return c
 }
+
+// TilePlan and SortByTile below are called only by bench/micro.go; delete
+// them with the core.sort_by_tile_ns_per_particle row in the next benchmark
+// PR. The step partitions with PartitionFrontier instead.
 
 // TilePlan partitions the cell rectangle [x0, x0+nx) × [y0, y0+ny) into
 // tiles. The rectangle is covered by a grid of size×size cell tiles (ragged

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/parres/picprk/internal/grid"
+	"github.com/parres/picprk/internal/particle"
 )
 
 // testOwnerTable builds a px×py uniform decomposition owner table over an
@@ -167,12 +169,13 @@ func TestSortByTileStableGrouping(t *testing.T) {
 	}
 }
 
-// TestMoveClassifyTilesMatchesMoveClassify pins the tile-queue mode against
-// the plain fused pass: after sorting by tile, running the boundary tiles
-// then the interior tiles (the pipeline's two waves) must produce bitwise
-// the same particle states and the same leaver set as one MoveClassify over
-// the same container, at every worker count.
-func TestMoveClassifyTilesMatchesMoveClassify(t *testing.T) {
+// TestPartitionedWavesMatchMoveClassify pins the pipeline's two waves
+// against the plain fused pass: after PartitionFrontier, moving the frontier
+// tail and then the interior head through MoveClassifyRange must produce
+// bitwise the same particle states and the same leaver set as one
+// MoveClassify over the same container, at every worker count — and no
+// interior particle may leave.
+func TestPartitionedWavesMatchMoveClassify(t *testing.T) {
 	L := 32
 	m := mesh(t, L)
 	block, err := grid.NewBlock(m, 0, 0, L, L)
@@ -183,25 +186,15 @@ func TestMoveClassifyTilesMatchesMoveClassify(t *testing.T) {
 	self := int32(0)
 	var fr Frontier
 	fr.Rebuild(ot, L, 3, 1, func(o int32) bool { return o != self })
-	var tp TilePlan
-	tp.Build(&fr, 0, 0, L, L, 4)
-	nt, ni := tp.NumTiles(), tp.NumInterior()
 
-	ps := hotpathParticles(t, m, 4*parallelThreshold+11)
-	sorted := NewSoA(ps)
-	tid := make([]int32, sorted.Len())
-	for i := range tid {
-		cx, cy := m.CellOf(sorted.X[i], sorted.Y[i])
-		tid[i] = tp.TileOf(cx, cy)
+	parted := NewSoA(hotpathParticles(t, m, 4*parallelThreshold+11))
+	ni := PartitionFrontier(parted, m, &fr)
+	if ni == 0 || ni == parted.Len() {
+		t.Fatalf("degenerate partition: %d interior of %d", ni, parted.Len())
 	}
-	starts := make([]int32, nt+1)
-	cur := make([]int32, nt)
-	scratch := &SoA{}
-	SortByTile(scratch, sorted, tid, nt, starts, cur)
-	sorted = scratch
 
-	// Reference: one fused pass over the sorted container, single worker.
-	ref := NewSoA(sorted.Particles())
+	// Reference: one fused pass over the partitioned container.
+	ref := NewSoA(parted.Particles())
 	refPool := NewMovePool(1)
 	var refLv Leavers
 	refPool.MoveClassify(ref, block, m, ot, self, &refLv)
@@ -214,25 +207,23 @@ func TestMoveClassifyTilesMatchesMoveClassify(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 7} {
-		got := NewSoA(sorted.Particles())
+		got := NewSoA(parted.Particles())
 		pool := NewMovePool(workers)
 		var lv Leavers
 		gotLeft := make(map[uint64]int32)
-		collect := func() {
-			for w := 0; w < lv.Chunks(); w++ {
-				idx, dst := lv.Chunk(w)
-				for j := range idx {
-					gotLeft[got.Meta[idx[j]].ID] = dst[j]
-				}
+		pool.MoveClassifyRange(got, ni, got.Len(), block, m, ot, self, &lv)
+		for w := 0; w < lv.Chunks(); w++ {
+			idx, dst := lv.Chunk(w)
+			for j := range idx {
+				gotLeft[got.Meta[idx[j]].ID] = dst[j]
 			}
 		}
-		// The pipeline's order: boundary tiles first, interior after.
-		pool.MoveClassifyTiles(got, block, m, ot, self, &lv, starts, ni, nt)
-		collect()
-		pool.MoveClassifyTiles(got, block, m, ot, self, &lv, starts, 0, ni)
-		collect()
+		pool.MoveClassifyRange(got, 0, ni, block, m, ot, self, &lv)
+		if k := lv.Count(); k != 0 {
+			t.Fatalf("workers=%d: %d interior particles left", workers, k)
+		}
 		pool.Close()
-		assertSoAEqual(t, ref, got, "tile waves vs fused pass")
+		assertSoAEqual(t, ref, got, "two waves vs fused pass")
 		if len(gotLeft) != len(refLeft) {
 			t.Fatalf("workers=%d: %d leavers, want %d", workers, len(gotLeft), len(refLeft))
 		}
@@ -243,6 +234,113 @@ func TestMoveClassifyTilesMatchesMoveClassify(t *testing.T) {
 		}
 	}
 	refPool.Close()
+}
+
+// TestPartitionFrontierProperty pins the partition's contract on random
+// containers against assorted masks, the three degenerate masks included:
+// every interior particle precedes every frontier one, the returned count
+// is exact, and the multiset of particles (ID and every field) is unchanged.
+func TestPartitionFrontierProperty(t *testing.T) {
+	const L = 16
+	m := mesh(t, L)
+	none := func(int32) bool { return false }
+	all := func(int32) bool { return true }
+	for _, tc := range []struct {
+		name   string
+		px, py int
+		rx, ry int
+		remote func(int32) bool
+	}{
+		{"all interior", 2, 2, 3, 1, none},
+		{"all frontier", 2, 2, 3, 1, all},
+		{"2x2 self=0", 2, 2, 3, 1, func(o int32) bool { return o != 0 }},
+		{"4x1 self=2", 4, 1, 1, 0, func(o int32) bool { return o != 2 }},
+		{"2x2 thin ring", 2, 2, 0, 0, func(o int32) bool { return o == 3 }},
+	} {
+		var fr Frontier
+		fr.Rebuild(testOwnerTable(L, tc.px, tc.py), L, tc.rx, tc.ry, tc.remote)
+		for _, n := range []int{0, 1, 2, 3, 257, 1000} {
+			for seed := int64(0); seed < 4; seed++ {
+				rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
+				s := &SoA{}
+				for i := 0; i < n; i++ {
+					s.Append(particle.Particle{
+						ID: uint64(i + 1), X: rng.Float64() * L, Y: rng.Float64() * L,
+						VX: rng.Float64(), VY: rng.Float64(), Q: rng.Float64(),
+						X0: rng.Float64(), Y0: rng.Float64(), K: int32(i), M: -int32(i), Dir: 1, Born: int32(i % 7),
+					})
+				}
+				before := make(map[uint64]particle.Particle, n)
+				wantInterior := 0
+				for i := 0; i < n; i++ {
+					p := s.At(i)
+					before[p.ID] = p
+					if cx, cy := m.CellOf(p.X, p.Y); !fr.At(cx, cy) {
+						wantInterior++
+					}
+				}
+				ni := PartitionFrontier(s, m, &fr)
+				if ni != wantInterior {
+					t.Fatalf("%s n=%d: returned %d interior, counted %d", tc.name, n, ni, wantInterior)
+				}
+				if s.Len() != n {
+					t.Fatalf("%s n=%d: length became %d", tc.name, n, s.Len())
+				}
+				for i := 0; i < n; i++ {
+					p := s.At(i)
+					cx, cy := m.CellOf(p.X, p.Y)
+					if fr.At(cx, cy) != (i >= ni) {
+						t.Fatalf("%s n=%d: slot %d (split at %d) holds a particle with frontier=%v", tc.name, n, i, ni, fr.At(cx, cy))
+					}
+					if want, ok := before[p.ID]; !ok || want != p {
+						t.Fatalf("%s n=%d: particle %d altered or duplicated by the partition", tc.name, n, p.ID)
+					}
+					delete(before, p.ID)
+				}
+			}
+		}
+	}
+}
+
+// TestScatterRemoveConservesParticles pins the compaction the ownership
+// prefix trusts: after ScatterRemove the stayers plus the shards are exactly
+// the particles that were there, none dropped or doubled.
+func TestScatterRemoveConservesParticles(t *testing.T) {
+	m := mesh(t, 16)
+	rng := rand.New(rand.NewSource(9))
+	for _, frac := range []float64{0, 0.01, 0.5, 1} {
+		s := NewSoA(hotpathParticles(t, m, 3000))
+		before := s.Len()
+		ids := make(map[uint64]bool, before)
+		for i := 0; i < before; i++ {
+			ids[s.Meta[i].ID] = true
+		}
+		var lv Leavers
+		lv.Reset(3)
+		for i := 0; i < before; i++ {
+			if rng.Float64() < frac {
+				lv.Add(i*3/before, int32(i), int32(rng.Intn(4)))
+			}
+		}
+		shards := make([]Columns, 4)
+		s.ScatterRemove(&lv, shards)
+		total := s.Len()
+		for i := 0; i < s.Len(); i++ {
+			delete(ids, s.Meta[i].ID)
+		}
+		for d := range shards {
+			total += shards[d].Len()
+			for _, meta := range shards[d].Meta {
+				delete(ids, meta.ID)
+			}
+		}
+		if total != before || lv.Count() != before-s.Len() {
+			t.Fatalf("frac=%g: %d stayers + shards = %d particles, had %d (%d leavers)", frac, s.Len(), total, before, lv.Count())
+		}
+		if len(ids) != 0 {
+			t.Fatalf("frac=%g: %d particle IDs vanished", frac, len(ids))
+		}
+	}
 }
 
 // TestSoAResizeIndependentCapacities pins Resize against containers whose

@@ -32,29 +32,88 @@ const DefaultTolerance = 1e-5
 func VerifyPositions(m grid.Mesh, ps []particle.Particle, steps int, tol float64) error {
 	L := m.Size()
 	for i := range ps {
-		p := &ps[i]
-		s := steps - int(p.Born)
-		if s < 0 {
-			return fmt.Errorf("core: particle %d born at step %d but run is only %d steps", p.ID, p.Born, steps)
-		}
-		ex, ey := p.ExpectedAt(s, L)
-		if d := periodicDist(p.X, ex, L); d > tol {
-			return fmt.Errorf("core: particle %d x=%v, expected %v after %d steps (|err|=%.3e)", p.ID, p.X, ex, s, d)
-		}
-		if d := periodicDist(p.Y, ey, L); d > tol {
-			return fmt.Errorf("core: particle %d y=%v, expected %v after %d steps (|err|=%.3e)", p.ID, p.Y, ey, s, d)
-		}
-		if d := math.Abs(p.VY - float64(p.M)); d > tol {
-			return fmt.Errorf("core: particle %d vy=%v, expected %d (|err|=%.3e)", p.ID, p.VY, p.M, d)
-		}
-		var evx float64
-		if s%2 == 1 {
-			evx = float64(p.Dir) * 2 * float64(2*p.K+1)
-		}
-		if d := math.Abs(p.VX - evx); d > tol {
-			return fmt.Errorf("core: particle %d vx=%v, expected %v after %d steps (|err|=%.3e)", p.ID, p.VX, evx, s, d)
+		if err := verifyParticle(&ps[i], steps, L, tol); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// verifyParticle is the per-particle rule of VerifyPositions.
+func verifyParticle(p *particle.Particle, steps int, L, tol float64) error {
+	s := steps - int(p.Born)
+	if s < 0 {
+		return fmt.Errorf("core: particle %d born at step %d but run is only %d steps", p.ID, p.Born, steps)
+	}
+	ex, ey := p.ExpectedAt(s, L)
+	if d := periodicDist(p.X, ex, L); d > tol {
+		return fmt.Errorf("core: particle %d x=%v, expected %v after %d steps (|err|=%.3e)", p.ID, p.X, ex, s, d)
+	}
+	if d := periodicDist(p.Y, ey, L); d > tol {
+		return fmt.Errorf("core: particle %d y=%v, expected %v after %d steps (|err|=%.3e)", p.ID, p.Y, ey, s, d)
+	}
+	if d := math.Abs(p.VY - float64(p.M)); d > tol {
+		return fmt.Errorf("core: particle %d vy=%v, expected %d (|err|=%.3e)", p.ID, p.VY, p.M, d)
+	}
+	var evx float64
+	if s%2 == 1 {
+		evx = float64(p.Dir) * 2 * float64(2*p.K+1)
+	}
+	if d := math.Abs(p.VX - evx); d > tol {
+		return fmt.Errorf("core: particle %d vx=%v, expected %v after %d steps (|err|=%.3e)", p.ID, p.VX, evx, s, d)
+	}
+	return nil
+}
+
+// ColumnVerifier is the per-rank half of distributed verification, run on
+// the particle columns where they live: every particle passes the
+// VerifyPositions rule, no ID repeats within the rank, and Count and IDSum
+// accumulate for the global population check. IDs are tracked in a bitset
+// over [first, first+n) — the range a run can mint — so an ID outside it is
+// an error in its own right, not only a checksum mismatch later.
+type ColumnVerifier struct {
+	size  float64 // domain extent L
+	steps int
+	tol   float64
+	first uint64
+	n     uint64
+	seen  []uint64
+
+	// Count and IDSum cover every particle checked so far.
+	Count int
+	IDSum uint64
+}
+
+// NewColumnVerifier prepares a verifier for the state after steps steps.
+// IDs must lie in [first, first+n); tol <= 0 selects DefaultTolerance.
+func NewColumnVerifier(m grid.Mesh, steps int, tol float64, first uint64, n int) *ColumnVerifier {
+	if tol <= 0 {
+		tol = DefaultTolerance
+	}
+	return &ColumnVerifier{
+		size: m.Size(), steps: steps, tol: tol,
+		first: first, n: uint64(n), seen: make([]uint64, (n+63)/64),
+	}
+}
+
+// Check verifies every particle of s in place.
+func (v *ColumnVerifier) Check(s *SoA) error {
+	for i := range s.X {
+		p := s.At(i)
+		if err := verifyParticle(&p, v.steps, v.size, v.tol); err != nil {
+			return err
+		}
+		k := p.ID - v.first // wraps to a huge value when ID < first
+		if k >= v.n {
+			return fmt.Errorf("core: particle ID %d outside the run's range [%d, %d)", p.ID, v.first, v.first+v.n)
+		}
+		if v.seen[k>>6]&(1<<(k&63)) != 0 {
+			return fmt.Errorf("core: duplicate particle ID %d", p.ID)
+		}
+		v.seen[k>>6] |= 1 << (k & 63)
+		v.IDSum += p.ID
+	}
+	v.Count += s.Len()
 	return nil
 }
 
@@ -80,71 +139,68 @@ type Population struct {
 
 // ExpectedPopulation computes, without running the simulation, the surviving
 // particle population after steps time steps under the given initialization
-// and event schedule. It replays the schedule against closed-form
-// trajectories: a removal event at step t deletes every live particle whose
-// predicted position at t falls inside the region; injection events
-// materialize the very same particles a running simulation would create.
+// and event schedule. With no removal event in range every particle ever
+// created survives, and the count and ID sum are the arithmetic series over
+// [FirstID, FirstID+n) — paper §III-D's n·(n+1)/2. Otherwise it replays the
+// schedule against the placement stream, one particle at a time in O(1)
+// memory: a removal event at step t deletes a particle whose closed-form
+// position at t falls inside the region, and only the events after the one
+// that created a particle can touch it.
 func ExpectedPopulation(cfg dist.Config, sched dist.Schedule, steps int) (Population, error) {
-	ps, err := dist.Initialize(cfg)
-	if err != nil {
-		return Population{}, err
-	}
-	dir := cfg.Dir
-	if dir == 0 {
-		dir = 1
-	}
-	nextID := uint64(cfg.N) + 1
-	L := cfg.Mesh.Size()
+	var evs dist.Schedule
 	for _, ev := range sched.Sorted() {
-		if ev.Step > steps {
-			break
+		if ev.Step <= steps {
+			evs = append(evs, ev)
 		}
-		if ev.Remove {
-			kept := ps[:0]
-			for i := range ps {
-				p := &ps[i]
+	}
+	first, nextID := cfg.IDRange()
+	if !hasRemoval(evs, steps) {
+		// Validation only: no column wanted, nothing drawn.
+		if err := dist.Each(cfg, func(int) bool { return false }, nil); err != nil {
+			return Population{}, err
+		}
+		n := uint64(cfg.N + evs.TotalInjected())
+		return Population{Count: int(n), IDSum: n*first + n*(n-1)/2}, nil
+	}
+	var pop Population
+	L := cfg.Mesh.Size()
+	// tally books one particle as removed or surviving, replaying the
+	// removal events from index from on.
+	tally := func(from int) func(cx, cy int, p *particle.Particle) {
+		return func(_, _ int, p *particle.Particle) {
+			for _, ev := range evs[from:] {
+				if !ev.Remove {
+					continue
+				}
 				x, y := p.ExpectedAt(ev.Step-int(p.Born), L)
-				if !ev.Region.ContainsPos(x, y, cfg.Mesh) {
-					kept = append(kept, *p)
+				if ev.Region.ContainsPos(x, y, cfg.Mesh) {
+					pop.RemovedIDs = append(pop.RemovedIDs, p.ID)
+					return
 				}
 			}
-			ps = kept
-		}
-		if ev.Inject > 0 {
-			ps = append(ps, dist.InjectParticles(cfg.Mesh, ev, cfg.Seed, nextID, dir)...)
-			nextID += uint64(ev.Inject)
+			pop.Count++
+			pop.IDSum += p.ID
 		}
 	}
-	pop := Population{Count: len(ps)}
-	alive := make(map[uint64]bool, len(ps))
-	for i := range ps {
-		pop.IDSum += ps[i].ID
-		alive[ps[i].ID] = true
+	if err := dist.Each(cfg, nil, tally(0)); err != nil {
+		return Population{}, err
 	}
-	for id := uint64(1); id < nextID; id++ {
-		if !alive[id] {
-			pop.RemovedIDs = append(pop.RemovedIDs, id)
-		}
+	for i, ev := range evs {
+		// An event removes before it injects, so its own removal cannot
+		// reach the particles it adds.
+		dist.EachInjected(cfg.Mesh, ev, cfg.Seed, nextID, cfg.Dir, tally(i+1))
+		nextID += uint64(ev.Inject)
 	}
 	return pop, nil
 }
 
-// VerifyState is the full verification used by the sequential simulation and
-// by parallel drivers after gathering all particles: per-particle positions
-// and velocities against the closed-form solution, no duplicate IDs, and the
-// population count and ID checksum against the analytic prediction.
-func VerifyState(m grid.Mesh, ps []particle.Particle, sched dist.Schedule, seed uint64, dir, initialN, steps int, tol float64) error {
-	cfg := dist.Config{Mesh: m, N: initialN, Seed: seed, Dir: dir}
-	return verifyAgainst(cfg, sched, ps, steps, tol)
-}
-
-// Verify checks a final particle population against the initialization
-// config and schedule that produced it.
+// Verify is the full verification of a gathered final population — used by
+// the sequential simulation and by parallel drivers under cfg.Verify —
+// against the initialization config and schedule that produced it:
+// per-particle positions and velocities against the closed-form solution,
+// no duplicate IDs, and the population count and ID checksum against the
+// analytic prediction.
 func Verify(cfg dist.Config, sched dist.Schedule, ps []particle.Particle, steps int, tol float64) error {
-	return verifyAgainst(cfg, sched, ps, steps, tol)
-}
-
-func verifyAgainst(cfg dist.Config, sched dist.Schedule, ps []particle.Particle, steps int, tol float64) error {
 	if tol <= 0 {
 		tol = DefaultTolerance
 	}

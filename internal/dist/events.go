@@ -107,40 +107,37 @@ func (s Schedule) TotalInjected() int {
 	return n
 }
 
-// InjectParticles materializes the particles added by one event. IDs are
-// assigned firstID, firstID+1, … in deterministic order; placement is
-// uniform over the region's cells, derived from seed and the event's step,
-// so every rank computes the identical global list and can filter to its
-// own subdomain.
-func InjectParticles(m grid.Mesh, ev Event, seed uint64, firstID uint64, dir int) []particle.Particle {
+// EachInjected streams the particles one event adds to emit, in ID order
+// (firstID, firstID+1, …), with the same contract as Each. Placement is
+// uniform over the region's cells, drawn from one RNG stream derived from
+// seed and the event's step, so every rank sees the identical global
+// sequence and keeps the particles landing in its own subdomain; the
+// single stream is why no cell column can be skipped here.
+func EachInjected(m grid.Mesh, ev Event, seed, firstID uint64, dir int, emit func(cx, cy int, p *particle.Particle)) {
 	if ev.Inject <= 0 {
-		return nil
+		return
 	}
 	if dir == 0 {
 		dir = 1
 	}
 	rng := NewRNG(seed, 0x696e6a /* "inj" */, uint64(ev.Step))
-	base := BaseCharge(m.Q, 0.5)
-	mult := float64(2*ev.K + 1)
+	pl := newPlacer(m, ev.K, ev.M, dir, ev.Step)
 	w := ev.Region.X1 - ev.Region.X0
 	h := ev.Region.Y1 - ev.Region.Y0
-	ps := make([]particle.Particle, 0, ev.Inject)
 	for i := 0; i < ev.Inject; i++ {
 		cx := ev.Region.X0 + rng.Intn(w)
 		cy := ev.Region.Y0 + rng.Intn(h)
-		sign := float64(dir * m.ColumnSign(cx))
-		x := float64(cx) + 0.5
-		y := float64(cy) + 0.5
-		ps = append(ps, particle.Particle{
-			ID: firstID + uint64(i),
-			X:  x, Y: y,
-			VX: 0, VY: float64(ev.M),
-			Q:  sign * mult * base,
-			X0: x, Y0: y,
-			K: int32(ev.K), M: int32(ev.M),
-			Dir:  int32(dir),
-			Born: int32(ev.Step),
-		})
+		emit(cx, cy, pl.at(cx, cy, firstID+uint64(i)))
 	}
+}
+
+// InjectParticles materializes the particles added by one event:
+// EachInjected, collected.
+func InjectParticles(m grid.Mesh, ev Event, seed uint64, firstID uint64, dir int) []particle.Particle {
+	if ev.Inject <= 0 {
+		return nil
+	}
+	ps := make([]particle.Particle, 0, ev.Inject)
+	EachInjected(m, ev, seed, firstID, dir, func(_, _ int, p *particle.Particle) { ps = append(ps, *p) })
 	return ps
 }

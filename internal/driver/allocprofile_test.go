@@ -2,10 +2,12 @@ package driver
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/parres/picprk/internal/balance"
 	"github.com/parres/picprk/internal/comm"
+	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/diffusion"
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/grid"
@@ -122,4 +124,54 @@ func BenchmarkFullRun(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestWholeRunAllocationBudget is ROADMAP 4(c) as a test: everything a
+// verified run allocates — set-up, 10 steps, distributed verification —
+// stays within a small multiple of the resident problem, the two ranks'
+// particle columns. The block substrate must stay under 3× (measured 1.8×:
+// the columns themselves, one regrowth of a rank's exactly-sized columns
+// when its first net arrivals append, the exchange shards, the ID bitset);
+// the VP substrate is pinned at its measured 2.2× plus a quarter, its extra
+// being a regrowth per VP and the per-VP shard sets. A return of the
+// world-sized materializations (AoS copies at set-up or verify, a map of
+// IDs) costs 5× or more and fails either bound.
+func TestWholeRunAllocationBudget(t *testing.T) {
+	m, err := grid.NewMesh(256, grid.DefaultCharge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Mesh: m, N: 100000, Steps: 10, Seed: 5, Workers: 1,
+		DistributedVerify: true, Transport: TransportInproc,
+	}
+	resident := float64(cfg.N * core.ColumnsBytesPerParticle)
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		engine func() (*Engine, error)
+	}{
+		{"block", 3, func() (*Engine, error) { return NewBaselineEngine(cfg), nil }},
+		{"vp", 2.2 * 1.25, func() (*Engine, error) {
+			return NewAMPIEngine(2, cfg, AMPIParams{Overdecompose: 4, Every: 10})
+		}},
+	} {
+		eng, err := tc.engine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := eng.Run(2)
+		runtime.ReadMemStats(&after)
+		if err != nil || !res.Verified {
+			t.Fatalf("%s: run failed or unverified: %v", tc.name, err)
+		}
+		got := float64(after.TotalAlloc-before.TotalAlloc) / resident
+		t.Logf("%s: %.2f× the resident %.1f MB", tc.name, got, resident/1e6)
+		if got > tc.budget {
+			t.Errorf("%s: a verified run allocated %.2f× the resident particle bytes, budget %.2f×", tc.name, got, tc.budget)
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/parres/picprk/internal/comm"
 	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/decomp"
+	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/grid"
 	"github.com/parres/picprk/internal/particle"
 	"github.com/parres/picprk/internal/trace"
@@ -57,18 +58,19 @@ type blockSubstrate struct {
 	peerBytes, peerMsgs []int64
 	nbr                 core.NbrSet
 
-	// Tile pipeline state (tileSize == 0 means the pipeline is disabled and
-	// MoveExchange falls back to the sequential Move + Exchange). frontier
-	// and plan are rebuilt whenever the decomposition changes; tid, tstarts,
-	// tcur and soaScratch are the reused per-step tile-sort buffers.
-	tileSize   int
-	rx, ry     int
-	frontier   core.Frontier
-	plan       core.TilePlan
-	tid        []int32
-	tstarts    []int32
-	tcur       []int32
-	soaScratch *core.SoA
+	// Pipeline state: pipelined is false only under Config.Tile == -1, when
+	// MoveExchange runs Move and Exchange in sequence. frontier is rebuilt
+	// whenever the decomposition changes.
+	pipelined bool
+	rx, ry    int
+	frontier  core.Frontier
+	// owned is the ownership prefix: particles [0, owned) were classified as
+	// staying by this step's fused move+classify pass and not touched since,
+	// so CheckOwnership sweeps only what was appended behind them (arrivals,
+	// injections). Anything that could invalidate the prefix — new cuts, a
+	// removal's compaction, a restore — zeroes it, and that step's check
+	// sweeps everything.
+	owned int
 
 	// Reused steady-state scratch: load histograms and the verification
 	// AoS conversion buffer.
@@ -96,51 +98,44 @@ func newBlockSubstrate(c *comm.Comm, cfg Config, px, py int) (*blockSubstrate, e
 		hist:  make([]int64, cfg.Mesh.L),
 		rhist: make([]int64, cfg.Mesh.L),
 	}
-	ps, err := initLocalParticles(cfg, s.owns)
+	s.soa = &core.SoA{}
+	self := int32(c.Rank())
+	err = fillLocal(cfg, s.ot, c.Size(), func(o int32) *core.SoA {
+		if o == self {
+			return s.soa
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.soa = core.NewSoA(ps)
 	s.pool = core.NewMovePool(cfg.effectiveWorkers(c.Size()))
-	s.tileSize = cfg.effectiveTile()
+	s.pipelined = cfg.Tile != -1
 	s.rx, s.ry = cfg.ringWidths()
 	s.peerBytes = make([]int64, c.Size())
 	s.peerMsgs = make([]int64, c.Size())
-	if s.tileSize > 0 {
-		s.soaScratch = &core.SoA{}
-	}
 	s.rebuildTopology()
 	return s, nil
 }
 
 // rebuildTopology recomputes everything derived from the owner table: the
-// frontier mask and tile plan (when the pipeline is on) and the sparse
-// exchange schedule. Called at construction, after every Execute (the cuts
-// moved, so the remote-owner mask, the rank rectangle, and the reachable
-// peer set all changed) and after a checkpoint restore. Installing the
-// schedule mid-run arms comm's full-ring fence, which is exactly what the
-// follow-up rehome exchange needs (it can route particles outside both the
-// old and the new neighbor sets).
+// frontier mask (when the pipeline is on) and the sparse exchange schedule —
+// and zeroes the ownership prefix, which was established against the old
+// table. Called at construction, after every Execute (the cuts moved, so the
+// remote-owner mask and the reachable peer set changed) and after a
+// checkpoint restore. Installing the schedule mid-run arms comm's full-ring
+// fence, which is exactly what the follow-up rehome exchange needs (it can
+// route particles outside both the old and the new neighbor sets).
 func (s *blockSubstrate) rebuildTopology() {
 	self := int32(s.c.Rank())
-	if s.tileSize > 0 {
+	if s.pipelined {
 		s.frontier.Rebuild(s.ot, s.cfg.Mesh.L, s.rx, s.ry, func(o int32) bool { return o != self })
-		x0, y0, nx, ny := s.g.RankRect(s.c.Rank())
-		s.plan.Build(&s.frontier, x0, y0, nx, ny, s.tileSize)
-		nt := s.plan.NumTiles()
-		if cap(s.tstarts) < nt+1 {
-			s.tstarts = make([]int32, nt+1)
-			s.tcur = make([]int32, nt)
-		}
-		s.tstarts = s.tstarts[:nt+1]
-		s.tcur = s.tcur[:nt]
 	}
 	peers := s.nbr.Rebuild(s.ot, s.cfg.Mesh.L, s.rx, s.ry, s.c.Rank(), s.c.Size(),
 		func(o int32) int { return int(o) })
 	s.c.SetExchangeNeighbors(peers)
+	s.owned = 0
 }
-
-func (s *blockSubstrate) owns(cx, cy int) bool { return s.g.OwnerOfCell(cx, cy) == s.c.Rank() }
 
 // Move implements Substrate: the pool advances disjoint SoA chunks in
 // parallel against the local materialized block (the devirtualized fast
@@ -174,12 +169,16 @@ func (s *blockSubstrate) classifyAll() {
 // reused generation-to-generation.
 func (s *blockSubstrate) Exchange(rec *trace.Recorder) error {
 	start := time.Now()
-	if !s.classified {
+	fused := s.classified
+	if !fused {
 		s.classifyAll()
 	}
 	s.classified = false
 	shards := s.shards.next(s.c.Size())
 	s.soa.ScatterRemove(&s.lv, shards)
+	if fused {
+		s.owned = s.soa.Len()
+	}
 	s.stageSendShards(shards)
 	// In-process, exchange volume is the framed wire size the shards would
 	// occupy (stageSendShards). On a wire transport the frames are real, so
@@ -240,51 +239,39 @@ func (s *blockSubstrate) appendArrivals() {
 	}
 }
 
-// MoveExchange implements Substrate: the tile-pipelined step. Particles are
-// sorted by tile (interior tiles first, boundary tiles in one contiguous
-// tail), the boundary tiles move and classify first, their leavers scatter
-// into the outgoing shards and the exchange STARTS — then the interior
-// tiles move while the shards are in flight, and only then does the
-// exchange FINISH. The interior wave's wall time is credited as overlap:
-// exchange latency the pipeline hid behind compute.
+// MoveExchange implements Substrate: the pipelined step — partition,
+// frontier wave, interior wave. PartitionFrontier swaps the particles in
+// frontier cells into one contiguous tail; the tail moves and classifies
+// first, its leavers scatter into the outgoing shards and the exchange
+// STARTS — then the interior head moves while the shards are in flight, and
+// only then does the exchange FINISH. The interior wave's wall time is
+// credited as overlap: exchange latency the pipeline hid behind compute.
 //
 // Correctness: the frontier ring is the exact per-step displacement bound,
 // so no interior particle can leave the rank this step — but the interior
 // wave still classifies, and a leaver there is a hard error rather than a
-// silent mishoming. Order of operations is safe because the boundary tail
-// is compacted before the interior wave starts (interior indices never
-// shift: all leaver indices sit in the tail), and arrivals append only
-// after both waves. Results are bitwise identical to the sequential path:
-// particle updates are independent, so the split changes only the order in
-// which they run.
+// silent mishoming. Order of operations is safe because the tail is
+// compacted before the interior wave starts (interior indices never shift:
+// all leaver indices sit in the tail), and arrivals append only after both
+// waves. Results are bitwise identical to the sequential path: particle
+// updates are independent, so the split changes only the order in which
+// they run.
 func (s *blockSubstrate) MoveExchange(rec *trace.Recorder) error {
-	if s.tileSize == 0 {
+	if !s.pipelined {
 		start := time.Now()
 		s.Move()
 		rec.Add(trace.Compute, time.Since(start))
 		return s.Exchange(rec)
 	}
 	mesh, me, p := s.cfg.Mesh, s.c.Rank(), s.c.Size()
-	nt, ni := s.plan.NumTiles(), s.plan.NumInterior()
 
-	// Tile sort + wave 1 (boundary tiles, dynamically claimed).
+	// Partition + wave 1 (frontier tail).
 	t0 := time.Now()
-	soa := s.soa
-	n := soa.Len()
-	if cap(s.tid) < n {
-		s.tid = make([]int32, n)
-	}
-	tid := s.tid[:n]
-	for i := 0; i < n; i++ {
-		cx, cy := mesh.CellOf(soa.X[i], soa.Y[i])
-		tid[i] = s.plan.TileOf(cx, cy)
-	}
-	core.SortByTile(s.soaScratch, soa, tid, nt, s.tstarts, s.tcur)
-	s.soa, s.soaScratch = s.soaScratch, s.soa
-	s.pool.MoveClassifyTiles(s.soa, s.block, mesh, s.ot, int32(me), &s.lv, s.tstarts, ni, nt)
+	ni := core.PartitionFrontier(s.soa, mesh, &s.frontier)
+	s.pool.MoveClassifyRange(s.soa, ni, s.soa.Len(), s.block, mesh, s.ot, int32(me), &s.lv)
 	rec.Add(trace.Compute, time.Since(t0))
 
-	// Scatter the boundary leavers and put them on the wire.
+	// Scatter the frontier leavers and put them on the wire.
 	t1 := time.Now()
 	shards := s.shards.next(p)
 	s.soa.ScatterRemove(&s.lv, shards)
@@ -297,17 +284,19 @@ func (s *blockSubstrate) MoveExchange(rec *trace.Recorder) error {
 	comm.ExchangePtrStart(s.c, s.sendPtrs)
 	rec.Add(trace.Exchange, time.Since(t1))
 
-	// Wave 2: interior tiles, overlapped with the in-flight exchange.
+	// Wave 2: interior head, overlapped with the in-flight exchange.
 	t2 := time.Now()
-	s.pool.MoveClassifyTiles(s.soa, s.block, mesh, s.ot, int32(me), &s.lv, s.tstarts, 0, ni)
+	s.pool.MoveClassifyRange(s.soa, 0, ni, s.block, mesh, s.ot, int32(me), &s.lv)
 	d2 := time.Since(t2)
 	rec.Add(trace.Compute, d2)
 	if p > 1 {
 		rec.AddOverlap(d2)
 	}
 	if k := s.lv.Count(); k > 0 {
-		return fmt.Errorf("driver: %d interior-tile particles left rank %d in one step (displacement ring rx=%d ry=%d violated)", k, me, s.rx, s.ry)
+		return fmt.Errorf("driver: %d interior particles left rank %d in one step (displacement ring rx=%d ry=%d violated)", k, me, s.rx, s.ry)
 	}
+	// Both waves classified every particle still here as staying.
+	s.owned = s.soa.Len()
 
 	// Finish: collect the shards the peers sent and absorb them.
 	t3 := time.Now()
@@ -323,7 +312,15 @@ func (s *blockSubstrate) MoveExchange(rec *trace.Recorder) error {
 
 // ApplyEvents implements Substrate.
 func (s *blockSubstrate) ApplyEvents(es *eventState, step int) {
-	es.applySoA(s.cfg, step, s.soa, s.owns)
+	self := int32(s.c.Rank())
+	es.apply(s.cfg, step, func(region dist.Rect) {
+		removeRegion(s.soa, region, s.cfg.Mesh)
+		s.owned = 0
+	}, func(cx, cy int, p *particle.Particle) {
+		if s.ot.Owner(cx, cy) == self {
+			s.soa.Append(*p)
+		}
+	})
 }
 
 // Count implements Substrate.
@@ -386,17 +383,21 @@ func (s *blockSubstrate) Execute(plan balance.Plan) (bool, error) {
 	return true, nil
 }
 
-// CheckOwnership implements Substrate.
+// CheckOwnership implements Substrate: a sweep of everything behind the
+// ownership prefix.
 func (s *blockSubstrate) CheckOwnership(step int) error {
 	soa, mesh, self := s.soa, s.cfg.Mesh, int32(s.c.Rank())
-	for i := 0; i < soa.Len(); i++ {
+	for i := s.owned; i < soa.Len(); i++ {
 		cx, cy := mesh.CellOf(soa.X[i], soa.Y[i])
 		if s.ot.Owner(cx, cy) != self {
-			return fmt.Errorf("driver: step %d: particle %d at cell (%d,%d) not owned here", step, soa.Meta[i].ID, cx, cy)
+			return fmt.Errorf("driver: step %d: particle %d at cell (%d,%d) not owned by rank %d", step, soa.Meta[i].ID, cx, cy, self)
 		}
 	}
 	return nil
 }
+
+// VerifyLocal implements Substrate.
+func (s *blockSubstrate) VerifyLocal(v *core.ColumnVerifier) error { return v.Check(s.soa) }
 
 // Particles implements Substrate. The returned slice is scratch, valid
 // until the next Particles call.

@@ -6,7 +6,7 @@ package driver
 // schedule, seed) is not part of a checkpoint — a restoring rank rebuilds
 // it from its own Config and validates the checkpoint against it, exactly
 // like core.Simulation.Checkpoint. Derived state (materialized mesh blocks,
-// owner tables, tile plans, frontier masks) is likewise rebuilt rather than
+// owner tables, frontier masks) is likewise rebuilt rather than
 // shipped: block charge data is formulaic, and the lookup structures are
 // pure functions of the cuts / VP placement that do travel.
 
@@ -33,8 +33,9 @@ func pupIntSlice(p *pup.PUPer, v *[]int) {
 // PUP implements pup.PUPable: the block substrate's dynamic state is the
 // cut arrays (the decomposition the balancer has evolved), the local SoA
 // particle container, and the migration/exchange accounting. Unpacking
-// reinstalls the cuts — rebuilding the mesh block, owner table, and tile
-// plan — before the restored particles are trusted.
+// reinstalls the cuts — rebuilding the mesh block, owner table, and frontier
+// mask, and zeroing the ownership prefix — before the restored particles are
+// trusted.
 func (s *blockSubstrate) PUP(p *pup.PUPer) {
 	magic := blockCheckpointMagic
 	p.Uint64(&magic)

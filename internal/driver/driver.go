@@ -83,16 +83,13 @@ type Config struct {
 	// default, GOMAXPROCS/ranks with a minimum of 1. Particle updates are
 	// independent, so results are bitwise identical at any worker count.
 	Workers int
-	// Tile controls the tile-pipelined step: each rank's sub-domain splits
-	// into boundary tiles (cells within one step's displacement of remote
-	// territory) and interior tiles of Tile×Tile cells; boundary tiles move
-	// first and their leavers go on the wire while the interior tiles are
-	// still computing. 0 selects the default tile edge (DefaultTile); a
-	// positive value sets the interior tile edge in cells (a value covering
-	// the whole sub-domain degenerates to one boundary + one interior
-	// tile); -1 disables the pipeline and runs the move and the exchange
-	// strictly in sequence, as before. Results are bitwise identical at any
-	// setting.
+	// Tile selects between the two forms of the step: -1 runs the move and
+	// the exchange strictly in sequence; any other value runs the pipelined
+	// step, in which the particles within one step's displacement of remote
+	// territory move first and their leavers go on the wire while the rest
+	// are still computing. The magnitude is no longer used — the pipeline
+	// partitions particles into those two classes, it does not tile — and is
+	// accepted for compatibility. Results are bitwise identical either way.
 	Tile int
 	// Telemetry enables the per-step timeline: every rank records one
 	// telemetry.Sample per step and rank 0's Result carries the merged
@@ -171,27 +168,16 @@ func (cfg *Config) effectiveWorkers(ranks int) int {
 	return w
 }
 
-// DefaultTile is the interior tile edge used when Config.Tile is 0.
+// DefaultTile is the tile edge bench/micro.go builds its core.TilePlan
+// with; the step no longer tiles. Delete it with TilePlan.
 const DefaultTile = 8
-
-// effectiveTile resolves the tile edge (0 when the pipeline is disabled).
-func (cfg *Config) effectiveTile() int {
-	switch {
-	case cfg.Tile == -1:
-		return 0
-	case cfg.Tile == 0:
-		return DefaultTile
-	default:
-		return cfg.Tile
-	}
-}
 
 // ringWidths returns the per-axis displacement ring of the run: the maximum
 // distance, in cells, any particle can travel in one step. The closed-form
 // trajectories (core/verify.go) move a particle exactly (2K+1) cells in x
 // and M cells in y per step, so the ring is exact, not an estimate;
 // injected particles carry their event's own K and M, so the ring maxes
-// over the schedule too. The tile pipeline uses it to decide which cells
+// over the schedule too. The pipelined step uses it to decide which cells
 // can reach remote territory within a step.
 func (cfg *Config) ringWidths() (rx, ry int) {
 	rx = 2*cfg.K + 1
@@ -238,7 +224,7 @@ func (cfg *Config) validate(p int) error {
 		return fmt.Errorf("driver: negative move worker count %d", cfg.Workers)
 	}
 	if cfg.Tile < -1 {
-		return fmt.Errorf("driver: invalid tile size %d (want -1, 0 or a positive edge)", cfg.Tile)
+		return fmt.Errorf("driver: invalid tile setting %d (want -1 for the sequential step, anything else for the pipelined one)", cfg.Tile)
 	}
 	if cfg.TelemetryCap < 0 {
 		return fmt.Errorf("driver: negative telemetry ring cap %d", cfg.TelemetryCap)
@@ -268,8 +254,8 @@ type RankStats struct {
 	// moves, particle exchange, LB decisions (reductions + planning), and
 	// LB data movement (mesh or VP migration).
 	Compute, Exchange, Balance, Migrate time.Duration
-	// Overlap is the exchange time hidden behind compute by the tile
-	// pipeline: wall time of interior-tile moves that ran while the
+	// Overlap is the exchange time hidden behind compute by the pipelined
+	// step: wall time of interior-wave moves that ran while the
 	// boundary exchange was in flight. It is included in Compute (the time
 	// was spent computing); Exchange holds only the exposed remainder.
 	Overlap time.Duration
@@ -350,23 +336,44 @@ func (r *Result) MaxParticlesHighWater() int {
 	return m
 }
 
-// initLocalParticles computes the deterministic global initialization and
-// keeps the particles owned by this rank. Replicating the initialization is
-// O(N) per rank but keeps placement bitwise independent of P, which the
-// verification scheme relies on.
-func initLocalParticles(cfg Config, owns func(cx, cy int) bool) ([]particle.Particle, error) {
-	all, err := dist.Initialize(cfg.distConfig())
-	if err != nil {
-		return nil, err
+// fillLocal streams the deterministic initial population into the
+// containers this rank hosts, never materializing the rest of the world. ot
+// maps a cell to one of owners owner indices (ranks, or VPs) and local
+// returns that owner's container, nil when it lives on another rank. Cell
+// columns no local owner reaches are skipped, RNG included; over the others
+// a counting pass sizes every container exactly before a second pass fills
+// it. Placement stays bitwise independent of P, which the verification
+// scheme relies on: every rank sees the same stream and keeps its share.
+func fillLocal(cfg Config, ot *core.OwnerTable, owners int, local func(owner int32) *core.SoA) error {
+	dst := make([]*core.SoA, owners)
+	for o := range dst {
+		dst[o] = local(int32(o))
 	}
-	local := all[:0]
-	for i := range all {
-		cx, cy := cfg.Mesh.CellOf(all[i].X, all[i].Y)
-		if owns(cx, cy) {
-			local = append(local, all[i])
+	L := cfg.Mesh.L
+	want := make([]bool, L)
+	for cx := range want {
+		for cy := 0; cy < L && !want[cx]; cy++ {
+			want[cx] = dst[ot.Owner(cx, cy)] != nil
 		}
 	}
-	return append([]particle.Particle(nil), local...), nil
+	cols := func(cx int) bool { return want[cx] }
+	dc := cfg.distConfig()
+	counts := make([]int, owners)
+	err := dist.Each(dc, cols, func(cx, cy int, _ *particle.Particle) { counts[ot.Owner(cx, cy)]++ })
+	if err != nil {
+		return err
+	}
+	for o, s := range dst {
+		if s != nil {
+			s.Resize(counts[o])
+			s.Truncate(0)
+		}
+	}
+	return dist.Each(dc, cols, func(cx, cy int, p *particle.Particle) {
+		if s := dst[ot.Owner(cx, cy)]; s != nil {
+			s.Append(*p)
+		}
+	})
 }
 
 // eventState tracks the globally-agreed ID counter for injections.
@@ -375,106 +382,31 @@ type eventState struct {
 }
 
 func newEventState(cfg Config) eventState {
-	return eventState{nextID: uint64(cfg.N) + 1}
+	dc := cfg.distConfig()
+	_, next := dc.IDRange()
+	return eventState{nextID: next}
 }
 
-// apply fires the events scheduled at the given step against the local
-// particle set: removal scans local particles; injection recomputes the
-// deterministic global injection list and keeps the locally-owned ones.
+// apply fires the events scheduled at the given step, removal before
+// injection: remove is called with each removal region, and place with
+// every particle an injection adds — the deterministic global sequence,
+// streamed, of which a rank keeps the particles landing in cells it owns.
 // Every rank advances nextID identically.
-func (es *eventState) apply(cfg Config, step int, ps []particle.Particle, owns func(cx, cy int) bool) []particle.Particle {
+func (es *eventState) apply(cfg Config, step int, remove func(region dist.Rect), place func(cx, cy int, p *particle.Particle)) {
 	for _, ev := range cfg.Schedule.At(step) {
 		if ev.Remove {
-			kept := ps[:0]
-			for i := range ps {
-				if !ev.Region.ContainsPos(ps[i].X, ps[i].Y, cfg.Mesh) {
-					kept = append(kept, ps[i])
-				}
-			}
-			ps = kept
+			remove(ev.Region)
 		}
 		if ev.Inject > 0 {
-			dir := cfg.Dir
-			if dir == 0 {
-				dir = 1
-			}
-			inj := dist.InjectParticles(cfg.Mesh, ev, cfg.Seed, es.nextID, dir)
+			dist.EachInjected(cfg.Mesh, ev, cfg.Seed, es.nextID, cfg.Dir, place)
 			es.nextID += uint64(ev.Inject)
-			for i := range inj {
-				cx, cy := cfg.Mesh.CellOf(inj[i].X, inj[i].Y)
-				if owns(cx, cy) {
-					ps = append(ps, inj[i])
-				}
-			}
-		}
-	}
-	return ps
-}
-
-// applySoA is eventState.apply against an SoA particle store: removal scans
-// the local particles in place; injection recomputes the deterministic
-// global injection list and appends the locally-owned ones. Every rank
-// advances nextID identically.
-func (es *eventState) applySoA(cfg Config, step int, s *core.SoA, owns func(cx, cy int) bool) {
-	for _, ev := range cfg.Schedule.At(step) {
-		if ev.Remove {
-			region := ev.Region
-			s.Filter(func(i int) bool {
-				return !region.ContainsPos(s.X[i], s.Y[i], cfg.Mesh)
-			})
-		}
-		if ev.Inject > 0 {
-			dir := cfg.Dir
-			if dir == 0 {
-				dir = 1
-			}
-			inj := dist.InjectParticles(cfg.Mesh, ev, cfg.Seed, es.nextID, dir)
-			es.nextID += uint64(ev.Inject)
-			for i := range inj {
-				cx, cy := cfg.Mesh.CellOf(inj[i].X, inj[i].Y)
-				if owns(cx, cy) {
-					s.Append(inj[i])
-				}
-			}
 		}
 	}
 }
 
-// sendBuckets is a double-buffered set of per-destination send buckets for
-// the step exchange, so the steady state refills existing backing arrays
-// instead of allocating fresh ones.
-//
-// Why double buffering is enough: comm.Send transfers ownership of the
-// bucket slice to the receiver, so a bucket must not be refilled while a
-// receiver could still be reading it. SparseExchange begins with an
-// allreduce, which no rank completes before every rank has entered it —
-// and a rank only enters exchange k+1's allreduce after it finished
-// receiving (and copying out) exchange k's buckets. A sender fills buckets
-// for exchange k+2 only after completing exchange k+1, i.e. after its
-// allreduce completed, i.e. after every receiver finished reading exchange
-// k. Alternating two generations therefore never overwrites a bucket that
-// is still in flight, even under chaos-mode delivery delays (a delayed
-// delivery delays the receiver's progress, and with it every later
-// allreduce). TestDriversUnderChaos and TestAllPoliciesUnderChaos exercise
-// exactly this.
-type sendBuckets[T any] struct {
-	gens [2][][]T
-	gen  int
-}
-
-// next returns the older generation's buckets, emptied and sized for p
-// destinations, and flips the generation.
-func (b *sendBuckets[T]) next(p int) [][]T {
-	cur := b.gens[b.gen]
-	if len(cur) != p {
-		cur = make([][]T, p)
-		b.gens[b.gen] = cur
-	}
-	b.gen = 1 - b.gen
-	for i := range cur {
-		cur[i] = cur[i][:0]
-	}
-	return cur
+// removeRegion deletes, in place, every particle of s inside region.
+func removeRegion(s *core.SoA, region dist.Rect, m grid.Mesh) {
+	s.Filter(func(i int) bool { return !region.ContainsPos(s.X[i], s.Y[i], m) })
 }
 
 // colShards is the double-buffered set of per-destination core.Columns
@@ -504,26 +436,20 @@ func (b *colShards) next(p int) []core.Columns {
 	return cur
 }
 
-// distributedVerify is the parallel verification of paper §III-D: local
-// closed-form position checks plus one allreduce for the population count
-// and ID checksum. No rank ever sees the global particle set.
-func distributedVerify(c *comm.Comm, cfg Config, ps []particle.Particle) error {
-	tol := cfg.Tol
-	if tol <= 0 {
-		tol = core.DefaultTolerance
+// distributedVerify is the parallel verification of paper §III-D: every
+// rank checks its particles against the closed form on the columns where
+// they live (Substrate.VerifyLocal), and one allreduce compares the global
+// population count and ID checksum with the analytic prediction. No rank
+// ever sees the global particle set, or even an AoS copy of its own.
+func distributedVerify(c *comm.Comm, cfg Config, sub Substrate) error {
+	dc := cfg.distConfig()
+	first, _ := dc.IDRange()
+	v := core.NewColumnVerifier(cfg.Mesh, cfg.Steps, cfg.Tol, first, cfg.N+cfg.Schedule.TotalInjected())
+	if err := sub.VerifyLocal(v); err != nil {
+		return fmt.Errorf("rank %d: %w", c.Rank(), err)
 	}
-	if err := core.VerifyPositions(cfg.Mesh, ps, cfg.Steps, tol); err != nil {
-		return err
-	}
-	seen := make(map[uint64]bool, len(ps))
-	for i := range ps {
-		if seen[ps[i].ID] {
-			return fmt.Errorf("driver: duplicate particle %d on rank %d", ps[i].ID, c.Rank())
-		}
-		seen[ps[i].ID] = true
-	}
-	sums := comm.Allreduce(c, []uint64{uint64(len(ps)), particle.IDSum(ps)}, comm.Sum[uint64])
-	pop, err := core.ExpectedPopulation(cfg.distConfig(), cfg.Schedule, cfg.Steps)
+	sums := comm.Allreduce(c, []uint64{uint64(v.Count), v.IDSum}, comm.Sum[uint64])
+	pop, err := core.ExpectedPopulation(dc, cfg.Schedule, cfg.Steps)
 	if err != nil {
 		return err
 	}
@@ -538,16 +464,17 @@ func distributedVerify(c *comm.Comm, cfg Config, ps []particle.Particle) error {
 
 // gatherAndVerify collects every rank's particles at rank 0 and verifies
 // them against the closed-form solution. Ranks other than 0 return
-// (nil, true, nil). With cfg.DistributedVerify the gather is skipped and
-// the parallel verification runs instead.
-func gatherAndVerify(c *comm.Comm, cfg Config, ps []particle.Particle) ([]particle.Particle, bool, error) {
+// (nil, true, nil). With cfg.DistributedVerify the gather — and the AoS
+// conversion feeding it — is skipped and the parallel verification runs on
+// the substrate's columns instead.
+func gatherAndVerify(c *comm.Comm, cfg Config, sub Substrate) ([]particle.Particle, bool, error) {
 	if cfg.DistributedVerify {
-		if err := distributedVerify(c, cfg, ps); err != nil {
+		if err := distributedVerify(c, cfg, sub); err != nil {
 			return nil, false, fmt.Errorf("driver: distributed verification failed: %w", err)
 		}
 		return nil, true, nil
 	}
-	all := comm.Gather(c, 0, append([]particle.Particle(nil), ps...))
+	all := comm.Gather(c, 0, append([]particle.Particle(nil), sub.Particles()...))
 	if c.Rank() != 0 {
 		return nil, true, nil
 	}

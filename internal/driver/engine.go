@@ -7,6 +7,7 @@ import (
 	"github.com/parres/picprk/internal/balance"
 	"github.com/parres/picprk/internal/comm"
 	"github.com/parres/picprk/internal/comm/wire"
+	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/particle"
 	"github.com/parres/picprk/internal/telemetry"
 	"github.com/parres/picprk/internal/trace"
@@ -25,9 +26,9 @@ type Substrate interface {
 	// Exchange delivers boundary-crossing particles to their owners. It is
 	// collective and accounts its time as trace.Exchange on rec.
 	Exchange(rec *trace.Recorder) error
-	// MoveExchange runs the fused tile-pipelined step: boundary particles
-	// move first and their leavers go on the wire, interior particles move
-	// while the exchange is in flight. Results are bitwise identical to
+	// MoveExchange runs the fused pipelined step: frontier particles move
+	// first and their leavers go on the wire, interior particles move while
+	// the exchange is in flight. Results are bitwise identical to
 	// Move followed by Exchange; with Config.Tile == -1 it falls back to
 	// exactly that sequence. Compute/Exchange time splits are accounted on
 	// rec, plus the overlap credit (rec.AddOverlap).
@@ -46,9 +47,15 @@ type Substrate interface {
 	Execute(p balance.Plan) (rehome bool, err error)
 	// CheckOwnership asserts every local particle is where the current
 	// decomposition says it belongs — a cheap per-step invariant that
-	// catches routing bugs long before verification would.
+	// catches routing bugs long before verification would. Particles this
+	// step's fused classify pass already found at home are not re-read; what
+	// entered since (arrivals, injections) always is.
 	CheckOwnership(step int) error
-	// Particles returns the local particle set for verification.
+	// VerifyLocal runs the per-rank half of distributed verification over
+	// every local particle container, on the columns in place.
+	VerifyLocal(v *core.ColumnVerifier) error
+	// Particles returns the local particle set in AoS form, for the
+	// gathered verification of cfg.Verify.
 	Particles() []particle.Particle
 	// MigrationStats reports accumulated LB data movement: actions that
 	// moved data to or from this rank, and payload bytes sent.
@@ -67,7 +74,7 @@ type Substrate interface {
 	// Restore replaces the rank's dynamic state with a Checkpoint blob
 	// taken on a substrate built from the identical Config (possibly in
 	// another process — the blob is self-describing and validated). Derived
-	// structures (owner tables, tile plans, frontier masks) are rebuilt.
+	// structures (owner tables, frontier masks) are rebuilt.
 	Restore(buf []byte) error
 	// Close releases per-rank resources (the move worker pool). The engine
 	// calls it exactly once when the rank's pipeline exits.

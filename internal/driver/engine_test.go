@@ -145,8 +145,11 @@ func TestEventIDContinuitySameStep(t *testing.T) {
 	for r := 0; r < ranks; r++ {
 		states[r] = newEventState(cfg)
 		lo, hi := r*4, (r+1)*4
-		owns := func(cx, cy int) bool { return cx >= lo && cx < hi }
-		got[r] = states[r].apply(cfg, 1, nil, owns)
+		states[r].apply(cfg, 1, func(dist.Rect) {}, func(cx, _ int, p *particle.Particle) {
+			if cx >= lo && cx < hi {
+				got[r] = append(got[r], *p)
+			}
+		})
 	}
 	want := uint64(cfg.N) + 1 + 100 + 50
 	for r := 0; r < ranks; r++ {

@@ -377,8 +377,7 @@ func (r *epochRunner) oneStep(step int) error {
 // assembles the Result, attaching the epoch lifecycle record (events and
 // recovery counters) when checkpointing was on.
 func (r *epochRunner) finalize() error {
-	ps := r.sub.Particles()
-	merged, verified, err := gatherAndVerify(r.c, r.cfg, ps)
+	merged, verified, err := gatherAndVerify(r.c, r.cfg, r.sub)
 	if err != nil {
 		return err
 	}
@@ -393,7 +392,7 @@ func (r *epochRunner) finalize() error {
 	}
 	migrations, bytes := r.sub.MigrationStats()
 	r.rec.Migrations = migrations
-	res := collectResult(r.c, r.e.Name, r.cfg, r.rec, len(ps), bytes, r.sub.ExchangeBytes(), migrations)
+	res := collectResult(r.c, r.e.Name, r.cfg, r.rec, r.sub.Count(), bytes, r.sub.ExchangeBytes(), migrations)
 	if res != nil {
 		res.Verified = verified && (r.cfg.Verify || r.cfg.DistributedVerify)
 		if r.cfg.Verify {

@@ -14,7 +14,7 @@ import (
 // allocations, with the move pool both on its inline path (workers=1) and
 // genuinely parallel (workers=3, particle counts above the chunking
 // threshold), and both through the legacy Move→Exchange pair and the
-// tile-pipelined MoveExchange (counting sort, two-wave move, split
+// pipelined MoveExchange (frontier partition, two-wave move, split
 // Start/Finish exchange). AllocsPerRun counts process-global mallocs, so
 // rank 0 measures while rank 1 runs the same number of steps in lockstep —
 // both ranks must therefore be allocation-free for the test to pass.

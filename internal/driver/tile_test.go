@@ -8,84 +8,71 @@ import (
 	"github.com/parres/picprk/internal/dist"
 )
 
-// TestTilePipelineBitwiseMatrix is the determinism matrix of the tile
-// pipeline: every driver must produce bitwise the same final state and the
-// same balance log at every tile setting — the pipeline disabled (-1), one
-// covering tile (degenerate boundary+interior split), the default, and a
-// small edge (many tiles) — crossed with worker counts, all against the
-// sequential reference. The tile split changes only the order in which
-// independent particle updates run, so any divergence is a routing bug.
+// TestTilePipelineBitwiseMatrix is the determinism matrix of the pipelined
+// step: every driver must produce bitwise the same final state and the same
+// balance log with the pipeline off (Tile -1) and on, crossed with worker
+// counts, all against the sequential reference. Tile's magnitude no longer
+// selects anything, so one "on" value stands for all. The split changes only
+// the order in which independent particle updates run, so any divergence is
+// a routing bug. TestTilePipelineWireIdentity is the same matrix over tcp.
 func TestTilePipelineBitwiseMatrix(t *testing.T) {
 	cfg := testConfig(t, 16, 4000, 30)
 	cfg.Schedule = dist.Schedule{
 		{Step: 9, Region: dist.Rect{X0: 2, X1: 10, Y0: 2, Y1: 10}, Inject: 300, M: 1},
 		{Step: 21, Region: dist.Rect{X0: 0, X1: 8, Y0: 0, Y1: 16}, Remove: true},
 	}
+	tilePipelineMatrix(t, 2, cfg, []int{-1, 0}, []int{1, 2, 7})
+}
+
+// tilePipelineMatrix runs every driver at every (tile, workers) setting and
+// compares final states with the sequential reference and balance logs with
+// the driver's first run.
+func tilePipelineMatrix(t *testing.T, p int, cfg Config, tiles, workers []int, drivers ...int) {
+	t.Helper()
 	ref := sequentialReference(t, cfg)
-	const p = 2
-	for di := range driverMatrix(p, cfg) {
-		name := driverMatrix(p, cfg)[di].name
-		// The unpipelined run anchors the balance-log comparison.
-		legacyCfg := cfg
-		legacyCfg.Tile = -1
-		legacy, err := driverMatrix(p, legacyCfg)[di].fn()
-		if err != nil {
-			t.Fatalf("%s tile=-1: %v", name, err)
-		}
-		assertBitwiseEqual(t, ref, legacy.Particles, name+" tile=-1")
-		for _, tile := range []int{0, 64, 2} {
-			for _, workers := range []int{1, 2, 7} {
+	if len(drivers) == 0 {
+		drivers = []int{0, 1, 2, 3}
+	}
+	for _, di := range drivers {
+		var anchor *Result
+		for _, tile := range tiles {
+			for _, w := range workers {
 				c := cfg
-				c.Tile = tile
-				c.Workers = workers
-				res, err := driverMatrix(p, c)[di].fn()
+				c.Tile, c.Workers = tile, w
+				d := driverMatrix(p, c)[di]
+				label := fmt.Sprintf("%s %s tile=%d workers=%d", d.name, c.ResolveTransport(), tile, w)
+				res, err := d.fn()
 				if err != nil {
-					t.Fatalf("%s tile=%d workers=%d: %v", name, tile, workers, err)
+					t.Fatalf("%s: %v", label, err)
 				}
 				if !res.Verified {
-					t.Fatalf("%s tile=%d workers=%d: not verified", name, tile, workers)
+					t.Fatalf("%s: not verified", label)
 				}
-				label := fmt.Sprintf("%s tile=%d workers=%d", name, tile, workers)
 				assertBitwiseEqual(t, ref, res.Particles, label)
-				if !reflect.DeepEqual(legacy.BalanceLog, res.BalanceLog) {
-					t.Fatalf("%s: balance log diverged from unpipelined run:\ntile=-1: %q\ngot:     %q",
-						label, legacy.BalanceLog, res.BalanceLog)
+				if anchor == nil {
+					anchor = res
+				} else if !reflect.DeepEqual(anchor.BalanceLog, res.BalanceLog) {
+					t.Fatalf("%s: balance log diverged from the driver's first run:\nfirst: %q\ngot:   %q",
+						label, anchor.BalanceLog, res.BalanceLog)
 				}
 			}
 		}
 	}
 }
 
-// TestTilePipelineWireIdentity runs the pipelined step over real sockets:
-// the Start/Finish exchange split must survive serialization and framing
-// with bitwise-identical results, for the block and the VP substrate. This
-// is also the test CI runs under -race to exercise the overlap between the
-// transport goroutines and the interior move wave.
+// TestTilePipelineWireIdentity runs the matrix over real sockets: the
+// Start/Finish exchange split must survive serialization and framing with
+// bitwise-identical results, pipeline on and off, for the block and the VP
+// substrate. This is also the test CI runs under -race to exercise the
+// overlap between the transport goroutines and the interior move wave.
 func TestTilePipelineWireIdentity(t *testing.T) {
-	const p = 4
 	cfg := testConfig(t, 16, 900, 16)
 	cfg.Schedule = dist.Schedule{
 		{Step: 5, Region: dist.Rect{X0: 2, X1: 10, Y0: 2, Y1: 10}, Inject: 200, M: 1},
 	}
-	cfg.Workers = 2
-	cfg.Tile = 4
-	ref := sequentialReference(t, cfg)
-	for di := range driverMatrix(p, cfg) {
-		if di == 1 || di == 2 {
-			continue // one driver per substrate: baseline (block), worksteal (VP)
-		}
-		wireCfg := cfg
-		wireCfg.Transport = TransportTCP
-		name := driverMatrix(p, wireCfg)[di].name
-		res, err := driverMatrix(p, wireCfg)[di].fn()
-		if err != nil {
-			t.Fatalf("%s over tcp: %v", name, err)
-		}
-		if !res.Verified {
-			t.Fatalf("%s over tcp: not verified", name)
-		}
-		assertBitwiseEqual(t, ref, res.Particles, name+" tile pipeline over tcp")
-	}
+	cfg.Transport = TransportTCP
+	// One driver per substrate: baseline (block), worksteal (VP).
+	tilePipelineMatrix(t, 4, cfg, []int{-1, 0}, []int{1, 2}, 0, 3)
 }
 
 // TestTilePipelineReportsOverlap asserts the overlap metric is actually
@@ -133,11 +120,17 @@ func TestTilePipelineReportsOverlap(t *testing.T) {
 	}
 }
 
-// TestTileValidation pins the config check for the tile knob.
+// TestTileValidation pins the config check for the tile knob: below -1 is
+// rejected, and a positive value — a tile edge, when the step still tiled —
+// is still accepted and means "pipelined".
 func TestTileValidation(t *testing.T) {
 	cfg := testConfig(t, 8, 100, 2)
 	cfg.Tile = -2
 	if _, err := RunBaseline(2, cfg); err == nil {
 		t.Fatal("tile=-2 accepted")
+	}
+	cfg.Tile = 64
+	if res, err := RunBaseline(2, cfg); err != nil || !res.Verified {
+		t.Fatalf("tile=64: %v", err)
 	}
 }

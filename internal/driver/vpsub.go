@@ -28,6 +28,10 @@ type picVP struct {
 	nx, ny int
 	block  *grid.Block
 	soa    *core.SoA
+	// owned is the VP's ownership prefix (see blockSubstrate.owned): set
+	// after the step's ScatterRemove, zeroed by a removal event, a migration
+	// step and unpacking. It is not part of the PUPed state.
+	owned int
 	// gdata is the reused grid-data staging buffer for pack and unpack; it
 	// is not part of the PUPed state.
 	gdata []float64
@@ -61,6 +65,7 @@ func (v *picVP) PUP(p *pup.PUPer) {
 	}
 	core.PUPSoA(p, v.soa)
 	if p.Mode() == pup.Unpacking && p.Err() == nil {
+		v.owned = 0
 		if v.block == nil {
 			v.block = &grid.Block{}
 		}
@@ -93,7 +98,6 @@ type vpColParcel struct {
 type vpSubstrate struct {
 	c    *comm.Comm
 	cfg  Config
-	vg   *decomp.Grid2D
 	rt   *ampi.Runtime
 	pool *core.MovePool
 
@@ -122,20 +126,16 @@ type vpSubstrate struct {
 	peerBytes, peerMsgs []int64
 	nbr                 core.NbrSet
 
-	// Tile pipeline state (tileSize == 0 disables the pipeline). The VP
-	// substrate splits each VP's particles into an interior head and a
-	// frontier tail against a global frontier mask — a cell is frontier
-	// when one step could carry a particle from it into a VP hosted on
-	// another core — rather than tiling inside the (small) VP rectangles.
-	// frontier depends on VP placement and is rebuilt after every Migrate.
-	tileSize    int
-	rx, ry      int
-	frontier    core.Frontier
-	tid         []int32
-	pstarts     [3]int32
-	pcur        [2]int32
-	vni         []int
-	sortScratch *core.SoA
+	// Pipeline state (pipelined is false only under Config.Tile == -1). Each
+	// VP's particles partition into an interior head and a frontier tail
+	// against a global frontier mask — a cell is frontier when one step could
+	// carry a particle from it into a VP hosted on another core. The mask
+	// depends on VP placement and is rebuilt after every Migrate; vni holds
+	// each local VP's interior count between the two waves.
+	pipelined bool
+	rx, ry    int
+	frontier  core.Frontier
+	vni       []int
 }
 
 func newVPSubstrate(c *comm.Comm, cfg Config, overdecompose int) (*vpSubstrate, error) {
@@ -155,52 +155,37 @@ func newVPSubstrate(c *comm.Comm, cfg Config, overdecompose int) (*vpSubstrate, 
 		return nil, err
 	}
 
-	// Initialization is replicated deterministically; each core materializes
-	// only the VPs placed on it.
-	all, err := dist.Initialize(cfg.distConfig())
-	if err != nil {
-		return nil, err
-	}
 	makeLocal := func(vp int) ampi.VP {
 		x0, y0, nx, ny := vg.RankRect(vp)
 		block, err := grid.NewBlock(cfg.Mesh, x0, y0, nx, ny)
 		if err != nil {
 			panic(err) // static decomposition of a validated mesh cannot fail
 		}
-		v := &picVP{id: vp, mesh: cfg.Mesh, x0: x0, y0: y0, nx: nx, ny: ny, block: block}
-		n := 0
-		for i := range all {
-			cx, cy := cfg.Mesh.CellOf(all[i].X, all[i].Y)
-			if vg.OwnerOfCell(cx, cy) == vp {
-				n++
-			}
-		}
-		ps := make([]particle.Particle, 0, n)
-		for i := range all {
-			cx, cy := cfg.Mesh.CellOf(all[i].X, all[i].Y)
-			if vg.OwnerOfCell(cx, cy) == vp {
-				ps = append(ps, all[i])
-			}
-		}
-		v.soa = core.NewSoA(ps)
-		return v
+		return &picVP{id: vp, mesh: cfg.Mesh, x0: x0, y0: y0, nx: nx, ny: ny, block: block, soa: &core.SoA{}}
 	}
 	rt, err := ampi.NewRuntime(c, vx*vy, place, makeLocal, func() ampi.VP { return &picVP{} })
 	if err != nil {
 		return nil, err
 	}
-	pool := core.NewMovePool(cfg.effectiveWorkers(c.Size()))
-	s := &vpSubstrate{
-		c: c, cfg: cfg, vg: vg, rt: rt, pool: pool,
-		vot: core.NewOwnerTable(vg.X.Cuts, vg.Y.Cuts),
+	// Each core fills only the VPs placed on it, straight from the stream.
+	vot := core.NewOwnerTable(vg.X.Cuts, vg.Y.Cuts)
+	err = fillLocal(cfg, vot, vx*vy, func(o int32) *core.SoA {
+		if v, ok := rt.Local(int(o)).(*picVP); ok {
+			return v.soa
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	s.tileSize = cfg.effectiveTile()
+	s := &vpSubstrate{
+		c: c, cfg: cfg, rt: rt, vot: vot,
+		pool: core.NewMovePool(cfg.effectiveWorkers(c.Size())),
+	}
+	s.pipelined = cfg.Tile != -1
 	s.rx, s.ry = cfg.ringWidths()
 	s.peerBytes = make([]int64, p)
 	s.peerMsgs = make([]int64, p)
-	if s.tileSize > 0 {
-		s.sortScratch = &core.SoA{}
-	}
 	s.rebuildTopology()
 	return s, nil
 }
@@ -214,7 +199,7 @@ func newVPSubstrate(c *comm.Comm, cfg Config, overdecompose int) (*vpSubstrate, 
 // refreshed schedule arms comm's full-ring fence.
 func (s *vpSubstrate) rebuildTopology() {
 	me := s.c.Rank()
-	if s.tileSize > 0 {
+	if s.pipelined {
 		s.frontier.Rebuild(s.vot, s.cfg.Mesh.L, s.rx, s.ry, func(o int32) bool {
 			return s.rt.Location(int(o)) != me
 		})
@@ -235,6 +220,7 @@ func (s *vpSubstrate) Move() {
 		v := s.rt.Local(id).(*picVP)
 		s.pool.MoveClassify(v.soa, v.block, s.cfg.Mesh, s.vot, int32(v.id), &s.lv)
 		v.soa.ScatterRemove(&s.lv, cols)
+		v.owned = v.soa.Len()
 	}
 }
 
@@ -327,7 +313,7 @@ func (s *vpSubstrate) nextLists() [][]vpColParcel {
 	return lists
 }
 
-// MoveExchange implements Substrate: the tile-pipelined step on the
+// MoveExchange implements Substrate: the pipelined step on the
 // over-decomposed substrate. Each VP's particles are partitioned against
 // the global frontier mask into an interior head and a frontier tail
 // (per-cell, not per-VP — with over-decomposition most VPs touch a remote
@@ -339,7 +325,7 @@ func (s *vpSubstrate) nextLists() [][]vpColParcel {
 // bound for a remote core would mean the displacement ring is wrong, and
 // is a hard error: its shard may already be in flight.
 func (s *vpSubstrate) MoveExchange(rec *trace.Recorder) error {
-	if s.tileSize == 0 {
+	if !s.pipelined {
 		start := time.Now()
 		s.Move()
 		rec.Add(trace.Compute, time.Since(start))
@@ -358,23 +344,8 @@ func (s *vpSubstrate) MoveExchange(rec *trace.Recorder) error {
 	vni := s.vni[:len(ids)]
 	for k, id := range ids {
 		v := s.rt.Local(id).(*picVP)
-		n := v.soa.Len()
-		if cap(s.tid) < n {
-			s.tid = make([]int32, n)
-		}
-		tid := s.tid[:n]
-		for i := 0; i < n; i++ {
-			cx, cy := mesh.CellOf(v.soa.X[i], v.soa.Y[i])
-			if s.frontier.At(cx, cy) {
-				tid[i] = 1
-			} else {
-				tid[i] = 0
-			}
-		}
-		core.SortByTile(s.sortScratch, v.soa, tid, 2, s.pstarts[:], s.pcur[:])
-		v.soa, s.sortScratch = s.sortScratch, v.soa
-		vni[k] = int(s.pstarts[1])
-		s.pool.MoveClassifyRange(v.soa, vni[k], n, v.block, mesh, s.vot, int32(id), &s.lv)
+		vni[k] = core.PartitionFrontier(v.soa, mesh, &s.frontier)
+		s.pool.MoveClassifyRange(v.soa, vni[k], v.soa.Len(), v.block, mesh, s.vot, int32(id), &s.lv)
 		v.soa.ScatterRemove(&s.lv, cols)
 	}
 	rec.Add(trace.Compute, time.Since(t0))
@@ -432,6 +403,7 @@ func (s *vpSubstrate) MoveExchange(rec *trace.Recorder) error {
 			}
 		}
 		v.soa.ScatterRemove(&s.lv, cols)
+		v.owned = v.soa.Len()
 	}
 	d2 := time.Since(t2)
 	rec.Add(trace.Compute, d2)
@@ -473,32 +445,17 @@ func (s *vpSubstrate) MoveExchange(rec *trace.Recorder) error {
 // ApplyEvents implements Substrate: removal per VP; injections routed to
 // the owning VP if hosted locally.
 func (s *vpSubstrate) ApplyEvents(es *eventState, step int) {
-	for _, ev := range s.cfg.Schedule.At(step) {
-		if ev.Remove {
-			region := ev.Region
-			s.rt.ForEach(func(avp ampi.VP) {
-				v := avp.(*picVP)
-				v.soa.Filter(func(i int) bool {
-					return !region.ContainsPos(v.soa.X[i], v.soa.Y[i], s.cfg.Mesh)
-				})
-			})
+	es.apply(s.cfg, step, func(region dist.Rect) {
+		s.rt.ForEach(func(avp ampi.VP) {
+			v := avp.(*picVP)
+			removeRegion(v.soa, region, s.cfg.Mesh)
+			v.owned = 0
+		})
+	}, func(cx, cy int, p *particle.Particle) {
+		if v, ok := s.rt.Local(int(s.vot.Owner(cx, cy))).(*picVP); ok {
+			v.soa.Append(*p)
 		}
-		if ev.Inject > 0 {
-			dir := s.cfg.Dir
-			if dir == 0 {
-				dir = 1
-			}
-			inj := dist.InjectParticles(s.cfg.Mesh, ev, s.cfg.Seed, es.nextID, dir)
-			es.nextID += uint64(ev.Inject)
-			for i := range inj {
-				cx, cy := s.cfg.Mesh.CellOf(inj[i].X, inj[i].Y)
-				vp := s.vg.OwnerOfCell(cx, cy)
-				if avp := s.rt.Local(vp); avp != nil {
-					avp.(*picVP).soa.Append(inj[i])
-				}
-			}
-		}
-	}
+	})
 }
 
 // Count implements Substrate. Written without closures (and against the
@@ -532,24 +489,39 @@ func (s *vpSubstrate) Execute(plan balance.Plan) (bool, error) {
 		return false, err
 	}
 	// VP placement changed, so which cells can reach a remote core — and
-	// therefore the reachable peer set — changed.
+	// therefore the reachable peer set — changed. A migration step also
+	// re-checks every hosted particle, arrivals (zeroed by unpack) or not.
+	for _, id := range s.rt.LocalIDs() {
+		s.rt.Local(id).(*picVP).owned = 0
+	}
 	s.rebuildTopology()
 	return false, nil
 }
 
-// CheckOwnership implements Substrate: every particle must sit inside its
-// hosting VP's subdomain. Like Count, it avoids closures on the per-step
-// path.
+// CheckOwnership implements Substrate: every particle behind its VP's
+// ownership prefix must sit inside that VP's subdomain. Like Count, it
+// avoids closures on the per-step path.
 func (s *vpSubstrate) CheckOwnership(step int) error {
 	mesh := s.cfg.Mesh
 	for _, id := range s.rt.LocalIDs() {
 		v := s.rt.Local(id).(*picVP)
 		self := int32(v.id)
-		for i := 0; i < v.soa.Len(); i++ {
+		for i := v.owned; i < v.soa.Len(); i++ {
 			cx, cy := mesh.CellOf(v.soa.X[i], v.soa.Y[i])
 			if s.vot.Owner(cx, cy) != self {
 				return fmt.Errorf("driver: step %d: particle %d at cell (%d,%d) not owned by VP %d", step, v.soa.Meta[i].ID, cx, cy, v.id)
 			}
+		}
+	}
+	return nil
+}
+
+// VerifyLocal implements Substrate: one verifier over every hosted VP, so a
+// duplicate ID is caught across VPs of the rank as well as within one.
+func (s *vpSubstrate) VerifyLocal(v *core.ColumnVerifier) error {
+	for _, id := range s.rt.LocalIDs() {
+		if err := v.Check(s.rt.Local(id).(*picVP).soa); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -114,8 +114,19 @@ func (m Mesh) CellOf(x, y float64) (cx, cy int) {
 	return cx, cy
 }
 
-// WrapCoord maps a coordinate onto the periodic domain [0, L).
+// WrapCoord maps a coordinate onto the periodic domain [0, L). A coordinate
+// already inside is returned as is — math.Mod is the identity there, bit
+// for bit (−0 included), and a particle crosses the domain edge on a small
+// share of its moves, so the branch keeps the division out of the kernel
+// (and, the slow path being its own function, inlines into the move loops).
 func (m Mesh) WrapCoord(x float64) float64 {
+	if x >= 0 && x < float64(m.L) {
+		return x
+	}
+	return m.wrapOutside(x)
+}
+
+func (m Mesh) wrapOutside(x float64) float64 {
 	L := float64(m.L)
 	x = math.Mod(x, L)
 	if x < 0 {

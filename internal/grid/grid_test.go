@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -249,4 +250,64 @@ func TestNewBlockValidation(t *testing.T) {
 	if _, err := NewBlock(m, 0, 0, 9, 4); err == nil {
 		t.Error("oversized block accepted")
 	}
+}
+
+// wrapCoordMod is WrapCoord as it stood before the in-domain shortcut: the
+// reference the shortcut must equal bit for bit.
+func wrapCoordMod(m Mesh, x float64) float64 {
+	L := float64(m.L)
+	x = math.Mod(x, L)
+	if x < 0 {
+		x += L
+	}
+	if x >= L {
+		x -= L
+	}
+	return x
+}
+
+func checkWrapCoordBitwise(t *testing.T, m Mesh, x float64) {
+	t.Helper()
+	got, want := m.WrapCoord(x), wrapCoordMod(m, x)
+	if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+		t.Errorf("L=%d: WrapCoord(%v [%#x]) = %v [%#x], math.Mod form gives %v [%#x]",
+			m.L, x, math.Float64bits(x), got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestWrapCoordMatchesModBitwise pins the shortcut on the edge values — the
+// signed zeros, both domain edges and their neighbours one ulp away,
+// multiples of L, huge magnitudes, non-finite input — and on a sweep.
+func TestWrapCoordMatchesModBitwise(t *testing.T) {
+	for _, L := range []int{2, 10, 64, 512} {
+		m := MustMesh(L, 1)
+		fl := float64(L)
+		for _, x := range []float64{
+			math.Copysign(0, -1), 0, fl, math.Nextafter(fl, 0), math.Nextafter(fl, 2*fl),
+			math.Nextafter(0, -1), math.Nextafter(0, 1), -fl, 2 * fl, -2 * fl, 0.5, fl - 0.5,
+			1e300, -1e300, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+			math.Inf(1), math.Inf(-1), math.NaN(),
+		} {
+			checkWrapCoordBitwise(t, m, x)
+		}
+		rng := rand.New(rand.NewSource(int64(L)))
+		for i := 0; i < 20000; i++ {
+			checkWrapCoordBitwise(t, m, (rng.Float64()*6-3)*fl)
+			checkWrapCoordBitwise(t, m, math.Float64frombits(rng.Uint64()))
+		}
+	}
+}
+
+// FuzzWrapCoord extends the bitwise pin to whatever bit patterns the fuzzer
+// finds; `go test` runs the seed corpus.
+func FuzzWrapCoord(f *testing.F) {
+	for _, x := range []float64{0, math.Copysign(0, -1), 64, -64, 63.99999999999999, -5e-324, 128, 1e300, -1e300} {
+		f.Add(x, 64)
+	}
+	f.Fuzz(func(t *testing.T, x float64, L int) {
+		if L <= 0 || L%2 != 0 || L > 1<<20 {
+			return
+		}
+		checkWrapCoordBitwise(t, MustMesh(L, 1), x)
+	})
 }
