@@ -46,9 +46,9 @@ type driverBenchResult struct {
 	ExchangedBytes int64 `json:"exchanged_bytes,omitempty"`
 	MigratedBytes  int64 `json:"migrated_bytes,omitempty"`
 	// OverlapNS is the exchange time hidden behind interior compute by the
-	// tile-pipelined step over the last timed run, summed over ranks. The
-	// overlap ratio OverlapNS/(OverlapNS + exchange phase time) is the
-	// pipeline's effectiveness: 0 means fully exposed, 1 fully hidden.
+	// two-wave step over the last timed run, summed over ranks. The overlap
+	// ratio OverlapNS/(OverlapNS + exchange phase time) is the split's
+	// effectiveness: 0 means fully exposed, 1 fully hidden.
 	OverlapNS int64 `json:"overlap_ns,omitempty"`
 	// MsgsSent / MsgsElided count the exchange messages the last timed run
 	// posted vs skipped under the sparse neighbor schedule, summed over
@@ -107,7 +107,6 @@ type driverBenchReport struct {
 	GoMaxProcs int                 `json:"gomaxprocs"`
 	Ranks      int                 `json:"ranks"`
 	Workers    int                 `json:"workers"`
-	Tile       int                 `json:"tile,omitempty"`
 	Transport  string              `json:"transport,omitempty"`
 	L          int                 `json:"l"`
 	N          int                 `json:"n"`
@@ -117,7 +116,7 @@ type driverBenchReport struct {
 
 // driverBenchConfig mirrors benchConfig in the root package's bench_test.go
 // so the JSON numbers and `go test -bench Driver` measure the same workload.
-func driverBenchConfig(workers, tile int, transport string) (driver.Config, error) {
+func driverBenchConfig(workers int, transport string) (driver.Config, error) {
 	mesh, err := grid.NewMesh(64, grid.DefaultCharge)
 	if err != nil {
 		return driver.Config{}, err
@@ -125,7 +124,7 @@ func driverBenchConfig(workers, tile int, transport string) (driver.Config, erro
 	return driver.Config{
 		Mesh: mesh, N: 20000, Steps: 50,
 		Dist: dist.Geometric{R: 0.92}, Seed: 5,
-		Workers: workers, Tile: tile, Transport: transport,
+		Workers: workers, Transport: transport,
 	}, nil
 }
 
@@ -133,8 +132,8 @@ func driverBenchConfig(workers, tile int, transport string) (driver.Config, erro
 // path. When timelineDir is non-empty, each driver additionally does one
 // telemetry-enabled run (outside the timed loop, so sampling cannot skew
 // ns/op or allocs/op) and writes TIMELINE_<driver>.jsonl there.
-func runDriverBench(ranks, workers, tile int, transport, path, timelineDir string) error {
-	cfg, err := driverBenchConfig(workers, tile, transport)
+func runDriverBench(ranks, workers int, transport, path, timelineDir string) error {
+	cfg, err := driverBenchConfig(workers, transport)
 	if err != nil {
 		return err
 	}
@@ -161,7 +160,6 @@ func runDriverBench(ranks, workers, tile int, transport, path, timelineDir strin
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Ranks:      ranks,
 		Workers:    cfg.EffectiveWorkers(ranks),
-		Tile:       tile,
 		Transport:  transport,
 		L:          cfg.Mesh.L,
 		N:          cfg.N,

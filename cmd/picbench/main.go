@@ -43,7 +43,6 @@ func main() {
 		tlDir     = flag.String("timelines", "", "drivers: also write TIMELINE_<driver>.jsonl telemetry to this directory (one extra untimed run each)")
 		ranks     = flag.Int("p", 4, "drivers: number of ranks")
 		workers   = flag.Int("workers", 0, "drivers: move workers per rank (0 = GOMAXPROCS/p, min 1)")
-		tile      = flag.Int("tile", 0, "drivers: -1 = sequential Move then Exchange; any other value = pipelined step (the size is no longer used)")
 		transport = flag.String("transport", driver.TransportInproc, "drivers: comm substrate: inproc | tcp | unix (loopback sockets, one wire node per rank)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -100,7 +99,7 @@ func main() {
 	}
 
 	if *drivers {
-		if err := runDriverBench(*ranks, *workers, *tile, *transport, *out, *tlDir); err != nil {
+		if err := runDriverBench(*ranks, *workers, *transport, *out, *tlDir); err != nil {
 			fatal(err)
 		}
 		return

@@ -70,7 +70,6 @@ func main() {
 		stealTh   = flag.Float64("steal-threshold", 0, "worksteal: hunger trigger fraction (0 = default 0.25)")
 		verify    = flag.Bool("verify", true, "verify against the closed-form solution")
 		workers   = flag.Int("workers", 0, "move-phase worker goroutines per rank (0 = GOMAXPROCS/p, min 1)")
-		tile      = flag.Int("tile", 0, "-1 = sequential Move then Exchange; any other value = pipelined step (frontier particles first, interior while the exchange is in flight; the size is no longer used)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		timeline  = flag.String("timeline", "", "write the per-step telemetry timeline (JSONL) to this file")
@@ -130,7 +129,7 @@ func main() {
 		cfg := driver.Config{
 			Mesh: mesh, N: *n, K: *k, M: *mVert,
 			Dist: d0, Seed: *seed, Steps: *steps, Verify: *verify,
-			Workers: *workers, Tile: *tile, Telemetry: *timeline != "" || *chrome != "",
+			Workers: *workers, Telemetry: *timeline != "" || *chrome != "",
 			Transport:       *transport,
 			CheckpointEvery: *ckptEvery, Recover: *recovery,
 		}
@@ -193,7 +192,7 @@ func main() {
 	cfg := driver.Config{
 		Mesh: mesh, N: *n, K: *k, M: *mVert,
 		Dist: d0, Seed: *seed, Steps: *steps, Verify: *verify,
-		Workers: *workers, Tile: *tile,
+		Workers:   *workers,
 		Telemetry: obs.sampling(), Live: live,
 		Transport:       *transport,
 		CheckpointEvery: *ckptEvery, Recover: *recovery,

@@ -9,15 +9,12 @@ import (
 // negative tags so they can interleave with application point-to-point
 // traffic. Consecutive collectives of the same kind are safe because every
 // algorithm below has a fixed communication schedule, and message order is
-// FIFO per (source, tag) pair — except the sparse exchange, which receives
-// from wildcard sources and therefore carries a per-call sequence number in
-// its tag.
+// FIFO per (source, tag) pair — except Gather, which receives from wildcard
+// sources and therefore carries a per-call sequence number in its tag.
 const (
 	tagBarrier     = -1
 	tagBcast       = -2
 	tagReduce      = -3
-	tagAlltoall    = -5
-	tagSparseBase  = -1000000
 	tagGatherBase  = -3000000
 	tagScatterBase = -4000000
 )
@@ -175,60 +172,6 @@ func Gather[T any](c *Comm, root int, v T) []T {
 // Allgather collects one value from every rank on every rank.
 func Allgather[T any](c *Comm, v T) []T {
 	return Bcast(c, 0, Gather(c, 0, v))
-}
-
-// Alltoall sends send[i] to rank i and returns the values received from
-// every rank, indexed by source. len(send) must equal Size().
-func Alltoall[T any](c *Comm, send []T) []T {
-	p := c.Size()
-	if len(send) != p {
-		panic(fmt.Sprintf("comm: alltoall send length %d != size %d", len(send), p))
-	}
-	out := make([]T, p)
-	out[c.rank] = send[c.rank]
-	for i := 1; i < p; i++ {
-		dst := (c.rank + i) % p
-		src := (c.rank - i + p) % p
-		c.Send(dst, tagAlltoall, send[dst])
-		data, _ := c.Recv(src, tagAlltoall)
-		out[src] = cast[T](data, "Alltoall")
-	}
-	return out
-}
-
-// SparseExchange delivers buckets[dst] to each rank dst that has a non-empty
-// bucket and returns the incoming buckets indexed by source rank (nil for
-// sources that sent nothing). The self-bucket is transferred locally. The
-// number of incoming messages is agreed on with one integer allreduce, so
-// the cost scales with actual traffic, not with P².
-func SparseExchange[T any](c *Comm, buckets [][]T) [][]T {
-	p := c.Size()
-	if len(buckets) != p {
-		panic(fmt.Sprintf("comm: sparse exchange bucket count %d != size %d", len(buckets), p))
-	}
-	c.sparseSeq++
-	tag := tagSparseBase - int(c.sparseSeq%1000000)
-	ind := make([]int, p)
-	for dst, b := range buckets {
-		if dst != c.rank && len(b) > 0 {
-			ind[dst] = 1
-		}
-	}
-	incoming := Allreduce(c, ind, Sum[int])[c.rank]
-	for dst, b := range buckets {
-		if dst != c.rank && len(b) > 0 {
-			c.Send(dst, tag, b)
-		}
-	}
-	out := make([][]T, p)
-	if len(buckets[c.rank]) > 0 {
-		out[c.rank] = buckets[c.rank]
-	}
-	for i := 0; i < incoming; i++ {
-		data, src := c.Recv(AnySource, tag)
-		out[src] = cast[[]T](data, "SparseExchange")
-	}
-	return out
 }
 
 // Split partitions the communicator: ranks passing the same color form a new

@@ -262,7 +262,6 @@ type Comm struct {
 	group      []int // world ranks of the members, indexed by comm rank
 	ctx        uint64
 	splits     uint64
-	sparseSeq  uint64
 	gatherSeq  uint64
 	scatterSeq uint64
 	xchgSeq    uint64

@@ -272,94 +272,6 @@ func TestConsecutiveGathersDoNotMix(t *testing.T) {
 	}
 }
 
-func TestAlltoall(t *testing.T) {
-	for _, p := range testSizes() {
-		w := NewWorld(p)
-		err := w.Run(func(c *Comm) error {
-			send := make([]int, p)
-			for i := range send {
-				send[i] = c.Rank()*1000 + i
-			}
-			got := Alltoall(c, send)
-			for src, v := range got {
-				if v != src*1000+c.Rank() {
-					return fmt.Errorf("from %d got %d", src, v)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-	}
-}
-
-func TestSparseExchange(t *testing.T) {
-	for _, p := range testSizes() {
-		w := NewWorld(p)
-		err := w.Run(func(c *Comm) error {
-			// Each rank sends to rank+1 and rank+2 (mod p), skipping self.
-			buckets := make([][]int, p)
-			for d := 1; d <= 2; d++ {
-				dst := (c.Rank() + d) % p
-				if dst != c.Rank() {
-					buckets[dst] = append(buckets[dst], c.Rank()*10+d)
-				}
-			}
-			got := SparseExchange(c, buckets)
-			for d := 1; d <= 2; d++ {
-				src := (c.Rank() - d + p) % p
-				if src == c.Rank() {
-					continue
-				}
-				found := false
-				for _, v := range got[src] {
-					if v == src*10+d {
-						found = true
-					}
-				}
-				if !found {
-					return fmt.Errorf("p=%d rank %d missing value from %d: %v", p, c.Rank(), src, got[src])
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestSparseExchangeConsecutiveCallsDoNotMix(t *testing.T) {
-	// Rank 1 races ahead to the second exchange while rank 0 is slow; the
-	// per-call tag sequence must keep the rounds separate.
-	w := NewWorld(3)
-	err := w.Run(func(c *Comm) error {
-		p := c.Size()
-		for round := 0; round < 20; round++ {
-			buckets := make([][]int, p)
-			for dst := 0; dst < p; dst++ {
-				if dst != c.Rank() {
-					buckets[dst] = []int{round*100 + c.Rank()}
-				}
-			}
-			got := SparseExchange(c, buckets)
-			for src := 0; src < p; src++ {
-				if src == c.Rank() {
-					continue
-				}
-				if len(got[src]) != 1 || got[src][0] != round*100+src {
-					return fmt.Errorf("round %d rank %d: from %d got %v", round, c.Rank(), src, got[src])
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSplit(t *testing.T) {
 	w := NewWorld(8)
 	err := w.Run(func(c *Comm) error {

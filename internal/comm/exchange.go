@@ -2,18 +2,16 @@ package comm
 
 import "fmt"
 
-// The columnar exchange collective. SparseExchange is convenient but it
-// allocates on every call (indicator slice, allreduce internals, output
-// bucket slice) and boxes []T slice headers through any, which escapes to
-// the heap. ExchangePtr is the allocation-free alternative for the particle
-// exchange hot path: payloads are *T pointers into caller-owned,
-// double-buffered storage, so boxing a pointer into any allocates nothing,
-// and the send/receive schedule is static — either the full Alltoall ring
-// or, when the caller installs a neighbor schedule, the sparse neighborhood
-// subset of it — so no metadata agreement round is needed.
+// The exchange collective — the data plane's one exchange primitive.
+// Payloads are *T pointers into caller-owned, double-buffered storage, so
+// boxing a pointer into any allocates nothing and the particle exchange hot
+// path stays off the allocator; the send/receive schedule is static — either
+// the full all-to-all ring or, when the caller installs a neighbor schedule,
+// the sparse neighborhood subset of it — so no metadata agreement round is
+// needed.
 
-// tagXchgBase is the base of the exchange collective's tag space. Like the
-// sparse exchange, each call carries a per-call sequence number in its tag:
+// tagXchgBase is the base of the exchange collective's tag space. Like
+// Gather and Scatter, each call carries a per-call sequence number in its tag:
 // chaos mode (Options.ChaosDelay) delivers each message on its own delayed
 // goroutine, so two consecutive exchanges' messages between the same
 // (source, destination) pair can arrive reordered — distinct per-call tags
@@ -127,20 +125,6 @@ func (c *Comm) SetExchangeNeighbors(peers []int) {
 	if c.xchgSeq > 0 {
 		c.xchgFence = xchgFenceCalls
 	}
-}
-
-// ClearExchangeNeighbors reverts to the full-ring schedule (effective
-// immediately: the full ring is always safe to widen to).
-func (c *Comm) ClearExchangeNeighbors() {
-	if c.xchgOpen {
-		panic("comm: ClearExchangeNeighbors with an exchange open")
-	}
-	c.xchgNbrs = false
-	c.xchgFence = 0
-	for _, r := range c.xchgPeers {
-		c.xchgMask[r] = false
-	}
-	c.xchgPeers = c.xchgPeers[:0]
 }
 
 // ExchangeNeighbors returns the installed neighbor schedule (nil when the

@@ -216,9 +216,9 @@ func TestExchangePtrSparseChaosBufferReuse(t *testing.T) {
 		sparse := true
 		for round := 0; round < rounds; round++ {
 			if round == 15 {
-				// Rebalance mid-run: drop to the full ring, then re-arm the
-				// same schedule — the next two calls fence as full rings.
-				c.ClearExchangeNeighbors()
+				// Rebalance mid-run: reinstall the same schedule, as a
+				// substrate's topology rebuild does — the next two calls
+				// fence as full rings.
 				c.SetExchangeNeighbors(peers)
 			}
 			sparse = round < 15 || round >= 17

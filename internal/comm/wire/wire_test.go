@@ -60,25 +60,26 @@ func collectiveWorkout(c *comm.Comm) error {
 		return fmt.Errorf("bcast: got %q", s)
 	}
 
-	send := make([]float64, p)
-	for i := range send {
-		send[i] = float64(r*100 + i)
-	}
-	back := comm.Alltoall(c, send)
-	for i, v := range back {
-		if want := float64(i*100 + r); v != want {
-			return fmt.Errorf("alltoall[%d]: got %v, want %v", i, v, want)
+	// Scatter: the root deals every rank its own slice.
+	var deal [][]float64
+	if r == 0 {
+		for i := 0; i < p; i++ {
+			deal = append(deal, []float64{float64(i * 100), float64(i*100 + 1)})
 		}
 	}
+	mine := comm.Scatter(c, 0, deal)
+	if len(mine) != 2 || mine[0] != float64(r*100) || mine[1] != float64(r*100+1) {
+		return fmt.Errorf("scatter: got %v", mine)
+	}
 
-	// Sparse exchange: everyone ships a bucket to rank (r+1)%p.
-	buckets := make([][]int64, p)
-	buckets[(r+1)%p] = []int64{int64(r), int64(r) * 2}
-	in := comm.SparseExchange(c, buckets)
+	// Gather of slices at the last rank: every rank ships a bucket.
 	from := (r - 1 + p) % p
-	if from != r {
-		if len(in[from]) != 2 || in[from][0] != int64(from) || in[from][1] != int64(from)*2 {
-			return fmt.Errorf("sparse exchange from %d: got %v", from, in[from])
+	in := comm.Gather(c, p-1, []int64{int64(r), int64(r) * 2})
+	if r == p-1 {
+		for src, b := range in {
+			if len(b) != 2 || b[0] != int64(src) || b[1] != int64(src)*2 {
+				return fmt.Errorf("gather from %d: got %v", src, b)
+			}
 		}
 	}
 
@@ -130,8 +131,8 @@ func TestWireCollectivesUnix(t *testing.T) {
 
 // chaosWorkout is the chaos-safe collective chain: under chaos-mode
 // delivery delays, only causally self-synchronizing sequences are ordered
-// (an Allreduce's reduce phase acks the previous round's bcast; Gather and
-// SparseExchange carry per-call sequence tags), so this mirrors what the
+// (an Allreduce's reduce phase acks the previous round's bcast; Gather
+// carries per-call sequence tags), so this mirrors what the
 // drivers actually do — no back-to-back bare Bcasts, no raw send bursts.
 func chaosWorkout(c *comm.Comm) error {
 	p := c.Size()
@@ -168,12 +169,15 @@ func chaosWorkout(c *comm.Comm) error {
 		}
 	}
 	for round := 0; round < 5; round++ {
-		buckets := make([][]int64, p)
-		buckets[(r+1)%p] = []int64{int64(r), int64(round)}
-		in := comm.SparseExchange(c, buckets)
-		from := (r - 1 + p) % p
-		if from != r && (len(in[from]) != 2 || in[from][0] != int64(from) || in[from][1] != int64(round)) {
-			return fmt.Errorf("sparse round %d from %d: got %v", round, from, in[from])
+		// Slice payloads, a different root each round.
+		in := comm.Gather(c, round%p, []int64{int64(r), int64(round)})
+		if r != round%p {
+			continue
+		}
+		for src, b := range in {
+			if len(b) != 2 || b[0] != int64(src) || b[1] != int64(round) {
+				return fmt.Errorf("slice gather round %d from %d: got %v", round, src, b)
+			}
 		}
 	}
 

@@ -142,7 +142,7 @@ func (l *Leavers) Add(w int, i, dst int32) {
 // Chunks returns the active chunk count of the last pass.
 func (l *Leavers) Chunks() int { return l.n }
 
-// Chunk returns chunk w's (index, destination) lists. The pipelined
+// Chunk returns chunk w's (index, destination) lists. The
 // step reads them to assert invariants (interior leavers must stay local)
 // before handing the list to ScatterRemove.
 func (l *Leavers) Chunk(w int) (idx, dst []int32) { return l.idx[w], l.dst[w] }

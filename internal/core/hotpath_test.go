@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -8,12 +9,6 @@ import (
 	"github.com/parres/picprk/internal/grid"
 	"github.com/parres/picprk/internal/particle"
 )
-
-// opaqueSource hides the concrete field type from the moveRange type switch,
-// forcing the generic interface-dispatched path.
-type opaqueSource struct{ src ChargeSource }
-
-func (o opaqueSource) Charge(i, j int) float64 { return o.src.Charge(i, j) }
 
 func hotpathParticles(t testing.TB, m grid.Mesh, n int) []particle.Particle {
 	t.Helper()
@@ -36,34 +31,95 @@ func assertSoAEqual(t *testing.T, want, got *SoA, label string) {
 	}
 }
 
-// TestGenericSourceMatchesSpecialized pins the devirtualization identity:
-// the mesh and block fast paths must produce bitwise the same trajectories
-// as the generic ChargeSource path wrapping the same field.
-func TestGenericSourceMatchesSpecialized(t *testing.T) {
+// leaverSet flattens a leaver list into particle ID -> destination.
+func leaverSet(s *SoA, lv *Leavers) map[uint64]int32 {
+	left := make(map[uint64]int32)
+	for w := 0; w < lv.Chunks(); w++ {
+		idx, dst := lv.Chunk(w)
+		for j := range idx {
+			left[s.Meta[idx[j]].ID] = dst[j]
+		}
+	}
+	return left
+}
+
+// TestKernelLoopMatchesReference pins the one move loop against the AoS
+// reference kernel: plain and classifying, over the full range and over
+// sub-ranges that together cover it, the particle states must be bitwise
+// those core.MoveAll produces — whether the reference reads the formulaic
+// grid.Mesh or the materialized *grid.Block — and the classifying form must
+// tag exactly the particles whose new cell another owner holds.
+func TestKernelLoopMatchesReference(t *testing.T) {
 	m := mesh(t, 32)
 	block, err := grid.NewBlock(m, 0, 0, m.L, m.L)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ot := testOwnerTable(m.L, 2, 2)
 	ps := hotpathParticles(t, m, 3000)
-	viaMesh := NewSoA(ps)
-	viaBlock := NewSoA(ps)
-	viaGenericMesh := NewSoA(ps)
-	viaGenericBlock := NewSoA(ps)
-	for step := 0; step < 60; step++ {
-		viaMesh.MoveAllSoA(m, m)
-		viaBlock.MoveAllSoA(block, m)
-		viaGenericMesh.MoveAllSoA(opaqueSource{m}, m)
-		viaGenericBlock.MoveAllSoA(opaqueSource{block}, m)
+	const steps = 60
+
+	viaMesh := append([]particle.Particle(nil), ps...)
+	viaBlock := append([]particle.Particle(nil), ps...)
+	for step := 0; step < steps; step++ {
+		MoveAll(viaMesh, m, m)
+		MoveAll(viaBlock, block, m)
 	}
-	assertSoAEqual(t, viaGenericMesh, viaMesh, "mesh fast path vs generic")
-	assertSoAEqual(t, viaGenericBlock, viaBlock, "block fast path vs generic")
-	assertSoAEqual(t, viaGenericMesh, viaGenericBlock, "mesh vs block field")
+	ref := NewSoA(viaMesh)
+	assertSoAEqual(t, ref, NewSoA(viaBlock), "AoS reference: mesh vs block field")
+	wantLeft := make(map[uint64]int32)
+	for i := range viaMesh {
+		cx, cy := m.CellOf(viaMesh[i].X, viaMesh[i].Y)
+		if o := ot.Owner(cx, cy); o != 0 {
+			wantLeft[viaMesh[i].ID] = o
+		}
+	}
+
+	n := len(ps)
+	for _, cuts := range [][]int{{0, n}, {0, 1, n/3 + 1, n/3 + 1, n - 7, n}} {
+		for _, classify := range []bool{false, true} {
+			got := NewSoA(ps)
+			var lv, all Leavers
+			for step := 0; step < steps; step++ {
+				all.Reset(1)
+				// Sub-ranges run last-first: order must not matter.
+				for k := len(cuts) - 2; k >= 0; k-- {
+					lo, hi := cuts[k], cuts[k+1]
+					if !classify {
+						moveRange(got, lo, hi, block, m, nil, 0, nil, 0)
+						continue
+					}
+					lv.Reset(1)
+					moveRange(got, lo, hi, block, m, ot, 0, &lv, 0)
+					idx, dst := lv.Chunk(0)
+					for j := range idx {
+						if int(idx[j]) < lo || int(idx[j]) >= hi {
+							t.Fatalf("leaver index %d outside its range [%d,%d)", idx[j], lo, hi)
+						}
+						all.Add(0, idx[j], dst[j])
+					}
+				}
+			}
+			label := fmt.Sprintf("cuts=%v classify=%v", cuts, classify)
+			assertSoAEqual(t, ref, got, label)
+			if !classify {
+				continue
+			}
+			gotLeft := leaverSet(got, &all)
+			if len(gotLeft) != len(wantLeft) {
+				t.Fatalf("%s: %d leavers tagged on the last step, want %d", label, len(gotLeft), len(wantLeft))
+			}
+			for id, o := range wantLeft {
+				if gotLeft[id] != o {
+					t.Fatalf("%s: particle %d tagged for %d, want %d", label, id, gotLeft[id], o)
+				}
+			}
+		}
+	}
 }
 
 // TestParallelMoveBitwiseIdentity asserts the chunked pool reproduces the
-// serial AoS loop bit for bit at every worker count, for both concrete
-// field types.
+// serial AoS loop bit for bit at every worker count.
 func TestParallelMoveBitwiseIdentity(t *testing.T) {
 	m := mesh(t, 32)
 	block, err := grid.NewBlock(m, 0, 0, m.L, m.L)
@@ -72,29 +128,18 @@ func TestParallelMoveBitwiseIdentity(t *testing.T) {
 	}
 	// Above parallelThreshold so the pool path actually engages.
 	ps := hotpathParticles(t, m, 4*parallelThreshold+37)
-	for _, src := range []struct {
-		name string
-		s    ChargeSource
-	}{{"mesh", m}, {"block", block}} {
-		ref := append([]particle.Particle(nil), ps...)
-		for step := 0; step < 25; step++ {
-			MoveAll(ref, src.s, m)
-		}
-		for _, workers := range []int{1, 2, 7} {
-			soa := NewSoA(ps)
-			pool := NewMovePool(workers)
-			for step := 0; step < 25; step++ {
-				pool.Move(soa, src.s, m)
-			}
-			pool.Close()
-			assertSoAEqual(t, NewSoA(ref), soa, src.name)
-		}
-		// The throwaway wrapper must agree too.
+	ref := append([]particle.Particle(nil), ps...)
+	for step := 0; step < 25; step++ {
+		MoveAll(ref, m, m)
+	}
+	for _, workers := range []int{1, 2, 7} {
 		soa := NewSoA(ps)
+		pool := NewMovePool(workers)
 		for step := 0; step < 25; step++ {
-			ParallelMove(3, soa, src.s, m)
+			pool.Move(soa, block, m)
 		}
-		assertSoAEqual(t, NewSoA(ref), soa, src.name+" ParallelMove")
+		pool.Close()
+		assertSoAEqual(t, NewSoA(ref), soa, fmt.Sprintf("workers=%d", workers))
 	}
 }
 
@@ -121,9 +166,8 @@ func TestChunkBounds(t *testing.T) {
 	}
 }
 
-// TestMovePhaseAllocationFree pins the tentpole property: a Move on a
-// persistent pool performs zero heap allocations, for both the block and
-// (pre-boxed) mesh charge sources and at one and several workers.
+// TestMovePhaseAllocationFree pins that a Move on a persistent pool
+// performs zero heap allocations, at one and several workers.
 func TestMovePhaseAllocationFree(t *testing.T) {
 	m := mesh(t, 64)
 	block, err := grid.NewBlock(m, 0, 0, m.L, m.L)
@@ -131,21 +175,13 @@ func TestMovePhaseAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	soa := NewSoA(hotpathParticles(t, m, 4096))
-	// Box the mesh once: converting the 16-byte Mesh value to an interface
-	// allocates, which is why the substrates hand the pool a *grid.Block.
-	var meshSrc ChargeSource = m
 	for _, workers := range []int{1, 3} {
 		pool := NewMovePool(workers)
-		for _, src := range []struct {
-			name string
-			s    ChargeSource
-		}{{"block", block}, {"mesh", meshSrc}} {
-			pool.Move(soa, src.s, m) // warm up
-			if avg := testing.AllocsPerRun(20, func() {
-				pool.Move(soa, src.s, m)
-			}); avg != 0 {
-				t.Errorf("workers=%d src=%s: %v allocs per Move, want 0", workers, src.name, avg)
-			}
+		pool.Move(soa, block, m) // warm up
+		if avg := testing.AllocsPerRun(20, func() {
+			pool.Move(soa, block, m)
+		}); avg != 0 {
+			t.Errorf("workers=%d: %v allocs per Move, want 0", workers, avg)
 		}
 		pool.Close()
 	}

@@ -34,10 +34,10 @@ func Force(src ChargeSource, q, x, y float64, cx, cy int) (fx, fy float64) {
 
 // forceCorners evaluates the four corner contributions given the corner
 // charges in fixed order — (0,0), (1,0), (0,1), (1,1) — and sums them in a
-// fixed association. Every move path (generic, mesh-specialized,
-// block-specialized) funnels through this one function, so the
-// floating-point result is bitwise identical regardless of how the corner
-// charges were obtained.
+// fixed association. The AoS reference (Force) and the SoA move loop
+// (hotpath.go) both funnel through this one function, so the floating-point
+// result is bitwise identical regardless of how the corner charges were
+// obtained.
 func forceCorners(q00, q10, q01, q11, q, relx, rely float64) (fx, fy float64) {
 	fx0, fy0 := corner(q00, q, relx, rely)
 	fx1, fy1 := corner(q10, q, relx-1, rely)

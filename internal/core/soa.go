@@ -1,9 +1,6 @@
 package core
 
-import (
-	"github.com/parres/picprk/internal/grid"
-	"github.com/parres/picprk/internal/particle"
-)
+import "github.com/parres/picprk/internal/particle"
 
 // SoA is a structure-of-arrays particle container: the hot fields the move
 // kernel touches every step (positions, velocities, charge) live in
@@ -69,14 +66,6 @@ func (s *SoA) AppendParticles(dst []particle.Particle) []particle.Particle {
 		})
 	}
 	return dst
-}
-
-// MoveAllSoA advances every particle one step, bitwise identically to
-// MoveAll on the equivalent AoS slice (the arithmetic and its order are the
-// same; only the memory layout and the charge-lookup specialization differ —
-// see hotpath.go).
-func (s *SoA) MoveAllSoA(src ChargeSource, m grid.Mesh) {
-	moveRange(s, 0, s.Len(), src, m)
 }
 
 // At returns particle i in AoS form.

@@ -14,10 +14,15 @@ func TestSoAMatchesAoSBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	block, err := grid.NewBlock(m, 0, 0, m.L, m.L)
+	if err != nil {
+		t.Fatal(err)
+	}
 	soa := NewSoA(aos)
+	pool := NewMovePool(1)
 	for step := 0; step < 100; step++ {
 		MoveAll(aos, m, m)
-		soa.MoveAllSoA(m, m)
+		pool.Move(soa, block, m)
 	}
 	back := soa.Particles()
 	if len(back) != len(aos) {
@@ -66,10 +71,15 @@ func BenchmarkMoveSoA(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	block, err := grid.NewBlock(m, 0, 0, m.L, m.L)
+	if err != nil {
+		b.Fatal(err)
+	}
 	soa := NewSoA(ps)
+	pool := NewMovePool(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		soa.MoveAllSoA(m, m)
+		pool.Move(soa, block, m)
 	}
 	b.ReportMetric(float64(soa.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mparticles/s")
 }

@@ -2,7 +2,7 @@ package core
 
 import "github.com/parres/picprk/internal/grid"
 
-// This file is the spatial side of the pipelined step: a Frontier mask
+// This file is the spatial side of the step: a Frontier mask
 // marking every cell from which one move could reach remotely-owned
 // territory, and PartitionFrontier, which splits a particle container into
 // an interior head (no particle there can leave this step) and a frontier

@@ -198,26 +198,14 @@ func TestPartitionedWavesMatchMoveClassify(t *testing.T) {
 	refPool := NewMovePool(1)
 	var refLv Leavers
 	refPool.MoveClassify(ref, block, m, ot, self, &refLv)
-	refLeft := make(map[uint64]int32)
-	for w := 0; w < refLv.Chunks(); w++ {
-		idx, dst := refLv.Chunk(w)
-		for j := range idx {
-			refLeft[ref.Meta[idx[j]].ID] = dst[j]
-		}
-	}
+	refLeft := leaverSet(ref, &refLv)
 
 	for _, workers := range []int{1, 2, 7} {
 		got := NewSoA(parted.Particles())
 		pool := NewMovePool(workers)
 		var lv Leavers
-		gotLeft := make(map[uint64]int32)
 		pool.MoveClassifyRange(got, ni, got.Len(), block, m, ot, self, &lv)
-		for w := 0; w < lv.Chunks(); w++ {
-			idx, dst := lv.Chunk(w)
-			for j := range idx {
-				gotLeft[got.Meta[idx[j]].ID] = dst[j]
-			}
-		}
+		gotLeft := leaverSet(got, &lv)
 		pool.MoveClassifyRange(got, 0, ni, block, m, ot, self, &lv)
 		if k := lv.Count(); k != 0 {
 			t.Fatalf("workers=%d: %d interior particles left", workers, k)

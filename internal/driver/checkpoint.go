@@ -98,7 +98,6 @@ func (s *blockSubstrate) installCuts(xcuts, ycuts []int) error {
 	}
 	s.g, s.block = g, block
 	s.ot = core.NewOwnerTable(g.X.Cuts, g.Y.Cuts)
-	s.classified = false
 	s.rebuildTopology()
 	return nil
 }
@@ -130,7 +129,7 @@ func (s *vpSubstrate) PUP(p *pup.PUPer) {
 	s.rt.PUPState(p)
 	pupInt64(p, &s.xbytes)
 	if p.Mode() == pup.Unpacking && p.Err() == nil {
-		s.rebuildTopology()
+		s.placed()
 	}
 }
 

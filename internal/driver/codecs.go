@@ -54,8 +54,8 @@ func pupRowsParcel(p *pup.PUPer, r *rowsParcel) {
 	p.Float64s(&r.Rows)
 }
 
-func pupVPColParcel(p *pup.PUPer, e *vpColParcel) {
-	p.Int(&e.VP)
+func pupParcel(p *pup.PUPer, e *parcel) {
+	p.Int(&e.Owner)
 	present := e.Cols != nil
 	p.Bool(&present)
 	if p.Mode() == pup.Unpacking {
@@ -69,6 +69,10 @@ func pupVPColParcel(p *pup.PUPer, e *vpColParcel) {
 		core.PUPColumns(p, e.Cols)
 	}
 }
+
+// pupParcels is the kindVPParcels codec: the per-destination parcel list
+// that carries every particle crossing a socket, on both substrates.
+func pupParcels(p *pup.PUPer, v *[]parcel) { pup.Slice(p, v, pupParcel) }
 
 func pupSample(p *pup.PUPer, s *telemetry.Sample) {
 	p.Int(&s.Step)
@@ -132,9 +136,7 @@ func pupResumeInfo(p *pup.PUPer, r *resumeInfo) {
 func init() {
 	pup.RegisterPtrCodec[colsParcel](kindColsParcel, pupColsParcel)
 	pup.RegisterPtrCodec[rowsParcel](kindRowsParcel, pupRowsParcel)
-	pup.RegisterPtrCodec[[]vpColParcel](kindVPParcels, func(p *pup.PUPer, v *[]vpColParcel) {
-		pup.Slice(p, v, pupVPColParcel)
-	})
+	pup.RegisterPtrCodec[[]parcel](kindVPParcels, pupParcels)
 	pup.RegisterCodec[rankTimeline](kindTimeline, pupRankTimeline)
 	pup.RegisterCodec[RankStats](kindRankStats, pupRankStats)
 	pup.RegisterCodec[rankShard](kindRankShard, pupRankShard)

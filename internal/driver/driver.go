@@ -83,13 +83,10 @@ type Config struct {
 	// default, GOMAXPROCS/ranks with a minimum of 1. Particle updates are
 	// independent, so results are bitwise identical at any worker count.
 	Workers int
-	// Tile selects between the two forms of the step: -1 runs the move and
-	// the exchange strictly in sequence; any other value runs the pipelined
-	// step, in which the particles within one step's displacement of remote
-	// territory move first and their leavers go on the wire while the rest
-	// are still computing. The magnitude is no longer used — the pipeline
-	// partitions particles into those two classes, it does not tile — and is
-	// accepted for compatibility. Results are bitwise identical either way.
+	// Tile selects nothing: there is one step. The field exists only because
+	// bench/workloads.go, which a product change may not touch, writes
+	// Tile: 0; validate rejects any other value. Delete it with the next
+	// benchmark change.
 	Tile int
 	// Telemetry enables the per-step timeline: every rank records one
 	// telemetry.Sample per step and rank 0's Result carries the merged
@@ -177,8 +174,8 @@ const DefaultTile = 8
 // trajectories (core/verify.go) move a particle exactly (2K+1) cells in x
 // and M cells in y per step, so the ring is exact, not an estimate;
 // injected particles carry their event's own K and M, so the ring maxes
-// over the schedule too. The pipelined step uses it to decide which cells
-// can reach remote territory within a step.
+// over the schedule too. The step uses it to decide which cells can reach
+// remote territory within a step.
 func (cfg *Config) ringWidths() (rx, ry int) {
 	rx = 2*cfg.K + 1
 	ry = cfg.M
@@ -223,8 +220,8 @@ func (cfg *Config) validate(p int) error {
 	if cfg.Workers < 0 {
 		return fmt.Errorf("driver: negative move worker count %d", cfg.Workers)
 	}
-	if cfg.Tile < -1 {
-		return fmt.Errorf("driver: invalid tile setting %d (want -1 for the sequential step, anything else for the pipelined one)", cfg.Tile)
+	if cfg.Tile != 0 {
+		return fmt.Errorf("driver: tile setting %d: the step has one form and the setting selects nothing (leave it 0)", cfg.Tile)
 	}
 	if cfg.TelemetryCap < 0 {
 		return fmt.Errorf("driver: negative telemetry ring cap %d", cfg.TelemetryCap)
@@ -254,7 +251,7 @@ type RankStats struct {
 	// moves, particle exchange, LB decisions (reductions + planning), and
 	// LB data movement (mesh or VP migration).
 	Compute, Exchange, Balance, Migrate time.Duration
-	// Overlap is the exchange time hidden behind compute by the pipelined
+	// Overlap is the exchange time hidden behind compute by the two-wave
 	// step: wall time of interior-wave moves that ran while the
 	// boundary exchange was in flight. It is included in Compute (the time
 	// was spent computing); Exchange holds only the exposed remainder.

@@ -19,20 +19,23 @@ import (
 // particles move, how leavers find their owner, and how a balance.Plan is
 // executed against real data. Two substrates exist: the block substrate
 // (static or diffusing 2D block decomposition) and the VP substrate
-// (over-decomposed virtual processors with PUP migration).
+// (over-decomposed virtual processors with PUP migration). They share one
+// step (step.go) and differ in which cells a rank hosts and how a plan
+// moves them.
 type Substrate interface {
-	// Move advances every local particle one time step (the compute phase).
-	Move()
-	// Exchange delivers boundary-crossing particles to their owners. It is
-	// collective and accounts its time as trace.Exchange on rec.
-	Exchange(rec *trace.Recorder) error
-	// MoveExchange runs the fused pipelined step: frontier particles move
-	// first and their leavers go on the wire, interior particles move while
-	// the exchange is in flight. Results are bitwise identical to
-	// Move followed by Exchange; with Config.Tile == -1 it falls back to
-	// exactly that sequence. Compute/Exchange time splits are accounted on
-	// rec, plus the overlap credit (rec.AddOverlap).
+	// MoveExchange advances every local particle one time step and delivers
+	// the ones that crossed a boundary to their owners: frontier particles
+	// move first and their leavers go on the wire, interior particles move
+	// while the exchange is in flight. It is collective. Compute/Exchange
+	// time splits are accounted on rec, plus the overlap credit
+	// (rec.AddOverlap).
 	MoveExchange(rec *trace.Recorder) error
+	// Exchange rehomes particles without moving them: whatever a
+	// classification sweep finds outside its owner's subdomain is delivered
+	// to that owner. The engine calls it after an Execute that returned
+	// rehome. It is collective and accounts its time as trace.Exchange on
+	// rec; when every particle is already home it ships nothing.
+	Exchange(rec *trace.Recorder) error
 	// ApplyEvents fires the injection/removal events scheduled for step.
 	ApplyEvents(es *eventState, step int)
 	// Count returns the local particle count.

@@ -8,39 +8,28 @@ import (
 	"github.com/parres/picprk/internal/trace"
 )
 
-// TestSteadyStateStepAllocationFree pins the tentpole property of the
-// columnar exchange: a steady-state step — fused classification, scatter
-// into reused shards, pointer exchange, columnar append — performs zero
+// TestSteadyStateStepAllocationFree pins that a steady-state step — frontier
+// partition, two-wave fused move+classify, scatter into reused shards, split
+// Start/Finish pointer exchange, columnar append — performs zero
 // allocations, with the move pool both on its inline path (workers=1) and
 // genuinely parallel (workers=3, particle counts above the chunking
-// threshold), and both through the legacy Move→Exchange pair and the
-// pipelined MoveExchange (frontier partition, two-wave move, split
-// Start/Finish exchange). AllocsPerRun counts process-global mallocs, so
-// rank 0 measures while rank 1 runs the same number of steps in lockstep —
-// both ranks must therefore be allocation-free for the test to pass.
+// threshold), on both substrates. AllocsPerRun counts process-global
+// mallocs, so rank 0 measures while rank 1 runs the same number of steps in
+// lockstep — both ranks must therefore be allocation-free for the test to
+// pass.
 func TestSteadyStateStepAllocationFree(t *testing.T) {
 	cases := []struct {
-		name      string
-		workers   int
-		pipelined bool
-		mk        func(c *comm.Comm, cfg Config) (Substrate, error)
+		name    string
+		workers int
+		mk      func(c *comm.Comm, cfg Config) (Substrate, error)
 	}{
-		{"block-pool-inline", 1, false, func(c *comm.Comm, cfg Config) (Substrate, error) {
+		{"block-pipelined-inline", 1, func(c *comm.Comm, cfg Config) (Substrate, error) {
 			return newBlockSubstrate(c, cfg, 2, 1)
 		}},
-		{"block-pool-active", 3, false, func(c *comm.Comm, cfg Config) (Substrate, error) {
+		{"block-pipelined-active", 3, func(c *comm.Comm, cfg Config) (Substrate, error) {
 			return newBlockSubstrate(c, cfg, 2, 1)
 		}},
-		{"vp", 1, false, func(c *comm.Comm, cfg Config) (Substrate, error) {
-			return newVPSubstrate(c, cfg, 4)
-		}},
-		{"block-pipelined-inline", 1, true, func(c *comm.Comm, cfg Config) (Substrate, error) {
-			return newBlockSubstrate(c, cfg, 2, 1)
-		}},
-		{"block-pipelined-active", 3, true, func(c *comm.Comm, cfg Config) (Substrate, error) {
-			return newBlockSubstrate(c, cfg, 2, 1)
-		}},
-		{"vp-pipelined", 1, true, func(c *comm.Comm, cfg Config) (Substrate, error) {
+		{"vp-pipelined", 1, func(c *comm.Comm, cfg Config) (Substrate, error) {
 			return newVPSubstrate(c, cfg, 4)
 		}},
 	}
@@ -60,15 +49,8 @@ func TestSteadyStateStepAllocationFree(t *testing.T) {
 				defer s.Close()
 				rec := &trace.Recorder{}
 				step := func() {
-					if tc.pipelined {
-						if err := s.MoveExchange(rec); err != nil {
-							panic(err)
-						}
-					} else {
-						s.Move()
-						if err := s.Exchange(rec); err != nil {
-							panic(err)
-						}
+					if err := s.MoveExchange(rec); err != nil {
+						panic(err)
 					}
 					if s.Count() == 0 {
 						panic("no local particles — the step under test is trivial")
@@ -82,7 +64,7 @@ func TestSteadyStateStepAllocationFree(t *testing.T) {
 				}
 				if c.Rank() == 0 {
 					if avg := testing.AllocsPerRun(runs, step); avg != 0 {
-						return fmt.Errorf("steady-state Move+Exchange: %v allocs/step, want 0", avg)
+						return fmt.Errorf("steady-state MoveExchange: %v allocs/step, want 0", avg)
 					}
 				} else {
 					// AllocsPerRun invokes fn runs+1 times (one warmup);
@@ -100,7 +82,7 @@ func TestSteadyStateStepAllocationFree(t *testing.T) {
 	}
 }
 
-// benchmarkExchange measures the steady-state Move+Exchange step for one
+// benchmarkExchange measures the steady-state MoveExchange step for one
 // substrate construction over p ranks. Every rank runs the same b.N loop
 // (the exchange is collective), so ns/op is the true lockstep step time.
 func benchmarkExchange(b *testing.B, p int, mk func(c *comm.Comm, cfg Config) (Substrate, error)) {
@@ -115,8 +97,7 @@ func benchmarkExchange(b *testing.B, p int, mk func(c *comm.Comm, cfg Config) (S
 		defer s.Close()
 		rec := &trace.Recorder{}
 		for i := 0; i < 3; i++ {
-			s.Move()
-			if err := s.Exchange(rec); err != nil {
+			if err := s.MoveExchange(rec); err != nil {
 				return err
 			}
 		}
@@ -125,8 +106,7 @@ func benchmarkExchange(b *testing.B, p int, mk func(c *comm.Comm, cfg Config) (S
 			b.ResetTimer()
 		}
 		for i := 0; i < b.N; i++ {
-			s.Move()
-			if err := s.Exchange(rec); err != nil {
+			if err := s.MoveExchange(rec); err != nil {
 				return err
 			}
 		}

@@ -235,27 +235,24 @@ func TestCheckOwnershipSweepsAllAfterReset(t *testing.T) {
 func TestOwnershipPrefixCoversStayersOnly(t *testing.T) {
 	cfg := testConfig(t, 16, 4000, 0)
 	cfg.Dist, cfg.K = nil, 1
-	for _, tile := range []int{0, -1} {
-		cfg.Tile = tile
-		onTwoRanks(t, ownershipHarnesses()[0], cfg, func(c *comm.Comm, s Substrate) error {
-			b, rec := s.(*blockSubstrate), &trace.Recorder{}
-			for step := 1; step <= 4; step++ {
-				before := b.soa.Len()
-				if err := b.MoveExchange(rec); err != nil {
-					return err
-				}
-				left := b.shards.gens[1-b.shards.gen][1-c.Rank()].Len()
-				if left == 0 {
-					return fmt.Errorf("step %d: no particle left the rank; the test is trivial", step)
-				}
-				if b.owned != before-left {
-					return fmt.Errorf("tile=%d step %d: prefix %d, want %d particles - %d leavers", tile, step, b.owned, before, left)
-				}
-				if arrivals := b.soa.Len() - b.owned; arrivals <= 0 {
-					return fmt.Errorf("tile=%d step %d: %d arrivals behind the prefix", tile, step, arrivals)
-				}
+	onTwoRanks(t, ownershipHarnesses()[0], cfg, func(c *comm.Comm, s Substrate) error {
+		b, rec := s.(*blockSubstrate), &trace.Recorder{}
+		for step := 1; step <= 4; step++ {
+			before := b.soa.Len()
+			if err := b.MoveExchange(rec); err != nil {
+				return err
 			}
-			return nil
-		})
-	}
+			left := b.shards.gens[1-b.shards.gen][1-c.Rank()].Len()
+			if left == 0 {
+				return fmt.Errorf("step %d: no particle left the rank; the test is trivial", step)
+			}
+			if b.owned != before-left {
+				return fmt.Errorf("step %d: prefix %d, want %d particles - %d leavers", step, b.owned, before, left)
+			}
+			if arrivals := b.soa.Len() - b.owned; arrivals <= 0 {
+				return fmt.Errorf("step %d: %d arrivals behind the prefix", step, arrivals)
+			}
+		}
+		return nil
+	})
 }

@@ -128,16 +128,14 @@ func BenchmarkBlockSubstrateStep(b *testing.B) {
 		rec := &trace.Recorder{}
 		// Warm up the exchange scratch so steady state is measured.
 		for i := 0; i < 3; i++ {
-			s.Move()
-			if err := s.Exchange(rec); err != nil {
+			if err := s.MoveExchange(rec); err != nil {
 				return err
 			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.Move()
-			if err := s.Exchange(rec); err != nil {
+			if err := s.MoveExchange(rec); err != nil {
 				return err
 			}
 		}

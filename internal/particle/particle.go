@@ -171,51 +171,6 @@ func IDSum(ps []Particle) uint64 {
 	return s
 }
 
-// Partition splits ps in place into buckets according to the destination
-// function, returning one slice per bucket. Bucket indices returned by dest
-// must lie in [0, n). The relative order of particles within a bucket follows
-// their order in ps. The input slice is consumed (its backing array is reused
-// for bucket 0 when possible is NOT attempted; buckets are fresh slices for
-// clarity and safety when handed to other goroutines).
-func Partition(ps []Particle, n int, dest func(*Particle) int) [][]Particle {
-	counts := make([]int, n)
-	for i := range ps {
-		d := dest(&ps[i])
-		if d < 0 || d >= n {
-			panic(fmt.Sprintf("particle: destination %d out of range [0,%d)", d, n))
-		}
-		counts[d]++
-	}
-	buckets := make([][]Particle, n)
-	for b := range buckets {
-		if counts[b] > 0 {
-			buckets[b] = make([]Particle, 0, counts[b])
-		}
-	}
-	for i := range ps {
-		d := dest(&ps[i])
-		buckets[d] = append(buckets[d], ps[i])
-	}
-	return buckets
-}
-
-// SplitRetain walks ps, keeps particles for which keep returns true, and
-// appends the rest to moved. It returns the retained prefix (reusing the
-// backing array of ps) and the extended moved slice. Order of retained
-// particles is preserved.
-func SplitRetain(ps []Particle, keep func(*Particle) bool, moved []Particle) (retained, out []Particle) {
-	w := 0
-	for i := range ps {
-		if keep(&ps[i]) {
-			ps[w] = ps[i]
-			w++
-		} else {
-			moved = append(moved, ps[i])
-		}
-	}
-	return ps[:w], moved
-}
-
 func appendU64(b []byte, v uint64) []byte {
 	return append(b,
 		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),

@@ -152,78 +152,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestPartition(t *testing.T) {
-	ps := make([]Particle, 10)
-	for i := range ps {
-		ps[i].ID = uint64(i + 1)
-	}
-	buckets := Partition(ps, 3, func(p *Particle) int { return int(p.ID) % 3 })
-	if len(buckets) != 3 {
-		t.Fatalf("%d buckets", len(buckets))
-	}
-	total := 0
-	for b, bucket := range buckets {
-		total += len(bucket)
-		for _, p := range bucket {
-			if int(p.ID)%3 != b {
-				t.Errorf("particle %d in bucket %d", p.ID, b)
-			}
-		}
-	}
-	if total != 10 {
-		t.Errorf("partition lost particles: %d", total)
-	}
-	// Order within a bucket preserved.
-	if buckets[1][0].ID != 1 || buckets[1][1].ID != 4 {
-		t.Errorf("bucket order not preserved: %v", buckets[1])
-	}
-}
-
-func TestSplitRetain(t *testing.T) {
-	ps := make([]Particle, 10)
-	for i := range ps {
-		ps[i].ID = uint64(i + 1)
-	}
-	kept, moved := SplitRetain(ps, func(p *Particle) bool { return p.ID%2 == 0 }, nil)
-	if len(kept) != 5 || len(moved) != 5 {
-		t.Fatalf("kept %d moved %d", len(kept), len(moved))
-	}
-	for _, p := range kept {
-		if p.ID%2 != 0 {
-			t.Errorf("kept odd particle %d", p.ID)
-		}
-	}
-	// Retained order preserved.
-	for i := 1; i < len(kept); i++ {
-		if kept[i].ID < kept[i-1].ID {
-			t.Error("retained order not preserved")
-		}
-	}
-}
-
-func TestPartitionProperty(t *testing.T) {
-	f := func(ids []uint64, nb uint8) bool {
-		n := int(nb%7) + 1
-		ps := make([]Particle, len(ids))
-		var want uint64
-		for i, id := range ids {
-			ps[i].ID = id
-			want += id
-		}
-		buckets := Partition(ps, n, func(p *Particle) int { return int(p.ID % uint64(n)) })
-		var got uint64
-		cnt := 0
-		for _, b := range buckets {
-			got += IDSum(b)
-			cnt += len(b)
-		}
-		return got == want && cnt == len(ids)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkEncodeSlice(b *testing.B) {
 	ps := make([]Particle, 1000)
 	for i := range ps {

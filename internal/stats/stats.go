@@ -88,15 +88,3 @@ func Ints[T ~int | ~int32 | ~int64](v []T) []float64 {
 	}
 	return out
 }
-
-// Speedup returns base/t for each series entry, the strong-scaling speedup
-// over a serial baseline time.
-func Speedup(base float64, times []float64) []float64 {
-	out := make([]float64, len(times))
-	for i, t := range times {
-		if t > 0 {
-			out[i] = base / t
-		}
-	}
-	return out
-}

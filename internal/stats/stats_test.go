@@ -101,16 +101,6 @@ func TestInts(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	got := Speedup(100, []float64{100, 50, 25, 0})
-	want := []float64{1, 2, 4, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Speedup[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	if s := Summarize([]float64{1, 2}).String(); s == "" {
 		t.Error("empty string")

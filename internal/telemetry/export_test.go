@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -77,23 +78,23 @@ func TestReadJSONLRejectsDrift(t *testing.T) {
 	}
 }
 
-// TestReadJSONLAcceptsLegacy pins backward compatibility: each schema bump
-// only added optional fields (v2: exchange_bytes, v3: exchange_overlap_ns,
-// v4: wall_start_ns/clock_offset_ns), so older timelines must still parse,
-// with absent fields reading as zero.
+// TestReadJSONLAcceptsLegacy pins what the reader accepts of the legacy
+// schemas: nothing. There is one timeline format; a v1–v5 meta line is
+// turned away with the error that names the version this reader
+// understands, however well-formed the rest of the file is.
 func TestReadJSONLAcceptsLegacy(t *testing.T) {
-	for _, schema := range []string{"picprk/timeline/v1", "picprk/timeline/v2", "picprk/timeline/v3"} {
+	for v := 1; v <= 5; v++ {
+		schema := fmt.Sprintf("picprk/timeline/v%d", v)
 		in := `{"schema":"` + schema + `","impl":"x","ranks":1,"steps":1}` + "\n" +
 			`{"step":1,"rank":0,"phase_ns":{"compute":5},"particles":1}` + "\n"
-		tl, err := ReadJSONL(strings.NewReader(in))
-		if err != nil {
-			t.Fatalf("%s timeline rejected: %v", schema, err)
+		_, err := ReadJSONL(strings.NewReader(in))
+		if err == nil {
+			t.Fatalf("%s timeline accepted", schema)
 		}
-		if len(tl.Samples) != 1 || tl.Samples[0].ExchangeBytes != 0 || tl.Samples[0].ExchangeOverlap != 0 {
-			t.Errorf("%s sample parsed wrong: %+v", schema, tl.Samples)
-		}
-		if tl.Samples[0].WallStartNS != 0 || tl.Samples[0].ClockOffsetNS != 0 {
-			t.Errorf("%s sample invented wall stamps: %+v", schema, tl.Samples)
+		for _, want := range []string{schema, "this reader understands", Schema} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", schema, err, want)
+			}
 		}
 	}
 }

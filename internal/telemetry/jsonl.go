@@ -11,26 +11,9 @@ import (
 )
 
 // Schema identifies the timeline wire format. Readers reject any other
-// value, so an incompatible change must bump the version — the CI
-// round-trip job fails on silent drift. v6 added the sparse-exchange
-// message counters (msgs_sent/msgs_elided) per sample and per-peer
-// exchange matrix lines (distinguished by an "xchg_rank" key) between the
-// events and the samples (v5 added epoch lifecycle event lines, v4
-// wall_start_ns and clock_offset_ns, v3 exchange_overlap_ns, v2
-// exchange_bytes); older files are still readable (absent fields read as
-// 0, absent lines as none).
+// value — the files of earlier versions included — so an incompatible change
+// must bump the version, and the CI round-trip job fails on silent drift.
 const Schema = "picprk/timeline/v6"
-
-// legacySchemas are the previous wire formats, accepted on read: each later
-// version only added optional fields or line kinds, so older files parse
-// unchanged.
-var legacySchemas = map[string]bool{
-	"picprk/timeline/v1": true,
-	"picprk/timeline/v2": true,
-	"picprk/timeline/v3": true,
-	"picprk/timeline/v4": true,
-	"picprk/timeline/v5": true,
-}
 
 // metaJSON is the first line of a timeline file.
 type metaJSON struct {
@@ -220,7 +203,7 @@ func ReadJSONL(r io.Reader) (*Timeline, error) {
 	if err := json.Unmarshal(sc.Bytes(), &meta); err != nil {
 		return nil, fmt.Errorf("telemetry: bad meta line: %w", err)
 	}
-	if meta.Schema != Schema && !legacySchemas[meta.Schema] {
+	if meta.Schema != Schema {
 		return nil, fmt.Errorf("telemetry: schema %q, this reader understands %q", meta.Schema, Schema)
 	}
 	tl := &Timeline{Name: meta.Impl, P: meta.Ranks, Steps: meta.Steps, Dropped: meta.Dropped}
