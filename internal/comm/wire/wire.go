@@ -185,10 +185,16 @@ func (n *Node) Abort(err error) {
 }
 
 // fail aborts the world on a transport-level failure (encode/decode error,
-// protocol violation): locally through the handler, remotely via Abort.
+// protocol violation, a lost peer): remotely via Abort, then locally through
+// the handler. In that order, because fail runs on reader goroutines nobody
+// waits for: the local abort wakes the ranks, World.Run returns and Finish
+// closes the peers, and an abort frame enqueued after that is dropped — the
+// other nodes would read a bare EOF and blame this one. Queued first, the
+// frame is on each stream ahead of the EOF that Finish's flush-then-close
+// puts behind it.
 func (n *Node) fail(err error) {
-	n.handler.RemoteAbort(err)
 	n.Abort(err)
+	n.handler.RemoteAbort(err)
 }
 
 func (n *Node) markAborted() {
@@ -292,11 +298,14 @@ func (n *Node) setClosing() {
 }
 
 // isClosing reports whether socket EOFs are expected rather than failures:
-// after the world's BYE, after a local abort began teardown, or once
-// closeAll ran.
+// after the world's BYE, once this node sent or received an abort (the
+// peers it told tear down and close in reply; their EOFs name nobody), or
+// once closeAll ran.
 func (n *Node) isClosing() bool {
 	select {
 	case <-n.bye:
+		return true
+	case <-n.abortedCh:
 		return true
 	default:
 	}
@@ -370,8 +379,12 @@ func (n *Node) readLoop(conn net.Conn, peerIdx int) {
 		f, err := readFrame(conn, &buf)
 		if err != nil {
 			if !n.isClosing() {
-				n.handler.RemoteAbort(n.peerLostError(peerIdx, err))
-				n.markAborted()
+				// The node that sees a peer die names it to everyone else
+				// before its own teardown closes any socket (see fail): the
+				// abort frame precedes this node's EOF on each ordered
+				// stream, so no survivor is left to infer the victim from
+				// whichever connection happened to break first.
+				n.fail(n.peerLostError(peerIdx, err))
 			}
 			return
 		}

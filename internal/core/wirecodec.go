@@ -42,12 +42,26 @@ func PUPColumns(p *pup.PUPer, c *Columns) {
 			p.Fail(fmt.Errorf("core: columns shard claims %d bytes, %d remain", need, rem))
 			return
 		}
-		c.X = make([]float64, lens[0])
-		c.Y = make([]float64, lens[1])
-		c.VX = make([]float64, lens[2])
-		c.VY = make([]float64, lens[3])
-		c.Q = make([]float64, lens[4])
-		c.Meta = make([]SoAMeta, lens[5])
+		n := lens[0]
+		for _, l := range lens[1:] {
+			if l != n {
+				p.Fail(fmt.Errorf("core: ragged columns shard (%d/%d/%d/%d/%d/%d)",
+					lens[0], lens[1], lens[2], lens[3], lens[4], lens[5]))
+				return
+			}
+		}
+		// A recycled shard (see driver's decodedShards) keeps its columns:
+		// every element is overwritten below, so capacity that suffices is
+		// reused as is, with no zero-fill. One that falls short grows by
+		// append's rule rather than to fit (SoA.Resize's way): an exchange's
+		// shard sizes wander by a fraction of a percent from step to step,
+		// and fitting exactly would reallocate on every new maximum.
+		c.X = extended(c.X[:0], int(n))
+		c.Y = extended(c.Y[:0], int(n))
+		c.VX = extended(c.VX[:0], int(n))
+		c.VY = extended(c.VY[:0], int(n))
+		c.Q = extended(c.Q[:0], int(n))
+		c.Meta = extended(c.Meta[:0], int(n))
 	}
 	p.Float64Column(c.X)
 	p.Float64Column(c.Y)

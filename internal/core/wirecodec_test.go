@@ -297,6 +297,20 @@ func TestPUPSoARejectsOversizedMeta(t *testing.T) {
 	}
 }
 
+// raggedShardFrame is a well-formed frame for a shard whose columns disagree
+// on the particle count (two X values, one of everything else). The packer
+// writes what it is given; the decoder must refuse it, because ScatterRemove
+// and AppendColumns index all six columns by one count.
+func raggedShardFrame(t testing.TB) []byte {
+	c := randomShard(rand.New(rand.NewSource(3)), 1)
+	c.X = append(c.X, 7)
+	b, _, err := pup.EncodePayload(nil, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // FuzzDecodeColumns feeds arbitrary bytes to the decoder every exchange
 // frame reaches from a socket: it must never panic, never allocate more than
 // a small multiple of the input, and whatever it accepts must re-encode to
@@ -318,6 +332,7 @@ func FuzzDecodeColumns(f *testing.F) {
 		wrap = binary.LittleEndian.AppendUint64(wrap, 1<<61)
 	}
 	f.Add(wrap)
+	f.Add(raggedShardFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -328,6 +343,11 @@ func FuzzDecodeColumns(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if c := v.(*Columns); c != nil {
+			if n := len(c.X); len(c.Y) != n || len(c.VX) != n || len(c.VY) != n || len(c.Q) != n || len(c.Meta) != n {
+				t.Fatalf("accepted a ragged shard (%d/%d/%d/%d/%d/%d)", n, len(c.Y), len(c.VX), len(c.VY), len(c.Q), len(c.Meta))
+			}
 		}
 		again, _, err := pup.EncodePayload(nil, v)
 		if err != nil {

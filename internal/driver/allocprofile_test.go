@@ -136,16 +136,23 @@ func BenchmarkFullRun(b *testing.B) {
 // being a regrowth per VP and the per-VP shard sets. A return of the
 // world-sized materializations (AoS copies at set-up or verify, a map of
 // IDs) costs 5× or more and fails either bound.
+//
+// The two exchange rows are the exchange-bound input (k=15 on L=64: nearly
+// every particle changes rank every step). In-process the four outgoing
+// shards (2 ranks × 2 generations) are each about half the population and
+// must be allocated once, at their size — measured 3.3×, against 12× when
+// every leaver was appended on its own. Over loopback tcp the decoded shards
+// are recycled, so the socket adds the frame buffers and a few decoded
+// shards, not one per message: measured 5.5×, against more than 20×.
 func TestWholeRunAllocationBudget(t *testing.T) {
-	m, err := grid.NewMesh(256, grid.DefaultCharge)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{
-		Mesh: m, N: 100000, Steps: 10, Seed: 5, Workers: 1,
+		Mesh: grid.MustMesh(256, grid.DefaultCharge), N: 100000, Steps: 10, Seed: 5, Workers: 1,
 		DistributedVerify: true, Transport: TransportInproc,
 	}
-	resident := float64(cfg.N * core.ColumnsBytesPerParticle)
+	drift := cfg
+	drift.Mesh, drift.N, drift.K, drift.M = grid.MustMesh(64, grid.DefaultCharge), 200000, 15, 5
+	driftTCP := drift
+	driftTCP.Transport = TransportTCP
 	for _, tc := range []struct {
 		name   string
 		budget float64
@@ -155,11 +162,20 @@ func TestWholeRunAllocationBudget(t *testing.T) {
 		{"vp", 2.2 * 1.25, func() (*Engine, error) {
 			return NewAMPIEngine(2, cfg, AMPIParams{Overdecompose: 4, Every: 10})
 		}},
+		{"exchange", 5, func() (*Engine, error) { return NewBaselineEngine(drift), nil }},
+		{"exchange-tcp", 8, func() (*Engine, error) { return NewBaselineEngine(driftTCP), nil }},
 	} {
 		eng, err := tc.engine()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if raceDetector && eng.Cfg.Transport == TransportTCP {
+			// wire's frame buffers live in a sync.Pool, which under the race
+			// detector drops a quarter of its puts by design: each drop is a
+			// payload-sized allocation the program does not make.
+			continue
+		}
+		resident := float64(eng.Cfg.N * core.ColumnsBytesPerParticle)
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

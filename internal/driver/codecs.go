@@ -7,6 +7,7 @@ package driver
 // still be reading the value it sent.
 
 import (
+	"sync"
 	"time"
 
 	"github.com/parres/picprk/internal/core"
@@ -54,13 +55,60 @@ func pupRowsParcel(p *pup.PUPer, r *rowsParcel) {
 	p.Float64s(&r.Rows)
 }
 
+// decodedShards is the free list the parcel decoder draws its shards from.
+// A shard decoded off a socket belongs to the receiving rank alone: the wire
+// reader goroutine takes it here, core.PUPColumns overwrites it in full, and
+// stepper.finish hands it back once deliver has copied it into a cell — so a
+// steady exchange decodes into the same few buffers instead of allocating
+// (and zero-filling) a payload-sized shard per message. Only a wire transport
+// may return shards: in-process the received pointer is the sender's
+// double-buffered shard (colShards) and must never enter the list.
+//
+// A mutex list rather than a sync.Pool: get and put run on different
+// goroutines (reader, rank), where a Pool's per-P private slot misses at
+// random, it is emptied by every GC, and under -race it drops a quarter of
+// the puts — all of which the whole-run allocation gate would see.
+var decodedShards shardList
+
+// maxFreeShards caps the list's length. A peer can run one step ahead, so
+// the list settles at about two steps' worth of received parcels — 2 for a
+// block rank, tens for a process hosting several over-decomposed ranks;
+// beyond the cap a returned shard goes to the garbage collector.
+const maxFreeShards = 128
+
+type shardList struct {
+	mu   sync.Mutex
+	free []*core.Columns
+}
+
+func (l *shardList) get() *core.Columns {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(core.Columns)
+	}
+	c := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return c
+}
+
+func (l *shardList) put(c *core.Columns) {
+	l.mu.Lock()
+	if len(l.free) < maxFreeShards {
+		l.free = append(l.free, c)
+	}
+	l.mu.Unlock()
+}
+
 func pupParcel(p *pup.PUPer, e *parcel) {
 	p.Int(&e.Owner)
 	present := e.Cols != nil
 	p.Bool(&present)
 	if p.Mode() == pup.Unpacking {
 		if present {
-			e.Cols = &core.Columns{}
+			e.Cols = decodedShards.get()
 		} else {
 			e.Cols = nil
 		}

@@ -412,7 +412,9 @@ func removeRegion(s *core.SoA, region dist.Rect, m grid.Mesh) {
 // rank the schedule let call k route to has finished reading call k's
 // shards — under a sparse neighbor schedule those are the only ranks that
 // ever held them — so alternating two generations never overwrites a shard
-// still in flight, even under chaos-mode delivery delays.
+// still in flight, even under chaos-mode delivery delays. The receiver only
+// ever reads these in place; the shards it may keep and recycle are the
+// copies a wire transport decodes for it (decodedShards).
 type colShards struct {
 	gens [2][]core.Columns
 	gen  int

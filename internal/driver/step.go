@@ -33,8 +33,9 @@ type cell struct {
 
 // parcel addresses one destination cell's shard of arriving particles
 // inside a per-rank parcel list — the one payload type of the particle
-// exchange. The Columns pointer refers into the sender's double-buffered
-// shard set (see colShards for the reuse rules).
+// exchange. In-process the Columns pointer refers into the sender's
+// double-buffered shard set (see colShards for the reuse rules); off a socket
+// it is the receiver's own decoded copy (see decodedShards).
 type parcel struct {
 	Owner int
 	Cols  *core.Columns
@@ -75,6 +76,10 @@ type stepper struct {
 	frontier core.Frontier
 	ni       []int
 	nbr      core.NbrSet
+	// interior records whether any mesh cell hosted here lies outside the
+	// frontier mask. When none does (a ring as wide as the blocks), every
+	// particle is a frontier particle and the partition pass is skipped.
+	interior bool
 
 	// lv is the move pass's leaver list (reset per cell and wave); shards
 	// holds the double-buffered per-owner Columns the leavers scatter into;
@@ -114,15 +119,24 @@ func (s *stepper) init(c *comm.Comm, cfg Config, unit string) {
 }
 
 // rebuildTopology recomputes everything derived from ot, host and cells: the
-// frontier mask, the sparse exchange schedule over hosting ranks and the
-// owner index — and zeroes every ownership prefix, which was established
-// against the old decomposition. Called at construction, after every Execute
-// and after a checkpoint restore. Installing the schedule mid-run arms comm's
+// frontier mask (and whether it leaves this rank any interior), the sparse
+// exchange schedule over hosting ranks and the owner index — and zeroes every
+// ownership prefix, which was established against the old decomposition.
+// Called at construction, after every Execute and after a checkpoint restore. Installing the schedule mid-run arms comm's
 // full-ring fence, which is exactly what a follow-up rehome exchange needs
 // (it can route particles outside both the old and the new neighbor sets).
 func (s *stepper) rebuildTopology() {
 	me, L, host := s.c.Rank(), s.cfg.Mesh.L, s.host
 	s.frontier.Rebuild(s.ot, L, s.rx, s.ry, func(o int32) bool { return host[o] != me })
+	s.interior = false
+	for cy := 0; cy < L && !s.interior; cy++ {
+		for cx := 0; cx < L; cx++ {
+			if host[s.ot.Owner(cx, cy)] == me && !s.frontier.At(cx, cy) {
+				s.interior = true
+				break
+			}
+		}
+	}
 	peers := s.nbr.Rebuild(s.ot, L, s.rx, s.ry, me, s.c.Size(), func(o int32) int { return host[o] })
 	s.c.SetExchangeNeighbors(peers)
 	if len(s.at) != len(s.host) {
@@ -144,6 +158,8 @@ func (s *stepper) rebuildTopology() {
 // frontier mesh cells into one contiguous tail (per mesh cell, not per
 // hosted cell — over-decomposed, most VPs touch another rank's territory
 // somewhere, but only a band of their mesh cells can reach it in one step).
+// When the mask covers every mesh cell hosted here the answer is known to
+// be "no interior" and the pass is not run.
 // The tails move and classify first, their leavers scatter into the
 // outgoing shards and the exchange STARTS; the interior heads move while
 // the parcels are in flight, and only then does the exchange FINISH. The
@@ -164,7 +180,10 @@ func (s *stepper) MoveExchange(rec *trace.Recorder) error {
 	t0 := time.Now()
 	cols := s.shards.next(len(s.host))
 	for k, c := range s.cells {
-		s.ni[k] = core.PartitionFrontier(c.soa, mesh, &s.frontier)
+		s.ni[k] = 0
+		if s.interior {
+			s.ni[k] = core.PartitionFrontier(c.soa, mesh, &s.frontier)
+		}
 		s.pool.MoveClassifyRange(c.soa, s.ni[k], c.soa.Len(), c.block, mesh, s.ot, int32(c.id), &s.lv)
 		c.soa.ScatterRemove(&s.lv, cols)
 	}
@@ -268,11 +287,12 @@ func (s *stepper) start(cols []core.Columns) {
 }
 
 // finish completes the exchange start opened and appends the arrivals to
-// their cells: the parcels from other ranks, then the local shards.
+// their cells: the parcels from other ranks, then the local shards. On a
+// wire transport each received shard is recycled once delivered.
 func (s *stepper) finish(cols []core.Columns) error {
-	me := s.c.Rank()
+	me, onWire := s.c.Rank(), s.c.OnWire()
 	comm.ExchangePtrFinish(s.c, s.sendPtrs, s.recvPtrs)
-	if s.c.OnWire() {
+	if onWire {
 		s.xbytes += s.c.TransportBytes() - s.wireBase
 	}
 	for src, lp := range s.recvPtrs {
@@ -282,6 +302,11 @@ func (s *stepper) finish(cols []core.Columns) error {
 		for _, pc := range *lp {
 			if err := s.deliver(pc.Owner, pc.Cols); err != nil {
 				return err
+			}
+			if onWire {
+				// Decoded for this rank and now copied out: back to the
+				// decoder's free list (see decodedShards for the rule).
+				decodedShards.put(pc.Cols)
 			}
 		}
 	}

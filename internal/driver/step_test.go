@@ -3,14 +3,17 @@ package driver
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"github.com/parres/picprk/internal/ampi"
 	"github.com/parres/picprk/internal/comm"
 	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/dist"
+	"github.com/parres/picprk/internal/grid"
 	"github.com/parres/picprk/internal/pup"
 	"github.com/parres/picprk/internal/trace"
 )
@@ -161,6 +164,15 @@ func FuzzDecodeParcels(f *testing.F) {
 	for n := 0; n <= len(good); n++ {
 		f.Add(good[:n])
 	}
+	// A shard whose columns disagree on the particle count: in bounds
+	// section by section, and fatal to the next move loop if accepted.
+	ragged := parcelListFixture()
+	(*ragged)[1].Cols.X = append((*ragged)[1].Cols.X, 7)
+	bad, _, err := pup.EncodePayload(nil, ragged)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bad)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -172,6 +184,15 @@ func FuzzDecodeParcels(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if list := v.(*[]parcel); list != nil {
+			for i, pc := range *list {
+				if c := pc.Cols; c != nil {
+					if n := len(c.X); len(c.Y) != n || len(c.VX) != n || len(c.VY) != n || len(c.Q) != n || len(c.Meta) != n {
+						t.Fatalf("parcel %d: accepted a ragged shard (%d/%d/%d/%d/%d/%d)", i, n, len(c.Y), len(c.VX), len(c.VY), len(c.Q), len(c.Meta))
+					}
+				}
+			}
+		}
 		again, _, err := pup.EncodePayload(nil, v)
 		if err != nil {
 			t.Fatalf("accepted parcel list failed to re-encode: %v", err)
@@ -180,4 +201,116 @@ func FuzzDecodeParcels(f *testing.F) {
 			t.Fatalf("re-encoding changed the bytes:\n in % x\nout % x", data, again)
 		}
 	})
+}
+
+// randomCuts returns blocks+1 strictly ascending cuts from 0 to L.
+func randomCuts(rng *rand.Rand, L, blocks int) []int {
+	inner := rng.Perm(L - 1)[:blocks-1]
+	sort.Ints(inner)
+	cuts := []int{0}
+	for _, c := range inner {
+		cuts = append(cuts, c+1)
+	}
+	return append(cuts, L)
+}
+
+// TestPartitionSkippedOnlyWithoutInterior pins the one thing that decides
+// whether a step runs PartitionFrontier. Over random cut arrays, ring widths
+// and owner placements, the flag rebuildTopology records equals a brute-force
+// reading of the definition — some mesh cell hosted here has no remotely
+// hosted cell within the ring, wrapped — computed without the mask. Then one
+// run on each side of the flag, on both substrates, matches the serial
+// reference bit for bit.
+func TestPartitionSkippedOnlyWithoutInterior(t *testing.T) {
+	const L, p = 16, 3
+	mesh := grid.MustMesh(L, grid.DefaultCharge)
+	var with, without int
+	err := comm.NewWorld(p).Run(func(c *comm.Comm) error {
+		me := c.Rank()
+		rng := rand.New(rand.NewSource(41)) // same draws on every rank
+		for trial := 0; trial < 200; trial++ {
+			px, py := 1+rng.Intn(4), 1+rng.Intn(4)
+			s := &stepper{c: c, cfg: Config{Mesh: mesh}, rx: rng.Intn(L/2 + 2), ry: rng.Intn(L/2 + 2)}
+			s.ot = core.NewOwnerTable(randomCuts(rng, L, px), randomCuts(rng, L, py))
+			s.host = make([]int, px*py)
+			for o := range s.host {
+				s.host[o] = rng.Intn(p)
+				if rng.Intn(3) == 0 {
+					s.host[o] = 0 // lopsided placements: whole rows of one rank
+				}
+				if s.host[o] == me {
+					s.cells = append(s.cells, &cell{id: o})
+				}
+			}
+			s.rebuildTopology()
+
+			hostedAt := func(cx, cy int) int {
+				return s.host[s.ot.Owner(grid.WrapIndex(cx, L), grid.WrapIndex(cy, L))]
+			}
+			want := false
+			for cy := 0; cy < L; cy++ {
+				for cx := 0; cx < L; cx++ {
+					if hostedAt(cx, cy) != me {
+						continue
+					}
+					reach := false
+					for dy := -s.ry; dy <= s.ry; dy++ {
+						for dx := -s.rx; dx <= s.rx; dx++ {
+							reach = reach || hostedAt(cx+dx, cy+dy) != me
+						}
+					}
+					want = want || !reach
+				}
+			}
+			if s.interior != want {
+				return fmt.Errorf("trial %d rank %d (%d×%d owners, ring %d,%d, hosts %v): interior recorded %v, brute force %v",
+					trial, me, px, py, s.rx, s.ry, s.host, s.interior, want)
+			}
+			if me == 0 && want {
+				with++
+			} else if me == 0 {
+				without++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if without < 20 || with < 20 {
+		t.Fatalf("trials landed %d without and %d with interior; the comparison is one-sided", without, with)
+	}
+
+	for _, k := range []int{0, 4} { // ring 1 of 16 cells: interior; ring 9: none
+		cfg := testConfig(t, L, 3000, 12)
+		cfg.K, cfg.M = k, 1
+		ref := sequentialReference(t, cfg)
+		block := NewBaselineEngine(cfg)
+		vp, err := NewAMPIEngine(2, cfg, AMPIParams{Overdecompose: 4, Every: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range []*Engine{block, vp} {
+			var interior [2]bool
+			mk := eng.Substrate
+			eng.Substrate = func(c *comm.Comm, cfg Config) (Substrate, error) {
+				s, err := mk(c, cfg)
+				switch s := s.(type) {
+				case *blockSubstrate:
+					interior[c.Rank()] = s.interior
+				case *vpSubstrate:
+					interior[c.Rank()] = s.interior
+				}
+				return s, err
+			}
+			res, err := eng.Run(2)
+			if err != nil || !res.Verified {
+				t.Fatalf("%s k=%d: run failed or unverified: %v", eng.Name, k, err)
+			}
+			if want := k == 0; interior != [2]bool{want, want} {
+				t.Fatalf("%s k=%d: interior flags %v, want %v on both ranks", eng.Name, k, interior, want)
+			}
+			assertBitwiseEqual(t, ref, res.Particles, fmt.Sprintf("%s k=%d", eng.Name, k))
+		}
+	}
 }

@@ -150,3 +150,41 @@ func TestTransportValidation(t *testing.T) {
 		t.Fatalf("explicit transport should beat the environment, got %q", got)
 	}
 }
+
+// TestDecodedShardsNeverAlias exercises the decoded-shard free list where an
+// aliasing bug would show: an exchange-bound input (ring wider than the
+// blocks, nearly every particle changes rank every step) over loopback tcp
+// with chaos delays, so a peer's next frame is being decoded on the reader
+// goroutine while this rank still delivers the last one, and a removal and
+// an injection in between, so one connection carries large, then small, then
+// large shards through the same recycled buffers. A shard handed back early,
+// or decoded into while a cell still copies it, changes the final state or
+// trips the race detector (CI runs this under -race); the state must equal
+// the in-process run's bit for bit, on both substrates.
+func TestDecodedShardsNeverAlias(t *testing.T) {
+	const p = 3
+	cfg := testConfig(t, 16, 4000, 18)
+	cfg.K, cfg.M = 4, 1
+	cfg.Chaos = 200 * time.Microsecond
+	cfg.Schedule = dist.Schedule{
+		{Step: 5, Region: dist.Rect{X0: 0, X1: 16, Y0: 1, Y1: 16}, Remove: true},
+		{Step: 11, Region: dist.Rect{X0: 0, X1: 16, Y0: 0, Y1: 16}, Inject: 5000, K: 4, M: 1},
+	}
+	for _, di := range []int{0, 2} { // baseline (block), ampi (VP)
+		inCfg, wireCfg := cfg, cfg
+		inCfg.Transport, wireCfg.Transport = TransportInproc, TransportTCP
+		name := driverMatrix(p, cfg)[di].name
+		ref, err := driverMatrix(p, inCfg)[di].fn()
+		if err != nil {
+			t.Fatalf("%s in-process: %v", name, err)
+		}
+		got, err := driverMatrix(p, wireCfg)[di].fn()
+		if err != nil {
+			t.Fatalf("%s over tcp: %v", name, err)
+		}
+		if !got.Verified || got.FinalParticles != ref.FinalParticles {
+			t.Fatalf("%s over tcp: verified %v, %d particles, in-process %d", name, got.Verified, got.FinalParticles, ref.FinalParticles)
+		}
+		assertBitwiseEqual(t, ref.Particles, got.Particles, name+" over tcp with recycled shards")
+	}
+}

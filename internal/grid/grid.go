@@ -126,9 +126,20 @@ func (m Mesh) WrapCoord(x float64) float64 {
 	return m.wrapOutside(x)
 }
 
+// wrapOutside wraps a coordinate outside [0, L). Within one period of the
+// domain — where a fast particle lands on about half its moves — it needs no
+// division: for L ≤ x < 2L, x − L is exact (Sterbenz) and is math.Mod(x, L)
+// bit for bit, and for −L < x < 0 math.Mod is the identity. x = −L and
+// everything farther out take math.Mod; −L must, because Mod gives −0 there
+// and the sum below would give +0.
 func (m Mesh) wrapOutside(x float64) float64 {
 	L := float64(m.L)
-	x = math.Mod(x, L)
+	if x >= L && x < 2*L {
+		return x - L
+	}
+	if !(x > -L && x < L) { // NaN included
+		x = math.Mod(x, L)
+	}
 	if x < 0 {
 		x += L
 	}

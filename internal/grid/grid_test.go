@@ -287,6 +287,11 @@ func TestWrapCoordMatchesModBitwise(t *testing.T) {
 			math.Nextafter(0, -1), math.Nextafter(0, 1), -fl, 2 * fl, -2 * fl, 0.5, fl - 0.5,
 			1e300, -1e300, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
 			math.Inf(1), math.Inf(-1), math.NaN(),
+			// The edges of wrapOutside's division-free band, ±L and ±2L,
+			// each with both neighbours (−L is where −0 must survive).
+			math.Nextafter(-fl, 0), math.Nextafter(-fl, -2*fl),
+			math.Nextafter(2*fl, 0), math.Nextafter(2*fl, 3*fl),
+			math.Nextafter(-2*fl, 0), math.Nextafter(-2*fl, -3*fl),
 		} {
 			checkWrapCoordBitwise(t, m, x)
 		}
