@@ -1,9 +1,9 @@
 // Command picstat analyzes a per-step telemetry timeline written by
-// `picrun -timeline` (or `picbench -drivers -timelines`): per-phase time
-// totals, how the load imbalance evolved over the run, and the steps that
-// cost the most wall time — the §V-B lens on a run, from a file instead of
-// a live cluster. With -follow it tails a running picrun's /events stream
-// instead, printing one line per sample as it lands.
+// `picrun -timeline`: per-phase time totals, how the load imbalance evolved
+// over the run, and the steps that cost the most wall time — the §V-B lens
+// on a run, from a file instead of a live cluster. With -follow it tails a
+// running picrun's /events stream instead, printing one line per sample as
+// it lands.
 //
 // Usage:
 //

@@ -20,7 +20,6 @@
 //     scales.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-vs-reproduced results. The benchmarks in
-// bench_test.go regenerate each figure at reduced scale; cmd/picbench
-// runs them at the paper's full scale.
+// EXPERIMENTS.md for paper-vs-reproduced results. cmd/picbench regenerates
+// each figure (-quick for reduced scale); bench/ measures the real drivers.
 package picprk

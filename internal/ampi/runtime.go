@@ -15,7 +15,7 @@ import (
 // rather than a fresh factory product, so a VP's PUP routine must fully
 // overwrite its state when unpacking.
 type VP interface {
-	// VPID returns the VP's global id in [0, NumVPs).
+	// VPID returns the VP's global id in [0, number of VPs).
 	VPID() int
 	// Load returns the measured load of the most recent steps (for the PIC
 	// PRK: the particle count, which is exactly proportional to work).
@@ -95,9 +95,6 @@ func NewRuntime(c *comm.Comm, nvp int, place func(vp int) int, makeLocal func(vp
 	}
 	return rt, nil
 }
-
-// NumVPs returns the global VP count.
-func (rt *Runtime) NumVPs() int { return rt.nvp }
 
 // Location returns the core currently hosting a VP.
 func (rt *Runtime) Location(vp int) int { return rt.location[vp] }

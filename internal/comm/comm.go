@@ -295,9 +295,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// WorldRank returns the caller's rank in the world communicator.
-func (c *Comm) WorldRank() int { return c.group[c.rank] }
-
 // OnWire reports whether this communicator's messages are serialized onto a
 // byte stream. Substrates use it to decide between measured and estimated
 // exchange byte accounting, and tests use it to skip in-process-only

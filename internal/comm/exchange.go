@@ -127,16 +127,6 @@ func (c *Comm) SetExchangeNeighbors(peers []int) {
 	}
 }
 
-// ExchangeNeighbors returns the installed neighbor schedule (nil when the
-// schedule is the full ring). The slice is the communicator's own storage;
-// callers must not mutate or retain it across SetExchangeNeighbors.
-func (c *Comm) ExchangeNeighbors() []int {
-	if !c.xchgNbrs {
-		return nil
-	}
-	return c.xchgPeers
-}
-
 // ExchangeMsgStats returns cumulative ExchangePtr message accounting for
 // this communicator: messages actually sent, and messages the sparse
 // schedule elided relative to the full ring (nil sends never posted).

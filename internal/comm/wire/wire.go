@@ -92,12 +92,6 @@ func (n *Node) release() {
 // Size implements comm.Transport.
 func (n *Node) Size() int { return n.size }
 
-// Index returns this node's index in the world's node table.
-func (n *Node) Index() int { return n.index }
-
-// Nodes returns the world's node table (copy).
-func (n *Node) Nodes() []NodeInfo { return append([]NodeInfo(nil), n.nodes...) }
-
 // LocalRanks implements comm.Transport.
 func (n *Node) LocalRanks() []int { return append([]int(nil), n.local...) }
 

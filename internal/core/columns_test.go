@@ -135,8 +135,13 @@ func TestScatterRemoveAllocatesOncePerShard(t *testing.T) {
 		t.Errorf("cold scatter allocated %d bytes for %d bytes of shards (limit %d)", cold, final, limit)
 	}
 	// TotalAlloc is process-wide: a runtime goroutine now and then adds a few
-	// dozen bytes, a reallocated column at least 400 KB.
-	if warm, _ := scatter(); warm > 4096 {
+	// bytes to a few KB (5248 seen once in ten tier-1 runs), a reallocated
+	// column at least 400 KB every time. So the quietest of three counts.
+	warm, _ := scatter()
+	for i := 0; i < 2 && warm > 4096; i++ {
+		warm, _ = scatter()
+	}
+	if warm > 4096 {
 		t.Errorf("warm scatter allocated %d bytes", warm)
 	}
 }

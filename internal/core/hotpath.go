@@ -103,9 +103,6 @@ func NewMovePool(workers int) *MovePool {
 	return p
 }
 
-// Workers returns the pool's worker count.
-func (p *MovePool) Workers() int { return p.workers }
-
 func (p *MovePool) worker(w int, wake <-chan struct{}) {
 	for range wake {
 		lo, hi := chunkBounds(p.hi-p.lo, p.workers, w)

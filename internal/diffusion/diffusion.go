@@ -22,8 +22,7 @@ import (
 // trigger threshold τ, and the width of the exchanged border region.
 type Params struct {
 	// Every is the number of time steps between balancing actions
-	// (frequency knob). Drivers interpret it; the decision functions here
-	// do not.
+	// (frequency knob). Drivers interpret it; BalanceStepGuarded does not.
 	Every int
 	// Threshold is τ expressed as a fraction of the mean block load:
 	// a pair (i, i+1) triggers when |load[i]-load[i+1]| > Threshold·mean.
@@ -64,78 +63,27 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// BalanceStep computes one diffusion action: given the current 1D bounds and
-// the load (particle count) of each block, it returns the new bounds and
-// whether any cut moved. For every adjacent pair whose load difference
-// exceeds τ·mean, the cut between them shifts by Width cells toward the
-// heavier block (i.e. the heavy block cedes its border columns).
-//
-// Shift decisions are made Jacobi-style from the input loads, then applied
-// left to right; a shift is skipped if it would shrink either affected block
-// below MinWidth given the shifts already applied. The whole computation is
+// BalanceStepGuarded computes one diffusion action: given the current 1D
+// bounds and the load (particle count) of each cell-column, it returns the
+// new bounds and whether any cut moved. For every adjacent pair of blocks
+// whose load difference exceeds τ·mean (a trigger fixed Jacobi-style from the
+// input loads), the cut between them shifts by Width cells toward the heavier
+// block, which thereby cedes its border columns. Cuts are visited left to
+// right, and a shift is skipped if it would shrink either affected block
+// below MinWidth given the shifts already applied, or if it would raise the
+// heavier load of the pair: near a steep gradient one cell-column can carry
+// more particles than the whole imbalance, and a fixed-width scheme without
+// this guard shuttles that column back and forth on every invocation. The
+// guard is why the input is per cell-column, which the parallel driver
+// obtains with one extra reduction over its column communicator — the cost
+// the paper attributes to co-tuning the scheme. The computation is
 // deterministic, so all ranks agree on the result without communication
-// beyond the load reduction itself.
+// beyond the load reductions themselves.
 //
 // The domain is periodic, but like the paper's reference implementation the
 // diffusion acts on the linear chain of blocks only (no wrap-around pair):
 // particles stream across the seam, and the chain ends adapt via their inner
 // neighbors.
-func BalanceStep(b decomp.Bounds, loads []int64, p Params) (decomp.Bounds, bool) {
-	n := b.N()
-	if len(loads) != n {
-		panic(fmt.Sprintf("diffusion: %d loads for %d blocks", len(loads), n))
-	}
-	if n < 2 {
-		return b, false
-	}
-	var total int64
-	for _, l := range loads {
-		total += l
-	}
-	mean := float64(total) / float64(n)
-	trigger := p.Threshold * mean
-
-	// Desired shift of each interior cut j (between blocks j-1 and j):
-	// +Width moves the cut right (block j-1 grows), -Width moves it left.
-	shift := make([]int, n+1)
-	for i := 0; i+1 < n; i++ {
-		diff := float64(loads[i] - loads[i+1])
-		switch {
-		case diff > trigger:
-			shift[i+1] = -p.Width // heavy left block cedes border columns
-		case -diff > trigger:
-			shift[i+1] = +p.Width // heavy right block cedes border columns
-		}
-	}
-
-	nb := b.Clone()
-	changed := false
-	for j := 1; j < n; j++ {
-		if shift[j] == 0 {
-			continue
-		}
-		cut := nb.Cuts[j] + shift[j]
-		// The new cut must keep both adjacent blocks at MinWidth, taking
-		// already-applied shifts on the left into account and the original
-		// cut on the right (its shift, if any, is applied later and only
-		// ever checked against this updated value).
-		if cut-nb.Cuts[j-1] < p.MinWidth || nb.Cuts[j+1]-cut < p.MinWidth {
-			continue
-		}
-		nb.Cuts[j] = cut
-		changed = true
-	}
-	return nb, changed
-}
-
-// BalanceStepGuarded is BalanceStep with overshoot protection: a cut moves
-// only if transferring the border columns strictly reduces the heavier load
-// of the pair. Near a steep load gradient a single cell-column can carry
-// more particles than the whole imbalance, making the fixed-width scheme
-// oscillate (shuttle the column back and forth every invocation); the guard
-// suppresses exactly those moves. It requires per-cell-column loads, which
-// the parallel driver obtains with one extra reduction over its column
-// communicator — the cost the paper attributes to co-tuning the scheme.
 func BalanceStepGuarded(b decomp.Bounds, cellLoads []int64, p Params) (decomp.Bounds, bool) {
 	n := b.N()
 	if n < 2 {
@@ -195,62 +143,6 @@ func BalanceStepGuarded(b decomp.Bounds, cellLoads []int64, p Params) (decomp.Bo
 		changed = true
 	}
 	return nb, changed
-}
-
-// BalanceToConvergence applies BalanceStep repeatedly (at most maxIter
-// times) against a static load-per-cell profile, recomputing block loads
-// after each move. cellLoads[i] is the particle count of cell-column i.
-//
-// Fixed-width diffusion moves can enter a limit cycle (a cut shuttling one
-// column back and forth) rather than reaching a fixed point — the paper
-// notes the scheme "is no panacea". BalanceToConvergence therefore detects
-// revisited states and returns the best bounds seen (smallest maximum block
-// load), along with the number of iterations performed. It is used by tests
-// and by offline tuning to inspect the scheme's behaviour on a frozen
-// distribution.
-func BalanceToConvergence(b decomp.Bounds, cellLoads []int64, p Params, maxIter int) (decomp.Bounds, int) {
-	cur := b
-	best := b
-	bestMax := maxOf(BlockLoads(b, cellLoads))
-	seen := map[string]bool{key(b): true}
-	for iter := 0; iter < maxIter; iter++ {
-		loads := BlockLoads(cur, cellLoads)
-		next, changed := BalanceStep(cur, loads, p)
-		if !changed {
-			return cur, iter
-		}
-		if m := maxOf(BlockLoads(next, cellLoads)); m < bestMax {
-			bestMax = m
-			best = next
-		}
-		k := key(next)
-		if seen[k] {
-			return best, iter + 1
-		}
-		seen[k] = true
-		cur = next
-	}
-	return best, maxIter
-}
-
-func maxOf(loads []int64) int64 {
-	var m int64
-	for _, l := range loads {
-		if l > m {
-			m = l
-		}
-	}
-	return m
-}
-
-func key(b decomp.Bounds) string {
-	buf := make([]byte, 0, 8*len(b.Cuts))
-	for _, c := range b.Cuts {
-		v := uint64(int64(c))
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
-	return string(buf)
 }
 
 // BlockLoads aggregates per-cell-column loads into per-block loads under

@@ -13,8 +13,8 @@ import (
 	"github.com/parres/picprk/internal/grid"
 )
 
-// benchRunConfig mirrors cmd/picbench's driver-bench scenario so the
-// full-run allocation numbers here track the committed BENCH_driver.json.
+// benchRunConfig is the whole-run scenario of the allocation benchmarks and
+// budgets below: a skewed 20k-particle, 50-step run.
 func benchRunConfig(b *testing.B) Config {
 	m, err := grid.NewMesh(64, grid.DefaultCharge)
 	if err != nil {

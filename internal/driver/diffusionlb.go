@@ -36,26 +36,3 @@ func NewDiffusionEngine(cfg Config, params diffusion.Params) (*Engine, error) {
 		Balancer: func() balance.Balancer { return &balance.DiffusionBalancer{Params: params} },
 	}, nil
 }
-
-// RunDiffusion1D is RunDiffusion with the 1D block-column decomposition the
-// paper uses to illustrate the diffusion scheme (Figure 3): every rank owns
-// a full-height column block, and balancing moves whole cell-columns
-// between linear neighbors.
-func RunDiffusion1D(p int, cfg Config, params diffusion.Params) (*Result, error) {
-	return runDiffusionShaped(p, p, 1, cfg, params)
-}
-
-func runDiffusionShaped(p, px, py int, cfg Config, params diffusion.Params) (*Result, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	eng := &Engine{
-		Name: "diffusion",
-		Cfg:  cfg,
-		Substrate: func(c *comm.Comm, cfg Config) (Substrate, error) {
-			return newBlockSubstrate(c, cfg, px, py)
-		},
-		Balancer: func() balance.Balancer { return &balance.DiffusionBalancer{Params: params} },
-	}
-	return eng.Run(p)
-}

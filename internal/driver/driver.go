@@ -145,15 +145,9 @@ func (cfg *Config) WorldOptions() comm.Options {
 	return comm.Options{ChaosDelay: cfg.Chaos, ChaosSeed: int64(cfg.Seed)}
 }
 
-// EffectiveWorkers resolves the per-rank move worker count a run with this
+// effectiveWorkers resolves the per-rank move worker count a run with this
 // Config actually uses: the explicit Workers setting, else GOMAXPROCS/ranks
-// with a minimum of 1. Exposed so tooling (picbench) records the resolved
-// value instead of the raw flag.
-func (cfg *Config) EffectiveWorkers(ranks int) int {
-	return cfg.effectiveWorkers(ranks)
-}
-
-// effectiveWorkers resolves the per-rank move worker count.
+// with a minimum of 1.
 func (cfg *Config) effectiveWorkers(ranks int) int {
 	if cfg.Workers > 0 {
 		return cfg.Workers

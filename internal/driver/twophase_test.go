@@ -3,6 +3,8 @@ package driver
 import (
 	"testing"
 
+	"github.com/parres/picprk/internal/balance"
+	"github.com/parres/picprk/internal/comm"
 	"github.com/parres/picprk/internal/diffusion"
 	"github.com/parres/picprk/internal/dist"
 )
@@ -62,19 +64,30 @@ func TestDiffusion1DFigure3Scenario(t *testing.T) {
 	cfg := testConfig(t, 32, 6000, 60)
 	cfg.Dist = dist.Geometric{R: 0.9}
 	ref := sequentialReference(t, cfg)
-	params := diffusion.Params{Every: 1, Threshold: 0.05, Width: 2, MinWidth: 3}
-	res, err := RunDiffusion1D(4, cfg, params)
-	if err != nil {
-		t.Fatal(err)
+	// The diffusion engine on a 4×1 grid: every rank owns a full-height
+	// column block.
+	run1D := func(params diffusion.Params) *Result {
+		t.Helper()
+		eng := &Engine{
+			Name: "diffusion",
+			Cfg:  cfg,
+			Substrate: func(c *comm.Comm, cfg Config) (Substrate, error) {
+				return newBlockSubstrate(c, cfg, c.Size(), 1)
+			},
+			Balancer: func() balance.Balancer { return &balance.DiffusionBalancer{Params: params} },
+		}
+		res, err := eng.Run(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+	res := run1D(diffusion.Params{Every: 1, Threshold: 0.05, Width: 2, MinWidth: 3})
 	assertBitwiseEqual(t, ref, res.Particles, "diffusion-1d")
 
 	// The static reference with the same 1D layout: an absurd threshold
 	// disables all balancing actions.
-	static, err := RunDiffusion1D(4, cfg, diffusion.Params{Every: 1, Threshold: 1e12, Width: 2, MinWidth: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	static := run1D(diffusion.Params{Every: 1, Threshold: 1e12, Width: 2, MinWidth: 3})
 	if res.MaxFinalParticles >= static.MaxFinalParticles {
 		t.Errorf("1D diffusion max/rank %d did not beat static 1D %d",
 			res.MaxFinalParticles, static.MaxFinalParticles)

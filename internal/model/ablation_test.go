@@ -108,3 +108,83 @@ func TestTwoPhaseCostsButDoesNotHelpOnYUniformWorkload(t *testing.T) {
 		t.Errorf("two-phase overhead too large: %.2fs vs %.2fs", two.Seconds, xOnly.Seconds)
 	}
 }
+
+// The benchmarks below print the model seconds EXPERIMENTS.md quotes for
+// the ablations the tests above assert
+// (go test -run '^$' -bench Ablation -benchtime 1x ./internal/model).
+
+// BenchmarkAblationLBStrategies compares the runtime balancers at 96 cores:
+// Charm-style GreedyLB (locality-agnostic, the paper's behaviour), RefineLB
+// (incremental), and the locality-hinted greedy the paper's §V-B suggests.
+func BenchmarkAblationLBStrategies(b *testing.B) {
+	mach := Edison()
+	mk := func() *Workload { return workload(b, 1498, 600000, 0.999, nil) }
+	strategies := []ampi.Strategy{ampi.GreedyLB{}, ampi.RefineLB{}, &ampi.HintedGreedyLB{}}
+	for i := 0; i < b.N; i++ {
+		for _, s := range strategies {
+			o := SimulateAMPI(mach, mk(), 96, 1500, AMPIModelParams{Overdecompose: 8, Every: 160, Strategy: s})
+			if i == 0 {
+				b.Logf("%-16s %7.2fs (compute %.2f, comm %.2f, lb %.2f, migrations %d)",
+					s.Name(), o.Seconds, o.ComputeSeconds, o.CommSeconds, o.LBSeconds, o.Migrations)
+			}
+		}
+	}
+}
+
+// BenchmarkAblationDiffusionKnobs sweeps the three interfering diffusion
+// parameters (§IV-B) around the tuned point, demonstrating that the cut
+// speed Width/Every must outpace the workload drift.
+func BenchmarkAblationDiffusionKnobs(b *testing.B) {
+	mach := Edison()
+	mk := func() *Workload { return workload(b, 1498, 600000, 0.999, nil) }
+	configs := []diffusion.Params{
+		{Every: 2, Threshold: 0.02, Width: 8, MinWidth: 9},      // tuned
+		{Every: 2, Threshold: 0.02, Width: 1, MinWidth: 2},      // too narrow
+		{Every: 50, Threshold: 0.02, Width: 8, MinWidth: 9},     // too rare
+		{Every: 50, Threshold: 0.02, Width: 100, MinWidth: 101}, // rare but wide
+		{Every: 2, Threshold: 0.5, Width: 8, MinWidth: 9},       // too timid
+	}
+	for i := 0; i < b.N; i++ {
+		for _, p := range configs {
+			o := SimulateDiffusion(mach, mk(), 24, 1500, p)
+			if i == 0 {
+				b.Logf("every=%-3d width=%-3d thresh=%.2f: %7.2fs (maxload %.0f/%.0f)",
+					p.Every, p.Width, p.Threshold, o.Seconds, o.MaxFinalLoad, o.IdealLoad)
+			}
+		}
+	}
+}
+
+// BenchmarkAblationTwoPhase compares x-only diffusion (the paper's
+// experimental choice) with the full two-phase scheme on the y-uniform
+// paper workload: phase 2 costs a reduction and buys nothing here.
+func BenchmarkAblationTwoPhase(b *testing.B) {
+	mach := Edison()
+	mk := func() *Workload { return workload(b, 1498, 600000, 0.999, nil) }
+	params := diffusion.Params{Every: 2, Threshold: 0.02, Width: 8, MinWidth: 9}
+	twoPhase := params
+	twoPhase.TwoPhase = true
+	for i := 0; i < b.N; i++ {
+		x := SimulateDiffusion(mach, mk(), 96, 1500, params)
+		two := SimulateDiffusion(mach, mk(), 96, 1500, twoPhase)
+		if i == 0 {
+			b.Logf("x-only %7.3fs   two-phase %7.3fs (overhead %+.1f%%)", x.Seconds, two.Seconds, (two.Seconds/x.Seconds-1)*100)
+		}
+	}
+}
+
+// BenchmarkAblationOverdecomposition isolates the d knob's two sides: finer
+// balance granularity vs per-VP scheduling and fragmentation overhead.
+func BenchmarkAblationOverdecomposition(b *testing.B) {
+	mach := Edison()
+	mk := func() *Workload { return workload(b, 1498, 600000, 0.999, nil) }
+	for i := 0; i < b.N; i++ {
+		for _, d := range []int{1, 4, 16, 64} {
+			o := SimulateAMPI(mach, mk(), 96, 1500, AMPIModelParams{Overdecompose: d, Every: 640})
+			if i == 0 {
+				b.Logf("d=%-3d %7.2fs (compute %.2f, comm %.2f, maxload %.0f/%.0f)",
+					d, o.Seconds, o.ComputeSeconds, o.CommSeconds, o.MaxFinalLoad, o.IdealLoad)
+			}
+		}
+	}
+}

@@ -36,7 +36,8 @@ type Machine struct {
 	// VPOverheadPerStep is the scheduler cost per virtual processor per
 	// step (user-level context switch + message dispatch in AMPI).
 	VPOverheadPerStep float64
-	// BytesPerParticle is the particle wire size (matches particle.EncodedSize).
+	// BytesPerParticle is the particle wire size (matches
+	// core.ColumnsBytesPerParticle, the 80 B the exchange frames).
 	BytesPerParticle float64
 	// BytesPerCell is the migrated mesh data per cell.
 	BytesPerCell float64

@@ -1,7 +1,8 @@
 // Package particle defines the charged particles of the PIC PRK, together
 // with the bookkeeping needed for the closed-form verification of paper
-// §III-D and a compact binary wire encoding used when particles migrate
-// between ranks or virtual processors.
+// §III-D and the one byte encoding of a particle: the PUP traversal, which
+// carries a []Particle (KindParticles) across a socket and a Simulation
+// into a checkpoint.
 package particle
 
 import (
@@ -89,77 +90,6 @@ func wrap(v, L float64) float64 {
 	return v
 }
 
-// EncodedSize is the number of bytes in the wire encoding of one particle.
-const EncodedSize = 8 + 7*8 + 4*4 // ID + 7 float64 + 4 int32
-
-// Encode appends the wire encoding of p to dst and returns the extended
-// slice. The encoding is little-endian and fixed-size.
-func (p *Particle) Encode(dst []byte) []byte {
-	dst = appendU64(dst, p.ID)
-	dst = appendF64(dst, p.X)
-	dst = appendF64(dst, p.Y)
-	dst = appendF64(dst, p.VX)
-	dst = appendF64(dst, p.VY)
-	dst = appendF64(dst, p.Q)
-	dst = appendF64(dst, p.X0)
-	dst = appendF64(dst, p.Y0)
-	dst = appendU32(dst, uint32(p.K))
-	dst = appendU32(dst, uint32(p.M))
-	dst = appendU32(dst, uint32(p.Dir))
-	dst = appendU32(dst, uint32(p.Born))
-	return dst
-}
-
-// Decode reads one particle from the front of src, returning the remainder.
-func (p *Particle) Decode(src []byte) ([]byte, error) {
-	if len(src) < EncodedSize {
-		return src, fmt.Errorf("particle: short buffer %d < %d", len(src), EncodedSize)
-	}
-	p.ID, src = takeU64(src)
-	p.X, src = takeF64(src)
-	p.Y, src = takeF64(src)
-	p.VX, src = takeF64(src)
-	p.VY, src = takeF64(src)
-	p.Q, src = takeF64(src)
-	p.X0, src = takeF64(src)
-	p.Y0, src = takeF64(src)
-	var u uint32
-	u, src = takeU32(src)
-	p.K = int32(u)
-	u, src = takeU32(src)
-	p.M = int32(u)
-	u, src = takeU32(src)
-	p.Dir = int32(u)
-	u, src = takeU32(src)
-	p.Born = int32(u)
-	return src, nil
-}
-
-// EncodeSlice encodes all particles in ps into a fresh buffer.
-func EncodeSlice(ps []Particle) []byte {
-	buf := make([]byte, 0, len(ps)*EncodedSize)
-	for i := range ps {
-		buf = ps[i].Encode(buf)
-	}
-	return buf
-}
-
-// DecodeSlice decodes a buffer produced by EncodeSlice.
-func DecodeSlice(buf []byte) ([]Particle, error) {
-	if len(buf)%EncodedSize != 0 {
-		return nil, fmt.Errorf("particle: buffer length %d not a multiple of record size %d", len(buf), EncodedSize)
-	}
-	ps := make([]Particle, len(buf)/EncodedSize)
-	var err error
-	for i := range ps {
-		buf, err = ps[i].Decode(buf)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ps, nil
-}
-
 // IDSum returns the sum of particle IDs, the cheap lost-particle checksum of
 // paper §III-D: for n surviving particles with IDs 1..n it must equal
 // n·(n+1)/2.
@@ -169,32 +99,4 @@ func IDSum(ps []Particle) uint64 {
 		s += ps[i].ID
 	}
 	return s
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
-
-func takeU64(b []byte) (uint64, []byte) {
-	v := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-	return v, b[8:]
-}
-
-func takeU32(b []byte) (uint32, []byte) {
-	v := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-	return v, b[4:]
-}
-
-func takeF64(b []byte) (float64, []byte) {
-	u, rest := takeU64(b)
-	return math.Float64frombits(u), rest
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"github.com/parres/picprk/internal/pup"
 )
 
 func sample() Particle {
@@ -14,42 +16,68 @@ func sample() Particle {
 	}
 }
 
-func TestEncodeDecodeRoundtrip(t *testing.T) {
-	p := sample()
-	buf := p.Encode(nil)
-	if len(buf) != EncodedSize {
-		t.Fatalf("encoded size %d, want %d", len(buf), EncodedSize)
-	}
-	var q Particle
-	rest, err := q.Decode(buf)
+// wireSize is what one particle occupies in a KindParticles payload: ID,
+// seven float64 and four int32. A payload is the 8-byte length prefix plus
+// that per particle.
+const wireSize = 8 + 7*8 + 4*4
+
+// encode and decode are the one particle codec, as a socket or a
+// checkpoint reaches it: the registered []Particle payload.
+func encode(t testing.TB, ps []Particle) []byte {
+	t.Helper()
+	buf, kind, err := pup.EncodePayload(nil, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rest) != 0 {
-		t.Fatalf("leftover %d bytes", len(rest))
+	if kind != KindParticles {
+		t.Fatalf("[]Particle encoded as kind %d, want %d", kind, KindParticles)
 	}
-	if q != p {
-		t.Fatalf("roundtrip mismatch: %+v vs %+v", q, p)
+	return buf
+}
+
+func decode(buf []byte) ([]Particle, error) {
+	v, err := pup.DecodePayload(KindParticles, buf)
+	if err != nil {
+		return nil, err
+	}
+	return v.([]Particle), nil
+}
+
+func TestEncodeDecodeRoundtrip(t *testing.T) {
+	p := sample()
+	buf := encode(t, []Particle{p})
+	if len(buf) != 8+wireSize {
+		t.Fatalf("encoded size %d, want %d", len(buf), 8+wireSize)
+	}
+	out, err := decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[0] != p {
+		t.Fatalf("roundtrip mismatch: %+v vs %+v", out, p)
 	}
 }
 
 func TestEncodeDecodeRoundtripProperty(t *testing.T) {
-	f := func(id uint64, x, y, vx, vy, q float64, k, m int32, born int32, neg bool) bool {
-		dir := int32(1)
-		if neg {
-			dir = -1
-		}
-		p := Particle{ID: id, X: x, Y: y, VX: vx, VY: vy, Q: q,
-			X0: x, Y0: y, K: k, M: m, Dir: dir, Born: born}
-		var out Particle
-		if _, err := out.Decode(p.Encode(nil)); err != nil {
-			return false
-		}
-		// NaN payloads break == comparison; compare bit patterns instead.
-		return reflect.DeepEqual(bits(p), bits(out))
+	// Floats are drawn as bit patterns so NaN payloads, infinities and -0
+	// occur; == cannot compare those, so compare bit patterns too.
+	roundtrips := func(p Particle) bool {
+		out, err := decode(encode(t, []Particle{p}))
+		return err == nil && len(out) == 1 && bits(out[0]) == bits(p)
+	}
+	f := func(id uint64, fl [7]uint64, k, m, dir, born int32) bool {
+		v := func(i int) float64 { return math.Float64frombits(fl[i]) }
+		return roundtrips(Particle{ID: id, X: v(0), Y: v(1), VX: v(2), VY: v(3), Q: v(4),
+			X0: v(5), Y0: v(6), K: k, M: m, Dir: dir, Born: born})
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	negZero := math.Copysign(0, -1)
+	nan := math.Float64frombits(0x7FF8_0000_DEAD_BEEF)
+	if !roundtrips(Particle{ID: math.MaxUint64, X: negZero, Y: nan, VX: math.Inf(-1), VY: negZero,
+		Q: nan, X0: negZero, Y0: nan, K: math.MinInt32, M: -1, Dir: -1, Born: math.MaxInt32}) {
+		t.Error("-0 / NaN payload / extreme integers did not survive the round trip")
 	}
 }
 
@@ -64,9 +92,13 @@ func bits(p Particle) [12]uint64 {
 }
 
 func TestDecodeShortBuffer(t *testing.T) {
-	var p Particle
-	if _, err := p.Decode(make([]byte, EncodedSize-1)); err == nil {
-		t.Error("short buffer accepted")
+	// Every proper prefix of a valid payload is an error, never a panic and
+	// never a shorter slice silently accepted.
+	buf := encode(t, []Particle{sample(), sample()})
+	for n := 0; n < len(buf); n++ {
+		if out, err := decode(buf[:n]); err == nil {
+			t.Fatalf("%d of %d bytes accepted as %d particles", n, len(buf), len(out))
+		}
 	}
 }
 
@@ -74,19 +106,28 @@ func TestEncodeDecodeSlice(t *testing.T) {
 	ps := []Particle{sample(), sample(), sample()}
 	ps[1].ID = 43
 	ps[2].ID = 44
-	out, err := DecodeSlice(EncodeSlice(ps))
+	buf := encode(t, ps)
+	if len(buf) != 8+3*wireSize {
+		t.Fatalf("3 particles in %d bytes, want %d", len(buf), 8+3*wireSize)
+	}
+	out, err := decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ps, out) {
 		t.Fatal("slice roundtrip mismatch")
 	}
-	if _, err := DecodeSlice(make([]byte, EncodedSize+1)); err == nil {
-		t.Error("ragged buffer accepted")
+	if _, err := decode(append(buf, 0)); err == nil {
+		t.Error("trailing byte accepted")
 	}
-	empty, err := DecodeSlice(nil)
+	// A length prefix that promises more than the body holds.
+	buf[0]++
+	if _, err := decode(buf); err == nil {
+		t.Error("overlong length prefix accepted")
+	}
+	empty, err := decode(encode(t, []Particle{}))
 	if err != nil || len(empty) != 0 {
-		t.Errorf("empty buffer: %v, %v", empty, err)
+		t.Errorf("empty slice: %v, %v", empty, err)
 	}
 }
 
@@ -148,34 +189,6 @@ func TestValidate(t *testing.T) {
 		mutate(&p)
 		if err := p.Validate(8); err == nil {
 			t.Errorf("case %d: invalid particle accepted", i)
-		}
-	}
-}
-
-func BenchmarkEncodeSlice(b *testing.B) {
-	ps := make([]Particle, 1000)
-	for i := range ps {
-		ps[i] = sample()
-		ps[i].ID = uint64(i + 1)
-	}
-	b.SetBytes(int64(len(ps) * EncodedSize))
-	for i := 0; i < b.N; i++ {
-		EncodeSlice(ps)
-	}
-}
-
-func BenchmarkDecodeSlice(b *testing.B) {
-	ps := make([]Particle, 1000)
-	for i := range ps {
-		ps[i] = sample()
-		ps[i].ID = uint64(i + 1)
-	}
-	buf := EncodeSlice(ps)
-	b.SetBytes(int64(len(buf)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeSlice(buf); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

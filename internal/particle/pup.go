@@ -2,8 +2,9 @@ package particle
 
 import "github.com/parres/picprk/internal/pup"
 
-// PUP serializes the particle with the pack/unpack framework; the layout
-// matches Encode field for field. Used by VP migration and by simulation
+// PUP serializes the particle with the pack/unpack framework: little-endian,
+// fixed-size, 80 bytes (ID, seven float64, four int32). Used by the
+// KindParticles payload codec (verification gathers) and by core.Simulation
 // checkpoints.
 func (p *Particle) PUP(pp *pup.PUPer) {
 	pp.Uint64(&p.ID)

@@ -53,12 +53,6 @@ const (
 
 func usec(d int64) float64 { return float64(d) / 1e3 }
 
-// WriteChromeTrace writes the timeline as Chrome trace-event JSON on the
-// synthetic BSP clock.
-func WriteChromeTrace(w io.Writer, tl *Timeline) error {
-	return WriteChromeTraceClock(w, tl, ClockBSP)
-}
-
 // WriteChromeTraceClock writes the timeline as Chrome trace-event JSON on
 // the chosen clock (ClockBSP or ClockWall).
 func WriteChromeTraceClock(w io.Writer, tl *Timeline, clock string) error {

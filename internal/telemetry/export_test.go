@@ -124,7 +124,7 @@ func TestMarshalSampleRoundTrip(t *testing.T) {
 
 func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, fixtureTimeline()); err != nil {
+	if err := WriteChromeTraceClock(&buf, fixtureTimeline(), ClockBSP); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "chrome.golden.json", buf.Bytes())
@@ -136,7 +136,7 @@ func TestChromeTraceGolden(t *testing.T) {
 // and instant events a scope.
 func TestChromeTraceValid(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, fixtureTimeline()); err != nil {
+	if err := WriteChromeTraceClock(&buf, fixtureTimeline(), ClockBSP); err != nil {
 		t.Fatal(err)
 	}
 	var top struct {
@@ -183,7 +183,7 @@ func TestChromeTraceValid(t *testing.T) {
 // the previous one.
 func TestChromeTraceBSPAlignment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, fixtureTimeline()); err != nil {
+	if err := WriteChromeTraceClock(&buf, fixtureTimeline(), ClockBSP); err != nil {
 		t.Fatal(err)
 	}
 	var top struct {
