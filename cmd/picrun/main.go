@@ -1,6 +1,6 @@
-// Command picrun executes one PIC PRK simulation with any of the
-// implementations — the sequential reference or the four parallel drivers
-// of paper §IV running on goroutine ranks — and reports timing, per-rank
+// Command picrun executes one PIC PRK simulation with any of the four
+// parallel drivers of paper §IV running on goroutine ranks — or "serial",
+// the engine on one rank with one worker — and reports timing, per-rank
 // statistics, and the self-verification verdict.
 //
 // Examples:
@@ -21,14 +21,12 @@ import (
 	"time"
 
 	"github.com/parres/picprk/internal/ampi"
-	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/diffusion"
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/driver"
 	"github.com/parres/picprk/internal/grid"
 	"github.com/parres/picprk/internal/stats"
 	"github.com/parres/picprk/internal/telemetry"
-	"github.com/parres/picprk/internal/trace"
 )
 
 // obsOpts carries the observability flags to the run reporters.
@@ -95,6 +93,9 @@ func main() {
 	}
 	if err := validateOptions(opts); err != nil {
 		fatal(err)
+	}
+	if *impl == "serial" {
+		*p, *workers = 1, 1
 	}
 
 	mesh, err := grid.NewMesh(*L, grid.DefaultCharge)
@@ -172,9 +173,6 @@ func main() {
 	var live *telemetry.Live
 	if *httpAddr != "" {
 		ranks := *p
-		if *impl == "serial" {
-			ranks = 1
-		}
 		local := ranks
 		if *transport != driver.TransportInproc {
 			local = 1 // this process hosts rank 0 only; workers have their own
@@ -198,10 +196,6 @@ func main() {
 		CheckpointEvery: *ckptEvery, Recover: *recovery,
 	}
 
-	if *impl == "serial" {
-		runSerial(cfg, obs, live)
-		return
-	}
 	eng, err := makeEngine(*impl, *p, cfg, implCfg)
 	if err != nil {
 		fatal(err)
@@ -238,6 +232,10 @@ type implOptions struct {
 // every process derives the identical engine from the identical flags.
 func makeEngine(impl string, p int, cfg driver.Config, o implOptions) (*driver.Engine, error) {
 	switch impl {
+	case "serial": // the baseline engine, which main runs at P=1, Workers=1
+		eng := driver.NewBaselineEngine(cfg)
+		eng.Name = "serial"
+		return eng, nil
 	case "baseline":
 		return driver.NewBaselineEngine(cfg), nil
 	case "diffusion":
@@ -266,51 +264,6 @@ func makeEngine(impl string, p int, cfg driver.Config, o implOptions) (*driver.E
 		return driver.NewWorkStealEngine(cfg, driver.WorkStealParams{Overdecompose: o.d, Every: o.interval, Threshold: o.stealTh})
 	default:
 		return nil, fmt.Errorf("unknown implementation %q", impl)
-	}
-}
-
-// runSerial runs the sequential reference. When observability is on, each
-// step is timed individually and emitted as a rank-0 sample, so the serial
-// path produces the same timeline schema as the parallel drivers (one rank,
-// compute phase only).
-func runSerial(cfg driver.Config, obs obsOpts, live *telemetry.Live) {
-	sim, err := core.NewSimulation(dist.Config{
-		Mesh: cfg.Mesh, N: cfg.N, K: cfg.K, M: cfg.M, Dist: cfg.Dist, Seed: cfg.Seed,
-	}, cfg.Schedule)
-	if err != nil {
-		fatal(err)
-	}
-	var ring *telemetry.Ring
-	if obs.sampling() {
-		ring = telemetry.NewRing(cfg.Steps)
-	}
-	start := time.Now()
-	if ring != nil || live != nil {
-		for step := 1; step <= cfg.Steps; step++ {
-			stepStart := time.Now()
-			sim.Step()
-			var s telemetry.Sample
-			s.Step = step
-			s.Phases[trace.Compute] = time.Since(stepStart)
-			s.Particles = len(sim.Particles)
-			ring.Append(s)
-			live.Observe(s)
-		}
-	} else {
-		sim.Run(cfg.Steps)
-	}
-	elapsed := time.Since(start)
-	rate := float64(len(sim.Particles)) * float64(cfg.Steps) / elapsed.Seconds()
-	fmt.Printf("serial: %d particles, %d steps in %v (%.1fM particle-steps/s)\n",
-		len(sim.Particles), cfg.Steps, elapsed.Round(time.Millisecond), rate/1e6)
-	if ring != nil {
-		writeObservability(telemetry.New("serial", 1, cfg.Steps, ring.Samples()), obs)
-	}
-	if cfg.Verify {
-		if err := sim.Verify(0); err != nil {
-			fatal(fmt.Errorf("VERIFICATION FAILED: %w", err))
-		}
-		fmt.Println("verification: PASSED (closed-form positions + ID checksum)")
 	}
 }
 

@@ -242,17 +242,32 @@ func (rt *Runtime) PUPState(p *pup.PUPer) {
 		p.Fail(fmt.Errorf("ampi: checkpoint has %d VPs, runtime has %d", nvp, rt.nvp))
 		return
 	}
-	pup.Slice(p, &rt.location, func(p *pup.PUPer, core *int) { p.Int(core) })
+	if pup.SliceLen(p, &rt.location, 8) { // 8 bytes an entry, checked before sizing
+		for i := range rt.location {
+			p.Int(&rt.location[i])
+		}
+	}
 	p.Int(&rt.Stats.LBInvocations)
 	p.Int(&rt.Stats.VPsSent)
 	p.Int(&rt.Stats.VPsReceived)
 	pupStatBytes(p, &rt.Stats.BytesSent)
 	pupStatBytes(p, &rt.Stats.BytesReceived)
 
+	me := rt.c.Rank()
+	hosted := 0
 	if p.Mode() == pup.Unpacking {
 		if len(rt.location) != rt.nvp {
 			p.Fail(fmt.Errorf("ampi: checkpoint owner table has %d entries for %d VPs", len(rt.location), rt.nvp))
 			return
+		}
+		for id, c := range rt.location {
+			if c < 0 || c >= rt.c.Size() {
+				p.Fail(fmt.Errorf("ampi: checkpoint places VP %d on core %d of %d", id, c, rt.c.Size()))
+				return
+			}
+			if c == me {
+				hosted++
+			}
 		}
 		for id, v := range rt.local {
 			delete(rt.local, id)
@@ -262,7 +277,11 @@ func (rt *Runtime) PUPState(p *pup.PUPer) {
 	n := len(rt.local)
 	p.Int(&n)
 	if p.Mode() == pup.Unpacking {
-		me := rt.c.Rank()
+		if n != hosted {
+			p.Fail(fmt.Errorf("ampi: checkpoint carries %d VPs, its owner table puts %d on core %d", n, hosted, me))
+			return
+		}
+		prev := -1
 		for i := 0; i < n; i++ {
 			var v VP
 			if k := len(rt.free); k > 0 {
@@ -277,10 +296,11 @@ func (rt *Runtime) PUPState(p *pup.PUPer) {
 				return
 			}
 			id := v.VPID()
-			if id < 0 || id >= rt.nvp || rt.location[id] != me {
-				p.Fail(fmt.Errorf("ampi: checkpoint VP %d does not belong on core %d", id, me))
+			if id <= prev || id >= rt.nvp || rt.location[id] != me {
+				p.Fail(fmt.Errorf("ampi: checkpoint VP %d does not belong on core %d (or is out of order)", id, me))
 				return
 			}
+			prev = id
 			rt.local[id] = v
 		}
 		rt.idsValid = false

@@ -17,8 +17,8 @@ import (
 // testShard builds an n-particle exchange shard whose every field is a
 // function of (salt, i), so two shards with different salts differ in every
 // byte position that matters and a damaged one is detectable.
-func testShard(n int, salt float64) *core.Columns {
-	c := &core.Columns{
+func testShard(n int, salt float64) *core.SoA {
+	c := &core.SoA{
 		X: make([]float64, n), Y: make([]float64, n),
 		VX: make([]float64, n), VY: make([]float64, n),
 		Q: make([]float64, n), Meta: make([]core.SoAMeta, n),
@@ -29,7 +29,7 @@ func testShard(n int, salt float64) *core.Columns {
 
 // stamp overwrites every field of c in place as testShard(c.Len(), salt)
 // would have it.
-func stamp(c *core.Columns, salt float64) {
+func stamp(c *core.SoA, salt float64) {
 	for i := range c.X {
 		f := salt + float64(i)
 		c.X[i], c.Y[i], c.VX[i], c.VY[i], c.Q[i] = f, -f, f/3, f*7, 1/f
@@ -38,7 +38,7 @@ func stamp(c *core.Columns, salt float64) {
 	}
 }
 
-func sameShard(a, b *core.Columns) bool {
+func sameShard(a, b *core.SoA) bool {
 	if a.Len() != b.Len() || len(a.Meta) != len(b.Meta) {
 		return false
 	}
@@ -61,7 +61,7 @@ func sameShard(a, b *core.Columns) bool {
 // arrived. It runs under -race in CI, where an aliasing decoder is also a
 // data race between the reader goroutine and the receiving rank.
 func TestWireReaderBufferNoAlias(t *testing.T) {
-	shards := []*core.Columns{testShard(5000, 1e3), testShard(40, 2e6), testShard(3000, 3e9)}
+	shards := []*core.SoA{testShard(5000, 1e3), testShard(40, 2e6), testShard(3000, 3e9)}
 	for i, err := range runCluster(t, "tcp", 2, comm.Options{}, func(c *comm.Comm) error {
 		if c.Rank() == 0 {
 			for _, s := range shards {
@@ -69,10 +69,10 @@ func TestWireReaderBufferNoAlias(t *testing.T) {
 			}
 			return nil
 		}
-		got := make([]*core.Columns, len(shards))
+		got := make([]*core.SoA, len(shards))
 		for i := range shards {
 			v, _ := c.Recv(0, 7)
-			got[i] = v.(*core.Columns)
+			got[i] = v.(*core.SoA)
 		}
 		for i := range shards {
 			if !sameShard(got[i], shards[i]) {
@@ -117,7 +117,7 @@ func TestShipColumnsAllocs(t *testing.T) {
 		}
 		trip := func() {
 			c.Send(1, 7, shard)
-			if v, _ := c.Recv(1, 7); v.(*core.Columns).Len() != n {
+			if v, _ := c.Recv(1, 7); v.(*core.SoA).Len() != n {
 				panic("round trip lost the shard")
 			}
 		}
@@ -190,15 +190,15 @@ func TestExchangeBorrowEndsAtFence(t *testing.T) {
 				}
 				c.SetExchangeNeighbors(peers)
 				salt := func(call, src, dst int) float64 { return float64(1 + call*100 + src*10 + dst) }
-				var gens [2][]*core.Columns
+				var gens [2][]*core.SoA
 				for g := range gens {
-					gens[g] = make([]*core.Columns, p)
+					gens[g] = make([]*core.SoA, p)
 					for _, d := range peers {
 						gens[g][d] = testShard(n, 0)
 					}
 				}
 				want := testShard(n, 0)
-				send, recv := make([]*core.Columns, p), make([]*core.Columns, p)
+				send, recv := make([]*core.SoA, p), make([]*core.SoA, p)
 				for k := 0; k < calls; k++ {
 					for _, d := range peers {
 						stamp(gens[k%2][d], salt(k, me, d))
@@ -245,7 +245,7 @@ func BenchmarkShipColumns(b *testing.B) {
 			for _, nd := range nodes {
 				go func(nd *Node) {
 					errs <- comm.NewTransportWorld(nd).Run(func(c *comm.Comm) error {
-						send, recv := make([]*core.Columns, 2), make([]*core.Columns, 2)
+						send, recv := make([]*core.SoA, 2), make([]*core.SoA, 2)
 						send[1-c.Rank()] = shard
 						comm.ExchangePtr(c, send, recv) // warm the buffers
 						if c.Rank() == 0 {

@@ -1,44 +1,29 @@
 package core
 
 // This file is the columnar side of the exchange hot path: leaver particles
-// travel between ranks as Columns — the same six dense slices the SoA
-// container uses — instead of being materialized one particle.Particle at a
-// time. Classification happens inside the move loops (hotpath.go) via an
+// travel between ranks as SoA shards — the container's own six dense slices —
+// instead of being materialized one particle.Particle at a time.
+// Classification happens inside the move loops (hotpath.go) via an
 // OwnerTable lookup, the per-chunk results accumulate in a Leavers list, and
-// ScatterRemove splits the SoA into per-destination Columns shards with bulk
-// range copies. None of it touches the allocator in steady state: every
-// buffer is caller-owned and reused across steps.
+// ScatterRemove splits the SoA into per-destination shards with bulk range
+// copies. None of it touches the allocator in steady state: every buffer is
+// caller-owned and reused across steps.
 
-// Columns is one destination's shard of departing particles in
-// structure-of-arrays form: the five hot []float64 streams plus the cold
-// metadata, exactly the SoA layout, so scatter and append are plain copies.
-// A Columns value is reusable: Reset keeps the backing arrays.
-type Columns struct {
-	X, Y, VX, VY, Q []float64
-	Meta            []SoAMeta
-}
+// Columns is the exchange shard's former name. It exists only because
+// bench/micro.go still spells it, and goes with the benchmark change that
+// retires the names only bench/ keeps alive.
+type Columns = SoA
 
-// Len returns the particle count in the shard.
-func (c *Columns) Len() int { return len(c.X) }
-
-// Reset empties the shard, keeping capacity.
-func (c *Columns) Reset() {
-	c.X, c.Y = c.X[:0], c.Y[:0]
-	c.VX, c.VY = c.VX[:0], c.VY[:0]
-	c.Q = c.Q[:0]
-	c.Meta = c.Meta[:0]
-}
-
-// AppendFrom appends particle i of s to the shard. Its only caller is
-// bench/micro.go, which builds a wire payload with it; the exchange fills
-// shards through ScatterRemove's extend-then-range-copy instead.
-func (c *Columns) AppendFrom(s *SoA, i int) {
-	c.X = append(c.X, s.X[i])
-	c.Y = append(c.Y, s.Y[i])
-	c.VX = append(c.VX, s.VX[i])
-	c.VY = append(c.VY, s.VY[i])
-	c.Q = append(c.Q, s.Q[i])
-	c.Meta = append(c.Meta, s.Meta[i])
+// AppendFrom appends particle i of src. Its only caller is bench/micro.go,
+// which builds a wire payload with it; the exchange fills shards through
+// ScatterRemove's extend-then-range-copy instead.
+func (s *SoA) AppendFrom(src *SoA, i int) {
+	s.X = append(s.X, src.X[i])
+	s.Y = append(s.Y, src.Y[i])
+	s.VX = append(s.VX, src.VX[i])
+	s.VY = append(s.VY, src.VY[i])
+	s.Q = append(s.Q, src.Q[i])
+	s.Meta = append(s.Meta, src.Meta[i])
 }
 
 // extend lengthens every column by n slots, whose contents the caller
@@ -51,14 +36,9 @@ func (c *Columns) AppendFrom(s *SoA, i int) {
 // alloc_mb_per_run, where per-VP shards set a new high-water mark every few
 // steps: sizing to exactly what is needed +7%, max(needed, cap+cap/4) +0.15%
 // (it lacks the doubling of small slices).
-func (c *Columns) extend(n int) int {
-	at := len(c.X)
-	c.X = extended(c.X, at+n)
-	c.Y = extended(c.Y, at+n)
-	c.VX = extended(c.VX, at+n)
-	c.VY = extended(c.VY, at+n)
-	c.Q = extended(c.Q, at+n)
-	c.Meta = extended(c.Meta, at+n)
+func (s *SoA) extend(n int) int {
+	at := s.Len()
+	s.Resize(at + n)
 	return at
 }
 
@@ -84,7 +64,7 @@ func extended[T any](a []T, n int) []T {
 }
 
 // Wire-size accounting for the columnar exchange. The in-process runtime
-// transfers Columns by reference, so these constants define the *framed*
+// transfers shards by reference, so these constants define the *framed*
 // size an equivalent byte-oriented transport would ship: one uint64 length
 // per column section (6 sections), then 5 float64 columns (8 bytes each per
 // particle) plus the 40-byte metadata record. Telemetry reports exchange
@@ -97,13 +77,13 @@ const (
 	ColumnsBytesPerParticle = 5*8 + 40
 )
 
-// FramedBytes returns the shard's wire size under the documented framing.
-func (c *Columns) FramedBytes() int64 {
-	return ColumnsFrameBytes + int64(c.Len())*ColumnsBytesPerParticle
+// FramedBytes returns the container's wire size under the documented framing.
+func (s *SoA) FramedBytes() int64 {
+	return ColumnsFrameBytes + int64(s.Len())*ColumnsBytesPerParticle
 }
 
 // AppendColumns bulk-appends a received shard to the container.
-func (s *SoA) AppendColumns(c *Columns) {
+func (s *SoA) AppendColumns(c *SoA) {
 	s.X = append(s.X, c.X...)
 	s.Y = append(s.Y, c.Y...)
 	s.VX = append(s.VX, c.VX...)
@@ -215,16 +195,16 @@ func (l *Leavers) Count() int {
 
 // ScatterRemove removes the recorded leavers from s — compacting the
 // stayers in place with bulk range copies, preserving their order — and
-// appends each leaver to out[dst], the per-destination Columns shards, in
-// ascending leaver index per destination. Leaver indices must ascend across
-// the concatenated chunks (they do, by Leavers' construction) and each must
-// be a valid index into s.
+// appends each leaver to out[dst], the per-destination shards, in ascending
+// leaver index per destination. Leaver indices must ascend across the
+// concatenated chunks (they do, by Leavers' construction) and each must be a
+// valid index into s.
 //
 // Every leaver is placed once and every shard reserved once: the leavers are
 // counted per destination from the lists, each destination's six columns are
-// lengthened in one step (Columns.extend), and a run of consecutive indices
+// lengthened in one step (SoA.extend), and a run of consecutive indices
 // bound for one destination then moves as six range copies.
-func (s *SoA) ScatterRemove(lv *Leavers, out []Columns) {
+func (s *SoA) ScatterRemove(lv *Leavers, out []SoA) {
 	at := lv.cursors(len(out))
 	for c := 0; c < lv.n; c++ {
 		for _, d := range lv.dst[c] {

@@ -9,7 +9,7 @@ import (
 // refScatterRemove is the per-particle scatter ScatterRemove replaced, kept
 // here as the reference: one AppendFrom per leaver, stayers compacted with
 // the same range copies.
-func refScatterRemove(s *SoA, lv *Leavers, out []Columns) {
+func refScatterRemove(s *SoA, lv *Leavers, out []SoA) {
 	w, read := 0, 0
 	for c := 0; c < lv.Chunks(); c++ {
 		ids, ds := lv.Chunk(c)
@@ -23,16 +23,8 @@ func refScatterRemove(s *SoA, lv *Leavers, out []Columns) {
 	s.Truncate(s.moveDown(w, read, s.Len()))
 }
 
-func asColumns(s *SoA) *Columns {
-	return &Columns{X: s.X, Y: s.Y, VX: s.VX, VY: s.VY, Q: s.Q, Meta: s.Meta}
-}
-
-func asSoA(c Columns) *SoA {
-	return &SoA{X: c.X, Y: c.Y, VX: c.VX, VY: c.VY, Q: c.Q, Meta: c.Meta}
-}
-
-func cloneColumns(c *Columns) Columns {
-	return Columns{
+func cloneSoA(c *SoA) SoA {
+	return SoA{
 		X: append([]float64(nil), c.X...), Y: append([]float64(nil), c.Y...),
 		VX: append([]float64(nil), c.VX...), VY: append([]float64(nil), c.VY...),
 		Q: append([]float64(nil), c.Q...), Meta: append([]SoAMeta(nil), c.Meta...),
@@ -70,23 +62,23 @@ func TestScatterRemoveMatchesReference(t *testing.T) {
 			i += span
 		}
 
-		gotOut, wantOut := make([]Columns, dests), make([]Columns, dests)
+		gotOut, wantOut := make([]SoA, dests), make([]SoA, dests)
 		for round := 0; round < 2; round++ { // round 1 reuses round 0's shards
 			for d := range gotOut {
 				switch rng.Intn(3) {
 				case 0: // pre-filled: what an earlier cell of the same step left
 					pre := randomShard(rng, rng.Intn(20))
-					gotOut[d], wantOut[d] = cloneColumns(pre), cloneColumns(pre)
+					gotOut[d], wantOut[d] = cloneSoA(pre), cloneSoA(pre)
 				case 1: // recycled: emptied, capacity kept
 					gotOut[d].Reset()
 					wantOut[d].Reset()
 				}
 			}
 			src := randomShard(rng, n)
-			gotS, wantS := asSoA(cloneColumns(src)), asSoA(cloneColumns(src))
+			gotS, wantS := cloneSoA(src), cloneSoA(src)
 			gotS.ScatterRemove(&lv, gotOut)
-			refScatterRemove(wantS, &lv, wantOut)
-			if !sameBits(asColumns(gotS), asColumns(wantS)) {
+			refScatterRemove(&wantS, &lv, wantOut)
+			if !sameBits(&gotS, &wantS) {
 				t.Fatalf("trial %d round %d (n=%d chunks=%d dests=%d share=%g): stayers differ from the reference", trial, round, n, chunks, dests, share)
 			}
 			for d := range gotOut {
@@ -111,9 +103,9 @@ func TestScatterRemoveAllocatesOncePerShard(t *testing.T) {
 	for i := 0; i < n; i++ {
 		lv.Add(0, int32(i), int32(i/37%dests))
 	}
-	shards := make([]Columns, dests)
+	shards := make([]SoA, dests)
 	scatter := func() (alloc uint64, stayers int) {
-		work := asSoA(cloneColumns(src))
+		work := cloneSoA(src)
 		for d := range shards {
 			shards[d].Reset()
 		}

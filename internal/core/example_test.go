@@ -33,19 +33,3 @@ func Example() {
 	fmt.Printf("%d particles verified after %d steps\n", len(sim.Particles), sim.Steps())
 	// Output: 10000 particles verified after 500 steps
 }
-
-// ExampleSimulation_Checkpoint suspends a run and resumes it elsewhere,
-// bitwise identically.
-func ExampleSimulation_Checkpoint() {
-	mesh := grid.MustMesh(16, grid.DefaultCharge)
-	cfg := dist.Config{Mesh: mesh, N: 1000, Seed: 7}
-	a, _ := core.NewSimulation(cfg, nil)
-	a.Run(100)
-	ckpt, _ := a.Checkpoint()
-
-	b, _ := core.NewSimulation(cfg, nil)
-	_ = b.Restore(ckpt)
-	b.Run(100)
-	fmt.Println("resumed to step", b.Steps(), "verify:", b.Verify(0) == nil)
-	// Output: resumed to step 200 verify: true
-}

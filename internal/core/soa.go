@@ -106,6 +106,21 @@ func (s *SoA) Truncate(n int) {
 	s.Meta = s.Meta[:n]
 }
 
+// Reset empties the container, keeping capacity.
+func (s *SoA) Reset() { s.Truncate(0) }
+
+// Resize sets the container's length to n, growing each column by extended's
+// rule — a cold container gets exactly n. It is a scratch-buffer primitive:
+// slots beyond the old length hold unspecified values until written.
+func (s *SoA) Resize(n int) {
+	s.X = extended(s.X, n)
+	s.Y = extended(s.Y, n)
+	s.VX = extended(s.VX, n)
+	s.VY = extended(s.VY, n)
+	s.Q = extended(s.Q, n)
+	s.Meta = extended(s.Meta, n)
+}
+
 // Filter keeps only the particles for which keep returns true, in place.
 func (s *SoA) Filter(keep func(i int) bool) {
 	w := 0

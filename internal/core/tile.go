@@ -274,22 +274,3 @@ func SortByTile(dst, src *SoA, tid []int32, nt int, starts, cur []int32) {
 		dst.Meta[w] = src.Meta[i]
 	}
 }
-
-// Resize sets the container's length to n, growing capacity as needed.
-// It is a scratch-buffer primitive: slots hold unspecified values after a
-// growing Resize until written.
-func (s *SoA) Resize(n int) {
-	s.X = resized(s.X, n)
-	s.Y = resized(s.Y, n)
-	s.VX = resized(s.VX, n)
-	s.VY = resized(s.VY, n)
-	s.Q = resized(s.Q, n)
-	s.Meta = resized(s.Meta, n)
-}
-
-func resized[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
-}

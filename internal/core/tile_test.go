@@ -310,7 +310,7 @@ func TestScatterRemoveConservesParticles(t *testing.T) {
 				lv.Add(i*3/before, int32(i), int32(rng.Intn(4)))
 			}
 		}
-		shards := make([]Columns, 4)
+		shards := make([]SoA, 4)
 		s.ScatterRemove(&lv, shards)
 		total := s.Len()
 		for i := 0; i < s.Len(); i++ {

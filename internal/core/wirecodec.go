@@ -8,18 +8,18 @@ import (
 	"github.com/parres/picprk/internal/pup"
 )
 
-// KindColumnsPtr is the wire codec kind for *Columns exchange shards.
+// KindColumnsPtr is the wire codec kind for *SoA exchange shards.
 const KindColumnsPtr pup.Kind = 40
 
-// PUPColumns is the wire traversal for a Columns shard, producing exactly
-// the framed layout the exchange-byte accounting documents (DESIGN.md §5
-// and the constants above): six uint64 section lengths (48 bytes of
-// framing), the five hot float64 columns, then one 40-byte metadata record
-// per particle — ColumnsFrameBytes + n·ColumnsBytesPerParticle in total,
-// so Columns.FramedBytes is the encoder's true output size by construction
-// (pinned by TestColumnsWireGolden). Shared by the *Columns codec and the
-// VP parcel codec in internal/driver.
-func PUPColumns(p *pup.PUPer, c *Columns) {
+// PUPColumns is the one byte traversal of a particle container, producing
+// exactly the framed layout the exchange-byte accounting documents
+// (DESIGN.md §5 and the constants above): six uint64 section lengths (48
+// bytes of framing), the five hot float64 columns, then one 40-byte metadata
+// record per particle — ColumnsFrameBytes + n·ColumnsBytesPerParticle in
+// total, so SoA.FramedBytes is the encoder's true output size by construction
+// (pinned by TestColumnsWireGolden). The *SoA codec, the exchange parcels, a
+// block rank's checkpoint and a migrating VP all go through it.
+func PUPColumns(p *pup.PUPer, c *SoA) {
 	lens := [6]uint64{
 		uint64(len(c.X)), uint64(len(c.Y)), uint64(len(c.VX)),
 		uint64(len(c.VY)), uint64(len(c.Q)), uint64(len(c.Meta)),
@@ -50,18 +50,14 @@ func PUPColumns(p *pup.PUPer, c *Columns) {
 				return
 			}
 		}
-		// A recycled shard (see driver's decodedShards) keeps its columns:
-		// every element is overwritten below, so capacity that suffices is
-		// reused as is, with no zero-fill. One that falls short grows by
-		// append's rule rather than to fit (SoA.Resize's way): an exchange's
-		// shard sizes wander by a fraction of a percent from step to step,
-		// and fitting exactly would reallocate on every new maximum.
-		c.X = extended(c.X[:0], int(n))
-		c.Y = extended(c.Y[:0], int(n))
-		c.VX = extended(c.VX[:0], int(n))
-		c.VY = extended(c.VY[:0], int(n))
-		c.Q = extended(c.Q[:0], int(n))
-		c.Meta = extended(c.Meta[:0], int(n))
+		// A recycled shard (see driver's decodedShards) or VP shell keeps
+		// its columns: every element is overwritten below, so capacity that
+		// suffices is reused as is, with no zero-fill. One that falls short
+		// grows by append's rule rather than to fit (SoA.Resize): an
+		// exchange's shard sizes wander by a fraction of a percent from step
+		// to step, and fitting exactly would reallocate on every new maximum.
+		c.Reset()
+		c.Resize(int(n))
 	}
 	p.Float64Column(c.X)
 	p.Float64Column(c.Y)
@@ -69,31 +65,6 @@ func PUPColumns(p *pup.PUPer, c *Columns) {
 	p.Float64Column(c.VY)
 	p.Float64Column(c.Q)
 	pupMetaColumn(p, c.Meta)
-}
-
-// PUPSoA serializes a whole SoA container — the block substrate's
-// checkpoint payload and a migrating VP's particles. Each column is
-// length-prefixed independently (the traversal reuses the container's
-// existing capacity when unpacking, like every other PUP path), and a ragged
-// container fails cleanly rather than producing a silently corrupt particle
-// set.
-func PUPSoA(p *pup.PUPer, s *SoA) {
-	p.Float64s(&s.X)
-	p.Float64s(&s.Y)
-	p.Float64s(&s.VX)
-	p.Float64s(&s.VY)
-	p.Float64s(&s.Q)
-	if !pup.SliceLen(p, &s.Meta, soaMetaBytes) {
-		return
-	}
-	pupMetaColumn(p, s.Meta)
-	if p.Err() == nil && p.Mode() == pup.Unpacking {
-		n := len(s.X)
-		if len(s.Y) != n || len(s.VX) != n || len(s.VY) != n || len(s.Q) != n || len(s.Meta) != n {
-			p.Fail(fmt.Errorf("core: ragged SoA columns (%d/%d/%d/%d/%d/%d)",
-				len(s.X), len(s.Y), len(s.VX), len(s.VY), len(s.Q), len(s.Meta)))
-		}
-	}
 }
 
 // soaMetaBytes is the encoded size of one metadata record: 8 ID + 2×8
@@ -143,5 +114,5 @@ func pupMetaColumn(p *pup.PUPer, m []SoAMeta) {
 }
 
 func init() {
-	pup.RegisterPtrCodec[Columns](KindColumnsPtr, PUPColumns)
+	pup.RegisterPtrCodec[SoA](KindColumnsPtr, PUPColumns)
 }

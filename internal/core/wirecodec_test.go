@@ -18,9 +18,9 @@ import (
 // byte: 48 bytes of framing (six little-endian uint64 section lengths)
 // followed by 80 bytes per particle — the five hot float64 columns, then
 // the 40-byte metadata record. This is the format DESIGN.md documents and
-// Columns.FramedBytes accounts; if it drifts, fix the encoder, not the test.
+// SoA.FramedBytes accounts; if it drifts, fix the encoder, not the test.
 func TestColumnsWireGolden(t *testing.T) {
-	c := &Columns{
+	c := &SoA{
 		X: []float64{1.5}, Y: []float64{-2.25},
 		VX: []float64{3.0}, VY: []float64{-0.5},
 		Q:    []float64{7.75},
@@ -67,7 +67,7 @@ func TestColumnsWireGolden(t *testing.T) {
 		t.Fatalf("columns encoding drifted:\n got % x\nwant % x", got, want.Bytes())
 	}
 
-	// Round trip through the registered *Columns codec, including typed nil.
+	// Round trip through the registered *SoA codec, including typed nil.
 	body, kind, err := pup.EncodePayload(nil, c)
 	if err != nil || kind != KindColumnsPtr {
 		t.Fatalf("encode payload: kind=%d err=%v", kind, err)
@@ -76,11 +76,11 @@ func TestColumnsWireGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc := back.(*Columns)
+	bc := back.(*SoA)
 	if bc.Len() != 1 || bc.X[0] != 1.5 || bc.Meta[0] != c.Meta[0] {
 		t.Fatalf("columns did not round-trip: %+v", bc)
 	}
-	nilBody, kind, err := pup.EncodePayload(nil, (*Columns)(nil))
+	nilBody, kind, err := pup.EncodePayload(nil, (*SoA)(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestColumnsWireGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pc, ok := back.(*Columns); !ok || pc != nil {
+	if pc, ok := back.(*SoA); !ok || pc != nil {
 		t.Fatalf("nil shard did not round-trip: %#v", back)
 	}
 }
@@ -100,7 +100,7 @@ func TestColumnsWireRejectsOversizedLengths(t *testing.T) {
 		_ = binary.Write(&hdr, binary.LittleEndian, uint64(1<<40))
 	}
 	u := pup.NewUnpacker(hdr.Bytes())
-	var c Columns
+	var c SoA
 	PUPColumns(u, &c)
 	if u.Err() == nil {
 		t.Fatal("oversized section lengths were accepted")
@@ -121,7 +121,7 @@ func refPUPMeta(p *pup.PUPer, m *SoAMeta) {
 	p.Int32(&m.Born)
 }
 
-func refPUPColumns(p *pup.PUPer, c *Columns) {
+func refPUPColumns(p *pup.PUPer, c *SoA) {
 	lens := [6]uint64{
 		uint64(len(c.X)), uint64(len(c.Y)), uint64(len(c.VX)),
 		uint64(len(c.VY)), uint64(len(c.Q)), uint64(len(c.Meta)),
@@ -143,27 +143,6 @@ func refPUPColumns(p *pup.PUPer, c *Columns) {
 	}
 	for i := range c.Meta {
 		refPUPMeta(p, &c.Meta[i])
-	}
-}
-
-func refPUPSoA(p *pup.PUPer, s *SoA) {
-	for _, col := range [5]*[]float64{&s.X, &s.Y, &s.VX, &s.VY, &s.Q} {
-		n := len(*col)
-		p.Int(&n)
-		if p.Mode() == pup.Unpacking {
-			*col = make([]float64, n)
-		}
-		for i := range *col {
-			p.Float64(&(*col)[i])
-		}
-	}
-	n := len(s.Meta)
-	p.Int(&n)
-	if p.Mode() == pup.Unpacking {
-		s.Meta = make([]SoAMeta, n)
-	}
-	for i := range s.Meta {
-		refPUPMeta(p, &s.Meta[i])
 	}
 }
 
@@ -197,7 +176,7 @@ var edgeFloats = []uint64{
 	0x7ff0000000000000, 0xfff0000000000000, 1, 0x000fffffffffffff, 0x7fefffffffffffff,
 }
 
-func randomShard(rng *rand.Rand, n int) *Columns {
+func randomShard(rng *rand.Rand, n int) *SoA {
 	f := func() float64 {
 		if rng.Intn(3) == 0 {
 			return math.Float64frombits(edgeFloats[rng.Intn(len(edgeFloats))])
@@ -207,7 +186,7 @@ func randomShard(rng *rand.Rand, n int) *Columns {
 	i32 := func() int32 {
 		return [...]int32{0, -1, math.MinInt32, math.MaxInt32, int32(rng.Uint32())}[rng.Intn(5)]
 	}
-	c := &Columns{
+	c := &SoA{
 		X: make([]float64, n), Y: make([]float64, n), VX: make([]float64, n),
 		VY: make([]float64, n), Q: make([]float64, n), Meta: make([]SoAMeta, n),
 	}
@@ -224,8 +203,8 @@ func randomShard(rng *rand.Rand, n int) *Columns {
 
 // sameBits compares two particle sets by bit pattern (NaN payloads and the
 // sign of zero included), which == on float64 cannot.
-func sameBits(a, b *Columns) bool {
-	cols := func(c *Columns) [5][]float64 { return [5][]float64{c.X, c.Y, c.VX, c.VY, c.Q} }
+func sameBits(a, b *SoA) bool {
+	cols := func(c *SoA) [5][]float64 { return [5][]float64{c.X, c.Y, c.VX, c.VY, c.Q} }
 	ac, bc := cols(a), cols(b)
 	for k := range ac {
 		if len(ac[k]) != len(bc[k]) {
@@ -253,8 +232,8 @@ func sameBits(a, b *Columns) bool {
 // TestBulkCodecsMatchPerElementReference is what makes deleting the
 // per-element walk safe: over random shards — empty, one particle, NaN
 // payloads, −0.0, max-uint64 IDs, negative and extreme K/M/Dir — the bulk
-// PUPColumns and PUPSoA produce exactly the reference's bytes, and each side
-// decodes the other's bytes to the same bit patterns.
+// PUPColumns produces exactly the reference's bytes, and each side decodes
+// the other's bytes to the same bit patterns.
 func TestBulkCodecsMatchPerElementReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{0, 1, 2, 3, 17, 256, 1000} {
@@ -265,26 +244,16 @@ func TestBulkCodecsMatchPerElementReference(t *testing.T) {
 				t.Fatalf("n=%d: PUPColumns bytes differ from the per-element reference", n)
 			}
 			if !sameBits(unpackWith(t, PUPColumns, ref), c) || !sameBits(unpackWith(t, refPUPColumns, bulk), c) {
-				t.Fatalf("n=%d: Columns round trip changed a bit pattern", n)
-			}
-
-			s := &SoA{X: c.X, Y: c.Y, VX: c.VX, VY: c.VY, Q: c.Q, Meta: c.Meta}
-			bulk, ref = packWith(t, PUPSoA, s), packWith(t, refPUPSoA, s)
-			if !bytes.Equal(bulk, ref) {
-				t.Fatalf("n=%d: PUPSoA bytes differ from the per-element reference", n)
-			}
-			back, rback := unpackWith(t, PUPSoA, ref), unpackWith(t, refPUPSoA, bulk)
-			for _, got := range []*SoA{back, rback} {
-				if !sameBits(&Columns{X: got.X, Y: got.Y, VX: got.VX, VY: got.VY, Q: got.Q, Meta: got.Meta}, c) {
-					t.Fatalf("n=%d: SoA round trip changed a bit pattern", n)
-				}
+				t.Fatalf("n=%d: round trip changed a bit pattern", n)
 			}
 		}
 	}
 }
 
 // TestPUPSoARejectsOversizedMeta: a metadata count that fits the whole
-// buffer but not the bytes left behind it must fail before allocating.
+// buffer but not the bytes left behind it must fail before allocating — in
+// the one traversal checkpoints and VP migration restore particles through.
+// The six-length frame claims 50 records with two present.
 func TestPUPSoARejectsOversizedMeta(t *testing.T) {
 	var buf []byte
 	for i := 0; i < 5; i++ { // five empty float columns
@@ -294,7 +263,7 @@ func TestPUPSoARejectsOversizedMeta(t *testing.T) {
 	buf = append(buf, make([]byte, 2*40)...)        // … two present
 	var s SoA
 	u := pup.NewUnpacker(buf)
-	PUPSoA(u, &s)
+	PUPColumns(u, &s)
 	if u.Err() == nil || cap(s.Meta) != 0 {
 		t.Fatalf("oversized metadata count: err %v, allocated %d records", u.Err(), cap(s.Meta))
 	}
@@ -388,7 +357,7 @@ func FuzzDecodeColumns(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if c := v.(*Columns); c != nil {
+		if c := v.(*SoA); c != nil {
 			if n := len(c.X); len(c.Y) != n || len(c.VX) != n || len(c.VY) != n || len(c.Q) != n || len(c.Meta) != n {
 				t.Fatalf("accepted a ragged shard (%d/%d/%d/%d/%d/%d)", n, len(c.Y), len(c.VX), len(c.VY), len(c.Q), len(c.Meta))
 			}
@@ -408,7 +377,7 @@ func FuzzDecodeColumns(f *testing.F) {
 	})
 }
 
-func benchShard() *Columns { return randomShard(rand.New(rand.NewSource(7)), 100000) }
+func benchShard() *SoA { return randomShard(rand.New(rand.NewSource(7)), 100000) }
 
 // BenchmarkPUPColumnsPack is the in-package form of the benchmark's
 // pup.pack_columns_mb_per_s: a 100k-particle shard (8 MB framed) through

@@ -1,11 +1,11 @@
 package driver
 
 // Substrate checkpoints: the full per-rank dynamic state of each execution
-// model, serialized through the same column-wise PUP paths the migration
-// machinery uses. The static configuration (mesh, decomposition shape,
-// schedule, seed) is not part of a checkpoint — a restoring rank rebuilds
-// it from its own Config and validates the checkpoint against it, exactly
-// like core.Simulation.Checkpoint. Derived state (materialized mesh blocks,
+// model, its particles serialized through core.PUPColumns — the traversal
+// the exchange and VP migration use. The static configuration (mesh,
+// decomposition shape, schedule, seed) is not part of a checkpoint — a
+// restoring rank rebuilds it from its own Config and validates the
+// checkpoint against it. Derived state (materialized mesh blocks,
 // owner tables, frontier masks) is likewise rebuilt rather than
 // shipped: block charge data is formulaic, and the lookup structures are
 // pure functions of the cuts / VP placement that do travel.
@@ -20,14 +20,21 @@ import (
 )
 
 // Checkpoint magics guard against restoring the wrong substrate family (or
-// an unrelated buffer) with a clear error instead of silent corruption.
+// an unrelated buffer) with a clear error instead of silent corruption. The
+// trailing digit is the format version (testdata/checkpoint_*.golden).
 const (
-	blockCheckpointMagic uint64 = 0x50494350524b4231 // "PICPRKB1"
-	vpCheckpointMagic    uint64 = 0x50494350524b5631 // "PICPRKV1"
+	blockCheckpointMagic uint64 = 0x50494350524b4232 // "PICPRKB2"
+	vpCheckpointMagic    uint64 = 0x50494350524b5632 // "PICPRKV2"
 )
 
+// pupIntSlice serializes a length-prefixed []int whose length is checked at 8
+// bytes per element, so a corrupt prefix sizes no more than the bytes present.
 func pupIntSlice(p *pup.PUPer, v *[]int) {
-	pup.Slice(p, v, func(p *pup.PUPer, e *int) { p.Int(e) })
+	if pup.SliceLen(p, v, 8) {
+		for i := range *v {
+			p.Int(&(*v)[i])
+		}
+	}
 }
 
 // PUP implements pup.PUPable: the block substrate's dynamic state is the
@@ -66,7 +73,7 @@ func (s *blockSubstrate) PUP(p *pup.PUPer) {
 	}
 	pupIntSlice(p, &xcuts)
 	pupIntSlice(p, &ycuts)
-	core.PUPSoA(p, s.soa)
+	core.PUPColumns(p, s.soa)
 	p.Int(&s.migrations)
 	pupInt64(p, &s.bytes)
 	pupInt64(p, &s.xbytes)

@@ -78,15 +78,15 @@ const maxFreeShards = 128
 
 type shardList struct {
 	mu   sync.Mutex
-	free []*core.Columns
+	free []*core.SoA
 }
 
-func (l *shardList) get() *core.Columns {
+func (l *shardList) get() *core.SoA {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := len(l.free)
 	if n == 0 {
-		return new(core.Columns)
+		return new(core.SoA)
 	}
 	c := l.free[n-1]
 	l.free[n-1] = nil
@@ -94,7 +94,7 @@ func (l *shardList) get() *core.Columns {
 	return c
 }
 
-func (l *shardList) put(c *core.Columns) {
+func (l *shardList) put(c *core.SoA) {
 	l.mu.Lock()
 	if len(l.free) < maxFreeShards {
 		l.free = append(l.free, c)

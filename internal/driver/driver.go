@@ -258,7 +258,7 @@ type RankStats struct {
 	// BytesMigrated counts LB payload bytes sent by this rank.
 	BytesMigrated int64
 	// BytesExchanged counts particle-exchange payload bytes sent by this
-	// rank, in the framed columnar wire size (core.Columns.FramedBytes).
+	// rank, in the framed columnar wire size (core.SoA.FramedBytes).
 	BytesExchanged int64
 	// MsgsSent counts exchange messages this rank posted over the run;
 	// MsgsElided those the sparse neighbor schedule skipped relative to the
@@ -400,7 +400,7 @@ func removeRegion(s *core.SoA, region dist.Rect, m grid.Mesh) {
 	s.Filter(func(i int) bool { return !region.ContainsPos(s.X[i], s.Y[i], m) })
 }
 
-// colShards is the double-buffered set of per-destination core.Columns
+// colShards is the double-buffered set of per-destination core.SoA
 // shards for the columnar exchange. The safety argument is the one
 // comm.ExchangePtr documents: completing exchange call k+1 implies every
 // rank the schedule let call k route to has finished reading call k's
@@ -410,16 +410,16 @@ func removeRegion(s *core.SoA, region dist.Rect, m grid.Mesh) {
 // ever reads these in place; the shards it may keep and recycle are the
 // copies a wire transport decodes for it (decodedShards).
 type colShards struct {
-	gens [2][]core.Columns
+	gens [2][]core.SoA
 	gen  int
 }
 
 // next returns the older generation's shards, emptied and sized for p
 // destinations, and flips the generation.
-func (b *colShards) next(p int) []core.Columns {
+func (b *colShards) next(p int) []core.SoA {
 	cur := b.gens[b.gen]
 	if len(cur) != p {
-		cur = make([]core.Columns, p)
+		cur = make([]core.SoA, p)
 		b.gens[b.gen] = cur
 	}
 	b.gen = 1 - b.gen

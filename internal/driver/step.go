@@ -33,12 +33,12 @@ type cell struct {
 
 // parcel addresses one destination cell's shard of arriving particles
 // inside a per-rank parcel list — the one payload type of the particle
-// exchange. In-process the Columns pointer refers into the sender's
+// exchange. In-process the shard pointer refers into the sender's
 // double-buffered shard set (see colShards for the reuse rules); off a socket
 // it is the receiver's own decoded copy (see decodedShards).
 type parcel struct {
 	Owner int
-	Cols  *core.Columns
+	Cols  *core.SoA
 }
 
 // stepper is the step, once: what a rank does to the cells it hosts every
@@ -82,7 +82,7 @@ type stepper struct {
 	interior bool
 
 	// lv is the move pass's leaver list (reset per cell and wave); shards
-	// holds the double-buffered per-owner Columns the leavers scatter into;
+	// holds the double-buffered per-owner shards the leavers scatter into;
 	// lists groups the remote-bound shards per hosting rank, double-buffered
 	// because ExchangePtr transfers ownership of the pointed-to slices until
 	// the next call completes.
@@ -254,7 +254,7 @@ func (s *stepper) Exchange(rec *trace.Recorder) error {
 // sparse schedule the nils inside the neighbor set still travel, the ones
 // outside it are elided entirely. Shards for cells hosted here stay behind
 // for finish, so the caller may keep adding to them until then.
-func (s *stepper) start(cols []core.Columns) {
+func (s *stepper) start(cols []core.SoA) {
 	me, onWire := s.c.Rank(), s.c.OnWire()
 	lists := s.lists[s.lgen]
 	s.lgen = 1 - s.lgen
@@ -289,7 +289,7 @@ func (s *stepper) start(cols []core.Columns) {
 // finish completes the exchange start opened and appends the arrivals to
 // their cells: the parcels from other ranks, then the local shards. On a
 // wire transport each received shard is recycled once delivered.
-func (s *stepper) finish(cols []core.Columns) error {
+func (s *stepper) finish(cols []core.SoA) error {
 	me, onWire := s.c.Rank(), s.c.OnWire()
 	comm.ExchangePtrFinish(s.c, s.sendPtrs, s.recvPtrs)
 	if onWire {
@@ -322,7 +322,7 @@ func (s *stepper) finish(cols []core.Columns) error {
 
 // deliver appends a shard to the cell it is addressed to. The address may
 // have crossed a socket, so it is checked.
-func (s *stepper) deliver(owner int, cols *core.Columns) error {
+func (s *stepper) deliver(owner int, cols *core.SoA) error {
 	if owner < 0 || owner >= len(s.at) || s.at[owner] == nil || cols == nil {
 		return fmt.Errorf("driver: parcel for %s %d arrived at rank %d, which does not host it", s.unit, owner, s.c.Rank())
 	}

@@ -117,7 +117,7 @@ func TestExchangeIsIdempotent(t *testing.T) {
 // in one step of an over-decomposed run.
 func parcelListFixture() *[]parcel {
 	mk := func(owner, n int) parcel {
-		cols := &core.Columns{}
+		cols := &core.SoA{}
 		for i := 0; i < n; i++ {
 			f := float64(owner*100 + i)
 			cols.X = append(cols.X, f+0.25)

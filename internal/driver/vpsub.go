@@ -32,7 +32,7 @@ func (v *picVP) VPID() int { return v.id }
 func (v *picVP) Load() float64 { return float64(v.soa.Len()) }
 
 // PUP implements pup.PUPable. Particles travel column-wise through
-// core.PUPSoA: the SoA slices serialize directly, with no AoS staging, and
+// core.PUPColumns: the SoA slices serialize directly, with no AoS staging, and
 // unpacking resizes into whatever storage the shell still holds — a recycled
 // shell (the runtime's freelist) makes steady-state migration nearly
 // allocation-free.
@@ -51,7 +51,7 @@ func (v *picVP) PUP(p *pup.PUPer) {
 	if v.soa == nil {
 		v.soa = &core.SoA{}
 	}
-	core.PUPSoA(p, v.soa)
+	core.PUPColumns(p, v.soa)
 	if p.Mode() == pup.Unpacking && p.Err() == nil {
 		if v.block == nil {
 			v.block = &grid.Block{}

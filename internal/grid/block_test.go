@@ -163,6 +163,10 @@ func TestNewBlockFromDataRejectsCorruption(t *testing.T) {
 	if _, err := NewBlockFromData(m, 0, 0, 3, 3, data[:5]); err == nil {
 		t.Error("short block data accepted")
 	}
+	// 2^32 × 2^32 wraps to 0 values: no data for an unallocatable block.
+	if _, err := NewBlockFromData(Mesh{L: 1 << 62, Q: 1}, 0, 0, 1<<32, 1<<32, nil); err == nil {
+		t.Error("block dimensions whose product overflows accepted")
+	}
 }
 
 func TestCellOfNegativeAndEdge(t *testing.T) {

@@ -428,7 +428,8 @@ func NewBlockFromData(m Mesh, x0, y0, nx, ny int, data []float64) (*Block, error
 // ReinitFromData is NewBlockFromData into an existing block, reusing its
 // storage where capacity allows.
 func (b *Block) ReinitFromData(m Mesh, x0, y0, nx, ny int, data []float64) error {
-	if len(data) != nx*ny {
+	// The quotient catches a product that wrapped around to len(data).
+	if len(data) != nx*ny || (nx > 0 && len(data)/nx != ny) {
 		return fmt.Errorf("grid: block data length %d != %dx%d", len(data), nx, ny)
 	}
 	if err := b.Reinit(m, x0, y0, nx, ny); err != nil {

@@ -4,8 +4,7 @@ import "github.com/parres/picprk/internal/pup"
 
 // PUP serializes the particle with the pack/unpack framework: little-endian,
 // fixed-size, 80 bytes (ID, seven float64, four int32). Used by the
-// KindParticles payload codec (verification gathers) and by core.Simulation
-// checkpoints.
+// KindParticles payload codec (verification gathers).
 func (p *Particle) PUP(pp *pup.PUPer) {
 	pp.Uint64(&p.ID)
 	pp.Float64(&p.X)

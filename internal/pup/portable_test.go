@@ -11,16 +11,10 @@ import (
 	"github.com/parres/picprk/internal/pup"
 )
 
-// kindSoAPtr registers *core.SoA — the traversal block checkpoints and VP
-// migration use — so it can travel as a payload here.
-const kindSoAPtr pup.Kind = 110
-
-func init() { pup.RegisterPtrCodec[core.SoA](kindSoAPtr, core.PUPSoA) }
-
 // shard returns n particles whose fields draw on the bit patterns a
 // byte-order mistake would scramble distinctly: NaN payloads, −0, extreme
 // and negative integers.
-func shard(rng *rand.Rand, n int) *core.Columns {
+func shard(rng *rand.Rand, n int) *core.SoA {
 	edge := []uint64{0, 1 << 63, 0x7ff8000000000001, 0xfff8dead0000beef, 1, 0x7fefffffffffffff}
 	f := func() float64 {
 		if rng.Intn(3) == 0 {
@@ -29,7 +23,7 @@ func shard(rng *rand.Rand, n int) *core.Columns {
 		return math.Float64frombits(rng.Uint64())
 	}
 	i32 := func() int32 { return [...]int32{0, -1, math.MinInt32, math.MaxInt32, int32(rng.Uint32())}[rng.Intn(5)] }
-	c := &core.Columns{}
+	c := &core.SoA{}
 	for i := 0; i < n; i++ {
 		c.X, c.Y, c.VX = append(c.X, f()), append(c.Y, f()), append(c.VX, f())
 		c.VY, c.Q = append(c.VY, f()), append(c.Q, f())
@@ -78,20 +72,19 @@ func decode(t *testing.T, kind pup.Kind, body []byte) (bool, []byte) {
 // TestPortableColumnsMatchNative runs the column traversals down the path a
 // big-endian host takes — a byte-order loop over a window instead of the
 // columns' memory — and requires exactly the native path's bytes, on the
-// exchange golden vector, random shards, SoA payloads and float and byte
-// slices past the gather cut-over, through the buffer codec and the
-// gather/stream pair alike; and that each path decodes the other's bytes,
-// and rejects them truncated.
+// exchange golden vector, random shards and float and byte slices past the
+// gather cut-over, through the buffer codec and the gather/stream pair alike;
+// and that each path decodes the other's bytes, and rejects them truncated.
 func TestPortableColumnsMatchNative(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	golden := &core.Columns{ // core.TestColumnsWireGolden's shard
+	golden := &core.SoA{ // core.TestColumnsWireGolden's shard
 		X: []float64{1.5}, Y: []float64{-2.25}, VX: []float64{3.0}, VY: []float64{-0.5}, Q: []float64{7.75},
 		Meta: []core.SoAMeta{{ID: 0x0102030405060708, X0: 0.25, Y0: -8.5, K: 2, M: -3, Dir: 1, Born: 4}},
 	}
-	payloads := []any{golden, (*core.Columns)(nil), &core.Columns{}, []float64{math.Inf(-1), 2}, bytes.Repeat([]byte{1, 2, 3}, 3000)}
+	payloads := []any{golden, (*core.SoA)(nil), &core.SoA{}, []float64{math.Inf(-1), 2}, bytes.Repeat([]byte{1, 2, 3}, 3000)}
 	for _, n := range []int{1, 3, 700, 2000} {
 		c := shard(rng, n)
-		payloads = append(payloads, c, c.X, &core.SoA{X: c.X, Y: c.Y, VX: c.VX, VY: c.VY, Q: c.Q, Meta: c.Meta})
+		payloads = append(payloads, c, c.X)
 	}
 	for _, v := range payloads {
 		native, kind := encode(t, v)

@@ -43,7 +43,7 @@ type Sample struct {
 	Bytes int64
 	// ExchangeBytes is the particle-exchange payload bytes this rank sent
 	// this step (delta), measured as the columnar path's framed wire size
-	// (core.Columns.FramedBytes), not a per-particle serialization estimate.
+	// (core.SoA.FramedBytes), not a per-particle serialization estimate.
 	ExchangeBytes int64
 	// ExchangeOverlap is the compute time this step spent while an exchange
 	// was in flight (the tile pipeline's interior wave). It is not a phase:
