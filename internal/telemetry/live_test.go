@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -108,4 +109,14 @@ func TestServe(t *testing.T) {
 	if !strings.Contains(string(body), "picprk_step 7") {
 		t.Errorf("served metrics missing step gauge:\n%s", body)
 	}
+}
+
+// TestLivePrometheusGolden pins the whole exposition for the fixture: metric
+// names, HELP and TYPE lines, label sets, value formats and their order.
+func TestLivePrometheusGolden(t *testing.T) {
+	l := NewLive(2)
+	observeFixture(l)
+	var buf bytes.Buffer
+	l.WritePrometheus(&buf)
+	checkGolden(t, "metrics.golden.txt", buf.Bytes())
 }
