@@ -122,7 +122,7 @@ func (f *follower) streamOnce() (int, error) {
 			s.Step, s.Rank,
 			s.Phases[trace.Compute].Round(time.Microsecond),
 			s.Phases[trace.Exchange].Round(time.Microsecond),
-			wall, s.Particles, s.Decision)
+			wall, s.Counters[telemetry.Particles], s.Decision)
 		n++
 		f.total++
 	}

@@ -99,11 +99,14 @@ func printReport(tl *telemetry.Timeline, top, rows int) {
 		}
 		fmt.Printf("  %-9s %12v  %5.1f%%\n", p, totals[p].Round(time.Microsecond), pct)
 	}
-	var overlap time.Duration
+	// The run's counter totals, summed over steps (and ranks, by StepStats).
+	var tot [telemetry.NumCounters]int64
 	for _, st := range ss {
-		overlap += st.Overlap
+		for c := range tot {
+			tot[c] += st.Counters[c]
+		}
 	}
-	if overlap > 0 {
+	if overlap := time.Duration(tot[telemetry.ExchangeOverlap]); overlap > 0 {
 		// Overlap is not a phase of its own — the time is already inside
 		// compute — so it reports as the fraction of the total exchange the
 		// tile pipeline hid behind interior work.
@@ -120,30 +123,19 @@ func printReport(tl *telemetry.Timeline, top, rows int) {
 	}
 	first, last := ss[0], ss[len(ss)-1]
 	lo, hi, decisions := first.Load.Imbalance, first.Load.Imbalance, 0
-	var xbytes, mbytes int64
 	for _, st := range ss {
 		lo = min(lo, st.Load.Imbalance)
 		hi = max(hi, st.Load.Imbalance)
 		if st.Decision != "" {
 			decisions++
 		}
-		xbytes += st.ExchangeBytes
-		mbytes += st.Bytes
 	}
 	fmt.Printf("  imbalance first %.3f, last %.3f, min %.3f, max %.3f; %d balancing decision(s)\n",
 		first.Load.Imbalance, last.Load.Imbalance, lo, hi, decisions)
 	fmt.Printf("  exchanged %d bytes on the wire (framed columnar), migrated %d bytes for balancing\n",
-		xbytes, mbytes)
-	var msgsSent, msgsElided int64
-	for i := range tl.Samples {
-		msgsSent += int64(tl.Samples[i].MsgsSent)
-		msgsElided += int64(tl.Samples[i].MsgsElided)
-	}
-	if msgsSent > 0 || msgsElided > 0 {
-		share := 0.0
-		if msgsSent+msgsElided > 0 {
-			share = 100 * float64(msgsElided) / float64(msgsSent+msgsElided)
-		}
+		tot[telemetry.ExchangeBytes], tot[telemetry.MigratedBytes])
+	if msgsSent, msgsElided := tot[telemetry.MsgsSent], tot[telemetry.MsgsElided]; msgsSent+msgsElided > 0 {
+		share := 100 * float64(msgsElided) / float64(msgsSent+msgsElided)
 		fmt.Printf("  exchange messages: %d sent, %d elided by the sparse neighbor schedule (%.0f%% of the full ring)\n",
 			msgsSent, msgsElided, share)
 	}
@@ -188,7 +180,7 @@ func printReport(tl *telemetry.Timeline, top, rows int) {
 			st.Step, st.Wall.Round(time.Microsecond),
 			st.Phases[trace.Compute].Round(time.Microsecond),
 			st.Phases[trace.Exchange].Round(time.Microsecond),
-			st.Overlap.Round(time.Microsecond),
+			time.Duration(st.Counters[telemetry.ExchangeOverlap]).Round(time.Microsecond),
 			st.Phases[trace.Balance].Round(time.Microsecond),
 			st.Phases[trace.Migrate].Round(time.Microsecond),
 			st.Load.Imbalance)

@@ -13,6 +13,7 @@ import (
 	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/pup"
 	"github.com/parres/picprk/internal/telemetry"
+	"github.com/parres/picprk/internal/trace"
 )
 
 // Driver payload kinds (range 50–69, see pup.Kind).
@@ -128,13 +129,9 @@ func pupSample(p *pup.PUPer, s *telemetry.Sample) {
 	for i := range s.Phases {
 		pupDuration(p, &s.Phases[i])
 	}
-	p.Int(&s.Particles)
-	p.Int(&s.Migrations)
-	pupInt64(p, &s.Bytes)
-	pupInt64(p, &s.ExchangeBytes)
-	pupDuration(p, &s.ExchangeOverlap)
-	p.Int(&s.MsgsSent)
-	p.Int(&s.MsgsElided)
+	for i := range s.Counters {
+		pupInt64(p, &s.Counters[i])
+	}
 	p.String(&s.Decision)
 	pupInt64(p, &s.WallStartNS)
 	pupInt64(p, &s.ClockOffsetNS)
@@ -146,8 +143,18 @@ func pupPeerXchg(p *pup.PUPer, x *telemetry.PeerXchg) {
 	pup.Slice(p, &x.Msgs, pupInt64)
 }
 
+// sampleWireBytes is the least a sample occupies on the wire: eight bytes
+// for each of step, rank, phase, counter, decision length and the two clock
+// stamps. The decoder sizes the sample slice against it, so a corrupt count
+// cannot make it allocate more than about the input's length.
+const sampleWireBytes = 8 * (2 + trace.NumPhases + int(telemetry.NumCounters) + 3)
+
 func pupRankTimeline(p *pup.PUPer, t *rankTimeline) {
-	pup.Slice(p, &t.Samples, pupSample)
+	if pup.SliceLen(p, &t.Samples, sampleWireBytes) {
+		for i := range t.Samples {
+			pupSample(p, &t.Samples[i])
+		}
+	}
 	p.Int(&t.Dropped)
 }
 

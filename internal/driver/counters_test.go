@@ -12,6 +12,7 @@ import (
 
 	"github.com/parres/picprk/internal/diffusion"
 	"github.com/parres/picprk/internal/dist"
+	"github.com/parres/picprk/internal/telemetry"
 )
 
 // counterWorkload is one BENCHMARK.json workload at a size tier-1 runs in a
@@ -64,7 +65,8 @@ func counterWorkloads() []counterWorkload {
 
 // counterGolden renders what a run did that is a function of its input and
 // seed alone: the SHA-256 of the final state in picrun -dumpstate's particle
-// lines, the balance log, and every non-duration counter of every sample.
+// lines, the balance log, and every non-duration counter of every sample, in
+// the counter table's order.
 // Times, allocation and wire frame counts are not deterministic and stay out.
 func counterGolden(t *testing.T, name string, res *Result) []byte {
 	t.Helper()
@@ -82,11 +84,21 @@ func counterGolden(t *testing.T, name string, res *Result) []byte {
 	for _, line := range res.BalanceLog {
 		fmt.Fprintf(&b, "balance %s\n", line)
 	}
-	b.WriteString("step rank particles migrations migrated_bytes exchange_bytes msgs_sent msgs_elided\n")
-	for _, s := range res.Timeline.Samples {
-		fmt.Fprintf(&b, "%d %d %d %d %d %d %d %d\n", s.Step, s.Rank,
-			s.Particles, s.Migrations, s.Bytes, s.ExchangeBytes, s.MsgsSent, s.MsgsElided)
+	var cols []telemetry.Counter
+	b.WriteString("step rank")
+	for c := range telemetry.NumCounters {
+		if c.Kind() != telemetry.KindDuration {
+			cols = append(cols, c)
+			fmt.Fprintf(&b, " %s", c)
+		}
 	}
+	for _, s := range res.Timeline.Samples {
+		fmt.Fprintf(&b, "\n%d %d", s.Step, s.Rank)
+		for _, c := range cols {
+			fmt.Fprintf(&b, " %d", s.Counters[c])
+		}
+	}
+	b.WriteString("\n")
 	return b.Bytes()
 }
 

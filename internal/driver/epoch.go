@@ -91,15 +91,12 @@ type epochRunner struct {
 	// the counters into the per-rank ring and/or the live aggregate. Both
 	// sinks are nil-safe, and when sampling is off the step path touches
 	// none of this — the steady-state step stays allocation-free and the
-	// run is bitwise identical to an unsampled one.
-	ring           *telemetry.Ring
-	sampling       bool
-	prevMigrations int
-	prevBytes      int64
-	prevXBytes     int64
-	prevMsgsSent   int64
-	prevMsgsElided int64
-	lastWall       int64
+	// run is bitwise identical to an unsampled one. prev is the counter
+	// reading the last sample was taken against.
+	ring     *telemetry.Ring
+	sampling bool
+	prev     [telemetry.NumCounters]int64
+	lastWall int64
 
 	interval int
 	needs    balance.Needs
@@ -230,9 +227,7 @@ func (r *epochRunner) adopt(sh rankShard) error {
 	if sh.MaxParticles > r.rec.MaxParticles {
 		r.rec.MaxParticles = sh.MaxParticles
 	}
-	r.prevMigrations, r.prevBytes = r.sub.MigrationStats()
-	r.prevXBytes = r.sub.ExchangeBytes()
-	r.prevMsgsSent, r.prevMsgsElided = r.c.ExchangeMsgStats()
+	r.prev = r.counters()
 	r.step = sh.Step + 1
 	return nil
 }
@@ -347,30 +342,40 @@ func (r *epochRunner) oneStep(step int) error {
 	}
 
 	if r.sampling {
-		migrations, bytes := sub.MigrationStats()
-		xbytes := sub.ExchangeBytes()
-		sent, elided := c.ExchangeMsgStats()
 		s := telemetry.Sample{
-			Step:            step,
-			Rank:            c.Rank(),
-			Phases:          rec.Snapshot(),
-			Particles:       sub.Count(),
-			Migrations:      migrations - r.prevMigrations,
-			Bytes:           bytes - r.prevBytes,
-			ExchangeBytes:   xbytes - r.prevXBytes,
-			ExchangeOverlap: rec.SnapshotOverlap(),
-			MsgsSent:        int(sent - r.prevMsgsSent),
-			MsgsElided:      int(elided - r.prevMsgsElided),
-			Decision:        decision,
-			WallStartNS:     r.lastWall,
-			ClockOffsetNS:   c.ClockOffsetNS(),
+			Step:          step,
+			Rank:          c.Rank(),
+			Phases:        rec.Snapshot(),
+			Decision:      decision,
+			WallStartNS:   r.lastWall,
+			ClockOffsetNS: c.ClockOffsetNS(),
 		}
-		r.prevMigrations, r.prevBytes, r.prevXBytes = migrations, bytes, xbytes
-		r.prevMsgsSent, r.prevMsgsElided = sent, elided
+		cur := r.counters()
+		for k := range telemetry.NumCounters {
+			s.Counters[k] = cur[k]
+			if k.Kind() != telemetry.KindGauge {
+				s.Counters[k] -= r.prev[k]
+			}
+		}
+		r.prev = cur
 		r.ring.Append(s)
 		cfg.Live.Observe(s)
 	}
 	return nil
+}
+
+// counters reads the rank's cumulative counters (a gauge's current level)
+// in the telemetry table's order; a sample is the difference between two
+// readings.
+func (r *epochRunner) counters() (v [telemetry.NumCounters]int64) {
+	migrations, bytes := r.sub.MigrationStats()
+	v[telemetry.Particles] = int64(r.sub.Count())
+	v[telemetry.Migrations] = int64(migrations)
+	v[telemetry.MigratedBytes] = bytes
+	v[telemetry.ExchangeBytes] = r.sub.ExchangeBytes()
+	v[telemetry.ExchangeOverlap] = r.rec.Overlap().Nanoseconds()
+	v[telemetry.MsgsSent], v[telemetry.MsgsElided] = r.c.ExchangeMsgStats()
+	return v
 }
 
 // finalize gathers verification, telemetry, and stats to rank 0 and
@@ -391,7 +396,6 @@ func (r *epochRunner) finalize() error {
 		}
 	}
 	migrations, bytes := r.sub.MigrationStats()
-	r.rec.Migrations = migrations
 	res := collectResult(r.c, r.e.Name, r.cfg, r.rec, r.sub.Count(), bytes, r.sub.ExchangeBytes(), migrations)
 	if res != nil {
 		res.Verified = verified && (r.cfg.Verify || r.cfg.DistributedVerify)

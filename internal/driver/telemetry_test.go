@@ -1,12 +1,16 @@
 package driver
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/parres/picprk/internal/diffusion"
 	"github.com/parres/picprk/internal/dist"
+	"github.com/parres/picprk/internal/pup"
 	"github.com/parres/picprk/internal/telemetry"
 	"github.com/parres/picprk/internal/trace"
 )
@@ -87,7 +91,7 @@ func TestTimelineDecisionsMatchBalanceLog(t *testing.T) {
 		if s.Step%params.Every != 0 {
 			t.Errorf("decision %q on step %d, off the every-%d cadence", s.Decision, s.Step, params.Every)
 		}
-		if s.Migrations == 0 {
+		if s.Counters[telemetry.Migrations] == 0 {
 			t.Errorf("step %d executed %q but reports no migrations", s.Step, s.Decision)
 		}
 	}
@@ -182,4 +186,64 @@ func TestTimelinePhaseAccounting(t *testing.T) {
 	if totals != want {
 		t.Errorf("timeline phase totals %v, per-rank stats %v", totals, want)
 	}
+}
+
+// FuzzDecodeTimeline fuzzes the kindTimeline codec — a rank's samples on
+// their way to rank 0, which over the wire transport is whatever a socket
+// delivers. Whatever the bytes, decoding (from a buffer or off a stream)
+// must not panic, must not allocate more than a small multiple of the input,
+// and what it accepts must re-pack to the bytes it came from.
+func FuzzDecodeTimeline(f *testing.F) {
+	var samples []telemetry.Sample
+	for step := 1; step <= 3; step++ {
+		s := telemetry.Sample{Step: step, Rank: 1, WallStartNS: int64(step) * 1e6, ClockOffsetNS: -250}
+		s.Phases[trace.Compute] = time.Duration(step) * time.Millisecond
+		for c := range telemetry.NumCounters {
+			s.Counters[c] = int64(step*10) + int64(c)
+		}
+		if step == 2 {
+			s.Decision = "step=2 x=[0 5 8]"
+		}
+		samples = append(samples, s)
+	}
+	good, kind, err := pup.EncodePayload(nil, rankTimeline{Samples: samples, Dropped: 4})
+	if err != nil || kind != kindTimeline {
+		f.Fatalf("encode fixture: kind %d, err %v", kind, err)
+	}
+	for n := 0; n <= len(good); n += 7 {
+		f.Add(good[:n])
+	}
+	f.Add(good)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		limit := uint64(2*len(data) + 64<<10)
+		runtime.ReadMemStats(&before)
+		v, err := pup.DecodePayload(kindTimeline, data)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
+		var d pup.Decoder
+		runtime.ReadMemStats(&before)
+		sv, serr := d.Decode(kindTimeline, bytes.NewReader(data), len(data))
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Fatalf("stream-decoding %d bytes allocated %d", len(data), got)
+		}
+		if (serr == nil) != (err == nil) {
+			t.Fatalf("the stream decoder says %v where the buffer decoder says %v", serr, err)
+		}
+		if err != nil {
+			return
+		}
+		for _, got := range []any{v, sv} {
+			again, _, err := pup.EncodePayload(nil, got)
+			if err != nil {
+				t.Fatalf("accepted timeline failed to re-encode: %v", err)
+			}
+			if !bytes.Equal(again, data) {
+				t.Fatalf("re-encoding changed the bytes:\n in % x\nout % x", data, again)
+			}
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/parres/picprk/internal/dist"
+	"github.com/parres/picprk/internal/telemetry"
 )
 
 // TestTilePipelineBitwiseMatrix is the determinism matrix of the step: every
@@ -91,7 +92,7 @@ func TestTilePipelineReportsOverlap(t *testing.T) {
 		t.Fatal("4-rank run reported zero exchange overlap")
 	}
 	for _, s := range res.Timeline.Samples {
-		sampled += s.ExchangeOverlap.Nanoseconds()
+		sampled += s.Counters[telemetry.ExchangeOverlap]
 	}
 	if sampled != total {
 		t.Fatalf("timeline overlap sums to %d ns, RankStats to %d ns", sampled, total)

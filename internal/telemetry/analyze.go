@@ -24,14 +24,9 @@ type StepStat struct {
 	// Load summarizes the per-rank particle counts; Load.Imbalance is the
 	// paper's max-over-mean metric at this step.
 	Load stats.Summary
-	// Migrations and Bytes sum the LB movement over ranks this step;
-	// ExchangeBytes sums the particle-exchange payload over ranks.
-	Migrations    int
-	Bytes         int64
-	ExchangeBytes int64
-	// Overlap sums the compute-while-exchange-in-flight time over ranks
-	// (the tile pipeline's hidden exchange; see Sample.ExchangeOverlap).
-	Overlap time.Duration
+	// Counters sums each counter over ranks: movement and traffic for the
+	// step, and for gauges the global level (the particle population).
+	Counters [NumCounters]int64
 	// Decision is the balancer decision executed this step, if any.
 	Decision string
 }
@@ -56,11 +51,10 @@ func (tl *Timeline) StepStats() []StepStat {
 			if rankTotal > st.Wall {
 				st.Wall = rankTotal
 			}
-			loads = append(loads, float64(s.Particles))
-			st.Migrations += s.Migrations
-			st.Bytes += s.Bytes
-			st.ExchangeBytes += s.ExchangeBytes
-			st.Overlap += s.ExchangeOverlap
+			loads = append(loads, float64(s.Counters[Particles]))
+			for c := range NumCounters {
+				st.Counters[c] += s.Counters[c]
+			}
 			if st.Decision == "" {
 				st.Decision = s.Decision
 			}

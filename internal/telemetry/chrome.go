@@ -10,8 +10,9 @@ import (
 
 // Chrome trace-event export: the timeline rendered in the JSON format that
 // chrome://tracing and Perfetto load directly. Ranks map to threads of one
-// process, phases to duration ("X") events, particle counts to counter
-// ("C") tracks, and balancer decisions to instant ("i") events.
+// process, phases to duration ("X") events, the counter table and the clock
+// offset to counter ("C") tracks, and balancer decisions to instant ("i")
+// events.
 //
 // Two clocks are available. The default synthetic bulk-synchronous clock
 // lays steps out as if all ranks started each step together and the step
@@ -21,7 +22,8 @@ import (
 // (ClockWall) instead anchors every rank's step at its recorded
 // WallStartNS — real, offset-corrected timestamps on rank 0's clock — which
 // is the view that shows cross-rank skew, wire queueing, and rendezvous
-// stalls in a genuine multi-process run.
+// stalls in a genuine multi-process run. The clocks differ only in where
+// each sample's spans start; both emit the same events.
 
 // chromeEvent is one trace event. Fields follow the Trace Event Format;
 // ts and dur are microseconds.
@@ -56,18 +58,84 @@ func usec(d int64) float64 { return float64(d) / 1e3 }
 // WriteChromeTraceClock writes the timeline as Chrome trace-event JSON on
 // the chosen clock (ClockBSP or ClockWall).
 func WriteChromeTraceClock(w io.Writer, tl *Timeline, clock string) error {
+	label := "picprk " + tl.Name
+	var starts []int64
 	switch clock {
 	case "", ClockBSP:
-		return writeChromeBSP(w, tl)
+		starts = bspStarts(tl)
 	case ClockWall:
-		return writeChromeWall(w, tl)
+		var err error
+		if starts, err = wallStarts(tl); err != nil {
+			return err
+		}
+		label += " (wall clock)"
 	default:
 		return fmt.Errorf("telemetry: unknown trace clock %q (want %q or %q)", clock, ClockBSP, ClockWall)
 	}
+
+	events := chromeHeader(tl, label)
+	// A counter track holds its value until its next event, so a rank's
+	// track gets one only when the value changes (from an implicit zero).
+	type tracks struct {
+		counters [NumCounters]int64
+		offset   int64
+	}
+	last := map[int]*tracks{}
+	for i := range tl.Samples {
+		s, start := &tl.Samples[i], starts[i]
+		if start < 0 {
+			continue
+		}
+		ts := start
+		for _, p := range trace.Phases() {
+			d := s.Phases[p].Nanoseconds()
+			if d <= 0 {
+				continue
+			}
+			events = append(events, chromeEvent{
+				Name: p.String(), Cat: "phase", Ph: "X",
+				PID: chromePID, TID: s.Rank,
+				TS: usec(ts), Dur: usec(d),
+				Args: map[string]any{"step": s.Step},
+			})
+			ts += d
+		}
+		tr := last[s.Rank]
+		if tr == nil {
+			tr = new(tracks)
+			last[s.Rank] = tr
+		}
+		for c := range NumCounters {
+			if v := s.Counters[c]; v != tr.counters[c] {
+				tr.counters[c] = v
+				events = append(events, chromeEvent{
+					Name: fmt.Sprintf("%s rank %d", c, s.Rank), Ph: "C",
+					PID: chromePID, TS: usec(start),
+					Args: map[string]any{c.String(): v},
+				})
+			}
+		}
+		if s.ClockOffsetNS != tr.offset {
+			tr.offset = s.ClockOffsetNS
+			events = append(events, chromeEvent{
+				Name: fmt.Sprintf("clock offset us rank %d", s.Rank), Ph: "C",
+				PID: chromePID, TS: usec(start),
+				Args: map[string]any{"offset_us": usec(s.ClockOffsetNS)},
+			})
+		}
+		// Decisions are global (every rank computes the identical plan), so
+		// the step's first sample carries its one instant event.
+		if s.Decision != "" && (i == 0 || tl.Samples[i-1].Step != s.Step) {
+			events = append(events, chromeEvent{
+				Name: s.Decision, Cat: "balance", Ph: "i",
+				PID: chromePID, TID: s.Rank, TS: usec(ts), S: "g",
+			})
+		}
+	}
+	return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
 }
 
-// chromeHeader emits the process/thread metadata events shared by both
-// clock modes.
+// chromeHeader emits the process and per-rank thread metadata events.
 func chromeHeader(tl *Timeline, label string) []chromeEvent {
 	events := []chromeEvent{{
 		Name: "process_name", Ph: "M", PID: chromePID,
@@ -87,78 +155,35 @@ func chromeHeader(tl *Timeline, label string) []chromeEvent {
 	return events
 }
 
-func writeChromeBSP(w io.Writer, tl *Timeline) error {
-	events := chromeHeader(tl, "picprk "+tl.Name)
-
-	// clock is the synthetic BSP step-start time in nanoseconds; samples are
-	// sorted by (step, rank), so each group of equal-step samples is
-	// contiguous.
+// bspStarts lays the samples out on the synthetic bulk-synchronous clock:
+// every rank starts a step when the previous step's slowest rank finished.
+// Samples are sorted by (step, rank), so each step's samples are contiguous.
+func bspStarts(tl *Timeline) []int64 {
+	starts := make([]int64, len(tl.Samples))
 	var clock int64
 	for lo := 0; lo < len(tl.Samples); {
-		hi := lo
-		for hi < len(tl.Samples) && tl.Samples[hi].Step == tl.Samples[lo].Step {
-			hi++
-		}
-		var slowest int64
-		for _, s := range tl.Samples[lo:hi] {
-			ts := clock
-			for _, p := range trace.Phases() {
-				d := s.Phases[p].Nanoseconds()
-				if d <= 0 {
-					continue
-				}
-				events = append(events, chromeEvent{
-					Name: p.String(), Cat: "phase", Ph: "X",
-					PID: chromePID, TID: s.Rank,
-					TS: usec(ts), Dur: usec(d),
-					Args: map[string]any{"step": s.Step},
-				})
-				ts += d
+		hi, slowest := lo, int64(0)
+		for ; hi < len(tl.Samples) && tl.Samples[hi].Step == tl.Samples[lo].Step; hi++ {
+			starts[hi] = clock
+			var busy int64
+			for _, d := range tl.Samples[hi].Phases {
+				busy += max(d.Nanoseconds(), 0)
 			}
-			if ts-clock > slowest {
-				slowest = ts - clock
-			}
-			events = append(events, chromeEvent{
-				Name: fmt.Sprintf("particles rank %d", s.Rank), Ph: "C",
-				PID: chromePID, TS: usec(clock),
-				Args: map[string]any{"particles": s.Particles},
-			})
-			events = append(events, chromeEvent{
-				Name: fmt.Sprintf("exchange bytes rank %d", s.Rank), Ph: "C",
-				PID: chromePID, TS: usec(clock),
-				Args: map[string]any{"bytes": s.ExchangeBytes},
-			})
-			if s.ExchangeOverlap > 0 {
-				events = append(events, chromeEvent{
-					Name: fmt.Sprintf("exchange overlap us rank %d", s.Rank), Ph: "C",
-					PID: chromePID, TS: usec(clock),
-					Args: map[string]any{"overlap_us": usec(s.ExchangeOverlap.Nanoseconds())},
-				})
-			}
-			// Decisions are global (every rank computes the identical plan),
-			// so one instant event per step suffices.
-			if s.Decision != "" && s.Rank == tl.Samples[lo].Rank {
-				events = append(events, chromeEvent{
-					Name: s.Decision, Cat: "balance", Ph: "i",
-					PID: chromePID, TID: s.Rank, TS: usec(ts), S: "g",
-				})
-			}
+			slowest = max(slowest, busy)
 		}
 		clock += slowest
 		lo = hi
 	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
+	return starts
 }
 
-// writeChromeWall renders the timeline on real wall-clock time: each
-// sample's phase spans start at its recorded WallStartNS (offset-corrected
-// onto rank 0's clock by the transport), shifted so the earliest sample
-// sits at t=0. The engine records WallStartNS monotone per rank, so every
-// rank's track is monotone and no span has negative duration — the property
-// the CI round-trip job asserts on a 2-rank TCP run.
-func writeChromeWall(w io.Writer, tl *Timeline) error {
+// wallStarts anchors each sample at its recorded WallStartNS (offset-
+// corrected onto rank 0's clock by the transport), shifted so the earliest
+// sample sits at t=0; an unstamped sample gets -1 and is left out. The
+// engine records WallStartNS monotone per rank, so every rank's track is
+// monotone and no span has negative duration — the property the CI
+// round-trip job asserts on a 2-rank TCP run.
+func wallStarts(tl *Timeline) ([]int64, error) {
 	var base int64
 	stamped := false
 	for i := range tl.Samples {
@@ -167,59 +192,14 @@ func writeChromeWall(w io.Writer, tl *Timeline) error {
 		}
 	}
 	if !stamped {
-		return fmt.Errorf("telemetry: timeline has no wall-clock stamps (schema v3 or older, or recorded without sampling); use the bsp clock")
+		return nil, fmt.Errorf("telemetry: timeline has no wall-clock stamps; use the bsp clock")
 	}
-
-	events := chromeHeader(tl, "picprk "+tl.Name+" (wall clock)")
-	lastOffset := map[int]int64{}
+	starts := make([]int64, len(tl.Samples))
 	for i := range tl.Samples {
-		s := &tl.Samples[i]
-		if s.WallStartNS == 0 {
-			continue
-		}
-		start := s.WallStartNS - base
-		ts := start
-		for _, p := range trace.Phases() {
-			d := s.Phases[p].Nanoseconds()
-			if d <= 0 {
-				continue
-			}
-			events = append(events, chromeEvent{
-				Name: p.String(), Cat: "phase", Ph: "X",
-				PID: chromePID, TID: s.Rank,
-				TS: usec(ts), Dur: usec(d),
-				Args: map[string]any{"step": s.Step},
-			})
-			ts += d
-		}
-		events = append(events, chromeEvent{
-			Name: fmt.Sprintf("particles rank %d", s.Rank), Ph: "C",
-			PID: chromePID, TS: usec(start),
-			Args: map[string]any{"particles": s.Particles},
-		})
-		if s.ExchangeBytes > 0 {
-			events = append(events, chromeEvent{
-				Name: fmt.Sprintf("exchange bytes rank %d", s.Rank), Ph: "C",
-				PID: chromePID, TS: usec(start),
-				Args: map[string]any{"bytes": s.ExchangeBytes},
-			})
-		}
-		if s.ClockOffsetNS != lastOffset[s.Rank] {
-			lastOffset[s.Rank] = s.ClockOffsetNS
-			events = append(events, chromeEvent{
-				Name: fmt.Sprintf("clock offset us rank %d", s.Rank), Ph: "C",
-				PID: chromePID, TS: usec(start),
-				Args: map[string]any{"offset_us": usec(s.ClockOffsetNS)},
-			})
-		}
-		if s.Decision != "" {
-			events = append(events, chromeEvent{
-				Name: s.Decision, Cat: "balance", Ph: "i",
-				PID: chromePID, TID: s.Rank, TS: usec(ts), S: "t",
-			})
+		starts[i] = -1
+		if ns := tl.Samples[i].WallStartNS; ns != 0 {
+			starts[i] = ns - base
 		}
 	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
+	return starts, nil
 }

@@ -1,0 +1,89 @@
+package telemetry
+
+// Counter names one per-step quantity a Sample carries beside its phase
+// times. The table below is the one place a counter is described: the
+// timeline files, the wire codec, the live aggregate, Prometheus, the Chrome
+// trace and picstat all walk it, so adding a counter is one row here plus
+// the line in the engine that produces it — not a schema bump.
+type Counter int
+
+// The per-step counters, in table order (which is also the order Prometheus
+// renders them in).
+const (
+	// Particles is the local particle count at the end of the step.
+	Particles Counter = iota
+	// Migrations is the number of LB data movements this step.
+	Migrations
+	// MigratedBytes is the LB payload bytes this rank sent this step.
+	MigratedBytes
+	// ExchangeBytes is the particle-exchange payload bytes this rank sent
+	// this step, measured as the columnar path's framed wire size
+	// (core.SoA.FramedBytes), not a per-particle serialization estimate.
+	ExchangeBytes
+	// ExchangeOverlap is the compute time, in nanoseconds, this step spent
+	// while an exchange was in flight (the interior wave). It is not a phase:
+	// the same wall time is already inside the compute phase. The ratio
+	// overlap/(overlap+exchange) is how much of the exchange the step hid
+	// behind compute.
+	ExchangeOverlap
+	// MsgsSent is the number of exchange messages this rank posted this
+	// step; MsgsElided the number the sparse neighbor schedule skipped
+	// relative to the full P-1 ring (nil sends never posted). Their sum per
+	// exchange call is always P-1, so elided/(sent+elided) is the fraction of
+	// the all-to-all the topology made unnecessary.
+	MsgsSent
+	MsgsElided
+	// NumCounters sizes per-counter arrays.
+	NumCounters
+)
+
+// Kind says how a counter's per-step value relates to the quantity it
+// observes, and how sinks accumulate and render it.
+type Kind int
+
+const (
+	// KindCount is a per-step delta of a cumulative count.
+	KindCount Kind = iota
+	// KindGauge is a level read at the end of the step; aggregates keep the
+	// latest value instead of a sum.
+	KindGauge
+	// KindDuration is a per-step delta of cumulative nanoseconds; Prometheus
+	// renders it in seconds.
+	KindDuration
+)
+
+// counterDesc is one row of the table: the name the timeline keys the
+// counter by (also its Chrome track), its kind, and its Prometheus family.
+type counterDesc struct {
+	name   string
+	kind   Kind
+	family string
+	help   string
+}
+
+var counterTable = [NumCounters]counterDesc{
+	Particles:       {"particles", KindGauge, "picprk_particles", "Local particle count per rank."},
+	Migrations:      {"migrations", KindCount, "picprk_migrations_total", "LB data movements per rank."},
+	MigratedBytes:   {"migrated_bytes", KindCount, "picprk_migrated_bytes_total", "LB payload bytes sent per rank."},
+	ExchangeBytes:   {"exchange_bytes", KindCount, "picprk_exchange_bytes_total", "Particle-exchange payload bytes sent per rank (framed columnar wire size)."},
+	ExchangeOverlap: {"exchange_overlap_ns", KindDuration, "picprk_exchange_overlap_seconds_total", "Compute time spent while an exchange was in flight, per rank (tile pipeline)."},
+	MsgsSent:        {"msgs_sent", KindCount, "picprk_exchange_messages_total", "Exchange messages posted per rank (sparse neighbor schedule)."},
+	MsgsElided:      {"msgs_elided", KindCount, "picprk_exchange_messages_elided_total", "Exchange messages the sparse neighbor schedule skipped per rank, relative to the full P-1 ring."},
+}
+
+// String returns the counter's table name, the key it travels under in a
+// timeline file.
+func (c Counter) String() string { return counterTable[c].name }
+
+// Kind returns the counter's kind.
+func (c Counter) Kind() Kind { return counterTable[c].kind }
+
+// counterByName returns the counter with the given table name.
+func counterByName(name string) (Counter, bool) {
+	for c := range NumCounters {
+		if counterTable[c].name == name {
+			return c, true
+		}
+	}
+	return 0, false
+}

@@ -72,18 +72,23 @@ func TestReadJSONLRejectsDrift(t *testing.T) {
 		t.Error("empty input accepted")
 	}
 	bad := `{"schema":"` + Schema + `","impl":"x","ranks":1,"steps":1}` + "\n" +
-		`{"step":1,"rank":0,"phase_ns":{"warp":5},"particles":1}` + "\n"
+		`{"step":1,"rank":0,"phase_ns":{"warp":5},"counters":{"particles":1}}` + "\n"
 	if _, err := ReadJSONL(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "warp") {
 		t.Errorf("unknown phase name accepted (err=%v)", err)
+	}
+	bad = `{"schema":"` + Schema + `","impl":"x","ranks":1,"steps":1}` + "\n" +
+		`{"step":1,"rank":0,"phase_ns":{"compute":5},"counters":{"warp_drives":1}}` + "\n"
+	if _, err := ReadJSONL(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "warp_drives") {
+		t.Errorf("unknown counter name accepted (err=%v)", err)
 	}
 }
 
 // TestReadJSONLAcceptsLegacy pins what the reader accepts of the legacy
-// schemas: nothing. There is one timeline format; a v1–v5 meta line is
+// schemas: nothing. There is one timeline format; a v1–v6 meta line is
 // turned away with the error that names the version this reader
 // understands, however well-formed the rest of the file is.
 func TestReadJSONLAcceptsLegacy(t *testing.T) {
-	for v := 1; v <= 5; v++ {
+	for v := 1; v <= 6; v++ {
 		schema := fmt.Sprintf("picprk/timeline/v%d", v)
 		in := `{"schema":"` + schema + `","impl":"x","ranks":1,"steps":1}` + "\n" +
 			`{"step":1,"rank":0,"phase_ns":{"compute":5},"particles":1}` + "\n"
@@ -100,7 +105,7 @@ func TestReadJSONLAcceptsLegacy(t *testing.T) {
 }
 
 // TestMarshalSampleRoundTrip pins the per-sample JSON the /events SSE
-// stream carries: identical to a v4 timeline line, and parseable back by
+// stream carries: identical to a timeline file's sample line, and parseable back by
 // UnmarshalSample (which is what picstat -follow does).
 func TestMarshalSampleRoundTrip(t *testing.T) {
 	tl := fixtureTimeline()
@@ -120,6 +125,43 @@ func TestMarshalSampleRoundTrip(t *testing.T) {
 	if _, err := UnmarshalSample([]byte(`{"phase_ns":{"warp":5}}`)); err == nil {
 		t.Error("unknown phase name accepted")
 	}
+}
+
+// FuzzReadJSONL feeds the timeline reader arbitrary files, seeded with the
+// golden timeline and truncations of it. Whatever the bytes it must
+// not panic, and a file it accepts must survive WriteJSONL and a second
+// read unchanged — the reader and writer agree on one format.
+func FuzzReadJSONL(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "timeline.golden.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for n := 0; n < len(golden); n += 41 {
+		f.Add(golden[:n])
+	}
+	f.Add(golden)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Re-encoding may escape a string to several times its length; keep
+		// every line well inside the reader's 1 MiB line limit.
+		if len(data) > 64<<10 {
+			return
+		}
+		tl, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteJSONL(&buf, tl); err != nil {
+			t.Fatalf("accepted timeline failed to re-encode: %v", err)
+		}
+		again, err := ReadJSONL(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded timeline rejected: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(tl, again) {
+			t.Fatalf("round trip changed the timeline:\nread  %+v\nagain %+v", tl, again)
+		}
+	})
 }
 
 func TestChromeTraceGolden(t *testing.T) {
@@ -170,10 +212,10 @@ func TestChromeTraceValid(t *testing.T) {
 		}
 	}
 	// One duration event per nonzero phase, one instant per decision step,
-	// metadata for the process and both rank threads, two counters per
-	// sample (particles and exchange bytes) plus one per sample with
-	// nonzero exchange overlap (both step-1 samples in the fixture).
-	if counts["X"] == 0 || counts["M"] != 3 || counts["i"] != 1 || counts["C"] != 14 {
+	// metadata for the process and both rank threads, and one counter event
+	// per change of a rank's counter (from an implicit zero): 4+5+4 per rank
+	// over the fixture's three steps, plus rank 1's clock offset.
+	if counts["X"] == 0 || counts["M"] != 3 || counts["i"] != 1 || counts["C"] != 27 {
 		t.Errorf("event mix %v", counts)
 	}
 }
@@ -275,13 +317,41 @@ func TestChromeTraceWallClock(t *testing.T) {
 		t.Errorf("step 2 rank 0 starts at %vµs, want 10000 (wall clock, not BSP)", computeStart[2][0])
 	}
 
-	// A timeline without wall stamps (pre-v4, or serial runs of older
-	// builds) must be refused, pointing at the BSP clock.
-	bare := New("x", 1, 1, []Sample{{Step: 1, Rank: 0, Particles: 1}})
+	// A timeline without wall stamps must be refused, pointing at the BSP
+	// clock.
+	bare := New("x", 1, 1, []Sample{{Step: 1, Rank: 0, Counters: [NumCounters]int64{Particles: 1}}})
 	if err := WriteChromeTraceClock(&buf, bare, ClockWall); err == nil {
 		t.Error("wall-clock export accepted a timeline with no wall stamps")
 	}
 	if err := WriteChromeTraceClock(&buf, fixtureTimeline(), "lunar"); err == nil {
 		t.Error("unknown clock accepted")
+	}
+}
+
+// TestChromeClocksEmitSameEvents pins that the two clocks differ only in
+// time: stripped of timestamps and the process label, the BSP and the wall
+// trace carry the same events — spans, counter tracks, decisions — in the
+// same order.
+func TestChromeClocksEmitSameEvents(t *testing.T) {
+	strip := func(clock string) []chromeEvent {
+		var buf bytes.Buffer
+		if err := WriteChromeTraceClock(&buf, fixtureTimeline(), clock); err != nil {
+			t.Fatal(err)
+		}
+		var top struct {
+			TraceEvents []chromeEvent `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &top); err != nil {
+			t.Fatal(err)
+		}
+		evs := top.TraceEvents[1:] // the process label names the clock
+		for i := range evs {
+			evs[i].TS = 0
+		}
+		return evs
+	}
+	bsp, wall := strip(ClockBSP), strip(ClockWall)
+	if !reflect.DeepEqual(bsp, wall) {
+		t.Errorf("clocks emit different events:\nbsp:  %+v\nwall: %+v", bsp, wall)
 	}
 }

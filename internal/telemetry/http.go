@@ -52,7 +52,7 @@ func healthz(l *Live, w http.ResponseWriter) {
 }
 
 // serveEvents streams per-step samples as Server-Sent Events: one `data:`
-// line per sample, each the same JSON object a v4 timeline line carries
+// line per sample, each the same JSON object a timeline sample line carries
 // (`picstat -follow` tails this). The handler returns when the client goes
 // away or the stream closes at shutdown — Serve's stop function closes the
 // stream before the listener precisely so no handler goroutine outlives it.

@@ -13,7 +13,7 @@ import (
 // Schema identifies the timeline wire format. Readers reject any other
 // value — the files of earlier versions included — so an incompatible change
 // must bump the version, and the CI round-trip job fails on silent drift.
-const Schema = "picprk/timeline/v6"
+const Schema = "picprk/timeline/v7"
 
 // metaJSON is the first line of a timeline file.
 type metaJSON struct {
@@ -24,23 +24,17 @@ type metaJSON struct {
 	Dropped int    `json:"dropped,omitempty"`
 }
 
-// sampleJSON is one sample line. Phase durations travel as a name→nanos
-// object keyed by trace.Phase names, so the schema follows the phase list
-// without either side hand-maintaining it.
+// sampleJSON is one sample line. Phase durations and counters travel as
+// name-keyed objects (trace.Phase names, the counter table's names), so the
+// schema follows both tables without either side hand-maintaining it.
 type sampleJSON struct {
-	Step       int              `json:"step"`
-	Rank       int              `json:"rank"`
-	PhaseNS    map[string]int64 `json:"phase_ns"`
-	Particles  int              `json:"particles"`
-	Migrations int              `json:"migrations,omitempty"`
-	Bytes      int64            `json:"bytes,omitempty"`
-	XBytes     int64            `json:"exchange_bytes,omitempty"`
-	OverlapNS  int64            `json:"exchange_overlap_ns,omitempty"`
-	MsgsSent   int              `json:"msgs_sent,omitempty"`
-	MsgsElided int              `json:"msgs_elided,omitempty"`
-	WallNS     int64            `json:"wall_start_ns,omitempty"`
-	OffsetNS   int64            `json:"clock_offset_ns,omitempty"`
-	Decision   string           `json:"decision,omitempty"`
+	Step     int              `json:"step"`
+	Rank     int              `json:"rank"`
+	PhaseNS  map[string]int64 `json:"phase_ns"`
+	Counters map[string]int64 `json:"counters"`
+	WallNS   int64            `json:"wall_start_ns,omitempty"`
+	OffsetNS int64            `json:"clock_offset_ns,omitempty"`
+	Decision string           `json:"decision,omitempty"`
 }
 
 // peerXchgJSON is one per-peer exchange matrix line. The "xchg_rank" key
@@ -78,6 +72,10 @@ func lineEvent(ej *eventJSON) (Event, error) {
 	}
 	e := Event{Kind: ej.Event, Step: ej.Step, Gen: ej.Gen, Rank: -1, WallNS: ej.WallNS}
 	if ej.Rank != nil {
+		// An absent key is the "no rank" -1; a present one names a rank.
+		if *ej.Rank < 0 {
+			return Event{}, fmt.Errorf("telemetry: event rank %d", *ej.Rank)
+		}
 		e.Rank = *ej.Rank
 	}
 	return e, nil
@@ -86,41 +84,32 @@ func lineEvent(ej *eventJSON) (Event, error) {
 // sampleLine converts a Sample to its wire form.
 func sampleLine(s *Sample) sampleJSON {
 	line := sampleJSON{
-		Step:       s.Step,
-		Rank:       s.Rank,
-		PhaseNS:    make(map[string]int64, trace.NumPhases),
-		Particles:  s.Particles,
-		Migrations: s.Migrations,
-		Bytes:      s.Bytes,
-		XBytes:     s.ExchangeBytes,
-		OverlapNS:  s.ExchangeOverlap.Nanoseconds(),
-		MsgsSent:   s.MsgsSent,
-		MsgsElided: s.MsgsElided,
-		WallNS:     s.WallStartNS,
-		OffsetNS:   s.ClockOffsetNS,
-		Decision:   s.Decision,
+		Step:     s.Step,
+		Rank:     s.Rank,
+		PhaseNS:  make(map[string]int64, trace.NumPhases),
+		Counters: make(map[string]int64, NumCounters),
+		WallNS:   s.WallStartNS,
+		OffsetNS: s.ClockOffsetNS,
+		Decision: s.Decision,
 	}
 	for _, p := range trace.Phases() {
 		line.PhaseNS[p.String()] = s.Phases[p].Nanoseconds()
 	}
+	for c := range NumCounters {
+		line.Counters[c.String()] = s.Counters[c]
+	}
 	return line
 }
 
-// lineSample converts a wire-form sample back, validating phase names.
+// lineSample converts a wire-form sample back, validating phase and counter
+// names.
 func lineSample(sj *sampleJSON) (Sample, error) {
 	s := Sample{
-		Step:            sj.Step,
-		Rank:            sj.Rank,
-		Particles:       sj.Particles,
-		Migrations:      sj.Migrations,
-		Bytes:           sj.Bytes,
-		ExchangeBytes:   sj.XBytes,
-		ExchangeOverlap: time.Duration(sj.OverlapNS),
-		MsgsSent:        sj.MsgsSent,
-		MsgsElided:      sj.MsgsElided,
-		WallStartNS:     sj.WallNS,
-		ClockOffsetNS:   sj.OffsetNS,
-		Decision:        sj.Decision,
+		Step:          sj.Step,
+		Rank:          sj.Rank,
+		WallStartNS:   sj.WallNS,
+		ClockOffsetNS: sj.OffsetNS,
+		Decision:      sj.Decision,
 	}
 	for name, ns := range sj.PhaseNS {
 		p, ok := phaseByName(name)
@@ -128,6 +117,13 @@ func lineSample(sj *sampleJSON) (Sample, error) {
 			return Sample{}, fmt.Errorf("telemetry: unknown phase %q", name)
 		}
 		s.Phases[p] = time.Duration(ns)
+	}
+	for name, v := range sj.Counters {
+		c, ok := counterByName(name)
+		if !ok {
+			return Sample{}, fmt.Errorf("telemetry: unknown counter %q", name)
+		}
+		s.Counters[c] = v
 	}
 	return s, nil
 }
@@ -142,8 +138,8 @@ func phaseByName(name string) (trace.Phase, bool) {
 }
 
 // MarshalSample renders one sample as a single JSON line (no trailing
-// newline) in exactly the v4 per-sample schema — the payload of the live
-// /events SSE stream.
+// newline), exactly as a timeline file of this Schema carries it — the
+// payload of the live /events SSE stream.
 func MarshalSample(s *Sample) ([]byte, error) {
 	return json.Marshal(sampleLine(s))
 }
@@ -189,7 +185,7 @@ func WriteJSONL(w io.Writer, tl *Timeline) error {
 }
 
 // ReadJSONL parses a timeline written by WriteJSONL, validating the schema
-// version and every phase name.
+// version and every phase and counter name.
 func ReadJSONL(r io.Reader) (*Timeline, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

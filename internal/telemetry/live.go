@@ -17,16 +17,10 @@ import (
 type Live struct {
 	ranks int
 	step  atomic.Int64
-	// phaseNS accumulates per-rank, per-phase nanoseconds, laid out
-	// rank-major: slot(rank, phase) = rank*NumPhases + phase.
-	phaseNS    []atomic.Int64
-	particles  []atomic.Int64
-	migrations []atomic.Int64
-	bytes      []atomic.Int64
-	xbytes     []atomic.Int64
-	overlapNS  []atomic.Int64
-	msgsSent   []atomic.Int64
-	msgsElided []atomic.Int64
+	// slots holds every rank's accumulated per-phase nanoseconds followed by
+	// its counters, laid out rank-major: rank r's row is
+	// slots[r*liveStride:(r+1)*liveStride], phases first.
+	slots []atomic.Int64
 
 	// Epoch lifecycle counters (checkpointed runs only; stay zero otherwise).
 	commits   atomic.Int64
@@ -62,37 +56,38 @@ func NewLive(ranks int) *Live {
 	if ranks < 1 {
 		ranks = 1
 	}
-	return &Live{
-		ranks:      ranks,
-		phaseNS:    make([]atomic.Int64, ranks*trace.NumPhases),
-		particles:  make([]atomic.Int64, ranks),
-		migrations: make([]atomic.Int64, ranks),
-		bytes:      make([]atomic.Int64, ranks),
-		xbytes:     make([]atomic.Int64, ranks),
-		overlapNS:  make([]atomic.Int64, ranks),
-		msgsSent:   make([]atomic.Int64, ranks),
-		msgsElided: make([]atomic.Int64, ranks),
-	}
+	return &Live{ranks: ranks, slots: make([]atomic.Int64, ranks*liveStride)}
+}
+
+// liveStride is the width of one rank's row of Live slots.
+const liveStride = trace.NumPhases + int(NumCounters)
+
+func (l *Live) phase(rank int, p trace.Phase) *atomic.Int64 {
+	return &l.slots[rank*liveStride+int(p)]
+}
+
+func (l *Live) counter(rank int, c Counter) *atomic.Int64 {
+	return &l.slots[rank*liveStride+trace.NumPhases+int(c)]
 }
 
 // Observe folds one per-step sample into the aggregate. Samples carry
-// per-step deltas, so durations, migrations, and bytes accumulate while
-// the particle count and step are gauges.
+// per-step deltas, so phase times and counters accumulate, while gauges (the
+// particle count) and the step keep their latest value.
 func (l *Live) Observe(s Sample) {
 	if l == nil || s.Rank < 0 || s.Rank >= l.ranks {
 		return
 	}
 	l.step.Store(int64(s.Step))
 	for _, p := range trace.Phases() {
-		l.phaseNS[s.Rank*trace.NumPhases+int(p)].Add(s.Phases[p].Nanoseconds())
+		l.phase(s.Rank, p).Add(s.Phases[p].Nanoseconds())
 	}
-	l.particles[s.Rank].Store(int64(s.Particles))
-	l.migrations[s.Rank].Add(int64(s.Migrations))
-	l.bytes[s.Rank].Add(s.Bytes)
-	l.xbytes[s.Rank].Add(s.ExchangeBytes)
-	l.overlapNS[s.Rank].Add(s.ExchangeOverlap.Nanoseconds())
-	l.msgsSent[s.Rank].Add(int64(s.MsgsSent))
-	l.msgsElided[s.Rank].Add(int64(s.MsgsElided))
+	for c := range NumCounters {
+		if c.Kind() == KindGauge {
+			l.counter(s.Rank, c).Store(s.Counters[c])
+		} else {
+			l.counter(s.Rank, c).Add(s.Counters[c])
+		}
+	}
 	l.stream.Publish(s)
 }
 
@@ -185,50 +180,32 @@ func (l *Live) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP picprk_phase_seconds_total Time spent per rank per phase.\n# TYPE picprk_phase_seconds_total counter\n")
 	for rank := 0; rank < l.ranks; rank++ {
 		for _, p := range trace.Phases() {
-			ns := l.phaseNS[rank*trace.NumPhases+int(p)].Load()
+			ns := l.phase(rank, p).Load()
 			fmt.Fprintf(w, "picprk_phase_seconds_total{rank=\"%d\",phase=\"%s\"} %g\n", rank, p, float64(ns)/1e9)
 		}
 	}
 
+	for c := range NumCounters {
+		d := &counterTable[c]
+		typ := "counter"
+		if d.kind == KindGauge {
+			typ = "gauge"
+		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", d.family, d.help, d.family, typ)
+		for rank := 0; rank < l.ranks; rank++ {
+			v := l.counter(rank, c).Load()
+			if d.kind == KindDuration {
+				fmt.Fprintf(w, "%s{rank=\"%d\"} %g\n", d.family, rank, float64(v)/1e9)
+			} else {
+				fmt.Fprintf(w, "%s{rank=\"%d\"} %d\n", d.family, rank, v)
+			}
+		}
+	}
+
 	loads := make([]float64, l.ranks)
-	fmt.Fprintf(w, "# HELP picprk_particles Local particle count per rank.\n# TYPE picprk_particles gauge\n")
-	for rank := 0; rank < l.ranks; rank++ {
-		n := l.particles[rank].Load()
-		loads[rank] = float64(n)
-		fmt.Fprintf(w, "picprk_particles{rank=\"%d\"} %d\n", rank, n)
+	for rank := range loads {
+		loads[rank] = float64(l.counter(rank, Particles).Load())
 	}
-
-	fmt.Fprintf(w, "# HELP picprk_migrations_total LB data movements per rank.\n# TYPE picprk_migrations_total counter\n")
-	for rank := 0; rank < l.ranks; rank++ {
-		fmt.Fprintf(w, "picprk_migrations_total{rank=\"%d\"} %d\n", rank, l.migrations[rank].Load())
-	}
-
-	fmt.Fprintf(w, "# HELP picprk_migrated_bytes_total LB payload bytes sent per rank.\n# TYPE picprk_migrated_bytes_total counter\n")
-	for rank := 0; rank < l.ranks; rank++ {
-		fmt.Fprintf(w, "picprk_migrated_bytes_total{rank=\"%d\"} %d\n", rank, l.bytes[rank].Load())
-	}
-
-	fmt.Fprintf(w, "# HELP picprk_exchange_bytes_total Particle-exchange payload bytes sent per rank (framed columnar wire size).\n# TYPE picprk_exchange_bytes_total counter\n")
-	for rank := 0; rank < l.ranks; rank++ {
-		fmt.Fprintf(w, "picprk_exchange_bytes_total{rank=\"%d\"} %d\n", rank, l.xbytes[rank].Load())
-	}
-
-	fmt.Fprintf(w, "# HELP picprk_exchange_overlap_seconds_total Compute time spent while an exchange was in flight, per rank (tile pipeline).\n# TYPE picprk_exchange_overlap_seconds_total counter\n")
-	for rank := 0; rank < l.ranks; rank++ {
-		ns := l.overlapNS[rank].Load()
-		fmt.Fprintf(w, "picprk_exchange_overlap_seconds_total{rank=\"%d\"} %g\n", rank, float64(ns)/1e9)
-	}
-
-	fmt.Fprintf(w, "# HELP picprk_exchange_messages_total Exchange messages posted per rank (sparse neighbor schedule).\n# TYPE picprk_exchange_messages_total counter\n")
-	for rank := 0; rank < l.ranks; rank++ {
-		fmt.Fprintf(w, "picprk_exchange_messages_total{rank=\"%d\"} %d\n", rank, l.msgsSent[rank].Load())
-	}
-
-	fmt.Fprintf(w, "# HELP picprk_exchange_messages_elided_total Exchange messages the sparse neighbor schedule skipped per rank, relative to the full P-1 ring.\n# TYPE picprk_exchange_messages_elided_total counter\n")
-	for rank := 0; rank < l.ranks; rank++ {
-		fmt.Fprintf(w, "picprk_exchange_messages_elided_total{rank=\"%d\"} %d\n", rank, l.msgsElided[rank].Load())
-	}
-
 	sum := stats.Summarize(loads)
 	fmt.Fprintf(w, "# HELP picprk_imbalance_ratio Max over mean particle load (1.0 = perfect balance).\n# TYPE picprk_imbalance_ratio gauge\npicprk_imbalance_ratio %g\n", sum.Imbalance)
 

@@ -47,7 +47,7 @@ func TestLivePrometheus(t *testing.T) {
 
 func TestLiveIgnoresOutOfRangeRank(t *testing.T) {
 	l := NewLive(1)
-	l.Observe(Sample{Step: 1, Rank: 5, Particles: 10}) // must not panic
+	l.Observe(Sample{Step: 1, Rank: 5, Counters: [NumCounters]int64{Particles: 10}}) // must not panic
 	var sb strings.Builder
 	l.WritePrometheus(&sb)
 	if !strings.Contains(sb.String(), `picprk_particles{rank="0"} 0`) {
@@ -91,7 +91,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 func TestServe(t *testing.T) {
 	l := NewLive(1)
-	l.Observe(Sample{Step: 7, Rank: 0, Particles: 9, Phases: trace.PhaseDurations{time.Millisecond}})
+	l.Observe(Sample{Step: 7, Rank: 0, Counters: [NumCounters]int64{Particles: 9}, Phases: trace.PhaseDurations{time.Millisecond}})
 	addr, stop, err := Serve("127.0.0.1:0", l)
 	if err != nil {
 		t.Fatal(err)

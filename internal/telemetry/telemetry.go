@@ -21,12 +21,13 @@ package telemetry
 
 import (
 	"sort"
-	"time"
 
 	"github.com/parres/picprk/internal/trace"
 )
 
-// Sample is one rank's observation of one step.
+// Sample is one rank's observation of one step. The sinks — JSONL, the
+// live aggregate, Chrome, the wire codec — walk Phases and Counters by their
+// tables; none spells a counter out.
 type Sample struct {
 	// Step is the 1-based simulation step.
 	Step int
@@ -35,35 +36,16 @@ type Sample struct {
 	// Phases holds the time this rank spent in each phase during this step
 	// (a trace.Recorder.Snapshot delta, not a cumulative sum).
 	Phases trace.PhaseDurations
-	// Particles is the local particle count at the end of the step.
-	Particles int
-	// Migrations is the number of LB data movements this step (delta).
-	Migrations int
-	// Bytes is the LB payload bytes this rank sent this step (delta).
-	Bytes int64
-	// ExchangeBytes is the particle-exchange payload bytes this rank sent
-	// this step (delta), measured as the columnar path's framed wire size
-	// (core.SoA.FramedBytes), not a per-particle serialization estimate.
-	ExchangeBytes int64
-	// ExchangeOverlap is the compute time this step spent while an exchange
-	// was in flight (the tile pipeline's interior wave). It is not a phase:
-	// the same wall time is already inside Phases[trace.Compute]. The ratio
-	// overlap/(overlap+exchange) is how much of the exchange the pipeline
-	// hid behind compute.
-	ExchangeOverlap time.Duration
-	// MsgsSent is the number of exchange messages this rank posted this
-	// step (delta); MsgsElided is the number the sparse neighbor schedule
-	// skipped relative to the full P-1 ring (nil sends never posted). Their
-	// sum per exchange call is always P-1, so elided/(sent+elided) is the
-	// fraction of the all-to-all the topology made unnecessary.
-	MsgsSent   int
-	MsgsElided int
+	// Counters holds one value per Counter (see the table in counters.go):
+	// per-step deltas, except gauges, which hold the level at the end of the
+	// step.
+	Counters [NumCounters]int64
 	// WallStartNS is the wall-clock time this rank began the step, in
 	// nanoseconds on the world's common timeline (rank 0's clock; the wire
 	// transport offset-corrects it, see Comm.WallClockNS). Zero when the
-	// recording side predates the field or deliberately omits it. The
-	// engine clamps it monotone per rank, so equal-rank samples sort by
-	// wall time even if a mid-run offset update stepped the clock back.
+	// recording side did not stamp the step. The engine clamps it monotone
+	// per rank, so equal-rank samples sort by wall time even if a mid-run
+	// offset update stepped the clock back.
 	WallStartNS int64
 	// ClockOffsetNS is the recording process's estimated clock offset to
 	// rank 0's clock at sampling time (already folded into WallStartNS; kept
@@ -158,8 +140,7 @@ type Timeline struct {
 	// are lost with its world — the rollback events explain the gaps.
 	Events []Event
 	// PeerXchg holds each rank's end-of-run per-peer exchange matrix row,
-	// sorted by rank. Empty on timelines from runs (or schema versions)
-	// that did not gather it.
+	// sorted by rank. Empty on timelines from runs that did not gather it.
 	PeerXchg []PeerXchg
 }
 

@@ -66,7 +66,12 @@ func TestNewSortsByStepThenRank(t *testing.T) {
 // fires at step 2 and evens the loads out by step 3.
 func fixtureTimeline() *Timeline {
 	mk := func(step, rank int, c, e, b, m, ov time.Duration, particles, migrations int, bytes, xbytes int64, decision string) Sample {
-		s := Sample{Step: step, Rank: rank, Particles: particles, Migrations: migrations, Bytes: bytes, ExchangeBytes: xbytes, ExchangeOverlap: ov, Decision: decision}
+		s := Sample{Step: step, Rank: rank, Decision: decision}
+		s.Counters[Particles] = int64(particles)
+		s.Counters[Migrations] = int64(migrations)
+		s.Counters[MigratedBytes] = bytes
+		s.Counters[ExchangeBytes] = xbytes
+		s.Counters[ExchangeOverlap] = ov.Nanoseconds()
 		s.Phases[trace.Compute] = c
 		s.Phases[trace.Exchange] = e
 		s.Phases[trace.Balance] = b
@@ -96,16 +101,16 @@ func fixtureTimeline() *Timeline {
 		rank1[i].ClockOffsetNS = 150_000
 	}
 	// Each exchange posts one message and elides none (P=2: the only peer is
-	// always a neighbor) — exercises the v6 sample fields.
+	// always a neighbor).
 	for i := range rank0 {
-		rank0[i].MsgsSent, rank1[i].MsgsSent = 1, 1
+		rank0[i].Counters[MsgsSent], rank1[i].Counters[MsgsSent] = 1, 1
 	}
 	tl := New("diffusion", 2, 3, rank0, rank1)
-	// One committed epoch at step 2 — exercises the v5 event lines.
+	// One committed epoch at step 2 — exercises the event lines.
 	tl.Events = []Event{
 		{Kind: EventCommit, Step: 2, Gen: 0, Rank: -1, WallNS: wallBase + 15_000_000},
 	}
-	// Per-peer exchange matrix rows — exercises the v6 matrix lines.
+	// Per-peer exchange matrix rows — exercises the matrix lines.
 	tl.PeerXchg = []PeerXchg{
 		{Rank: 0, Bytes: []int64{0, 6352}, Msgs: []int64{0, 3}},
 		{Rank: 1, Bytes: []int64{9968, 0}, Msgs: []int64{3, 0}},
@@ -128,20 +133,23 @@ func TestStepStats(t *testing.T) {
 	if ss[0].Load.Imbalance != 1.5 {
 		t.Errorf("step 1 imbalance %v, want 1.5", ss[0].Load.Imbalance)
 	}
-	if ss[1].Decision == "" || ss[1].Migrations != 2 || ss[1].Bytes != 3072 {
+	if ss[1].Decision == "" || ss[1].Counters[Migrations] != 2 || ss[1].Counters[MigratedBytes] != 3072 {
 		t.Errorf("step 2 decision/migrations/bytes: %+v", ss[1])
 	}
 	// Exchange bytes sum over ranks per step.
-	if ss[0].ExchangeBytes != 12288 || ss[1].ExchangeBytes != 3776 || ss[2].ExchangeBytes != 256 {
-		t.Errorf("exchange bytes per step: %d, %d, %d; want 12288, 3776, 256",
-			ss[0].ExchangeBytes, ss[1].ExchangeBytes, ss[2].ExchangeBytes)
+	if x := [3]int64{ss[0].Counters[ExchangeBytes], ss[1].Counters[ExchangeBytes], ss[2].Counters[ExchangeBytes]}; x != [3]int64{12288, 3776, 256} {
+		t.Errorf("exchange bytes per step: %v; want [12288 3776 256]", x)
+	}
+	// A gauge sums to the global level: the population.
+	if ss[0].Counters[Particles] != 400 {
+		t.Errorf("step 1 particles %d, want 400", ss[0].Counters[Particles])
 	}
 	if ss[2].Load.Imbalance != 1 {
 		t.Errorf("step 3 imbalance %v, want 1 (balanced)", ss[2].Load.Imbalance)
 	}
 	// Overlap sums over ranks: step 1 has 1ms + 0.5ms of hidden exchange.
-	if ss[0].Overlap != 1500*time.Microsecond || ss[1].Overlap != 0 {
-		t.Errorf("overlap per step: %v, %v; want 1.5ms, 0", ss[0].Overlap, ss[1].Overlap)
+	if ss[0].Counters[ExchangeOverlap] != 1_500_000 || ss[1].Counters[ExchangeOverlap] != 0 {
+		t.Errorf("overlap per step: %d, %d ns; want 1.5ms, 0", ss[0].Counters[ExchangeOverlap], ss[1].Counters[ExchangeOverlap])
 	}
 	// Phase sums over ranks.
 	if ss[0].Phases[trace.Compute] != 8*time.Millisecond {
@@ -193,7 +201,7 @@ func TestSamplingDisabledAllocationFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() {
 		rec.StartStep()
 		rec.Add(trace.Exchange, time.Millisecond)
-		s := Sample{Step: 1, Rank: 0, Phases: rec.Snapshot(), Particles: 42}
+		s := Sample{Step: 1, Rank: 0, Phases: rec.Snapshot(), Counters: [NumCounters]int64{Particles: 42}}
 		ring.Append(s)
 		live.Observe(s)
 	}); avg != 0 {

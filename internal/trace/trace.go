@@ -74,18 +74,13 @@ type Recorder struct {
 	// Snapshot reports the delta against it.
 	stepBase [numPhases]time.Duration
 	// overlap accumulates exchange time hidden behind compute: wall time
-	// spent computing while an exchange was in flight (the tile pipeline's
-	// interior wave). It is not a phase — the same wall time is already
-	// charged to Compute — but a parallel account of how much of the
-	// exchange the pipeline hid. stepBaseOverlap mirrors stepBase.
-	overlap         time.Duration
-	stepBaseOverlap time.Duration
+	// spent computing while an exchange was in flight (the interior wave).
+	// It is not a phase — the same wall time is already charged to Compute
+	// — but a parallel account of how much of the exchange the step hid.
+	overlap time.Duration
 	// MaxParticles tracks the high-water mark of local particle count, the
 	// §V-B metric.
 	MaxParticles int
-	// Migrations counts LB-induced data movements (cut shifts or VP moves)
-	// observed locally.
-	Migrations int
 }
 
 // Time runs fn and charges its wall time to the phase.
@@ -101,15 +96,6 @@ func (r *Recorder) Add(p Phase, d time.Duration) { r.durations[p] += d }
 // Get returns the accumulated duration of a phase.
 func (r *Recorder) Get(p Phase) time.Duration { return r.durations[p] }
 
-// Total returns the sum over all phases.
-func (r *Recorder) Total() time.Duration {
-	var t time.Duration
-	for _, d := range r.durations {
-		t += d
-	}
-	return t
-}
-
 // AddOverlap credits compute wall time that ran while an exchange was in
 // flight (see the overlap field).
 func (r *Recorder) AddOverlap(d time.Duration) { r.overlap += d }
@@ -119,10 +105,7 @@ func (r *Recorder) Overlap() time.Duration { return r.overlap }
 
 // StartStep marks the beginning of a step for Snapshot accounting. It is
 // allocation-free, so per-step telemetry can call it unconditionally.
-func (r *Recorder) StartStep() {
-	r.stepBase = r.durations
-	r.stepBaseOverlap = r.overlap
-}
+func (r *Recorder) StartStep() { r.stepBase = r.durations }
 
 // Snapshot returns the per-phase durations accumulated since the last
 // StartStep call (or since the recorder's creation, if StartStep was never
@@ -135,22 +118,9 @@ func (r *Recorder) Snapshot() PhaseDurations {
 	return d
 }
 
-// SnapshotOverlap returns the hidden-exchange time accumulated since the
-// last StartStep call. Allocation-free, like Snapshot.
-func (r *Recorder) SnapshotOverlap() time.Duration {
-	return r.overlap - r.stepBaseOverlap
-}
-
 // ObserveParticles updates the particle high-water mark.
 func (r *Recorder) ObserveParticles(n int) {
 	if n > r.MaxParticles {
 		r.MaxParticles = n
 	}
-}
-
-// String summarizes the recorder.
-func (r *Recorder) String() string {
-	return fmt.Sprintf("compute=%v exchange=%v balance=%v migrate=%v maxParticles=%d migrations=%d",
-		r.durations[Compute], r.durations[Exchange], r.durations[Balance], r.durations[Migrate],
-		r.MaxParticles, r.Migrations)
 }

@@ -18,13 +18,13 @@ func TestTimeAccumulates(t *testing.T) {
 	}
 }
 
-func TestAddAndTotal(t *testing.T) {
+func TestAddAndGet(t *testing.T) {
 	var r Recorder
 	r.Add(Compute, time.Second)
 	r.Add(Exchange, 2*time.Second)
 	r.Add(Balance, 3*time.Second)
-	if r.Total() != 6*time.Second {
-		t.Errorf("total %v", r.Total())
+	if r.Get(Compute) != time.Second || r.Get(Exchange) != 2*time.Second || r.Get(Balance) != 3*time.Second || r.Get(Migrate) != 0 {
+		t.Errorf("phases %v %v %v %v", r.Get(Compute), r.Get(Exchange), r.Get(Balance), r.Get(Migrate))
 	}
 }
 
@@ -94,15 +94,5 @@ func TestSnapshotWithoutStartStep(t *testing.T) {
 	r.Add(Exchange, time.Second)
 	if s := r.Snapshot(); s[Exchange] != time.Second {
 		t.Errorf("snapshot without StartStep %v", s)
-	}
-}
-
-func TestRecorderString(t *testing.T) {
-	var r Recorder
-	r.Add(Compute, time.Second)
-	r.Migrations = 3
-	s := r.String()
-	if !strings.Contains(s, "compute=1s") || !strings.Contains(s, "migrations=3") {
-		t.Errorf("string %q", s)
 	}
 }
