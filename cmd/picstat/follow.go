@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"github.com/parres/picprk/internal/telemetry"
-	"github.com/parres/picprk/internal/trace"
 )
 
 // maxReconnectDelay caps the backoff between reconnect attempts.
@@ -93,7 +92,7 @@ func (f *follower) streamOnce() (int, error) {
 	}
 	if !f.header {
 		fmt.Printf("%6s  %4s  %10s  %10s  %10s  %9s  %s\n",
-			"step", "rank", trace.Compute, trace.Exchange, "wall start", "particles", "decision")
+			"step", "rank", telemetry.Compute, telemetry.Exchange, "wall start", "particles", "decision")
 		f.header = true
 	}
 
@@ -120,8 +119,8 @@ func (f *follower) streamOnce() (int, error) {
 		}
 		fmt.Printf("%6d  %4d  %10v  %10v  %10s  %9d  %s\n",
 			s.Step, s.Rank,
-			s.Phases[trace.Compute].Round(time.Microsecond),
-			s.Phases[trace.Exchange].Round(time.Microsecond),
+			time.Duration(s.Counters[telemetry.Compute]).Round(time.Microsecond),
+			time.Duration(s.Counters[telemetry.Exchange]).Round(time.Microsecond),
 			wall, s.Counters[telemetry.Particles], s.Decision)
 		n++
 		f.total++

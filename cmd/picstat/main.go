@@ -18,11 +18,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"github.com/parres/picprk/internal/telemetry"
-	"github.com/parres/picprk/internal/trace"
 )
 
 func main() {
@@ -56,7 +56,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	printReport(tl, *top, *rows)
+	printReport(os.Stdout, tl, *top, *rows)
 
 	if *chrome != "" {
 		out, err := os.Create(*chrome)
@@ -74,51 +74,55 @@ func main() {
 	}
 }
 
-func printReport(tl *telemetry.Timeline, top, rows int) {
-	fmt.Printf("timeline: %s  P=%d  steps=%d  samples=%d", tl.Name, tl.P, tl.Steps, len(tl.Samples))
+func printReport(w io.Writer, tl *telemetry.Timeline, top, rows int) {
+	fmt.Fprintf(w, "timeline: %s  P=%d  steps=%d  samples=%d", tl.Name, tl.P, tl.Steps, len(tl.Samples))
 	if tl.Dropped > 0 {
-		fmt.Printf("  (dropped %d oldest samples; raise the ring cap for full coverage)", tl.Dropped)
+		fmt.Fprintf(w, "  (dropped %d oldest samples; raise the ring cap for full coverage)", tl.Dropped)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	ss := tl.StepStats()
 	if len(ss) == 0 {
-		fmt.Println("no samples")
+		fmt.Fprintln(w, "no samples")
 		return
 	}
 
-	totals := tl.PhaseTotals()
-	var grand time.Duration
-	for _, p := range trace.Phases() {
-		grand += totals[p]
-	}
-	fmt.Println("\nphase totals (CPU time summed over ranks):")
-	for _, p := range trace.Phases() {
-		pct := 0.0
-		if grand > 0 {
-			pct = 100 * float64(totals[p]) / float64(grand)
-		}
-		fmt.Printf("  %-9s %12v  %5.1f%%\n", p, totals[p].Round(time.Microsecond), pct)
-	}
-	// The run's counter totals, summed over steps (and ranks, by StepStats).
+	// The run's totals per row, summed over steps (and ranks, by StepStats).
 	var tot [telemetry.NumCounters]int64
 	for _, st := range ss {
 		for c := range tot {
 			tot[c] += st.Counters[c]
 		}
 	}
-	if overlap := time.Duration(tot[telemetry.ExchangeOverlap]); overlap > 0 {
-		// Overlap is not a phase of its own — the time is already inside
+	var grand int64
+	for c := range telemetry.NumCounters {
+		if c.Kind() == telemetry.KindSpan {
+			grand += tot[c]
+		}
+	}
+	fmt.Fprintln(w, "\nphase totals (CPU time summed over ranks):")
+	for c := range telemetry.NumCounters {
+		if c.Kind() != telemetry.KindSpan {
+			continue
+		}
+		pct := 0.0
+		if grand > 0 {
+			pct = 100 * float64(tot[c]) / float64(grand)
+		}
+		fmt.Fprintf(w, "  %-9s %12v  %5.1f%%\n", c, time.Duration(tot[c]).Round(time.Microsecond), pct)
+	}
+	if overlap := tot[telemetry.ExchangeOverlap]; overlap > 0 {
+		// Overlap is not a span of its own — the time is already inside
 		// compute — so it reports as the fraction of the total exchange the
 		// tile pipeline hid behind interior work.
-		hidden := 100 * float64(overlap) / float64(overlap+totals[trace.Exchange])
-		fmt.Printf("  overlap   %12v  (%.0f%% of exchange hidden behind compute)\n",
-			overlap.Round(time.Microsecond), hidden)
+		hidden := 100 * float64(overlap) / float64(overlap+tot[telemetry.Exchange])
+		fmt.Fprintf(w, "  overlap   %12v  (%.0f%% of exchange hidden behind compute)\n",
+			time.Duration(overlap).Round(time.Microsecond), hidden)
 	}
 
-	fmt.Println("\nimbalance over time (per-rank particle loads):")
-	fmt.Printf("  %6s  %9s  %9s  %7s  %6s  %s\n", "step", "max", "mean", "imb", "gini", "decision")
+	fmt.Fprintln(w, "\nimbalance over time (per-rank particle loads):")
+	fmt.Fprintf(w, "  %6s  %9s  %9s  %7s  %6s  %s\n", "step", "max", "mean", "imb", "gini", "decision")
 	for _, st := range sampleRows(ss, rows) {
-		fmt.Printf("  %6d  %9.0f  %9.1f  %7.3f  %6.3f  %s\n",
+		fmt.Fprintf(w, "  %6d  %9.0f  %9.1f  %7.3f  %6.3f  %s\n",
 			st.Step, st.Load.Max, st.Load.Mean, st.Load.Imbalance, st.Load.Gini, st.Decision)
 	}
 	first, last := ss[0], ss[len(ss)-1]
@@ -130,18 +134,18 @@ func printReport(tl *telemetry.Timeline, top, rows int) {
 			decisions++
 		}
 	}
-	fmt.Printf("  imbalance first %.3f, last %.3f, min %.3f, max %.3f; %d balancing decision(s)\n",
+	fmt.Fprintf(w, "  imbalance first %.3f, last %.3f, min %.3f, max %.3f; %d balancing decision(s)\n",
 		first.Load.Imbalance, last.Load.Imbalance, lo, hi, decisions)
-	fmt.Printf("  exchanged %d bytes on the wire (framed columnar), migrated %d bytes for balancing\n",
+	fmt.Fprintf(w, "  exchanged %d bytes on the wire (framed columnar), migrated %d bytes for balancing\n",
 		tot[telemetry.ExchangeBytes], tot[telemetry.MigratedBytes])
 	if msgsSent, msgsElided := tot[telemetry.MsgsSent], tot[telemetry.MsgsElided]; msgsSent+msgsElided > 0 {
 		share := 100 * float64(msgsElided) / float64(msgsSent+msgsElided)
-		fmt.Printf("  exchange messages: %d sent, %d elided by the sparse neighbor schedule (%.0f%% of the full ring)\n",
+		fmt.Fprintf(w, "  exchange messages: %d sent, %d elided by the sparse neighbor schedule (%.0f%% of the full ring)\n",
 			msgsSent, msgsElided, share)
 	}
 
 	if len(tl.PeerXchg) > 0 {
-		printPeerMatrix(tl.PeerXchg)
+		printPeerMatrix(w, tl.PeerXchg)
 	}
 
 	if len(tl.Events) > 0 {
@@ -156,7 +160,7 @@ func printReport(tl *telemetry.Timeline, top, rows int) {
 				readmits++
 			}
 		}
-		fmt.Printf("\nepoch lifecycle: %d commit(s), %d rollback(s), %d readmit(s)\n", commits, rollbacks, readmits)
+		fmt.Fprintf(w, "\nepoch lifecycle: %d commit(s), %d rollback(s), %d readmit(s)\n", commits, rollbacks, readmits)
 		wallBase := tl.Events[0].WallNS
 		for _, e := range tl.Events {
 			wall := "-"
@@ -165,24 +169,24 @@ func printReport(tl *telemetry.Timeline, top, rows int) {
 			}
 			switch e.Kind {
 			case telemetry.EventReadmit:
-				fmt.Printf("  %10s  gen %d  %-8s  rank %d re-admitted\n", wall, e.Gen, e.Kind, e.Rank)
+				fmt.Fprintf(w, "  %10s  gen %d  %-8s  rank %d re-admitted\n", wall, e.Gen, e.Kind, e.Rank)
 			default:
-				fmt.Printf("  %10s  gen %d  %-8s  step %d\n", wall, e.Gen, e.Kind, e.Step)
+				fmt.Fprintf(w, "  %10s  gen %d  %-8s  step %d\n", wall, e.Gen, e.Kind, e.Step)
 			}
 		}
 	}
 
-	fmt.Printf("\nworst %d step(s) by wall time (slowest rank sets the pace):\n", min(top, len(ss)))
-	fmt.Printf("  %6s  %10s  %10s  %10s  %10s  %10s  %10s  %7s\n",
-		"step", "wall", trace.Compute, trace.Exchange, "overlap", trace.Balance, trace.Migrate, "imb")
+	fmt.Fprintf(w, "\nworst %d step(s) by wall time (slowest rank sets the pace):\n", min(top, len(ss)))
+	fmt.Fprintf(w, "  %6s  %10s  %10s  %10s  %10s  %10s  %10s  %7s\n",
+		"step", "wall", telemetry.Compute, telemetry.Exchange, "overlap", telemetry.Balance, telemetry.Migrate, "imb")
+	us := func(st telemetry.StepStat, c telemetry.Counter) time.Duration {
+		return time.Duration(st.Counters[c]).Round(time.Microsecond)
+	}
 	for _, st := range telemetry.WorstSteps(ss, top) {
-		fmt.Printf("  %6d  %10v  %10v  %10v  %10v  %10v  %10v  %7.3f\n",
+		fmt.Fprintf(w, "  %6d  %10v  %10v  %10v  %10v  %10v  %10v  %7.3f\n",
 			st.Step, st.Wall.Round(time.Microsecond),
-			st.Phases[trace.Compute].Round(time.Microsecond),
-			st.Phases[trace.Exchange].Round(time.Microsecond),
-			time.Duration(st.Counters[telemetry.ExchangeOverlap]).Round(time.Microsecond),
-			st.Phases[trace.Balance].Round(time.Microsecond),
-			st.Phases[trace.Migrate].Round(time.Microsecond),
+			us(st, telemetry.Compute), us(st, telemetry.Exchange), us(st, telemetry.ExchangeOverlap),
+			us(st, telemetry.Balance), us(st, telemetry.Migrate),
 			st.Load.Imbalance)
 	}
 }
@@ -191,16 +195,16 @@ func printReport(tl *telemetry.Timeline, top, rows int) {
 // rank, one column per destination, message counts with byte totals in the
 // row margin. Zero cells print as "." so the neighborhood structure — which
 // pairs never talk — is visible at a glance.
-func printPeerMatrix(rows []telemetry.PeerXchg) {
+func printPeerMatrix(w io.Writer, rows []telemetry.PeerXchg) {
 	p := len(rows)
-	fmt.Println("\nper-peer exchange matrix (messages sent; '.' = never):")
-	fmt.Printf("  %6s", "src\\dst")
+	fmt.Fprintln(w, "\nper-peer exchange matrix (messages sent; '.' = never):")
+	fmt.Fprintf(w, "  %6s", "src\\dst")
 	for d := 0; d < p; d++ {
-		fmt.Printf("  %8d", d)
+		fmt.Fprintf(w, "  %8d", d)
 	}
-	fmt.Printf("  %12s\n", "bytes sent")
+	fmt.Fprintf(w, "  %12s\n", "bytes sent")
 	for _, row := range rows {
-		fmt.Printf("  %6d", row.Rank)
+		fmt.Fprintf(w, "  %6d", row.Rank)
 		var bytes int64
 		for d := 0; d < p; d++ {
 			var msgs int64
@@ -211,12 +215,12 @@ func printPeerMatrix(rows []telemetry.PeerXchg) {
 				bytes += row.Bytes[d]
 			}
 			if msgs == 0 {
-				fmt.Printf("  %8s", ".")
+				fmt.Fprintf(w, "  %8s", ".")
 			} else {
-				fmt.Printf("  %8d", msgs)
+				fmt.Fprintf(w, "  %8d", msgs)
 			}
 		}
-		fmt.Printf("  %12d\n", bytes)
+		fmt.Fprintf(w, "  %12d\n", bytes)
 	}
 }
 

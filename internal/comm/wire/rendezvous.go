@@ -79,6 +79,34 @@ func (w *welcomePayload) pup(p *pup.PUPer) {
 	})
 }
 
+// MaxWorldSize is the largest world, in ranks, a rendezvous assembles and a
+// node accepts in a welcome. Join sizes its per-rank tables from the welcome,
+// so the bound keeps a corrupt one from sizing an allocation.
+const MaxWorldSize = 1 << 20
+
+// WelcomeError reports a rendezvous welcome no world can be built from: an
+// assigned index outside the node table, or a table whose rank spans do not
+// tile [0, size) in node order with at least one rank each.
+type WelcomeError struct{ Reason string }
+
+func (e *WelcomeError) Error() string { return "wire: malformed welcome: " + e.Reason }
+
+// validate checks the welcome describes a world and returns its size.
+func (w *welcomePayload) validate() (int, error) {
+	if w.Index < 0 || w.Index >= len(w.Nodes) {
+		return 0, &WelcomeError{fmt.Sprintf("node index %d of %d", w.Index, len(w.Nodes))}
+	}
+	size := 0
+	for i, nd := range w.Nodes {
+		if nd.Base != size || nd.Count < 1 || nd.Count > MaxWorldSize-size {
+			return 0, &WelcomeError{fmt.Sprintf("node %d hosts %d ranks from %d, want at least 1 from %d within %d",
+				i, nd.Count, nd.Base, size, MaxWorldSize)}
+		}
+		size += nd.Count
+	}
+	return size, nil
+}
+
 func packPayload(fn func(*pup.PUPer)) ([]byte, error) {
 	sz := pup.NewSizer()
 	fn(sz)
@@ -117,8 +145,8 @@ func StartRendezvous(network, addr string, worldSize int) (*Rendezvous, error) {
 	if err := checkNetwork(network); err != nil {
 		return nil, err
 	}
-	if worldSize <= 0 {
-		return nil, fmt.Errorf("wire: world size must be positive, got %d", worldSize)
+	if worldSize <= 0 || worldSize > MaxWorldSize {
+		return nil, fmt.Errorf("wire: world size must be in [1, %d], got %d", MaxWorldSize, worldSize)
 	}
 	ln, err := net.Listen(network, addr)
 	if err != nil {
@@ -321,16 +349,12 @@ func Join(network, addr string, o JoinOptions) (*Node, error) {
 		return nil, fmt.Errorf("wire: mesh listen: %w", err)
 	}
 
-	w, err := rendezvousHandshake(network, addr, helloPayload{Want: o.WantBase, Count: o.Count, Addr: ln.Addr().String()}, timeout)
+	w, size, err := rendezvousHandshake(network, addr, helloPayload{Want: o.WantBase, Count: o.Count, Addr: ln.Addr().String()}, timeout)
 	if err != nil {
 		_ = ln.Close()
 		return nil, err
 	}
 
-	size := 0
-	for _, nd := range w.Nodes {
-		size += nd.Count
-	}
 	n := &Node{
 		network:    network,
 		index:      w.Index,
@@ -368,36 +392,37 @@ func Join(network, addr string, o JoinOptions) (*Node, error) {
 	return n, nil
 }
 
-func rendezvousHandshake(network, addr string, h helloPayload, timeout time.Duration) (*welcomePayload, error) {
+func rendezvousHandshake(network, addr string, h helloPayload, timeout time.Duration) (*welcomePayload, int, error) {
 	conn, err := net.DialTimeout(network, addr, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("wire: dial rendezvous %s: %w", addr, err)
+		return nil, 0, fmt.Errorf("wire: dial rendezvous %s: %w", addr, err)
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	body, err := packPayload(h.pup)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	f := frame{typ: frameHello, payload: body}
 	if _, err := conn.Write(f.encode(nil)); err != nil {
-		return nil, fmt.Errorf("wire: send hello: %w", err)
+		return nil, 0, fmt.Errorf("wire: send hello: %w", err)
 	}
 	rf, err := readFrame(conn)
 	if err != nil || rf.typ != frameHello {
-		return nil, fmt.Errorf("wire: read welcome: %v (frame type %d)", err, rf.typ)
+		return nil, 0, fmt.Errorf("wire: read welcome: %v (frame type %d)", err, rf.typ)
 	}
 	var w welcomePayload
 	if err := unpackPayload(rf.payload, w.pup); err != nil {
-		return nil, fmt.Errorf("wire: welcome payload: %w", err)
+		return nil, 0, fmt.Errorf("wire: welcome payload: %w", err)
 	}
 	if w.Err != "" {
-		return nil, errors.New(w.Err)
+		return nil, 0, errors.New(w.Err)
 	}
-	if w.Index < 0 || w.Index >= len(w.Nodes) || len(w.Nodes) == 0 {
-		return nil, fmt.Errorf("wire: welcome assigned invalid node index %d of %d", w.Index, len(w.Nodes))
+	size, err := w.validate()
+	if err != nil {
+		return nil, 0, err
 	}
-	return &w, nil
+	return &w, size, nil
 }
 
 // mesh builds the full peer mesh: dial every lower-indexed node plus

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -135,4 +137,87 @@ func TestJoinWorldOverflow(t *testing.T) {
 	if err == nil {
 		t.Fatal("a 3-rank joiner fit a world of size 2")
 	}
+}
+
+// fakeRendezvous answers the first hello it receives with w, as a broken or
+// hostile rendezvous would, and returns its address.
+func fakeRendezvous(t *testing.T, w welcomePayload) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	body, err := packPayload(w.pup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := readFrame(conn); err != nil {
+			return
+		}
+		f := frame{typ: frameHello, payload: body}
+		_, _ = conn.Write(f.encode(nil))
+	}()
+	return ln.Addr().String()
+}
+
+// TestJoinMalformedWelcome: a welcome whose node table does not tile the
+// world is refused with a WelcomeError before Join sizes anything from it.
+// The first table used to index past the owner table, the second to make a
+// slice of negative length.
+func TestJoinMalformedWelcome(t *testing.T) {
+	for _, w := range []welcomePayload{
+		{Index: 0, Nodes: []NodeInfo{{Base: 1, Count: 1}}},
+		{Index: 0, Nodes: []NodeInfo{{Base: 0, Count: -3}}},
+		{Index: 1, Nodes: []NodeInfo{{Base: 0, Count: 2}, {Base: 1, Count: 1}}},
+		{Index: 0, Nodes: []NodeInfo{{Base: 0, Count: MaxWorldSize + 1}}},
+		{Index: 0},
+	} {
+		_, err := Join("tcp", fakeRendezvous(t, w), JoinOptions{Timeout: 5 * time.Second})
+		var we *WelcomeError
+		if !errors.As(err, &we) {
+			t.Errorf("welcome %+v: error %v, want a WelcomeError", w, err)
+		}
+	}
+}
+
+// FuzzWelcomePayload feeds arbitrary bytes to the welcome decoder and its
+// validation, the first thing a joining node reads from the rendezvous
+// socket. Neither may panic, and a welcome they accept must re-pack to
+// exactly the bytes it came from.
+func FuzzWelcomePayload(f *testing.F) {
+	for _, w := range []welcomePayload{
+		{Index: 1, Nodes: []NodeInfo{{Base: 0, Count: 2, Addr: "127.0.0.1:1"}, {Base: 2, Count: 1, Addr: "/tmp/x.sock"}}},
+		{Index: 0, Nodes: []NodeInfo{{Base: 1, Count: 1}}},
+		{Err: "wire: joined rank counts sum to 3, want exactly 2"},
+	} {
+		body, err := packPayload(w.pup)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var w welcomePayload
+		if unpackPayload(in, w.pup) != nil {
+			return
+		}
+		if _, err := w.validate(); err != nil {
+			return
+		}
+		again, err := packPayload(w.pup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, in) {
+			t.Fatalf("accepted welcome re-packs differently:\n in % x\nout % x", in, again)
+		}
+	})
 }

@@ -13,7 +13,6 @@ import (
 	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/pup"
 	"github.com/parres/picprk/internal/telemetry"
-	"github.com/parres/picprk/internal/trace"
 )
 
 // Driver payload kinds (range 50–69, see pup.Kind).
@@ -126,9 +125,6 @@ func pupParcels(p *pup.PUPer, v *[]parcel) { pup.Slice(p, v, pupParcel) }
 func pupSample(p *pup.PUPer, s *telemetry.Sample) {
 	p.Int(&s.Step)
 	p.Int(&s.Rank)
-	for i := range s.Phases {
-		pupDuration(p, &s.Phases[i])
-	}
 	for i := range s.Counters {
 		pupInt64(p, &s.Counters[i])
 	}
@@ -144,10 +140,10 @@ func pupPeerXchg(p *pup.PUPer, x *telemetry.PeerXchg) {
 }
 
 // sampleWireBytes is the least a sample occupies on the wire: eight bytes
-// for each of step, rank, phase, counter, decision length and the two clock
-// stamps. The decoder sizes the sample slice against it, so a corrupt count
+// for each of step, rank, counter-table row, decision length and the two
+// clock stamps. The decoder sizes the sample slice against it, so a corrupt count
 // cannot make it allocate more than about the input's length.
-const sampleWireBytes = 8 * (2 + trace.NumPhases + int(telemetry.NumCounters) + 3)
+const sampleWireBytes = 8 * (2 + int(telemetry.NumCounters) + 3)
 
 func pupRankTimeline(p *pup.PUPer, t *rankTimeline) {
 	if pup.SliceLen(p, &t.Samples, sampleWireBytes) {

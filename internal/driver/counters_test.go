@@ -87,7 +87,7 @@ func counterGolden(t *testing.T, name string, res *Result) []byte {
 	var cols []telemetry.Counter
 	b.WriteString("step rank")
 	for c := range telemetry.NumCounters {
-		if c.Kind() != telemetry.KindDuration {
+		if k := c.Kind(); k != telemetry.KindSpan && k != telemetry.KindDuration {
 			cols = append(cols, c)
 			fmt.Fprintf(&b, " %s", c)
 		}

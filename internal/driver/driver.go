@@ -36,7 +36,6 @@ import (
 	"github.com/parres/picprk/internal/grid"
 	"github.com/parres/picprk/internal/particle"
 	"github.com/parres/picprk/internal/telemetry"
-	"github.com/parres/picprk/internal/trace"
 )
 
 // Config describes one PIC PRK run.
@@ -486,22 +485,23 @@ func gatherAndVerify(c *comm.Comm, cfg Config, sub Substrate) ([]particle.Partic
 }
 
 // collectResult gathers per-rank stats at rank 0 and assembles the Result.
-func collectResult(c *comm.Comm, name string, cfg Config, rec *trace.Recorder, nLocal int, bytesMigrated, bytesExchanged int64, migrations int) *Result {
-	msgsSent, msgsElided := c.ExchangeMsgStats()
+// v is the rank's final counter reading; maxParticles its particle
+// high-water mark.
+func collectResult(c *comm.Comm, name string, cfg Config, v [telemetry.NumCounters]int64, maxParticles int) *Result {
 	st := RankStats{
 		Rank:           c.Rank(),
-		Compute:        rec.Get(trace.Compute),
-		Exchange:       rec.Get(trace.Exchange),
-		Balance:        rec.Get(trace.Balance),
-		Migrate:        rec.Get(trace.Migrate),
-		Overlap:        rec.Overlap(),
-		FinalParticles: nLocal,
-		MaxParticles:   rec.MaxParticles,
-		Migrations:     migrations,
-		BytesMigrated:  bytesMigrated,
-		BytesExchanged: bytesExchanged,
-		MsgsSent:       msgsSent,
-		MsgsElided:     msgsElided,
+		Compute:        time.Duration(v[telemetry.Compute]),
+		Exchange:       time.Duration(v[telemetry.Exchange]),
+		Balance:        time.Duration(v[telemetry.Balance]),
+		Migrate:        time.Duration(v[telemetry.Migrate]),
+		Overlap:        time.Duration(v[telemetry.ExchangeOverlap]),
+		FinalParticles: int(v[telemetry.Particles]),
+		MaxParticles:   maxParticles,
+		Migrations:     int(v[telemetry.Migrations]),
+		BytesMigrated:  v[telemetry.MigratedBytes],
+		BytesExchanged: v[telemetry.ExchangeBytes],
+		MsgsSent:       v[telemetry.MsgsSent],
+		MsgsElided:     v[telemetry.MsgsElided],
 	}
 	all := comm.Gather(c, 0, st)
 	if c.Rank() != 0 {

@@ -28,13 +28,13 @@ type Substrate interface {
 	// move first and their leavers go on the wire, interior particles move
 	// while the exchange is in flight. It is collective. Compute/Exchange
 	// time splits are accounted on rec, plus the overlap credit
-	// (rec.AddOverlap).
+	// (telemetry.ExchangeOverlap).
 	MoveExchange(rec *trace.Recorder) error
 	// Exchange rehomes particles without moving them: whatever a
 	// classification sweep finds outside its owner's subdomain is delivered
 	// to that owner. The engine calls it after an Execute that returned
-	// rehome. It is collective and accounts its time as trace.Exchange on
-	// rec; when every particle is already home it ships nothing.
+	// rehome. It is collective and accounts its time as telemetry.Exchange
+	// on rec; when every particle is already home it ships nothing.
 	Exchange(rec *trace.Recorder) error
 	// ApplyEvents fires the injection/removal events scheduled for step.
 	ApplyEvents(es *eventState, step int)

@@ -87,12 +87,12 @@ type epochRunner struct {
 	es  eventState
 	rec *trace.Recorder
 
-	// Telemetry: when sampling, each step snapshots the recorder delta plus
-	// the counters into the per-rank ring and/or the live aggregate. Both
-	// sinks are nil-safe, and when sampling is off the step path touches
-	// none of this — the steady-state step stays allocation-free and the
-	// run is bitwise identical to an unsampled one. prev is the counter
-	// reading the last sample was taken against.
+	// Telemetry: when sampling, each step appends the difference between
+	// two counter readings (spans included) to the per-rank ring and/or the
+	// live aggregate. Both sinks are nil-safe, and when sampling is off the
+	// step path touches none of this — the steady-state step stays
+	// allocation-free and the run is bitwise identical to an unsampled one.
+	// prev is the counter reading the last sample was taken against.
 	ring     *telemetry.Ring
 	sampling bool
 	prev     [telemetry.NumCounters]int64
@@ -284,7 +284,6 @@ func (r *epochRunner) oneStep(step int) error {
 	}
 	cfg, c, sub, bal, rec := r.cfg, r.c, r.sub, r.bal, r.rec
 	if r.sampling {
-		rec.StartStep()
 		// Stamp the step start on the transport's offset-corrected wall
 		// clock, clamped monotone per rank so the wall-clock Chrome trace
 		// never renders a span that starts before its predecessor even if
@@ -307,7 +306,7 @@ func (r *epochRunner) oneStep(step int) error {
 		// plan; every rank reaches the identical plan from the
 		// identical globally-reduced observation.
 		var plan balance.Plan
-		rec.Time(trace.Balance, func() {
+		rec.Time(telemetry.Balance, func() {
 			bal.Observe(sub.Measure(r.needs))
 			plan = bal.Plan(step)
 		})
@@ -315,7 +314,7 @@ func (r *epochRunner) oneStep(step int) error {
 			// Data side: execute the plan, then let the policy log it.
 			var rehome bool
 			var mErr error
-			rec.Time(trace.Migrate, func() { rehome, mErr = sub.Execute(plan) })
+			rec.Time(telemetry.Migrate, func() { rehome, mErr = sub.Execute(plan) })
 			if mErr != nil {
 				return mErr
 			}
@@ -345,7 +344,6 @@ func (r *epochRunner) oneStep(step int) error {
 		s := telemetry.Sample{
 			Step:          step,
 			Rank:          c.Rank(),
-			Phases:        rec.Snapshot(),
 			Decision:      decision,
 			WallStartNS:   r.lastWall,
 			ClockOffsetNS: c.ClockOffsetNS(),
@@ -366,14 +364,17 @@ func (r *epochRunner) oneStep(step int) error {
 
 // counters reads the rank's cumulative counters (a gauge's current level)
 // in the telemetry table's order; a sample is the difference between two
-// readings.
+// readings, and the run's statistics are the last. The recorder holds the
+// timed rows, the substrate and the comm the rest.
 func (r *epochRunner) counters() (v [telemetry.NumCounters]int64) {
+	for c := range telemetry.NumCounters {
+		v[c] = r.rec.Get(c).Nanoseconds()
+	}
 	migrations, bytes := r.sub.MigrationStats()
 	v[telemetry.Particles] = int64(r.sub.Count())
 	v[telemetry.Migrations] = int64(migrations)
 	v[telemetry.MigratedBytes] = bytes
 	v[telemetry.ExchangeBytes] = r.sub.ExchangeBytes()
-	v[telemetry.ExchangeOverlap] = r.rec.Overlap().Nanoseconds()
 	v[telemetry.MsgsSent], v[telemetry.MsgsElided] = r.c.ExchangeMsgStats()
 	return v
 }
@@ -395,8 +396,7 @@ func (r *epochRunner) finalize() error {
 			timeline.PeerXchg = rows
 		}
 	}
-	migrations, bytes := r.sub.MigrationStats()
-	res := collectResult(r.c, r.e.Name, r.cfg, r.rec, r.sub.Count(), bytes, r.sub.ExchangeBytes(), migrations)
+	res := collectResult(r.c, r.e.Name, r.cfg, r.counters(), r.rec.MaxParticles)
 	if res != nil {
 		res.Verified = verified && (r.cfg.Verify || r.cfg.DistributedVerify)
 		if r.cfg.Verify {

@@ -9,6 +9,7 @@ import (
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/grid"
 	"github.com/parres/picprk/internal/particle"
+	"github.com/parres/picprk/internal/telemetry"
 	"github.com/parres/picprk/internal/trace"
 )
 
@@ -187,11 +188,11 @@ func (s *stepper) MoveExchange(rec *trace.Recorder) error {
 		s.pool.MoveClassifyRange(c.soa, s.ni[k], c.soa.Len(), c.block, mesh, s.ot, int32(c.id), &s.lv)
 		c.soa.ScatterRemove(&s.lv, cols)
 	}
-	rec.Add(trace.Compute, time.Since(t0))
+	rec.Add(telemetry.Compute, time.Since(t0))
 
 	t1 := time.Now()
 	s.start(cols)
-	rec.Add(trace.Exchange, time.Since(t1))
+	rec.Add(telemetry.Exchange, time.Since(t1))
 
 	t2 := time.Now()
 	for k, c := range s.cells {
@@ -210,14 +211,14 @@ func (s *stepper) MoveExchange(rec *trace.Recorder) error {
 		c.owned = c.soa.Len()
 	}
 	d2 := time.Since(t2)
-	rec.Add(trace.Compute, d2)
+	rec.Add(telemetry.Compute, d2)
 	if s.c.Size() > 1 {
-		rec.AddOverlap(d2)
+		rec.Add(telemetry.ExchangeOverlap, d2)
 	}
 
 	t3 := time.Now()
 	err := s.finish(cols)
-	rec.Add(trace.Exchange, time.Since(t3))
+	rec.Add(telemetry.Exchange, time.Since(t3))
 	return err
 }
 
@@ -244,7 +245,7 @@ func (s *stepper) Exchange(rec *trace.Recorder) error {
 	}
 	s.start(cols)
 	err := s.finish(cols)
-	rec.Add(trace.Exchange, time.Since(t0))
+	rec.Add(telemetry.Exchange, time.Since(t0))
 	return err
 }
 

@@ -12,7 +12,6 @@ import (
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/pup"
 	"github.com/parres/picprk/internal/telemetry"
-	"github.com/parres/picprk/internal/trace"
 )
 
 // TestTimelineRecordedByAllDrivers asserts every driver emits the identical
@@ -166,8 +165,8 @@ func TestTimelineRingCap(t *testing.T) {
 	}
 }
 
-// TestTimelinePhaseAccounting sanity-checks the snapshot deltas: summing
-// every sample's phases reproduces the run's cumulative per-rank stats.
+// TestTimelinePhaseAccounting sanity-checks the sample deltas: summing
+// every sample's timed rows reproduces the run's cumulative per-rank stats.
 func TestTimelinePhaseAccounting(t *testing.T) {
 	cfg := testConfig(t, 16, 2000, 25)
 	cfg.Telemetry = true
@@ -175,16 +174,23 @@ func TestTimelinePhaseAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	totals := res.Timeline.PhaseTotals()
-	var want trace.PhaseDurations
+	var totals, want [telemetry.NumCounters]time.Duration
+	for _, s := range res.Timeline.Samples {
+		for c := range telemetry.NumCounters {
+			if k := c.Kind(); k == telemetry.KindSpan || k == telemetry.KindDuration {
+				totals[c] += time.Duration(s.Counters[c])
+			}
+		}
+	}
 	for _, rs := range res.PerRank {
-		want[trace.Compute] += rs.Compute
-		want[trace.Exchange] += rs.Exchange
-		want[trace.Balance] += rs.Balance
-		want[trace.Migrate] += rs.Migrate
+		want[telemetry.Compute] += rs.Compute
+		want[telemetry.Exchange] += rs.Exchange
+		want[telemetry.Balance] += rs.Balance
+		want[telemetry.Migrate] += rs.Migrate
+		want[telemetry.ExchangeOverlap] += rs.Overlap
 	}
 	if totals != want {
-		t.Errorf("timeline phase totals %v, per-rank stats %v", totals, want)
+		t.Errorf("timeline timed-row totals %v, per-rank stats %v", totals, want)
 	}
 }
 
@@ -197,9 +203,9 @@ func FuzzDecodeTimeline(f *testing.F) {
 	var samples []telemetry.Sample
 	for step := 1; step <= 3; step++ {
 		s := telemetry.Sample{Step: step, Rank: 1, WallStartNS: int64(step) * 1e6, ClockOffsetNS: -250}
-		s.Phases[trace.Compute] = time.Duration(step) * time.Millisecond
-		for c := range telemetry.NumCounters {
-			s.Counters[c] = int64(step*10) + int64(c)
+		s.Counters[telemetry.Compute] = int64(step) * time.Millisecond.Nanoseconds()
+		for c := telemetry.Particles; c < telemetry.NumCounters; c++ {
+			s.Counters[c] = int64(step*10) + int64(c-telemetry.Particles)
 		}
 		if step == 2 {
 			s.Decision = "step=2 x=[0 5 8]"

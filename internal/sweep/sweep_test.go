@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/parres/picprk/internal/model"
@@ -62,8 +63,31 @@ func TestPlot(t *testing.T) {
 	}
 }
 
+// quickAll is every Quick figure, computed by one All call the package's
+// tests share: the sweeps dominate the package's run time, so none is
+// computed twice.
+var quickAll = sync.OnceValue(func() []*Figure { return All(model.Edison(), Quick) })
+
+// quickFigure returns the Quick figure with the given ID from quickAll.
+// Under -short, which skips the expensive sweeps, it computes just this
+// figure with fig instead, so a short run pays only for the figures it
+// checks.
+func quickFigure(t *testing.T, id string, fig func(model.Machine, Scale) *Figure) *Figure {
+	t.Helper()
+	if testing.Short() {
+		return fig(model.Edison(), Quick)
+	}
+	for _, f := range quickAll() {
+		if f.ID == id {
+			return f
+		}
+	}
+	t.Fatalf("All returned no %s", id)
+	return nil
+}
+
 func TestFig5QuickShapes(t *testing.T) {
-	fig := Fig5(model.Edison(), Quick)
+	fig := quickFigure(t, "fig5", Fig5)
 	if len(fig.Series) != 2 || len(fig.Series[0].Values) != 7 || len(fig.Series[1].Values) != 7 {
 		t.Fatalf("fig5 structure wrong: %+v", fig)
 	}
@@ -100,7 +124,7 @@ func TestFig6LeftQuickShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tuning sweep")
 	}
-	fig := Fig6Left(model.Edison(), Quick)
+	fig := quickFigure(t, "fig6-left", Fig6Left)
 	if len(fig.Series) != 3 {
 		t.Fatalf("want 3 series")
 	}
@@ -127,7 +151,7 @@ func TestFig7QuickShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tuning sweep")
 	}
-	fig := Fig7(model.Edison(), Quick)
+	fig := quickFigure(t, "fig7", Fig7)
 	base := fig.Series[0].Values
 	diff := fig.Series[1].Values
 	am := fig.Series[2].Values
@@ -142,9 +166,8 @@ func TestAllReturnsEveryFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every sweep")
 	}
-	figs := All(model.Edison(), Quick)
 	ids := map[string]bool{}
-	for _, f := range figs {
+	for _, f := range quickAll() {
 		ids[f.ID] = true
 	}
 	for _, want := range []string{"fig5", "fig6-left", "fig6-right", "fig7", "fig-ws"} {
@@ -155,7 +178,7 @@ func TestAllReturnsEveryFigure(t *testing.T) {
 }
 
 func TestFigWorkStealQuickShapes(t *testing.T) {
-	fig := FigWorkSteal(model.Edison(), Quick)
+	fig := quickFigure(t, "fig-ws", FigWorkSteal)
 	if len(fig.Series) != 3 {
 		t.Fatalf("want 3 strategy series, got %d", len(fig.Series))
 	}

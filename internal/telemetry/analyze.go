@@ -5,27 +5,25 @@ import (
 	"time"
 
 	"github.com/parres/picprk/internal/stats"
-	"github.com/parres/picprk/internal/trace"
 )
 
 // Analysis helpers shared by cmd/picstat and the tests: per-step aggregates
-// over ranks, run-wide phase totals, and worst-step ranking.
+// over ranks and worst-step ranking.
 
 // StepStat aggregates one step's samples across ranks.
 type StepStat struct {
 	Step int
 	// Wall is the step's wall-clock estimate: the maximum over ranks of
-	// the rank's summed phase time. Steps are bulk-synchronous (the
+	// the rank's summed span time. Steps are bulk-synchronous (the
 	// exchange is collective), so the slowest rank sets the pace and the
 	// difference to the other ranks is idle time — the cost of imbalance.
 	Wall time.Duration
-	// Phases sums each phase over all ranks (CPU time, not wall time).
-	Phases trace.PhaseDurations
 	// Load summarizes the per-rank particle counts; Load.Imbalance is the
 	// paper's max-over-mean metric at this step.
 	Load stats.Summary
-	// Counters sums each counter over ranks: movement and traffic for the
-	// step, and for gauges the global level (the particle population).
+	// Counters sums each row over ranks: CPU time per span (not wall time),
+	// movement and traffic for the step, and for gauges the global level
+	// (the particle population).
 	Counters [NumCounters]int64
 	// Decision is the balancer decision executed this step, if any.
 	Decision string
@@ -43,14 +41,7 @@ func (tl *Timeline) StepStats() []StepStat {
 		st := StepStat{Step: tl.Samples[lo].Step}
 		loads = loads[:0]
 		for _, s := range tl.Samples[lo:hi] {
-			var rankTotal time.Duration
-			for _, p := range trace.Phases() {
-				st.Phases[p] += s.Phases[p]
-				rankTotal += s.Phases[p]
-			}
-			if rankTotal > st.Wall {
-				st.Wall = rankTotal
-			}
+			st.Wall = max(st.Wall, time.Duration(spanSum(&s)))
 			loads = append(loads, float64(s.Counters[Particles]))
 			for c := range NumCounters {
 				st.Counters[c] += s.Counters[c]
@@ -66,15 +57,15 @@ func (tl *Timeline) StepStats() []StepStat {
 	return out
 }
 
-// PhaseTotals sums each phase over every sample in the timeline.
-func (tl *Timeline) PhaseTotals() trace.PhaseDurations {
-	var tot trace.PhaseDurations
-	for i := range tl.Samples {
-		for _, p := range trace.Phases() {
-			tot[p] += tl.Samples[i].Phases[p]
+// spanSum is the sample's time on its rank: the sum of its span rows, each
+// clamped at zero.
+func spanSum(s *Sample) (ns int64) {
+	for c := range NumCounters {
+		if c.Kind() == KindSpan {
+			ns += max(s.Counters[c], 0)
 		}
 	}
-	return tot
+	return ns
 }
 
 // WorstSteps returns the n steps with the largest Wall time, slowest first

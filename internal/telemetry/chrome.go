@@ -4,15 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"github.com/parres/picprk/internal/trace"
 )
 
 // Chrome trace-event export: the timeline rendered in the JSON format that
 // chrome://tracing and Perfetto load directly. Ranks map to threads of one
-// process, phases to duration ("X") events, the counter table and the clock
-// offset to counter ("C") tracks, and balancer decisions to instant ("i")
-// events.
+// process, the counter table's span rows to duration ("X") events, its
+// other rows and the clock offset to counter ("C") tracks, and balancer
+// decisions to instant ("i") events.
 //
 // Two clocks are available. The default synthetic bulk-synchronous clock
 // lays steps out as if all ranks started each step together and the step
@@ -86,27 +84,29 @@ func WriteChromeTraceClock(w io.Writer, tl *Timeline, clock string) error {
 		if start < 0 {
 			continue
 		}
-		ts := start
-		for _, p := range trace.Phases() {
-			d := s.Phases[p].Nanoseconds()
-			if d <= 0 {
-				continue
-			}
-			events = append(events, chromeEvent{
-				Name: p.String(), Cat: "phase", Ph: "X",
-				PID: chromePID, TID: s.Rank,
-				TS: usec(ts), Dur: usec(d),
-				Args: map[string]any{"step": s.Step},
-			})
-			ts += d
-		}
 		tr := last[s.Rank]
 		if tr == nil {
 			tr = new(tracks)
 			last[s.Rank] = tr
 		}
+		// The span rows come first in the table, so a sample's spans are laid
+		// end to end from its start before any track event.
+		ts := start
 		for c := range NumCounters {
-			if v := s.Counters[c]; v != tr.counters[c] {
+			v := s.Counters[c]
+			if c.Kind() == KindSpan {
+				if v > 0 {
+					events = append(events, chromeEvent{
+						Name: c.String(), Cat: "phase", Ph: "X",
+						PID: chromePID, TID: s.Rank,
+						TS: usec(ts), Dur: usec(v),
+						Args: map[string]any{"step": s.Step},
+					})
+					ts += v
+				}
+				continue
+			}
+			if v != tr.counters[c] {
 				tr.counters[c] = v
 				events = append(events, chromeEvent{
 					Name: fmt.Sprintf("%s rank %d", c, s.Rank), Ph: "C",
@@ -165,11 +165,7 @@ func bspStarts(tl *Timeline) []int64 {
 		hi, slowest := lo, int64(0)
 		for ; hi < len(tl.Samples) && tl.Samples[hi].Step == tl.Samples[lo].Step; hi++ {
 			starts[hi] = clock
-			var busy int64
-			for _, d := range tl.Samples[hi].Phases {
-				busy += max(d.Nanoseconds(), 0)
-			}
-			slowest = max(slowest, busy)
+			slowest = max(slowest, spanSum(&tl.Samples[hi]))
 		}
 		clock += slowest
 		lo = hi

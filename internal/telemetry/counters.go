@@ -1,17 +1,32 @@
 package telemetry
 
-// Counter names one per-step quantity a Sample carries beside its phase
-// times. The table below is the one place a counter is described: the
-// timeline files, the wire codec, the live aggregate, Prometheus, the Chrome
-// trace and picstat all walk it, so adding a counter is one row here plus
-// the line in the engine that produces it — not a schema bump.
+// Counter names one row of the per-step record a Sample carries: the four
+// phase spans, then the counts, gauges and durations beside them. The table
+// below is the one place a row is described: the timeline files, the wire
+// codec, the live aggregate, Prometheus, the Chrome trace and picstat all
+// walk it, so adding a span or a counter is one row here plus the line in
+// the engine that produces it — not a schema bump.
 type Counter int
 
-// The per-step counters, in table order (which is also the order Prometheus
-// renders them in).
+// The rows, in table order, which is also the order Prometheus renders them
+// in and Chrome lays the spans out in. Every span row precedes every other
+// row, and rows sharing a Prometheus family are adjacent
+// (TestCounterTableLayout).
 const (
+	// Compute is the time spent moving particles: partition, frontier and
+	// interior waves, and the scatter of leavers into outgoing shards.
+	Compute Counter = iota
+	// Exchange is the time spent posting and completing particle exchanges,
+	// the rehome exchange after a decomposition change included.
+	Exchange
+	// Balance is the decision side of load balancing: load reductions and
+	// plan computation.
+	Balance
+	// Migrate is the data side of load balancing: executing a plan by moving
+	// mesh columns/rows or PUP-serialized VPs between ranks.
+	Migrate
 	// Particles is the local particle count at the end of the step.
-	Particles Counter = iota
+	Particles
 	// Migrations is the number of LB data movements this step.
 	Migrations
 	// MigratedBytes is the LB payload bytes this rank sent this step.
@@ -21,8 +36,8 @@ const (
 	// (core.SoA.FramedBytes), not a per-particle serialization estimate.
 	ExchangeBytes
 	// ExchangeOverlap is the compute time, in nanoseconds, this step spent
-	// while an exchange was in flight (the interior wave). It is not a phase:
-	// the same wall time is already inside the compute phase. The ratio
+	// while an exchange was in flight (the interior wave). It is not a span:
+	// the same wall time is already inside Compute. The ratio
 	// overlap/(overlap+exchange) is how much of the exchange the step hid
 	// behind compute.
 	ExchangeOverlap
@@ -33,7 +48,7 @@ const (
 	// the all-to-all the topology made unnecessary.
 	MsgsSent
 	MsgsElided
-	// NumCounters sizes per-counter arrays.
+	// NumCounters sizes per-row arrays.
 	NumCounters
 )
 
@@ -47,13 +62,19 @@ const (
 	// KindGauge is a level read at the end of the step; aggregates keep the
 	// latest value instead of a sum.
 	KindGauge
-	// KindDuration is a per-step delta of cumulative nanoseconds; Prometheus
-	// renders it in seconds.
+	// KindDuration is a per-step delta of cumulative nanoseconds that does
+	// not tile the step (it overlaps a span); Prometheus renders it, like a
+	// span, in seconds.
 	KindDuration
+	// KindSpan is a per-step delta of cumulative nanoseconds spent in one
+	// phase. A step's spans tile its wall time: they are laid end to end in
+	// the Chrome trace, and their sum is the step's time on a rank.
+	KindSpan
 )
 
-// counterDesc is one row of the table: the name the timeline keys the
-// counter by (also its Chrome track), its kind, and its Prometheus family.
+// counterDesc is one row of the table: the name the timeline keys the row
+// by (also its Chrome span or track, and a span's phase label), its kind,
+// and its Prometheus family.
 type counterDesc struct {
 	name   string
 	kind   Kind
@@ -62,6 +83,10 @@ type counterDesc struct {
 }
 
 var counterTable = [NumCounters]counterDesc{
+	Compute:         {"compute", KindSpan, "picprk_phase_seconds_total", "Time spent per rank per phase."},
+	Exchange:        {"exchange", KindSpan, "picprk_phase_seconds_total", "Time spent per rank per phase."},
+	Balance:         {"balance", KindSpan, "picprk_phase_seconds_total", "Time spent per rank per phase."},
+	Migrate:         {"migrate", KindSpan, "picprk_phase_seconds_total", "Time spent per rank per phase."},
 	Particles:       {"particles", KindGauge, "picprk_particles", "Local particle count per rank."},
 	Migrations:      {"migrations", KindCount, "picprk_migrations_total", "LB data movements per rank."},
 	MigratedBytes:   {"migrated_bytes", KindCount, "picprk_migrated_bytes_total", "LB payload bytes sent per rank."},

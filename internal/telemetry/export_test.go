@@ -10,8 +10,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"github.com/parres/picprk/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden export files")
@@ -72,26 +70,26 @@ func TestReadJSONLRejectsDrift(t *testing.T) {
 		t.Error("empty input accepted")
 	}
 	bad := `{"schema":"` + Schema + `","impl":"x","ranks":1,"steps":1}` + "\n" +
-		`{"step":1,"rank":0,"phase_ns":{"warp":5},"counters":{"particles":1}}` + "\n"
+		`{"step":1,"rank":0,"counters":{"compute":5,"warp":5,"particles":1}}` + "\n"
 	if _, err := ReadJSONL(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "warp") {
-		t.Errorf("unknown phase name accepted (err=%v)", err)
+		t.Errorf("unknown span name accepted (err=%v)", err)
 	}
 	bad = `{"schema":"` + Schema + `","impl":"x","ranks":1,"steps":1}` + "\n" +
-		`{"step":1,"rank":0,"phase_ns":{"compute":5},"counters":{"warp_drives":1}}` + "\n"
+		`{"step":1,"rank":0,"counters":{"compute":5,"warp_drives":1}}` + "\n"
 	if _, err := ReadJSONL(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "warp_drives") {
 		t.Errorf("unknown counter name accepted (err=%v)", err)
 	}
 }
 
 // TestReadJSONLAcceptsLegacy pins what the reader accepts of the legacy
-// schemas: nothing. There is one timeline format; a v1–v6 meta line is
+// schemas: nothing. There is one timeline format; a v1–v7 meta line is
 // turned away with the error that names the version this reader
 // understands, however well-formed the rest of the file is.
 func TestReadJSONLAcceptsLegacy(t *testing.T) {
-	for v := 1; v <= 6; v++ {
+	for v := 1; v <= 7; v++ {
 		schema := fmt.Sprintf("picprk/timeline/v%d", v)
 		in := `{"schema":"` + schema + `","impl":"x","ranks":1,"steps":1}` + "\n" +
-			`{"step":1,"rank":0,"phase_ns":{"compute":5},"particles":1}` + "\n"
+			`{"step":1,"rank":0,"counters":{"compute":5,"particles":1}}` + "\n"
 		_, err := ReadJSONL(strings.NewReader(in))
 		if err == nil {
 			t.Fatalf("%s timeline accepted", schema)
@@ -122,8 +120,8 @@ func TestMarshalSampleRoundTrip(t *testing.T) {
 			t.Errorf("sample %d round trip drifted:\nwrote %+v\nread  %+v", i, tl.Samples[i], got)
 		}
 	}
-	if _, err := UnmarshalSample([]byte(`{"phase_ns":{"warp":5}}`)); err == nil {
-		t.Error("unknown phase name accepted")
+	if _, err := UnmarshalSample([]byte(`{"counters":{"warp":5}}`)); err == nil {
+		t.Error("unknown span name accepted")
 	}
 }
 
@@ -244,7 +242,7 @@ func TestChromeTraceBSPAlignment(t *testing.T) {
 		// The first phase of each rank's step starts at the step boundary;
 		// track the minimum ts per step and require both compute events
 		// (phase index 0, always first per rank) to share it.
-		if ev.Name != trace.Compute.String() {
+		if ev.Name != Compute.String() {
 			continue
 		}
 		if !seen {
@@ -296,7 +294,7 @@ func TestChromeTraceWallClock(t *testing.T) {
 			t.Fatalf("rank %d timestamps went backwards: %v after %v", ev.TID, ev.TS, last[ev.TID])
 		}
 		last[ev.TID] = ev.TS
-		if ev.Name == trace.Compute.String() {
+		if ev.Name == Compute.String() {
 			step := int(ev.Args["step"].(float64))
 			if computeStart[step] == nil {
 				computeStart[step] = map[int]float64{}

@@ -5,15 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
-
-	"github.com/parres/picprk/internal/trace"
 )
 
 // Schema identifies the timeline wire format. Readers reject any other
 // value — the files of earlier versions included — so an incompatible change
 // must bump the version, and the CI round-trip job fails on silent drift.
-const Schema = "picprk/timeline/v7"
+const Schema = "picprk/timeline/v8"
 
 // metaJSON is the first line of a timeline file.
 type metaJSON struct {
@@ -24,13 +21,12 @@ type metaJSON struct {
 	Dropped int    `json:"dropped,omitempty"`
 }
 
-// sampleJSON is one sample line. Phase durations and counters travel as
-// name-keyed objects (trace.Phase names, the counter table's names), so the
-// schema follows both tables without either side hand-maintaining it.
+// sampleJSON is one sample line. Every row of the counter table, the phase
+// spans included, travels in one object keyed by the table's names, so the
+// schema follows the table without either side hand-maintaining it.
 type sampleJSON struct {
 	Step     int              `json:"step"`
 	Rank     int              `json:"rank"`
-	PhaseNS  map[string]int64 `json:"phase_ns"`
 	Counters map[string]int64 `json:"counters"`
 	WallNS   int64            `json:"wall_start_ns,omitempty"`
 	OffsetNS int64            `json:"clock_offset_ns,omitempty"`
@@ -86,14 +82,10 @@ func sampleLine(s *Sample) sampleJSON {
 	line := sampleJSON{
 		Step:     s.Step,
 		Rank:     s.Rank,
-		PhaseNS:  make(map[string]int64, trace.NumPhases),
 		Counters: make(map[string]int64, NumCounters),
 		WallNS:   s.WallStartNS,
 		OffsetNS: s.ClockOffsetNS,
 		Decision: s.Decision,
-	}
-	for _, p := range trace.Phases() {
-		line.PhaseNS[p.String()] = s.Phases[p].Nanoseconds()
 	}
 	for c := range NumCounters {
 		line.Counters[c.String()] = s.Counters[c]
@@ -101,8 +93,7 @@ func sampleLine(s *Sample) sampleJSON {
 	return line
 }
 
-// lineSample converts a wire-form sample back, validating phase and counter
-// names.
+// lineSample converts a wire-form sample back, validating the row names.
 func lineSample(sj *sampleJSON) (Sample, error) {
 	s := Sample{
 		Step:          sj.Step,
@@ -110,13 +101,6 @@ func lineSample(sj *sampleJSON) (Sample, error) {
 		WallStartNS:   sj.WallNS,
 		ClockOffsetNS: sj.OffsetNS,
 		Decision:      sj.Decision,
-	}
-	for name, ns := range sj.PhaseNS {
-		p, ok := phaseByName(name)
-		if !ok {
-			return Sample{}, fmt.Errorf("telemetry: unknown phase %q", name)
-		}
-		s.Phases[p] = time.Duration(ns)
 	}
 	for name, v := range sj.Counters {
 		c, ok := counterByName(name)
@@ -126,15 +110,6 @@ func lineSample(sj *sampleJSON) (Sample, error) {
 		s.Counters[c] = v
 	}
 	return s, nil
-}
-
-func phaseByName(name string) (trace.Phase, bool) {
-	for _, p := range trace.Phases() {
-		if p.String() == name {
-			return p, true
-		}
-	}
-	return 0, false
 }
 
 // MarshalSample renders one sample as a single JSON line (no trailing
@@ -185,7 +160,7 @@ func WriteJSONL(w io.Writer, tl *Timeline) error {
 }
 
 // ReadJSONL parses a timeline written by WriteJSONL, validating the schema
-// version and every phase and counter name.
+// version and every counter name.
 func ReadJSONL(r io.Reader) (*Timeline, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

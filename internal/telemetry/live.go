@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"github.com/parres/picprk/internal/stats"
-	"github.com/parres/picprk/internal/trace"
 )
 
 // Live is the lock-free aggregate behind the /metrics endpoint: each rank
@@ -17,9 +16,8 @@ import (
 type Live struct {
 	ranks int
 	step  atomic.Int64
-	// slots holds every rank's accumulated per-phase nanoseconds followed by
-	// its counters, laid out rank-major: rank r's row is
-	// slots[r*liveStride:(r+1)*liveStride], phases first.
+	// slots holds every rank's accumulated counter-table rows, laid out
+	// rank-major: rank r's row is slots[r*NumCounters:(r+1)*NumCounters].
 	slots []atomic.Int64
 
 	// Epoch lifecycle counters (checkpointed runs only; stay zero otherwise).
@@ -56,31 +54,21 @@ func NewLive(ranks int) *Live {
 	if ranks < 1 {
 		ranks = 1
 	}
-	return &Live{ranks: ranks, slots: make([]atomic.Int64, ranks*liveStride)}
-}
-
-// liveStride is the width of one rank's row of Live slots.
-const liveStride = trace.NumPhases + int(NumCounters)
-
-func (l *Live) phase(rank int, p trace.Phase) *atomic.Int64 {
-	return &l.slots[rank*liveStride+int(p)]
+	return &Live{ranks: ranks, slots: make([]atomic.Int64, ranks*int(NumCounters))}
 }
 
 func (l *Live) counter(rank int, c Counter) *atomic.Int64 {
-	return &l.slots[rank*liveStride+trace.NumPhases+int(c)]
+	return &l.slots[rank*int(NumCounters)+int(c)]
 }
 
 // Observe folds one per-step sample into the aggregate. Samples carry
-// per-step deltas, so phase times and counters accumulate, while gauges (the
+// per-step deltas, so spans and counters accumulate, while gauges (the
 // particle count) and the step keep their latest value.
 func (l *Live) Observe(s Sample) {
 	if l == nil || s.Rank < 0 || s.Rank >= l.ranks {
 		return
 	}
 	l.step.Store(int64(s.Step))
-	for _, p := range trace.Phases() {
-		l.phase(s.Rank, p).Add(s.Phases[p].Nanoseconds())
-	}
 	for c := range NumCounters {
 		if c.Kind() == KindGauge {
 			l.counter(s.Rank, c).Store(s.Counters[c])
@@ -177,29 +165,33 @@ func (l *Live) WritePrometheus(w io.Writer) {
 	}
 	fmt.Fprintf(w, "# HELP picprk_step Current simulation step.\n# TYPE picprk_step gauge\npicprk_step %d\n", l.step.Load())
 
-	fmt.Fprintf(w, "# HELP picprk_phase_seconds_total Time spent per rank per phase.\n# TYPE picprk_phase_seconds_total counter\n")
-	for rank := 0; rank < l.ranks; rank++ {
-		for _, p := range trace.Phases() {
-			ns := l.phase(rank, p).Load()
-			fmt.Fprintf(w, "picprk_phase_seconds_total{rank=\"%d\",phase=\"%s\"} %g\n", rank, p, float64(ns)/1e9)
+	// Rows sharing a family render as one family, rank-major; a span row
+	// carries its phase as a label.
+	for lo := Counter(0); lo < NumCounters; {
+		d := &counterTable[lo]
+		hi := lo + 1
+		for hi < NumCounters && counterTable[hi].family == d.family {
+			hi++
 		}
-	}
-
-	for c := range NumCounters {
-		d := &counterTable[c]
 		typ := "counter"
 		if d.kind == KindGauge {
 			typ = "gauge"
 		}
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", d.family, d.help, d.family, typ)
 		for rank := 0; rank < l.ranks; rank++ {
-			v := l.counter(rank, c).Load()
-			if d.kind == KindDuration {
-				fmt.Fprintf(w, "%s{rank=\"%d\"} %g\n", d.family, rank, float64(v)/1e9)
-			} else {
-				fmt.Fprintf(w, "%s{rank=\"%d\"} %d\n", d.family, rank, v)
+			for c := lo; c < hi; c++ {
+				v := l.counter(rank, c).Load()
+				switch counterTable[c].kind {
+				case KindSpan:
+					fmt.Fprintf(w, "%s{rank=\"%d\",phase=\"%s\"} %g\n", d.family, rank, c, float64(v)/1e9)
+				case KindDuration:
+					fmt.Fprintf(w, "%s{rank=\"%d\"} %g\n", d.family, rank, float64(v)/1e9)
+				default:
+					fmt.Fprintf(w, "%s{rank=\"%d\"} %d\n", d.family, rank, v)
+				}
 			}
 		}
+		lo = hi
 	}
 
 	loads := make([]float64, l.ranks)

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/parres/picprk/internal/trace"
 )
 
 func observeFixture(l *Live) {
@@ -91,7 +89,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 func TestServe(t *testing.T) {
 	l := NewLive(1)
-	l.Observe(Sample{Step: 7, Rank: 0, Counters: [NumCounters]int64{Particles: 9}, Phases: trace.PhaseDurations{time.Millisecond}})
+	l.Observe(Sample{Step: 7, Rank: 0, Counters: [NumCounters]int64{Compute: time.Millisecond.Nanoseconds(), Particles: 9}})
 	addr, stop, err := Serve("127.0.0.1:0", l)
 	if err != nil {
 		t.Fatal(err)

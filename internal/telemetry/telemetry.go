@@ -3,8 +3,9 @@
 // particles it held, what the load balancer moved, and which decision it
 // took. The paper's evaluation (§V-B) argues from exactly these
 // trajectories — max particles per core over time, phase timing breakdowns
-// — and the end-of-run sums in trace.Recorder cannot show *when* imbalance
-// develops or what a balancing action cost.
+// — and end-of-run sums cannot show *when* imbalance develops or what a
+// balancing action cost. One table (counters.go) describes every per-step
+// quantity, the phase spans included, and every sink walks it.
 //
 // The package has three consumers:
 //
@@ -19,26 +20,19 @@
 // step stays off the allocator when telemetry is disabled.
 package telemetry
 
-import (
-	"sort"
-
-	"github.com/parres/picprk/internal/trace"
-)
+import "sort"
 
 // Sample is one rank's observation of one step. The sinks — JSONL, the
-// live aggregate, Chrome, the wire codec — walk Phases and Counters by their
-// tables; none spells a counter out.
+// live aggregate, Chrome, the wire codec — walk Counters by the table; none
+// spells a row out.
 type Sample struct {
 	// Step is the 1-based simulation step.
 	Step int
 	// Rank is the observing rank.
 	Rank int
-	// Phases holds the time this rank spent in each phase during this step
-	// (a trace.Recorder.Snapshot delta, not a cumulative sum).
-	Phases trace.PhaseDurations
 	// Counters holds one value per Counter (see the table in counters.go):
-	// per-step deltas, except gauges, which hold the level at the end of the
-	// step.
+	// per-step deltas — the phase spans in nanoseconds — except gauges, which
+	// hold the level at the end of the step.
 	Counters [NumCounters]int64
 	// WallStartNS is the wall-clock time this rank began the step, in
 	// nanoseconds on the world's common timeline (rank 0's clock; the wire

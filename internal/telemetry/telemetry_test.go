@@ -3,8 +3,6 @@ package telemetry
 import (
 	"testing"
 	"time"
-
-	"github.com/parres/picprk/internal/trace"
 )
 
 func TestRingKeepsMostRecent(t *testing.T) {
@@ -72,10 +70,10 @@ func fixtureTimeline() *Timeline {
 		s.Counters[MigratedBytes] = bytes
 		s.Counters[ExchangeBytes] = xbytes
 		s.Counters[ExchangeOverlap] = ov.Nanoseconds()
-		s.Phases[trace.Compute] = c
-		s.Phases[trace.Exchange] = e
-		s.Phases[trace.Balance] = b
-		s.Phases[trace.Migrate] = m
+		s.Counters[Compute] = c.Nanoseconds()
+		s.Counters[Exchange] = e.Nanoseconds()
+		s.Counters[Balance] = b.Nanoseconds()
+		s.Counters[Migrate] = m.Nanoseconds()
 		return s
 	}
 	ms := time.Millisecond
@@ -151,22 +149,29 @@ func TestStepStats(t *testing.T) {
 	if ss[0].Counters[ExchangeOverlap] != 1_500_000 || ss[1].Counters[ExchangeOverlap] != 0 {
 		t.Errorf("overlap per step: %d, %d ns; want 1.5ms, 0", ss[0].Counters[ExchangeOverlap], ss[1].Counters[ExchangeOverlap])
 	}
-	// Phase sums over ranks.
-	if ss[0].Phases[trace.Compute] != 8*time.Millisecond {
-		t.Errorf("step 1 compute sum %v, want 8ms", ss[0].Phases[trace.Compute])
+	// Span sums over ranks.
+	if ss[0].Counters[Compute] != 8_000_000 {
+		t.Errorf("step 1 compute sum %d ns, want 8ms", ss[0].Counters[Compute])
 	}
 }
 
-func TestPhaseTotals(t *testing.T) {
-	tot := fixtureTimeline().PhaseTotals()
-	if tot[trace.Compute] != 21*time.Millisecond {
-		t.Errorf("compute total %v, want 21ms", tot[trace.Compute])
+// TestSpanTotals: a span's run total is the sum of its row over every
+// step, as picstat reports it.
+func TestSpanTotals(t *testing.T) {
+	var tot [NumCounters]int64
+	for _, st := range fixtureTimeline().StepStats() {
+		for c := range tot {
+			tot[c] += st.Counters[c]
+		}
 	}
-	if tot[trace.Exchange] != 6*time.Millisecond {
-		t.Errorf("exchange total %v, want 6ms", tot[trace.Exchange])
+	if tot[Compute] != 21_000_000 {
+		t.Errorf("compute total %d ns, want 21ms", tot[Compute])
 	}
-	if tot[trace.Migrate] != 5*time.Millisecond {
-		t.Errorf("migrate total %v, want 5ms", tot[trace.Migrate])
+	if tot[Exchange] != 6_000_000 {
+		t.Errorf("exchange total %d ns, want 6ms", tot[Exchange])
+	}
+	if tot[Migrate] != 5_000_000 {
+		t.Errorf("migrate total %d ns, want 5ms", tot[Migrate])
 	}
 }
 
@@ -191,17 +196,22 @@ func TestWorstSteps(t *testing.T) {
 
 // TestSamplingDisabledAllocationFree pins the tentpole constraint: the
 // per-step telemetry path must not allocate when telemetry is disabled —
-// nil sinks swallow samples and the recorder snapshot is a value copy — so
-// enabling the engine's sampling hooks costs nothing on unsampled runs.
+// nil sinks swallow samples and a sample is the difference of two counter
+// readings, a value copy — so enabling the engine's sampling hooks costs
+// nothing on unsampled runs.
 func TestSamplingDisabledAllocationFree(t *testing.T) {
 	var ring *Ring
 	var live *Live
-	rec := &trace.Recorder{}
-	rec.Add(trace.Compute, time.Second)
+	var prev, cur [NumCounters]int64
+	cur[Compute] = time.Second.Nanoseconds()
 	if avg := testing.AllocsPerRun(100, func() {
-		rec.StartStep()
-		rec.Add(trace.Exchange, time.Millisecond)
-		s := Sample{Step: 1, Rank: 0, Phases: rec.Snapshot(), Counters: [NumCounters]int64{Particles: 42}}
+		cur[Exchange] += time.Millisecond.Nanoseconds()
+		cur[Particles] = 42
+		s := Sample{Step: 1, Rank: 0}
+		for c := range NumCounters {
+			s.Counters[c] = cur[c] - prev[c]
+		}
+		prev = cur
 		ring.Append(s)
 		live.Observe(s)
 	}); avg != 0 {
@@ -215,13 +225,17 @@ func TestSamplingDisabledAllocationFree(t *testing.T) {
 func TestSamplingEnabledAllocationFree(t *testing.T) {
 	ring := NewRing(8)
 	live := NewLive(1)
-	rec := &trace.Recorder{}
+	var prev, cur [NumCounters]int64
 	for i := 0; i < 8; i++ {
 		ring.Append(Sample{Step: i})
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		rec.StartStep()
-		s := Sample{Step: 9, Rank: 0, Phases: rec.Snapshot()}
+		cur[Compute] += time.Millisecond.Nanoseconds()
+		s := Sample{Step: 9, Rank: 0}
+		for c := range NumCounters {
+			s.Counters[c] = cur[c] - prev[c]
+		}
+		prev = cur
 		ring.Append(s)
 		live.Observe(s)
 	}); avg != 0 {
