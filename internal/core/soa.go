@@ -25,6 +25,11 @@ type SoAMeta struct {
 	Born   int32
 }
 
+// metaOf returns the cold part of p.
+func metaOf(p *particle.Particle) SoAMeta {
+	return SoAMeta{ID: p.ID, X0: p.X0, Y0: p.Y0, K: p.K, M: p.M, Dir: p.Dir, Born: p.Born}
+}
+
 // NewSoA converts an AoS particle slice.
 func NewSoA(ps []particle.Particle) *SoA {
 	s := &SoA{
@@ -38,7 +43,7 @@ func NewSoA(ps []particle.Particle) *SoA {
 	for i := range ps {
 		p := &ps[i]
 		s.X[i], s.Y[i], s.VX[i], s.VY[i], s.Q[i] = p.X, p.Y, p.VX, p.VY, p.Q
-		s.Meta[i] = SoAMeta{ID: p.ID, X0: p.X0, Y0: p.Y0, K: p.K, M: p.M, Dir: p.Dir, Born: p.Born}
+		s.Meta[i] = metaOf(p)
 	}
 	return s
 }
@@ -84,7 +89,7 @@ func (s *SoA) Append(p particle.Particle) {
 	s.VX = append(s.VX, p.VX)
 	s.VY = append(s.VY, p.VY)
 	s.Q = append(s.Q, p.Q)
-	s.Meta = append(s.Meta, SoAMeta{ID: p.ID, X0: p.X0, Y0: p.Y0, K: p.K, M: p.M, Dir: p.Dir, Born: p.Born})
+	s.Meta = append(s.Meta, metaOf(&p))
 }
 
 // Copy copies slot i onto slot w (the in-place compaction primitive).

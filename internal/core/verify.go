@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/parres/picprk/internal/dist"
@@ -32,35 +33,40 @@ const DefaultTolerance = 1e-5
 func VerifyPositions(m grid.Mesh, ps []particle.Particle, steps int, tol float64) error {
 	L := m.Size()
 	for i := range ps {
-		if err := verifyParticle(&ps[i], steps, L, tol); err != nil {
+		p := &ps[i]
+		meta := metaOf(p)
+		if err := verifyParticle(&meta, p.X, p.Y, p.VX, p.VY, steps, L, tol); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// verifyParticle is the per-particle rule of VerifyPositions.
-func verifyParticle(p *particle.Particle, steps int, L, tol float64) error {
-	s := steps - int(p.Born)
+// verifyParticle is the per-particle rule of VerifyPositions and
+// ColumnVerifier.Check: the particle with trajectory m is at (x, y) with
+// velocity (vx, vy) after steps steps. It takes the fields, not a Particle,
+// so the columnar check reads its slots where they lie.
+func verifyParticle(m *SoAMeta, x, y, vx, vy float64, steps int, L, tol float64) error {
+	s := steps - int(m.Born)
 	if s < 0 {
-		return fmt.Errorf("core: particle %d born at step %d but run is only %d steps", p.ID, p.Born, steps)
+		return fmt.Errorf("core: particle %d born at step %d but run is only %d steps", m.ID, m.Born, steps)
 	}
-	ex, ey := p.ExpectedAt(s, L)
-	if d := periodicDist(p.X, ex, L); d > tol {
-		return fmt.Errorf("core: particle %d x=%v, expected %v after %d steps (|err|=%.3e)", p.ID, p.X, ex, s, d)
+	ex, ey := particle.ClosedForm(m.X0, m.Y0, m.K, m.M, m.Dir, s, L)
+	if d := periodicDist(x, ex, L); d > tol {
+		return fmt.Errorf("core: particle %d x=%v, expected %v after %d steps (|err|=%.3e)", m.ID, x, ex, s, d)
 	}
-	if d := periodicDist(p.Y, ey, L); d > tol {
-		return fmt.Errorf("core: particle %d y=%v, expected %v after %d steps (|err|=%.3e)", p.ID, p.Y, ey, s, d)
+	if d := periodicDist(y, ey, L); d > tol {
+		return fmt.Errorf("core: particle %d y=%v, expected %v after %d steps (|err|=%.3e)", m.ID, y, ey, s, d)
 	}
-	if d := math.Abs(p.VY - float64(p.M)); d > tol {
-		return fmt.Errorf("core: particle %d vy=%v, expected %d (|err|=%.3e)", p.ID, p.VY, p.M, d)
+	if d := math.Abs(vy - float64(m.M)); d > tol {
+		return fmt.Errorf("core: particle %d vy=%v, expected %d (|err|=%.3e)", m.ID, vy, m.M, d)
 	}
 	var evx float64
 	if s%2 == 1 {
-		evx = float64(p.Dir) * 2 * float64(2*p.K+1)
+		evx = float64(m.Dir) * 2 * float64(2*m.K+1)
 	}
-	if d := math.Abs(p.VX - evx); d > tol {
-		return fmt.Errorf("core: particle %d vx=%v, expected %v after %d steps (|err|=%.3e)", p.ID, p.VX, evx, s, d)
+	if d := math.Abs(vx - evx); d > tol {
+		return fmt.Errorf("core: particle %d vx=%v, expected %v after %d steps (|err|=%.3e)", m.ID, vx, evx, s, d)
 	}
 	return nil
 }
@@ -98,22 +104,24 @@ func NewColumnVerifier(m grid.Mesh, steps int, tol float64, first uint64, n int)
 
 // Check verifies every particle of s in place.
 func (v *ColumnVerifier) Check(s *SoA) error {
-	for i := range s.X {
-		p := s.At(i)
-		if err := verifyParticle(&p, v.steps, v.size, v.tol); err != nil {
+	n := len(s.X)
+	ys, vxs, vys, meta := s.Y[:n], s.VX[:n], s.VY[:n], s.Meta[:n]
+	for i, x := range s.X {
+		m := &meta[i]
+		if err := verifyParticle(m, x, ys[i], vxs[i], vys[i], v.steps, v.size, v.tol); err != nil {
 			return err
 		}
-		k := p.ID - v.first // wraps to a huge value when ID < first
+		k := m.ID - v.first // wraps to a huge value when ID < first
 		if k >= v.n {
-			return fmt.Errorf("core: particle ID %d outside the run's range [%d, %d)", p.ID, v.first, v.first+v.n)
+			return fmt.Errorf("core: particle ID %d outside the run's range [%d, %d)", m.ID, v.first, v.first+v.n)
 		}
 		if v.seen[k>>6]&(1<<(k&63)) != 0 {
-			return fmt.Errorf("core: duplicate particle ID %d", p.ID)
+			return fmt.Errorf("core: duplicate particle ID %d", m.ID)
 		}
 		v.seen[k>>6] |= 1 << (k & 63)
-		v.IDSum += p.ID
+		v.IDSum += m.ID
 	}
-	v.Count += s.Len()
+	v.Count += n
 	return nil
 }
 
@@ -139,59 +147,143 @@ type Population struct {
 
 // ExpectedPopulation computes, without running the simulation, the surviving
 // particle population after steps time steps under the given initialization
-// and event schedule. With no removal event in range every particle ever
-// created survives, and the count and ID sum are the arithmetic series over
-// [FirstID, FirstID+n) — paper §III-D's n·(n+1)/2. Otherwise it replays the
-// schedule against the placement stream, one particle at a time in O(1)
-// memory: a removal event at step t deletes a particle whose closed-form
-// position at t falls inside the region, and only the events after the one
-// that created a particle can touch it.
+// and event schedule, replaying the events the run fires (Schedule.Fired).
+// Every particle ever created is counted into the arithmetic series over
+// its IDs — paper §III-D's n·(n+1)/2 from FirstID 1 — and the removed ones
+// are taken out again. Which particles a removal event deletes is decided
+// per start cell, not per particle: a batch (the initial population, or one
+// injection) places its particles on cell centres with shared K, M, Dir and
+// Born, so everything starting in one cell meets the same fate (see fates).
+// A column of the initial population that no removal reaches is stepped
+// over without drawing its placements, so is an injection no later removal
+// reaches; every other particle costs its placement draws and one lookup.
 func ExpectedPopulation(cfg dist.Config, sched dist.Schedule, steps int) (Population, error) {
-	var evs dist.Schedule
-	for _, ev := range sched.Sorted() {
-		if ev.Step <= steps {
-			evs = append(evs, ev)
-		}
+	evs := sched.Fired(steps)
+	dir := cfg.Dir
+	if dir == 0 {
+		dir = 1
 	}
-	first, nextID := cfg.IDRange()
-	if !hasRemoval(evs, steps) {
-		// Validation only: no column wanted, nothing drawn.
-		if err := dist.Each(cfg, func(int) bool { return false }, nil); err != nil {
-			return Population{}, err
-		}
-		n := uint64(cfg.N + evs.TotalInjected())
-		return Population{Count: int(n), IDSum: n*first + n*(n-1)/2}, nil
-	}
+	var f fates
 	var pop Population
-	L := cfg.Mesh.Size()
-	// tally books one particle as removed or surviving, replaying the
-	// removal events from index from on.
-	tally := func(from int) func(cx, cy int, p *particle.Particle) {
-		return func(_, _ int, p *particle.Particle) {
-			for _, ev := range evs[from:] {
-				if !ev.Remove {
-					continue
-				}
-				x, y := p.ExpectedAt(ev.Step-int(p.Born), L)
-				if ev.Region.ContainsPos(x, y, cfg.Mesh) {
-					pop.RemovedIDs = append(pop.RemovedIDs, p.ID)
-					return
-				}
-			}
-			pop.Count++
-			pop.IDSum += p.ID
+	drop := func(cx, cy int, p *particle.Particle) {
+		if f.removed(cx, cy) {
+			pop.RemovedIDs = append(pop.RemovedIDs, p.ID)
 		}
 	}
-	if err := dist.Each(cfg, nil, tally(0)); err != nil {
+	L := cfg.Mesh.L
+	f.build(cfg.Mesh, particle.Particle{K: int32(cfg.K), M: int32(cfg.M), Dir: int32(dir)}, evs, dist.Rect{X1: L, Y1: L})
+	if err := dist.Each(cfg, f.reached, drop); err != nil {
 		return Population{}, err
 	}
+	first, nextID := cfg.IDRange()
 	for i, ev := range evs {
 		// An event removes before it injects, so its own removal cannot
 		// reach the particles it adds.
-		dist.EachInjected(cfg.Mesh, ev, cfg.Seed, nextID, cfg.Dir, tally(i+1))
+		batch := particle.Particle{K: int32(ev.K), M: int32(ev.M), Dir: int32(dir), Born: int32(ev.Step)}
+		if ev.Inject > 0 && f.build(cfg.Mesh, batch, evs[i+1:], ev.Region) {
+			dist.EachInjected(cfg.Mesh, ev, cfg.Seed, nextID, dir, drop)
+		}
 		nextID += uint64(ev.Inject)
 	}
+	n := nextID - first
+	pop.Count = int(n) - len(pop.RemovedIDs)
+	pop.IDSum = n*first + n*(n-1)/2
+	for _, id := range pop.RemovedIDs {
+		pop.IDSum -= id
+	}
 	return pop, nil
+}
+
+// fates is the removal fate of one batch of particles per start cell of a
+// window of the mesh. The closed form moves x and y independently and a
+// removal region is a rectangle of cells, so a cell's particles are removed
+// iff some later removal event reaches both the cell's column and its row.
+// Columns that the same events reach share one table of row fates: the
+// tables cost O(window height) per run of alike columns, never one entry
+// per cell of the whole mesh.
+type fates struct {
+	x0, y0, h int
+	class     []int32 // per window column: its row table, −1 if nothing starting there is removed
+	rows      []bool  // the row tables, h apiece
+	reach     []bool  // per removal event, whether it reaches each window row, h apiece
+	set, prev []int   // the removal events reaching the current and the previous column
+}
+
+// build fills f for the batch whose particles share p's K, M, Dir and Born,
+// starting in window, against the events evs (only removals count). It
+// reports whether any particle of the batch is removed.
+func (f *fates) build(m grid.Mesh, p particle.Particle, evs dist.Schedule, window dist.Rect) bool {
+	w, h := max(window.X1-window.X0, 0), max(window.Y1-window.Y0, 0)
+	f.x0, f.y0, f.h = window.X0, window.Y0, h
+	f.class, f.rows, f.reach = slices.Grow(f.class[:0], w)[:w], f.rows[:0], f.reach[:0]
+	// cell is where the particle starting in (cx, cy) sits when ev fires —
+	// the closed form and the cell rule of Rect.ContainsPos, as the
+	// engine's removal sees it.
+	cell := func(ev dist.Event, cx, cy int) (int, int) {
+		p.X0, p.Y0 = float64(cx)+0.5, float64(cy)+0.5
+		x, y := p.ExpectedAt(ev.Step-int(p.Born), m.Size())
+		return m.CellOf(x, y)
+	}
+	for _, ev := range evs {
+		if ev.Remove {
+			for r := range h {
+				_, cy := cell(ev, window.X0, window.Y0+r)
+				f.reach = append(f.reach, cy >= ev.Region.Y0 && cy < ev.Region.Y1)
+			}
+		}
+	}
+	removed, class := false, int32(-1)
+	for c := range w {
+		f.set = f.set[:0]
+		k := 0
+		for _, ev := range evs {
+			if !ev.Remove {
+				continue
+			}
+			if cx, _ := cell(ev, window.X0+c, window.Y0); cx >= ev.Region.X0 && cx < ev.Region.X1 {
+				f.set = append(f.set, k)
+			}
+			k++
+		}
+		if c == 0 || !slices.Equal(f.set, f.prev) {
+			class = f.table()
+			f.set, f.prev = f.prev, f.set
+		}
+		f.class[c] = class
+		removed = removed || class >= 0
+	}
+	return removed
+}
+
+// table appends the row table of the events in f.set and returns its
+// index, or −1, appending nothing, when those events reach no window row.
+func (f *fates) table() int32 {
+	base := len(f.rows)
+	f.rows = append(f.rows, make([]bool, f.h)...)
+	t, hit := f.rows[base:], false
+	for _, k := range f.set {
+		for r, in := range f.reach[k*f.h : (k+1)*f.h] {
+			if in {
+				t[r], hit = true, true
+			}
+		}
+	}
+	if !hit {
+		f.rows = f.rows[:base]
+		return -1
+	}
+	return int32(base / f.h)
+}
+
+// reached reports whether a removal reaches any particle starting in window
+// column cx: dist.Each's column filter.
+func (f *fates) reached(cx int) bool { return f.class[cx-f.x0] >= 0 }
+
+// removed reports whether the particles starting in window cell (cx, cy)
+// are removed.
+func (f *fates) removed(cx, cy int) bool {
+	c := f.class[cx-f.x0]
+	return c >= 0 && f.rows[int(c)*f.h+cy-f.y0]
 }
 
 // Verify is the full verification of a gathered final population — used by
@@ -223,7 +315,7 @@ func Verify(cfg dist.Config, sched dist.Schedule, ps []particle.Particle, steps 
 	// the caller does not know the distribution (cfg.Dist nil is fine: the
 	// checksum depends only on which IDs survive), removal events make the
 	// prediction placement-dependent, so require the distribution then.
-	if cfg.Dist == nil && hasRemoval(sched, steps) {
+	if cfg.Dist == nil && slices.ContainsFunc(sched.Fired(steps), func(ev dist.Event) bool { return ev.Remove }) {
 		return fmt.Errorf("core: verification with removal events requires cfg.Dist")
 	}
 	pop, err := ExpectedPopulation(cfg, sched, steps)
@@ -237,13 +329,4 @@ func Verify(cfg dist.Config, sched dist.Schedule, ps []particle.Particle, steps 
 		return fmt.Errorf("core: ID checksum %d, expected %d", got, pop.IDSum)
 	}
 	return nil
-}
-
-func hasRemoval(sched dist.Schedule, steps int) bool {
-	for _, ev := range sched {
-		if ev.Remove && ev.Step <= steps {
-			return true
-		}
-	}
-	return false
 }

@@ -1,20 +1,25 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/parres/picprk/internal/dist"
+	"github.com/parres/picprk/internal/grid"
 	"github.com/parres/picprk/internal/particle"
 )
 
 // legacyExpectedPopulation is ExpectedPopulation as it stood before the
 // streaming replay — materialize the world, filter it per removal, append
 // each injection, then diff a map against the ID range — kept here so the
-// reference cannot drift with the code it pins. The one deliberate change:
-// the ID range starts at the configured FirstID instead of a hard-coded 1.
+// reference cannot drift with the code it pins. Two deliberate changes: the
+// ID range starts at the configured FirstID instead of a hard-coded 1, and
+// an event before step 1 is skipped, as the engine never fires it.
 func legacyExpectedPopulation(t *testing.T, cfg dist.Config, sched dist.Schedule, steps int) Population {
 	t.Helper()
 	ps, err := dist.Initialize(cfg)
@@ -34,6 +39,9 @@ func legacyExpectedPopulation(t *testing.T, cfg dist.Config, sched dist.Schedule
 	for _, ev := range sched.Sorted() {
 		if ev.Step > steps {
 			break
+		}
+		if ev.Step < 1 {
+			continue
 		}
 		if ev.Remove {
 			kept := ps[:0]
@@ -65,28 +73,41 @@ func legacyExpectedPopulation(t *testing.T, cfg dist.Config, sched dist.Schedule
 	return pop
 }
 
-// TestExpectedPopulationMatchesLegacy replays random schedules — same-step
-// remove+inject, removal of previously injected particles, events past the
-// last step, a non-default FirstID — through both forms.
+// TestExpectedPopulationMatchesLegacy replays random schedules through both
+// forms, reaching every branch of the per-cell replay: Geometric, Patch and
+// Uniform inputs (columns no removal reaches, and Patch's empty ones),
+// removal regions of partial and full height, either direction, M < 0,
+// K > 0 injections whose columns wrap past L, injections no later removal
+// reaches, same-step remove+inject and several events at one step, removal
+// of previously injected particles, events at step 0 and past the last
+// step, and a non-default FirstID.
 func TestExpectedPopulationMatchesLegacy(t *testing.T) {
 	const L, steps = 16, 12
 	m := mesh(t, L)
 	rect := func(rng *rand.Rand) dist.Rect {
 		x0, y0 := rng.Intn(L-1), rng.Intn(L-1)
-		return dist.Rect{X0: x0, X1: x0 + 1 + rng.Intn(L-x0), Y0: y0, Y1: y0 + 1 + rng.Intn(L-y0)}
+		r := dist.Rect{X0: x0, X1: x0 + 1 + rng.Intn(L-x0), Y0: y0, Y1: y0 + 1 + rng.Intn(L-y0)}
+		if rng.Intn(3) == 0 {
+			r.Y0, r.Y1 = 0, L
+		}
+		return r
 	}
-	for seed := int64(0); seed < 60; seed++ {
+	dists := []dist.Distribution{dist.Geometric{R: 0.9}, dist.Patch{X0: 3, X1: 9, Y0: 2, Y1: 11}, dist.Uniform{}}
+	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := dist.Config{
 			Mesh: m, N: 200 + rng.Intn(400), K: rng.Intn(3), M: rng.Intn(5) - 2,
-			Dir: 1 - 2*rng.Intn(2), Dist: dist.Geometric{R: 0.9}, Seed: uint64(seed),
+			Dir: 1 - 2*rng.Intn(2), Dist: dists[seed%3], Seed: uint64(seed),
 		}
 		if seed%4 == 3 {
 			cfg.FirstID = 1000
 		}
 		var sched dist.Schedule
 		for n := rng.Intn(7); n > 0; n-- {
-			ev := dist.Event{Step: rng.Intn(steps + 4), Region: rect(rng), K: rng.Intn(2), M: rng.Intn(3) - 1}
+			ev := dist.Event{Step: rng.Intn(steps + 4), Region: rect(rng), K: rng.Intn(4), M: rng.Intn(5) - 2}
+			if len(sched) > 0 && rng.Intn(4) == 0 {
+				ev.Step = sched[len(sched)-1].Step
+			}
 			switch rng.Intn(3) {
 			case 0:
 				ev.Remove = true
@@ -106,6 +127,39 @@ func TestExpectedPopulationMatchesLegacy(t *testing.T) {
 			t.Fatalf("seed %d, schedule %+v:\nstreaming %d survivors sum %d, %d removed\nlegacy    %d survivors sum %d, %d removed",
 				seed, sched, got.Count, got.IDSum, len(got.RemovedIDs), want.Count, want.IDSum, len(want.RemovedIDs))
 		}
+	}
+}
+
+// TestExpectedPopulationPaperScale replays one removal over the paper's
+// mesh and population (L = 2 998, N = 600 000, geometric r = 0.999):
+// equal to the legacy reference, and allocating in proportion to L and to
+// the removed IDs it returns — the fate tables hold rows, never the L²
+// cells of the mesh (9 MB here even as one byte apiece).
+func TestExpectedPopulationPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("materializes 600 000 particles for the legacy reference")
+	}
+	const L, steps = 2998, 40
+	cfg := dist.Config{Mesh: mesh(t, L), N: 600000, K: 1, M: 2, Dist: dist.Geometric{R: 0.999}, Seed: 13}
+	sched := dist.Schedule{{Step: 25, Region: dist.Rect{X0: 1000, X1: 1100, Y0: 700, Y1: 2000}, Remove: true}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := ExpectedPopulation(cfg, sched, steps)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.RemovedIDs) == 0 {
+		t.Fatal("the removal reaches no particle; the case pins nothing")
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if bound := uint64(128*L + 32*cap(got.RemovedIDs)); alloc > bound {
+		t.Errorf("ExpectedPopulation allocated %d B, want at most 128·L + 32 per removed ID = %d B", alloc, bound)
+	}
+	want := legacyExpectedPopulation(t, cfg, sched, steps)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("per-cell replay %d survivors sum %d, %d removed; legacy %d survivors sum %d, %d removed",
+			got.Count, got.IDSum, len(got.RemovedIDs), want.Count, want.IDSum, len(want.RemovedIDs))
 	}
 }
 
@@ -252,5 +306,197 @@ func TestColumnVerifierRejectsBadIDs(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// closedFormState returns cfg's initial population as it stands after
+// steps steps: every particle on its closed-form trajectory, vx by the
+// parity of the step count, vy = M.
+func closedFormState(t testing.TB, cfg dist.Config, steps int) []particle.Particle {
+	t.Helper()
+	ps, err := dist.Initialize(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ps {
+		p := &ps[i]
+		p.X, p.Y = p.ExpectedAt(steps, cfg.Mesh.Size())
+		p.VX, p.VY = 0, float64(p.M)
+		if steps%2 == 1 {
+			p.VX = float64(p.Dir) * 2 * float64(2*p.K+1)
+		}
+	}
+	return ps
+}
+
+// legacyCheck is ColumnVerifier.Check as it stood before it read the
+// columns in place: an AoS copy per slot through SoA.At, the Particle rule,
+// and the math.Mod closed form. It returns the verifier's Count and IDSum
+// afterwards, and the error.
+func legacyCheck(m grid.Mesh, steps int, first uint64, n int, s *SoA) (int, uint64, error) {
+	L, tol := m.Size(), DefaultTolerance
+	wrap := func(v float64) float64 {
+		v = math.Mod(v, L)
+		if v < 0 {
+			v += L
+		}
+		if v >= L {
+			v -= L
+		}
+		return v
+	}
+	rule := func(p *particle.Particle) error {
+		s := steps - int(p.Born)
+		if s < 0 {
+			return fmt.Errorf("core: particle %d born at step %d but run is only %d steps", p.ID, p.Born, steps)
+		}
+		ex := wrap(p.X0 + float64(p.Dir)*float64(2*int64(p.K)+1)*float64(s))
+		ey := wrap(p.Y0 + float64(p.M)*float64(s))
+		if d := periodicDist(p.X, ex, L); d > tol {
+			return fmt.Errorf("core: particle %d x=%v, expected %v after %d steps (|err|=%.3e)", p.ID, p.X, ex, s, d)
+		}
+		if d := periodicDist(p.Y, ey, L); d > tol {
+			return fmt.Errorf("core: particle %d y=%v, expected %v after %d steps (|err|=%.3e)", p.ID, p.Y, ey, s, d)
+		}
+		if d := math.Abs(p.VY - float64(p.M)); d > tol {
+			return fmt.Errorf("core: particle %d vy=%v, expected %d (|err|=%.3e)", p.ID, p.VY, p.M, d)
+		}
+		var evx float64
+		if s%2 == 1 {
+			evx = float64(p.Dir) * 2 * float64(2*p.K+1)
+		}
+		if d := math.Abs(p.VX - evx); d > tol {
+			return fmt.Errorf("core: particle %d vx=%v, expected %v after %d steps (|err|=%.3e)", p.ID, p.VX, evx, s, d)
+		}
+		return nil
+	}
+	seen := make(map[uint64]bool)
+	var sum uint64
+	for i := range s.X {
+		p := s.At(i)
+		if err := rule(&p); err != nil {
+			return 0, sum, err
+		}
+		if p.ID-first >= uint64(n) {
+			return 0, sum, fmt.Errorf("core: particle ID %d outside the run's range [%d, %d)", p.ID, first, first+uint64(n))
+		}
+		if seen[p.ID] {
+			return 0, sum, fmt.Errorf("core: duplicate particle ID %d", p.ID)
+		}
+		seen[p.ID] = true
+		sum += p.ID
+	}
+	return s.Len(), sum, nil
+}
+
+// FuzzColumnVerifier holds Check to the legacy loop: the same accept or
+// reject, the same first error, the same Count and IDSum, on a closed-form
+// state damaged by the fuzzer — positions and velocities nudged or made
+// non-finite, a particle born after the run, duplicate IDs, IDs outside
+// the run's range. Each 3-byte op picks a slot, a damage and its size.
+func FuzzColumnVerifier(f *testing.F) {
+	f.Add(uint64(1), uint8(5), uint8(40), []byte{})
+	f.Add(uint64(2), uint8(12), uint8(90), []byte{7, 0, 200, 3, 1, 1})
+	f.Add(uint64(3), uint8(1), uint8(30), []byte{9, 2, 128, 4, 3, 5, 1, 4, 0})
+	f.Add(uint64(4), uint8(30), uint8(60), []byte{5, 5, 0, 6, 6, 3, 2, 7, 1})
+	f.Add(uint64(5), uint8(7), uint8(200), []byte{0, 8, 9, 1, 6, 255})
+	f.Fuzz(func(t *testing.T, seed uint64, steps, n uint8, ops []byte) {
+		L := []int{8, 16, 64}[seed%3]
+		m := mesh(t, L)
+		cfg := dist.Config{
+			Mesh: m, N: 1 + int(n), K: int(seed>>2) % 16, M: int(seed>>6)%7 - 3,
+			Dir: 1 - 2*int(seed>>9&1), Dist: dist.Geometric{R: 0.8}, Seed: seed, FirstID: 1 + seed>>10%1000,
+		}
+		ps := closedFormState(t, cfg, int(steps))
+		first, _ := cfg.IDRange()
+		for ; len(ops) >= 3; ops = ops[3:] {
+			p, other := &ps[int(ops[0])%len(ps)], &ps[int(ops[2])%len(ps)]
+			delta := float64(int8(ops[2])) * math.Ldexp(1, -int(ops[2]%24))
+			switch ops[1] % 10 {
+			case 0:
+				p.X += delta
+			case 1:
+				p.Y += delta
+			case 2:
+				p.VX += delta
+			case 3:
+				p.VY += delta
+			case 4:
+				p.Born = int32(steps) + 1 + int32(ops[2]%3)
+			case 5:
+				p.ID = other.ID
+			case 6:
+				p.ID = first + uint64(len(ps)) + uint64(ops[2]) // past the range
+			case 7:
+				p.ID = []uint64{first - 1, 0}[ops[2]%2] // below it, or 0
+			case 8:
+				p.X = []float64{math.NaN(), math.Inf(1), math.Copysign(0, -1), float64(L), -0.5}[ops[2]%5]
+			case 9:
+				p.Born = int32(ops[2] % (steps + 1))
+			}
+		}
+		s := NewSoA(ps)
+		v := NewColumnVerifier(m, int(steps), 0, first, len(ps))
+		got := v.Check(s)
+		count, sum, want := legacyCheck(m, int(steps), first, len(ps), s)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("Check says %v, the legacy loop %v", got, want)
+		}
+		if v.Count != count || v.IDSum != sum {
+			t.Fatalf("Check counted %d particles sum %d, the legacy loop %d sum %d", v.Count, v.IDSum, count, sum)
+		}
+	})
+}
+
+// BenchmarkExpectedPopulation replays the churn_ckpt_worksteal benchmark
+// workload's input: L = 256, N = 300 000 geometric (r = 0.98), an injection
+// of 50 000 every 40 steps from step 10 and a full-height removal band 20
+// steps after each — over the 38 steps bench/run.sh runs by default (one
+// injection, one removal) and over the nominal 300 (eight and seven).
+func BenchmarkExpectedPopulation(b *testing.B) {
+	cfg := dist.Config{Mesh: mesh(b, 256), N: 300000, Dist: dist.Geometric{R: 0.98}, Seed: 501}
+	for _, steps := range []int{38, 300} {
+		var sched dist.Schedule
+		for s := 10; s <= steps; s += 40 {
+			sched = append(sched, dist.Event{Step: s, Region: dist.Rect{X0: 0, X1: 64, Y0: 0, Y1: 128}, Inject: 50000, K: 1, M: 1})
+			if s+20 <= steps {
+				sched = append(sched, dist.Event{Step: s + 20, Region: dist.Rect{X0: 128, X1: 192, Y0: 0, Y1: 256}, Remove: true})
+			}
+		}
+		b.Run(fmt.Sprintf("steps=%d", steps), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ExpectedPopulation(cfg, sched, steps); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkColumnVerifierCheck times the per-rank check on the final state
+// of the uniform_block and fastdrift benchmark inputs (the latter's
+// displacement spans hundreds of periods), in ns per particle.
+func BenchmarkColumnVerifierCheck(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		cfg   dist.Config
+		steps int
+	}{
+		{"uniform", dist.Config{Mesh: mesh(b, 512), N: 200000, Seed: 5}, 300},
+		{"fastdrift", dist.Config{Mesh: mesh(b, 64), N: 200000, K: 15, M: 5, Seed: 5}, 350},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := NewSoA(closedFormState(b, bc.cfg, bc.steps))
+			first, _ := bc.cfg.IDRange()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := NewColumnVerifier(bc.cfg.Mesh, bc.steps, 0, first, s.Len())
+				if err := v.Check(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Len()), "ns/particle")
+		})
 	}
 }

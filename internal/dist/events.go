@@ -41,7 +41,8 @@ func (r Rect) Cells() int {
 // and are the paper's category-2 source of load imbalance.
 type Event struct {
 	// Step is the time step, counted after the step's particle move, at
-	// which the event fires. Step s means "after s moves have completed".
+	// which the event fires. Step s means "after s moves have completed",
+	// so it is at least 1.
 	Step int
 	// Region delimits the affected cells.
 	Region Rect
@@ -59,8 +60,8 @@ type Schedule []Event
 // Validate checks event parameters against the mesh.
 func (s Schedule) Validate(m grid.Mesh) error {
 	for i, ev := range s {
-		if ev.Step < 0 {
-			return fmt.Errorf("dist: event %d has negative step %d", i, ev.Step)
+		if ev.Step < 1 {
+			return fmt.Errorf("dist: event %d at step %d never fires: events fire after a step's move, at step 1 or later", i, ev.Step)
 		}
 		if ev.Inject < 0 {
 			return fmt.Errorf("dist: event %d has negative injection count", i)
@@ -86,6 +87,21 @@ func (s Schedule) Sorted() Schedule {
 	return out
 }
 
+// Fired returns, ordered by step (stable), the events a run of steps steps
+// fires — those at steps 1 through steps. An event fires after its step's
+// move, so one at step 0 or past the last step never does, and mints no
+// IDs; verification sizes the run's ID range and replays removals over
+// exactly this set.
+func (s Schedule) Fired(steps int) Schedule {
+	var out Schedule
+	for _, ev := range s.Sorted() {
+		if ev.Step >= 1 && ev.Step <= steps {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
 // At returns the events firing at the given step.
 func (s Schedule) At(step int) []Event {
 	var out []Event
@@ -98,7 +114,7 @@ func (s Schedule) At(step int) []Event {
 }
 
 // TotalInjected returns the number of particles the schedule injects in
-// total; drivers use it to size ID ranges.
+// total; on Fired(steps), the IDs a run mints after its initial population.
 func (s Schedule) TotalInjected() int {
 	n := 0
 	for _, ev := range s {

@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -39,6 +41,8 @@ func TestScheduleValidate(t *testing.T) {
 	}
 	bads := []Schedule{
 		{{Step: -1, Region: Rect{0, 4, 0, 4}, Inject: 1}},
+		{{Step: 0, Region: Rect{0, 4, 0, 4}, Inject: 1}},
+		{{Step: 0, Region: Rect{0, 4, 0, 4}, Remove: true}},
 		{{Step: 1, Region: Rect{0, 4, 0, 4}, Inject: -1}},
 		{{Step: 1, Region: Rect{0, 9, 0, 4}, Inject: 1}},
 		{{Step: 1, Region: Rect{2, 2, 0, 4}, Remove: true}},
@@ -48,6 +52,29 @@ func TestScheduleValidate(t *testing.T) {
 		if err := s.Validate(m); err == nil {
 			t.Errorf("bad schedule %d accepted", i)
 		}
+	}
+	if err := bads[1].Validate(m); err == nil || !strings.Contains(err.Error(), "after a step's move") {
+		t.Errorf("step-0 event: got %v, want the refusal to say events fire after a step's move", err)
+	}
+}
+
+// TestScheduleFired pins the events a run fires, the set verification
+// sizes its ID range by and replays: steps 1..steps, in step order, stable.
+func TestScheduleFired(t *testing.T) {
+	s := Schedule{
+		{Step: 7, Inject: 1}, {Step: 0, Inject: 2}, {Step: 3, Inject: 4},
+		{Step: 6, Inject: 8}, {Step: 3, Remove: true}, {Step: 1, Inject: 16},
+	}
+	got := s.Fired(6)
+	want := Schedule{{Step: 1, Inject: 16}, {Step: 3, Inject: 4}, {Step: 3, Remove: true}, {Step: 6, Inject: 8}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Fired(6) = %+v, want %+v", got, want)
+	}
+	if n := got.TotalInjected(); n != 28 {
+		t.Errorf("fired injections mint %d IDs, want 28 (not the schedule's %d)", n, s.TotalInjected())
+	}
+	if got := s.Fired(0); len(got) != 0 {
+		t.Errorf("Fired(0) = %+v: a run of no steps fires nothing", got)
 	}
 }
 

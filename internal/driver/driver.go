@@ -432,11 +432,13 @@ func (b *colShards) next(p int) []core.SoA {
 // rank checks its particles against the closed form on the columns where
 // they live (Substrate.VerifyLocal), and one allreduce compares the global
 // population count and ID checksum with the analytic prediction. No rank
-// ever sees the global particle set, or even an AoS copy of its own.
+// ever sees the global particle set, or even an AoS copy of its own. The ID
+// range covers the injections the run fires, the events ExpectedPopulation
+// replays.
 func distributedVerify(c *comm.Comm, cfg Config, sub Substrate) error {
 	dc := cfg.distConfig()
 	first, _ := dc.IDRange()
-	v := core.NewColumnVerifier(cfg.Mesh, cfg.Steps, cfg.Tol, first, cfg.N+cfg.Schedule.TotalInjected())
+	v := core.NewColumnVerifier(cfg.Mesh, cfg.Steps, cfg.Tol, first, cfg.N+cfg.Schedule.Fired(cfg.Steps).TotalInjected())
 	if err := sub.VerifyLocal(v); err != nil {
 		return fmt.Errorf("rank %d: %w", c.Rank(), err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/parres/picprk/internal/comm"
+	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/particle"
 )
 
@@ -37,10 +38,12 @@ func (s *tamperSub) Particles() []particle.Particle {
 // particle by the per-particle closed form, a duplicate by the rank's ID
 // bitset, a lost particle by the allreduced count, and an ID that collides
 // with another rank's particle (invisible to any one rank) by the allreduced
-// checksum.
+// checksum. The schedule's one injection comes after the last step, so it
+// never fires: the ID it would have minted first is outside the run's range.
 func TestDistributedVerifyOnColumns(t *testing.T) {
 	cfg := testConfig(t, 16, 1500, 12)
 	cfg.Verify, cfg.DistributedVerify = false, true
+	cfg.Schedule = dist.Schedule{{Step: 13, Region: dist.Rect{X0: 0, X1: 16, Y0: 0, Y1: 16}, Inject: 40}}
 	for _, tc := range []struct {
 		name, want string
 		tamper     func(b *blockSubstrate)
@@ -49,6 +52,7 @@ func TestDistributedVerifyOnColumns(t *testing.T) {
 		{"moved", "expected", func(b *blockSubstrate) { b.soa.X[3] += 0.25 }},
 		{"duplicate", "duplicate particle ID", func(b *blockSubstrate) { b.soa.Meta[3].ID = b.soa.Meta[4].ID }},
 		{"lost", "global particle count", func(b *blockSubstrate) { b.soa.Truncate(b.soa.Len() - 1) }},
+		{"unfired injection's ID", "ID 1501 outside the run's range", func(b *blockSubstrate) { b.soa.Meta[3].ID = 1501 }},
 		{"collides across ranks", "global ID checksum", func(b *blockSubstrate) {
 			held := make(map[uint64]bool, b.soa.Len())
 			for _, m := range b.soa.Meta {
@@ -81,6 +85,24 @@ func TestDistributedVerifyOnColumns(t *testing.T) {
 		}
 		if n := particles.Load(); n != 0 {
 			t.Errorf("%s: Particles() called %d times in a DistributedVerify run", tc.name, n)
+		}
+	}
+}
+
+// TestStepZeroEventRefused pins that an event at step 0 is refused up
+// front. The engine fires events after the move of steps 1..Steps, so such
+// an event never fires, while the population check used to count it: every
+// run with one failed verification at the end.
+func TestStepZeroEventRefused(t *testing.T) {
+	for _, ev := range []dist.Event{
+		{Step: 0, Region: dist.Rect{X0: 0, X1: 8, Y0: 0, Y1: 8}, Inject: 10},
+		{Step: 0, Region: dist.Rect{X0: 0, X1: 8, Y0: 0, Y1: 16}, Remove: true},
+	} {
+		cfg := testConfig(t, 16, 500, 5)
+		cfg.Schedule = dist.Schedule{ev}
+		_, err := NewBaselineEngine(cfg).Run(2)
+		if err == nil || !strings.Contains(err.Error(), "never fires") {
+			t.Errorf("%+v: got %v, want the schedule refused as never firing", ev, err)
 		}
 	}
 }

@@ -253,7 +253,7 @@ func TestNewBlockValidation(t *testing.T) {
 }
 
 // wrapCoordMod is WrapCoord as it stood before the in-domain shortcut: the
-// reference the shortcut must equal bit for bit.
+// reference the shortcut, and Wrap, must equal bit for bit.
 func wrapCoordMod(m Mesh, x float64) float64 {
 	L := float64(m.L)
 	x = math.Mod(x, L)
@@ -268,10 +268,12 @@ func wrapCoordMod(m Mesh, x float64) float64 {
 
 func checkWrapCoordBitwise(t *testing.T, m Mesh, x float64) {
 	t.Helper()
-	got, want := m.WrapCoord(x), wrapCoordMod(m, x)
-	if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
-		t.Errorf("L=%d: WrapCoord(%v [%#x]) = %v [%#x], math.Mod form gives %v [%#x]",
-			m.L, x, math.Float64bits(x), got, math.Float64bits(got), want, math.Float64bits(want))
+	want := wrapCoordMod(m, x)
+	for _, got := range []float64{m.WrapCoord(x), Wrap(x, float64(m.L))} {
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Errorf("L=%d: WrapCoord/Wrap(%v [%#x]) = %v [%#x], math.Mod form gives %v [%#x]",
+				m.L, x, math.Float64bits(x), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }
 

@@ -8,6 +8,8 @@ package particle
 import (
 	"fmt"
 	"math"
+
+	"github.com/parres/picprk/internal/grid"
 )
 
 // Particle is one free-moving charged particle.
@@ -74,20 +76,39 @@ func (p *Particle) Validate(L float64) error {
 // with h = 1. The computation is exact in float64 for the domain sizes the
 // PRK uses (positions are half-integers well below 2^52).
 func (p *Particle) ExpectedAt(s int, L float64) (x, y float64) {
-	x = p.X0 + float64(p.Dir)*float64(2*int64(p.K)+1)*float64(s)
-	y = p.Y0 + float64(p.M)*float64(s)
-	return wrap(x, L), wrap(y, L)
+	return ClosedForm(p.X0, p.Y0, p.K, p.M, p.Dir, s, L)
 }
 
-func wrap(v, L float64) float64 {
-	v = math.Mod(v, L)
-	if v < 0 {
-		v += L
+// ClosedForm is ExpectedAt on the trajectory parameters themselves, for a
+// caller that holds them outside a Particle (a column of core.SoAMeta).
+func ClosedForm(x0, y0 float64, k, m, dir int32, s int, L float64) (x, y float64) {
+	return advance(x0, float64(dir)*float64(2*int64(k)+1)*float64(s), L),
+		advance(y0, float64(m)*float64(s), L)
+}
+
+// lattice bounds the magnitudes advance reduces in integers: below it a
+// half-integer start plus an integral displacement is exact in float64.
+const lattice = 1 << 50
+
+// advance returns v0 + d wrapped onto [0, L) by grid.Wrap, bit for bit
+// (v0 + d) mod L shifted up by L when negative. A start on the half-cell
+// lattice — v0 − ⌊v0⌋ = 0.5, where every placed particle starts — with an
+// integral displacement d landing beyond one period takes d mod L in
+// integers first: the sum is exact either way and never zero, so both forms
+// name the same half-integer and the division math.Mod would do is skipped.
+// Every other input (NaN, ±Inf, an integral v0 where −0 can arise, a
+// non-integral L, magnitudes near 2^52) wraps v0 + d as computed.
+func advance(v0, d, L float64) float64 {
+	v := v0 + d
+	if !(v > -L && v < 2*L) && math.Abs(d) < lattice && math.Abs(v0) < lattice &&
+		v0-math.Floor(v0) == 0.5 && L >= 1 && L < lattice && L == math.Trunc(L) {
+		r := int64(d) % int64(L)
+		if r < 0 {
+			r += int64(L)
+		}
+		v = v0 + float64(r)
 	}
-	if v >= L {
-		v -= L
-	}
-	return v
+	return grid.Wrap(v, L)
 }
 
 // IDSum returns the sum of particle IDs, the cheap lost-particle checksum of
