@@ -1,14 +1,14 @@
 package core
 
+import "slices"
+
 // NbrSet derives a rank's exchange neighborhood from the owner table: the
 // set of peer groups (ranks, or VP-hosting cores) that own at least one
-// cell within the displacement ring of a cell this group owns. It is the
-// communication-schedule counterpart of Frontier: where Frontier marks the
-// cells whose particles might leave, NbrSet names the peers those particles
-// can reach — exactly the ranks comm.ExchangePtr needs to talk to, because
-// the kernel's per-step displacement bound ((2K+1) cells in x, |M| in y,
-// tile.go's preamble) is also a bound on how far a leaver's destination
-// cell sits from the cell it left.
+// cell within the displacement ring of a cell this group owns. Those are
+// exactly the ranks comm.ExchangePtr needs to talk to, because the kernel's
+// per-step displacement bound ((2K+1) cells in x, |M| in y, tile.go's
+// preamble) is also a bound on how far a leaver's destination cell sits
+// from the cell it left.
 //
 // The relation is symmetric: group A lists B iff some cell of A and some
 // cell of B are within the (wrapped) ring of each other, which is the same
@@ -17,32 +17,22 @@ package core
 // replicated owner table with no agreement round — the property
 // comm.SetExchangeNeighbors requires.
 //
-// Rebuild exploits the owner table's Cartesian-product structure instead of
-// dilating a per-cell mask: each axis is a short list of owner runs
-// (contiguous cell intervals per block), two blocks are within the ring iff
-// their x-intervals are within rx and their y-intervals within ry of each
-// other under wrapped interval distance, and the separable [-rx,rx]×[-ry,ry]
-// window makes that pairwise test exactly the cell-level reachability
-// predicate. The work is O(L + (px+py)² + px·py·(px+py)) per rebuild —
-// block-count sized, not mesh sized — which keeps the refresh off the
-// balance phase's critical path.
+// It is the same derivation as the frontier, made in the same pass: the
+// class pairs (tile.go's preamble) whose home block is local reach exactly
+// the blocks some local cell's window touches, and their owners' groups
+// are the peers. Rebuild therefore fills Frontier too, so one call answers
+// all three topology questions — which cells are frontier, whether any
+// local cell is not, and whom to exchange with.
 //
 // A NbrSet value is reusable: Rebuild keeps the backing storage, so a
 // per-rebalance refresh allocates nothing once the buffers are warm.
 type NbrSet struct {
-	member       []bool
-	peers        []int
-	xRuns, yRuns []ownerRun
-	xNear, yNear []bool // run-pair wrapped-distance matrices, one per axis
-	rowReach     []bool // per y-run: x-runs reachable from its member blocks
-	reach        []bool // per block: within the ring of some member block
+	// Frontier is the frontier of this group's cells (remote meaning owned
+	// by another group), derived by the same Rebuild.
+	Frontier Frontier
+	member   []bool
+	peers    []int
 }
-
-// ownerRun is one maximal run of cells on an axis owned by a single block:
-// cells [lo, hi) all map to block idx. The owner table's monotone cut
-// structure means every non-empty block contributes exactly one run per
-// axis, so the run lists are the (tiny) block-granular view of the mesh.
-type ownerRun struct{ idx, lo, hi int }
 
 // Rebuild recomputes the neighbor set for one group over an L×L domain.
 // self is the caller's group index, groups the total group count, and
@@ -53,13 +43,6 @@ type ownerRun struct{ idx, lo, hi int }
 // excludes self, and remains valid until the next Rebuild; callers must
 // not mutate it.
 func (s *NbrSet) Rebuild(ot *OwnerTable, L, rx, ry, self, groups int, groupOf func(owner int32) int) []int {
-	// A window reaching half the wrapped axis already covers all of it.
-	if rx >= L/2 {
-		rx = L / 2
-	}
-	if ry >= L/2 {
-		ry = L / 2
-	}
 	if len(s.member) < groups {
 		s.member = make([]bool, groups)
 	}
@@ -67,127 +50,14 @@ func (s *NbrSet) Rebuild(ot *OwnerTable, L, rx, ry, self, groups int, groupOf fu
 		s.member[g] = false
 	}
 	s.peers = s.peers[:0]
-
-	s.xRuns = axisRuns(s.xRuns[:0], ot.xOwner[:L])
-	s.yRuns = axisRuns(s.yRuns[:0], ot.yOwner[:L])
-	nx, ny := len(s.xRuns), len(s.yRuns)
-	s.xNear = nearMatrix(s.xNear, s.xRuns, L, rx)
-	s.yNear = nearMatrix(s.yNear, s.yRuns, L, ry)
-
-	// rowReach[j0*nx+i]: is x-run i within rx of a block this group owns in
-	// y-run j0? OR of the xNear rows of the member blocks in that y-run.
-	s.rowReach = growBools(s.rowReach, ny*nx)
-	for j0 := 0; j0 < ny; j0++ {
-		row := s.rowReach[j0*nx : j0*nx+nx]
-		for i := range row {
-			row[i] = false
-		}
-		yo := int32(s.yRuns[j0].idx) * ot.px
-		for i0 := 0; i0 < nx; i0++ {
-			if groupOf(yo+int32(s.xRuns[i0].idx)) != self {
-				continue
-			}
-			near := s.xNear[i0*nx : i0*nx+nx]
-			for i := range row {
-				row[i] = row[i] || near[i]
-			}
-		}
-	}
-	// reach[j*nx+i]: block (i,j) lies within the ring of some member block —
-	// the block-granular image of the dilated region.
-	s.reach = growBools(s.reach, ny*nx)
-	for j := 0; j < ny; j++ {
-		row := s.reach[j*nx : j*nx+nx]
-		for i := range row {
-			row[i] = false
-		}
-		for j0 := 0; j0 < ny; j0++ {
-			if !s.yNear[j0*ny+j] {
-				continue
-			}
-			src := s.rowReach[j0*nx : j0*nx+nx]
-			for i := range row {
-				row[i] = row[i] || src[i]
-			}
-		}
-	}
-	// Collect the owners of every block the ring touches: those are the
-	// groups one move can deliver a particle to (or receive one from, by
-	// symmetry).
-	for j := 0; j < ny; j++ {
-		yo := int32(s.yRuns[j].idx) * ot.px
-		for i := 0; i < nx; i++ {
-			if !s.reach[j*nx+i] {
-				continue
-			}
-			g := groupOf(yo + int32(s.xRuns[i].idx))
-			if g != self && !s.member[g] {
+	s.Frontier.rebuild(ot, L, rx, ry,
+		func(o int32) bool { return groupOf(o) != self },
+		func(o int32) {
+			if g := groupOf(o); g != self && !s.member[g] {
 				s.member[g] = true
 				s.peers = append(s.peers, g)
 			}
-		}
-	}
-	// Membership collection walks blocks row-major, so peers is not sorted;
-	// comm.SetExchangeNeighbors requires ascending order. Insertion sort:
-	// the set is small (a handful of adjacent groups) and nearly sorted.
-	for i := 1; i < len(s.peers); i++ {
-		for j := i; j > 0 && s.peers[j-1] > s.peers[j]; j-- {
-			s.peers[j-1], s.peers[j] = s.peers[j], s.peers[j-1]
-		}
-	}
+		})
+	slices.Sort(s.peers) // comm.SetExchangeNeighbors requires ascending order
 	return s.peers
-}
-
-// axisRuns appends one run per maximal constant stretch of the axis owner
-// array. Blocks appear in cut order, so each value shows up at most once.
-func axisRuns(runs []ownerRun, owner []int32) []ownerRun {
-	for c := 0; c < len(owner); {
-		v, lo := owner[c], c
-		for c++; c < len(owner) && owner[c] == v; c++ {
-		}
-		runs = append(runs, ownerRun{idx: int(v), lo: lo, hi: c})
-	}
-	return runs
-}
-
-// nearMatrix fills the symmetric pair matrix: m[a*n+b] reports whether runs
-// a and b are within wrapped distance r of each other on an axis of L cells.
-func nearMatrix(m []bool, runs []ownerRun, L, r int) []bool {
-	n := len(runs)
-	m = growBools(m, n*n)
-	for a := 0; a < n; a++ {
-		for b := a; b < n; b++ {
-			v := runsNear(runs[a], runs[b], L, r)
-			m[a*n+b], m[b*n+a] = v, v
-		}
-	}
-	return m
-}
-
-// runsNear reports whether some cell of run a and some cell of run b lie
-// within wrapped distance r. Runs never wrap (cuts are monotone in [0, L)),
-// so the nearest pair is either an overlap or the facing endpoints in one
-// of the two directions around the ring.
-func runsNear(a, b ownerRun, L, r int) bool {
-	if a.lo < b.hi && b.lo < a.hi {
-		return true // overlapping intervals share a cell
-	}
-	f := b.lo - a.hi + 1 // forward: a's last cell to b's first
-	if f < 0 {
-		f += L
-	}
-	g := a.lo - b.hi + 1 // backward: b's last cell to a's first
-	if g < 0 {
-		g += L
-	}
-	return min(f, g) <= r
-}
-
-// growBools returns a slice of exactly n entries, reusing b's storage when
-// it is large enough. Contents are unspecified; callers clear what they use.
-func growBools(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
-	}
-	return b[:n]
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"github.com/parres/picprk/internal/grid"
 )
 
 // bruteNeighbors computes the neighbor set from the definition: group g is
@@ -24,7 +27,7 @@ func bruteNeighbors(ot *OwnerTable, L, rx, ry, self, groups int, groupOf func(in
 			}
 			for dy := -ry; dy <= ry; dy++ {
 				for dx := -rx; dx <= rx; dx++ {
-					g := groupOf(ot.Owner(wrapCell(cx+dx, L), wrapCell(cy+dy, L)))
+					g := groupOf(ot.Owner(grid.WrapIndex(cx+dx, L), grid.WrapIndex(cy+dy, L)))
 					if g != self && !seen[g] {
 						seen[g] = true
 						out = append(out, g)
@@ -189,5 +192,35 @@ func TestNbrSetRebuildReusesBuffers(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Fatalf("steady-state Rebuild allocates %v/run, want 0", avg)
+	}
+}
+
+// TestRingRebuildColdMemory pins the derivation's size at the paper's mesh:
+// a cold rebuild at L = 2 998 on a 48×32 owner table allocates under 1 MB,
+// both through NbrSet (what a rank's topology rebuild calls) and through
+// Frontier alone. A per-cell mask would cost L² bytes per copy — 9 MB each.
+func TestRingRebuildColdMemory(t *testing.T) {
+	const L = 2998
+	ot := testOwnerTable(L, 48, 32)
+	var m0, m1 runtime.MemStats
+	for _, tc := range []struct {
+		name    string
+		rebuild func()
+	}{
+		{"NbrSet", func() {
+			var nbr NbrSet
+			nbr.Rebuild(ot, L, 31, 5, 0, 48*32, func(o int32) int { return int(o) })
+		}},
+		{"Frontier", func() {
+			var fr Frontier
+			fr.Rebuild(ot, L, 31, 5, func(o int32) bool { return o != 0 })
+		}},
+	} {
+		runtime.ReadMemStats(&m0)
+		tc.rebuild()
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("cold %s.Rebuild at L=%d allocated %d bytes, want under 1 MB", tc.name, L, got)
+		}
 	}
 }

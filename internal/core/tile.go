@@ -1,12 +1,15 @@
 package core
 
-import "github.com/parres/picprk/internal/grid"
+import (
+	"slices"
 
-// This file is the spatial side of the step: a Frontier mask
-// marking every cell from which one move could reach remotely-owned
-// territory, and PartitionFrontier, which splits a particle container into
-// an interior head (no particle there can leave this step) and a frontier
-// tail.
+	"github.com/parres/picprk/internal/grid"
+)
+
+// This file is the spatial side of the step: Frontier, which marks every
+// cell from which one move could reach remotely-owned territory, and
+// PartitionFrontier, which splits a particle container into an interior
+// head (no particle there can leave this step) and a frontier tail.
 //
 // The pipeline they enable: the frontier tail moves first and its leavers
 // go on the wire immediately, and the interior head moves while that
@@ -17,76 +20,152 @@ import "github.com/parres/picprk/internal/grid"
 // than that from any remote cell cannot leave this step. The driver still
 // classifies interior particles and hard-errors if one tries to leave, so a
 // wrong ring width is a loud failure, never silent corruption.
+//
+// The answer is derived at the owner table's granularity, never per mesh
+// cell. The table is a Cartesian product, so each axis is a short list of
+// owner runs, and the cells of an axis fall into classes: maximal stretches
+// with the same home run whose wrapped windows [c−r, c+r] touch the same
+// runs. Every block in the product of two classes' reach ranges has a cell
+// inside the window of every cell of the class pair, so "some cell in the
+// window is remote" is exactly "some block in the product is remote" — one
+// answer per class pair. An axis of n runs has at most 3n classes (the
+// home, the window's first run and its last run each advance n times), so
+// the state is two L-length class arrays and a table of at most nine
+// entries per owner, and a rebuild costs O(L) plus one pass over the pairs.
 
-// Frontier is a dense per-cell mask over the full L×L domain: true means a
-// particle in that cell could reach a cell with a remote owner in one step.
-// It is the remote-owner mask dilated by the displacement ring (rx cells in
-// x, ry in y), with wraparound. Rebuild it whenever ownership placement
-// changes (a decomposition shift, a VP migration) — the mask is L² bools,
-// so a rebuild on the rare balancing step is cheap.
+// Frontier reports, per mesh cell, whether a particle in that cell could
+// reach a cell with a remote owner in one step: some cell within the
+// displacement ring (rx cells in x, ry in y, wrapped) has a remote owner.
+// Rebuild it whenever ownership placement changes (a decomposition shift, a
+// VP migration). A Frontier is reusable: Rebuild keeps its storage, so a
+// rebuild on a mesh of the same size allocates nothing once warm.
 type Frontier struct {
-	L    int
-	mask []bool
-	tmp  []bool
+	x, y ringAxis
+	// front[xc·len(y.classes) + yc] answers class pair (xc, yc); x.class
+	// holds xc already multiplied by the y class count, so At is two reads
+	// and a sum.
+	front    []bool
+	interior bool
 }
 
-// Rebuild recomputes the mask for the given owner table and ring widths.
+// ringAxis is one axis of the derivation: its owner runs, its classes, and
+// each cell's class index (times the axis stride).
+type ringAxis struct {
+	runs    []ownerRun
+	classes []ringClass
+	class   []int32
+}
+
+// ownerRun is one maximal run of cells on an axis owned by a single block:
+// the cells from the previous run's end up to hi all map to block idx. The
+// owner table's monotone cut structure means every non-empty block
+// contributes exactly one run per axis.
+type ownerRun struct {
+	idx int32
+	hi  int
+}
+
+// ringClass is a stretch of cells whose home is block home and whose
+// windows touch runs first, first+1, …, first+n−1 (mod the run count).
+type ringClass struct {
+	home     int32
+	first, n int
+}
+
+// Rebuild recomputes the frontier for the given owner table and ring widths.
 // remote reports whether an owner index lives outside this rank (for the
 // block substrate: owner != self; for the VP substrate: the owning VP is
 // hosted on another core).
 func (f *Frontier) Rebuild(ot *OwnerTable, L, rx, ry int, remote func(owner int32) bool) {
-	f.L = L
-	if len(f.mask) != L*L {
-		f.mask = make([]bool, L*L)
-		f.tmp = make([]bool, L*L)
-	}
-	// Base mask: cells with a remote owner.
-	for cy := 0; cy < L; cy++ {
-		row := f.tmp[cy*L:]
-		for cx := 0; cx < L; cx++ {
-			row[cx] = remote(ot.Owner(cx, cy))
-		}
-	}
-	// Dilate by rx in x (wrapped), tmp → mask.
-	if rx >= L/2 {
-		rx = L / 2 // window spans the whole wrapped axis beyond this
-	}
-	if ry >= L/2 {
-		ry = L / 2
-	}
-	for cy := 0; cy < L; cy++ {
-		src := f.tmp[cy*L : cy*L+L]
-		dst := f.mask[cy*L : cy*L+L]
-		for cx := 0; cx < L; cx++ {
-			v := false
-			for d := -rx; d <= rx; d++ {
-				if src[wrapCell(cx+d, L)] {
-					v = true
-					break
+	f.rebuild(ot, L, rx, ry, remote, func(int32) {})
+}
+
+// rebuild is the one class-pair pass behind Frontier.Rebuild and
+// NbrSet.Rebuild. It fills the frontier table and the interior flag, and
+// hands reached every owner whose block a window of a local cell touches
+// (owners may repeat).
+func (f *Frontier) rebuild(ot *OwnerTable, L, rx, ry int, remote func(owner int32) bool, reached func(owner int32)) {
+	f.y.rebuild(ot.yOwner[:L], ry, 1)
+	f.x.rebuild(ot.xOwner[:L], rx, len(f.y.classes))
+	nx, ny := len(f.x.runs), len(f.y.runs)
+	pairs := len(f.x.classes) * len(f.y.classes)
+	f.front = slices.Grow(f.front[:0], pairs)[:pairs]
+	f.interior = false
+	k := 0
+	for _, xc := range f.x.classes {
+		for _, yc := range f.y.classes {
+			// A cell's own block is inside its window, so a remote home
+			// settles the pair; a local one scans the whole reach.
+			front := remote(yc.home*ot.px + xc.home)
+			if !front {
+				for j := range yc.n {
+					row := f.y.runs[(yc.first+j)%ny].idx * ot.px
+					for i := range xc.n {
+						o := row + f.x.runs[(xc.first+i)%nx].idx
+						front = front || remote(o)
+						reached(o)
+					}
 				}
+				f.interior = f.interior || !front
 			}
-			dst[cx] = v
+			f.front[k] = front
+			k++
 		}
 	}
-	// Dilate by ry in y (wrapped), mask → tmp, then swap back.
-	for cy := 0; cy < L; cy++ {
-		dst := f.tmp[cy*L : cy*L+L]
-		for cx := 0; cx < L; cx++ {
-			v := false
-			for d := -ry; d <= ry; d++ {
-				if f.mask[wrapCell(cy+d, L)*L+cx] {
-					v = true
-					break
-				}
-			}
-			dst[cx] = v
+}
+
+// rebuild splits the axis owner array into runs and classes for ring width
+// r, recording each cell's class index times stride.
+func (a *ringAxis) rebuild(owner []int32, r, stride int) {
+	L := len(owner)
+	r = min(r, L/2) // a window of 2·(L/2)+1 ≥ L cells already covers the axis
+	a.runs = a.runs[:0]
+	for c := 0; c < L; {
+		v := owner[c]
+		for c++; c < L && owner[c] == v; c++ {
 		}
+		a.runs = append(a.runs, ownerRun{idx: v, hi: c})
 	}
-	f.mask, f.tmp = f.tmp, f.mask
+	n := len(a.runs)
+	// The window's edges c−r and c+r walk forward through the runs of three
+	// laps, [−L, 0), [0, L) and [L, 2L): unwrapped run k is run k mod n
+	// shifted by k/n − 1 laps. Counting the runs between the edges in that
+	// numbering is what keeps a window that leaves its home run and
+	// re-enters it around the wrap from being read as touching one run.
+	end := func(k int) int { return a.runs[k%n].hi + (k/n-1)*L }
+	a.classes = a.classes[:0]
+	a.class = slices.Grow(a.class[:0], L)[:L]
+	home, lo, hi := 0, 0, 0
+	loEnd, hiEnd := end(0), end(0)
+	for c := 0; c < L; c++ {
+		for a.runs[home].hi <= c {
+			home++
+		}
+		for loEnd <= c-r {
+			lo++
+			loEnd = end(lo)
+		}
+		for hiEnd <= c+r {
+			hi++
+			hiEnd = end(hi)
+		}
+		cl := ringClass{home: a.runs[home].idx, first: lo % n, n: min(hi-lo+1, n)}
+		if cl.n == n {
+			cl.first = 0 // every run: where the window starts no longer matters
+		}
+		if m := len(a.classes); m == 0 || a.classes[m-1] != cl {
+			a.classes = append(a.classes, cl)
+		}
+		a.class[c] = int32((len(a.classes) - 1) * stride)
+	}
 }
 
 // At reports whether cell (cx, cy) is a frontier cell.
-func (f *Frontier) At(cx, cy int) bool { return f.mask[cy*f.L+cx] }
+func (f *Frontier) At(cx, cy int) bool { return f.front[f.x.class[cx]+f.y.class[cy]] }
+
+// Interior reports whether any cell with a local owner is not a frontier
+// cell — whether a PartitionFrontier pass can find any interior particle.
+func (f *Frontier) Interior() bool { return f.interior }
 
 // PartitionFrontier reorders s in place so that every particle in a
 // non-frontier cell precedes every particle in a frontier cell, and returns
@@ -129,14 +208,6 @@ func (s *SoA) swap(i, j int) {
 	s.Meta[i], s.Meta[j] = s.Meta[j], s.Meta[i]
 }
 
-func wrapCell(c, L int) int {
-	c %= L
-	if c < 0 {
-		c += L
-	}
-	return c
-}
-
 // TilePlan and SortByTile below are called only by bench/micro.go; delete
 // them with the core.sort_by_tile_ns_per_particle row in the next benchmark
 // PR. The step partitions with PartitionFrontier instead.
@@ -161,7 +232,7 @@ type TilePlan struct {
 	boundaryCells     int
 }
 
-// Build recomputes the plan for the rectangle against the frontier mask.
+// Build recomputes the plan for the rectangle against the frontier.
 // size is the tile edge in cells (minimum 1); a size covering the whole
 // rectangle degenerates to at most one interior and one boundary tile.
 func (tp *TilePlan) Build(fr *Frontier, x0, y0, nx, ny, size int) {

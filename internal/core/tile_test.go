@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -22,41 +23,85 @@ func testOwnerTable(L, px, py int) *OwnerTable {
 	return NewOwnerTable(xCuts, yCuts)
 }
 
-// TestFrontierMatchesBruteForce pins the separable wrapped dilation against
-// the direct definition: a cell is frontier iff some cell within the
-// displacement ring (|dx| ≤ rx, |dy| ≤ ry, wrapped) has a remote owner.
+// TestFrontierMatchesBruteForce pins the class-pair derivation against the
+// direct definition: a cell is frontier iff some cell within the
+// displacement ring (|dx| ≤ rx, |dy| ≤ ry, wrapped) has a remote owner, and
+// the interior flag is set iff some locally owned cell is not frontier. The
+// cases cover uniform and random non-uniform cuts (1-cell runs included),
+// owners placed on cores the way VP placements put them, and ring widths
+// from 0 to past half the axis.
 func TestFrontierMatchesBruteForce(t *testing.T) {
-	for _, tc := range []struct {
-		L, px, py, rx, ry int
-		self              int32
-	}{
-		{16, 2, 2, 3, 1, 0},
-		{16, 4, 1, 1, 2, 2},
-		{12, 3, 2, 5, 3, 4},
-		{8, 2, 2, 7, 9, 1},  // ring wider than the wrapped axis
-		{16, 1, 1, 3, 1, 0}, // single owner: nothing is remote
-	} {
-		ot := testOwnerTable(tc.L, tc.px, tc.py)
-		remote := func(o int32) bool { return o != tc.self }
-		var fr Frontier
-		fr.Rebuild(ot, tc.L, tc.rx, tc.ry, remote)
+	type tcase struct {
+		L, rx, ry    int
+		xCuts, yCuts []int
+		remote       func(int32) bool
+	}
+	cases := []tcase{
+		// y-runs [0,1) and [1,16): the window of cy = 1 starts and ends in
+		// run 1 yet passes through run 0 around the wrap.
+		{16, 0, 7, []int{0, 16}, []int{0, 1, 16}, func(o int32) bool { return o == 0 }},
+		{16, 3, 1, []int{0, 8, 16}, []int{0, 8, 16}, func(o int32) bool { return o != 0 }},
+		{8, 7, 9, []int{0, 4, 8}, []int{0, 4, 8}, func(o int32) bool { return o != 1 }}, // ring wider than the wrapped axis
+		{16, 3, 1, []int{0, 16}, []int{0, 16}, func(o int32) bool { return o != 0 }},    // single owner: nothing is remote
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		L := 4 + rng.Intn(17) // 4..20
+		px, py := 1+rng.Intn(min(L, 5)), 1+rng.Intn(min(L, 5))
+		loc := make([]int, px*py)
+		cores := 1 + rng.Intn(4)
+		for o := range loc {
+			loc[o] = rng.Intn(cores)
+		}
+		self := rng.Intn(cores)
+		cases = append(cases, tcase{L, rng.Intn(L/2 + 2), rng.Intn(L/2 + 2),
+			randomCuts(rng, L, px), randomCuts(rng, L, py),
+			func(o int32) bool { return loc[o] != self }})
+	}
+	var fr Frontier
+	for _, tc := range cases {
+		ot := NewOwnerTable(tc.xCuts, tc.yCuts)
+		fr.Rebuild(ot, tc.L, tc.rx, tc.ry, tc.remote)
+		interior := false
 		for cy := 0; cy < tc.L; cy++ {
 			for cx := 0; cx < tc.L; cx++ {
 				want := false
 				for dy := -tc.ry; dy <= tc.ry && !want; dy++ {
 					for dx := -tc.rx; dx <= tc.rx; dx++ {
-						if remote(ot.Owner(wrapCell(cx+dx, tc.L), wrapCell(cy+dy, tc.L))) {
+						if tc.remote(ot.Owner(grid.WrapIndex(cx+dx, tc.L), grid.WrapIndex(cy+dy, tc.L))) {
 							want = true
 							break
 						}
 					}
 				}
 				if got := fr.At(cx, cy); got != want {
-					t.Fatalf("L=%d %dx%d ring(%d,%d) self=%d: cell (%d,%d) frontier=%v, brute force says %v",
-						tc.L, tc.px, tc.py, tc.rx, tc.ry, tc.self, cx, cy, got, want)
+					t.Fatalf("L=%d cuts %v×%v ring(%d,%d): cell (%d,%d) frontier=%v, brute force says %v",
+						tc.L, tc.xCuts, tc.yCuts, tc.rx, tc.ry, cx, cy, got, want)
 				}
+				interior = interior || !want && !tc.remote(ot.Owner(cx, cy))
 			}
 		}
+		if fr.Interior() != interior {
+			t.Fatalf("L=%d cuts %v×%v ring(%d,%d): interior=%v, brute force says %v",
+				tc.L, tc.xCuts, tc.yCuts, tc.rx, tc.ry, fr.Interior(), interior)
+		}
+	}
+}
+
+// BenchmarkFrontierRebuild times a warm rebuild on a 48×32 owner table, the
+// per-rebalance cost of the frontier at a small and at the paper's mesh.
+func BenchmarkFrontierRebuild(b *testing.B) {
+	for _, L := range []int{512, 2998} {
+		b.Run(fmt.Sprintf("L=%d", L), func(b *testing.B) {
+			ot := testOwnerTable(L, 48, 32)
+			remote := func(o int32) bool { return o != 0 }
+			var fr Frontier
+			fr.Rebuild(ot, L, 31, 5, remote)
+			b.ResetTimer()
+			for range b.N {
+				fr.Rebuild(ot, L, 31, 5, remote)
+			}
+		})
 	}
 }
 
@@ -225,7 +270,7 @@ func TestPartitionedWavesMatchMoveClassify(t *testing.T) {
 }
 
 // TestPartitionFrontierProperty pins the partition's contract on random
-// containers against assorted masks, the three degenerate masks included:
+// containers against assorted frontiers, the three degenerate ones included:
 // every interior particle precedes every frontier one, the returned count
 // is exact, and the multiset of particles (ID and every field) is unchanged.
 func TestPartitionFrontierProperty(t *testing.T) {

@@ -6,7 +6,7 @@ package driver
 // decomposition shape, schedule, seed) is not part of a checkpoint — a
 // restoring rank rebuilds it from its own Config and validates the
 // checkpoint against it. Derived state (materialized mesh blocks,
-// owner tables, frontier masks) is likewise rebuilt rather than
+// owner tables, frontiers) is likewise rebuilt rather than
 // shipped: block charge data is formulaic, and the lookup structures are
 // pure functions of the cuts / VP placement that do travel.
 
@@ -40,8 +40,8 @@ func pupIntSlice(p *pup.PUPer, v *[]int) {
 // PUP implements pup.PUPable: the block substrate's dynamic state is the
 // cut arrays (the decomposition the balancer has evolved), the local SoA
 // particle container, and the migration/exchange accounting. Unpacking
-// reinstalls the cuts — rebuilding the mesh block, owner table, and frontier
-// mask, and zeroing the ownership prefix — before the restored particles are
+// reinstalls the cuts — rebuilding the mesh block, owner table and
+// frontier, and zeroing the ownership prefix — before the restored particles are
 // trusted.
 func (s *blockSubstrate) PUP(p *pup.PUPer) {
 	magic := blockCheckpointMagic
@@ -119,7 +119,7 @@ func (s *blockSubstrate) Restore(buf []byte) error { return pup.Unpack(s, buf) }
 // runtime's — the location table, the runtime stats, and every locally
 // hosted VP serialized through its own PUP routine (particles and grid data
 // column-wise, recycled shells on unpack) — plus the exchange accounting.
-// The frontier mask depends on VP placement and is rebuilt after restore.
+// The frontier depends on VP placement and is rebuilt after restore.
 func (s *vpSubstrate) PUP(p *pup.PUPer) {
 	magic := vpCheckpointMagic
 	p.Uint64(&magic)

@@ -77,7 +77,7 @@ type Substrate interface {
 	// Restore replaces the rank's dynamic state with a Checkpoint blob
 	// taken on a substrate built from the identical Config (possibly in
 	// another process — the blob is self-describing and validated). Derived
-	// structures (owner tables, frontier masks) are rebuilt.
+	// structures (owner tables, frontiers) are rebuilt.
 	Restore(buf []byte) error
 	// Close releases per-rank resources (the move worker pool). The engine
 	// calls it exactly once when the rank's pipeline exits.

@@ -70,17 +70,15 @@ type stepper struct {
 	// at indexes cells by owner (nil where the owner lives elsewhere).
 	at []*cell
 
-	// frontier marks the mesh cells within one step's displacement (rx, ry)
-	// of a cell hosted on another rank; ni holds each hosted cell's interior
-	// count between the two waves; nbr derives the sparse exchange schedule.
-	rx, ry   int
-	frontier core.Frontier
-	ni       []int
-	nbr      core.NbrSet
-	// interior records whether any mesh cell hosted here lies outside the
-	// frontier mask. When none does (a ring as wide as the blocks), every
-	// particle is a frontier particle and the partition pass is skipped.
-	interior bool
+	// nbr derives, from one step's displacement (rx, ry), the sparse
+	// exchange schedule and the frontier: the mesh cells within reach of a
+	// cell hosted on another rank, and whether any cell hosted here is not
+	// one (when none is — a ring as wide as the blocks — every particle is a
+	// frontier particle and the partition pass is skipped). ni holds each
+	// hosted cell's interior count between the two waves.
+	rx, ry int
+	nbr    core.NbrSet
+	ni     []int
 
 	// lv is the move pass's leaver list (reset per cell and wave); shards
 	// holds the double-buffered per-owner shards the leavers scatter into;
@@ -120,25 +118,16 @@ func (s *stepper) init(c *comm.Comm, cfg Config, unit string) {
 }
 
 // rebuildTopology recomputes everything derived from ot, host and cells: the
-// frontier mask (and whether it leaves this rank any interior), the sparse
-// exchange schedule over hosting ranks and the owner index — and zeroes every
+// frontier (and whether it leaves this rank any interior) and the sparse
+// exchange schedule over hosting ranks, both from one NbrSet.Rebuild, and
+// the owner index — and zeroes every
 // ownership prefix, which was established against the old decomposition.
 // Called at construction, after every Execute and after a checkpoint restore. Installing the schedule mid-run arms comm's
 // full-ring fence, which is exactly what a follow-up rehome exchange needs
 // (it can route particles outside both the old and the new neighbor sets).
 func (s *stepper) rebuildTopology() {
-	me, L, host := s.c.Rank(), s.cfg.Mesh.L, s.host
-	s.frontier.Rebuild(s.ot, L, s.rx, s.ry, func(o int32) bool { return host[o] != me })
-	s.interior = false
-	for cy := 0; cy < L && !s.interior; cy++ {
-		for cx := 0; cx < L; cx++ {
-			if host[s.ot.Owner(cx, cy)] == me && !s.frontier.At(cx, cy) {
-				s.interior = true
-				break
-			}
-		}
-	}
-	peers := s.nbr.Rebuild(s.ot, L, s.rx, s.ry, me, s.c.Size(), func(o int32) int { return host[o] })
+	host := s.host
+	peers := s.nbr.Rebuild(s.ot, s.cfg.Mesh.L, s.rx, s.ry, s.c.Rank(), s.c.Size(), func(o int32) int { return host[o] })
 	s.c.SetExchangeNeighbors(peers)
 	if len(s.at) != len(s.host) {
 		s.at = make([]*cell, len(s.host))
@@ -159,8 +148,8 @@ func (s *stepper) rebuildTopology() {
 // frontier mesh cells into one contiguous tail (per mesh cell, not per
 // hosted cell — over-decomposed, most VPs touch another rank's territory
 // somewhere, but only a band of their mesh cells can reach it in one step).
-// When the mask covers every mesh cell hosted here the answer is known to
-// be "no interior" and the pass is not run.
+// When the frontier covers every mesh cell hosted here the answer is known
+// to be "no interior" and the pass is not run.
 // The tails move and classify first, their leavers scatter into the
 // outgoing shards and the exchange STARTS; the interior heads move while
 // the parcels are in flight, and only then does the exchange FINISH. The
@@ -182,8 +171,8 @@ func (s *stepper) MoveExchange(rec *trace.Recorder) error {
 	cols := s.shards.next(len(s.host))
 	for k, c := range s.cells {
 		s.ni[k] = 0
-		if s.interior {
-			s.ni[k] = core.PartitionFrontier(c.soa, mesh, &s.frontier)
+		if s.nbr.Frontier.Interior() {
+			s.ni[k] = core.PartitionFrontier(c.soa, mesh, &s.nbr.Frontier)
 		}
 		s.pool.MoveClassifyRange(c.soa, s.ni[k], c.soa.Len(), c.block, mesh, s.ot, int32(c.id), &s.lv)
 		c.soa.ScatterRemove(&s.lv, cols)

@@ -243,7 +243,7 @@ func randomCuts(rng *rand.Rand, L, blocks int) []int {
 // whether a step runs PartitionFrontier. Over random cut arrays, ring widths
 // and owner placements, the flag rebuildTopology records equals a brute-force
 // reading of the definition — some mesh cell hosted here has no remotely
-// hosted cell within the ring, wrapped — computed without the mask. Then one
+// hosted cell within the ring, wrapped — computed cell by cell. Then one
 // run on each side of the flag, on both substrates, matches the serial
 // reference bit for bit.
 func TestPartitionSkippedOnlyWithoutInterior(t *testing.T) {
@@ -287,9 +287,9 @@ func TestPartitionSkippedOnlyWithoutInterior(t *testing.T) {
 					want = want || !reach
 				}
 			}
-			if s.interior != want {
+			if got := s.nbr.Frontier.Interior(); got != want {
 				return fmt.Errorf("trial %d rank %d (%d×%d owners, ring %d,%d, hosts %v): interior recorded %v, brute force %v",
-					trial, me, px, py, s.rx, s.ry, s.host, s.interior, want)
+					trial, me, px, py, s.rx, s.ry, s.host, got, want)
 			}
 			if me == 0 && want {
 				with++
@@ -322,9 +322,9 @@ func TestPartitionSkippedOnlyWithoutInterior(t *testing.T) {
 				s, err := mk(c, cfg)
 				switch s := s.(type) {
 				case *blockSubstrate:
-					interior[c.Rank()] = s.interior
+					interior[c.Rank()] = s.nbr.Frontier.Interior()
 				case *vpSubstrate:
-					interior[c.Rank()] = s.interior
+					interior[c.Rank()] = s.nbr.Frontier.Interior()
 				}
 				return s, err
 			}

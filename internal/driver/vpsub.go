@@ -70,7 +70,7 @@ func (v *picVP) PUP(p *pup.PUPer) {
 //
 // It is the many-cell case of the shared step (step.go): owners are VPs,
 // the static cell→VP owner table is built once, and which VPs a rank hosts —
-// and so the host table, the frontier mask and the exchange schedule —
+// and so the host table, the frontier and the exchange schedule —
 // follows the runtime's placement.
 type vpSubstrate struct {
 	stepper
