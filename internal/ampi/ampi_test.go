@@ -1,39 +1,10 @@
 package ampi
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
-
-	"github.com/parres/picprk/internal/comm"
-	"github.com/parres/picprk/internal/pup"
 )
-
-// toyVP is a minimal migratable unit: an id plus a payload whose length is
-// its load.
-type toyVP struct {
-	id      int
-	payload []float64
-	gen     int
-}
-
-func (v *toyVP) VPID() int     { return v.id }
-func (v *toyVP) Load() float64 { return float64(len(v.payload)) }
-func (v *toyVP) PUP(p *pup.PUPer) {
-	p.Int(&v.id)
-	p.Int(&v.gen)
-	p.Float64s(&v.payload)
-}
-
-func newToy(id, load int) *toyVP {
-	payload := make([]float64, load)
-	for i := range payload {
-		payload[i] = float64(id*1000 + i)
-	}
-	return &toyVP{id: id, payload: payload}
-}
 
 func TestGreedyLBBalances(t *testing.T) {
 	loads := []float64{100, 1, 1, 1, 50, 50, 2, 3}
@@ -177,136 +148,6 @@ func TestStrategiesProperty(t *testing.T) {
 	}
 }
 
-func runtimeWorld(t *testing.T, p, nvp int, fn func(rt *Runtime, c *comm.Comm) error) {
-	t.Helper()
-	w := comm.NewWorld(p)
-	err := w.Run(func(c *comm.Comm) error {
-		place := func(vp int) int { return vp % p }
-		rt, err := NewRuntime(c, nvp,
-			place,
-			func(vp int) VP { return newToy(vp, (vp+1)*10) },
-			func() VP { return &toyVP{} })
-		if err != nil {
-			return err
-		}
-		return fn(rt, c)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRuntimeInitialPlacement(t *testing.T) {
-	runtimeWorld(t, 4, 16, func(rt *Runtime, c *comm.Comm) error {
-		ids := rt.LocalIDs()
-		if len(ids) != 4 {
-			return fmt.Errorf("core %d hosts %d VPs", c.Rank(), len(ids))
-		}
-		for _, id := range ids {
-			if id%4 != c.Rank() {
-				return fmt.Errorf("VP %d on wrong core %d", id, c.Rank())
-			}
-			if rt.Local(id) == nil || rt.Location(id) != c.Rank() {
-				return fmt.Errorf("inconsistent tables for VP %d", id)
-			}
-		}
-		return nil
-	})
-}
-
-func TestRuntimeMigrationPreservesState(t *testing.T) {
-	runtimeWorld(t, 3, 9, func(rt *Runtime, c *comm.Comm) error {
-		// Mutate local VPs so migrated state is distinguishable from
-		// freshly-built state.
-		rt.ForEach(func(vp VP) { vp.(*toyVP).gen = 7 })
-		moves, err := rt.LoadBalance(RotateLB{})
-		if err != nil {
-			return err
-		}
-		if moves != 9 {
-			return fmt.Errorf("rotate moved %d of 9", moves)
-		}
-		// Every core still hosts 3 VPs, now the previous core's set, with
-		// mutated state intact.
-		ids := rt.LocalIDs()
-		if len(ids) != 3 {
-			return fmt.Errorf("core %d hosts %d after rotate", c.Rank(), len(ids))
-		}
-		prev := (c.Rank() - 1 + 3) % 3
-		for _, id := range ids {
-			if id%3 != prev {
-				return fmt.Errorf("VP %d should not be on core %d", id, c.Rank())
-			}
-			v := rt.Local(id).(*toyVP)
-			if v.gen != 7 {
-				return fmt.Errorf("VP %d lost state in migration", id)
-			}
-			if len(v.payload) != (id+1)*10 || v.payload[0] != float64(id*1000) {
-				return fmt.Errorf("VP %d payload corrupted", id)
-			}
-		}
-		if rt.Stats.VPsSent != 3 || rt.Stats.VPsReceived != 3 || rt.Stats.LBInvocations != 1 {
-			return fmt.Errorf("stats %+v", rt.Stats)
-		}
-		return nil
-	})
-}
-
-func TestRuntimeGreedyConvergesLoad(t *testing.T) {
-	// All load initially concentrated modulo placement; greedy must spread
-	// it so cores end up within 2x of ideal.
-	const P, NVP = 4, 32
-	w := comm.NewWorld(P)
-	err := w.Run(func(c *comm.Comm) error {
-		rt, err := NewRuntime(c, NVP,
-			func(vp int) int { return 0 }, // everything starts on core 0
-			func(vp int) VP { return newToy(vp, 10+vp) },
-			func() VP { return &toyVP{} })
-		if err != nil {
-			return err
-		}
-		if _, err := rt.LoadBalance(GreedyLB{}); err != nil {
-			return err
-		}
-		var local float64
-		rt.ForEach(func(vp VP) { local += vp.Load() })
-		max := comm.AllreduceScalar(c, local, comm.Max[float64])
-		var total float64
-		for vp := 0; vp < NVP; vp++ {
-			total += float64(10 + vp)
-		}
-		if max > total/P*1.5 {
-			return fmt.Errorf("max core load %v after greedy, ideal %v", max, total/P)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRuntimeRepeatedLBRounds(t *testing.T) {
-	runtimeWorld(t, 4, 16, func(rt *Runtime, c *comm.Comm) error {
-		for round := 0; round < 10; round++ {
-			if _, err := rt.LoadBalance(RotateLB{}); err != nil {
-				return err
-			}
-			// Location table must stay globally consistent: the sum of
-			// local VP counts is NVP and sorted local ids match the table.
-			n := comm.AllreduceScalar(c, len(rt.LocalIDs()), comm.Sum[int])
-			if n != 16 {
-				return fmt.Errorf("round %d: %d VPs total", round, n)
-			}
-			for _, id := range rt.LocalIDs() {
-				if rt.Location(id) != c.Rank() {
-					return fmt.Errorf("round %d: table disagrees for VP %d", round, id)
-				}
-			}
-		}
-		return nil
-	})
-}
-
 func TestBlockPlacement(t *testing.T) {
 	place, err := BlockPlacement(8, 4, 4, 2)
 	if err != nil {
@@ -358,19 +199,4 @@ func TestRefineHalvesGap(t *testing.T) {
 	if Moves(owner, newOwner) > 2 {
 		t.Errorf("refine used %d moves", Moves(owner, newOwner))
 	}
-}
-
-func TestLocalIDsSorted(t *testing.T) {
-	runtimeWorld(t, 2, 10, func(rt *Runtime, c *comm.Comm) error {
-		ids := rt.LocalIDs()
-		if !sort.IntsAreSorted(ids) {
-			return fmt.Errorf("ids not sorted: %v", ids)
-		}
-		order := []int{}
-		rt.ForEach(func(vp VP) { order = append(order, vp.VPID()) })
-		if !sort.IntsAreSorted(order) {
-			return fmt.Errorf("ForEach order not sorted: %v", order)
-		}
-		return nil
-	})
 }

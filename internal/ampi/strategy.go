@@ -1,9 +1,12 @@
-// Package ampi emulates the Adaptive MPI execution model of paper §IV-C:
-// the application is over-decomposed into virtual processors (VPs), several
-// of which are hosted by each core (rank); the runtime measures per-VP load
-// and periodically migrates VPs between cores — serialized with the PUP
-// framework — according to a pluggable load-balancing strategy, as the
-// Charm++ scheduler underneath AMPI does.
+// Package ampi holds the placement policies of the Adaptive MPI execution
+// model of paper §IV-C: the application is over-decomposed into virtual
+// processors (VPs), several of which are hosted by each core (rank), and a
+// pluggable load-balancing strategy periodically reassigns VPs to cores from
+// their measured loads, as the Charm++ scheduler underneath AMPI does. The
+// package is pure policy: the strategies, the compact initial placement
+// (BlockPlacement) and the measures of an assignment (MaxCoreLoad, Moves,
+// Fragmentation, GridNeighbors). Hosting VPs and PUP-migrating them between
+// cores is the driver's VP substrate.
 package ampi
 
 import (

@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Internal tag space. User tags must be non-negative; collectives use
 // negative tags so they can interleave with application point-to-point
@@ -172,54 +169,6 @@ func Gather[T any](c *Comm, root int, v T) []T {
 // Allgather collects one value from every rank on every rank.
 func Allgather[T any](c *Comm, v T) []T {
 	return Bcast(c, 0, Gather(c, 0, v))
-}
-
-// Split partitions the communicator: ranks passing the same color form a new
-// communicator, ordered by key (ties broken by parent rank). Every rank must
-// call Split; a negative color yields a nil communicator (like
-// MPI_COMM_NULL with MPI_UNDEFINED).
-func (c *Comm) Split(color, key int) *Comm {
-	all := Allgather(c, splitKey{color, key, c.rank})
-	c.splits++
-	if color < 0 {
-		return nil
-	}
-	var members []splitKey
-	for _, e := range all {
-		if e.Color == color {
-			members = append(members, e)
-		}
-	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].Key != members[j].Key {
-			return members[i].Key < members[j].Key
-		}
-		return members[i].Rank < members[j].Rank
-	})
-	group := make([]int, len(members))
-	newRank := -1
-	for i, m := range members {
-		group[i] = c.group[m.Rank]
-		if m.Rank == c.rank {
-			newRank = i
-		}
-	}
-	// All members derive the same context id from shared values.
-	ctx := mix(c.ctx, c.splits, uint64(color)+1)
-	return &Comm{world: c.world, rank: newRank, group: group, ctx: ctx, chaos: c.chaos}
-}
-
-func mix(vals ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, v := range vals {
-		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-		h *= 0xff51afd7ed558ccd
-		h ^= h >> 33
-	}
-	if h == 0 {
-		h = 1 // ctx 0 is reserved for the world communicator
-	}
-	return h
 }
 
 func cast[T any](data any, where string) T {

@@ -1,9 +1,9 @@
 // Package comm is a message-passing runtime in the spirit of MPI. Each rank
 // runs as a goroutine; ranks exchange two-sided messages matched on
-// (communicator, source, tag) with wildcard-source receives, and the package
+// (source, tag) with wildcard-source receives, and the package
 // layers collectives (barrier, broadcast, reduce, allreduce, gather,
-// allgather, sparse all-to-all), communicator splitting, and Cartesian
-// topologies on top.
+// allgather, the pointer exchange) on top. There is one communicator, the
+// world: every rank addresses every other by its world rank.
 //
 // Message movement is delegated to a Transport (see transport.go). The
 // default is the in-process substrate — every rank a goroutine in one
@@ -33,7 +33,7 @@ const AnySource = -1
 
 // inbox is a rank's mailbox: a mutex-guarded pending list with condition
 // variable wakeups. Matching preserves MPI's non-overtaking guarantee:
-// between one (src, tag, ctx) pair, messages are received in send order.
+// between one (src, tag) pair, messages are received in send order.
 // (A wire transport preserves the same guarantee because each peer's frames
 // arrive over one ordered stream and are delivered by one reader.)
 type inbox struct {
@@ -206,15 +206,11 @@ func (w *World) Run(fn func(c *Comm) error) error {
 
 // comm builds the world communicator view for one rank.
 func (w *World) comm(rank int) *Comm {
-	group := make([]int, w.size)
-	for i := range group {
-		group[i] = i
-	}
 	var chaos *rand.Rand
 	if w.opts.ChaosDelay > 0 {
 		chaos = rand.New(rand.NewSource(w.opts.ChaosSeed + int64(rank)))
 	}
-	return &Comm{world: w, rank: rank, group: group, ctx: 0, chaos: chaos}
+	return &Comm{world: w, rank: rank, chaos: chaos}
 }
 
 // abort records the first error and wakes all blocked receivers. When the
@@ -253,15 +249,12 @@ func (w *World) isAborted() bool {
 	return w.aborted
 }
 
-// Comm is one rank's handle on a communicator: the world communicator from
-// Run, or a subcommunicator from Split. Methods are safe to call only from
-// the owning rank's goroutine (as in MPI).
+// Comm is one rank's handle on the world communicator, as Run hands it to
+// the rank function. Methods are safe to call only from the owning rank's
+// goroutine (as in MPI).
 type Comm struct {
 	world      *World
-	rank       int   // rank within this communicator
-	group      []int // world ranks of the members, indexed by comm rank
-	ctx        uint64
-	splits     uint64
+	rank       int
 	gatherSeq  uint64
 	scatterSeq uint64
 	xchgSeq    uint64
@@ -289,11 +282,11 @@ type Comm struct {
 	chaos      *rand.Rand
 }
 
-// Rank returns the caller's rank within the communicator.
+// Rank returns the caller's rank.
 func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the number of ranks in the communicator.
-func (c *Comm) Size() int { return len(c.group) }
+// Size returns the number of ranks in the world.
+func (c *Comm) Size() int { return c.world.size }
 
 // OnWire reports whether this communicator's messages are serialized onto a
 // byte stream. Substrates use it to decide between measured and estimated
@@ -303,7 +296,7 @@ func (c *Comm) OnWire() bool { return c.world.tr.Wired() }
 
 // TransportBytes returns the cumulative framed bytes the transport shipped
 // on behalf of this rank (0 in-process, where nothing is serialized).
-func (c *Comm) TransportBytes() int64 { return c.world.tr.SentBytes(c.group[c.rank]) }
+func (c *Comm) TransportBytes() int64 { return c.world.tr.SentBytes(c.rank) }
 
 // WallClockNS returns the current wall-clock time in nanoseconds on the
 // world's common timeline: rank 0's clock. On a transport that estimates
@@ -331,8 +324,8 @@ func (c *Comm) ClockOffsetNS() int64 {
 // receiver: the sender must not mutate it afterwards. On a wire transport
 // the payload must have a codec registered with internal/pup.
 func (c *Comm) Send(dst, tag int, data any) {
-	if dst < 0 || dst >= len(c.group) {
-		panic(fmt.Sprintf("comm: send to invalid rank %d (size %d)", dst, len(c.group)))
+	if dst < 0 || dst >= c.Size() {
+		panic(fmt.Sprintf("comm: send to invalid rank %d (size %d)", dst, c.Size()))
 	}
 	if c.chaos != nil {
 		d := time.Duration(c.chaos.Int63n(int64(c.world.opts.ChaosDelay)))
@@ -348,18 +341,17 @@ func (c *Comm) Send(dst, tag int, data any) {
 }
 
 func (c *Comm) deliver(dst, tag int, data any) {
-	c.world.tr.Ship(c.group[dst], Message{Ctx: c.ctx, Src: c.group[c.rank], Tag: tag, Data: data})
+	c.world.tr.Ship(dst, Message{Src: c.rank, Tag: tag, Data: data})
 }
 
-// Recv blocks until a message with a matching source and tag arrives on
-// this communicator and returns its payload and actual source rank. Pass
-// AnySource to match any sender. Within one (source, tag) pair, messages
-// arrive in send order.
+// Recv blocks until a message with a matching source and tag arrives and
+// returns its payload and actual source rank. Pass AnySource to match any
+// sender. Within one (source, tag) pair, messages arrive in send order.
 func (c *Comm) Recv(src, tag int) (any, int) {
-	if src != AnySource && (src < 0 || src >= len(c.group)) {
-		panic(fmt.Sprintf("comm: recv from invalid rank %d (size %d)", src, len(c.group)))
+	if src != AnySource && (src < 0 || src >= c.Size()) {
+		panic(fmt.Sprintf("comm: recv from invalid rank %d (size %d)", src, c.Size()))
 	}
-	ib := c.world.inboxes[c.group[c.rank]]
+	ib := c.world.inboxes[c.rank]
 	deadline := time.Time{}
 	if c.world.opts.RecvTimeout > 0 {
 		deadline = time.Now().Add(c.world.opts.RecvTimeout)
@@ -372,39 +364,17 @@ func (c *Comm) Recv(src, tag int) (any, int) {
 		}
 		for i := range ib.pending {
 			m := &ib.pending[i]
-			if m.Ctx != c.ctx || m.Tag != tag {
+			if m.Tag != tag || (src != AnySource && m.Src != src) {
 				continue
 			}
-			srcRank := c.rankOfWorld(m.Src)
-			if srcRank < 0 {
-				continue // message from outside this communicator's group
-			}
-			if src != AnySource && srcRank != src {
-				continue
-			}
-			data := m.Data
+			data, from := m.Data, m.Src
 			ib.pending = append(ib.pending[:i], ib.pending[i+1:]...)
-			return data, srcRank
+			return data, from
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			panic(fmt.Sprintf("comm: rank %d recv(src=%d, tag=%d, ctx=%d) timed out after %v",
-				c.rank, src, tag, c.ctx, c.world.opts.RecvTimeout))
+			panic(fmt.Sprintf("comm: rank %d recv(src=%d, tag=%d) timed out after %v",
+				c.rank, src, tag, c.world.opts.RecvTimeout))
 		}
 		ib.cond.Wait()
 	}
-}
-
-// rankOfWorld translates a world rank to this communicator's rank, or -1.
-func (c *Comm) rankOfWorld(wr int) int {
-	// group is small and this is on the receive path; for the world
-	// communicator group[i] == i so the common case is O(1).
-	if wr < len(c.group) && c.group[wr] == wr {
-		return wr
-	}
-	for i, g := range c.group {
-		if g == wr {
-			return i
-		}
-	}
-	return -1
 }

@@ -272,97 +272,6 @@ func TestConsecutiveGathersDoNotMix(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	w := NewWorld(8)
-	err := w.Run(func(c *Comm) error {
-		// Even/odd split, ordered by descending world rank via key.
-		sub := c.Split(c.Rank()%2, -c.Rank())
-		if sub.Size() != 4 {
-			return fmt.Errorf("sub size %d", sub.Size())
-		}
-		// Highest world rank gets sub-rank 0.
-		got := Allgather(sub, c.Rank())
-		for i := 1; i < len(got); i++ {
-			if got[i] > got[i-1] {
-				return fmt.Errorf("expected descending ranks, got %v", got)
-			}
-		}
-		// Collectives on the subcommunicator must not leak across colors.
-		sum := AllreduceScalar(sub, c.Rank(), Sum[int])
-		want := 0 + 2 + 4 + 6
-		if c.Rank()%2 == 1 {
-			want = 1 + 3 + 5 + 7
-		}
-		if sum != want {
-			return fmt.Errorf("rank %d sub sum %d want %d", c.Rank(), sum, want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitNegativeColor(t *testing.T) {
-	w := NewWorld(4)
-	err := w.Run(func(c *Comm) error {
-		color := c.Rank() % 2
-		if c.Rank() == 3 {
-			color = -1
-		}
-		sub := c.Split(color, c.Rank())
-		if c.Rank() == 3 {
-			if sub != nil {
-				return errors.New("negative color should yield nil comm")
-			}
-			return nil
-		}
-		if sub == nil {
-			return errors.New("unexpected nil comm")
-		}
-		sub.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCart2D(t *testing.T) {
-	px, py := Dims2D(12)
-	if px*py != 12 || px < py {
-		t.Fatalf("Dims2D(12) = %d,%d", px, py)
-	}
-	w := NewWorld(12)
-	err := w.Run(func(c *Comm) error {
-		g := NewCart2D(c, px, py)
-		if g.RankOf(g.CX, g.CY) != c.Rank() {
-			return fmt.Errorf("roundtrip failed for rank %d", c.Rank())
-		}
-		cx, cy := g.Coords(c.Rank())
-		if cx != g.CX || cy != g.CY {
-			return fmt.Errorf("coords mismatch")
-		}
-		// Row communicator must contain PX ranks with my CY.
-		if g.Row.Size() != g.PX || g.Col.Size() != g.PY {
-			return fmt.Errorf("row/col sizes %d/%d", g.Row.Size(), g.Col.Size())
-		}
-		// Periodic wrap.
-		if g.RankOf(-1, g.CY) != g.RankOf(g.PX-1, g.CY) {
-			return fmt.Errorf("periodic wrap broken")
-		}
-		// Sum of CX along a row is 0+1+..+PX-1.
-		s := AllreduceScalar(g.Row, g.CX, Sum[int])
-		if s != g.PX*(g.PX-1)/2 {
-			return fmt.Errorf("row sum %d", s)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDims2D(t *testing.T) {
 	cases := map[int][2]int{
 		1: {1, 1}, 2: {2, 1}, 4: {2, 2}, 6: {3, 2}, 12: {4, 3},

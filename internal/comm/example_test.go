@@ -2,7 +2,6 @@ package comm_test
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/parres/picprk/internal/comm"
 )
@@ -28,21 +27,4 @@ func ExampleWorld() {
 		fmt.Println("error:", err)
 	}
 	// Output: sum of ring-shifted ranks: 6
-}
-
-// ExampleComm_Split builds row communicators from a 2D layout and reduces
-// within each row independently.
-func ExampleComm_Split() {
-	results := make([]int, 6)
-	w := comm.NewWorld(6)
-	_ = w.Run(func(c *comm.Comm) error {
-		row := c.Rank() / 3 // two rows of three ranks
-		sub := c.Split(row, c.Rank())
-		sum := comm.AllreduceScalar(sub, c.Rank(), comm.Sum[int])
-		results[c.Rank()] = sum
-		return nil
-	})
-	sort.Ints(results)
-	fmt.Println(results)
-	// Output: [3 3 3 12 12 12]
 }

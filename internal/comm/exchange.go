@@ -94,7 +94,7 @@ func ExchangePtr[T any](c *Comm, send, recv []*T) {
 // completed exchange yet (fresh world, or restore into a fresh world) there
 // are no outstanding pointers and the schedule takes effect immediately.
 func (c *Comm) SetExchangeNeighbors(peers []int) {
-	p := len(c.group)
+	p := c.Size()
 	for i, r := range peers {
 		if r < 0 || r >= p {
 			panic(fmt.Sprintf("comm: exchange neighbor %d out of range [0,%d)", r, p))

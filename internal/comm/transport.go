@@ -19,10 +19,10 @@ package comm
 // transport may do is move a Message to its destination rank intact.
 
 // Message is one in-flight point-to-point payload together with the
-// envelope the receive side matches on. Src is a world rank; communicator
-// rank translation happens at receive time, as before.
+// envelope the receive side matches on.
 type Message struct {
-	// Ctx is the communicator context id (0 = world).
+	// Ctx is always 0: the world is the only communicator. The field keeps
+	// the wire frame's layout unchanged.
 	Ctx uint64
 	// Src is the world rank of the sender.
 	Src int

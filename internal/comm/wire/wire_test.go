@@ -83,17 +83,6 @@ func collectiveWorkout(c *comm.Comm) error {
 		}
 	}
 
-	// Split into even/odd ranks and reduce within the subcommunicator.
-	sub := c.Split(r%2, r)
-	subSum := comm.AllreduceScalar(sub, int64(r), comm.Sum[int64])
-	want := int64(0)
-	for i := r % 2; i < p; i += 2 {
-		want += int64(i)
-	}
-	if subSum != want {
-		return fmt.Errorf("split allreduce: got %d, want %d", subSum, want)
-	}
-
 	// Point-to-point FIFO: a burst to the right neighbor on one tag must
 	// arrive in send order.
 	const burst = 64
@@ -139,17 +128,6 @@ func chaosWorkout(c *comm.Comm) error {
 	r := c.Rank()
 	if !c.OnWire() {
 		return errors.New("wire world does not report OnWire")
-	}
-
-	// Split first (as Cart2D does at startup), then reduce within.
-	sub := c.Split(r%2, r)
-	subSum := comm.AllreduceScalar(sub, int64(r), comm.Sum[int64])
-	wantSub := int64(0)
-	for i := r % 2; i < p; i += 2 {
-		wantSub += int64(i)
-	}
-	if subSum != wantSub {
-		return fmt.Errorf("split allreduce: got %d, want %d", subSum, wantSub)
 	}
 
 	for round := 0; round < 10; round++ {

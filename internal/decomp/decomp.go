@@ -105,7 +105,7 @@ func (b Bounds) Equal(o Bounds) bool {
 // Grid2D is a Cartesian-product decomposition of an L×L cell domain over a
 // PX×PY rank grid: rank (px, py) owns cells
 // [X.Cuts[px], X.Cuts[px+1]) × [Y.Cuts[py], Y.Cuts[py+1]).
-// Rank numbering matches comm.Cart2D: rank = py*PX + px.
+// Ranks are numbered row by row, x fastest: rank = py*PX + px.
 type Grid2D struct {
 	PX, PY int
 	X, Y   Bounds

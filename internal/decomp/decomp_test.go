@@ -107,7 +107,7 @@ func TestGrid2D(t *testing.T) {
 	if err := g.Validate(12); err != nil {
 		t.Fatal(err)
 	}
-	// Rank layout matches comm.Cart2D: rank = py*PX + px.
+	// Ranks are numbered row by row, x fastest: rank = py*PX + px.
 	if g.Rank(2, 1) != 6 {
 		t.Errorf("Rank(2,1) = %d", g.Rank(2, 1))
 	}

@@ -3,6 +3,7 @@ package driver
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/parres/picprk/internal/balance"
@@ -28,7 +29,7 @@ func benchRunConfig(b *testing.B) Config {
 }
 
 // TestMigrateSteadyStateAllocs pins the cost class of VP migration: once the
-// runtime's shell freelist and the column-wise PUP buffers are warm, moving a
+// substrate's shell free list and the column-wise PUP buffers are warm, moving a
 // VP costs O(1) allocations (the pack buffer and its send envelope), not
 // O(particles). The bound is deliberately loose — the pin is against a
 // regression to per-particle staging (which costs tens of allocations per
@@ -46,8 +47,8 @@ func TestMigrateSteadyStateAllocs(t *testing.T) {
 			return err
 		}
 		defer s.Close()
-		home := s.rt.Locations()
-		away := s.rt.Locations()
+		home := slices.Clone(s.host)
+		away := slices.Clone(s.host)
 		for vp, owner := range away {
 			if owner == 0 {
 				away[vp] = 1 // ping-pong one VP between the two cores

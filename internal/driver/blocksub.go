@@ -1,6 +1,8 @@
 package driver
 
 import (
+	"fmt"
+
 	"github.com/parres/picprk/internal/balance"
 	"github.com/parres/picprk/internal/comm"
 	"github.com/parres/picprk/internal/core"
@@ -12,15 +14,14 @@ import (
 // one rectangle of a PX×PY Cartesian-product block decomposition. With a
 // NullBalancer the decomposition is static (the "mpi-2d" baseline); with a
 // DiffusionBalancer the cut arrays move and the substrate migrates the
-// affected mesh columns/rows between neighbors ("mpi-2d-LB").
+// ceded mesh columns/rows to the ranks gaining them ("mpi-2d-LB").
 //
 // It is the one-cell case of the shared step (step.go): owners are ranks,
 // every owner hosts itself, and the rank's rectangle is the only cell.
 type blockSubstrate struct {
 	stepper
 	cell
-	cart *comm.Cart2D
-	g    *decomp.Grid2D
+	g *decomp.Grid2D
 
 	// Reused load histograms for Measure.
 	hist, rhist []int64
@@ -30,7 +31,6 @@ type blockSubstrate struct {
 }
 
 func newBlockSubstrate(c *comm.Comm, cfg Config, px, py int) (*blockSubstrate, error) {
-	cart := comm.NewCart2D(c, px, py)
 	g, err := decomp.NewUniform2D(cfg.Mesh.L, px, py)
 	if err != nil {
 		return nil, err
@@ -41,8 +41,8 @@ func newBlockSubstrate(c *comm.Comm, cfg Config, px, py int) (*blockSubstrate, e
 		return nil, err
 	}
 	s := &blockSubstrate{
-		cell: cell{id: c.Rank(), block: block, soa: &core.SoA{}},
-		cart: cart, g: g,
+		cell:  cell{id: c.Rank(), block: block, soa: &core.SoA{}},
+		g:     g,
 		hist:  make([]int64, cfg.Mesh.L),
 		rhist: make([]int64, cfg.Mesh.L),
 	}
@@ -94,31 +94,21 @@ func (s *blockSubstrate) Measure(n balance.Needs) balance.Loads {
 }
 
 // Execute implements Substrate: install the new cut arrays, shipping the
-// charge data of ceded columns/rows to the neighbors gaining them, then
-// rebuild the owner table and what the step derives from it, so the
-// follow-up rehome exchange (and subsequent fused classification) sees the
-// new decomposition. The particles themselves rehome via the engine's
-// follow-up exchange.
+// charge data of ceded columns/rows to the ranks gaining them — one
+// migration per axis that moved, x first — then rebuild the owner table and
+// what the step derives from it, so the follow-up rehome exchange (and
+// subsequent fused classification) sees the new decomposition. The
+// particles themselves rehome via the engine's follow-up exchange.
 func (s *blockSubstrate) Execute(plan balance.Plan) (bool, error) {
 	if plan.X != nil {
-		ng := &decomp.Grid2D{PX: s.g.PX, PY: s.g.PY, X: plan.X.Clone(), Y: s.g.Y.Clone()}
-		nb, bytes, err := migrateColumns(s.cart, s.cfg.Mesh, s.g, ng, s.block)
-		if err != nil {
+		if err := s.migrate(&decomp.Grid2D{PX: s.g.PX, PY: s.g.PY, X: plan.X.Clone(), Y: s.g.Y.Clone()}); err != nil {
 			return false, err
 		}
-		s.bytes += bytes
-		s.migrations++
-		s.g, s.block = ng, nb
 	}
 	if plan.Y != nil {
-		ng := &decomp.Grid2D{PX: s.g.PX, PY: s.g.PY, X: s.g.X.Clone(), Y: plan.Y.Clone()}
-		nb, bytes, err := migrateRows(s.cart, s.cfg.Mesh, s.g, ng, s.block)
-		if err != nil {
+		if err := s.migrate(&decomp.Grid2D{PX: s.g.PX, PY: s.g.PY, X: s.g.X.Clone(), Y: plan.Y.Clone()}); err != nil {
 			return false, err
 		}
-		s.bytes += bytes
-		s.migrations++
-		s.g, s.block = ng, nb
 	}
 	s.ot = core.NewOwnerTable(s.g.X.Cuts, s.g.Y.Cuts)
 	s.rebuildTopology()
@@ -128,116 +118,87 @@ func (s *blockSubstrate) Execute(plan balance.Plan) (bool, error) {
 // MigrationStats implements Substrate.
 func (s *blockSubstrate) MigrationStats() (int, int64) { return s.migrations, s.bytes }
 
-// colsParcel carries migrated mesh columns between row neighbors after a
-// boundary shift: the charge data of owned columns [X0, X0+W) for the
-// sender's row range.
-type colsParcel struct {
-	X0   int
-	W    int
-	Cols []float64
+// rectParcel carries ceded mesh points between ranks after a cut moved: the
+// row-major charges of the global rectangle [X0, X0+W) × [Y0, Y0+H).
+type rectParcel struct {
+	X0, Y0, W, H int
+	Data         []float64
 }
 
-// migrateColumns rebuilds the local grid block after the x-cuts changed.
-// Each rank ships the charge data of columns it loses to the row neighbor
-// gaining them (at most one parcel per neighbor, moved by pointer through
-// the row communicator's exchange collective) and validates what it
-// receives against the formulaic field — the data volume is what the paper
-// charges the diffusion scheme for. It returns the new block and the number
-// of payload bytes sent.
-func migrateColumns(cart *comm.Cart2D, m grid.Mesh, old, nw *decomp.Grid2D, block *grid.Block) (*grid.Block, int64, error) {
-	me := cart.Comm.Rank()
-	row := cart.Row
-	oldX0, _, oldNX, _ := old.RankRect(me)
-	newX0, newY0, newNX, newNY := nw.RankRect(me)
+// tagMigrate is the tag migration sends on: every ceded rectangle of the
+// block substrate, and, offset by the VP id, every migrating VP of the VP
+// substrate (the two never share a world).
+const tagMigrate = 1 << 20
 
-	// One parcel per row neighbor that gains columns I currently own; the
-	// row communicator's rank i is the rank with CX == i, so parcels index
-	// directly by target px.
-	send := make([]*colsParcel, row.Size())
-	recv := make([]*colsParcel, row.Size())
-	var sent int64
-	for opx := 0; opx < nw.PX; opx++ {
-		if opx == cart.CX {
+// migrate installs the decomposition nw. Every rank works out from the
+// replicated cut arrays what moves: it sends each other rank the charges of
+// (its old rectangle ∩ that rank's new one), and receives from each rank
+// whose old rectangle meets its new one, checking the data against the
+// formulaic field. The bytes sent are what the paper charges the diffusion
+// scheme for.
+//
+// One fixed tag is enough, although chaos-delayed delivery may reorder two
+// messages between one pair of ranks. Within a migration a pair exchanges
+// at most one parcel. The x and y migrations of one Execute involve
+// disjoint pairs: ranks of one row, then ranks of one column. And Execute
+// returns rehome = true, whose follow-up exchange runs the full ring because
+// rebuildTopology arms the fence, so every rank hears from every other rank
+// before any of them starts the next migration.
+func (s *blockSubstrate) migrate(nw *decomp.Grid2D) error {
+	me := s.c.Rank()
+	old := s.g
+	for r := range s.c.Size() {
+		if r == me {
 			continue
 		}
-		lo := max(oldX0, nw.X.Lo(opx))
-		hi := min(oldX0+oldNX, nw.X.Hi(opx))
-		if lo >= hi {
+		x0, y0, w, h := overlap(old, me, nw, r)
+		if w == 0 {
 			continue
 		}
-		cols, err := block.ExtractColumns(lo-oldX0, hi-lo)
-		if err != nil {
-			return nil, 0, err
-		}
-		send[opx] = &colsParcel{X0: lo, W: hi - lo, Cols: cols}
-		sent += int64(8 * len(cols))
+		data := s.block.AppendRect(make([]float64, 0, w*h), x0, y0, w, h)
+		s.c.Send(r, tagMigrate, &rectParcel{X0: x0, Y0: y0, W: w, H: h, Data: data})
+		s.bytes += int64(8 * len(data))
 	}
-	comm.ExchangePtr(row, send, recv)
-
-	nb, err := grid.NewBlock(m, newX0, newY0, newNX, newNY)
+	x0, y0, nx, ny := nw.RankRect(me)
+	block, err := grid.NewBlock(s.cfg.Mesh, x0, y0, nx, ny)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	for src, pc := range recv {
-		if src == cart.CX || pc == nil {
+	for r := range s.c.Size() {
+		if r == me {
 			continue
 		}
-		if err := nb.ValidateColumns(pc.Cols, pc.X0); err != nil {
-			return nil, 0, err
+		x0, y0, w, h := overlap(old, r, nw, me)
+		if w == 0 {
+			continue
+		}
+		data, _ := s.c.Recv(r, tagMigrate)
+		pc, ok := data.(*rectParcel)
+		if !ok || pc == nil {
+			return fmt.Errorf("driver: rank %d sent a %T where ceded mesh points were due", r, data)
+		}
+		if pc.X0 != x0 || pc.Y0 != y0 || pc.W != w || pc.H != h {
+			return fmt.Errorf("driver: rank %d ceded %dx%d points at (%d,%d), the cuts cede %dx%d at (%d,%d)",
+				r, pc.W, pc.H, pc.X0, pc.Y0, w, h, x0, y0)
+		}
+		if err := block.CheckRect(pc.Data, x0, y0, w, h); err != nil {
+			return fmt.Errorf("driver: mesh points ceded by rank %d: %w", r, err)
 		}
 	}
-	return nb, sent, nil
+	s.migrations++
+	s.g, s.block = nw, block
+	return nil
 }
 
-// rowsParcel carries migrated mesh rows between column neighbors after a
-// y-direction boundary shift (phase 2 of the two-phase scheme).
-type rowsParcel struct {
-	Y0   int
-	H    int
-	Rows []float64
-}
-
-// migrateRows is the y-direction analogue of migrateColumns: after the
-// y-cuts changed, each rank ships the charge data of rows it loses to the
-// column neighbor gaining them and validates what it receives.
-func migrateRows(cart *comm.Cart2D, m grid.Mesh, old, nw *decomp.Grid2D, block *grid.Block) (*grid.Block, int64, error) {
-	me := cart.Comm.Rank()
-	col := cart.Col
-	_, oldY0, _, oldNY := old.RankRect(me)
-	newX0, newY0, newNX, newNY := nw.RankRect(me)
-
-	send := make([]*rowsParcel, col.Size())
-	recv := make([]*rowsParcel, col.Size())
-	var sent int64
-	for opy := 0; opy < nw.PY; opy++ {
-		if opy == cart.CY {
-			continue
-		}
-		lo := max(oldY0, nw.Y.Lo(opy))
-		hi := min(oldY0+oldNY, nw.Y.Hi(opy))
-		if lo >= hi {
-			continue
-		}
-		rows, err := block.ExtractRows(lo-oldY0, hi-lo)
-		if err != nil {
-			return nil, 0, err
-		}
-		send[opy] = &rowsParcel{Y0: lo, H: hi - lo, Rows: rows}
-		sent += int64(8 * len(rows))
+// overlap is the rectangle rank a owns under g ∩ the one rank b owns under
+// nw; w == 0 when they do not meet.
+func overlap(g *decomp.Grid2D, a int, nw *decomp.Grid2D, b int) (x0, y0, w, h int) {
+	ax, ay, aw, ah := g.RankRect(a)
+	bx, by, bw, bh := nw.RankRect(b)
+	x0, y0 = max(ax, bx), max(ay, by)
+	w, h = min(ax+aw, bx+bw)-x0, min(ay+ah, by+bh)-y0
+	if w <= 0 || h <= 0 {
+		return 0, 0, 0, 0
 	}
-	comm.ExchangePtr(col, send, recv)
-
-	nb, err := grid.NewBlock(m, newX0, newY0, newNX, newNY)
-	if err != nil {
-		return nil, 0, err
-	}
-	for src, pc := range recv {
-		if src == cart.CY || pc == nil {
-			continue
-		}
-		if err := nb.ValidateRows(pc.Rows, pc.Y0); err != nil {
-			return nil, 0, err
-		}
-	}
-	return nb, sent, nil
+	return x0, y0, w, h
 }

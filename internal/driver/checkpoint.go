@@ -12,6 +12,7 @@ package driver
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/decomp"
@@ -113,13 +114,23 @@ func (s *blockSubstrate) installCuts(xcuts, ycuts []int) error {
 func (s *blockSubstrate) Checkpoint() ([]byte, error) { return pup.Pack(s) }
 
 // Restore implements Substrate.
-func (s *blockSubstrate) Restore(buf []byte) error { return pup.Unpack(s, buf) }
+func (s *blockSubstrate) Restore(buf []byte) error {
+	if err := pup.Unpack(s, buf); err != nil {
+		return err
+	}
+	return s.checkRestored()
+}
 
-// PUP implements pup.PUPable: the VP substrate's dynamic state is the ampi
-// runtime's — the location table, the runtime stats, and every locally
-// hosted VP serialized through its own PUP routine (particles and grid data
-// column-wise, recycled shells on unpack) — plus the exchange accounting.
-// The frontier depends on VP placement and is rebuilt after restore.
+// PUP implements pup.PUPable: the VP substrate's dynamic state is the
+// placement, the migration counters and every locally hosted VP in
+// ascending id order, serialized through its own PUP routine (particles and
+// grid data column-wise, recycled shells on unpack), plus the exchange
+// accounting. It is the rank's checkpoint shard: pack it on every rank and
+// the union reconstructs the world. Unpacking first retires the hosted VPs
+// into the shell free list (the path migration uses, so a restore stays off
+// the allocator once warm), then rebuilds the hosted set from the stream,
+// checking the placement against the world and against each restored VP's
+// id. The frontier depends on the placement and is rebuilt after restore.
 func (s *vpSubstrate) PUP(p *pup.PUPer) {
 	magic := vpCheckpointMagic
 	p.Uint64(&magic)
@@ -133,7 +144,62 @@ func (s *vpSubstrate) PUP(p *pup.PUPer) {
 		p.Fail(fmt.Errorf("driver: checkpoint is for L=%d, run has L=%d", L, s.cfg.Mesh.L))
 		return
 	}
-	s.rt.PUPState(p)
+	nvp := len(s.host)
+	p.Int(&nvp)
+	if p.Mode() == pup.Unpacking && nvp != len(s.host) {
+		p.Fail(fmt.Errorf("driver: checkpoint has %d VPs, run has %d", nvp, len(s.host)))
+		return
+	}
+	pupIntSlice(p, &s.host)
+	p.Int(&s.measures)
+	p.Int(&s.sent)
+	p.Int(&s.received)
+	pupInt64(p, &s.sentBytes)
+	pupInt64(p, &s.recvBytes)
+
+	me, hosted := s.c.Rank(), 0
+	if p.Mode() == pup.Unpacking {
+		if len(s.host) != nvp {
+			p.Fail(fmt.Errorf("driver: checkpoint placement has %d entries for %d VPs", len(s.host), nvp))
+			return
+		}
+		for id, c := range s.host {
+			if c < 0 || c >= s.c.Size() {
+				p.Fail(fmt.Errorf("driver: checkpoint places VP %d on core %d of %d", id, c, s.c.Size()))
+				return
+			}
+			if c == me {
+				hosted++
+			}
+		}
+		s.free = append(s.free, s.vps...)
+		clear(s.vps)
+		s.vps = s.vps[:0]
+	}
+	n := len(s.vps)
+	p.Int(&n)
+	if p.Mode() != pup.Unpacking {
+		for _, v := range s.vps {
+			v.PUP(p)
+		}
+	} else {
+		if n != hosted {
+			p.Fail(fmt.Errorf("driver: checkpoint carries %d VPs, its placement puts %d on core %d", n, hosted, me))
+			return
+		}
+		for i := 0; i < n; i++ {
+			v := s.shell()
+			v.PUP(p)
+			if p.Err() != nil {
+				return
+			}
+			if s.host[v.id] != me || (i > 0 && v.id <= s.vps[i-1].id) {
+				p.Fail(fmt.Errorf("driver: checkpoint VP %d does not belong on core %d (or is out of order)", v.id, me))
+				return
+			}
+			s.vps = append(s.vps, v)
+		}
+	}
 	pupInt64(p, &s.xbytes)
 	if p.Mode() == pup.Unpacking && p.Err() == nil {
 		s.placed()
@@ -144,4 +210,41 @@ func (s *vpSubstrate) PUP(p *pup.PUPer) {
 func (s *vpSubstrate) Checkpoint() ([]byte, error) { return pup.Pack(s) }
 
 // Restore implements Substrate.
-func (s *vpSubstrate) Restore(buf []byte) error { return pup.Unpack(s, buf) }
+func (s *vpSubstrate) Restore(buf []byte) error {
+	if err := pup.Unpack(s, buf); err != nil {
+		return err
+	}
+	return s.checkRestored()
+}
+
+// maxRestored bounds the magnitude of a restored particle's velocity
+// components and of its charge times the mesh charge. A real particle's are
+// a few times its per-step displacement; the bound only keeps the move
+// kernel's arithmetic finite.
+const maxRestored = 1 << 60
+
+// checkRestored sweeps every hosted particle after a restore and refuses the
+// checkpoint if the step could not take one. Each must sit at the centre of
+// a cell its own cell owns — particles start at cell centres and move whole
+// cells, so one elsewhere, or another rank's, is not this rank's state —
+// and carry a velocity and charge within maxRestored. Otherwise the next
+// step's move kernel would index outside the mesh or the owner table.
+func (s *stepper) checkRestored() error {
+	mesh, L := s.cfg.Mesh, float64(s.cfg.Mesh.L)
+	for _, c := range s.cells {
+		soa := c.soa
+		for i, x := range soa.X {
+			y, id := soa.Y[i], soa.Meta[i].ID
+			if !(x >= 0 && x < L && y >= 0 && y < L) || x-math.Floor(x) != 0.5 || y-math.Floor(y) != 0.5 {
+				return fmt.Errorf("driver: checkpoint particle %d at (%v,%v) is not at a cell centre", id, x, y)
+			}
+			if cx, cy := mesh.CellOf(x, y); s.ot.Owner(cx, cy) != int32(c.id) {
+				return fmt.Errorf("driver: checkpoint particle %d at cell (%d,%d) not owned by %s %d", id, cx, cy, s.unit, c.id)
+			}
+			if !(math.Abs(soa.VX[i]) <= maxRestored && math.Abs(soa.VY[i]) <= maxRestored && math.Abs(soa.Q[i]*mesh.Q) <= maxRestored) {
+				return fmt.Errorf("driver: checkpoint particle %d has velocity (%v,%v) and charge %v", id, soa.VX[i], soa.VY[i], soa.Q[i])
+			}
+		}
+	}
+	return nil
+}

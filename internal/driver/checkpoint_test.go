@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -145,8 +146,9 @@ func TestSubstrateCheckpointGolden(t *testing.T) {
 // substrates — what a rank reads back from its commit store. Whatever the
 // bytes, restoring must not panic, must not allocate more than a small
 // multiple of the input beyond building the substrate itself (a length prefix
-// must never size an allocation on its own say-so), and a blob a substrate
-// accepts must check-point back to exactly those bytes.
+// must never size an allocation on its own say-so), a blob a substrate
+// accepts must check-point back to exactly those bytes, and the step after
+// an accepted restore must not panic.
 func FuzzRestoreCheckpoint(f *testing.F) {
 	for _, tc := range checkpointFixtures() {
 		dump, err := os.ReadFile(goldenPath(tc.name))
@@ -179,10 +181,16 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 				restoreErr = s.Restore(data)
 				runtime.ReadMemStats(&after)
 				alloc = after.TotalAlloc - before.TotalAlloc
-				if restoreErr == nil {
-					again, err = s.Checkpoint()
+				if restoreErr != nil {
+					return nil
 				}
-				return err
+				if again, err = s.Checkpoint(); err != nil {
+					return err
+				}
+				// The step may refuse what it finds (a particle faster than
+				// the displacement ring), but must not panic on it.
+				_ = stepN(s, 1)
+				return nil
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
@@ -195,4 +203,117 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRestoreRefusesAnotherRanksState restores each rank of a 2-rank block
+// run from the other rank's checkpoint. The cut arrays agree, so only the
+// particles give it away: they sit in the other rank's rectangle, and
+// accepted, the next step would read their charges outside this rank's
+// block.
+func TestRestoreRefusesAnotherRanksState(t *testing.T) {
+	cfg := testConfig(t, 16, 400, 0)
+	cfg.Verify = false
+	err := comm.NewWorld(2).Run(func(c *comm.Comm) error {
+		s, err := newBlockSubstrate(c, cfg, 2, 1)
+		if err != nil {
+			return err
+		}
+		defer s.Close()
+		if err := stepN(s, 2); err != nil {
+			return err
+		}
+		blob, err := s.Checkpoint()
+		if err != nil {
+			return err
+		}
+		blobs := comm.Allgather(c, blob)
+		fresh, err := newBlockSubstrate(c, cfg, 2, 1)
+		if err != nil {
+			return err
+		}
+		defer fresh.Close()
+		if err := fresh.Restore(blobs[1-c.Rank()]); err == nil {
+			return fmt.Errorf("rank %d restored rank %d's checkpoint", c.Rank(), 1-c.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreRefusesForeignVP restores a checkpoint in which VP 0 carries VP
+// 1's rectangle, with charge data consistent with that rectangle. The static
+// VP grid fixes every id's rectangle, so the restore must refuse it;
+// accepted, the next step would read VP 0's particles' charges outside the
+// block it carries.
+func TestRestoreRefusesForeignVP(t *testing.T) {
+	cfg := testConfig(t, 16, 400, 0)
+	cfg.Verify = false
+	err := comm.NewWorld(1).Run(func(c *comm.Comm) error {
+		s, err := newVPSubstrate(c, cfg, 4)
+		if err != nil {
+			return err
+		}
+		defer s.Close()
+		v0, v1 := s.vps[0], s.vps[1]
+		v0.x0, v0.y0, v0.nx, v0.ny, v0.block = v1.x0, v1.y0, v1.nx, v1.ny, v1.block
+		blob, err := s.Checkpoint()
+		if err != nil {
+			return err
+		}
+		fresh, err := newVPSubstrate(c, cfg, 4)
+		if err != nil {
+			return err
+		}
+		defer fresh.Close()
+		if err := fresh.Restore(blob); err == nil {
+			return fmt.Errorf("restored VP 0 with VP 1's rectangle")
+		} else if !strings.Contains(err.Error(), "the VP grid gives it") {
+			return fmt.Errorf("refused for another reason: %v", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreRefusesUnsteppableParticles corrupts one restored particle at
+// a time in ways the checkpoint format cannot see — off its cell centre, a
+// velocity or charge that is not finite — and requires the restore to
+// refuse each, since the next step's move kernel could not take it.
+func TestRestoreRefusesUnsteppableParticles(t *testing.T) {
+	cfg := goldenConfig(t)
+	for name, spoil := range map[string]func(s *blockSubstrate){
+		"off centre":   func(s *blockSubstrate) { s.soa.X[0] += 0.25 },
+		"outside":      func(s *blockSubstrate) { s.soa.Y[0] = -0.5 },
+		"NaN velocity": func(s *blockSubstrate) { s.soa.VX[0] = math.NaN() },
+		"huge charge":  func(s *blockSubstrate) { s.soa.Q[0] = math.MaxFloat64 },
+	} {
+		err := comm.NewWorld(1).Run(func(c *comm.Comm) error {
+			s, err := newBlockSubstrate(c, cfg, 1, 1)
+			if err != nil {
+				return err
+			}
+			defer s.Close()
+			spoil(s)
+			blob, err := s.Checkpoint()
+			if err != nil {
+				return err
+			}
+			fresh, err := newBlockSubstrate(c, cfg, 1, 1)
+			if err != nil {
+				return err
+			}
+			defer fresh.Close()
+			if err := fresh.Restore(blob); err == nil {
+				return fmt.Errorf("%s: restored", name)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }

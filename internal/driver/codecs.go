@@ -17,8 +17,7 @@ import (
 
 // Driver payload kinds (range 50–69, see pup.Kind).
 const (
-	kindColsParcel pup.Kind = 50
-	kindRowsParcel pup.Kind = 51
+	kindRectParcel pup.Kind = 50 // 51, the retired rows parcel, stays unused
 	kindVPParcels  pup.Kind = 52
 	kindTimeline   pup.Kind = 53
 	kindRankStats  pup.Kind = 54
@@ -43,16 +42,12 @@ func pupInt64(p *pup.PUPer, v *int64) {
 	}
 }
 
-func pupColsParcel(p *pup.PUPer, c *colsParcel) {
-	p.Int(&c.X0)
-	p.Int(&c.W)
-	p.Float64s(&c.Cols)
-}
-
-func pupRowsParcel(p *pup.PUPer, r *rowsParcel) {
+func pupRectParcel(p *pup.PUPer, r *rectParcel) {
+	p.Int(&r.X0)
 	p.Int(&r.Y0)
+	p.Int(&r.W)
 	p.Int(&r.H)
-	p.Float64s(&r.Rows)
+	p.Float64s(&r.Data)
 }
 
 // decodedShards is the free list the parcel decoder draws its shards from.
@@ -185,8 +180,7 @@ func pupResumeInfo(p *pup.PUPer, r *resumeInfo) {
 }
 
 func init() {
-	pup.RegisterPtrCodec[colsParcel](kindColsParcel, pupColsParcel)
-	pup.RegisterPtrCodec[rowsParcel](kindRowsParcel, pupRowsParcel)
+	pup.RegisterPtrCodec[rectParcel](kindRectParcel, pupRectParcel)
 	pup.RegisterPtrCodec[[]parcel](kindVPParcels, pupParcels)
 	pup.RegisterCodec[rankTimeline](kindTimeline, pupRankTimeline)
 	pup.RegisterCodec[RankStats](kindRankStats, pupRankStats)

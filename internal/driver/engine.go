@@ -94,8 +94,8 @@ type Engine struct {
 	// Cfg is the run configuration.
 	Cfg Config
 	// Substrate constructs one rank's substrate. It runs inside the SPMD
-	// region; collective setup (communicator splits) is allowed and must
-	// be performed by every rank in the same order.
+	// region; collective setup is allowed and must be performed by every
+	// rank in the same order.
 	Substrate func(c *comm.Comm, cfg Config) (Substrate, error)
 	// Balancer constructs one rank's policy instance. Instances must not
 	// be shared between ranks (they hold per-rank observation state).

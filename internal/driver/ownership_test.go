@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,7 +66,7 @@ func ownershipHarnesses() []ownershipHarness {
 			},
 			migrate: func(s Substrate) balance.Plan {
 				// Hand core 0's last VP to core 1; every other VP stays.
-				owner := s.(*vpSubstrate).rt.Locations()
+				owner := slices.Clone(s.(*vpSubstrate).host)
 				for vp := len(owner) - 1; vp >= 0; vp-- {
 					if owner[vp] == 0 {
 						owner[vp] = 1
@@ -80,8 +81,8 @@ func ownershipHarnesses() []ownershipHarness {
 
 // firstVP returns the lowest-numbered locally hosted VP holding particles.
 func firstVP(s *vpSubstrate) *picVP {
-	for _, id := range s.rt.LocalIDs() {
-		if v := s.rt.Local(id).(*picVP); v.soa.Len() > 0 {
+	for _, v := range s.vps {
+		if v.soa.Len() > 0 {
 			return v
 		}
 	}

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/parres/picprk/internal/ampi"
 	"github.com/parres/picprk/internal/balance"
@@ -20,32 +21,38 @@ type picVP struct {
 	mesh   grid.Mesh
 	x0, y0 int
 	nx, ny int
+	// vg is the static VP grid, which fixes every VP's rectangle; an
+	// unpacked VP is checked against it. Not part of the PUPed state.
+	vg *decomp.Grid2D
 	// gdata is the reused grid-data staging buffer for pack and unpack; it
 	// is not part of the PUPed state.
 	gdata []float64
 }
 
-// VPID implements ampi.VP.
-func (v *picVP) VPID() int { return v.id }
-
-// Load implements ampi.VP: work is exactly proportional to particle count.
-func (v *picVP) Load() float64 { return float64(v.soa.Len()) }
-
 // PUP implements pup.PUPable. Particles travel column-wise through
 // core.PUPColumns: the SoA slices serialize directly, with no AoS staging, and
 // unpacking resizes into whatever storage the shell still holds — a recycled
-// shell (the runtime's freelist) makes steady-state migration nearly
-// allocation-free.
+// shell (the substrate's free list) makes steady-state migration nearly
+// allocation-free. Unpacking refuses a VP that is not one of this run's: a
+// mesh other than the run's, or a rectangle other than the static VP grid's
+// for its id.
 func (v *picVP) PUP(p *pup.PUPer) {
-	p.Int(&v.id)
-	p.Int(&v.mesh.L)
-	p.Float64(&v.mesh.Q)
-	p.Int(&v.x0)
-	p.Int(&v.y0)
-	p.Int(&v.nx)
-	p.Int(&v.ny)
-	if p.Mode() != pup.Unpacking {
-		v.gdata = v.block.AppendOwnedData(v.gdata[:0])
+	id, mesh, x0, y0, nx, ny := v.id, v.mesh, v.x0, v.y0, v.nx, v.ny
+	p.Int(&id)
+	p.Int(&mesh.L)
+	p.Float64(&mesh.Q)
+	p.Int(&x0)
+	p.Int(&y0)
+	p.Int(&nx)
+	p.Int(&ny)
+	if p.Mode() == pup.Unpacking {
+		if err := v.checkHome(id, mesh, x0, y0, nx, ny); err != nil {
+			p.Fail(err)
+			return
+		}
+		v.id, v.x0, v.y0, v.nx, v.ny = id, x0, y0, nx, ny
+	} else {
+		v.gdata = v.block.AppendRect(v.gdata[:0], v.x0, v.y0, v.nx, v.ny)
 	}
 	p.Float64s(&v.gdata)
 	if v.soa == nil {
@@ -62,19 +69,49 @@ func (v *picVP) PUP(p *pup.PUPer) {
 	}
 }
 
+// checkHome checks an unpacked VP's header against the run, which the
+// receiving shell carries: its mesh, and the VP grid that fixes the
+// rectangle of every id.
+func (v *picVP) checkHome(id int, mesh grid.Mesh, x0, y0, nx, ny int) error {
+	if n := v.vg.PX * v.vg.PY; id < 0 || id >= n {
+		return fmt.Errorf("driver: VP id %d outside [0,%d)", id, n)
+	}
+	if mesh != v.mesh {
+		return fmt.Errorf("driver: VP %d is for mesh L=%d q=%v, run has L=%d q=%v", id, mesh.L, mesh.Q, v.mesh.L, v.mesh.Q)
+	}
+	wx, wy, wnx, wny := v.vg.RankRect(id)
+	if x0 != wx || y0 != wy || nx != wnx || ny != wny {
+		return fmt.Errorf("driver: VP %d carries rectangle %dx%d at (%d,%d), the VP grid gives it %dx%d at (%d,%d)",
+			id, nx, ny, x0, y0, wnx, wny, wx, wy)
+	}
+	return nil
+}
+
 // vpSubstrate realizes the §IV-C execution model: the static 2D algorithm
-// over-decomposed into d·P virtual processors hosted by the ampi runtime,
-// with a strategy-driven Balancer deciding VP placement and PUP-serialized
-// migration executing it. It backs both the "ampi" and the "worksteal"
-// drivers.
+// over-decomposed into d·P virtual processors, with a strategy-driven
+// Balancer deciding VP placement and PUP-serialized migration executing it.
+// It backs both the "ampi" and the "worksteal" drivers.
 //
 // It is the many-cell case of the shared step (step.go): owners are VPs,
-// the static cell→VP owner table is built once, and which VPs a rank hosts —
-// and so the host table, the frontier and the exchange schedule —
-// follows the runtime's placement.
+// the static cell→VP owner table is built once, and the stepper's host
+// table is the placement — the same on every rank, so which VPs a rank
+// hosts, the frontier and the exchange schedule all follow from it.
 type vpSubstrate struct {
 	stepper
-	rt *ampi.Runtime
+	vg *decomp.Grid2D
+	// vps are the VPs hosted here, in ascending id order.
+	vps []*picVP
+	// free holds shells of departed VPs; arrivals unpack into one instead
+	// of a fresh one, so their retained buffer capacities keep steady-state
+	// migration off the allocator. Bounded by the number of VPs this core
+	// has ever hosted.
+	free []*picVP
+	// loads is the reused local input vector for Measure.
+	loads []float64
+	// Migration counters: load measurements, VPs sent and received, and
+	// the PUP bytes they took.
+	measures, sent, received int
+	sentBytes, recvBytes     int64
 }
 
 func newVPSubstrate(c *comm.Comm, cfg Config, overdecompose int) (*vpSubstrate, error) {
@@ -93,78 +130,146 @@ func newVPSubstrate(c *comm.Comm, cfg Config, overdecompose int) (*vpSubstrate, 
 	if err != nil {
 		return nil, err
 	}
-
-	makeLocal := func(vp int) ampi.VP {
-		x0, y0, nx, ny := vg.RankRect(vp)
+	nvp := vx * vy
+	s := &vpSubstrate{vg: vg, loads: make([]float64, nvp)}
+	host := make([]int, nvp)
+	local := make([]*core.SoA, nvp)
+	for id := range host {
+		if host[id] = place(id); host[id] != c.Rank() {
+			continue
+		}
+		x0, y0, nx, ny := vg.RankRect(id)
 		block, err := grid.NewBlock(cfg.Mesh, x0, y0, nx, ny)
 		if err != nil {
-			panic(err) // static decomposition of a validated mesh cannot fail
+			return nil, err
 		}
-		return &picVP{cell: cell{id: vp, block: block, soa: &core.SoA{}}, mesh: cfg.Mesh, x0: x0, y0: y0, nx: nx, ny: ny}
-	}
-	rt, err := ampi.NewRuntime(c, vx*vy, place, makeLocal, func() ampi.VP { return &picVP{} })
-	if err != nil {
-		return nil, err
+		v := &picVP{cell: cell{id: id, block: block, soa: &core.SoA{}}, mesh: cfg.Mesh, vg: vg, x0: x0, y0: y0, nx: nx, ny: ny}
+		s.vps = append(s.vps, v)
+		local[id] = v.soa
 	}
 	// Each core fills only the VPs placed on it, straight from the stream.
 	vot := core.NewOwnerTable(vg.X.Cuts, vg.Y.Cuts)
-	err = fillLocal(cfg, vot, vx*vy, func(o int32) *core.SoA {
-		if v, ok := rt.Local(int(o)).(*picVP); ok {
-			return v.soa
-		}
-		return nil
-	})
-	if err != nil {
+	if err := fillLocal(cfg, vot, nvp, func(o int32) *core.SoA { return local[o] }); err != nil {
 		return nil, err
 	}
-	s := &vpSubstrate{rt: rt}
 	s.init(c, cfg, "VP")
-	s.ot = vot
+	s.ot, s.host = vot, host
 	s.placed()
 	return s, nil
 }
 
-// placed hands the step the runtime's current placement — the hosted cells
-// and the VP→core table — and rebuilds what derives from it. Called at
-// construction, after every migration and after a checkpoint restore. A
-// migration does not rehome particles, but it does put the pre-migration
-// schedule's pointers in flight, so installing the refreshed schedule arms
-// comm's full-ring fence; it also re-checks every hosted particle, arrivals
-// or not.
+// placed hands the step the VPs hosted here and rebuilds what derives from
+// the placement. Called at construction, after every migration and after a
+// checkpoint restore. A migration does not rehome particles, but it does put
+// the pre-migration schedule's pointers in flight, so installing the
+// refreshed schedule arms comm's full-ring fence; it also re-checks every
+// hosted particle, arrivals or not.
 func (s *vpSubstrate) placed() {
 	s.cells = s.cells[:0]
-	for _, id := range s.rt.LocalIDs() {
-		s.cells = append(s.cells, &s.rt.Local(id).(*picVP).cell)
+	for _, v := range s.vps {
+		s.cells = append(s.cells, &v.cell)
 	}
-	s.host = s.rt.Locations()
 	s.rebuildTopology()
 }
 
-// Measure implements Substrate: the runtime's collective load reduction
-// plus a copy of the current owner table.
+// shell returns a VP to unpack an arrival into: a departed one's when there
+// is one, else a fresh one that knows the run.
+func (s *vpSubstrate) shell() *picVP {
+	if n := len(s.free); n > 0 {
+		v := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return v
+	}
+	return &picVP{mesh: s.cfg.Mesh, vg: s.vg}
+}
+
+// Measure implements Substrate: the collective reduction of the per-VP
+// particle counts (work is exactly proportional to them) plus a copy of the
+// placement. It counts as a load-balancer invocation whether or not
+// anything then moves.
 func (s *vpSubstrate) Measure(n balance.Needs) balance.Loads {
 	loads := balance.Loads{Cores: s.c.Size()}
 	if n.Units {
-		loads.Units = s.rt.MeasureLoads()
-		loads.Owner = s.rt.Locations()
+		s.measures++
+		clear(s.loads)
+		for _, v := range s.vps {
+			s.loads[v.id] = float64(v.soa.Len())
+		}
+		// Allreduce copies its input before sending, so the reused local
+		// vector never escapes; the returned global vector is freshly owned.
+		loads.Units = comm.Allreduce(s.c, s.loads, comm.Sum[float64])
+		loads.Owner = slices.Clone(s.host)
 	}
 	return loads
 }
 
-// Execute implements Substrate: migrate VPs to the plan's owner table.
-// Particles travel inside their VP, so no rehoming exchange is needed.
+// Execute implements Substrate: install the plan's placement. Every rank
+// works out from the replicated placement which VPs change host; each one
+// is PUPed by its old host and sent point to point to its new one, which
+// unpacks it into a shell. Every rank executes the identical plan (it is a
+// pure function of globally reduced loads). Particles travel inside their
+// VP, so no rehoming exchange is needed.
+//
+// Each VP travels on its own tag, so two VPs bound for the same rank cannot
+// be confused even if a transport reorders their messages.
 func (s *vpSubstrate) Execute(plan balance.Plan) (bool, error) {
 	if plan.Owner == nil {
 		return false, nil
 	}
-	if _, err := s.rt.Migrate(plan.Owner); err != nil {
-		return false, err
+	me, p := s.c.Rank(), s.c.Size()
+	if len(plan.Owner) != len(s.host) {
+		return false, fmt.Errorf("driver: plan places %d VPs, the run has %d", len(plan.Owner), len(s.host))
 	}
+	for id, to := range plan.Owner {
+		if to < 0 || to >= p {
+			return false, fmt.Errorf("driver: plan moves VP %d to invalid core %d", id, to)
+		}
+	}
+	// Departures first (sends never block), then arrivals.
+	kept := s.vps[:0]
+	for _, v := range s.vps {
+		to := plan.Owner[v.id]
+		if to == me {
+			kept = append(kept, v)
+			continue
+		}
+		buf, err := pup.Pack(v)
+		if err != nil {
+			return false, fmt.Errorf("driver: packing VP %d: %w", v.id, err)
+		}
+		s.c.Send(to, tagMigrate+v.id, buf)
+		s.free = append(s.free, v)
+		s.sent++
+		s.sentBytes += int64(len(buf))
+	}
+	s.vps = kept
+	for id, to := range plan.Owner {
+		from := s.host[id]
+		if to != me || from == me {
+			continue
+		}
+		data, _ := s.c.Recv(from, tagMigrate+id)
+		buf, ok := data.([]byte)
+		if !ok {
+			return false, fmt.Errorf("driver: rank %d sent a %T where VP %d was due", from, data, id)
+		}
+		v := s.shell()
+		if err := pup.Unpack(v, buf); err != nil {
+			return false, fmt.Errorf("driver: unpacking VP %d: %w", id, err)
+		}
+		if v.id != id {
+			return false, fmt.Errorf("driver: rank %d sent VP %d where VP %d was due", from, v.id, id)
+		}
+		s.vps = append(s.vps, v)
+		s.received++
+		s.recvBytes += int64(len(buf))
+	}
+	slices.SortFunc(s.vps, func(a, b *picVP) int { return a.id - b.id })
+	copy(s.host, plan.Owner)
 	s.placed()
 	return false, nil
 }
 
 // MigrationStats implements Substrate.
-func (s *vpSubstrate) MigrationStats() (int, int64) {
-	return s.rt.Stats.VPsSent + s.rt.Stats.VPsReceived, s.rt.Stats.BytesSent
-}
+func (s *vpSubstrate) MigrationStats() (int, int64) { return s.sent + s.received, s.sentBytes }

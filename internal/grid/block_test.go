@@ -1,9 +1,6 @@
 package grid
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestMeshAccessors(t *testing.T) {
 	m := MustMesh(12, 1.5)
@@ -36,135 +33,90 @@ func TestBlockAccessors(t *testing.T) {
 	if b.Mesh() != m {
 		t.Error("Mesh accessor wrong")
 	}
-	if b.Bytes() != 8*(3+2)*(4+2) {
-		t.Errorf("Bytes = %d", b.Bytes())
-	}
 }
 
-func TestExtractRowsRoundtrip(t *testing.T) {
+// TestRectRoundtrip ships rectangles the way migration does — a row band,
+// a column band, a whole block across the periodic seam — from the block
+// that owns them (AppendRect) to one that owns them next (CheckRect), and
+// checks that every way a rectangle can be wrong is refused.
+func TestRectRoundtrip(t *testing.T) {
 	m := MustMesh(12, 1)
-	b, err := NewBlock(m, 2, 4, 5, 6)
+	src, err := NewBlock(m, 10, 4, 5, 6) // owns columns 10,11,0,1,2
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := b.ExtractRows(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3*5 {
-		t.Fatalf("extracted %d values", len(rows))
-	}
-	for k := 0; k < 3; k++ {
-		for gi := 0; gi < 5; gi++ {
-			if rows[k*5+gi] != m.PointCharge(2+gi, 4+1+k) {
-				t.Fatalf("row data wrong at (%d,%d)", gi, k)
+	for _, tc := range []struct {
+		name     string
+		x0, y0   int
+		w, h     int
+		dx0, dy0 int // the receiving block
+		dnx, dny int
+	}{
+		{"rows", 10, 5, 5, 3, 10, 5, 5, 4},
+		{"columns across the seam", 11, 4, 3, 6, 11, 0, 4, 12},
+		{"whole block", 10, 4, 5, 6, 10, 4, 5, 6},
+	} {
+		data := src.AppendRect([]float64{-1}, tc.x0, tc.y0, tc.w, tc.h)[1:]
+		if len(data) != tc.w*tc.h {
+			t.Fatalf("%s: appended %d values", tc.name, len(data))
+		}
+		for k := 0; k < tc.h; k++ {
+			for i := 0; i < tc.w; i++ {
+				if data[k*tc.w+i] != m.PointCharge(tc.x0+i, tc.y0+k) {
+					t.Fatalf("%s: value at (%d,%d) wrong", tc.name, i, k)
+				}
 			}
 		}
-	}
-	// A neighbor block that owns the same rows validates them.
-	nb, err := NewBlock(m, 2, 5, 5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nb.ValidateRows(rows, 5); err != nil {
-		t.Fatal(err)
-	}
-	// Corruption is rejected.
-	rows[7] = 99
-	if err := nb.ValidateRows(rows, 5); err == nil {
-		t.Error("corrupted rows accepted")
-	}
-	if err := nb.ValidateRows(nil, 5); err != nil {
-		t.Errorf("empty rows rejected: %v", err)
-	}
-}
-
-func TestExtractRowsValidation(t *testing.T) {
-	m := MustMesh(8, 1)
-	b, _ := NewBlock(m, 0, 0, 4, 4)
-	if _, err := b.ExtractRows(-1, 1); err == nil {
-		t.Error("negative start accepted")
-	}
-	if _, err := b.ExtractRows(3, 2); err == nil {
-		t.Error("overrun accepted")
-	}
-	if _, err := b.ExtractRows(0, 0); err == nil {
-		t.Error("zero height accepted")
-	}
-}
-
-func TestValidateRowsOutsideBlock(t *testing.T) {
-	m := MustMesh(8, 1)
-	b, _ := NewBlock(m, 0, 0, 4, 2)
-	rows := make([]float64, 4)
-	if err := b.ValidateRows(rows, 5); err == nil {
-		t.Error("row outside block accepted")
-	}
-	// Ragged length.
-	if err := b.ValidateRows(make([]float64, 5), 0); err == nil {
-		t.Error("ragged row data accepted")
-	}
-}
-
-func TestValidateColumnsDirect(t *testing.T) {
-	m := MustMesh(10, 1)
-	src, _ := NewBlock(m, 2, 0, 4, 10)
-	cols, err := src.ExtractColumns(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, _ := NewBlock(m, 4, 0, 4, 10)
-	if err := dst.ValidateColumns(cols, 4); err != nil {
-		t.Fatal(err)
-	}
-	cols[3] = -42
-	if err := dst.ValidateColumns(cols, 4); err == nil {
-		t.Error("corrupted columns accepted")
-	}
-	if err := dst.ValidateColumns(make([]float64, 10), 0); err == nil {
-		t.Error("columns outside block accepted")
-	}
-	if err := dst.ValidateColumns(make([]float64, 7), 4); err == nil {
-		t.Error("ragged column data accepted")
-	}
-	if err := dst.ValidateColumns(nil, 4); err != nil {
-		t.Errorf("empty columns rejected: %v", err)
-	}
-}
-
-func TestOwnedDataRoundtrip(t *testing.T) {
-	m := MustMesh(8, 2)
-	b, _ := NewBlock(m, 6, 6, 3, 3) // wraps the periodic seam
-	data := b.OwnedData()
-	if len(data) != 9 {
-		t.Fatalf("owned data %d values", len(data))
-	}
-	nb, err := NewBlockFromData(m, 6, 6, 3, 3, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 6; j < 9; j++ {
-		for i := 6; i < 9; i++ {
-			if nb.Charge(i, j) != b.Charge(i, j) {
-				t.Fatalf("rebuilt block differs at (%d,%d)", i, j)
-			}
+		dst, err := NewBlock(m, tc.dx0, tc.dy0, tc.dnx, tc.dny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.CheckRect(data, tc.x0, tc.y0, tc.w, tc.h); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := dst.CheckRect(data[1:], tc.x0, tc.y0, tc.w, tc.h); err == nil {
+			t.Errorf("%s: short data accepted", tc.name)
+		}
+		data[len(data)/2] = 99
+		if err := dst.CheckRect(data, tc.x0, tc.y0, tc.w, tc.h); err == nil {
+			t.Errorf("%s: corrupted data accepted", tc.name)
 		}
 	}
+	// Not wholly owned, empty, or outside the domain.
+	dst, _ := NewBlock(m, 0, 0, 4, 2)
+	for _, r := range [][4]int{
+		{0, 2, 4, 1}, {3, 0, 2, 1}, {11, 0, 2, 1}, {0, 0, 0, 1}, {0, 0, 1, -1},
+		{-1, 0, 1, 1}, {12, 0, 1, 1}, {0, 0, 1 << 62, 1 << 62},
+	} {
+		if err := dst.CheckRect(nil, r[0], r[1], r[2], r[3]); err == nil {
+			t.Errorf("rectangle %v accepted by block [0,4)x[0,2)", r)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AppendRect of points the block does not own did not panic")
+		}
+	}()
+	dst.AppendRect(nil, 2, 0, 3, 1)
 }
 
-func TestNewBlockFromDataRejectsCorruption(t *testing.T) {
+func TestReinitFromDataRejectsCorruption(t *testing.T) {
 	m := MustMesh(8, 1)
 	b, _ := NewBlock(m, 0, 0, 3, 3)
-	data := b.OwnedData()
+	data := b.AppendRect(nil, 0, 0, 3, 3)
+	var nb Block
+	if err := nb.ReinitFromData(m, 0, 0, 3, 3, data); err != nil {
+		t.Fatal(err)
+	}
 	data[4] = 7
-	if _, err := NewBlockFromData(m, 0, 0, 3, 3, data); err == nil {
+	if err := nb.ReinitFromData(m, 0, 0, 3, 3, data); err == nil {
 		t.Error("corrupted block data accepted")
 	}
-	if _, err := NewBlockFromData(m, 0, 0, 3, 3, data[:5]); err == nil {
+	if err := nb.ReinitFromData(m, 0, 0, 3, 3, data[:5]); err == nil {
 		t.Error("short block data accepted")
 	}
 	// 2^32 × 2^32 wraps to 0 values: no data for an unallocatable block.
-	if _, err := NewBlockFromData(Mesh{L: 1 << 62, Q: 1}, 0, 0, 1<<32, 1<<32, nil); err == nil {
+	if err := nb.ReinitFromData(Mesh{L: 1 << 62, Q: 1}, 0, 0, 1<<32, 1<<32, nil); err == nil {
 		t.Error("block dimensions whose product overflows accepted")
 	}
 }
@@ -174,20 +126,5 @@ func TestCellOfNegativeAndEdge(t *testing.T) {
 	cx, cy := m.CellOf(-0.5, 4.0)
 	if cx != 3 || cy != 0 {
 		t.Errorf("CellOf(-0.5, 4.0) = (%d,%d), want (3,0)", cx, cy)
-	}
-}
-
-func TestResizeErrors(t *testing.T) {
-	m := MustMesh(8, 1)
-	b, _ := NewBlock(m, 0, 0, 4, 4)
-	if err := b.Resize(0, 0, 0, 4, nil, 0); err == nil {
-		t.Error("zero-width resize accepted")
-	}
-	if err := b.Resize(0, 0, 4, 4, make([]float64, 7), 0); err == nil ||
-		!strings.Contains(err.Error(), "divisible") {
-		t.Error("ragged incoming data accepted")
-	}
-	if err := b.Resize(0, 0, 4, 4, make([]float64, 4), 6); err == nil {
-		t.Error("incoming column outside new block accepted")
 	}
 }

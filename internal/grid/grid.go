@@ -292,212 +292,85 @@ func (b *Block) CornerCharges(cx, cy int) (q00, q10, q01, q11 float64) {
 	return b.charges[row], b.charges[row+1], b.charges[row+w], b.charges[row+w+1]
 }
 
-// OwnsCell reports whether global cell (cx, cy) is owned by this block.
-// The periodic seam is handled: ownership is tested on wrapped indices.
-func (b *Block) OwnsCell(cx, cy int) bool {
-	cx = WrapIndex(cx, b.mesh.L)
-	cy = WrapIndex(cy, b.mesh.L)
-	dx := cx - b.X0
-	if dx < 0 {
-		dx += b.mesh.L
+// rect locates the owned mesh points [x0, x0+w) × [y0, y0+h), given in
+// global coordinates, in the block: the offset of the first from the block's
+// first owned point, across the periodic seam. A rectangle that is empty or
+// not wholly owned is an error. The extents are checked against the block's
+// before anything multiplies them, so w·h cannot overflow.
+func (b *Block) rect(x0, y0, w, h int) (gi, gj int, err error) {
+	L := b.mesh.L
+	if w <= 0 || h <= 0 || x0 < 0 || x0 >= L || y0 < 0 || y0 >= L {
+		return 0, 0, fmt.Errorf("grid: rectangle %dx%d at (%d,%d) is empty or outside the %d-point domain", w, h, x0, y0, L)
 	}
-	dy := cy - b.Y0
-	if dy < 0 {
-		dy += b.mesh.L
+	gi, gj = x0-b.X0, y0-b.Y0
+	if gi < 0 {
+		gi += L
 	}
-	return dx < b.NX && dy < b.NY
+	if gj < 0 {
+		gj += L
+	}
+	if w > b.NX-gi || h > b.NY-gj {
+		return 0, 0, fmt.Errorf("grid: rectangle %dx%d at (%d,%d) outside block [%d,%d)x[%d,%d)",
+			w, h, x0, y0, b.X0, b.X0+b.NX, b.Y0, b.Y0+b.NY)
+	}
+	return gi, gj, nil
 }
 
-// Bytes returns the approximate in-memory size of the block's charge data,
-// used by migration cost accounting.
-func (b *Block) Bytes() int { return 8 * len(b.charges) }
-
-// ExtractColumns returns the charge values of owned mesh-point columns
-// [c0, c0+w) relative to the block (0 <= c0, c0+w <= NX), as a dense
-// row-major slice of w·NY values. Used when diffusion LB ships boundary
-// columns to a neighbor.
-func (b *Block) ExtractColumns(c0, w int) ([]float64, error) {
-	if c0 < 0 || w <= 0 || c0+w > b.NX {
-		return nil, fmt.Errorf("grid: column range [%d,%d) outside block width %d", c0, c0+w, b.NX)
-	}
-	out := make([]float64, 0, w*b.NY)
-	for gj := 0; gj < b.NY; gj++ {
-		for gi := c0; gi < c0+w; gi++ {
-			out = append(out, b.charges[b.idx(gi, gj)])
-		}
-	}
-	return out, nil
-}
-
-// ExtractRows returns the charge values of owned mesh-point rows
-// [r0, r0+h) relative to the block (0 <= r0, r0+h <= NY), as a dense
-// row-major slice of NX·h values. Used when the two-phase diffusion LB
-// ships boundary rows to a y-neighbor.
-func (b *Block) ExtractRows(r0, h int) ([]float64, error) {
-	if r0 < 0 || h <= 0 || r0+h > b.NY {
-		return nil, fmt.Errorf("grid: row range [%d,%d) outside block height %d", r0, r0+h, b.NY)
-	}
-	out := make([]float64, 0, h*b.NX)
-	for gj := r0; gj < r0+h; gj++ {
-		for gi := 0; gi < b.NX; gi++ {
-			out = append(out, b.charges[b.idx(gi, gj)])
-		}
-	}
-	return out, nil
-}
-
-// ValidateRows checks that row data received from another rank matches this
-// block's field for owned mesh-point rows starting at global index rowY0.
-// rows is row-major (h rows × NX columns) as produced by ExtractRows.
-func (b *Block) ValidateRows(rows []float64, rowY0 int) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	h := len(rows) / b.NX
-	if h*b.NX != len(rows) {
-		return fmt.Errorf("grid: row data length %d not divisible by nx=%d", len(rows), b.NX)
+// AppendRect appends the charges of the owned mesh points [x0, x0+w) ×
+// [y0, y0+h) to dst in row-major order. Coordinates are global; the
+// rectangle may run across the periodic seam. Migration ships a block's
+// ceded points, or a whole VP's, this way. The caller derives the rectangle
+// from the block's own decomposition, so one not wholly owned is a
+// programming error and panics, as Charge does.
+func (b *Block) AppendRect(dst []float64, x0, y0, w, h int) []float64 {
+	gi, gj, err := b.rect(x0, y0, w, h)
+	if err != nil {
+		panic(err)
 	}
 	for k := 0; k < h; k++ {
-		gj := rowY0 - b.Y0 + k
-		if gj < -1 {
-			gj += b.mesh.L
-		}
-		if gj > b.NY {
-			gj -= b.mesh.L
-		}
-		if gj < 0 || gj >= b.NY {
-			return fmt.Errorf("grid: incoming row %d outside block [%d,%d)", rowY0+k, b.Y0, b.Y0+b.NY)
-		}
-		for gi := 0; gi < b.NX; gi++ {
-			want := b.charges[b.idx(gi, gj)]
-			got := rows[k*b.NX+gi]
-			if want != got {
-				return fmt.Errorf("grid: migrated charge mismatch at point (%d,%d): got %v want %v",
-					b.X0+gi, rowY0+k, got, want)
-			}
-		}
-	}
-	return nil
-}
-
-// ValidateColumns checks that column data received from another rank
-// matches this block's field for owned mesh-point columns starting at
-// global index colX0. cols is row-major (w columns × NY rows) as produced
-// by ExtractColumns. A mismatch indicates a migration protocol bug.
-func (b *Block) ValidateColumns(cols []float64, colX0 int) error {
-	if len(cols) == 0 {
-		return nil
-	}
-	w := len(cols) / b.NY
-	if w*b.NY != len(cols) {
-		return fmt.Errorf("grid: column data length %d not divisible by ny=%d", len(cols), b.NY)
-	}
-	for gj := 0; gj < b.NY; gj++ {
-		for k := 0; k < w; k++ {
-			gi := colX0 - b.X0 + k
-			if gi < -1 {
-				gi += b.mesh.L
-			}
-			if gi > b.NX {
-				gi -= b.mesh.L
-			}
-			if gi < 0 || gi >= b.NX {
-				return fmt.Errorf("grid: incoming column %d outside block [%d,%d)", colX0+k, b.X0, b.X0+b.NX)
-			}
-			want := b.charges[b.idx(gi, gj)]
-			got := cols[gj*w+k]
-			if want != got {
-				return fmt.Errorf("grid: migrated charge mismatch at point (%d,%d): got %v want %v",
-					colX0+k, b.Y0+gj, got, want)
-			}
-		}
-	}
-	return nil
-}
-
-// OwnedData returns a copy of the owned (non-ghost) charge values in
-// row-major order, NX×NY. Virtual-processor migration packs this so that
-// moving a VP ships its grid data, as the paper's PUP routines do.
-func (b *Block) OwnedData() []float64 {
-	return b.AppendOwnedData(make([]float64, 0, b.NX*b.NY))
-}
-
-// AppendOwnedData is the allocation-free form of OwnedData: the owned values
-// append to dst, which migration packing reuses across epochs.
-func (b *Block) AppendOwnedData(dst []float64) []float64 {
-	for gj := 0; gj < b.NY; gj++ {
-		for gi := 0; gi < b.NX; gi++ {
-			dst = append(dst, b.charges[b.idx(gi, gj)])
-		}
+		row := b.idx(gi, gj+k)
+		dst = append(dst, b.charges[row:row+w]...)
 	}
 	return dst
 }
 
-// NewBlockFromData rebuilds a block whose owned values were shipped from
-// another rank, validating them against the formulaic field (corruption in
-// transit is detected, not silently repaired). The ghost ring is recomputed
-// locally, as a real code would refresh halos after migration.
-func NewBlockFromData(m Mesh, x0, y0, nx, ny int, data []float64) (*Block, error) {
-	b := &Block{}
-	if err := b.ReinitFromData(m, x0, y0, nx, ny, data); err != nil {
-		return nil, err
+// CheckRect checks data — the row-major charges of the owned mesh points
+// [x0, x0+w) × [y0, y0+h), as AppendRect produced them on another rank —
+// against this block's field. A rectangle not wholly owned, a length that
+// does not match it and any differing value are errors: corruption in
+// transit is detected, not silently repaired.
+func (b *Block) CheckRect(data []float64, x0, y0, w, h int) error {
+	gi, gj, err := b.rect(x0, y0, w, h)
+	if err != nil {
+		return err
 	}
-	return b, nil
+	if len(data) != w*h {
+		return fmt.Errorf("grid: rectangle data length %d != %dx%d", len(data), w, h)
+	}
+	for k := 0; k < h; k++ {
+		row := b.idx(gi, gj+k)
+		for i, want := range b.charges[row : row+w] {
+			if got := data[k*w+i]; got != want {
+				return fmt.Errorf("grid: migrated charge mismatch at point (%d,%d): got %v want %v",
+					WrapIndex(x0+i, b.mesh.L), WrapIndex(y0+k, b.mesh.L), got, want)
+			}
+		}
+	}
+	return nil
 }
 
-// ReinitFromData is NewBlockFromData into an existing block, reusing its
-// storage where capacity allows.
+// ReinitFromData is Reinit for a block whose owned values were shipped from
+// another rank: they are checked against the formulaic field (CheckRect),
+// and the ghost ring is recomputed locally, as a real code would refresh
+// halos after migration.
 func (b *Block) ReinitFromData(m Mesh, x0, y0, nx, ny int, data []float64) error {
-	// The quotient catches a product that wrapped around to len(data).
+	// Before anything is allocated; the quotient catches a product that
+	// wrapped around to len(data).
 	if len(data) != nx*ny || (nx > 0 && len(data)/nx != ny) {
 		return fmt.Errorf("grid: block data length %d != %dx%d", len(data), nx, ny)
 	}
 	if err := b.Reinit(m, x0, y0, nx, ny); err != nil {
 		return err
 	}
-	for gj := 0; gj < ny; gj++ {
-		for gi := 0; gi < nx; gi++ {
-			want := b.charges[b.idx(gi, gj)]
-			got := data[gj*nx+gi]
-			if got != want {
-				return fmt.Errorf("grid: migrated block data mismatch at point (%d,%d): got %v want %v",
-					x0+gi, y0+gj, got, want)
-			}
-		}
-	}
-	return nil
-}
-
-// Resize rebuilds the block for a new owned region. Drivers call this after
-// a load-balancing step changed the decomposition. The incoming column data
-// (from ExtractColumns on the sending side) is validated against the
-// formulaic field: a mismatch indicates a migration protocol bug and is
-// returned as an error rather than silently repaired.
-func (b *Block) Resize(x0, y0, nx, ny int, incoming []float64, incomingX0 int) error {
-	nb, err := NewBlock(b.mesh, x0, y0, nx, ny)
-	if err != nil {
-		return err
-	}
-	if incoming != nil {
-		w := len(incoming) / ny
-		if w*ny != len(incoming) {
-			return fmt.Errorf("grid: incoming column data length %d not divisible by ny=%d", len(incoming), ny)
-		}
-		for gj := 0; gj < ny; gj++ {
-			for k := 0; k < w; k++ {
-				gi := incomingX0 - x0 + k
-				if gi < 0 || gi >= nx {
-					return fmt.Errorf("grid: incoming column %d outside new block", incomingX0+k)
-				}
-				want := nb.charges[nb.idx(gi, gj)]
-				got := incoming[gj*w+k]
-				if want != got {
-					return fmt.Errorf("grid: migrated charge mismatch at point (%d,%d): got %v want %v",
-						incomingX0+k, y0+gj, got, want)
-				}
-			}
-		}
-	}
-	*b = *nb
-	return nil
+	return b.CheckRect(data, b.X0, b.Y0, nx, ny)
 }

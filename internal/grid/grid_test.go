@@ -159,23 +159,6 @@ func TestBlockAtPeriodicSeam(t *testing.T) {
 	}
 }
 
-func TestBlockOwnsCell(t *testing.T) {
-	m := MustMesh(8, 1)
-	b, _ := NewBlock(m, 6, 2, 3, 4) // wraps: owns columns 6,7,0
-	cases := []struct {
-		cx, cy int
-		own    bool
-	}{
-		{6, 2, true}, {7, 5, true}, {0, 3, true}, {1, 3, false},
-		{6, 6, false}, {5, 2, false}, {0, 1, false},
-	}
-	for _, c := range cases {
-		if got := b.OwnsCell(c.cx, c.cy); got != c.own {
-			t.Errorf("OwnsCell(%d,%d) = %v, want %v", c.cx, c.cy, got, c.own)
-		}
-	}
-}
-
 func TestBlockChargeOutsidePanics(t *testing.T) {
 	m := MustMesh(8, 1)
 	b, _ := NewBlock(m, 2, 2, 2, 2)
@@ -185,61 +168,6 @@ func TestBlockChargeOutsidePanics(t *testing.T) {
 		}
 	}()
 	b.Charge(6, 2)
-}
-
-func TestExtractAndResize(t *testing.T) {
-	m := MustMesh(12, 1)
-	b, err := NewBlock(m, 2, 0, 6, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ship the two rightmost owned columns (6, 7) to a neighbor.
-	cols, err := b.ExtractColumns(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cols) != 2*12 {
-		t.Fatalf("extracted %d values", len(cols))
-	}
-	// The neighbor previously owned [8,12) and grows to [6,12).
-	nb, err := NewBlock(m, 8, 0, 4, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nb.Resize(6, 0, 6, 12, cols, 6); err != nil {
-		t.Fatal(err)
-	}
-	if nb.X0 != 6 || nb.NX != 6 {
-		t.Fatalf("resize gave X0=%d NX=%d", nb.X0, nb.NX)
-	}
-	if got, want := nb.Charge(6, 4), m.PointCharge(6, 4); got != want {
-		t.Errorf("post-resize charge = %v, want %v", got, want)
-	}
-}
-
-func TestResizeRejectsCorruptedData(t *testing.T) {
-	m := MustMesh(12, 1)
-	b, _ := NewBlock(m, 2, 0, 6, 12)
-	cols, _ := b.ExtractColumns(4, 2)
-	cols[5] = 42 // corrupt one charge in transit
-	nb, _ := NewBlock(m, 8, 0, 4, 12)
-	if err := nb.Resize(6, 0, 6, 12, cols, 6); err == nil {
-		t.Error("expected corrupted migration data to be rejected")
-	}
-}
-
-func TestExtractColumnsValidation(t *testing.T) {
-	m := MustMesh(8, 1)
-	b, _ := NewBlock(m, 0, 0, 4, 8)
-	if _, err := b.ExtractColumns(-1, 1); err == nil {
-		t.Error("negative start accepted")
-	}
-	if _, err := b.ExtractColumns(3, 2); err == nil {
-		t.Error("overrun accepted")
-	}
-	if _, err := b.ExtractColumns(0, 0); err == nil {
-		t.Error("zero width accepted")
-	}
 }
 
 func TestNewBlockValidation(t *testing.T) {
