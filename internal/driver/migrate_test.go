@@ -192,6 +192,36 @@ func TestVPMigrationPreservesState(t *testing.T) {
 	}
 }
 
+// TestVPInitialPlacement checks the hosted set a VP substrate is built
+// with: each core hosts exactly the VPs the block placement puts on it, an
+// equal share of them, and between them the cores hold every particle.
+func TestVPInitialPlacement(t *testing.T) {
+	const p, d = 4, 4
+	cfg := testConfig(t, 24, 1000, 0)
+	onVPWorld(t, p, d, cfg, func(c *comm.Comm, s *vpSubstrate) error {
+		px, py := comm.Dims2D(p)
+		place, err := ampi.BlockPlacement(s.vg.PX, s.vg.PY, px, py)
+		if err != nil {
+			return err
+		}
+		for id, r := range s.host {
+			if r != place(id) {
+				return fmt.Errorf("VP %d placed on core %d, the block placement says %d", id, r, place(id))
+			}
+		}
+		if len(s.vps) != d {
+			return fmt.Errorf("core %d hosts %d VPs, want %d", c.Rank(), len(s.vps), d)
+		}
+		if err := checkHosted(c, s); err != nil {
+			return err
+		}
+		if n := comm.AllreduceScalar(c, s.Count(), comm.Sum[int]); n != cfg.N {
+			return fmt.Errorf("%d particles hosted, %d injected", n, cfg.N)
+		}
+		return nil
+	})
+}
+
 // TestVPHostedIDsAscending migrates through a sequence of scrambled
 // placements; after construction and every migration the hosted VPs are in
 // ascending id order and agree with the placement.
@@ -211,6 +241,30 @@ func TestVPHostedIDsAscending(t *testing.T) {
 			}
 			if err := checkHosted(c, s); err != nil {
 				return fmt.Errorf("round %d: %w", round, err)
+			}
+		}
+		return nil
+	})
+}
+
+// TestVPRepeatedLBRounds runs ten load-balancing rounds, a step and a
+// rotation each: after every round the hosted sets must still agree with
+// the placement, every VP hosted once, and no particle lost.
+func TestVPRepeatedLBRounds(t *testing.T) {
+	cfg := testConfig(t, 24, 1000, 0)
+	onVPWorld(t, 4, 4, cfg, func(c *comm.Comm, s *vpSubstrate) error {
+		for round := 0; round < 10; round++ {
+			if err := stepN(s, 1); err != nil {
+				return err
+			}
+			if _, err := s.Execute(rotate(s)); err != nil {
+				return err
+			}
+			if err := checkHosted(c, s); err != nil {
+				return fmt.Errorf("round %d: %w", round, err)
+			}
+			if n := comm.AllreduceScalar(c, s.Count(), comm.Sum[int]); n != cfg.N {
+				return fmt.Errorf("round %d: %d particles hosted, %d injected", round, n, cfg.N)
 			}
 		}
 		return nil

@@ -35,72 +35,134 @@ func TestBlockAccessors(t *testing.T) {
 	}
 }
 
-// TestRectRoundtrip ships rectangles the way migration does — a row band,
-// a column band, a whole block across the periodic seam — from the block
-// that owns them (AppendRect) to one that owns them next (CheckRect), and
-// checks that every way a rectangle can be wrong is refused.
-func TestRectRoundtrip(t *testing.T) {
+// A row band of one block, appended row-major, checks against a block that
+// owns the same rows next; corruption in transit is refused.
+func TestExtractRowsRoundtrip(t *testing.T) {
 	m := MustMesh(12, 1)
-	src, err := NewBlock(m, 10, 4, 5, 6) // owns columns 10,11,0,1,2
+	b, err := NewBlock(m, 2, 4, 5, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name     string
-		x0, y0   int
-		w, h     int
-		dx0, dy0 int // the receiving block
-		dnx, dny int
-	}{
-		{"rows", 10, 5, 5, 3, 10, 5, 5, 4},
-		{"columns across the seam", 11, 4, 3, 6, 11, 0, 4, 12},
-		{"whole block", 10, 4, 5, 6, 10, 4, 5, 6},
-	} {
-		data := src.AppendRect([]float64{-1}, tc.x0, tc.y0, tc.w, tc.h)[1:]
-		if len(data) != tc.w*tc.h {
-			t.Fatalf("%s: appended %d values", tc.name, len(data))
-		}
-		for k := 0; k < tc.h; k++ {
-			for i := 0; i < tc.w; i++ {
-				if data[k*tc.w+i] != m.PointCharge(tc.x0+i, tc.y0+k) {
-					t.Fatalf("%s: value at (%d,%d) wrong", tc.name, i, k)
-				}
+	rows := b.AppendRect(nil, 2, 5, 5, 3)
+	if len(rows) != 3*5 {
+		t.Fatalf("appended %d values", len(rows))
+	}
+	for k := 0; k < 3; k++ {
+		for gi := 0; gi < 5; gi++ {
+			if rows[k*5+gi] != m.PointCharge(2+gi, 5+k) {
+				t.Fatalf("row data wrong at (%d,%d)", gi, k)
 			}
 		}
-		dst, err := NewBlock(m, tc.dx0, tc.dy0, tc.dnx, tc.dny)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.CheckRect(data, tc.x0, tc.y0, tc.w, tc.h); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if err := dst.CheckRect(data[1:], tc.x0, tc.y0, tc.w, tc.h); err == nil {
-			t.Errorf("%s: short data accepted", tc.name)
-		}
-		data[len(data)/2] = 99
-		if err := dst.CheckRect(data, tc.x0, tc.y0, tc.w, tc.h); err == nil {
-			t.Errorf("%s: corrupted data accepted", tc.name)
+	}
+	nb, err := NewBlock(m, 2, 5, 5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nb.CheckRect(rows, 2, 5, 5, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := nb.CheckRect(rows[1:], 2, 5, 5, 3); err == nil {
+		t.Error("short rows accepted")
+	}
+	rows[7] = 99
+	if err := nb.CheckRect(rows, 2, 5, 5, 3); err == nil {
+		t.Error("corrupted rows accepted")
+	}
+}
+
+func TestExtractRowsValidation(t *testing.T) {
+	m := MustMesh(8, 1)
+	b, _ := NewBlock(m, 0, 0, 4, 4)
+	for _, r := range [][4]int{
+		{0, -1, 4, 1}, // negative start
+		{0, 3, 4, 2},  // overrun
+		{0, 0, 4, 0},  // zero height
+	} {
+		if err := b.CheckRect(nil, r[0], r[1], r[2], r[3]); err == nil {
+			t.Errorf("row band %v accepted by block [0,4)x[0,4)", r)
 		}
 	}
-	// Not wholly owned, empty, or outside the domain.
-	dst, _ := NewBlock(m, 0, 0, 4, 2)
+}
+
+// Rectangles that are not wholly owned, empty, outside the domain or too
+// large to multiply out are refused before any data is looked at, and data
+// of the wrong length is refused.
+func TestValidateRowsOutsideBlock(t *testing.T) {
+	m := MustMesh(12, 1)
+	b, _ := NewBlock(m, 0, 0, 4, 2)
 	for _, r := range [][4]int{
-		{0, 2, 4, 1}, {3, 0, 2, 1}, {11, 0, 2, 1}, {0, 0, 0, 1}, {0, 0, 1, -1},
+		{0, 5, 4, 1}, {0, 2, 4, 1}, {3, 0, 2, 1}, {11, 0, 2, 1}, {0, 0, 0, 1}, {0, 0, 1, -1},
 		{-1, 0, 1, 1}, {12, 0, 1, 1}, {0, 0, 1 << 62, 1 << 62},
 	} {
-		if err := dst.CheckRect(nil, r[0], r[1], r[2], r[3]); err == nil {
+		if err := b.CheckRect(make([]float64, 4), r[0], r[1], r[2], r[3]); err == nil {
 			t.Errorf("rectangle %v accepted by block [0,4)x[0,2)", r)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("AppendRect of points the block does not own did not panic")
-		}
-	}()
-	dst.AppendRect(nil, 2, 0, 3, 1)
+	if err := b.CheckRect(make([]float64, 5), 0, 0, 4, 1); err == nil {
+		t.Error("ragged row data accepted")
+	}
 }
 
-func TestReinitFromDataRejectsCorruption(t *testing.T) {
+// A column band checks against the block that owns those columns next,
+// also when the band and the block run across the periodic seam.
+func TestValidateColumnsDirect(t *testing.T) {
+	m := MustMesh(10, 1)
+	src, _ := NewBlock(m, 2, 0, 4, 10)
+	cols := src.AppendRect(nil, 4, 0, 2, 10)
+	dst, _ := NewBlock(m, 4, 0, 4, 10)
+	if err := dst.CheckRect(cols, 4, 0, 2, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.CheckRect(cols, 0, 0, 2, 10); err == nil {
+		t.Error("columns outside block accepted")
+	}
+	if err := dst.CheckRect(make([]float64, 7), 4, 0, 2, 10); err == nil {
+		t.Error("ragged column data accepted")
+	}
+	cols[3] = -42
+	if err := dst.CheckRect(cols, 4, 0, 2, 10); err == nil {
+		t.Error("corrupted columns accepted")
+	}
+
+	src, _ = NewBlock(m, 8, 3, 5, 6) // owns columns 8,9,0,1,2
+	seam := src.AppendRect(nil, 9, 3, 3, 6)
+	for k := 0; k < 6; k++ {
+		for i := 0; i < 3; i++ {
+			if seam[k*3+i] != m.PointCharge(9+i, 3+k) {
+				t.Fatalf("seam column data wrong at (%d,%d)", i, k)
+			}
+		}
+	}
+	dst, _ = NewBlock(m, 9, 0, 4, 10)
+	if err := dst.CheckRect(seam, 9, 3, 3, 6); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A whole block across the periodic seam ships as one rectangle and
+// rebuilds an identical block; AppendRect keeps what dst already held.
+func TestOwnedDataRoundtrip(t *testing.T) {
+	m := MustMesh(8, 2)
+	b, _ := NewBlock(m, 6, 6, 3, 3) // wraps the periodic seam
+	data := b.AppendRect([]float64{-1}, 6, 6, 3, 3)
+	if len(data) != 1+9 || data[0] != -1 {
+		t.Fatalf("appended %v", data)
+	}
+	data = data[1:]
+	var nb Block
+	if err := nb.ReinitFromData(m, 6, 6, 3, 3, data); err != nil {
+		t.Fatal(err)
+	}
+	for j := 6; j < 9; j++ {
+		for i := 6; i < 9; i++ {
+			if nb.Charge(i, j) != b.Charge(i, j) {
+				t.Fatalf("rebuilt block differs at (%d,%d)", i, j)
+			}
+		}
+	}
+}
+
+func TestNewBlockFromDataRejectsCorruption(t *testing.T) {
 	m := MustMesh(8, 1)
 	b, _ := NewBlock(m, 0, 0, 3, 3)
 	data := b.AppendRect(nil, 0, 0, 3, 3)

@@ -159,6 +159,26 @@ func TestBlockAtPeriodicSeam(t *testing.T) {
 	}
 }
 
+// A block owns a cell when the cell's one-point rectangle checks against
+// it; ownership runs across the periodic seam.
+func TestBlockOwnsCell(t *testing.T) {
+	m := MustMesh(8, 1)
+	b, _ := NewBlock(m, 6, 2, 3, 4) // wraps: owns columns 6,7,0
+	cases := []struct {
+		cx, cy int
+		own    bool
+	}{
+		{6, 2, true}, {7, 5, true}, {0, 3, true}, {1, 3, false},
+		{6, 6, false}, {5, 2, false}, {0, 1, false},
+	}
+	for _, c := range cases {
+		err := b.CheckRect([]float64{m.PointCharge(c.cx, c.cy)}, c.cx, c.cy, 1, 1)
+		if got := err == nil; got != c.own {
+			t.Errorf("owns (%d,%d) = %v, want %v (%v)", c.cx, c.cy, got, c.own, err)
+		}
+	}
+}
+
 func TestBlockChargeOutsidePanics(t *testing.T) {
 	m := MustMesh(8, 1)
 	b, _ := NewBlock(m, 2, 2, 2, 2)
@@ -168,6 +188,88 @@ func TestBlockChargeOutsidePanics(t *testing.T) {
 		}
 	}()
 	b.Charge(6, 2)
+}
+
+// A block cedes its two rightmost columns to a neighbour that grows over
+// them: the neighbour re-materializes for its new rectangle and checks the
+// ceded columns against it.
+func TestExtractAndResize(t *testing.T) {
+	m := MustMesh(12, 1)
+	b, err := NewBlock(m, 2, 0, 6, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := b.AppendRect(nil, 6, 0, 2, 12)
+	if len(cols) != 2*12 {
+		t.Fatalf("appended %d values", len(cols))
+	}
+	// The neighbour previously owned [8,12) and grows to [6,12).
+	nb, err := NewBlock(m, 8, 0, 4, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nb.Reinit(m, 6, 0, 6, 12); err != nil {
+		t.Fatal(err)
+	}
+	if err := nb.CheckRect(cols, 6, 0, 2, 12); err != nil {
+		t.Fatal(err)
+	}
+	if nb.X0 != 6 || nb.NX != 6 {
+		t.Fatalf("resize gave X0=%d NX=%d", nb.X0, nb.NX)
+	}
+	if got, want := nb.Charge(6, 4), m.PointCharge(6, 4); got != want {
+		t.Errorf("post-resize charge = %v, want %v", got, want)
+	}
+}
+
+func TestResizeRejectsCorruptedData(t *testing.T) {
+	m := MustMesh(12, 1)
+	b, _ := NewBlock(m, 2, 0, 6, 12)
+	cols := b.AppendRect(nil, 6, 0, 2, 12)
+	cols[5] = 42 // corrupt one charge in transit
+	nb, _ := NewBlock(m, 6, 0, 6, 12)
+	if err := nb.CheckRect(cols, 6, 0, 2, 12); err == nil {
+		t.Error("expected corrupted migration data to be rejected")
+	}
+}
+
+func TestResizeErrors(t *testing.T) {
+	m := MustMesh(8, 1)
+	b, _ := NewBlock(m, 0, 0, 4, 4)
+	if err := b.Reinit(m, 0, 0, 0, 4); err == nil {
+		t.Error("zero-width resize accepted")
+	}
+	if err := b.Reinit(m, 0, 0, 9, 4); err == nil {
+		t.Error("resize wider than the domain accepted")
+	}
+	if err := b.ReinitFromData(m, 0, 0, 4, 4, make([]float64, 7)); err == nil {
+		t.Error("ragged incoming data accepted")
+	}
+	if err := b.CheckRect(make([]float64, 4), 6, 0, 1, 4); err == nil {
+		t.Error("incoming column outside block accepted")
+	}
+}
+
+// Column bands not wholly owned are errors to CheckRect; AppendRect, whose
+// caller derives the band from its own decomposition, panics on them.
+func TestExtractColumnsValidation(t *testing.T) {
+	m := MustMesh(8, 1)
+	b, _ := NewBlock(m, 0, 0, 4, 8)
+	for _, r := range [][4]int{
+		{-1, 0, 1, 8}, // negative start
+		{3, 0, 2, 8},  // overrun
+		{0, 0, 0, 8},  // zero width
+	} {
+		if err := b.CheckRect(nil, r[0], r[1], r[2], r[3]); err == nil {
+			t.Errorf("column band %v accepted by block [0,4)x[0,8)", r)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AppendRect of columns the block does not own did not panic")
+		}
+	}()
+	b.AppendRect(nil, 3, 0, 2, 8)
 }
 
 func TestNewBlockValidation(t *testing.T) {
