@@ -2,10 +2,10 @@ package wire
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
 	"github.com/parres/picprk/internal/core"
+	"github.com/parres/picprk/internal/memtest"
 	"github.com/parres/picprk/internal/pup"
 )
 
@@ -111,11 +111,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		r := bytes.NewReader(in)
 		limit := uint64(2*len(in) + 8<<10)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		fr, err := readFrame(r)
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		var fr frame
+		var err error
+		if got := memtest.Least(limit, func() { r.Reset(in) }, func() { fr, err = readFrame(r) }); got > limit {
 			t.Fatalf("reading %d bytes allocated %d", len(in), got)
 		}
 		if err != nil {
@@ -126,10 +124,9 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if fr.typ == frameData {
 			var d pup.Decoder
-			runtime.ReadMemStats(&before)
-			_, _ = d.Decode(fr.kind, bytes.NewReader(fr.payload), len(fr.payload))
-			runtime.ReadMemStats(&after)
-			if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			var pr *bytes.Reader
+			arm := func() { d, pr = pup.Decoder{}, bytes.NewReader(fr.payload) }
+			if got := memtest.Least(limit, arm, func() { _, _ = d.Decode(fr.kind, pr, len(fr.payload)) }); got > limit {
 				t.Fatalf("decoding a %d-byte kind %d payload allocated %d", len(fr.payload), fr.kind, got)
 			}
 		}

@@ -128,6 +128,24 @@ func (t *OwnerTable) Owner(cx, cy int) int32 {
 	return t.yOwner[cy]*t.px + t.xOwner[cx]
 }
 
+// ColumnsOf reports, per cell column, whether its x-block pairs with an
+// owner o with hosted[o] in any y-block; len(hosted) is the owner count.
+// With no empty y-block that is whether a hosted owner owns a cell of the
+// column. It reads the x axis, O(L + owners), not the L² cells.
+func (t *OwnerTable) ColumnsOf(hosted []bool) []bool {
+	block := make([]bool, t.px)
+	for o, h := range hosted {
+		if h {
+			block[o%len(block)] = true
+		}
+	}
+	want := make([]bool, len(t.xOwner))
+	for cx, b := range t.xOwner {
+		want[cx] = block[b]
+	}
+	return want
+}
+
 // Leavers records the particles that left their owner during a fused
 // move+classify pass, as per-chunk (index, destination) lists: chunk w is
 // filled only by worker w, so the parallel pass needs no synchronization,

@@ -2,8 +2,9 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
+
+	"github.com/parres/picprk/internal/memtest"
 )
 
 // refScatterRemove is the per-particle scatter ScatterRemove replaced, kept
@@ -103,36 +104,29 @@ func TestScatterRemoveAllocatesOncePerShard(t *testing.T) {
 	for i := 0; i < n; i++ {
 		lv.Add(0, int32(i), int32(i/37%dests))
 	}
-	shards := make([]SoA, dests)
-	scatter := func() (alloc uint64, stayers int) {
-		work := cloneSoA(src)
+	var work SoA
+	var shards []SoA
+	scatter := func() { work.ScatterRemove(&lv, shards) }
+	final := uint64(n * ColumnsBytesPerParticle)
+	limit := final + final/20
+	cold := memtest.Least(limit, func() { work, shards = cloneSoA(src), make([]SoA, dests) }, scatter)
+	placed := 0
+	for d := range shards {
+		placed += shards[d].Len()
+	}
+	if work.Len() != 0 || placed != n {
+		t.Fatalf("scatter left %d stayers and placed %d of %d leavers", work.Len(), placed, n)
+	}
+	if cold > limit {
+		t.Errorf("cold scatter allocated %d bytes for %d bytes of shards (limit %d)", cold, final, limit)
+	}
+	// A reallocated column would cost at least 400 KB on every try.
+	warm := memtest.Least(4096, func() {
+		work = cloneSoA(src)
 		for d := range shards {
 			shards[d].Reset()
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		work.ScatterRemove(&lv, shards)
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc, work.Len()
-	}
-	cold, stayers := scatter()
-	final := uint64(0)
-	for d := range shards {
-		final += uint64(shards[d].Len()) * ColumnsBytesPerParticle
-	}
-	if stayers != 0 || final != n*ColumnsBytesPerParticle {
-		t.Fatalf("scatter left %d stayers and %d shard bytes", stayers, final)
-	}
-	if limit := final + final/20; cold > limit {
-		t.Errorf("cold scatter allocated %d bytes for %d bytes of shards (limit %d)", cold, final, limit)
-	}
-	// TotalAlloc is process-wide: a runtime goroutine now and then adds a few
-	// bytes to a few KB (5248 seen once in ten tier-1 runs), a reallocated
-	// column at least 400 KB every time. So the quietest of three counts.
-	warm, _ := scatter()
-	for i := 0; i < 2 && warm > 4096; i++ {
-		warm, _ = scatter()
-	}
+	}, scatter)
 	if warm > 4096 {
 		t.Errorf("warm scatter allocated %d bytes", warm)
 	}

@@ -2,10 +2,10 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"github.com/parres/picprk/internal/grid"
+	"github.com/parres/picprk/internal/memtest"
 )
 
 // bruteNeighbors computes the neighbor set from the definition: group g is
@@ -202,7 +202,6 @@ func TestNbrSetRebuildReusesBuffers(t *testing.T) {
 func TestRingRebuildColdMemory(t *testing.T) {
 	const L = 2998
 	ot := testOwnerTable(L, 48, 32)
-	var m0, m1 runtime.MemStats
 	for _, tc := range []struct {
 		name    string
 		rebuild func()
@@ -216,10 +215,7 @@ func TestRingRebuildColdMemory(t *testing.T) {
 			fr.Rebuild(ot, L, 31, 5, func(o int32) bool { return o != 0 })
 		}},
 	} {
-		runtime.ReadMemStats(&m0)
-		tc.rebuild()
-		runtime.ReadMemStats(&m1)
-		if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<20 {
+		if got := memtest.Least(1<<20-1, nil, tc.rebuild); got >= 1<<20 {
 			t.Fatalf("cold %s.Rebuild at L=%d allocated %d bytes, want under 1 MB", tc.name, L, got)
 		}
 	}

@@ -5,12 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/grid"
+	"github.com/parres/picprk/internal/memtest"
 	"github.com/parres/picprk/internal/particle"
 )
 
@@ -142,18 +142,15 @@ func TestExpectedPopulationPaperScale(t *testing.T) {
 	const L, steps = 2998, 40
 	cfg := dist.Config{Mesh: mesh(t, L), N: 600000, K: 1, M: 2, Dist: dist.Geometric{R: 0.999}, Seed: 13}
 	sched := dist.Schedule{{Step: 25, Region: dist.Rect{X0: 1000, X1: 1100, Y0: 700, Y1: 2000}, Remove: true}}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	got, err := ExpectedPopulation(cfg, sched, steps)
-	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.RemovedIDs) == 0 {
 		t.Fatal("the removal reaches no particle; the case pins nothing")
 	}
-	alloc := after.TotalAlloc - before.TotalAlloc
-	if bound := uint64(128*L + 32*cap(got.RemovedIDs)); alloc > bound {
+	bound := uint64(128*L + 32*cap(got.RemovedIDs))
+	if alloc := memtest.Least(bound, nil, func() { _, _ = ExpectedPopulation(cfg, sched, steps) }); alloc > bound {
 		t.Errorf("ExpectedPopulation allocated %d B, want at most 128·L + 32 per removed ID = %d B", alloc, bound)
 	}
 	want := legacyExpectedPopulation(t, cfg, sched, steps)

@@ -6,11 +6,11 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/iotest"
 	"unsafe"
 
+	"github.com/parres/picprk/internal/memtest"
 	"github.com/parres/picprk/internal/pup"
 )
 
@@ -332,21 +332,20 @@ func FuzzDecodeColumns(f *testing.F) {
 	f.Add(wrap)
 	f.Add(raggedShardFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
 		limit := uint64(2*len(data) + 1<<16)
-		runtime.ReadMemStats(&before)
-		v, err := pup.DecodePayload(KindColumnsPtr, data)
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		var v any
+		var err error
+		if got := memtest.Least(limit, nil, func() { v, err = pup.DecodePayload(KindColumnsPtr, data) }); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		var streamed []any
-		for _, r := range []io.Reader{iotest.OneByteReader(bytes.NewReader(data)), iotest.DataErrReader(bytes.NewReader(data))} {
+		for _, reader := range []func(io.Reader) io.Reader{iotest.OneByteReader, iotest.DataErrReader} {
 			var d pup.Decoder
-			runtime.ReadMemStats(&before)
-			sv, serr := d.Decode(KindColumnsPtr, r, len(data))
-			runtime.ReadMemStats(&after)
-			if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			var r io.Reader
+			var sv any
+			var serr error
+			arm := func() { d, r = pup.Decoder{}, reader(bytes.NewReader(data)) }
+			if got := memtest.Least(limit, arm, func() { sv, serr = d.Decode(KindColumnsPtr, r, len(data)) }); got > limit {
 				t.Fatalf("stream-decoding %d bytes allocated %d", len(data), got)
 			}
 			if (serr == nil) != (err == nil) {

@@ -10,8 +10,10 @@
 package dist
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/parres/picprk/internal/grid"
 )
@@ -178,31 +180,28 @@ func Apportion(weights []float64, n int) ([]int, error) {
 		idx  int
 		frac float64
 	}
-	rems := make([]rem, 0, len(weights))
+	rems := make([]rem, len(weights))
 	assigned := 0
 	for i, w := range weights {
 		exact := float64(n) * w / total
 		c := int(math.Floor(exact))
 		counts[i] = c
 		assigned += c
-		rems = append(rems, rem{i, exact - float64(c)})
+		rems[i] = rem{i, exact - float64(c)}
 	}
-	// Distribute the leftover to the largest fractional parts. Ties break
-	// by lower index for determinism.
-	left := n - assigned
-	for left > 0 {
-		best := -1
-		for j := range rems {
-			if rems[j].frac < 0 {
-				continue
+	// Distribute the leftover to the largest fractional parts, ties to the
+	// lower index: one sort on that total order, then the first left. The
+	// order is total, so the unstable sort is deterministic.
+	if left := n - assigned; left > 0 {
+		slices.SortFunc(rems, func(a, b rem) int {
+			if c := cmp.Compare(b.frac, a.frac); c != 0 {
+				return c
 			}
-			if best == -1 || rems[j].frac > rems[best].frac {
-				best = j
-			}
+			return a.idx - b.idx
+		})
+		for _, r := range rems[:left] {
+			counts[r.idx]++
 		}
-		counts[rems[best].idx]++
-		rems[best].frac = -1
-		left--
 	}
 	return counts, nil
 }

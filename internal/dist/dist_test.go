@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -359,4 +360,73 @@ func TestRNGIntnUniformish(t *testing.T) {
 			t.Errorf("digit %d count %d deviates >10%%", d, c)
 		}
 	}
+}
+
+// linearApportion is Apportion's leftover rule as it stood before the sort:
+// one linear scan per leftover particle for the largest unused remainder,
+// ties to the lower index. Kept verbatim so the reference cannot drift.
+func linearApportion(weights []float64, n int) []int {
+	var total float64
+	for _, w := range weights {
+		total += w
+	}
+	counts := make([]int, len(weights))
+	type rem struct {
+		idx  int
+		frac float64
+	}
+	rems := make([]rem, 0, len(weights))
+	assigned := 0
+	for i, w := range weights {
+		exact := float64(n) * w / total
+		c := int(math.Floor(exact))
+		counts[i] = c
+		assigned += c
+		rems = append(rems, rem{i, exact - float64(c)})
+	}
+	left := n - assigned
+	for left > 0 {
+		best := -1
+		for j := range rems {
+			if rems[j].frac < 0 {
+				continue
+			}
+			if best == -1 || rems[j].frac > rems[best].frac {
+				best = j
+			}
+		}
+		counts[rems[best].idx]++
+		rems[best].frac = -1
+		left--
+	}
+	return counts
+}
+
+// FuzzApportion checks the one-sort leftover rule against the linear scans
+// it replaced. Each byte of raw is one weight, scaled so that small
+// alphabets give many exact ties and wide ones many distinct remainders.
+func FuzzApportion(f *testing.F) {
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1}, uint32(100), uint8(0))      // Uniform: every remainder ties
+	f.Add([]byte{0, 3, 0, 0, 5, 0}, uint32(11), uint8(1))          // zero weights
+	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1}, uint32(4), uint8(2))  // n < len(weights)
+	f.Add([]byte{200, 17, 3, 255, 1, 64}, uint32(1<<30), uint8(3)) // large n
+	f.Add([]byte{1, 2, 3}, uint32(0), uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, n uint32, scale uint8) {
+		w := make([]float64, len(raw))
+		nonzero := false
+		for i, b := range raw {
+			w[i] = float64(b) * math.Pow(1.5, float64(scale%16))
+			nonzero = nonzero || b != 0
+		}
+		if !nonzero {
+			return
+		}
+		got, err := Apportion(w, int(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := linearApportion(w, int(n)); !slices.Equal(got, want) {
+			t.Fatalf("weights %v n=%d: sort gives %v, linear scans %v", w, n, got, want)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/parres/picprk/internal/grid"
 	"github.com/parres/picprk/internal/particle"
@@ -40,45 +41,114 @@ func newPlacer(m grid.Mesh, k, mv, dir, born int) placer {
 func (pl *placer) at(cx, cy int, id uint64) *particle.Particle {
 	p := &pl.p
 	p.ID = id
-	p.X, p.Y = float64(cx)+0.5, float64(cy)+0.5
+	p.X, p.Y = center(cx), center(cy)
 	p.X0, p.Y0 = p.X, p.Y
 	p.Q = float64(pl.dir*pl.mesh.ColumnSign(cx)) * pl.mag
 	return p
 }
 
-// Each streams the initial population to emit in ID order (FirstID, +1, …
-// column-major, so the survivor checksum applies) without materializing it:
-// emit receives the particle's starting cell and a pointer to scratch that
-// the next particle overwrites. A cell column for which cols returns false
-// is skipped entirely — its IDs are stepped over and its RNG stream is
-// never drawn, every column having its own — so a rank pays only for the
-// columns it can own. A nil cols wants every column.
-func Each(cfg Config, cols func(cx int) bool, emit func(cx, cy int, p *particle.Particle)) error {
+// center is the coordinate of the centre of cell c along either axis.
+func center(c int) float64 { return float64(c) + 0.5 }
+
+// Plan is the initial population of a Config prepared for streaming: the
+// per-column counts, the row range and the placer, built once and walked by
+// Columns as often as a caller needs (a count pass, then a fill pass).
+type Plan struct {
+	counts       []int
+	rowLo, rowHi int
+	seed, first  uint64
+	pl           placer
+	col          Column
+}
+
+// NewPlan validates cfg and prepares its initial population.
+func NewPlan(cfg Config) (*Plan, error) {
 	c := cfg.withDefaults()
 	if err := c.validate(); err != nil {
-		return err
+		return nil, err
 	}
 	L := c.Mesh.L
 	counts, err := Apportion(c.Dist.Weights(L), c.N)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rowLo, rowHi := c.Dist.RowRange(L)
 	if rowLo < 0 || rowHi > L || rowLo >= rowHi {
-		return fmt.Errorf("dist: invalid row range [%d,%d) for L=%d", rowLo, rowHi, L)
+		return nil, fmt.Errorf("dist: invalid row range [%d,%d) for L=%d", rowLo, rowHi, L)
 	}
-	pl := newPlacer(c.Mesh, c.K, c.M, c.Dir, 0)
-	id := c.FirstID
-	for col, n := range counts {
-		if n > 0 && (cols == nil || cols(col)) {
-			rng := NewRNG(c.Seed, 0x636f6c /* "col" */, uint64(col))
-			for k := 0; k < n; k++ {
-				row := rowLo + rng.Intn(rowHi-rowLo)
-				emit(col, row, pl.at(col, row, id+uint64(k)))
+	p := &Plan{
+		counts: counts, rowLo: rowLo, rowHi: rowHi,
+		seed: c.Seed, first: c.FirstID,
+		pl: newPlacer(c.Mesh, c.K, c.M, c.Dir, 0),
+	}
+	p.col.pl = &p.pl
+	return p, nil
+}
+
+// Column is one non-empty cell column of the initial population, as Columns
+// hands it over: its particles are IDs First, First+1, … in the cells
+// (X, Rows[k]).
+type Column struct {
+	X     int
+	First uint64
+	// Rows holds the drawn cell row of each particle, in ID order. It is
+	// the plan's buffer, overwritten by the next column.
+	Rows []int32
+	pl   *placer
+}
+
+// At returns the column's particle k, placed: the placer's scratch,
+// overwritten by the next call. Every particle of a column shares all but
+// its ID and its row, so At(0) serves as the column's template and Y gives
+// the rest.
+func (c *Column) At(k int) *particle.Particle {
+	return c.pl.at(c.X, int(c.Rows[k]), c.First+uint64(k))
+}
+
+// Y returns particle k's starting y coordinate, its Y and Y0.
+func (c *Column) Y(k int) float64 { return center(int(c.Rows[k])) }
+
+// Columns calls fn with every non-empty cell column for which want returns
+// true (nil wants every column), in ascending order. A column not wanted is
+// skipped entirely — its IDs are stepped over and its RNG stream, every
+// column having its own, is never drawn — so a rank pays only for the
+// columns it can own. The rows buffer is sized on first use to the largest
+// column and reused, so a walk allocates at most once per Plan.
+func (p *Plan) Columns(want func(cx int) bool, fn func(c *Column)) {
+	c := &p.col
+	c.First = p.first
+	span := p.rowHi - p.rowLo
+	for col, n := range p.counts {
+		if n > 0 && (want == nil || want(col)) {
+			if cap(c.Rows) < n {
+				c.Rows = make([]int32, slices.Max(p.counts))
 			}
+			c.X, c.Rows = col, c.Rows[:n]
+			rng := NewRNG(p.seed, 0x636f6c /* "col" */, uint64(col))
+			for k := range c.Rows {
+				c.Rows[k] = int32(p.rowLo + rng.Intn(span))
+			}
+			fn(c)
 		}
-		id += uint64(n)
+		c.First += uint64(n)
 	}
+}
+
+// Each streams the initial population to emit in ID order (FirstID, +1, …
+// column-major, so the survivor checksum applies) without materializing it:
+// emit receives the particle's starting cell and a pointer to scratch that
+// the next particle overwrites. cols filters columns as Plan.Columns' want
+// does.
+func Each(cfg Config, cols func(cx int) bool, emit func(cx, cy int, p *particle.Particle)) error {
+	p, err := NewPlan(cfg)
+	if err != nil {
+		return err
+	}
+	p.Columns(cols, func(c *Column) {
+		for k, row := range c.Rows {
+			emit(c.X, int(row), c.At(k))
+		}
+	})
 	return nil
 }
 

@@ -8,11 +8,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/parres/picprk/internal/comm"
+	"github.com/parres/picprk/internal/memtest"
 	"github.com/parres/picprk/internal/trace"
 )
 
@@ -170,17 +170,34 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 			var restoreErr error
 			var alloc uint64
 			var again []byte
+			limit := uint64(4*len(data) + 64<<10)
 			err := comm.NewWorld(1).Run(func(c *comm.Comm) error {
-				s, err := tc.mk(c, cfg)
+				// Every try restores into a substrate fresh from mk.
+				var s Substrate
+				var err error
+				defer func() {
+					if s != nil {
+						s.Close()
+					}
+				}()
+				arm := func() {
+					if s != nil {
+						s.Close()
+						s = nil
+					}
+					var fresh Substrate
+					if fresh, err = tc.mk(c, cfg); err == nil {
+						s = fresh
+					}
+				}
+				alloc = memtest.Least(limit, arm, func() {
+					if s != nil {
+						restoreErr = s.Restore(data)
+					}
+				})
 				if err != nil {
 					return err
 				}
-				defer s.Close()
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				restoreErr = s.Restore(data)
-				runtime.ReadMemStats(&after)
-				alloc = after.TotalAlloc - before.TotalAlloc
 				if restoreErr != nil {
 					return nil
 				}
@@ -195,7 +212,7 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			if limit := uint64(4*len(data) + 64<<10); alloc > limit {
+			if alloc > limit {
 				t.Fatalf("%s: restoring %d bytes allocated %d", tc.name, len(data), alloc)
 			}
 			if restoreErr == nil && !bytes.Equal(again, data) {

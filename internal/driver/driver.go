@@ -329,41 +329,57 @@ func (r *Result) MaxParticlesHighWater() int {
 // fillLocal streams the deterministic initial population into the
 // containers this rank hosts, never materializing the rest of the world. ot
 // maps a cell to one of owners owner indices (ranks, or VPs) and local
-// returns that owner's container, nil when it lives on another rank. Cell
-// columns no local owner reaches are skipped, RNG included; over the others
-// a counting pass sizes every container exactly before a second pass fills
-// it. Placement stays bitwise independent of P, which the verification
-// scheme relies on: every rank sees the same stream and keeps its share.
+// returns that owner's container, nil when it lives on another rank. The
+// cell columns a local owner reaches come from the owner table's axes,
+// O(L + owners); the others are skipped, RNG included. Over the rest the
+// plan is walked twice, two row draws per particle: a count pass that
+// tallies owners from the drawn rows alone, then, every container sized
+// exactly, a fill pass that writes each particle's columns by index from
+// its column's placed template. Placement stays bitwise independent of P,
+// which the verification scheme relies on: every rank sees the same stream
+// and keeps its share.
 func fillLocal(cfg Config, ot *core.OwnerTable, owners int, local func(owner int32) *core.SoA) error {
 	dst := make([]*core.SoA, owners)
+	hosted := make([]bool, owners)
 	for o := range dst {
 		dst[o] = local(int32(o))
+		hosted[o] = dst[o] != nil
 	}
-	L := cfg.Mesh.L
-	want := make([]bool, L)
-	for cx := range want {
-		for cy := 0; cy < L && !want[cx]; cy++ {
-			want[cx] = dst[ot.Owner(cx, cy)] != nil
-		}
-	}
-	cols := func(cx int) bool { return want[cx] }
-	dc := cfg.distConfig()
-	counts := make([]int, owners)
-	err := dist.Each(dc, cols, func(cx, cy int, _ *particle.Particle) { counts[ot.Owner(cx, cy)]++ })
+	plan, err := dist.NewPlan(cfg.distConfig())
 	if err != nil {
 		return err
 	}
-	for o, s := range dst {
-		if s != nil {
-			s.Resize(counts[o])
-			s.Truncate(0)
-		}
-	}
-	return dist.Each(dc, cols, func(cx, cy int, p *particle.Particle) {
-		if s := dst[ot.Owner(cx, cy)]; s != nil {
-			s.Append(*p)
+	want := ot.ColumnsOf(hosted)
+	cols := func(cx int) bool { return want[cx] }
+	at := make([]int, owners) // owner o's particle count, then its fill cursor
+	plan.Columns(cols, func(c *dist.Column) {
+		for _, row := range c.Rows {
+			at[ot.Owner(c.X, int(row))]++
 		}
 	})
+	for o, s := range dst {
+		if s != nil {
+			s.Resize(at[o])
+		}
+		at[o] = 0
+	}
+	plan.Columns(cols, func(c *dist.Column) {
+		t := c.At(0)
+		m := core.SoAMeta{X0: t.X0, K: t.K, M: t.M, Dir: t.Dir, Born: t.Born}
+		for k, row := range c.Rows {
+			o := ot.Owner(c.X, int(row))
+			s := dst[o]
+			if s == nil {
+				continue
+			}
+			i, y := at[o], c.Y(k)
+			at[o]++
+			s.X[i], s.Y[i], s.VX[i], s.VY[i], s.Q[i] = t.X, y, t.VX, t.VY, t.Q
+			m.ID, m.Y0 = c.First+uint64(k), y
+			s.Meta[i] = m
+		}
+	})
+	return nil
 }
 
 // eventState tracks the globally-agreed ID counter for injections.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -14,6 +13,7 @@ import (
 	"github.com/parres/picprk/internal/comm"
 	"github.com/parres/picprk/internal/decomp"
 	"github.com/parres/picprk/internal/grid"
+	"github.com/parres/picprk/internal/memtest"
 	"github.com/parres/picprk/internal/pup"
 )
 
@@ -367,11 +367,10 @@ func FuzzRectParcel(f *testing.F) {
 		f.Add(enc[:n])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		v, err := pup.DecodePayload(kindRectParcel, data)
-		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*len(data)+64<<10); got > limit {
+		var v any
+		var err error
+		limit := uint64(2*len(data) + 64<<10)
+		if got := memtest.Least(limit, nil, func() { v, err = pup.DecodePayload(kindRectParcel, data) }); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		if err != nil {

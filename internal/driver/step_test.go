@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"testing"
 	"testing/iotest"
@@ -16,6 +15,7 @@ import (
 	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/grid"
+	"github.com/parres/picprk/internal/memtest"
 	"github.com/parres/picprk/internal/pup"
 	"github.com/parres/picprk/internal/trace"
 )
@@ -179,21 +179,20 @@ func FuzzDecodeParcels(f *testing.F) {
 	}
 	f.Add(bad)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
 		limit := uint64(2*len(data) + 64<<10)
-		runtime.ReadMemStats(&before)
-		v, err := pup.DecodePayload(kindVPParcels, data)
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		var v any
+		var err error
+		if got := memtest.Least(limit, nil, func() { v, err = pup.DecodePayload(kindVPParcels, data) }); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		var streamed []any
-		for _, r := range []io.Reader{iotest.OneByteReader(bytes.NewReader(data)), iotest.DataErrReader(bytes.NewReader(data))} {
+		for _, reader := range []func(io.Reader) io.Reader{iotest.OneByteReader, iotest.DataErrReader} {
 			var d pup.Decoder
-			runtime.ReadMemStats(&before)
-			sv, serr := d.Decode(kindVPParcels, r, len(data))
-			runtime.ReadMemStats(&after)
-			if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			var r io.Reader
+			var sv any
+			var serr error
+			arm := func() { d, r = pup.Decoder{}, reader(bytes.NewReader(data)) }
+			if got := memtest.Least(limit, arm, func() { sv, serr = d.Decode(kindVPParcels, r, len(data)) }); got > limit {
 				t.Fatalf("stream-decoding %d bytes allocated %d", len(data), got)
 			}
 			if (serr == nil) != (err == nil) {

@@ -3,13 +3,13 @@ package driver
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/parres/picprk/internal/diffusion"
 	"github.com/parres/picprk/internal/dist"
+	"github.com/parres/picprk/internal/memtest"
 	"github.com/parres/picprk/internal/pup"
 	"github.com/parres/picprk/internal/telemetry"
 )
@@ -221,19 +221,18 @@ func FuzzDecodeTimeline(f *testing.F) {
 	}
 	f.Add(good)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
 		limit := uint64(2*len(data) + 64<<10)
-		runtime.ReadMemStats(&before)
-		v, err := pup.DecodePayload(kindTimeline, data)
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		var v any
+		var err error
+		if got := memtest.Least(limit, nil, func() { v, err = pup.DecodePayload(kindTimeline, data) }); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		var d pup.Decoder
-		runtime.ReadMemStats(&before)
-		sv, serr := d.Decode(kindTimeline, bytes.NewReader(data), len(data))
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		var r *bytes.Reader
+		var sv any
+		var serr error
+		arm := func() { d, r = pup.Decoder{}, bytes.NewReader(data) }
+		if got := memtest.Least(limit, arm, func() { sv, serr = d.Decode(kindTimeline, r, len(data)) }); got > limit {
 			t.Fatalf("stream-decoding %d bytes allocated %d", len(data), got)
 		}
 		if (serr == nil) != (err == nil) {
