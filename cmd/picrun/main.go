@@ -123,21 +123,30 @@ func main() {
 		d: *d, interval: *interval, strategy: *strategy, stealTh: *stealTh,
 	}
 
-	// Worker mode: build the identical engine from the identical flags, join
-	// the coordinator's rendezvous, run the assigned rank, and exit. All
-	// reporting and observability stays with the coordinator (rank 0).
+	obs := obsOpts{timeline: *timeline, chrome: *chrome, clock: *clockName, balanceLog: *balLog, dumpState: *dumpState}
+	if obs.clock != telemetry.ClockBSP && obs.clock != telemetry.ClockWall {
+		fatal(fmt.Errorf("unknown -clock %q (want %s or %s)", obs.clock, telemetry.ClockBSP, telemetry.ClockWall))
+	}
+	// Every process — coordinator, in-process run, -join worker — builds the
+	// identical engine from the identical flags. cfg.Telemetry must match on
+	// every rank (the timeline gather is collective), so workers get the
+	// -timeline/-chrometrace flags and record samples; only rank 0 writes.
+	cfg := driver.Config{
+		Mesh: mesh, N: *n, K: *k, M: *mVert,
+		Dist: d0, Seed: *seed, Steps: *steps, Verify: *verify,
+		Workers:         *workers,
+		Telemetry:       obs.sampling(),
+		Transport:       *transport,
+		CheckpointEvery: *ckptEvery, Recover: *recovery,
+	}
+	eng, err := makeEngine(*impl, *p, cfg, implCfg)
+	if err != nil {
+		fatal(err)
+	}
+	// Worker mode: join the coordinator's rendezvous, run the assigned rank,
+	// and exit. All reporting and observability stays with the coordinator
+	// (rank 0).
 	if *join != "" {
-		cfg := driver.Config{
-			Mesh: mesh, N: *n, K: *k, M: *mVert,
-			Dist: d0, Seed: *seed, Steps: *steps, Verify: *verify,
-			Workers: *workers, Telemetry: *timeline != "" || *chrome != "",
-			Transport:       *transport,
-			CheckpointEvery: *ckptEvery, Recover: *recovery,
-		}
-		eng, err := makeEngine(*impl, *p, cfg, implCfg)
-		if err != nil {
-			fatal(err)
-		}
 		runWorker(eng, opts)
 		return
 	}
@@ -166,10 +175,6 @@ func main() {
 		}()
 	}
 
-	obs := obsOpts{timeline: *timeline, chrome: *chrome, clock: *clockName, balanceLog: *balLog, dumpState: *dumpState}
-	if obs.clock != telemetry.ClockBSP && obs.clock != telemetry.ClockWall {
-		fatal(fmt.Errorf("unknown -clock %q (want %s or %s)", obs.clock, telemetry.ClockBSP, telemetry.ClockWall))
-	}
 	var live *telemetry.Live
 	if *httpAddr != "" {
 		ranks := *p
@@ -186,31 +191,14 @@ func main() {
 		defer stop() //nolint:errcheck // best-effort teardown on exit
 		fmt.Printf("observability: http://%s/metrics (also /healthz, /events, /debug/vars, /debug/pprof)\n", addr)
 	}
+	eng.Cfg.Live = live // the coordinator's alone: workers never serve /metrics
 
-	cfg := driver.Config{
-		Mesh: mesh, N: *n, K: *k, M: *mVert,
-		Dist: d0, Seed: *seed, Steps: *steps, Verify: *verify,
-		Workers:   *workers,
-		Telemetry: obs.sampling(), Live: live,
-		Transport:       *transport,
-		CheckpointEvery: *ckptEvery, Recover: *recovery,
-	}
-
-	eng, err := makeEngine(*impl, *p, cfg, implCfg)
-	if err != nil {
-		fatal(err)
-	}
 	report := func(res *driver.Result, err error) { reportParallel(res, err, obs) }
 	if *transport != driver.TransportInproc {
-		// Multi-process: rendezvous + forked single-rank workers, this
-		// process hosting rank 0. With -recover, the coordinator becomes
-		// the elastic supervisor: it re-runs the rendezvous after a rank
-		// loss and re-forks replacements for dead local workers.
-		if *recovery {
-			runElasticCoordinator(eng, opts, *listen, report)
-		} else {
-			runCoordinator(eng, opts, *listen, live, report)
-		}
+		// Multi-process: the engine's supervisor runs the rendezvous and
+		// this process hosts rank 0 and forks single-rank workers (and,
+		// with -recover, re-forks replacements after a rank loss).
+		runElasticCoordinator(eng, opts, *listen, report)
 		return
 	}
 	report(eng.Run(*p))

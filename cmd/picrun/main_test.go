@@ -160,6 +160,32 @@ func TestRecoveryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestMultiProcessLossWithoutRecover: without -recover the one supervisor
+// runs a single world generation, so a rank that SIGKILLs itself mid-run
+// fails the whole run — non-zero exit, the lost rank named, no rollback.
+func TestMultiProcessLossWithoutRecover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks a process tree and kills part of it")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, "-impl=diffusion", "-ranks=3", "-L=16", "-n=3000", "-steps=30",
+		"-r=0.9", "-every=5", "-seed=7", "-transport=tcp")
+	cmd.Env = append(os.Environ(), "PICRUN_BE_MAIN=1", "PICRUN_CHAOS_KILL=2:15")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("run survived the loss of rank 2 without -recover:\n%s", out)
+	}
+	if !strings.Contains(string(out), "rank 2") {
+		t.Errorf("output does not name the lost rank 2:\n%s", out)
+	}
+	if strings.Contains(string(out), "rollback") {
+		t.Errorf("run without -recover rolled back:\n%s", out)
+	}
+}
+
 // TestCLIRejectsBadFlags: the validation must act before any fork or
 // listener, with a non-zero exit and a clear message.
 func TestCLIRejectsBadFlags(t *testing.T) {

@@ -2,12 +2,17 @@ package main
 
 // Multi-process mode: with -transport tcp|unix, picrun runs each rank in
 // its own OS process, connected by the wire transport in internal/comm/wire.
-// The coordinator (the picrun the user invoked) starts a rendezvous
-// listener, forks one worker process per remaining rank — re-executing
-// itself with -join <addr> — and hosts world rank 0, so results are
-// reported exactly as in the in-process mode. Remote workers can be
-// attached by hand: start the coordinator with -spawn 0 -listen host:port
-// and run `picrun <same flags> -join host:port` elsewhere.
+// The coordinator (the picrun the user invoked) hands the run to the
+// engine's one supervisor, driver.Engine.RunElastic: it starts a
+// rendezvous listener, forks one worker process per remaining rank —
+// re-executing itself with -join <addr> — and hosts world rank 0, so
+// results are reported exactly as in the in-process mode. With -recover
+// the same supervisor rolls back after a rank loss, and the coordinator
+// re-forks replacements for its dead workers. Every worker runs
+// driver.Engine.RunElasticWorker, which retries its join with backoff.
+// Remote workers can be attached by hand: start the coordinator with
+// -spawn 0 -listen host:port and run `picrun <same flags> -join host:port`
+// elsewhere.
 
 import (
 	"flag"
@@ -20,9 +25,7 @@ import (
 	"time"
 
 	"github.com/parres/picprk/internal/comm"
-	"github.com/parres/picprk/internal/comm/wire"
 	"github.com/parres/picprk/internal/driver"
-	"github.com/parres/picprk/internal/telemetry"
 )
 
 // runOptions is the subset of flags the run-mode logic needs, separated
@@ -121,68 +124,12 @@ func workerArgs(rendezvousAddr string) []string {
 	return append(args, "-join="+rendezvousAddr)
 }
 
-// runCoordinator executes a multi-process run from the user's picrun: start
-// the rendezvous, fork the local workers, host rank 0, report the result.
-func runCoordinator(eng *driver.Engine, o runOptions, listen string, live *telemetry.Live, report func(*driver.Result, error)) {
-	network := o.transport
-	if listen == "" {
-		listen = wire.DefaultAddr(network)
-	}
-	rv, err := wire.StartRendezvous(network, listen, o.ranks)
-	if err != nil {
-		fatal(err)
-	}
-	spawn := o.effectiveSpawn()
-	if spawn < o.ranks-1 {
-		fmt.Printf("rendezvous: %s %s — waiting for %d externally joined rank(s)\n",
-			network, rv.Addr(), o.ranks-1-spawn)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		fatal(err)
-	}
-	procs := make([]*exec.Cmd, 0, spawn)
-	for i := 0; i < spawn; i++ {
-		cmd := exec.Command(exe, workerArgs(rv.Addr())...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			fatal(fmt.Errorf("forking worker %d: %w", i, err))
-		}
-		procs = append(procs, cmd)
-	}
-
-	node, err := wire.Join(network, rv.Addr(), wire.JoinOptions{Count: 1, WantBase: 0, Bind: bindFor(network, listen)})
-	if err != nil {
-		fatal(err)
-	}
-	if err := rv.Wait(); err != nil {
-		fatal(err)
-	}
-	live.AddWireSource(node.WireReport)
-	w := comm.NewTransportWorld(node, eng.Cfg.WorldOptions())
-	res, runErr := eng.RunWorld(w)
-	if res != nil {
-		// Rank 0's own view: its peer connections and offset (identically 0);
-		// the workers' offsets live on their nodes and surface per-frame in
-		// the offset-corrected timeline stamps instead.
-		rep := node.WireReport()
-		res.Wire = &rep
-	}
-	for i, cmd := range procs {
-		if werr := cmd.Wait(); werr != nil && runErr == nil {
-			runErr = fmt.Errorf("worker %d: %w", i, werr)
-		}
-	}
-	report(res, runErr)
-}
-
-// workerProc tracks one forked worker so the elastic coordinator can tell
-// dead processes (to be replaced) from live ones (which rejoin on their
-// own).
+// workerProc tracks one forked worker so the coordinator can tell dead
+// processes (to be replaced) from live ones (which rejoin on their own),
+// and report how a worker exited.
 type workerProc struct {
-	cmd  *exec.Cmd
 	done chan struct{}
+	err  error // cmd.Wait's result, set before done closes
 }
 
 func (w *workerProc) dead() bool {
@@ -194,12 +141,13 @@ func (w *workerProc) dead() bool {
 	}
 }
 
-// runElasticCoordinator is runCoordinator's fault-tolerant variant: the
-// engine's RunElastic supervisor owns the rendezvous/run loop, and this
-// side supplies the process management — fork the initial local workers,
-// and after a rank loss reap the dead ones and fork replacements into the
-// re-opened rendezvous. Externally joined workers are the user's to
-// re-join (the rendezvous address stays the same across generations).
+// runElasticCoordinator executes a multi-process run from the user's
+// picrun: the engine's RunElastic supervisor owns the rendezvous/run loop,
+// and this side supplies the process management — fork the initial local
+// workers, and after a rank loss under -recover reap the dead ones and fork
+// replacements into the re-opened rendezvous. Externally joined workers
+// are the user's to re-join (the rendezvous address stays the same across
+// generations).
 func runElasticCoordinator(eng *driver.Engine, o runOptions, listen string, report func(*driver.Result, error)) {
 	network := o.transport
 	exe, err := os.Executable()
@@ -222,9 +170,9 @@ func runElasticCoordinator(eng *driver.Engine, o runOptions, listen string, repo
 		if err := cmd.Start(); err != nil {
 			return err
 		}
-		w := &workerProc{cmd: cmd, done: make(chan struct{})}
+		w := &workerProc{done: make(chan struct{})}
 		go func() {
-			_ = cmd.Wait() // a crashed (replaced) worker exits nonzero by design
+			w.err = cmd.Wait()
 			close(w.done)
 		}()
 		procs = append(procs, w)
@@ -282,11 +230,15 @@ func runElasticCoordinator(eng *driver.Engine, o runOptions, listen string, repo
 		Network: network, Listen: listen, Ranks: o.ranks,
 		SpawnWorkers: spawnWorkers, Bind: bindFor(network, listen),
 	})
-	// Worker exit codes are not propagated here: the victim of a recovered
-	// crash exits nonzero by design, and any failure that actually sank the
-	// run already surfaced through RunElastic.
-	for _, w := range procs {
+	// Under -recover a worker's exit code is not propagated: the victim of a
+	// recovered crash exits nonzero by design, and any failure that
+	// actually sank the run already surfaced through RunElastic. Without
+	// it, a failed worker fails the run.
+	for i, w := range procs {
 		<-w.done
+		if w.err != nil && runErr == nil && !o.recover {
+			runErr = fmt.Errorf("worker %d: %w", i, w.err)
+		}
 	}
 	report(res, runErr)
 }
@@ -354,11 +306,12 @@ func chaosKillHook(spec string) (func(*comm.Comm, int), error) {
 }
 
 // runWorker executes the worker side of a multi-process run: join the
-// coordinator's rendezvous, host the assigned rank, and exit. Results are
-// reported by the process hosting rank 0, so a worker is silent on success.
-// With -recover armed, a lost peer means "the supervisor is rolling the
-// world back": the worker rejoins the same rendezvous address instead of
-// exiting (Engine.RunElasticWorker owns that loop).
+// coordinator's rendezvous (retrying with backoff for up to 30 s), host the
+// assigned rank, and exit. Results are reported by the process hosting rank
+// 0, so a worker is silent on success. With -recover armed, a lost peer
+// means "the supervisor is rolling the world back": the worker rejoins the
+// same rendezvous address instead of exiting (Engine.RunElasticWorker owns
+// that loop).
 func runWorker(eng *driver.Engine, o runOptions) {
 	if spec := os.Getenv(chaosKillEnv); spec != "" {
 		hook, err := chaosKillHook(spec)
@@ -367,18 +320,7 @@ func runWorker(eng *driver.Engine, o runOptions) {
 		}
 		eng.StepHook = hook
 	}
-	if o.recover {
-		if err := eng.RunElasticWorker(o.transport, o.join); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	node, err := wire.Join(o.transport, o.join, wire.JoinOptions{Count: 1, WantBase: -1})
-	if err != nil {
-		fatal(err)
-	}
-	w := comm.NewTransportWorld(node, eng.Cfg.WorldOptions())
-	if _, err := eng.RunWorld(w); err != nil {
+	if err := eng.RunElasticWorker(o.transport, o.join); err != nil {
 		fatal(err)
 	}
 }

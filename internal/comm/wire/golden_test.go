@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"github.com/parres/picprk/internal/comm"
 	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/memtest"
 	"github.com/parres/picprk/internal/pup"
@@ -88,6 +90,33 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	if _, err := readFrame(bytes.NewReader(gb[:len(gb)-2])); err == nil {
 		t.Fatal("accepted a truncated frame")
 	}
+}
+
+// FuzzDecodeAbort: decoding an abort payload never panics, every payload
+// encodeAbort produces round-trips, and only a lost rank inside the world
+// becomes a typed peer loss — an out-of-range rank is a plain abort.
+func FuzzDecodeAbort(f *testing.F) {
+	const size = 3
+	f.Add(encodeAbort(2, "node 1 lost node 2"), 2, "node 1 lost node 2")
+	f.Add(encodeAbort(-1, "verification failed"), -1, "verification failed")
+	f.Add(encodeAbort(size, "bogus"), size, "bogus")
+	f.Add(encodeAbort(1<<40, "huge"), -7, "")
+	f.Add([]byte{}, 0, "")
+	f.Fuzz(func(t *testing.T, in []byte, lost int, msg string) {
+		got, gotMsg, err := decodeAbort(encodeAbort(lost, msg))
+		if err != nil || got != lost || gotMsg != msg {
+			t.Fatalf("encodeAbort(%d, %q) decodes to (%d, %q, %v)", lost, msg, got, gotMsg, err)
+		}
+		dl, dm, derr := decodeAbort(in)
+		var pl comm.ErrPeerLost
+		typed := errors.As(abortError(in, size), &pl)
+		if want := derr == nil && dm != "" && dl >= 0 && dl < size; typed != want {
+			t.Fatalf("payload (%d, %q, %v): typed peer loss %v, want %v", dl, dm, derr, typed, want)
+		}
+		if typed && pl.Rank != dl {
+			t.Fatalf("payload names rank %d, peer loss names %d", dl, pl.Rank)
+		}
+	})
 }
 
 // FuzzReadFrame feeds arbitrary bytes to what a socket reaches first: the

@@ -229,6 +229,21 @@ type remoteAbort struct {
 func (e remoteAbort) Error() string { return e.msg }
 func (e remoteAbort) Unwrap() error { return comm.ErrPeerLost{Rank: e.lost} }
 
+// abortError rebuilds a peer's abort from its frame payload. Only a lost
+// rank inside the world, [0, size), becomes a typed peer loss; any other
+// rank is a plain remote abort, so a bogus payload can never name a rank
+// for the supervisor to readmit.
+func abortError(payload []byte, size int) error {
+	lost, msg, err := decodeAbort(payload)
+	switch {
+	case err != nil || msg == "":
+		return errors.New("wire: remote abort")
+	case lost >= 0 && lost < size:
+		return remoteAbort{msg: msg, lost: lost}
+	}
+	return errors.New(msg)
+}
+
 // peerLostError converts a broken mesh connection into the typed peer-loss
 // error. peerIdx is the node on the far end; its lowest hosted rank names
 // the loss. A broken self-dial stream (or an unidentified connection) stays
@@ -435,17 +450,7 @@ func (n *Node) readLoop(conn net.Conn, peerIdx int) {
 			n.handler.Incoming(dst, comm.Message{Ctx: f.ctx, Src: src, Tag: int(f.tag), Data: v})
 		case frameAbort:
 			n.recordControl(int(f.src))
-			var aerr error
-			if lost, msg, derr := decodeAbort(f.payload); derr == nil && msg != "" {
-				if lost >= 0 {
-					aerr = remoteAbort{msg: msg, lost: lost}
-				} else {
-					aerr = errors.New(msg)
-				}
-			} else {
-				aerr = errors.New("wire: remote abort")
-			}
-			n.handler.RemoteAbort(aerr)
+			n.handler.RemoteAbort(abortError(f.payload, n.size))
 			n.markAborted()
 		case frameDone:
 			n.recordControl(int(f.src))

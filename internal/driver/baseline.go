@@ -16,8 +16,8 @@ func RunBaseline(p int, cfg Config) (*Result, error) {
 }
 
 // NewBaselineEngine builds the baseline engine without running it, for
-// callers that drive the rank pipeline themselves (picrun workers via
-// Engine.RunWorld).
+// callers that pick the way it runs (Run, RunElastic or
+// RunElasticWorker).
 func NewBaselineEngine(cfg Config) *Engine {
 	return &Engine{
 		Name: "baseline",

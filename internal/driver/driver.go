@@ -137,9 +137,7 @@ func (cfg *Config) ResolveTransport() string {
 	return TransportInproc
 }
 
-// WorldOptions returns the comm.Options a run with this Config uses, for
-// callers (picrun workers) that construct the World themselves and hand it
-// to Engine.RunWorld.
+// WorldOptions returns the comm.Options a run with this Config uses.
 func (cfg *Config) WorldOptions() comm.Options {
 	return comm.Options{ChaosDelay: cfg.Chaos, ChaosSeed: int64(cfg.Seed)}
 }
@@ -476,13 +474,18 @@ func distributedVerify(c *comm.Comm, cfg Config, sub Substrate) error {
 // them against the closed-form solution. Ranks other than 0 return
 // (nil, true, nil). With cfg.DistributedVerify the gather — and the AoS
 // conversion feeding it — is skipped and the parallel verification runs on
-// the substrate's columns instead.
+// the substrate's columns instead; with neither Verify nor
+// DistributedVerify nothing would read the gathered state, so nothing runs
+// and every rank returns (nil, false, nil).
 func gatherAndVerify(c *comm.Comm, cfg Config, sub Substrate) ([]particle.Particle, bool, error) {
 	if cfg.DistributedVerify {
 		if err := distributedVerify(c, cfg, sub); err != nil {
 			return nil, false, fmt.Errorf("driver: distributed verification failed: %w", err)
 		}
 		return nil, true, nil
+	}
+	if !cfg.Verify {
+		return nil, false, nil
 	}
 	all := comm.Gather(c, 0, append([]particle.Particle(nil), sub.Particles()...))
 	if c.Rank() != 0 {
@@ -493,9 +496,6 @@ func gatherAndVerify(c *comm.Comm, cfg Config, sub Substrate) ([]particle.Partic
 		merged = append(merged, part...)
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].ID < merged[j].ID })
-	if !cfg.Verify {
-		return merged, false, nil
-	}
 	if err := core.Verify(cfg.distConfig(), cfg.Schedule, merged, cfg.Steps, cfg.Tol); err != nil {
 		return merged, false, fmt.Errorf("driver: verification failed: %w", err)
 	}

@@ -102,10 +102,9 @@ type Engine struct {
 	Balancer func() balance.Balancer
 
 	// store holds the committed epoch shards across world generations when
-	// checkpointing is on. Run installs a fresh one per invocation (before
-	// dispatching rank goroutines — only rank 0 touches it mid-run, but
-	// every rank reads the pointer); RunElastic pre-installs one and
-	// preserves it across generations so a new world can resume.
+	// checkpointing is on. start installs a fresh one before any rank runs
+	// (only rank 0 touches it mid-run, but every rank reads the pointer);
+	// RunElastic keeps it across generations so a new world can resume.
 	store *commitStore
 	// StepHook, when set, runs at the top of every step on every rank —
 	// fault-injection instrumentation: the chaos tests and picrun's
@@ -119,34 +118,36 @@ type Engine struct {
 // "tcp"/"unix" — the latter exercises the full serialize/frame/deserialize
 // path and must produce bitwise-identical results.
 func (e *Engine) Run(p int) (*Result, error) {
-	if err := e.Cfg.validate(p); err != nil {
+	if err := e.start(p); err != nil {
 		return nil, err
-	}
-	if e.Cfg.CheckpointEvery > 0 {
-		// Fresh store per Run, installed before the rank goroutines fan out
-		// (runWire's concurrent RunWorld calls must not race on it). Only
-		// RunWorld preserves an existing store — that is how RunElastic
-		// carries the resume state across world generations.
-		e.store = newCommitStore()
 	}
 	switch tr := e.Cfg.ResolveTransport(); tr {
 	case TransportInproc:
-		return e.RunWorld(comm.NewWorld(p, e.Cfg.WorldOptions()))
+		return e.runWorld(comm.NewWorld(p, e.Cfg.WorldOptions()))
 	default:
 		return e.runWire(tr, p)
 	}
 }
 
-// RunWorld executes the engine's rank pipeline on an already-constructed
-// world — the entry point for picrun worker processes, whose world wraps a
-// wire node joined to a remote rendezvous. It returns rank 0's result, or
-// nil when this world does not host rank 0 (a worker's normal exit).
-func (e *Engine) RunWorld(w *comm.World) (*Result, error) {
+// start validates the Config for p ranks and installs the run's commit
+// store — the one place it is created, and only when checkpointing is on.
+func (e *Engine) start(p int) error {
+	if err := e.Cfg.validate(p); err != nil {
+		return err
+	}
+	e.store = nil
+	if e.Cfg.CheckpointEvery > 0 {
+		e.store = &commitStore{}
+	}
+	return nil
+}
+
+// runWorld executes the engine's rank pipeline on an already-constructed
+// world. It returns rank 0's result, or nil when this world does not host
+// rank 0 (a worker's normal exit).
+func (e *Engine) runWorld(w *comm.World) (*Result, error) {
 	if err := e.Cfg.validate(w.Size()); err != nil {
 		return nil, err
-	}
-	if e.Cfg.CheckpointEvery > 0 && e.store == nil {
-		e.store = newCommitStore()
 	}
 	var res *Result
 	var resErr error
@@ -191,7 +192,7 @@ func (e *Engine) runWire(network string, p int) (*Result, error) {
 	for i, n := range nodes {
 		go func(i int, n *wire.Node) {
 			defer wg.Done()
-			results[i], errs[i] = e.RunWorld(comm.NewTransportWorld(n, e.Cfg.WorldOptions()))
+			results[i], errs[i] = e.runWorld(comm.NewTransportWorld(n, e.Cfg.WorldOptions()))
 		}(i, n)
 	}
 	wg.Wait()

@@ -1,31 +1,26 @@
 package driver
 
-// The epoch-based engine lifecycle. A run is a sequence of epochs —
-// CheckpointEvery steps bracketed by distributed checkpoint barriers —
-// driven by a per-rank state machine:
+// The per-rank lifecycle shared by every driver, as straight-line code:
 //
-//	Init ─→ Restore ─→ Steps ─→ Commit ─→ Steps ─→ … ─→ Finalize ─→ Done
-//	            ↑                  │
-//	            └──(next world generation after a rank loss)──┘
+//	init → restore (CheckpointEvery > 0) → for each step: oneStep, and
+//	commit at every epoch boundary (step%CheckpointEvery == 0) → finalize
 //
-// Init constructs the substrate and policy from the Config (replayable by
-// construction, so every generation starts from the identical state).
-// Restore is the generation-start handshake: rank 0 broadcasts whether a
-// committed epoch exists, and if so scatters the per-rank shards so every
-// rank — survivor or replacement alike — adopts the committed state. Steps
-// runs the unchanged per-step pipeline to the next epoch boundary; the
-// boundary steps serialize each rank's full substrate state and gather the
-// shards to rank 0 (Commit). Rollback and Readmit are cross-generation
-// transitions owned by the supervisor (RunElastic in recovery.go): a lost
-// rank unwinds every survivor's world with comm.ErrPeerLost, the rendezvous
-// re-admits a replacement into the vacated slot, and the next generation's
-// Restore resumes from the last commit — bitwise identical to an
-// uninterrupted run, because the restart replays initialization and the
-// shards carry every piece of divergent state (particles, cuts or VP
-// placement, event ID cursor, balancer history, counters).
+// init constructs the substrate and policy from the Config (replayable by
+// construction, so every world generation starts from the identical
+// state). restore is the generation-start handshake: rank 0 broadcasts
+// whether a committed epoch exists, and if so scatters the per-rank shards
+// so every rank — survivor or replacement alike — adopts the committed
+// state and resumes at the step after it. commit serializes each rank's
+// full substrate state and gathers the shards to rank 0. Nothing loops back
+// within a rank: a lost rank unwinds every survivor's world with
+// comm.ErrPeerLost, and the supervisor (RunElastic in recovery.go) starts
+// the next world generation, whose ranks re-enter through a fresh runRank
+// and restore from the last commit — bitwise identical to an uninterrupted
+// run, because the restart replays initialization and the shards carry
+// every piece of divergent state (particles, cuts or VP placement, event ID
+// cursor, balancer history, counters).
 //
-// With CheckpointEvery == 0 the machine degenerates to Init → Steps →
-// Finalize, the pre-epoch pipeline: no handshake, no commits, and the
+// With CheckpointEvery == 0 there is no handshake and no commit, and the
 // steady-state step stays allocation-free either way (checkpoint work is
 // confined to boundary steps).
 
@@ -63,20 +58,8 @@ type resumeInfo struct {
 	Step   int
 }
 
-// epochPhase enumerates the per-rank lifecycle states.
-type epochPhase int
-
-const (
-	phaseInit epochPhase = iota
-	phaseRestore
-	phaseSteps
-	phaseCommit
-	phaseFinalize
-	phaseDone
-)
-
-// epochRunner is one rank's pass through the lifecycle: the state the old
-// monolithic step loop kept on its stack, now threaded across phases.
+// epochRunner is one rank's pass through the lifecycle: the state its
+// stages share.
 type epochRunner struct {
 	e   *Engine
 	c   *comm.Comm
@@ -100,10 +83,6 @@ type epochRunner struct {
 
 	interval int
 	needs    balance.Needs
-
-	// step is the next step to run (1-based).
-	step int
-	res  *Result
 }
 
 // runRank is the per-rank lifecycle shared by every driver.
@@ -114,48 +93,27 @@ func (e *Engine) runRank(c *comm.Comm) (*Result, error) {
 			r.sub.Close()
 		}
 	}()
-	for ph := phaseInit; ph != phaseDone; {
+	if err := r.init(); err != nil {
+		return nil, err
+	}
+	first, every := 1, r.cfg.CheckpointEvery
+	if every > 0 {
 		var err error
-		if ph, err = r.advance(ph); err != nil {
+		if first, err = r.restore(); err != nil {
 			return nil, err
 		}
 	}
-	return r.res, nil
-}
-
-// advance runs one phase and returns the successor.
-func (r *epochRunner) advance(ph epochPhase) (epochPhase, error) {
-	switch ph {
-	case phaseInit:
-		if err := r.init(); err != nil {
-			return phaseDone, err
+	for step := first; step <= r.cfg.Steps; step++ {
+		if err := r.oneStep(step); err != nil {
+			return nil, err
 		}
-		if r.cfg.CheckpointEvery > 0 {
-			return phaseRestore, nil
+		if every > 0 && step%every == 0 {
+			if err := r.commit(step); err != nil {
+				return nil, err
+			}
 		}
-		return phaseSteps, nil
-	case phaseRestore:
-		if err := r.restore(); err != nil {
-			return phaseDone, err
-		}
-		return phaseSteps, nil
-	case phaseSteps:
-		return r.runSteps()
-	case phaseCommit:
-		if err := r.commit(); err != nil {
-			return phaseDone, err
-		}
-		if r.step > r.cfg.Steps {
-			return phaseFinalize, nil
-		}
-		return phaseSteps, nil
-	case phaseFinalize:
-		if err := r.finalize(); err != nil {
-			return phaseDone, err
-		}
-		return phaseDone, nil
 	}
-	return phaseDone, fmt.Errorf("driver: invalid epoch phase %d", ph)
+	return r.finalize()
 }
 
 // init constructs the rank's substrate, policy, and telemetry from the
@@ -182,7 +140,6 @@ func (r *epochRunner) init() error {
 	r.sampling = r.ring != nil || r.cfg.Live != nil
 	r.interval = r.bal.Interval()
 	r.needs = r.bal.Needs()
-	r.step = 1
 	return nil
 }
 
@@ -190,8 +147,9 @@ func (r *epochRunner) init() error {
 // consults the commit store and broadcasts whether there is a committed
 // epoch to resume from; if so, it scatters the per-rank shards and every
 // rank adopts its own. Survivors and replacements are indistinguishable
-// here — both just initialized from scratch, and both adopt a shard.
-func (r *epochRunner) restore() error {
+// here — both just initialized from scratch, and both adopt a shard. It
+// returns the first step to run.
+func (r *epochRunner) restore() (int, error) {
 	var info resumeInfo
 	var shards []rankShard
 	if r.c.Rank() == 0 && r.e.store != nil {
@@ -199,17 +157,17 @@ func (r *epochRunner) restore() error {
 	}
 	info = comm.Bcast(r.c, 0, info)
 	if !info.Resume {
-		return nil
+		return 1, nil
 	}
 	if r.c.Rank() == 0 && len(shards) != r.c.Size() {
-		return fmt.Errorf("driver: committed epoch has %d shards for %d ranks", len(shards), r.c.Size())
+		return 0, fmt.Errorf("driver: committed epoch has %d shards for %d ranks", len(shards), r.c.Size())
 	}
 	sh := comm.Scatter(r.c, 0, shards)
 	if sh.Rank != r.c.Rank() || sh.Step != info.Step {
-		return fmt.Errorf("driver: rank %d received shard for rank %d step %d (resuming step %d)",
+		return 0, fmt.Errorf("driver: rank %d received shard for rank %d step %d (resuming step %d)",
 			r.c.Rank(), sh.Rank, sh.Step, info.Step)
 	}
-	return r.adopt(sh)
+	return sh.Step + 1, r.adopt(sh)
 }
 
 // adopt installs a committed shard: substrate state, balancer history, the
@@ -228,24 +186,7 @@ func (r *epochRunner) adopt(sh rankShard) error {
 		r.rec.MaxParticles = sh.MaxParticles
 	}
 	r.prev = r.counters()
-	r.step = sh.Step + 1
 	return nil
-}
-
-// runSteps runs the unchanged per-step pipeline to the next epoch boundary
-// (step%CheckpointEvery == 0) or to the end of the run.
-func (r *epochRunner) runSteps() (epochPhase, error) {
-	every := r.cfg.CheckpointEvery
-	for ; r.step <= r.cfg.Steps; r.step++ {
-		if err := r.oneStep(r.step); err != nil {
-			return phaseDone, err
-		}
-		if every > 0 && r.step%every == 0 {
-			r.step++
-			return phaseCommit, nil
-		}
-	}
-	return phaseFinalize, nil
 }
 
 // commit is the epoch boundary: every rank serializes its substrate and the
@@ -253,15 +194,14 @@ func (r *epochRunner) runSteps() (epochPhase, error) {
 // 0, which records the commit transactionally — a rank lost mid-gather
 // unwinds the world before the store updates, so the store never holds a
 // partial epoch.
-func (r *epochRunner) commit() error {
-	stepDone := r.step - 1
+func (r *epochRunner) commit(step int) error {
 	blob, err := r.sub.Checkpoint()
 	if err != nil {
 		return err
 	}
 	sh := rankShard{
 		Rank:         r.c.Rank(),
-		Step:         stepDone,
+		Step:         step,
 		NextID:       r.es.nextID,
 		MaxParticles: r.rec.MaxParticles,
 		Bal:          r.bal.History(),
@@ -269,15 +209,15 @@ func (r *epochRunner) commit() error {
 	}
 	shards := comm.Gather(r.c, 0, sh)
 	if r.c.Rank() == 0 && r.e.store != nil {
-		ev := r.e.store.commit(stepDone, shards, r.c.WallClockNS())
+		ev := r.e.store.commit(step, shards, r.c.WallClockNS())
 		r.cfg.Live.ObserveEvent(ev)
 	}
 	return nil
 }
 
-// oneStep is the per-step pipeline, verbatim from the pre-epoch engine:
-// move+exchange, events, the balancing cadence, the ownership invariant,
-// and sampling. It allocates nothing in the steady state.
+// oneStep is the per-step pipeline: move+exchange, events, the balancing
+// cadence, the ownership invariant, and sampling. It allocates nothing in
+// the steady state.
 func (r *epochRunner) oneStep(step int) error {
 	if hook := r.e.StepHook; hook != nil {
 		hook(r.c, step)
@@ -382,10 +322,10 @@ func (r *epochRunner) counters() (v [telemetry.NumCounters]int64) {
 // finalize gathers verification, telemetry, and stats to rank 0 and
 // assembles the Result, attaching the epoch lifecycle record (events and
 // recovery counters) when checkpointing was on.
-func (r *epochRunner) finalize() error {
+func (r *epochRunner) finalize() (*Result, error) {
 	merged, verified, err := gatherAndVerify(r.c, r.cfg, r.sub)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	timeline := gatherTimeline(r.c, r.e.Name, r.cfg, r.ring)
 	if r.ring != nil {
@@ -398,10 +338,8 @@ func (r *epochRunner) finalize() error {
 	}
 	res := collectResult(r.c, r.e.Name, r.cfg, r.counters(), r.rec.MaxParticles)
 	if res != nil {
-		res.Verified = verified && (r.cfg.Verify || r.cfg.DistributedVerify)
-		if r.cfg.Verify {
-			res.Particles = merged
-		}
+		res.Verified = verified
+		res.Particles = merged
 		res.BalanceLog = r.bal.History()
 		res.Timeline = timeline
 		if st := r.e.store; st != nil {
@@ -412,6 +350,5 @@ func (r *epochRunner) finalize() error {
 			}
 		}
 	}
-	r.res = res
-	return nil
+	return res, nil
 }

@@ -1,15 +1,17 @@
 package driver
 
-// Crash recovery over the wire transport: the supervisor side of the epoch
-// lifecycle. RunElastic drives world generations on the coordinator — each
-// generation is a rendezvous bootstrap followed by RunWorld — and turns a
-// comm.ErrPeerLost unwind into a rollback/readmit cycle instead of a dead
-// run: the rendezvous restarts on the same pinned address, survivors
-// rejoin, a replacement worker is admitted into the vacated rank slot, and
-// the new world's Restore phase resumes every rank from the last committed
-// epoch. Workers are stateless across generations (shards are scattered by
-// the new rank assignment), so survivors and replacements run the identical
-// code path — RunElasticWorker is just Join + RunWorld in a loop.
+// The multi-process supervisor: RunElastic is the only coordinator of a
+// world whose ranks live in separate processes (or nodes), and
+// RunElasticWorker the only worker. Each world generation is a rendezvous
+// bootstrap followed by one run of the rank lifecycle (epoch.go). Without
+// Config.Recover the recovery budget is 0 and a run is one generation: a
+// lost peer fails it with comm.ErrPeerLost. With Recover, a comm.ErrPeerLost
+// unwind becomes a rollback/readmit cycle instead of a dead run: the
+// rendezvous restarts on the same pinned address, survivors rejoin, a
+// replacement worker is admitted into the vacated rank slot, and the new
+// world's restore resumes every rank from the last committed epoch. Workers
+// are stateless across generations (shards are scattered by the new rank
+// assignment), so survivors and replacements run the identical code path.
 
 import (
 	"errors"
@@ -38,8 +40,6 @@ type commitStore struct {
 
 	commits, rollbacks, readmits int
 }
-
-func newCommitStore() *commitStore { return &commitStore{} }
 
 // commit transactionally replaces the committed epoch. The caller (rank 0's
 // commit phase) only reaches it after the gather completed, so the store
@@ -108,11 +108,11 @@ func (s *commitStore) summary() (RecoveryStats, []telemetry.Event) {
 	return stats, append([]telemetry.Event(nil), s.events...)
 }
 
-// DefaultMaxRecoveries bounds rollback/readmit cycles when
-// ElasticOptions.MaxRecoveries is zero.
+// DefaultMaxRecoveries bounds the rollback/readmit cycles of a run with
+// Config.Recover set; a run without it has a budget of 0.
 const DefaultMaxRecoveries = 3
 
-// ElasticOptions configures a fault-tolerant multi-node run.
+// ElasticOptions configures a multi-process (or multi-node) run.
 type ElasticOptions struct {
 	// Network is the wire transport: "tcp" or "unix".
 	Network string
@@ -124,9 +124,6 @@ type ElasticOptions struct {
 	// Ranks is the world size. The coordinator hosts rank 0; SpawnWorkers
 	// must supply the other Ranks-1 joiners.
 	Ranks int
-	// MaxRecoveries bounds rollback/readmit cycles (0 = the default). A
-	// loss beyond the bound fails the run with the loss error.
-	MaxRecoveries int
 	// SpawnWorkers launches workers for one generation, pointing them at
 	// the rendezvous address. Generation 0 must launch Ranks-1 workers; for
 	// later generations the callback launches only replacements for dead
@@ -139,32 +136,28 @@ type ElasticOptions struct {
 	Bind string
 }
 
-// RunElastic executes the engine as the coordinator of a fault-tolerant
-// multi-process (or multi-node) run. It requires CheckpointEvery > 0 and
-// Recover: each generation resumes from the last committed epoch, so the
-// final result is bitwise identical to an uninterrupted run.
+// RunElastic executes the engine as the coordinator of a multi-process (or
+// multi-node) run, hosting rank 0. With Config.Recover each lost peer
+// starts a new generation that resumes from the last committed epoch, up
+// to DefaultMaxRecoveries times, so the final result is bitwise identical
+// to an uninterrupted run; without it a lost peer fails the run with the
+// loss error after the one generation.
 func (e *Engine) RunElastic(o ElasticOptions) (*Result, error) {
-	if err := e.Cfg.validate(o.Ranks); err != nil {
+	if err := e.start(o.Ranks); err != nil {
 		return nil, err
-	}
-	if e.Cfg.CheckpointEvery <= 0 || !e.Cfg.Recover {
-		return nil, fmt.Errorf("driver: RunElastic requires Recover and CheckpointEvery > 0")
 	}
 	if !wire.ValidNetwork(o.Network) {
 		return nil, fmt.Errorf("driver: RunElastic requires a wire transport, got %q", o.Network)
 	}
-	maxRec := o.MaxRecoveries
-	if maxRec == 0 {
-		maxRec = DefaultMaxRecoveries
+	budget := 0
+	if e.Cfg.Recover {
+		budget = DefaultMaxRecoveries
 	}
-	// The store survives generations: it is what a rollback resumes from.
-	e.store = newCommitStore()
 	addr := o.Listen
 	if addr == "" {
 		addr = wire.DefaultAddr(o.Network)
 	}
-	recoveries := 0
-	lostRank := -2 // -2 = no pending readmit; -1 = readmit of unknown rank
+	recoveries, lostRank := 0, -1
 	for gen := 0; ; gen++ {
 		res, runAddr, err := e.runGeneration(o, gen, addr, lostRank)
 		if runAddr != "" {
@@ -174,7 +167,7 @@ func (e *Engine) RunElastic(o ElasticOptions) (*Result, error) {
 			return res, nil
 		}
 		var pl comm.ErrPeerLost
-		if !errors.As(err, &pl) || recoveries >= maxRec {
+		if !errors.As(err, &pl) || recoveries >= budget {
 			return nil, err
 		}
 		recoveries++
@@ -207,7 +200,7 @@ func (e *Engine) runGeneration(o ElasticOptions, gen int, addr string, lostRank 
 	if err := rv.Wait(); err != nil {
 		return nil, addr, err
 	}
-	if gen > 0 && lostRank != -2 {
+	if gen > 0 {
 		// The world re-formed: the replacement took the vacated slot.
 		ev := e.store.noteReadmit(lostRank, time.Now().UnixNano())
 		e.Cfg.Live.ObserveEvent(ev)
@@ -216,7 +209,7 @@ func (e *Engine) runGeneration(o ElasticOptions, gen int, addr string, lostRank 
 		e.Cfg.Live.AddWireSource(node.WireReport)
 	}
 	w := comm.NewTransportWorld(node, e.Cfg.WorldOptions())
-	res, runErr := e.RunWorld(w)
+	res, runErr := e.runWorld(w)
 	if runErr != nil {
 		return nil, addr, runErr
 	}
@@ -227,11 +220,12 @@ func (e *Engine) runGeneration(o ElasticOptions, gen int, addr string, lostRank 
 	return res, addr, nil
 }
 
-// RunElasticWorker executes the worker side of a fault-tolerant run: join
-// the coordinator's rendezvous (with retry — between generations there is
-// a window with no listener), run the assigned rank, and — when the world
-// dies under it with a lost peer and recovery is armed — rejoin the next
-// generation. Returns nil when a generation runs to completion.
+// RunElasticWorker executes the worker side of a multi-process run: join
+// the coordinator's rendezvous (with retry — the coordinator may not be
+// listening yet, and between generations there is a window with no
+// listener), run the assigned rank, and — when the world dies under it
+// with a lost peer and recovery is armed — rejoin the next generation.
+// Returns nil when a generation runs to completion.
 func (e *Engine) RunElasticWorker(network, addr string) error {
 	for {
 		node, err := joinWithRetry(network, addr, wire.JoinOptions{Count: 1, WantBase: -1})
@@ -239,7 +233,7 @@ func (e *Engine) RunElasticWorker(network, addr string) error {
 			return err
 		}
 		w := comm.NewTransportWorld(node, e.Cfg.WorldOptions())
-		if _, err := e.RunWorld(w); err != nil {
+		if _, err := e.runWorld(w); err != nil {
 			var pl comm.ErrPeerLost
 			if e.Cfg.Recover && errors.As(err, &pl) {
 				continue
@@ -251,12 +245,12 @@ func (e *Engine) RunElasticWorker(network, addr string) error {
 }
 
 // joinRetryBudget bounds how long a worker keeps retrying the rendezvous
-// between generations before giving up.
+// before giving up.
 const joinRetryBudget = 30 * time.Second
 
 // joinWithRetry dials the rendezvous with capped exponential backoff. A
-// Join error between generations usually just means the coordinator has
-// not restarted the listener yet.
+// Join error usually just means the coordinator has not (re)started the
+// listener yet.
 func joinWithRetry(network, addr string, o wire.JoinOptions) (*wire.Node, error) {
 	deadline := time.Now().Add(joinRetryBudget)
 	delay := 50 * time.Millisecond

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"github.com/parres/picprk/internal/comm"
 	"github.com/parres/picprk/internal/comm/wire"
 	"github.com/parres/picprk/internal/diffusion"
+	"github.com/parres/picprk/internal/telemetry"
 	"github.com/parres/picprk/internal/trace"
 )
 
@@ -154,7 +156,7 @@ func TestRecoveryBitwiseIdentical(t *testing.T) {
 							}
 						}
 						w := comm.NewTransportWorld(node, rcfg.WorldOptions())
-						_, _ = victim.RunWorld(w)
+						_, _ = victim.runWorld(w)
 					}()
 				case 1:
 					wg.Add(1)
@@ -196,15 +198,66 @@ func TestRecoveryBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestRunElasticValidation: the supervisor rejects configurations it cannot
-// recover — no checkpoints, or a transport with no processes to lose.
+// TestRunElasticValidation: the supervisor runs a world without Recover
+// too — a lost peer then fails the run with comm.ErrPeerLost after the one
+// generation, with no rollback — and rejects a transport with no processes
+// to lose.
 func TestRunElasticValidation(t *testing.T) {
-	cfg := testConfig(t, 16, 500, 10)
-	eng := NewBaselineEngine(cfg)
-	if _, err := eng.RunElastic(ElasticOptions{Network: "tcp", Ranks: 2}); err == nil {
-		t.Error("RunElastic accepted a config without Recover/CheckpointEvery")
-	}
+	const killStep = 8
+	cfg := testConfig(t, 16, 500, 20)
 	cfg.CheckpointEvery = 5
+	eng := NewBaselineEngine(cfg)
+	var wg sync.WaitGroup
+	var gens []int
+	var workerErr error
+	spawn := func(gen int, addr string) error {
+		gens = append(gens, gen)
+		if gen > 0 {
+			return nil
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			workerErr = NewBaselineEngine(cfg).RunElasticWorker("tcp", addr)
+		}()
+		go func() {
+			defer wg.Done()
+			node, err := wire.Join("tcp", addr, wire.JoinOptions{Count: 1, WantBase: -1})
+			if err != nil {
+				return
+			}
+			victim := NewBaselineEngine(cfg)
+			victim.StepHook = func(c *comm.Comm, step int) {
+				if step == killStep {
+					node.Kill()
+				}
+			}
+			_, _ = victim.runWorld(comm.NewTransportWorld(node, cfg.WorldOptions()))
+		}()
+		return nil
+	}
+	_, err := eng.RunElastic(ElasticOptions{Network: "tcp", Ranks: 3, SpawnWorkers: spawn})
+	wg.Wait()
+	var pl comm.ErrPeerLost
+	if !errors.As(err, &pl) {
+		t.Fatalf("RunElastic without Recover: got %v, want comm.ErrPeerLost", err)
+	}
+	if !errors.As(workerErr, &pl) {
+		t.Errorf("surviving worker without Recover: got %v, want comm.ErrPeerLost", workerErr)
+	}
+	if fmt.Sprint(gens) != "[0]" {
+		t.Errorf("generations spawned: %v, want [0]", gens)
+	}
+	stats, events := eng.store.summary()
+	if stats.Generations != 1 || stats.Rollbacks != 0 || stats.Readmits != 0 {
+		t.Errorf("recovery stats after an unrecovered loss: %+v", stats)
+	}
+	for _, ev := range events {
+		if ev.Kind == telemetry.EventRollback {
+			t.Errorf("rollback event without Recover: %+v", ev)
+		}
+	}
+
 	cfg.Recover = true
 	eng = NewBaselineEngine(cfg)
 	if _, err := eng.RunElastic(ElasticOptions{Network: "inproc", Ranks: 2}); err == nil {
@@ -215,7 +268,7 @@ func TestRunElasticValidation(t *testing.T) {
 // TestEpochNonBoundaryStepAllocationFree pins that the epoch refactor kept
 // the steady-state step allocation-free with checkpointing armed: all
 // checkpoint work is confined to boundary steps, so a non-boundary step
-// through the state machine's step path allocates nothing.
+// through the lifecycle's step path allocates nothing.
 func TestEpochNonBoundaryStepAllocationFree(t *testing.T) {
 	cfg := testConfig(t, 16, 4000, 0)
 	cfg.Verify = false

@@ -89,6 +89,43 @@ func TestDistributedVerifyOnColumns(t *testing.T) {
 	}
 }
 
+// TestUnverifiedRunSkipsGather pins that a run with neither Verify nor
+// DistributedVerify never converts a rank's columns to AoS for the
+// end-of-run gather, since nothing would read the result: no Particles()
+// call on any rank and no Result.Particles. With Verify the gather runs
+// once per rank and the result carries the verified state.
+func TestUnverifiedRunSkipsGather(t *testing.T) {
+	for _, verify := range []bool{false, true} {
+		cfg := testConfig(t, 16, 1500, 6)
+		cfg.Verify = verify
+		var particles atomic.Int32
+		eng := NewBaselineEngine(cfg)
+		real := eng.Substrate
+		eng.Substrate = func(c *comm.Comm, cfg Config) (Substrate, error) {
+			sub, err := real(c, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return &tamperSub{Substrate: sub, particles: &particles}, nil
+		}
+		const ranks = 4
+		res, err := eng.Run(ranks)
+		if err != nil {
+			t.Fatalf("verify=%v: %v", verify, err)
+		}
+		calls, want := particles.Load(), int32(0)
+		if verify {
+			want = ranks
+		}
+		if calls != want {
+			t.Errorf("verify=%v: Particles() called %d times, want %d", verify, calls, want)
+		}
+		if res.Verified != verify || (res.Particles != nil) != verify {
+			t.Errorf("verify=%v: Verified=%v with %d particles in the result", verify, res.Verified, len(res.Particles))
+		}
+	}
+}
+
 // TestStepZeroEventRefused pins that an event at step 0 is refused up
 // front. The engine fires events after the move of steps 1..Steps, so such
 // an event never fires, while the population check used to count it: every
