@@ -93,11 +93,6 @@ func Allreduce[T any](c *Comm, v []T, op func(a, b T) T) []T {
 	return Bcast(c, 0, res)
 }
 
-// AllreduceScalar is Allreduce for a single value.
-func AllreduceScalar[T any](c *Comm, v T, op func(a, b T) T) T {
-	return Allreduce(c, []T{v}, op)[0]
-}
-
 // Number covers the numeric types used in reductions.
 type Number interface {
 	~int | ~int32 | ~int64 | ~uint64 | ~float64
@@ -105,22 +100,6 @@ type Number interface {
 
 // Sum is a reduction operator.
 func Sum[T Number](a, b T) T { return a + b }
-
-// Max is a reduction operator.
-func Max[T Number](a, b T) T {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min is a reduction operator.
-func Min[T Number](a, b T) T {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // Gather collects one value from every rank at root, indexed by rank.
 // Non-root callers receive nil. Linear algorithm: fine for the gather sizes
@@ -164,11 +143,6 @@ func Gather[T any](c *Comm, root int, v T) []T {
 		out[src] = cast[T](data, "Gather")
 	}
 	return out
-}
-
-// Allgather collects one value from every rank on every rank.
-func Allgather[T any](c *Comm, v T) []T {
-	return Bcast(c, 0, Gather(c, 0, v))
 }
 
 func cast[T any](data any, where string) T {

@@ -2,7 +2,7 @@
 // runs as a goroutine; ranks exchange two-sided messages matched on
 // (source, tag) with wildcard-source receives, and the package
 // layers collectives (barrier, broadcast, reduce, allreduce, gather,
-// allgather, the pointer exchange) on top. There is one communicator, the
+// scatter, the pointer exchange) on top. There is one communicator, the
 // world: every rank addresses every other by its world rank.
 //
 // Message movement is delegated to a Transport (see transport.go). The
@@ -79,8 +79,9 @@ type Options struct {
 	// failures; negative disables the timeout.
 	RecvTimeout time.Duration
 	// ChaosDelay, when positive, sleeps each message delivery by a random
-	// duration in [0, ChaosDelay). Used by tests to shake out ordering
-	// assumptions in drivers.
+	// duration in [0, ChaosDelay). Messages from one rank to another still
+	// arrive in send order, as on every transport. Used by tests to shake
+	// out timing assumptions in drivers.
 	ChaosDelay time.Duration
 	// ChaosSeed seeds the chaos delay generator.
 	ChaosSeed int64
@@ -210,7 +211,11 @@ func (w *World) comm(rank int) *Comm {
 	if w.opts.ChaosDelay > 0 {
 		chaos = rand.New(rand.NewSource(w.opts.ChaosSeed + int64(rank)))
 	}
-	return &Comm{world: w, rank: rank, chaos: chaos}
+	c := &Comm{world: w, rank: rank, chaos: chaos}
+	if chaos != nil {
+		c.chaosTail = make([]chan struct{}, w.size)
+	}
+	return c
 }
 
 // abort records the first error and wakes all blocked receivers. When the
@@ -280,6 +285,9 @@ type Comm struct {
 	xchgSent   int64
 	xchgElided int64
 	chaos      *rand.Rand
+	// chaosTail[dst] is closed once the last chaos-delayed send to dst has
+	// been delivered; the next one waits on it, keeping send order.
+	chaosTail []chan struct{}
 }
 
 // Rank returns the caller's rank.
@@ -329,10 +337,16 @@ func (c *Comm) Send(dst, tag int, data any) {
 	}
 	if c.chaos != nil {
 		d := time.Duration(c.chaos.Int63n(int64(c.world.opts.ChaosDelay)))
+		prev, done := c.chaosTail[dst], make(chan struct{})
+		c.chaosTail[dst] = done
 		c.world.chaosInflight.Add(1)
 		go func() {
 			defer c.world.chaosInflight.Done()
+			defer close(done)
 			time.Sleep(d)
+			if prev != nil {
+				<-prev
+			}
 			c.deliver(dst, tag, data)
 		}()
 		return

@@ -198,11 +198,11 @@ func TestAllreduceSumAndMax(t *testing.T) {
 			if sum[0] != wantSum || sum[1] != int64(p) {
 				return fmt.Errorf("sum %v, want [%d %d]", sum, wantSum, p)
 			}
-			mx := AllreduceScalar(c, float64(c.Rank()), Max[float64])
+			mx := Allreduce(c, []float64{float64(c.Rank())}, func(a, b float64) float64 { return max(a, b) })[0]
 			if mx != float64(p-1) {
 				return fmt.Errorf("max %v, want %d", mx, p-1)
 			}
-			mn := AllreduceScalar(c, c.Rank()+10, Min[int])
+			mn := Allreduce(c, []int{c.Rank() + 10}, func(a, b int) int { return min(a, b) })[0]
 			if mn != 10 {
 				return fmt.Errorf("min %v, want 10", mn)
 			}
@@ -218,7 +218,7 @@ func TestGatherAllgather(t *testing.T) {
 	for _, p := range testSizes() {
 		w := NewWorld(p)
 		err := w.Run(func(c *Comm) error {
-			got := Allgather(c, c.Rank()*c.Rank())
+			got := Bcast(c, 0, Gather(c, 0, c.Rank()*c.Rank()))
 			if len(got) != p {
 				return fmt.Errorf("allgather length %d", len(got))
 			}
@@ -327,6 +327,32 @@ func TestChaosDeliveriesDrainedBeforeRunReturns(t *testing.T) {
 	ib.mu.Unlock()
 	if got != n {
 		t.Fatalf("after Run: %d of %d chaos sends delivered to rank 1's inbox", got, n)
+	}
+}
+
+// TestChaosKeepsSendOrder pins the non-overtaking guarantee under chaos
+// delays: back-to-back broadcasts reach rank 1 in call order, and a burst of
+// same-tag sends arrives in send order, over many chaos seeds.
+func TestChaosKeepsSendOrder(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		w := NewWorld(2, Options{ChaosDelay: 200 * time.Microsecond, ChaosSeed: seed})
+		err := w.Run(func(c *Comm) error {
+			if a, b := Bcast(c, 0, 1), Bcast(c, 0, 2); a != 1 || b != 2 {
+				return fmt.Errorf("consecutive broadcasts of 1, 2 returned %d, %d", a, b)
+			}
+			const burst = 8
+			for i := 0; i < burst; i++ {
+				if c.Rank() == 0 {
+					c.Send(1, 7, i)
+				} else if v, _ := c.Recv(0, 7); v.(int) != i {
+					return fmt.Errorf("send %d of a same-tag burst arrived at position %d", v, i)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	}
 }
 

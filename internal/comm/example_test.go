@@ -17,7 +17,7 @@ func ExampleWorld() {
 		received := data.(int)
 
 		// Collectives: sum of everything received equals 0+1+2+3.
-		total := comm.AllreduceScalar(c, received, comm.Sum[int])
+		total := comm.Allreduce(c, []int{received}, comm.Sum[int])[0]
 		if c.Rank() == 0 {
 			fmt.Println("sum of ring-shifted ranks:", total)
 		}

@@ -11,11 +11,10 @@ import "fmt"
 // needed.
 
 // tagXchgBase is the base of the exchange collective's tag space. Like
-// Gather and Scatter, each call carries a per-call sequence number in its tag:
-// chaos mode (Options.ChaosDelay) delivers each message on its own delayed
-// goroutine, so two consecutive exchanges' messages between the same
-// (source, destination) pair can arrive reordered — distinct per-call tags
-// keep them matched to the right call.
+// Gather and Scatter, each call carries a per-call sequence number in its
+// tag, so a message can only ever match the call that sent it. (Chaos mode,
+// Options.ChaosDelay, delays messages but keeps each (source, destination)
+// pair in send order, so it does not reorder consecutive exchanges.)
 const tagXchgBase = -5000000
 
 // xchgFenceCalls is the number of full-ring exchanges run after a schedule

@@ -1,8 +1,7 @@
 package comm
 
 // The Transport interface is the seam between the message-passing runtime's
-// matching semantics (communicator contexts, tags, wildcard receives,
-// collectives) and the physical substrate that moves payloads between
+// matching semantics (tags, wildcard receives, collectives) and the physical substrate that moves payloads between
 // ranks. Two implementations exist:
 //
 //   - the in-process substrate below: every rank is a goroutine in this
@@ -21,9 +20,6 @@ package comm
 // Message is one in-flight point-to-point payload together with the
 // envelope the receive side matches on.
 type Message struct {
-	// Ctx is always 0: the world is the only communicator. The field keeps
-	// the wire frame's layout unchanged.
-	Ctx uint64
 	// Src is the world rank of the sender.
 	Src int
 	// Tag is the application or collective tag.

@@ -149,14 +149,13 @@ func (n *Node) stopResync() {
 // stamp, clamped at zero — the estimate includes the sender's writer-queue
 // wait by design).
 func (n *Node) recordData(src int, sendNS int64) {
-	peerIdx := n.owner[src]
-	atomic.AddInt64(&n.recvFrames[peerIdx], 1)
+	atomic.AddInt64(&n.recvFrames[src], 1)
 	lat := nowNS() + atomic.LoadInt64(&n.clockOff) - sendNS
 	if lat < 0 {
 		lat = 0
 	}
-	atomic.AddInt64(&n.latCounts[peerIdx*telemetry.LatencyBuckets+telemetry.LatencyBucket(lat)], 1)
-	atomic.AddInt64(&n.latSums[peerIdx], lat)
+	atomic.AddInt64(&n.latCounts[src*telemetry.LatencyBuckets+telemetry.LatencyBucket(lat)], 1)
+	atomic.AddInt64(&n.latSums[src], lat)
 }
 
 // recordControl accounts one received control frame (src is a node index).

@@ -1,16 +1,17 @@
 // Package wire is the framed socket transport for internal/comm: a world
 // whose ranks span OS processes (and machines), meshed over TCP or unix
 // sockets. Payloads are serialized through the internal/pup codec registry;
-// the matching semantics (tags, contexts, wildcard receives, collectives)
-// stay in internal/comm and are identical to the in-process substrate, which
-// is what the cross-transport bitwise-identity tests pin.
+// the matching semantics (tags, wildcard receives, collectives) stay in
+// internal/comm and are identical to the in-process substrate, which is what
+// the cross-transport bitwise-identity tests pin.
 //
-// Topology: a world of R ranks is hosted by N nodes (one process each), each
-// owning a contiguous span of ranks. A rendezvous listener admits joining
-// nodes, assigns rank bases, and broadcasts the node table; the nodes then
-// build a full mesh — node i dials every node j < i plus itself (the
-// self-dial means co-hosted rank traffic crosses a real socket too, so a
-// loopback world exercises exactly the frames a distributed one would).
+// Topology: a world of R ranks is R nodes (one process each, one rank per
+// node), and a node's index is its world rank. A rendezvous listener admits
+// R joining nodes, assigns their ranks, and broadcasts every rank's mesh
+// address; the nodes then build a full mesh — node i dials every node j < i
+// plus itself (the self-dial means a rank's messages to itself cross a real
+// socket too, so a loopback world exercises exactly the frames a
+// distributed one would). One connection carries one peer rank's traffic.
 package wire
 
 import (
@@ -22,19 +23,21 @@ import (
 	"github.com/parres/picprk/internal/pup"
 )
 
-// Every frame starts with a fixed 40-byte little-endian header:
+// Every frame starts with a fixed 28-byte little-endian header:
 //
 //	offset  size  field
-//	     0     4  length of the rest of the frame (36 header bytes + payload)
-//	     4     1  protocol version (currently 2)
+//	     0     4  length of the rest of the frame (24 header bytes + payload)
+//	     4     1  protocol version (currently 3)
 //	     5     1  frame type (data / abort / done / bye / hello / ping / pong)
 //	     6     2  payload kind (pup codec id for data frames; 0 on control)
-//	     8     4  destination world rank
-//	    12     4  source world rank (node index on control frames)
-//	    16     8  communicator context id
-//	    24     8  tag (two's complement)
-//	    32     8  send timestamp, nanoseconds (two's complement)
-//	    40     …  payload (pup-encoded body)
+//	     8     4  source world rank
+//	    12     8  tag (two's complement)
+//	    20     8  send timestamp, nanoseconds (two's complement)
+//	    28     …  payload (pup-encoded body)
+//
+// There is no destination field: a connection carries traffic for the one
+// rank at its far end, and a data frame's source must be the rank at the
+// sending end (readLoop checks it).
 //
 // The send timestamp is stamped when the frame is built: on data and
 // control frames it is the sender's offset-corrected wall clock (node 0's
@@ -46,8 +49,8 @@ import (
 // The layout is pinned by TestFrameGolden in golden_test.go; change it only
 // with a version bump there and in DESIGN.md.
 const (
-	headerBytes  = 40
-	frameVersion = 2
+	headerBytes  = 28
+	frameVersion = 3
 	maxFrameBody = 1 << 30 // sanity bound on the length field
 )
 
@@ -56,7 +59,7 @@ type frameType uint8
 const (
 	frameData  frameType = 1 // application payload; kind identifies the codec
 	frameAbort frameType = 2 // world abort; payload is the error string
-	frameDone  frameType = 3 // node finished its local ranks (sent to node 0)
+	frameDone  frameType = 3 // node's rank finished (sent to node 0)
 	frameBye   frameType = 4 // node 0's shutdown go-ahead
 	frameHello frameType = 5 // rendezvous and mesh handshake
 	framePing  frameType = 6 // clock-sync probe; sendNS carries t1 (local clock)
@@ -66,9 +69,7 @@ const (
 type frame struct {
 	typ     frameType
 	kind    pup.Kind
-	dst     uint32
 	src     uint32
-	ctx     uint64
 	tag     int64
 	sendNS  int64
 	payload []byte
@@ -83,11 +84,9 @@ func (f *frame) putHeader(hdr []byte, payloadLen int) {
 	hdr[4] = frameVersion
 	hdr[5] = byte(f.typ)
 	le.PutUint16(hdr[6:], uint16(f.kind))
-	le.PutUint32(hdr[8:], f.dst)
-	le.PutUint32(hdr[12:], f.src)
-	le.PutUint64(hdr[16:], f.ctx)
-	le.PutUint64(hdr[24:], uint64(f.tag))
-	le.PutUint64(hdr[32:], uint64(f.sendNS))
+	le.PutUint32(hdr[8:], f.src)
+	le.PutUint64(hdr[12:], uint64(f.tag))
+	le.PutUint64(hdr[20:], uint64(f.sendNS))
 }
 
 // encode appends the framed bytes to dst and returns the extended slice.
@@ -135,11 +134,9 @@ func readHeader(r io.Reader, hdr []byte) (frame, int, error) {
 	return frame{
 		typ:    frameType(hdr[5]),
 		kind:   pup.Kind(le.Uint16(hdr[6:])),
-		dst:    le.Uint32(hdr[8:]),
-		src:    le.Uint32(hdr[12:]),
-		ctx:    le.Uint64(hdr[16:]),
-		tag:    int64(le.Uint64(hdr[24:])),
-		sendNS: int64(le.Uint64(hdr[32:])),
+		src:    le.Uint32(hdr[8:]),
+		tag:    int64(le.Uint64(hdr[12:])),
+		sendNS: int64(le.Uint64(hdr[20:])),
 	}, n - (headerBytes - 4), nil
 }
 
@@ -166,7 +163,7 @@ func readPayload(r io.Reader, n int, buf *[]byte) ([]byte, error) {
 
 // Abort frames carry a structured payload so typed failures survive the
 // trip: the error text plus, when the abort was caused by a vanished peer,
-// the lowest world rank that peer hosted (-1 otherwise). The receiving node
+// that peer's world rank (-1 otherwise). The receiving node
 // rebuilds a comm.ErrPeerLost from it, which is how every rank of a world
 // — not just the ones directly wired to the dead process — observes the
 // same typed error.

@@ -11,7 +11,7 @@ import (
 	"github.com/parres/picprk/internal/pup"
 )
 
-// TestFrameGolden pins the framed wire layout byte for byte: the 40-byte
+// TestFrameGolden pins the framed wire layout byte for byte: the 28-byte
 // little-endian header documented in frame.go and DESIGN.md. If this test
 // fails, the on-the-wire format changed — bump frameVersion and update the
 // docs rather than silently breaking cross-version worlds.
@@ -19,29 +19,23 @@ func TestFrameGolden(t *testing.T) {
 	f := frame{
 		typ:     frameData,
 		kind:    11, // pup.KindF64s
-		dst:     3,
 		src:     0x0102,
-		ctx:     0x1122334455667788,
 		tag:     -5,
 		sendNS:  0x0102030405060708,
 		payload: []byte{0xde, 0xad, 0xbe, 0xef},
 	}
 	got := f.encode(nil)
 	want := []byte{
-		// length of the rest: 36 header bytes + 4 payload = 40 (LE u32)
-		0x28, 0x00, 0x00, 0x00,
+		// length of the rest: 24 header bytes + 4 payload = 28 (LE u32)
+		0x1c, 0x00, 0x00, 0x00,
 		// version
-		0x02,
+		0x03,
 		// frame type: data
 		0x01,
 		// kind (LE u16)
 		0x0b, 0x00,
-		// dst world rank (LE u32)
-		0x03, 0x00, 0x00, 0x00,
 		// src world rank (LE u32)
 		0x02, 0x01, 0x00, 0x00,
-		// communicator context (LE u64)
-		0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
 		// tag -5 (two's complement LE i64)
 		0xfb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
 		// send timestamp ns (two's complement LE i64)
@@ -57,9 +51,8 @@ func TestFrameGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
-	if back.typ != f.typ || back.kind != f.kind || back.dst != f.dst ||
-		back.src != f.src || back.ctx != f.ctx || back.tag != f.tag ||
-		back.sendNS != f.sendNS || !bytes.Equal(back.payload, f.payload) {
+	if back.typ != f.typ || back.kind != f.kind || back.src != f.src ||
+		back.tag != f.tag || back.sendNS != f.sendNS || !bytes.Equal(back.payload, f.payload) {
 		t.Fatalf("frame did not round-trip: %+v vs %+v", back, f)
 	}
 }
@@ -126,7 +119,7 @@ func FuzzDecodeAbort(f *testing.F) {
 // corrupt length must not size an allocation — and a frame the reader
 // accepts must re-encode to exactly the bytes it consumed.
 func FuzzReadFrame(f *testing.F) {
-	data := frame{typ: frameData, kind: 11, dst: 3, src: 0x0102, ctx: 7, tag: -5, sendNS: 9}
+	data := frame{typ: frameData, kind: 11, src: 0x0102, tag: -5, sendNS: 9}
 	data.payload, _, _ = pup.EncodePayload(nil, []float64{1.5, -2})
 	f.Add(data.encode(nil))
 	f.Add(data.encode(nil)[:headerBytes+3])

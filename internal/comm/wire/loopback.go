@@ -30,7 +30,7 @@ func LoopbackCluster(network string, ranks int) ([]*Node, error) {
 	for i := 0; i < ranks; i++ {
 		go func(i int) {
 			defer wg.Done()
-			nodes[i], errs[i] = Join(network, rv.Addr(), JoinOptions{Count: 1, WantBase: i})
+			nodes[i], errs[i] = Join(network, rv.Addr(), JoinOptions{Rank: i})
 		}(i)
 	}
 	wg.Wait()

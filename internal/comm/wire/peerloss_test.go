@@ -53,7 +53,7 @@ func killRank2(t *testing.T, blocked func(c *comm.Comm)) []error {
 // too, not hang until the receive watchdog fires.
 func blockedRecv(c *comm.Comm) { c.Recv(comm.AnySource, 5) }
 func blockedCollective(c *comm.Comm) {
-	comm.AllreduceScalar(c, int64(c.Rank()), comm.Sum[int64])
+	comm.Allreduce(c, []int64{int64(c.Rank())}, comm.Sum[int64])
 }
 
 // wantSurvivorsNameRank2 checks that both survivors' runs failed with

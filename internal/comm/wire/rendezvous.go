@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -17,12 +16,11 @@ import (
 )
 
 // The rendezvous is a small listener that assembles a wire world: each
-// joining node connects once, announces how many ranks it hosts (and,
-// optionally, which base rank it wants), and blocks until enough nodes have
-// arrived to cover the world. The rendezvous assigns contiguous rank spans,
-// orders the node table by base rank (so node 0 always hosts world rank 0),
-// and broadcasts the table; the nodes then mesh directly and the rendezvous
-// goes away. It is bootstrap-only — no application traffic crosses it.
+// joining node connects once, announces its mesh address (and, optionally,
+// which rank it wants), and blocks until the whole world has arrived — one
+// node per rank. The rendezvous assigns the ranks and broadcasts every
+// rank's address; the nodes then mesh directly and the rendezvous goes
+// away. It is bootstrap-only — no application traffic crosses it.
 
 // ValidNetwork reports whether network names a supported socket transport.
 func ValidNetwork(network string) bool {
@@ -50,33 +48,27 @@ func DefaultAddr(network string) string {
 
 // helloPayload is what a joiner sends the rendezvous.
 type helloPayload struct {
-	Want  int    // desired base rank, -1 for any
-	Count int    // ranks hosted
-	Addr  string // the joiner's mesh listener address
+	Want int    // the wanted world rank, -1 for any
+	Addr string // the joiner's mesh listener address
 }
 
 func (h *helloPayload) pup(p *pup.PUPer) {
 	p.Int(&h.Want)
-	p.Int(&h.Count)
 	p.String(&h.Addr)
 }
 
-// welcomePayload is the rendezvous's reply: the assigned node index and the
-// full node table, or an error.
+// welcomePayload is the rendezvous's reply: the assigned rank and every
+// rank's mesh address, indexed by rank, or an error.
 type welcomePayload struct {
 	Err   string
-	Index int
-	Nodes []NodeInfo
+	Rank  int
+	Addrs []string
 }
 
 func (w *welcomePayload) pup(p *pup.PUPer) {
 	p.String(&w.Err)
-	p.Int(&w.Index)
-	pup.Slice(p, &w.Nodes, func(p *pup.PUPer, e *NodeInfo) {
-		p.Int(&e.Base)
-		p.Int(&e.Count)
-		p.String(&e.Addr)
-	})
+	p.Int(&w.Rank)
+	pup.Slice(p, &w.Addrs, (*pup.PUPer).String)
 }
 
 // MaxWorldSize is the largest world, in ranks, a rendezvous assembles and a
@@ -85,26 +77,19 @@ func (w *welcomePayload) pup(p *pup.PUPer) {
 const MaxWorldSize = 1 << 20
 
 // WelcomeError reports a rendezvous welcome no world can be built from: an
-// assigned index outside the node table, or a table whose rank spans do not
-// tile [0, size) in node order with at least one rank each.
+// assigned rank outside the address table, or a table larger than
+// MaxWorldSize.
 type WelcomeError struct{ Reason string }
 
 func (e *WelcomeError) Error() string { return "wire: malformed welcome: " + e.Reason }
 
-// validate checks the welcome describes a world and returns its size.
-func (w *welcomePayload) validate() (int, error) {
-	if w.Index < 0 || w.Index >= len(w.Nodes) {
-		return 0, &WelcomeError{fmt.Sprintf("node index %d of %d", w.Index, len(w.Nodes))}
+// validate checks the welcome describes a world: 0 ≤ Rank < len(Addrs) ≤
+// MaxWorldSize.
+func (w *welcomePayload) validate() error {
+	if w.Rank < 0 || w.Rank >= len(w.Addrs) || len(w.Addrs) > MaxWorldSize {
+		return &WelcomeError{fmt.Sprintf("rank %d of a %d-rank world (at most %d ranks)", w.Rank, len(w.Addrs), MaxWorldSize)}
 	}
-	size := 0
-	for i, nd := range w.Nodes {
-		if nd.Base != size || nd.Count < 1 || nd.Count > MaxWorldSize-size {
-			return 0, &WelcomeError{fmt.Sprintf("node %d hosts %d ranks from %d, want at least 1 from %d within %d",
-				i, nd.Count, nd.Base, size, MaxWorldSize)}
-		}
-		size += nd.Count
-	}
-	return size, nil
+	return nil
 }
 
 func packPayload(fn func(*pup.PUPer)) ([]byte, error) {
@@ -139,8 +124,8 @@ type Rendezvous struct {
 }
 
 // StartRendezvous listens on network/addr (pass DefaultAddr(network) for a
-// loopback ephemeral address) and admits joiners in the background until
-// their hosted rank counts sum to worldSize.
+// loopback ephemeral address) and admits worldSize joiners in the
+// background, one per rank.
 func StartRendezvous(network, addr string, worldSize int) (*Rendezvous, error) {
 	if err := checkNetwork(network); err != nil {
 		return nil, err
@@ -194,8 +179,8 @@ func (r *Rendezvous) serve(worldSize int) {
 		r.errCh <- err
 	}
 
-	total := 0
-	for total < worldSize {
+	taken := make([]bool, worldSize)
+	for len(joined) < worldSize {
 		conn, err := r.ln.Accept()
 		if err != nil {
 			fail(fmt.Errorf("wire: rendezvous accept: %w", err))
@@ -214,38 +199,38 @@ func (r *Rendezvous) serve(worldSize int) {
 			fail(fmt.Errorf("wire: rendezvous hello: %w", err))
 			return
 		}
-		if h.Count <= 0 {
-			_ = conn.Close()
-			fail(fmt.Errorf("wire: joiner offered %d ranks", h.Count))
-			return
-		}
+		// Admitted first, so the error welcome reaches the joiner whose
+		// wanted rank cannot be honoured too.
 		joined = append(joined, joiner{conn: conn, hello: h})
-		total += h.Count
-	}
-	if total != worldSize {
-		fail(fmt.Errorf("wire: joined rank counts sum to %d, want exactly %d", total, worldSize))
-		return
+		switch w := h.Want; {
+		case w < -1 || w >= worldSize:
+			fail(fmt.Errorf("wire: joiner wants rank %d, outside [-1, %d)", w, worldSize))
+			return
+		case w >= 0 && taken[w]:
+			fail(fmt.Errorf("wire: wanted rank %d is already taken", w))
+			return
+		case w >= 0:
+			taken[w] = true
+		}
 	}
 
-	bases, err := assignBases(joined, worldSize)
-	if err != nil {
-		fail(err)
-		return
-	}
-	// Node indices follow base-rank order, so node 0 hosts world rank 0.
-	order := make([]int, len(joined))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return bases[order[a]] < bases[order[b]] })
-	nodes := make([]NodeInfo, len(joined))
-	index := make([]int, len(joined)) // joiner -> node index
-	for ni, ji := range order {
-		nodes[ni] = NodeInfo{Base: bases[ji], Count: joined[ji].hello.Count, Addr: joined[ji].hello.Addr}
-		index[ji] = ni
+	// Every wanted rank is claimed; the rest get the lowest free rank, in
+	// arrival order.
+	ranks := make([]int, worldSize)
+	addrs := make([]string, worldSize)
+	free := 0
+	for ji, j := range joined {
+		r := j.hello.Want
+		if r < 0 {
+			for taken[free] {
+				free++
+			}
+			r, taken[free] = free, true
+		}
+		ranks[ji], addrs[r] = r, j.hello.Addr
 	}
 	for ji, j := range joined {
-		body, perr := packPayload((&welcomePayload{Index: index[ji], Nodes: nodes}).pup)
+		body, perr := packPayload((&welcomePayload{Rank: ranks[ji], Addrs: addrs}).pup)
 		if perr != nil {
 			fail(perr)
 			return
@@ -259,60 +244,12 @@ func (r *Rendezvous) serve(worldSize int) {
 	r.errCh <- nil
 }
 
-// assignBases gives every joiner a contiguous base: explicit wants first,
-// then first-fit in arrival order for the rest.
-func assignBases(joined []joiner, worldSize int) ([]int, error) {
-	used := make([]bool, worldSize)
-	bases := make([]int, len(joined))
-	claim := func(base, count int) bool {
-		if base < 0 || base+count > worldSize {
-			return false
-		}
-		for r := base; r < base+count; r++ {
-			if used[r] {
-				return false
-			}
-		}
-		for r := base; r < base+count; r++ {
-			used[r] = true
-		}
-		return true
-	}
-	for i, j := range joined {
-		bases[i] = -1
-		if j.hello.Want >= 0 {
-			if !claim(j.hello.Want, j.hello.Count) {
-				return nil, fmt.Errorf("wire: cannot honor requested base rank %d (%d ranks)", j.hello.Want, j.hello.Count)
-			}
-			bases[i] = j.hello.Want
-		}
-	}
-	for i, j := range joined {
-		if bases[i] >= 0 {
-			continue
-		}
-		placed := false
-		for base := 0; base+j.hello.Count <= worldSize && !placed; base++ {
-			if claim(base, j.hello.Count) {
-				bases[i] = base
-				placed = true
-			}
-		}
-		if !placed {
-			return nil, fmt.Errorf("wire: no contiguous span of %d ranks left", j.hello.Count)
-		}
-	}
-	return bases, nil
-}
-
 // JoinOptions configures one node's entry into a wire world.
 type JoinOptions struct {
-	// Count is the number of world ranks this node hosts (default 1).
-	Count int
-	// WantBase requests a specific base rank (-1, the default given a zero
-	// value of 0 is meaningful, means "any"). The coordinator claims 0 so
-	// rank 0 — and with it result collection — stays in its process.
-	WantBase int
+	// Rank requests a specific world rank; -1 means any (the zero value
+	// asks for rank 0). The coordinator claims 0 so rank 0 — and with it
+	// result collection — stays in its process.
+	Rank int
 	// Bind overrides the node's mesh listener address (default: an
 	// ephemeral loopback address). Set it to a reachable host:port when
 	// joining across machines.
@@ -323,18 +260,12 @@ type JoinOptions struct {
 	Timeout time.Duration
 }
 
-// Join connects to a rendezvous at addr, receives this node's rank span and
-// the node table, meshes with every peer node, and returns the transport.
+// Join connects to a rendezvous at addr, receives this node's rank and every
+// rank's address, meshes with every peer node, and returns the transport.
 // It blocks until the whole world has joined and meshed.
 func Join(network, addr string, o JoinOptions) (*Node, error) {
 	if err := checkNetwork(network); err != nil {
 		return nil, err
-	}
-	if o.Count == 0 {
-		o.Count = 1
-	}
-	if o.Count < 0 {
-		return nil, fmt.Errorf("wire: node rank count must be positive, got %d", o.Count)
 	}
 	timeout := o.Timeout
 	if timeout <= 0 {
@@ -349,41 +280,30 @@ func Join(network, addr string, o JoinOptions) (*Node, error) {
 		return nil, fmt.Errorf("wire: mesh listen: %w", err)
 	}
 
-	w, size, err := rendezvousHandshake(network, addr, helloPayload{Want: o.WantBase, Count: o.Count, Addr: ln.Addr().String()}, timeout)
+	w, err := rendezvousHandshake(network, addr, helloPayload{Want: o.Rank, Addr: ln.Addr().String()}, timeout)
 	if err != nil {
 		_ = ln.Close()
 		return nil, err
 	}
 
+	size := len(w.Addrs)
 	n := &Node{
 		network:    network,
-		index:      w.Index,
-		size:       size,
-		nodes:      w.Nodes,
-		owner:      make([]int, size),
+		index:      w.Rank,
+		addrs:      w.Addrs,
 		ln:         ln,
-		peers:      make([]*peer, len(w.Nodes)),
-		sent:       make([]int64, size),
+		peers:      make([]*peer, size),
 		hsTimeout:  timeout,
-		recvFrames: make([]int64, len(w.Nodes)),
-		latCounts:  make([]int64, len(w.Nodes)*telemetry.LatencyBuckets),
-		latSums:    make([]int64, len(w.Nodes)),
+		recvFrames: make([]int64, size),
+		latCounts:  make([]int64, size*telemetry.LatencyBuckets),
+		latSums:    make([]int64, size),
 		resyncStop: make(chan struct{}),
 		started:    make(chan struct{}),
 		bye:        make(chan struct{}),
 		abortedCh:  make(chan struct{}),
 	}
-	for ni, nd := range w.Nodes {
-		for r := nd.Base; r < nd.Base+nd.Count; r++ {
-			n.owner[r] = ni
-		}
-	}
-	me := w.Nodes[w.Index]
-	for r := me.Base; r < me.Base+me.Count; r++ {
-		n.local = append(n.local, r)
-	}
 	if n.index == 0 {
-		n.doneFrom = make([]bool, len(w.Nodes))
+		n.doneFrom = make([]bool, size)
 	}
 	if err := n.mesh(); err != nil {
 		n.closeAll()
@@ -392,57 +312,56 @@ func Join(network, addr string, o JoinOptions) (*Node, error) {
 	return n, nil
 }
 
-func rendezvousHandshake(network, addr string, h helloPayload, timeout time.Duration) (*welcomePayload, int, error) {
+func rendezvousHandshake(network, addr string, h helloPayload, timeout time.Duration) (*welcomePayload, error) {
 	conn, err := net.DialTimeout(network, addr, timeout)
 	if err != nil {
-		return nil, 0, fmt.Errorf("wire: dial rendezvous %s: %w", addr, err)
+		return nil, fmt.Errorf("wire: dial rendezvous %s: %w", addr, err)
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	body, err := packPayload(h.pup)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	f := frame{typ: frameHello, payload: body}
 	if _, err := conn.Write(f.encode(nil)); err != nil {
-		return nil, 0, fmt.Errorf("wire: send hello: %w", err)
+		return nil, fmt.Errorf("wire: send hello: %w", err)
 	}
 	rf, err := readFrame(conn)
 	if err != nil || rf.typ != frameHello {
-		return nil, 0, fmt.Errorf("wire: read welcome: %v (frame type %d)", err, rf.typ)
+		return nil, fmt.Errorf("wire: read welcome: %v (frame type %d)", err, rf.typ)
 	}
 	var w welcomePayload
 	if err := unpackPayload(rf.payload, w.pup); err != nil {
-		return nil, 0, fmt.Errorf("wire: welcome payload: %w", err)
+		return nil, fmt.Errorf("wire: welcome payload: %w", err)
 	}
 	if w.Err != "" {
-		return nil, 0, errors.New(w.Err)
+		return nil, errors.New(w.Err)
 	}
-	size, err := w.validate()
-	if err != nil {
-		return nil, 0, err
+	if err := w.validate(); err != nil {
+		return nil, err
 	}
-	return &w, size, nil
+	return &w, nil
 }
 
 // mesh builds the full peer mesh: dial every lower-indexed node plus
-// ourselves (the self-dial carries co-hosted rank traffic over a real
-// socket), then accept the higher-indexed nodes' dials and our own. The
+// ourselves (the self-dial carries this rank's messages to itself over a
+// real socket), then accept the higher-indexed nodes' dials and our own. The
 // dial to node 0 additionally runs the synchronous clock-sync rounds (see
 // clock.go) while the fresh connection still has no reader/writer
 // goroutines, so every node leaves the mesh with a first offset estimate.
 func (n *Node) mesh() error {
 	for j := 0; j <= n.index; j++ {
-		conn, err := net.DialTimeout(n.network, n.nodes[j].Addr, n.hsTimeout)
+		conn, err := net.DialTimeout(n.network, n.addrs[j], n.hsTimeout)
 		if err != nil {
 			// The rendezvous admitted this peer but its listener is gone: the
 			// process died between bootstrap and mesh. Surface the typed loss
 			// so supervisors treat it like a mid-run crash.
 			if j != n.index {
 				return fmt.Errorf("wire: node %d dial node %d (%s): %v: %w",
-					n.index, j, n.nodes[j].Addr, err, comm.ErrPeerLost{Rank: n.nodes[j].Base})
+					n.index, j, n.addrs[j], err, comm.ErrPeerLost{Rank: j})
 			}
-			return fmt.Errorf("wire: node %d dial node %d (%s): %w", n.index, j, n.nodes[j].Addr, err)
+			return fmt.Errorf("wire: node %d dial node %d (%s): %w", n.index, j, n.addrs[j], err)
 		}
 		f := frame{typ: frameHello, src: uint32(n.index)}
 		_ = conn.SetWriteDeadline(time.Now().Add(n.hsTimeout))
@@ -462,7 +381,7 @@ func (n *Node) mesh() error {
 		go n.readLoop(conn, j)
 	}
 	// Accepts: one from every node above us, plus our own self-dial.
-	for k := 0; k < len(n.nodes)-n.index; k++ {
+	for k := 0; k < len(n.addrs)-n.index; k++ {
 		conn, err := n.ln.Accept()
 		if err != nil {
 			return fmt.Errorf("wire: node %d mesh accept: %w", n.index, err)
@@ -484,7 +403,7 @@ func (n *Node) mesh() error {
 		switch {
 		case from == n.index:
 			// Read end of our own self-dial; the write end is peers[index].
-		case from > n.index && from < len(n.nodes) && n.peers[from] == nil:
+		case from > n.index && from < len(n.addrs) && n.peers[from] == nil:
 			n.peers[from] = newPeer(conn)
 		default:
 			_ = conn.Close()

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -91,7 +92,7 @@ func TestRendezvousClosedMidBootstrap(t *testing.T) {
 	}
 }
 
-// TestJoinDuplicateBaseRank: two joiners both claiming base rank 0 is an
+// TestJoinDuplicateBaseRank: two joiners both claiming rank 0 is an
 // impossible world; both joins and Wait must fail with an error naming the
 // conflict.
 func TestJoinDuplicateBaseRank(t *testing.T) {
@@ -107,15 +108,15 @@ func TestJoinDuplicateBaseRank(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = Join("tcp", rv.Addr(), JoinOptions{WantBase: 0, Timeout: 10 * time.Second})
+			_, errs[i] = Join("tcp", rv.Addr(), JoinOptions{Rank: 0, Timeout: 10 * time.Second})
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err == nil {
-			t.Fatalf("joiner %d with the duplicate base rank succeeded", i)
+			t.Fatalf("joiner %d with the duplicate rank succeeded", i)
 		}
-		if !strings.Contains(err.Error(), "base rank 0") {
+		if !strings.Contains(err.Error(), "rank 0 is already taken") {
 			t.Errorf("joiner %d error %q does not name the conflicting rank", i, err)
 		}
 	}
@@ -124,18 +125,23 @@ func TestJoinDuplicateBaseRank(t *testing.T) {
 	}
 }
 
-// TestJoinWorldOverflow: joiner rank counts that overshoot the world size
-// are rejected at bootstrap.
-func TestJoinWorldOverflow(t *testing.T) {
-	rv, err := StartRendezvous("tcp", "127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rv.Close()
-
-	_, err = Join("tcp", rv.Addr(), JoinOptions{Count: 3, Timeout: 10 * time.Second})
-	if err == nil {
-		t.Fatal("a 3-rank joiner fit a world of size 2")
+// TestJoinWantedRankOutOfRange: a joiner wanting a rank outside
+// [-1, worldSize) fails the bootstrap at once, and both its Join and Wait
+// name the rank it wanted.
+func TestJoinWantedRankOutOfRange(t *testing.T) {
+	for _, want := range []int{2, -2} {
+		rv, err := StartRendezvous("tcp", "127.0.0.1:0", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Join("tcp", rv.Addr(), JoinOptions{Rank: want, Timeout: 10 * time.Second})
+		name := fmt.Sprintf("rank %d,", want)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("join wanting rank %d: error %v, want one naming %q", want, err, name)
+		}
+		if err := rv.Wait(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("rendezvous with a joiner wanting rank %d: Wait %v, want an error naming %q", want, err, name)
+		}
 	}
 }
 
@@ -167,22 +173,20 @@ func fakeRendezvous(t *testing.T, w welcomePayload) string {
 	return ln.Addr().String()
 }
 
-// TestJoinMalformedWelcome: a welcome whose node table does not tile the
-// world is refused with a WelcomeError before Join sizes anything from it.
-// The first table used to index past the owner table, the second to make a
-// slice of negative length.
+// TestJoinMalformedWelcome: a welcome whose rank is outside its address
+// table, or whose table is larger than MaxWorldSize, is refused with a
+// WelcomeError before Join sizes anything from it.
 func TestJoinMalformedWelcome(t *testing.T) {
 	for _, w := range []welcomePayload{
-		{Index: 0, Nodes: []NodeInfo{{Base: 1, Count: 1}}},
-		{Index: 0, Nodes: []NodeInfo{{Base: 0, Count: -3}}},
-		{Index: 1, Nodes: []NodeInfo{{Base: 0, Count: 2}, {Base: 1, Count: 1}}},
-		{Index: 0, Nodes: []NodeInfo{{Base: 0, Count: MaxWorldSize + 1}}},
-		{Index: 0},
+		{Rank: 1, Addrs: []string{"127.0.0.1:1"}},
+		{Rank: -1, Addrs: []string{"127.0.0.1:1", "127.0.0.1:2"}},
+		{Rank: 0, Addrs: make([]string, MaxWorldSize+1)},
+		{Rank: 0},
 	} {
 		_, err := Join("tcp", fakeRendezvous(t, w), JoinOptions{Timeout: 5 * time.Second})
 		var we *WelcomeError
 		if !errors.As(err, &we) {
-			t.Errorf("welcome %+v: error %v, want a WelcomeError", w, err)
+			t.Errorf("welcome rank %d of %d: error %v, want a WelcomeError", w.Rank, len(w.Addrs), err)
 		}
 	}
 }
@@ -193,9 +197,9 @@ func TestJoinMalformedWelcome(t *testing.T) {
 // exactly the bytes it came from.
 func FuzzWelcomePayload(f *testing.F) {
 	for _, w := range []welcomePayload{
-		{Index: 1, Nodes: []NodeInfo{{Base: 0, Count: 2, Addr: "127.0.0.1:1"}, {Base: 2, Count: 1, Addr: "/tmp/x.sock"}}},
-		{Index: 0, Nodes: []NodeInfo{{Base: 1, Count: 1}}},
-		{Err: "wire: joined rank counts sum to 3, want exactly 2"},
+		{Rank: 1, Addrs: []string{"127.0.0.1:1", "/tmp/x.sock"}},
+		{Rank: 1, Addrs: []string{"127.0.0.1:1"}},
+		{Err: "wire: wanted rank 0 is already taken"},
 	} {
 		body, err := packPayload(w.pup)
 		if err != nil {
@@ -206,10 +210,7 @@ func FuzzWelcomePayload(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var w welcomePayload
-		if unpackPayload(in, w.pup) != nil {
-			return
-		}
-		if _, err := w.validate(); err != nil {
+		if unpackPayload(in, w.pup) != nil || w.validate() != nil {
 			return
 		}
 		again, err := packPayload(w.pup)
@@ -218,6 +219,47 @@ func FuzzWelcomePayload(f *testing.F) {
 		}
 		if !bytes.Equal(again, in) {
 			t.Fatalf("accepted welcome re-packs differently:\n in % x\nout % x", in, again)
+		}
+	})
+}
+
+// FuzzHelloPayload feeds arbitrary bytes to the hello decoder, the first
+// thing the rendezvous reads from whatever dials it. It may not panic, every
+// hello a joiner can send must decode to itself, and a hello it accepts must
+// re-pack to exactly the bytes it came from.
+func FuzzHelloPayload(f *testing.F) {
+	for _, h := range []helloPayload{
+		{Want: -1, Addr: "127.0.0.1:4242"},
+		{Want: 3, Addr: "/tmp/picprk-1-1.sock"},
+		{Want: 1 << 40},
+	} {
+		body, err := packPayload(h.pup)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body, h.Want, h.Addr)
+	}
+	f.Add([]byte{}, -2, "")
+	f.Fuzz(func(t *testing.T, in []byte, want int, addr string) {
+		h := helloPayload{Want: want, Addr: addr}
+		body, err := packPayload(h.pup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back helloPayload
+		if err := unpackPayload(body, back.pup); err != nil || back != h {
+			t.Fatalf("hello %+v decodes to %+v (%v)", h, back, err)
+		}
+		var got helloPayload
+		if unpackPayload(in, got.pup) != nil {
+			return
+		}
+		again, err := packPayload(got.pup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, in) {
+			t.Fatalf("accepted hello re-packs differently:\n in % x\nout % x", in, again)
 		}
 	})
 }

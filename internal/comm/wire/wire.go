@@ -20,36 +20,26 @@ const (
 	abortFlushTimeout = 2 * time.Second
 )
 
-// NodeInfo describes one process of a wire world, as assigned by the
-// rendezvous. Nodes are indexed in rank order, so node 0 hosts world rank 0.
-type NodeInfo struct {
-	Base  int    // first world rank hosted by the node
-	Count int    // number of contiguous ranks hosted
-	Addr  string // the node's mesh listener address
-}
-
-// Node is this process's end of a wire world: a comm.Transport that frames
-// messages over one socket per peer node. Build one with Join (or
-// LoopbackCluster for tests), then hand it to comm.NewTransportWorld.
+// Node is this process's end of a wire world: a comm.Transport that hosts
+// one world rank — its index — and frames messages over one socket per
+// peer rank. Build one with Join (or LoopbackCluster for tests), then hand
+// it to comm.NewTransportWorld.
 //
-// Shutdown handshake: when a node's local ranks have all returned, its
-// Finish flushes outstanding frames and reports DONE to node 0; node 0
-// broadcasts BYE once every node (itself included) is done, and only then do
-// nodes close their sockets. Every data frame is therefore on the wire —
+// Shutdown handshake: when a node's rank has returned, its Finish flushes
+// outstanding frames and reports DONE to node 0; node 0 broadcasts BYE once
+// every node (itself included) is done, and only then do nodes close their
+// sockets. Every data frame is therefore on the wire —
 // and, because receives block until matched, consumed — before any socket
 // closes, so the handshake cannot lose application traffic.
 type Node struct {
 	network string
-	index   int
-	size    int
-	nodes   []NodeInfo
-	owner   []int // world rank -> hosting node index
-	local   []int
+	index   int      // this node's world rank
+	addrs   []string // mesh listener address per rank
 
 	ln    net.Listener
-	peers []*peer // write side per node index; peers[index] is the self-dial
+	peers []*peer // write side per rank; peers[index] is the self-dial
 	conns []net.Conn
-	sent  []int64 // framed bytes shipped per world rank (atomic; local only)
+	sent  atomic.Int64 // framed bytes shipped
 
 	hsTimeout time.Duration // handshake/mesh deadline (JoinOptions.Timeout)
 
@@ -92,20 +82,20 @@ func (n *Node) release() {
 }
 
 // Size implements comm.Transport.
-func (n *Node) Size() int { return n.size }
+func (n *Node) Size() int { return len(n.addrs) }
 
 // LocalRanks implements comm.Transport.
-func (n *Node) LocalRanks() []int { return append([]int(nil), n.local...) }
+func (n *Node) LocalRanks() []int { return []int{n.index} }
 
 // Wired implements comm.Transport: payloads are serialized.
 func (n *Node) Wired() bool { return true }
 
 // SentBytes implements comm.Transport.
 func (n *Node) SentBytes(src int) int64 {
-	if src < 0 || src >= n.size || n.owner[src] != n.index {
+	if src != n.index {
 		return 0
 	}
-	return atomic.LoadInt64(&n.sent[src])
+	return n.sent.Load()
 }
 
 // Start implements comm.Transport: readers hold delivery until the world's
@@ -113,7 +103,7 @@ func (n *Node) SentBytes(src int) int64 {
 // loop here, once a handler exists to own the world's lifetime.
 func (n *Node) Start(h comm.Handler) {
 	n.handler = h
-	if n.index != 0 && len(n.nodes) > 1 {
+	if n.index != 0 && len(n.addrs) > 1 {
 		go n.resyncLoop()
 	}
 	n.release()
@@ -129,16 +119,16 @@ func (n *Node) Start(h comm.Handler) {
 var gatherPool = sync.Pool{New: func() any { return new(pup.Gather) }}
 
 // Ship implements comm.Transport: serialize the payload through the pup
-// codec registry and enqueue the frame on the destination node's writer.
+// codec registry and enqueue the frame on the destination rank's writer.
 // The frame is a pooled encoder's segments — header and small fields in
 // its buffer, every large column referenced where the sender keeps it — so
 // the only copy of a payload byte on this side of the socket is the
 // kernel's. The writer reads the columns until its writev returns; the
 // sender's promise not to mutate what it sent (comm.Send, and for the
 // exchange the two-generation rule, DESIGN §9) is what makes that safe.
-// Unlike the in-process substrate, even locally-hosted destinations cross
-// the socket (via the self-dial), so a loopback world exercises the exact
-// frames a distributed one would.
+// Unlike the in-process substrate, even a message to this rank itself
+// crosses the socket (via the self-dial), so a loopback world exercises the
+// exact frames a distributed one would.
 func (n *Node) Ship(dst int, m comm.Message) {
 	g := gatherPool.Get().(*pup.Gather)
 	segs, kind, err := g.Encode(headerBytes, m.Data)
@@ -154,15 +144,10 @@ func (n *Node) Ship(dst int, m comm.Message) {
 	for _, s := range segs {
 		size += len(s)
 	}
-	f := frame{
-		typ: frameData, kind: kind,
-		dst: uint32(dst), src: uint32(m.Src),
-		ctx: m.Ctx, tag: int64(m.Tag),
-		sendNS: n.WallClockNS(),
-	}
+	f := frame{typ: frameData, kind: kind, src: uint32(m.Src), tag: int64(m.Tag), sendNS: n.WallClockNS()}
 	f.putHeader(segs[0], size-headerBytes)
-	atomic.AddInt64(&n.sent[m.Src], int64(size))
-	n.peers[n.owner[dst]].enqueueFrame(segs, g)
+	n.sent.Add(int64(size))
+	n.peers[dst].enqueueFrame(segs, g)
 }
 
 // Abort implements comm.Transport: broadcast the failure to every peer so
@@ -245,15 +230,15 @@ func abortError(payload []byte, size int) error {
 }
 
 // peerLostError converts a broken mesh connection into the typed peer-loss
-// error. peerIdx is the node on the far end; its lowest hosted rank names
-// the loss. A broken self-dial stream (or an unidentified connection) stays
+// error. peerIdx is the node on the far end, and it is the lost rank. A
+// broken self-dial stream (or an unidentified connection) stays
 // a generic failure — it signals local teardown, not a vanished peer.
 func (n *Node) peerLostError(peerIdx int, cause error) error {
-	if peerIdx < 0 || peerIdx >= len(n.nodes) || peerIdx == n.index {
+	if peerIdx < 0 || peerIdx >= len(n.addrs) || peerIdx == n.index {
 		return fmt.Errorf("wire: node %d lost a peer connection: %w", n.index, cause)
 	}
 	return fmt.Errorf("wire: node %d lost node %d (%v): %w",
-		n.index, peerIdx, cause, comm.ErrPeerLost{Rank: n.nodes[peerIdx].Base})
+		n.index, peerIdx, cause, comm.ErrPeerLost{Rank: peerIdx})
 }
 
 // Finish implements comm.Transport: run the shutdown handshake (or, when
@@ -363,7 +348,7 @@ func (n *Node) noteDone(nodeIdx int) {
 	}
 	n.doneFrom[nodeIdx] = true
 	n.doneCount++
-	ready := n.doneCount == len(n.nodes)
+	ready := n.doneCount == len(n.addrs)
 	n.mu.Unlock()
 	if ready {
 		f := frame{typ: frameBye, src: uint32(n.index), sendNS: n.WallClockNS()}
@@ -384,10 +369,11 @@ func (n *Node) noteBye() {
 // readLoop consumes frames from one socket until it breaks or the world
 // shuts down. Per-peer frame order is preserved because each peer pair
 // shares one ordered stream with a single reader — the wire equivalent of
-// the in-process non-overtaking guarantee. peerIdx is the node index on the
-// far end of conn (known at both dial and accept time), so a premature EOF
-// — the stream breaking without the orderly BYE — is attributed to that
-// peer as a typed comm.ErrPeerLost rather than a generic read error.
+// the in-process non-overtaking guarantee. peerIdx is the rank on the far
+// end of conn (known at both dial and accept time): every data frame on it
+// must come from that rank, and a premature EOF — the stream breaking
+// without the orderly BYE — is attributed to it as a typed
+// comm.ErrPeerLost rather than a generic read error.
 func (n *Node) readLoop(conn net.Conn, peerIdx int) {
 	<-n.started
 	// Headers and small fields come through br's buffer; a data payload is
@@ -425,14 +411,9 @@ func (n *Node) readLoop(conn net.Conn, peerIdx int) {
 		}
 		switch f.typ {
 		case frameData:
-			dst := int(f.dst)
-			if dst < 0 || dst >= n.size || n.owner[dst] != n.index {
-				n.fail(fmt.Errorf("wire: node %d received a frame for rank %d it does not host", n.index, dst))
-				return
-			}
-			src := int(f.src)
-			if src < 0 || src >= n.size {
-				n.fail(fmt.Errorf("wire: node %d received a frame from invalid rank %d", n.index, src))
+			if int(f.src) != peerIdx {
+				n.fail(fmt.Errorf("wire: node %d received a data frame claiming rank %d on its connection to rank %d",
+					n.index, f.src, peerIdx))
 				return
 			}
 			v, derr := dec.Decode(f.kind, br, size)
@@ -446,11 +427,11 @@ func (n *Node) readLoop(conn net.Conn, peerIdx int) {
 				}
 				return
 			}
-			n.recordData(src, f.sendNS)
-			n.handler.Incoming(dst, comm.Message{Ctx: f.ctx, Src: src, Tag: int(f.tag), Data: v})
+			n.recordData(peerIdx, f.sendNS)
+			n.handler.Incoming(n.index, comm.Message{Src: peerIdx, Tag: int(f.tag), Data: v})
 		case frameAbort:
 			n.recordControl(int(f.src))
-			n.handler.RemoteAbort(abortError(f.payload, n.size))
+			n.handler.RemoteAbort(abortError(f.payload, len(n.addrs)))
 			n.markAborted()
 		case frameDone:
 			n.recordControl(int(f.src))

@@ -3,11 +3,13 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/parres/picprk/internal/comm"
+	"github.com/parres/picprk/internal/pup"
 )
 
 // runCluster builds a loopback wire world of p single-rank nodes, runs fn
@@ -43,12 +45,12 @@ func collectiveWorkout(c *comm.Comm) error {
 	}
 	c.Barrier()
 
-	sum := comm.AllreduceScalar(c, int64(r+1), comm.Sum[int64])
+	sum := comm.Allreduce(c, []int64{int64(r + 1)}, comm.Sum[int64])[0]
 	if want := int64(p * (p + 1) / 2); sum != want {
 		return fmt.Errorf("allreduce: got %d, want %d", sum, want)
 	}
 
-	got := comm.Allgather(c, r*10)
+	got := comm.Bcast(c, 0, comm.Gather(c, 0, r*10))
 	for i, v := range got {
 		if v != i*10 {
 			return fmt.Errorf("allgather[%d]: got %d, want %d", i, v, i*10)
@@ -118,11 +120,8 @@ func TestWireCollectivesUnix(t *testing.T) {
 	}
 }
 
-// chaosWorkout is the chaos-safe collective chain: under chaos-mode
-// delivery delays, only causally self-synchronizing sequences are ordered
-// (an Allreduce's reduce phase acks the previous round's bcast; Gather
-// carries per-call sequence tags), so this mirrors what the
-// drivers actually do — no back-to-back bare Bcasts, no raw send bursts.
+// chaosWorkout is the collective chain the chaos test runs: repeated
+// allreduces and gathers, as the drivers issue them, under delivery delays.
 func chaosWorkout(c *comm.Comm) error {
 	p := c.Size()
 	r := c.Rank()
@@ -194,55 +193,39 @@ func TestWireAbortPropagation(t *testing.T) {
 	}
 }
 
-// TestWireMultiRankNodes: nodes hosting more than one rank each (the
-// picrun -ranks N -spawn M shape) mesh and communicate correctly.
-func TestWireMultiRankNodes(t *testing.T) {
-	const ranks = 4
-	rv, err := StartRendezvous("tcp", DefaultAddr("tcp"), ranks)
+// TestWireForgedSource: a data frame whose source is not the rank at the
+// sending end of its connection fails the world, with an error naming both
+// ranks, instead of reaching the receiver as a message from the claimed
+// rank. Node 1 forges a frame from rank 0 onto its connection to rank 2.
+func TestWireForgedSource(t *testing.T) {
+	nodes, err := LoopbackCluster("tcp", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := make([]*Node, 2)
-	joinErrs := make([]error, 2)
-	var jwg sync.WaitGroup
-	jwg.Add(2)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			defer jwg.Done()
-			want := -1
-			if i == 0 {
-				want = 0
-			}
-			nodes[i], joinErrs[i] = Join("tcp", rv.Addr(), JoinOptions{Count: 2, WantBase: want})
-		}(i)
-	}
-	jwg.Wait()
-	if err := rv.Wait(); err != nil {
+	forged := frame{typ: frameData, src: 0, tag: 5}
+	if forged.payload, forged.kind, err = pup.EncodePayload(nil, []int64{7}); err != nil {
 		t.Fatal(err)
 	}
-	for i, jerr := range joinErrs {
-		if jerr != nil {
-			t.Fatalf("join %d: %v", i, jerr)
-		}
-	}
+	errs := make([]error, 3)
 	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	wg.Add(2)
+	wg.Add(3)
 	for i, n := range nodes {
-		if got := len(n.LocalRanks()); got != 2 {
-			t.Fatalf("node %d hosts %d ranks, want 2", i, got)
-		}
-		w := comm.NewTransportWorld(n)
+		w := comm.NewTransportWorld(n, comm.Options{RecvTimeout: 30 * time.Second})
 		go func(i int, w *comm.World) {
 			defer wg.Done()
-			errs[i] = w.Run(collectiveWorkout)
+			errs[i] = w.Run(func(c *comm.Comm) error {
+				if c.Rank() == 1 {
+					nodes[1].peers[2].enqueue(forged.encode(nil))
+					return nil
+				}
+				_, src := c.Recv(comm.AnySource, 5)
+				return fmt.Errorf("received a forged message as from rank %d", src)
+			})
 		}(i, w)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
+	if err := errs[2]; err == nil || !strings.Contains(err.Error(), "rank 0") || !strings.Contains(err.Error(), "rank 1") {
+		t.Fatalf("rank 2: %v, want an error naming the claimed rank 0 and the sending rank 1", err)
 	}
 }
 

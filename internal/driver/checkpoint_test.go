@@ -243,7 +243,7 @@ func TestRestoreRefusesAnotherRanksState(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		blobs := comm.Allgather(c, blob)
+		blobs := comm.Bcast(c, 0, comm.Gather(c, 0, blob))
 		fresh, err := newBlockSubstrate(c, cfg, 2, 1)
 		if err != nil {
 			return err

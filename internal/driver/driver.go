@@ -63,8 +63,6 @@ type Config struct {
 	// count and ID checksum are allreduced — the "trivially parallelized"
 	// verification of paper §III-D. Result.Particles stays nil.
 	DistributedVerify bool
-	// Tol overrides the verification tolerance (0 = default).
-	Tol float64
 	// Chaos, when positive, delays every message delivery by a random
 	// duration up to this bound — a stress mode that shakes out ordering
 	// assumptions in the exchange and migration protocols.
@@ -452,7 +450,7 @@ func (b *colShards) next(p int) []core.SoA {
 func distributedVerify(c *comm.Comm, cfg Config, sub Substrate) error {
 	dc := cfg.distConfig()
 	first, _ := dc.IDRange()
-	v := core.NewColumnVerifier(cfg.Mesh, cfg.Steps, cfg.Tol, first, cfg.N+cfg.Schedule.Fired(cfg.Steps).TotalInjected())
+	v := core.NewColumnVerifier(cfg.Mesh, cfg.Steps, core.DefaultTolerance, first, cfg.N+cfg.Schedule.Fired(cfg.Steps).TotalInjected())
 	if err := sub.VerifyLocal(v); err != nil {
 		return fmt.Errorf("rank %d: %w", c.Rank(), err)
 	}
@@ -496,7 +494,7 @@ func gatherAndVerify(c *comm.Comm, cfg Config, sub Substrate) ([]particle.Partic
 		merged = append(merged, part...)
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].ID < merged[j].ID })
-	if err := core.Verify(cfg.distConfig(), cfg.Schedule, merged, cfg.Steps, cfg.Tol); err != nil {
+	if err := core.Verify(cfg.distConfig(), cfg.Schedule, merged, cfg.Steps, core.DefaultTolerance); err != nil {
 		return merged, false, fmt.Errorf("driver: verification failed: %w", err)
 	}
 	return merged, true, nil

@@ -36,7 +36,7 @@ func sequentialReference(t testing.TB, cfg Config) []particle.Particle {
 		t.Fatal(err)
 	}
 	sim.Run(cfg.Steps)
-	if err := sim.Verify(cfg.Tol); err != nil {
+	if err := sim.Verify(core.DefaultTolerance); err != nil {
 		t.Fatalf("sequential reference failed verification: %v", err)
 	}
 	ps := append([]particle.Particle(nil), sim.Particles...)

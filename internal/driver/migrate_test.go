@@ -126,7 +126,7 @@ func checkHosted(c *comm.Comm, s *vpSubstrate) error {
 	if !slices.Equal(got, want) || len(s.cells) != len(s.vps) {
 		return fmt.Errorf("rank %d hosts VPs %v, the placement puts %v here", c.Rank(), got, want)
 	}
-	if n := comm.AllreduceScalar(c, len(s.vps), comm.Sum[int]); n != len(s.host) {
+	if n := comm.Allreduce(c, []int{len(s.vps)}, comm.Sum[int])[0]; n != len(s.host) {
 		return fmt.Errorf("%d VPs hosted in all, %d exist", n, len(s.host))
 	}
 	return nil
@@ -215,7 +215,7 @@ func TestVPInitialPlacement(t *testing.T) {
 		if err := checkHosted(c, s); err != nil {
 			return err
 		}
-		if n := comm.AllreduceScalar(c, s.Count(), comm.Sum[int]); n != cfg.N {
+		if n := comm.Allreduce(c, []int{s.Count()}, comm.Sum[int])[0]; n != cfg.N {
 			return fmt.Errorf("%d particles hosted, %d injected", n, cfg.N)
 		}
 		return nil
@@ -263,7 +263,7 @@ func TestVPRepeatedLBRounds(t *testing.T) {
 			if err := checkHosted(c, s); err != nil {
 				return fmt.Errorf("round %d: %w", round, err)
 			}
-			if n := comm.AllreduceScalar(c, s.Count(), comm.Sum[int]); n != cfg.N {
+			if n := comm.Allreduce(c, []int{s.Count()}, comm.Sum[int])[0]; n != cfg.N {
 				return fmt.Errorf("round %d: %d particles hosted, %d injected", round, n, cfg.N)
 			}
 		}
@@ -329,8 +329,8 @@ func TestVPGreedyConvergesLoad(t *testing.T) {
 		if _, err := s.Execute(balance.Plan{Owner: ampi.GreedyLB{}.Plan(loads.Units, loads.Owner, p)}); err != nil {
 			return err
 		}
-		heaviest := comm.AllreduceScalar(c, s.Count(), comm.Max[int])
-		total := comm.AllreduceScalar(c, s.Count(), comm.Sum[int])
+		heaviest := comm.Allreduce(c, []int{s.Count()}, func(a, b int) int { return max(a, b) })[0]
+		total := comm.Allreduce(c, []int{s.Count()}, comm.Sum[int])[0]
 		if total != cfg.N {
 			return fmt.Errorf("%d particles after migration, %d before", total, cfg.N)
 		}

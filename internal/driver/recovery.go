@@ -192,7 +192,7 @@ func (e *Engine) runGeneration(o ElasticOptions, gen int, addr string, lostRank 
 			return nil, addr, err
 		}
 	}
-	node, err := wire.Join(o.Network, addr, wire.JoinOptions{Count: 1, WantBase: 0, Bind: o.Bind})
+	node, err := wire.Join(o.Network, addr, wire.JoinOptions{Rank: 0, Bind: o.Bind})
 	if err != nil {
 		rv.Close()
 		return nil, addr, err
@@ -228,7 +228,7 @@ func (e *Engine) runGeneration(o ElasticOptions, gen int, addr string, lostRank 
 // Returns nil when a generation runs to completion.
 func (e *Engine) RunElasticWorker(network, addr string) error {
 	for {
-		node, err := joinWithRetry(network, addr, wire.JoinOptions{Count: 1, WantBase: -1})
+		node, err := joinWithRetry(network, addr, wire.JoinOptions{Rank: -1})
 		if err != nil {
 			return err
 		}

@@ -146,7 +146,7 @@ func TestRecoveryBitwiseIdentical(t *testing.T) {
 						// The victim behaves like a process that is SIGKILLed
 						// mid-step: its node drops every connection with no
 						// handshake and the "process" never comes back.
-						node, err := wire.Join("tcp", addr, wire.JoinOptions{Count: 1, WantBase: -1})
+						node, err := wire.Join("tcp", addr, wire.JoinOptions{Rank: -1})
 						if err != nil {
 							return
 						}
@@ -222,7 +222,7 @@ func TestRunElasticValidation(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			node, err := wire.Join("tcp", addr, wire.JoinOptions{Count: 1, WantBase: -1})
+			node, err := wire.Join("tcp", addr, wire.JoinOptions{Rank: -1})
 			if err != nil {
 				return
 			}

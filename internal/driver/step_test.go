@@ -104,7 +104,7 @@ func TestExchangeIsIdempotent(t *testing.T) {
 						return err
 					}
 				}
-				if total := comm.AllreduceScalar(c, s.Count(), comm.Sum[int]); total != cfg.N {
+				if total := comm.Allreduce(c, []int{s.Count()}, comm.Sum[int])[0]; total != cfg.N {
 					return fmt.Errorf("population %d after two rehome exchanges, want %d", total, cfg.N)
 				}
 				return nil
