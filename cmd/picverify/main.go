@@ -92,18 +92,13 @@ func main() {
 			continue
 		}
 		for _, p := range ps {
-			failures += check(fmt.Sprintf("%-14s baseline  P=%d", sc.name, p), ref, func() (*driver.Result, error) {
-				return driver.RunBaseline(p, sc.cfg)
-			})
-			failures += check(fmt.Sprintf("%-14s diffusion P=%d", sc.name, p), ref, func() (*driver.Result, error) {
-				return driver.RunDiffusion(p, sc.cfg, diffusion.Params{Every: 7, Threshold: 0.05, Width: 1, MinWidth: 2})
-			})
-			failures += check(fmt.Sprintf("%-14s ampi      P=%d", sc.name, p), ref, func() (*driver.Result, error) {
-				return driver.RunAMPI(p, sc.cfg, driver.AMPIParams{Overdecompose: 4, Every: 10})
-			})
-			failures += check(fmt.Sprintf("%-14s worksteal P=%d", sc.name, p), ref, func() (*driver.Result, error) {
-				return driver.RunWorkSteal(p, sc.cfg, driver.WorkStealParams{Overdecompose: 4, Every: 10})
-			})
+			failures += check(fmt.Sprintf("%-14s baseline  P=%d", sc.name, p), ref, p, driver.NewBaselineEngine(sc.cfg), nil)
+			eng, err := driver.NewDiffusionEngine(sc.cfg, diffusion.Params{Every: 7, Threshold: 0.05, Width: 1, MinWidth: 2})
+			failures += check(fmt.Sprintf("%-14s diffusion P=%d", sc.name, p), ref, p, eng, err)
+			eng, err = driver.NewAMPIEngine(p, sc.cfg, driver.AMPIParams{Overdecompose: 4, Every: 10})
+			failures += check(fmt.Sprintf("%-14s ampi      P=%d", sc.name, p), ref, p, eng, err)
+			eng, err = driver.NewWorkStealEngine(sc.cfg, driver.WorkStealParams{Overdecompose: 4, Every: 10})
+			failures += check(fmt.Sprintf("%-14s worksteal P=%d", sc.name, p), ref, p, eng, err)
 		}
 	}
 	fmt.Printf("\npicverify: %d failures in %v\n", failures, time.Since(start).Round(time.Millisecond))
@@ -128,8 +123,13 @@ func reference(cfg driver.Config) ([]particle.Particle, error) {
 	return ps, nil
 }
 
-func check(label string, ref []particle.Particle, run func() (*driver.Result, error)) int {
-	res, err := run()
+// check runs eng on p ranks — or reports err, the error its constructor
+// returned — and compares the result with the sequential reference.
+func check(label string, ref []particle.Particle, p int, eng *driver.Engine, err error) int {
+	var res *driver.Result
+	if err == nil {
+		res, err = eng.Run(p)
+	}
 	if err != nil {
 		fmt.Printf("FAIL %s: %v\n", label, err)
 		return 1

@@ -38,11 +38,15 @@ func main() {
 	fmt.Println("workload: uniform 20k particles; +60k injected into one quadrant at step 100;")
 	fmt.Println("          one horizontal band removed at step 200")
 
-	base, err := driver.RunBaseline(ranks, cfg)
+	base, err := driver.NewBaselineEngine(cfg).Run(ranks)
 	if err != nil {
 		log.Fatal(err)
 	}
-	am, err := driver.RunAMPI(ranks, cfg, driver.AMPIParams{Overdecompose: 8, Every: 20})
+	eng, err := driver.NewAMPIEngine(ranks, cfg, driver.AMPIParams{Overdecompose: 8, Every: 20})
+	if err != nil {
+		log.Fatal(err)
+	}
+	am, err := eng.Run(ranks)
 	if err != nil {
 		log.Fatal(err)
 	}

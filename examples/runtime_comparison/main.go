@@ -35,9 +35,13 @@ func main() {
 	fmt.Printf("%-12s %-10s %-10s %-12s %-10s %-9s\n",
 		"impl", "wall", "max/rank", "imbalance", "migrations", "verified")
 
-	run := func(name string, fn func() (*driver.Result, error)) {
+	// run runs eng on the ranks, or stops at err, its constructor's error.
+	run := func(name string, eng *driver.Engine, err error) {
 		start := time.Now()
-		res, err := fn()
+		var res *driver.Result
+		if err == nil {
+			res, err = eng.Run(ranks)
+		}
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
@@ -53,20 +57,15 @@ func main() {
 			res.MaxFinalParticles, sum.Imbalance, migrations, res.Verified)
 	}
 
-	run("mpi-2d", func() (*driver.Result, error) {
-		return driver.RunBaseline(ranks, cfg)
-	})
-	run("mpi-2d-LB", func() (*driver.Result, error) {
-		// Width/Every is co-tuned so the boundary tracking outpaces the
-		// one-cell-per-step drift of the particle cloud (§IV-B).
-		return driver.RunDiffusion(ranks, cfg, diffusion.Params{Every: 1, Threshold: 0.05, Width: 2, MinWidth: 3})
-	})
-	run("ampi", func() (*driver.Result, error) {
-		return driver.RunAMPI(ranks, cfg, driver.AMPIParams{Overdecompose: 8, Every: 25})
-	})
-	run("worksteal", func() (*driver.Result, error) {
-		return driver.RunWorkSteal(ranks, cfg, driver.WorkStealParams{Overdecompose: 8, Every: 25})
-	})
+	run("mpi-2d", driver.NewBaselineEngine(cfg), nil)
+	// Width/Every is co-tuned so the boundary tracking outpaces the
+	// one-cell-per-step drift of the particle cloud (§IV-B).
+	eng, err := driver.NewDiffusionEngine(cfg, diffusion.Params{Every: 1, Threshold: 0.05, Width: 2, MinWidth: 3})
+	run("mpi-2d-LB", eng, err)
+	eng, err = driver.NewAMPIEngine(ranks, cfg, driver.AMPIParams{Overdecompose: 8, Every: 25})
+	run("ampi", eng, err)
+	eng, err = driver.NewWorkStealEngine(cfg, driver.WorkStealParams{Overdecompose: 8, Every: 25})
+	run("worksteal", eng, err)
 
 	fmt.Println("\nall four implementations produce bitwise-identical particle states;")
 	fmt.Println("they differ only in where the work lives (imbalance) and what moving it costs")

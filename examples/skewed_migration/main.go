@@ -31,7 +31,7 @@ func main() {
 	fmt.Println("workload: geometric r=0.96 — the particle cloud drifts right one cell per step")
 	fmt.Printf("ranks: %d (2D block decomposition)\n\n", ranks)
 
-	base, err := driver.RunBaseline(ranks, cfg)
+	base, err := driver.NewBaselineEngine(cfg).Run(ranks)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +43,11 @@ func main() {
 	// three interfering knobs that the paper's §IV-B calls out. A balancer
 	// that lags the drift is worse than no balancer at all (try Width: 1).
 	params := diffusion.Params{Every: 1, Threshold: 0.05, Width: 2, MinWidth: 3}
-	diff, err := driver.RunDiffusion(ranks, cfg, params)
+	eng, err := driver.NewDiffusionEngine(cfg, params)
+	if err != nil {
+		log.Fatal(err)
+	}
+	diff, err := eng.Run(ranks)
 	if err != nil {
 		log.Fatal(err)
 	}

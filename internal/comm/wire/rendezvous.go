@@ -68,7 +68,7 @@ type welcomePayload struct {
 func (w *welcomePayload) pup(p *pup.PUPer) {
 	p.String(&w.Err)
 	p.Int(&w.Rank)
-	pup.Slice(p, &w.Addrs, (*pup.PUPer).String)
+	pup.Slice(p, &w.Addrs, 8, (*pup.PUPer).String)
 }
 
 // MaxWorldSize is the largest world, in ranks, a rendezvous assembles and a

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -9,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/parres/picprk/internal/memtest"
 )
 
 // Bootstrap failure paths: every way a world can fail to assemble must
@@ -208,9 +211,15 @@ func FuzzWelcomePayload(f *testing.F) {
 		f.Add(body)
 	}
 	f.Add([]byte{})
+	f.Add(corruptWelcome(4096))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var w welcomePayload
-		if unpackPayload(in, w.pup) != nil || w.validate() != nil {
+		var err error
+		limit := welcomeAllocLimit(len(in))
+		if got := memtest.Least(limit, func() { w = welcomePayload{} }, func() { err = unpackPayload(in, w.pup) }); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d", len(in), got)
+		}
+		if err != nil || w.validate() != nil {
 			return
 		}
 		again, err := packPayload(w.pup)
@@ -221,6 +230,35 @@ func FuzzWelcomePayload(f *testing.F) {
 			t.Fatalf("accepted welcome re-packs differently:\n in % x\nout % x", in, again)
 		}
 	})
+}
+
+// corruptWelcome returns a size-byte welcome whose address count claims one
+// address per byte behind it: an empty error, rank 0, the count, and zeros.
+func corruptWelcome(size int) []byte {
+	in := make([]byte, size)
+	binary.LittleEndian.PutUint64(in[16:], uint64(size-24))
+	return in
+}
+
+// welcomeAllocLimit is what decoding an n-byte welcome may allocate: about
+// twice its length, plus slack for the decoder's own small allocations.
+func welcomeAllocLimit(n int) uint64 { return uint64(2*n + 64<<10) }
+
+// TestWelcomeCorruptCountAllocation pins that the welcome decoder sizes the
+// address table against the bytes present at a string's least wire width
+// (its 8-byte length prefix): a 1 MB welcome claiming one address per byte
+// is refused before the table is sized, instead of allocating a 16-byte
+// string header per claimed address first.
+func TestWelcomeCorruptCountAllocation(t *testing.T) {
+	in := corruptWelcome(1 << 20)
+	limit := welcomeAllocLimit(len(in))
+	var err error
+	if got := memtest.Least(limit, nil, func() { err = unpackPayload(in, new(welcomePayload).pup) }); got > limit {
+		t.Errorf("decoding a %d-byte welcome allocated %d bytes, want at most %d", len(in), got, limit)
+	}
+	if err == nil {
+		t.Error("a welcome claiming more addresses than its bytes can hold was accepted")
+	}
 }
 
 // FuzzHelloPayload feeds arbitrary bytes to the hello decoder, the first

@@ -59,16 +59,19 @@ func TestSimulationRemoval(t *testing.T) {
 	sched := dist.Schedule{
 		{Step: 7, Region: dist.Rect{X0: 0, X1: 16, Y0: 0, Y1: 8}, Remove: true},
 	}
-	sim := newSim(t, 16, 2000, 0, 0, dist.Uniform{}, sched)
-	sim.Run(20)
-	if len(sim.Particles) >= 2000 {
-		t.Fatalf("removal did not happen: %d", len(sim.Particles))
-	}
-	if len(sim.Removed)+len(sim.Particles) != 2000 {
-		t.Fatalf("removed+left = %d+%d", len(sim.Removed), len(sim.Particles))
-	}
-	if err := sim.Verify(0); err != nil {
-		t.Fatal(err)
+	// A nil distribution is the uniform one, and verifies the same way.
+	for _, d := range []dist.Distribution{dist.Uniform{}, nil} {
+		sim := newSim(t, 16, 2000, 0, 0, d, sched)
+		sim.Run(20)
+		if len(sim.Particles) >= 2000 {
+			t.Fatalf("%v: removal did not happen: %d", d, len(sim.Particles))
+		}
+		if len(sim.Removed)+len(sim.Particles) != 2000 {
+			t.Fatalf("%v: removed+left = %d+%d", d, len(sim.Removed), len(sim.Particles))
+		}
+		if err := sim.Verify(0); err != nil {
+			t.Fatalf("%v: %v", d, err)
+		}
 	}
 }
 
@@ -145,6 +148,17 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 		{"lost particle", func(s *Simulation) { s.Particles = s.Particles[:len(s.Particles)-1] }},
 		{"duplicated particle", func(s *Simulation) { s.Particles = append(s.Particles, s.Particles[0]) }},
 		{"forged id", func(s *Simulation) { s.Particles[5].ID = 99999 }},
+		// Count, checksum and uniqueness all still hold; the range does not.
+		{"forged id pair", func(s *Simulation) {
+			for i := range s.Particles {
+				switch p := &s.Particles[i]; p.ID {
+				case 1:
+					p.ID = 0
+				case 500:
+					p.ID = 501
+				}
+			}
+		}},
 	}
 	for _, m := range mutations {
 		sim := newSim(t, 16, 500, 0, 1, dist.Geometric{R: 0.9}, nil)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/grid"
@@ -286,47 +285,40 @@ func (f *fates) removed(cx, cy int) bool {
 	return c >= 0 && f.rows[int(c)*f.h+cy-f.y0]
 }
 
-// Verify is the full verification of a gathered final population — used by
-// the sequential simulation and by parallel drivers under cfg.Verify —
-// against the initialization config and schedule that produced it:
-// per-particle positions and velocities against the closed-form solution,
-// no duplicate IDs, and the population count and ID checksum against the
-// analytic prediction.
-func Verify(cfg dist.Config, sched dist.Schedule, ps []particle.Particle, steps int, tol float64) error {
-	if tol <= 0 {
-		tol = DefaultTolerance
-	}
-	if err := VerifyPositions(cfg.Mesh, ps, steps, tol); err != nil {
-		return err
-	}
-	ids := make([]uint64, len(ps))
-	for i := range ps {
-		ids[i] = ps[i].ID
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for i := 1; i < len(ids); i++ {
-		if ids[i] == ids[i-1] {
-			return fmt.Errorf("core: duplicate particle ID %d", ids[i])
-		}
-	}
-	// Population check. Note: for trajectory-params verification above, the
-	// per-particle data is intrinsic; the population prediction additionally
-	// requires the distribution to regenerate removed/injected sets. When
-	// the caller does not know the distribution (cfg.Dist nil is fine: the
-	// checksum depends only on which IDs survive), removal events make the
-	// prediction placement-dependent, so require the distribution then.
-	if cfg.Dist == nil && slices.ContainsFunc(sched.Fired(steps), func(ev dist.Event) bool { return ev.Remove }) {
-		return fmt.Errorf("core: verification with removal events requires cfg.Dist")
-	}
+// NewRunVerifier prepares the ColumnVerifier for the final state of a run
+// of steps steps from cfg under sched: its ID range covers the initial
+// population and every injection the run fires.
+func NewRunVerifier(cfg dist.Config, sched dist.Schedule, steps int, tol float64) *ColumnVerifier {
+	first, next := cfg.IDRange()
+	return NewColumnVerifier(cfg.Mesh, steps, tol, first, int(next-first)+sched.Fired(steps).TotalInjected())
+}
+
+// VerifyPopulation checks a run's surviving population, count particles
+// whose IDs sum to idSum, against ExpectedPopulation: the count catches a
+// lost particle, the checksum an ID that no single container can see is
+// wrong.
+func VerifyPopulation(cfg dist.Config, sched dist.Schedule, steps, count int, idSum uint64) error {
 	pop, err := ExpectedPopulation(cfg, sched, steps)
 	if err != nil {
 		return err
 	}
-	if len(ps) != pop.Count {
-		return fmt.Errorf("core: particle count %d, expected %d", len(ps), pop.Count)
+	if count != pop.Count {
+		return fmt.Errorf("core: global particle count %d, expected %d", count, pop.Count)
 	}
-	if got := particle.IDSum(ps); got != pop.IDSum {
-		return fmt.Errorf("core: ID checksum %d, expected %d", got, pop.IDSum)
+	if idSum != pop.IDSum {
+		return fmt.Errorf("core: global ID checksum %d, expected %d", idSum, pop.IDSum)
 	}
 	return nil
+}
+
+// Verify is the full verification of a final population held in one slice
+// — the sequential simulation's check — by the rules every parallel run
+// applies: ColumnVerifier over the particles (closed-form positions and
+// velocities, IDs unique and inside the run's range), then VerifyPopulation.
+func Verify(cfg dist.Config, sched dist.Schedule, ps []particle.Particle, steps int, tol float64) error {
+	v := NewRunVerifier(cfg, sched, steps, tol)
+	if err := v.Check(NewSoA(ps)); err != nil {
+		return err
+	}
+	return VerifyPopulation(cfg, sched, steps, v.Count, v.IDSum)
 }

@@ -93,7 +93,7 @@ func BenchmarkFullRun(b *testing.B) {
 		cfg := benchRunConfig(b)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := RunBaseline(p, cfg); err != nil {
+			if _, err := NewBaselineEngine(cfg).Run(p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -102,7 +102,7 @@ func BenchmarkFullRun(b *testing.B) {
 		cfg := benchRunConfig(b)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := RunDiffusion(p, cfg, diffusion.Params{Every: 5, Threshold: 0.05, Width: 2, MinWidth: 3}); err != nil {
+			if _, err := must(NewDiffusionEngine(cfg, diffusion.Params{Every: 5, Threshold: 0.05, Width: 2, MinWidth: 3})).Run(p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -111,7 +111,7 @@ func BenchmarkFullRun(b *testing.B) {
 		cfg := benchRunConfig(b)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := RunAMPI(p, cfg, AMPIParams{Overdecompose: 4, Every: 10}); err != nil {
+			if _, err := must(NewAMPIEngine(p, cfg, AMPIParams{Overdecompose: 4, Every: 10})).Run(p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -120,7 +120,7 @@ func BenchmarkFullRun(b *testing.B) {
 		cfg := benchRunConfig(b)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := RunWorkSteal(p, cfg, WorkStealParams{Overdecompose: 4, Every: 10}); err != nil {
+			if _, err := must(NewWorkStealEngine(cfg, WorkStealParams{Overdecompose: 4, Every: 10})).Run(p); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -32,22 +32,13 @@ func (p AMPIParams) Validate() error {
 	return nil
 }
 
-// RunAMPI executes the PIC PRK with the paper's "ampi" implementation
+// NewAMPIEngine builds the engine of the paper's "ampi" implementation
 // (§IV-C): the static 2D algorithm of §IV-A over-decomposed into d·P
 // virtual processors whose placement the runtime rebalances every F steps,
 // migrating VP state (particles and mesh block) between cores with PUP
-// serialization.
-func RunAMPI(p int, cfg Config, params AMPIParams) (*Result, error) {
-	eng, err := NewAMPIEngine(p, cfg, params)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(p)
-}
-
-// NewAMPIEngine builds the ampi engine without running it. The world size p
-// is needed up front because topology hints are installed on the shared
-// strategy value before the SPMD region starts.
+// serialization. The world size p is needed up front because topology
+// hints are installed on the shared strategy value before the SPMD region
+// starts.
 func NewAMPIEngine(p int, cfg Config, params AMPIParams) (*Engine, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err

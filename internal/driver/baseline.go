@@ -5,19 +5,13 @@ import (
 	"github.com/parres/picprk/internal/comm"
 )
 
-// RunBaseline executes the PIC PRK with the paper's "mpi-2d" reference
+// NewBaselineEngine builds the engine of the paper's "mpi-2d" reference
 // implementation (§IV-A): the P ranks form a near-square 2D grid, the mesh
 // is statically block-partitioned, each rank moves the particles in its
 // subdomain and ships leavers to their new owners each step. No load
 // balancing — with a skewed particle distribution this is the baseline that
-// the balanced implementations beat.
-func RunBaseline(p int, cfg Config) (*Result, error) {
-	return NewBaselineEngine(cfg).Run(p)
-}
-
-// NewBaselineEngine builds the baseline engine without running it, for
-// callers that pick the way it runs (Run, RunElastic or
-// RunElasticWorker).
+// the balanced implementations beat. The caller picks the way it runs (Run,
+// RunElastic or RunElasticWorker).
 func NewBaselineEngine(cfg Config) *Engine {
 	return &Engine{
 		Name: "baseline",

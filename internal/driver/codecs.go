@@ -8,31 +8,23 @@ package driver
 
 import (
 	"sync"
-	"time"
 
 	"github.com/parres/picprk/internal/core"
+	"github.com/parres/picprk/internal/particle"
 	"github.com/parres/picprk/internal/pup"
 	"github.com/parres/picprk/internal/telemetry"
 )
 
-// Driver payload kinds (range 50–69, see pup.Kind).
+// Driver payload kinds (range 50–69, see pup.Kind). 51 (the rows parcel)
+// and 53, 54 and 57 (the timeline, stats and exchange-matrix gathers the
+// end-of-run report replaced) are retired and stay unused.
 const (
-	kindRectParcel pup.Kind = 50 // 51, the retired rows parcel, stays unused
+	kindRectParcel pup.Kind = 50
 	kindVPParcels  pup.Kind = 52
-	kindTimeline   pup.Kind = 53
-	kindRankStats  pup.Kind = 54
 	kindRankShard  pup.Kind = 55
 	kindResumeInfo pup.Kind = 56
-	kindPeerXchg   pup.Kind = 57
+	kindRankReport pup.Kind = 58
 )
-
-func pupDuration(p *pup.PUPer, d *time.Duration) {
-	u := uint64(*d)
-	p.Uint64(&u)
-	if p.Mode() == pup.Unpacking {
-		*d = time.Duration(u)
-	}
-}
 
 func pupInt64(p *pup.PUPer, v *int64) {
 	u := uint64(*v)
@@ -113,9 +105,13 @@ func pupParcel(p *pup.PUPer, e *parcel) {
 	}
 }
 
+// parcelWireBytes is the least a parcel occupies on the wire: its owner and
+// its presence flag.
+const parcelWireBytes = 8 + 1
+
 // pupParcels is the kindVPParcels codec: the per-destination parcel list
 // that carries every particle crossing a socket, on both substrates.
-func pupParcels(p *pup.PUPer, v *[]parcel) { pup.Slice(p, v, pupParcel) }
+func pupParcels(p *pup.PUPer, v *[]parcel) { pup.Slice(p, v, parcelWireBytes, pupParcel) }
 
 func pupSample(p *pup.PUPer, s *telemetry.Sample) {
 	p.Int(&s.Step)
@@ -128,41 +124,26 @@ func pupSample(p *pup.PUPer, s *telemetry.Sample) {
 	pupInt64(p, &s.ClockOffsetNS)
 }
 
-func pupPeerXchg(p *pup.PUPer, x *telemetry.PeerXchg) {
-	p.Int(&x.Rank)
-	pup.Slice(p, &x.Bytes, pupInt64)
-	pup.Slice(p, &x.Msgs, pupInt64)
-}
-
 // sampleWireBytes is the least a sample occupies on the wire: eight bytes
 // for each of step, rank, counter-table row, decision length and the two
-// clock stamps. The decoder sizes the sample slice against it, so a corrupt count
-// cannot make it allocate more than about the input's length.
+// clock stamps.
 const sampleWireBytes = 8 * (2 + int(telemetry.NumCounters) + 3)
 
-func pupRankTimeline(p *pup.PUPer, t *rankTimeline) {
-	if pup.SliceLen(p, &t.Samples, sampleWireBytes) {
-		for i := range t.Samples {
-			pupSample(p, &t.Samples[i])
-		}
+// pupRankReport is the kindRankReport codec. Every slice is sized against
+// its element's least wire width, so a corrupt count cannot make the
+// decoder allocate more than about the input's length.
+func pupRankReport(p *pup.PUPer, r *rankReport) {
+	for i := range r.Counters {
+		pupInt64(p, &r.Counters[i])
 	}
-	p.Int(&t.Dropped)
-}
-
-func pupRankStats(p *pup.PUPer, s *RankStats) {
-	p.Int(&s.Rank)
-	pupDuration(p, &s.Compute)
-	pupDuration(p, &s.Exchange)
-	pupDuration(p, &s.Balance)
-	pupDuration(p, &s.Migrate)
-	pupDuration(p, &s.Overlap)
-	p.Int(&s.FinalParticles)
-	p.Int(&s.MaxParticles)
-	p.Int(&s.Migrations)
-	pupInt64(p, &s.BytesMigrated)
-	pupInt64(p, &s.BytesExchanged)
-	pupInt64(p, &s.MsgsSent)
-	pupInt64(p, &s.MsgsElided)
+	p.Int(&r.MaxParticles)
+	p.Int(&r.Count)
+	p.Uint64(&r.IDSum)
+	pup.Slice(p, &r.Samples, sampleWireBytes, pupSample)
+	p.Int(&r.Dropped)
+	pup.Slice(p, &r.PeerBytes, 8, pupInt64)
+	pup.Slice(p, &r.PeerMsgs, 8, pupInt64)
+	pup.Slice(p, &r.Particles, 80, func(p *pup.PUPer, e *particle.Particle) { e.PUP(p) })
 }
 
 func pupRankShard(p *pup.PUPer, s *rankShard) {
@@ -170,7 +151,7 @@ func pupRankShard(p *pup.PUPer, s *rankShard) {
 	p.Int(&s.Step)
 	p.Uint64(&s.NextID)
 	p.Int(&s.MaxParticles)
-	pup.Slice(p, &s.Bal, func(p *pup.PUPer, line *string) { p.String(line) })
+	pup.Slice(p, &s.Bal, 8, func(p *pup.PUPer, line *string) { p.String(line) })
 	p.ByteSlice(&s.Sub)
 }
 
@@ -182,9 +163,7 @@ func pupResumeInfo(p *pup.PUPer, r *resumeInfo) {
 func init() {
 	pup.RegisterPtrCodec[rectParcel](kindRectParcel, pupRectParcel)
 	pup.RegisterPtrCodec[[]parcel](kindVPParcels, pupParcels)
-	pup.RegisterCodec[rankTimeline](kindTimeline, pupRankTimeline)
-	pup.RegisterCodec[RankStats](kindRankStats, pupRankStats)
 	pup.RegisterCodec[rankShard](kindRankShard, pupRankShard)
 	pup.RegisterCodec[resumeInfo](kindResumeInfo, pupResumeInfo)
-	pup.RegisterCodec[telemetry.PeerXchg](kindPeerXchg, pupPeerXchg)
+	pup.RegisterCodec[rankReport](kindRankReport, pupRankReport)
 }

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"github.com/parres/picprk/internal/comm"
@@ -55,13 +54,14 @@ type Config struct {
 	Steps int
 	// Schedule holds injection/removal events.
 	Schedule dist.Schedule
-	// Verify gathers all particles at rank 0 after the run and checks them
-	// against the closed-form solution.
+	// Verify checks the final state against the closed-form solution — the
+	// "trivially parallelized" verification of paper §III-D: every rank
+	// checks its own particles where they live, and rank 0 checks the
+	// global population count and ID checksum — and gathers the final
+	// state, sorted by ID, into Result.Particles.
 	Verify bool
-	// DistributedVerify verifies without gathering: every rank checks its
-	// local particles against the closed-form solution and the population
-	// count and ID checksum are allreduced — the "trivially parallelized"
-	// verification of paper §III-D. Result.Particles stays nil.
+	// DistributedVerify verifies as Verify does, without the gather:
+	// Result.Particles stays nil. It wins when both are set.
 	DistributedVerify bool
 	// Chaos, when positive, delays every message delivery by a random
 	// duration up to this bound — a stress mode that shakes out ordering
@@ -273,11 +273,12 @@ type Result struct {
 	// MaxFinalParticles is the largest per-rank particle count at the end,
 	// the metric paper §V-B reports (62,645 baseline vs 30,585 diffusion).
 	MaxFinalParticles int
-	// Verified is set when cfg.Verify was requested and passed.
+	// Verified is set when cfg.Verify or cfg.DistributedVerify was
+	// requested and passed.
 	Verified bool
 	// Particles holds the gathered global final state (sorted by ID) when
-	// cfg.Verify was requested; tests compare it bitwise against the
-	// sequential reference.
+	// cfg.Verify was requested without cfg.DistributedVerify; tests compare
+	// it bitwise against the sequential reference.
 	Particles []particle.Particle
 	// BalanceLog is rank 0's policy history: one line per executed
 	// (non-empty) balancing plan. Because plans are pure functions of
@@ -438,97 +439,4 @@ func (b *colShards) next(p int) []core.SoA {
 		cur[i].Reset()
 	}
 	return cur
-}
-
-// distributedVerify is the parallel verification of paper §III-D: every
-// rank checks its particles against the closed form on the columns where
-// they live (Substrate.VerifyLocal), and one allreduce compares the global
-// population count and ID checksum with the analytic prediction. No rank
-// ever sees the global particle set, or even an AoS copy of its own. The ID
-// range covers the injections the run fires, the events ExpectedPopulation
-// replays.
-func distributedVerify(c *comm.Comm, cfg Config, sub Substrate) error {
-	dc := cfg.distConfig()
-	first, _ := dc.IDRange()
-	v := core.NewColumnVerifier(cfg.Mesh, cfg.Steps, core.DefaultTolerance, first, cfg.N+cfg.Schedule.Fired(cfg.Steps).TotalInjected())
-	if err := sub.VerifyLocal(v); err != nil {
-		return fmt.Errorf("rank %d: %w", c.Rank(), err)
-	}
-	sums := comm.Allreduce(c, []uint64{uint64(v.Count), v.IDSum}, comm.Sum[uint64])
-	pop, err := core.ExpectedPopulation(dc, cfg.Schedule, cfg.Steps)
-	if err != nil {
-		return err
-	}
-	if sums[0] != uint64(pop.Count) {
-		return fmt.Errorf("driver: global particle count %d, expected %d", sums[0], pop.Count)
-	}
-	if sums[1] != pop.IDSum {
-		return fmt.Errorf("driver: global ID checksum %d, expected %d", sums[1], pop.IDSum)
-	}
-	return nil
-}
-
-// gatherAndVerify collects every rank's particles at rank 0 and verifies
-// them against the closed-form solution. Ranks other than 0 return
-// (nil, true, nil). With cfg.DistributedVerify the gather — and the AoS
-// conversion feeding it — is skipped and the parallel verification runs on
-// the substrate's columns instead; with neither Verify nor
-// DistributedVerify nothing would read the gathered state, so nothing runs
-// and every rank returns (nil, false, nil).
-func gatherAndVerify(c *comm.Comm, cfg Config, sub Substrate) ([]particle.Particle, bool, error) {
-	if cfg.DistributedVerify {
-		if err := distributedVerify(c, cfg, sub); err != nil {
-			return nil, false, fmt.Errorf("driver: distributed verification failed: %w", err)
-		}
-		return nil, true, nil
-	}
-	if !cfg.Verify {
-		return nil, false, nil
-	}
-	all := comm.Gather(c, 0, append([]particle.Particle(nil), sub.Particles()...))
-	if c.Rank() != 0 {
-		return nil, true, nil
-	}
-	var merged []particle.Particle
-	for _, part := range all {
-		merged = append(merged, part...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].ID < merged[j].ID })
-	if err := core.Verify(cfg.distConfig(), cfg.Schedule, merged, cfg.Steps, core.DefaultTolerance); err != nil {
-		return merged, false, fmt.Errorf("driver: verification failed: %w", err)
-	}
-	return merged, true, nil
-}
-
-// collectResult gathers per-rank stats at rank 0 and assembles the Result.
-// v is the rank's final counter reading; maxParticles its particle
-// high-water mark.
-func collectResult(c *comm.Comm, name string, cfg Config, v [telemetry.NumCounters]int64, maxParticles int) *Result {
-	st := RankStats{
-		Rank:           c.Rank(),
-		Compute:        time.Duration(v[telemetry.Compute]),
-		Exchange:       time.Duration(v[telemetry.Exchange]),
-		Balance:        time.Duration(v[telemetry.Balance]),
-		Migrate:        time.Duration(v[telemetry.Migrate]),
-		Overlap:        time.Duration(v[telemetry.ExchangeOverlap]),
-		FinalParticles: int(v[telemetry.Particles]),
-		MaxParticles:   maxParticles,
-		Migrations:     int(v[telemetry.Migrations]),
-		BytesMigrated:  v[telemetry.MigratedBytes],
-		BytesExchanged: v[telemetry.ExchangeBytes],
-		MsgsSent:       v[telemetry.MsgsSent],
-		MsgsElided:     v[telemetry.MsgsElided],
-	}
-	all := comm.Gather(c, 0, st)
-	if c.Rank() != 0 {
-		return nil
-	}
-	res := &Result{Name: name, P: c.Size(), Steps: cfg.Steps, PerRank: all}
-	for _, s := range all {
-		res.FinalParticles += s.FinalParticles
-		if s.FinalParticles > res.MaxFinalParticles {
-			res.MaxFinalParticles = s.FinalParticles
-		}
-	}
-	return res
 }

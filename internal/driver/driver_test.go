@@ -27,6 +27,15 @@ func testConfig(t testing.TB, L, n, steps int) Config {
 	}
 }
 
+// must returns the engine a constructor built from parameters the test
+// knows are valid, and panics if the constructor refused them.
+func must(eng *Engine, err error) *Engine {
+	if err != nil {
+		panic(err)
+	}
+	return eng
+}
+
 // sequentialReference runs the serial simulation and returns its particles
 // sorted by ID.
 func sequentialReference(t testing.TB, cfg Config) []particle.Particle {
@@ -68,7 +77,7 @@ func TestBaselineMatchesSequential(t *testing.T) {
 	cfg := testConfig(t, 16, 2000, 40)
 	ref := sequentialReference(t, cfg)
 	for _, p := range []int{1, 2, 4, 6} {
-		res, err := RunBaseline(p, cfg)
+		res, err := NewBaselineEngine(cfg).Run(p)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -87,7 +96,7 @@ func TestDiffusionMatchesSequential(t *testing.T) {
 	ref := sequentialReference(t, cfg)
 	params := diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2}
 	for _, p := range []int{1, 2, 4, 6} {
-		res, err := RunDiffusion(p, cfg, params)
+		res, err := must(NewDiffusionEngine(cfg, params)).Run(p)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -103,7 +112,7 @@ func TestAMPIMatchesSequential(t *testing.T) {
 	ref := sequentialReference(t, cfg)
 	params := AMPIParams{Overdecompose: 4, Every: 10}
 	for _, p := range []int{1, 2, 4} {
-		res, err := RunAMPI(p, cfg, params)
+		res, err := must(NewAMPIEngine(p, cfg, params)).Run(p)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -121,19 +130,19 @@ func TestDriversWithInjectionAndRemoval(t *testing.T) {
 		{Step: 20, Region: dist.Rect{X0: 0, X1: 6, Y0: 0, Y1: 16}, Remove: true},
 	}
 	ref := sequentialReference(t, cfg)
-	base, err := RunBaseline(4, cfg)
+	base, err := NewBaselineEngine(cfg).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBitwiseEqual(t, ref, base.Particles, "baseline+events")
 
-	diff, err := RunDiffusion(4, cfg, diffusion.Params{Every: 7, Threshold: 0.05, Width: 1, MinWidth: 2})
+	diff, err := must(NewDiffusionEngine(cfg, diffusion.Params{Every: 7, Threshold: 0.05, Width: 1, MinWidth: 2})).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBitwiseEqual(t, ref, diff.Particles, "diffusion+events")
 
-	am, err := RunAMPI(4, cfg, AMPIParams{Overdecompose: 2, Every: 8})
+	am, err := must(NewAMPIEngine(4, cfg, AMPIParams{Overdecompose: 2, Every: 8})).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +155,13 @@ func TestDriversWithFastAndVerticalParticles(t *testing.T) {
 	cfg.M = -2
 	ref := sequentialReference(t, cfg)
 
-	base, err := RunBaseline(4, cfg)
+	base, err := NewBaselineEngine(cfg).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBitwiseEqual(t, ref, base.Particles, "baseline k=1 m=-2")
 
-	am, err := RunAMPI(2, cfg, AMPIParams{Overdecompose: 4, Every: 5})
+	am, err := must(NewAMPIEngine(2, cfg, AMPIParams{Overdecompose: 4, Every: 5})).Run(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +172,7 @@ func TestDriversLeftwardDrift(t *testing.T) {
 	cfg := testConfig(t, 16, 600, 20)
 	cfg.Dir = -1
 	ref := sequentialReference(t, cfg)
-	res, err := RunDiffusion(4, cfg, diffusion.Params{Every: 5, Threshold: 0.1, Width: 1, MinWidth: 2})
+	res, err := must(NewDiffusionEngine(cfg, diffusion.Params{Every: 5, Threshold: 0.1, Width: 1, MinWidth: 2})).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +183,7 @@ func TestDiffusionActuallyMigrates(t *testing.T) {
 	cfg := testConfig(t, 32, 5000, 60)
 	cfg.Dist = dist.Geometric{R: 0.85} // strongly skewed
 	params := diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2}
-	res, err := RunDiffusion(4, cfg, params)
+	res, err := must(NewDiffusionEngine(cfg, params)).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +199,11 @@ func TestDiffusionActuallyMigrates(t *testing.T) {
 func TestDiffusionImprovesBalanceOverBaseline(t *testing.T) {
 	cfg := testConfig(t, 32, 8000, 60)
 	cfg.Dist = dist.Geometric{R: 0.85}
-	base, err := RunBaseline(4, cfg)
+	base, err := NewBaselineEngine(cfg).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, err := RunDiffusion(4, cfg, diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2})
+	diff, err := must(NewDiffusionEngine(cfg, diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2})).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +217,7 @@ func TestDiffusionImprovesBalanceOverBaseline(t *testing.T) {
 func TestAMPIActuallyMigratesVPs(t *testing.T) {
 	cfg := testConfig(t, 32, 5000, 40)
 	cfg.Dist = dist.Geometric{R: 0.85}
-	res, err := RunAMPI(4, cfg, AMPIParams{Overdecompose: 4, Every: 10})
+	res, err := must(NewAMPIEngine(4, cfg, AMPIParams{Overdecompose: 4, Every: 10})).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +233,11 @@ func TestAMPIActuallyMigratesVPs(t *testing.T) {
 func TestAMPIImprovesBalanceOverBaseline(t *testing.T) {
 	cfg := testConfig(t, 32, 8000, 60)
 	cfg.Dist = dist.Geometric{R: 0.85}
-	base, err := RunBaseline(4, cfg)
+	base, err := NewBaselineEngine(cfg).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	am, err := RunAMPI(4, cfg, AMPIParams{Overdecompose: 8, Every: 10})
+	am, err := must(NewAMPIEngine(4, cfg, AMPIParams{Overdecompose: 8, Every: 10})).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +251,7 @@ func TestAMPIStrategies(t *testing.T) {
 	cfg := testConfig(t, 16, 1000, 20)
 	ref := sequentialReference(t, cfg)
 	for _, s := range []ampi.Strategy{ampi.NullLB{}, ampi.RotateLB{}, ampi.GreedyLB{}, ampi.RefineLB{}, &ampi.HintedGreedyLB{}, ampi.WorkStealLB{}} {
-		res, err := RunAMPI(3, cfg, AMPIParams{Overdecompose: 4, Every: 6, Strategy: s})
+		res, err := must(NewAMPIEngine(3, cfg, AMPIParams{Overdecompose: 4, Every: 6, Strategy: s})).Run(3)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -260,7 +269,7 @@ func TestSinusoidalAndPatchDistributions(t *testing.T) {
 		cfg := testConfig(t, 16, 1200, 25)
 		cfg.Dist = d
 		ref := sequentialReference(t, cfg)
-		res, err := RunBaseline(4, cfg)
+		res, err := NewBaselineEngine(cfg).Run(4)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name(), err)
 		}
@@ -280,11 +289,13 @@ func TestDistributedVerify(t *testing.T) {
 		name string
 		fn   func() (*Result, error)
 	}{
-		{"baseline", func() (*Result, error) { return RunBaseline(4, cfg) }},
+		{"baseline", func() (*Result, error) { return NewBaselineEngine(cfg).Run(4) }},
 		{"diffusion", func() (*Result, error) {
-			return RunDiffusion(4, cfg, diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2})
+			return must(NewDiffusionEngine(cfg, diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2})).Run(4)
 		}},
-		{"ampi", func() (*Result, error) { return RunAMPI(4, cfg, AMPIParams{Overdecompose: 4, Every: 10}) }},
+		{"ampi", func() (*Result, error) {
+			return must(NewAMPIEngine(4, cfg, AMPIParams{Overdecompose: 4, Every: 10})).Run(4)
+		}},
 	} {
 		res, err := run.fn()
 		if err != nil {
@@ -301,22 +312,22 @@ func TestDistributedVerify(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	m, _ := grid.NewMesh(8, 1)
-	if _, err := RunBaseline(0, Config{Mesh: m, N: 1, Steps: 1}); err == nil {
+	if _, err := NewBaselineEngine(Config{Mesh: m, N: 1, Steps: 1}).Run(0); err == nil {
 		t.Error("P=0 accepted")
 	}
-	if _, err := RunBaseline(2, Config{Mesh: m, N: 1, Steps: -1}); err == nil {
+	if _, err := NewBaselineEngine(Config{Mesh: m, N: 1, Steps: -1}).Run(2); err == nil {
 		t.Error("negative steps accepted")
 	}
-	if _, err := RunBaseline(2, Config{N: 1, Steps: 1}); err == nil {
+	if _, err := NewBaselineEngine(Config{N: 1, Steps: 1}).Run(2); err == nil {
 		t.Error("zero mesh accepted")
 	}
-	if _, err := RunDiffusion(2, Config{Mesh: m, N: 1, Steps: 1}, diffusion.Params{}); err == nil {
+	if _, err := NewDiffusionEngine(Config{Mesh: m, N: 1, Steps: 1}, diffusion.Params{}); err == nil {
 		t.Error("invalid diffusion params accepted")
 	}
-	if _, err := RunAMPI(2, Config{Mesh: m, N: 1, Steps: 1}, AMPIParams{}); err == nil {
+	if _, err := NewAMPIEngine(2, Config{Mesh: m, N: 1, Steps: 1}, AMPIParams{}); err == nil {
 		t.Error("invalid ampi params accepted")
 	}
-	if _, err := RunAMPI(2, Config{Mesh: m, N: 1, Steps: 1}, AMPIParams{Overdecompose: 100, Every: 5}); err == nil {
+	if _, err := must(NewAMPIEngine(2, Config{Mesh: m, N: 1, Steps: 1}, AMPIParams{Overdecompose: 100, Every: 5})).Run(2); err == nil {
 		t.Error("VP grid larger than domain accepted")
 	}
 }
@@ -328,17 +339,17 @@ func TestDriversUnderChaosDelays(t *testing.T) {
 	cfg := testConfig(t, 16, 800, 20)
 	cfg.Chaos = 500 * time.Microsecond
 	ref := sequentialReference(t, cfg)
-	base, err := RunBaseline(4, cfg)
+	base, err := NewBaselineEngine(cfg).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBitwiseEqual(t, ref, base.Particles, "baseline+chaos")
-	am, err := RunAMPI(3, cfg, AMPIParams{Overdecompose: 4, Every: 5})
+	am, err := must(NewAMPIEngine(3, cfg, AMPIParams{Overdecompose: 4, Every: 5})).Run(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBitwiseEqual(t, ref, am.Particles, "ampi+chaos")
-	diff, err := RunDiffusion(4, cfg, diffusion.Params{Every: 4, Threshold: 0.05, Width: 1, MinWidth: 2, TwoPhase: true})
+	diff, err := must(NewDiffusionEngine(cfg, diffusion.Params{Every: 4, Threshold: 0.05, Width: 1, MinWidth: 2, TwoPhase: true})).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +358,7 @@ func TestDriversUnderChaosDelays(t *testing.T) {
 
 func TestZeroStepsRun(t *testing.T) {
 	cfg := testConfig(t, 8, 100, 0)
-	res, err := RunBaseline(2, cfg)
+	res, err := NewBaselineEngine(cfg).Run(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,14 +384,14 @@ func TestKitchenSink(t *testing.T) {
 		{Step: 18, Region: dist.Rect{X0: 6, X1: 18, Y0: 0, Y1: 24}, Remove: true},
 		{Step: 27, Region: dist.Rect{X0: 0, X1: 24, Y0: 0, Y1: 6}, Inject: 300},
 	}
-	res, err := RunDiffusion(6, cfg, diffusion.Params{Every: 3, Threshold: 0.05, Width: 1, MinWidth: 2, TwoPhase: true})
+	res, err := must(NewDiffusionEngine(cfg, diffusion.Params{Every: 3, Threshold: 0.05, Width: 1, MinWidth: 2, TwoPhase: true})).Run(6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Verified {
 		t.Fatal("kitchen sink run not verified")
 	}
-	am, err := RunAMPI(5, cfg, AMPIParams{Overdecompose: 4, Every: 4, Strategy: ampi.WorkStealLB{}})
+	am, err := must(NewAMPIEngine(5, cfg, AMPIParams{Overdecompose: 4, Every: 4, Strategy: ampi.WorkStealLB{}})).Run(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +405,7 @@ func TestKitchenSink(t *testing.T) {
 
 func TestResultHighWater(t *testing.T) {
 	cfg := testConfig(t, 16, 1000, 10)
-	res, err := RunBaseline(4, cfg)
+	res, err := NewBaselineEngine(cfg).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,11 +54,11 @@ type Substrate interface {
 	// step's fused classify pass already found at home are not re-read; what
 	// entered since (arrivals, injections) always is.
 	CheckOwnership(step int) error
-	// VerifyLocal runs the per-rank half of distributed verification over
-	// every local particle container, on the columns in place.
+	// VerifyLocal runs the per-rank half of verification over every local
+	// particle container, on the columns in place.
 	VerifyLocal(v *core.ColumnVerifier) error
 	// Particles returns the local particle set in AoS form, for the
-	// gathered verification of cfg.Verify.
+	// end-of-run gather of cfg.Verify.
 	Particles() []particle.Particle
 	// MigrationStats reports accumulated LB data movement: actions that
 	// moved data to or from this rank, and payload bytes sent.
@@ -86,8 +86,8 @@ type Substrate interface {
 
 // Engine runs the PIC PRK step pipeline — init, move, exchange, events,
 // balance, verify — for any combination of substrate and balancing policy.
-// All four drivers (baseline, diffusion, ampi, worksteal) are thin
-// wrappers over Engine.Run; no per-rank step loop exists outside it.
+// All four drivers (baseline, diffusion, ampi, worksteal) are Engine
+// constructors; no per-rank step loop exists outside it.
 type Engine struct {
 	// Name labels the Result ("baseline", "diffusion", ...).
 	Name string
@@ -211,49 +211,4 @@ func (e *Engine) runWire(network string, p int) (*Result, error) {
 		results[0].Wire = rep
 	}
 	return results[0], nil
-}
-
-// rankTimeline carries one rank's telemetry to rank 0.
-type rankTimeline struct {
-	Samples []telemetry.Sample
-	Dropped int
-}
-
-// gatherTimeline merges every rank's sample ring into one Timeline at rank
-// 0. It is collective when ring sampling is enabled (every rank constructs
-// a ring or none does, since Config is identical) and a no-op otherwise.
-func gatherTimeline(c *comm.Comm, name string, cfg Config, ring *telemetry.Ring) *telemetry.Timeline {
-	if ring == nil {
-		return nil
-	}
-	all := comm.Gather(c, 0, rankTimeline{Samples: ring.Samples(), Dropped: ring.Dropped()})
-	if c.Rank() != 0 {
-		return nil
-	}
-	perRank := make([][]telemetry.Sample, len(all))
-	dropped := 0
-	for i, rt := range all {
-		perRank[i] = rt.Samples
-		dropped += rt.Dropped
-	}
-	tl := telemetry.New(name, c.Size(), cfg.Steps, perRank...)
-	tl.Dropped = dropped
-	return tl
-}
-
-// gatherPeerXchg collects every rank's per-peer exchange matrix row at rank
-// 0. Collective; the rows are copied out of the substrate's live storage so
-// the gathered Timeline owns its data.
-func gatherPeerXchg(c *comm.Comm, sub Substrate) []telemetry.PeerXchg {
-	bytes, msgs := sub.PeerExchange()
-	row := telemetry.PeerXchg{
-		Rank:  c.Rank(),
-		Bytes: append([]int64(nil), bytes...),
-		Msgs:  append([]int64(nil), msgs...),
-	}
-	rows := comm.Gather(c, 0, row)
-	if c.Rank() != 0 {
-		return nil
-	}
-	return rows
 }

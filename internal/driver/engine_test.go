@@ -17,7 +17,7 @@ func TestWorkStealMatchesSequential(t *testing.T) {
 	ref := sequentialReference(t, cfg)
 	params := WorkStealParams{Overdecompose: 4, Every: 6}
 	for _, p := range []int{1, 2, 4, 6} {
-		res, err := RunWorkSteal(p, cfg, params)
+		res, err := must(NewWorkStealEngine(cfg, params)).Run(p)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -35,7 +35,7 @@ func TestWorkStealWithEventsAndDistributedVerify(t *testing.T) {
 		{Step: 20, Region: dist.Rect{X0: 0, X1: 6, Y0: 0, Y1: 16}, Remove: true},
 	}
 	ref := sequentialReference(t, cfg)
-	res, err := RunWorkSteal(4, cfg, WorkStealParams{Overdecompose: 4, Every: 8})
+	res, err := must(NewWorkStealEngine(cfg, WorkStealParams{Overdecompose: 4, Every: 8})).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestWorkStealWithEventsAndDistributedVerify(t *testing.T) {
 	dcfg := cfg
 	dcfg.Verify = false
 	dcfg.DistributedVerify = true
-	dres, err := RunWorkSteal(5, dcfg, WorkStealParams{Overdecompose: 2, Every: 5, Threshold: 0.1})
+	dres, err := must(NewWorkStealEngine(dcfg, WorkStealParams{Overdecompose: 2, Every: 5, Threshold: 0.1})).Run(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestWorkStealWithEventsAndDistributedVerify(t *testing.T) {
 func TestWorkStealActuallySteals(t *testing.T) {
 	cfg := testConfig(t, 32, 5000, 40)
 	cfg.Dist = dist.Geometric{R: 0.85}
-	res, err := RunWorkSteal(4, cfg, WorkStealParams{Overdecompose: 4, Every: 5})
+	res, err := must(NewWorkStealEngine(cfg, WorkStealParams{Overdecompose: 4, Every: 5})).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +77,13 @@ func TestWorkStealActuallySteals(t *testing.T) {
 
 func TestWorkStealParamsValidation(t *testing.T) {
 	cfg := testConfig(t, 16, 100, 5)
-	if _, err := RunWorkSteal(2, cfg, WorkStealParams{}); err == nil {
+	if _, err := NewWorkStealEngine(cfg, WorkStealParams{}); err == nil {
 		t.Error("zero params accepted")
 	}
-	if _, err := RunWorkSteal(2, cfg, WorkStealParams{Overdecompose: 4, Every: 5, Threshold: 1.5}); err == nil {
+	if _, err := NewWorkStealEngine(cfg, WorkStealParams{Overdecompose: 4, Every: 5, Threshold: 1.5}); err == nil {
 		t.Error("threshold above 1 accepted")
 	}
-	if _, err := RunWorkSteal(2, cfg, WorkStealParams{Overdecompose: 100, Every: 5}); err == nil {
+	if _, err := must(NewWorkStealEngine(cfg, WorkStealParams{Overdecompose: 100, Every: 5})).Run(2); err == nil {
 		t.Error("VP grid larger than domain accepted")
 	}
 }
@@ -104,12 +104,16 @@ func TestAllPoliciesUnderChaos(t *testing.T) {
 			name string
 			fn   func() (*Result, error)
 		}{
-			{"baseline", func() (*Result, error) { return RunBaseline(p, cfg) }},
+			{"baseline", func() (*Result, error) { return NewBaselineEngine(cfg).Run(p) }},
 			{"diffusion", func() (*Result, error) {
-				return RunDiffusion(p, cfg, diffusion.Params{Every: 4, Threshold: 0.05, Width: 1, MinWidth: 2, TwoPhase: true})
+				return must(NewDiffusionEngine(cfg, diffusion.Params{Every: 4, Threshold: 0.05, Width: 1, MinWidth: 2, TwoPhase: true})).Run(p)
 			}},
-			{"ampi", func() (*Result, error) { return RunAMPI(p, cfg, AMPIParams{Overdecompose: 4, Every: 6}) }},
-			{"worksteal", func() (*Result, error) { return RunWorkSteal(p, cfg, WorkStealParams{Overdecompose: 4, Every: 6}) }},
+			{"ampi", func() (*Result, error) {
+				return must(NewAMPIEngine(p, cfg, AMPIParams{Overdecompose: 4, Every: 6})).Run(p)
+			}},
+			{"worksteal", func() (*Result, error) {
+				return must(NewWorkStealEngine(cfg, WorkStealParams{Overdecompose: 4, Every: 6})).Run(p)
+			}},
 		} {
 			res, err := run.fn()
 			if err != nil {
@@ -191,12 +195,16 @@ func TestEventIDContinuitySameStep(t *testing.T) {
 			name string
 			fn   func() (*Result, error)
 		}{
-			{"baseline", func() (*Result, error) { return RunBaseline(p, full) }},
+			{"baseline", func() (*Result, error) { return NewBaselineEngine(full).Run(p) }},
 			{"diffusion", func() (*Result, error) {
-				return RunDiffusion(p, full, diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2})
+				return must(NewDiffusionEngine(full, diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2})).Run(p)
 			}},
-			{"ampi", func() (*Result, error) { return RunAMPI(p, full, AMPIParams{Overdecompose: 4, Every: 6}) }},
-			{"worksteal", func() (*Result, error) { return RunWorkSteal(p, full, WorkStealParams{Overdecompose: 4, Every: 6}) }},
+			{"ampi", func() (*Result, error) {
+				return must(NewAMPIEngine(p, full, AMPIParams{Overdecompose: 4, Every: 6})).Run(p)
+			}},
+			{"worksteal", func() (*Result, error) {
+				return must(NewWorkStealEngine(full, WorkStealParams{Overdecompose: 4, Every: 6})).Run(p)
+			}},
 		} {
 			res, err := run.fn()
 			if err != nil {
@@ -218,7 +226,7 @@ func TestModelDriverDecisionIdentity(t *testing.T) {
 	params := diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2}
 	const p = 4
 
-	res, err := RunDiffusion(p, cfg, params)
+	res, err := must(NewDiffusionEngine(cfg, params)).Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +250,7 @@ func TestModelDriverDecisionIdentity(t *testing.T) {
 func TestBalanceLogMatchesMigrations(t *testing.T) {
 	cfg := testConfig(t, 32, 5000, 60)
 	cfg.Dist = dist.Geometric{R: 0.85}
-	res, err := RunDiffusion(4, cfg, diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2})
+	res, err := must(NewDiffusionEngine(cfg, diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2})).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +261,7 @@ func TestBalanceLogMatchesMigrations(t *testing.T) {
 	if (migrations > 0) != (len(res.BalanceLog) > 0) {
 		t.Errorf("migrations=%d but %d log lines", migrations, len(res.BalanceLog))
 	}
-	base, err := RunBaseline(4, cfg)
+	base, err := NewBaselineEngine(cfg).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}

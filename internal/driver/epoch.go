@@ -26,9 +26,13 @@ package driver
 
 import (
 	"fmt"
+	"sort"
+	"time"
 
 	"github.com/parres/picprk/internal/balance"
 	"github.com/parres/picprk/internal/comm"
+	"github.com/parres/picprk/internal/core"
+	"github.com/parres/picprk/internal/particle"
 	"github.com/parres/picprk/internal/telemetry"
 	"github.com/parres/picprk/internal/trace"
 )
@@ -319,36 +323,119 @@ func (r *epochRunner) counters() (v [telemetry.NumCounters]int64) {
 	return v
 }
 
-// finalize gathers verification, telemetry, and stats to rank 0 and
-// assembles the Result, attaching the epoch lifecycle record (events and
-// recovery counters) when checkpointing was on.
+// rankReport is everything one rank sends rank 0 when its run ends, in the
+// run's one end-of-run gather. Every slice is the report's own copy.
+type rankReport struct {
+	// Counters is the rank's final counter reading; MaxParticles its
+	// particle high-water mark.
+	Counters     [telemetry.NumCounters]int64
+	MaxParticles int
+	// Count and IDSum are the verifier's tally of the rank's particles,
+	// zero when the run does not verify.
+	Count int
+	IDSum uint64
+	// Samples and Dropped are the rank's sample ring, and PeerBytes and
+	// PeerMsgs its row of the exchange matrix, when Telemetry is on.
+	Samples             []telemetry.Sample
+	Dropped             int
+	PeerBytes, PeerMsgs []int64
+	// Particles is the rank's final state, under Verify without
+	// DistributedVerify.
+	Particles []particle.Particle
+}
+
+// finalize ends the run with one collective: every rank checks its own
+// particles on their columns (when the run verifies) and sends rank 0 one
+// rankReport, from which rank 0 checks the global population and assembles
+// the Result. Other ranks return nil.
 func (r *epochRunner) finalize() (*Result, error) {
-	merged, verified, err := gatherAndVerify(r.c, r.cfg, r.sub)
-	if err != nil {
-		return nil, err
+	cfg := r.cfg
+	verify := cfg.Verify || cfg.DistributedVerify
+	rep := rankReport{Counters: r.counters(), MaxParticles: r.rec.MaxParticles}
+	if verify {
+		v := core.NewRunVerifier(cfg.distConfig(), cfg.Schedule, cfg.Steps, core.DefaultTolerance)
+		if err := r.sub.VerifyLocal(v); err != nil {
+			return nil, fmt.Errorf("driver: verification failed: rank %d: %w", r.c.Rank(), err)
+		}
+		rep.Count, rep.IDSum = v.Count, v.IDSum
 	}
-	timeline := gatherTimeline(r.c, r.e.Name, r.cfg, r.ring)
 	if r.ring != nil {
-		// Collective on the same condition as gatherTimeline (every rank
-		// builds a ring or none does, since Config is identical).
-		rows := gatherPeerXchg(r.c, r.sub)
-		if timeline != nil {
-			timeline.PeerXchg = rows
+		bytes, msgs := r.sub.PeerExchange()
+		rep.Samples, rep.Dropped = r.ring.Samples(), r.ring.Dropped()
+		rep.PeerBytes, rep.PeerMsgs = append([]int64(nil), bytes...), append([]int64(nil), msgs...)
+	}
+	if cfg.Verify && !cfg.DistributedVerify {
+		rep.Particles = append([]particle.Particle(nil), r.sub.Particles()...)
+	}
+	all := comm.Gather(r.c, 0, rep)
+	if r.c.Rank() != 0 {
+		return nil, nil
+	}
+
+	res := &Result{Name: r.e.Name, P: len(all), Steps: cfg.Steps, PerRank: make([]RankStats, len(all)),
+		Verified: verify, BalanceLog: r.bal.History()}
+	var count, n int
+	var idSum uint64
+	for i := range all {
+		rep := &all[i]
+		st := rankStats(i, &rep.Counters, rep.MaxParticles)
+		res.PerRank[i] = st
+		res.FinalParticles += st.FinalParticles
+		res.MaxFinalParticles = max(res.MaxFinalParticles, st.FinalParticles)
+		count += rep.Count
+		idSum += rep.IDSum
+		n += len(rep.Particles)
+	}
+	if verify {
+		if err := core.VerifyPopulation(cfg.distConfig(), cfg.Schedule, cfg.Steps, count, idSum); err != nil {
+			return nil, fmt.Errorf("driver: verification failed: %w", err)
 		}
 	}
-	res := collectResult(r.c, r.e.Name, r.cfg, r.counters(), r.rec.MaxParticles)
-	if res != nil {
-		res.Verified = verified
-		res.Particles = merged
-		res.BalanceLog = r.bal.History()
-		res.Timeline = timeline
-		if st := r.e.store; st != nil {
-			stats, events := st.summary()
-			res.Recovery = &stats
-			if res.Timeline != nil {
-				res.Timeline.Events = events
-			}
+	if n > 0 {
+		res.Particles = make([]particle.Particle, 0, n)
+		for i := range all {
+			res.Particles = append(res.Particles, all[i].Particles...)
+		}
+		sort.Slice(res.Particles, func(i, j int) bool { return res.Particles[i].ID < res.Particles[j].ID })
+	}
+	if r.ring != nil {
+		samples := make([][]telemetry.Sample, len(all))
+		rows := make([]telemetry.PeerXchg, len(all))
+		dropped := 0
+		for i := range all {
+			samples[i] = all[i].Samples
+			rows[i] = telemetry.PeerXchg{Rank: i, Bytes: all[i].PeerBytes, Msgs: all[i].PeerMsgs}
+			dropped += all[i].Dropped
+		}
+		res.Timeline = telemetry.New(r.e.Name, len(all), cfg.Steps, samples...)
+		res.Timeline.Dropped, res.Timeline.PeerXchg = dropped, rows
+	}
+	if st := r.e.store; st != nil {
+		stats, events := st.summary()
+		res.Recovery = &stats
+		if res.Timeline != nil {
+			res.Timeline.Events = events
 		}
 	}
 	return res, nil
+}
+
+// rankStats is rank's accounting from its final counter reading v and its
+// particle high-water mark.
+func rankStats(rank int, v *[telemetry.NumCounters]int64, maxParticles int) RankStats {
+	return RankStats{
+		Rank:           rank,
+		Compute:        time.Duration(v[telemetry.Compute]),
+		Exchange:       time.Duration(v[telemetry.Exchange]),
+		Balance:        time.Duration(v[telemetry.Balance]),
+		Migrate:        time.Duration(v[telemetry.Migrate]),
+		Overlap:        time.Duration(v[telemetry.ExchangeOverlap]),
+		FinalParticles: int(v[telemetry.Particles]),
+		MaxParticles:   maxParticles,
+		Migrations:     int(v[telemetry.Migrations]),
+		BytesMigrated:  v[telemetry.MigratedBytes],
+		BytesExchanged: v[telemetry.ExchangeBytes],
+		MsgsSent:       v[telemetry.MsgsSent],
+		MsgsElided:     v[telemetry.MsgsElided],
+	}
 }

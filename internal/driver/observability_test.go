@@ -127,7 +127,7 @@ func TestRunWithHTTPTelemetryNoGoroutineLeak(t *testing.T) {
 		clientDone <- n
 	}()
 
-	res, err := RunBaseline(p, cfg)
+	res, err := NewBaselineEngine(cfg).Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestSparseExchangeMessageCounts(t *testing.T) {
 	const p, steps = 8, 20
 	cfg := testConfig(t, 64, 4000, steps)
 	cfg.K, cfg.M = 1, 1
-	res, err := RunBaseline(p, cfg)
+	res, err := NewBaselineEngine(cfg).Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFullRingWhenHaloCoversMesh(t *testing.T) {
 	const p, steps = 4, 10
 	cfg := testConfig(t, 16, 1000, steps)
 	cfg.K, cfg.M = 8, 8 // rx=17, ry=8: wraps the whole 16-cell mesh
-	res, err := RunBaseline(p, cfg)
+	res, err := NewBaselineEngine(cfg).Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}

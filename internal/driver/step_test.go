@@ -36,11 +36,11 @@ func TestBlockIsOneCellVP(t *testing.T) {
 		{Step: 11, Region: dist.Rect{X0: 0, X1: 8, Y0: 0, Y1: 16}, Remove: true},
 		{Step: 17, Region: dist.Rect{X0: 6, X1: 16, Y0: 0, Y1: 5}, Inject: 200, K: 1},
 	}
-	block, err := RunBaseline(p, cfg)
+	block, err := NewBaselineEngine(cfg).Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vp, err := RunAMPI(p, cfg, AMPIParams{Overdecompose: 1, Every: 5, Strategy: ampi.NullLB{}})
+	vp, err := must(NewAMPIEngine(p, cfg, AMPIParams{Overdecompose: 1, Every: 5, Strategy: ampi.NullLB{}})).Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}

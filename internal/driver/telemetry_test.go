@@ -10,6 +10,7 @@ import (
 	"github.com/parres/picprk/internal/diffusion"
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/memtest"
+	"github.com/parres/picprk/internal/particle"
 	"github.com/parres/picprk/internal/pup"
 	"github.com/parres/picprk/internal/telemetry"
 )
@@ -26,12 +27,16 @@ func TestTimelineRecordedByAllDrivers(t *testing.T) {
 		name string
 		fn   func() (*Result, error)
 	}{
-		{"baseline", func() (*Result, error) { return RunBaseline(p, cfg) }},
+		{"baseline", func() (*Result, error) { return NewBaselineEngine(cfg).Run(p) }},
 		{"diffusion", func() (*Result, error) {
-			return RunDiffusion(p, cfg, diffusion.Params{Every: 4, Threshold: 0.05, Width: 1, MinWidth: 2})
+			return must(NewDiffusionEngine(cfg, diffusion.Params{Every: 4, Threshold: 0.05, Width: 1, MinWidth: 2})).Run(p)
 		}},
-		{"ampi", func() (*Result, error) { return RunAMPI(p, cfg, AMPIParams{Overdecompose: 4, Every: 5}) }},
-		{"worksteal", func() (*Result, error) { return RunWorkSteal(p, cfg, WorkStealParams{Overdecompose: 4, Every: 5}) }},
+		{"ampi", func() (*Result, error) {
+			return must(NewAMPIEngine(p, cfg, AMPIParams{Overdecompose: 4, Every: 5})).Run(p)
+		}},
+		{"worksteal", func() (*Result, error) {
+			return must(NewWorkStealEngine(cfg, WorkStealParams{Overdecompose: 4, Every: 5})).Run(p)
+		}},
 	} {
 		res, err := run.fn()
 		if err != nil {
@@ -74,7 +79,7 @@ func TestTimelineDecisionsMatchBalanceLog(t *testing.T) {
 	cfg.Dist = dist.Geometric{R: 0.85}
 	cfg.Telemetry = true
 	params := diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2}
-	res, err := RunDiffusion(4, cfg, params)
+	res, err := must(NewDiffusionEngine(cfg, params)).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +118,13 @@ func TestTelemetryPreservesResults(t *testing.T) {
 	cfg := testConfig(t, 32, 4000, 40)
 	cfg.Dist = dist.Geometric{R: 0.88}
 	params := diffusion.Params{Every: 4, Threshold: 0.05, Width: 1, MinWidth: 2}
-	plain, err := RunDiffusion(4, cfg, params)
+	plain, err := must(NewDiffusionEngine(cfg, params)).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Telemetry = true
 	cfg.Live = telemetry.NewLive(4)
-	sampled, err := RunDiffusion(4, cfg, params)
+	sampled, err := must(NewDiffusionEngine(cfg, params)).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +151,7 @@ func TestTimelineRingCap(t *testing.T) {
 	cfg.Telemetry = true
 	cfg.TelemetryCap = 10
 	const p = 3
-	res, err := RunBaseline(p, cfg)
+	res, err := NewBaselineEngine(cfg).Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +175,7 @@ func TestTimelineRingCap(t *testing.T) {
 func TestTimelinePhaseAccounting(t *testing.T) {
 	cfg := testConfig(t, 16, 2000, 25)
 	cfg.Telemetry = true
-	res, err := RunAMPI(2, cfg, AMPIParams{Overdecompose: 4, Every: 5})
+	res, err := must(NewAMPIEngine(2, cfg, AMPIParams{Overdecompose: 4, Every: 5})).Run(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +199,31 @@ func TestTimelinePhaseAccounting(t *testing.T) {
 	}
 }
 
-// FuzzDecodeTimeline fuzzes the kindTimeline codec — a rank's samples on
-// their way to rank 0, which over the wire transport is whatever a socket
-// delivers. Whatever the bytes, decoding (from a buffer or off a stream)
-// must not panic, must not allocate more than a small multiple of the input,
-// and what it accepts must re-pack to the bytes it came from.
+// FuzzDecodeRankReport fuzzes the kindRankReport codec — a rank's
+// end-of-run report on its way to rank 0, which over the wire transport is
+// whatever a socket delivers — from a report carrying every part: counters,
+// verifier tally, samples, its exchange-matrix row and particles.
+func FuzzDecodeRankReport(f *testing.F) {
+	rep := rankReport{Samples: fuzzSamples(), Dropped: 4, MaxParticles: 900, Count: 2, IDSum: 7,
+		PeerBytes: []int64{0, 4096, 1 << 40}, PeerMsgs: []int64{0, 3, 1},
+		Particles: []particle.Particle{
+			{ID: 3, X: 0.5, Y: 1.5, VY: 1, Q: -0.35, X0: 0.5, Y0: 0.5, K: 0, M: 1, Dir: 1},
+			{ID: 4, X: 7.5, Y: 2.5, VX: -6, VY: -1, Q: 1.05, X0: 6.5, Y0: 3.5, K: 1, M: -1, Dir: -1, Born: 3},
+		}}
+	for c := range rep.Counters {
+		rep.Counters[c] = int64(c) * 1000
+	}
+	fuzzRankReport(f, rep)
+}
+
+// FuzzDecodeTimeline is FuzzDecodeRankReport from the report a telemetry
+// run adds a timeline to: samples and a dropped count, the rest zero.
 func FuzzDecodeTimeline(f *testing.F) {
+	fuzzRankReport(f, rankReport{Samples: fuzzSamples(), Dropped: 4})
+}
+
+// fuzzSamples is three steps of one rank's samples, one with a decision.
+func fuzzSamples() []telemetry.Sample {
 	var samples []telemetry.Sample
 	for step := 1; step <= 3; step++ {
 		s := telemetry.Sample{Step: step, Rank: 1, WallStartNS: int64(step) * 1e6, ClockOffsetNS: -250}
@@ -212,8 +236,16 @@ func FuzzDecodeTimeline(f *testing.F) {
 		}
 		samples = append(samples, s)
 	}
-	good, kind, err := pup.EncodePayload(nil, rankTimeline{Samples: samples, Dropped: 4})
-	if err != nil || kind != kindTimeline {
+	return samples
+}
+
+// fuzzRankReport seeds f with rep's encoding and every seventh prefix of
+// it. Whatever the bytes, decoding (from a buffer or off a stream) must not
+// panic, must not allocate more than a small multiple of the input, and
+// what it accepts must re-pack to the bytes it came from.
+func fuzzRankReport(f *testing.F, rep rankReport) {
+	good, kind, err := pup.EncodePayload(nil, rep)
+	if err != nil || kind != kindRankReport {
 		f.Fatalf("encode fixture: kind %d, err %v", kind, err)
 	}
 	for n := 0; n <= len(good); n += 7 {
@@ -224,7 +256,7 @@ func FuzzDecodeTimeline(f *testing.F) {
 		limit := uint64(2*len(data) + 64<<10)
 		var v any
 		var err error
-		if got := memtest.Least(limit, nil, func() { v, err = pup.DecodePayload(kindTimeline, data) }); got > limit {
+		if got := memtest.Least(limit, nil, func() { v, err = pup.DecodePayload(kindRankReport, data) }); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		var d pup.Decoder
@@ -232,7 +264,7 @@ func FuzzDecodeTimeline(f *testing.F) {
 		var sv any
 		var serr error
 		arm := func() { d, r = pup.Decoder{}, bytes.NewReader(data) }
-		if got := memtest.Least(limit, arm, func() { sv, serr = d.Decode(kindTimeline, r, len(data)) }); got > limit {
+		if got := memtest.Least(limit, arm, func() { sv, serr = d.Decode(kindRankReport, r, len(data)) }); got > limit {
 			t.Fatalf("stream-decoding %d bytes allocated %d", len(data), got)
 		}
 		if (serr == nil) != (err == nil) {
@@ -244,7 +276,7 @@ func FuzzDecodeTimeline(f *testing.F) {
 		for _, got := range []any{v, sv} {
 			again, _, err := pup.EncodePayload(nil, got)
 			if err != nil {
-				t.Fatalf("accepted timeline failed to re-encode: %v", err)
+				t.Fatalf("accepted report failed to re-encode: %v", err)
 			}
 			if !bytes.Equal(again, data) {
 				t.Fatalf("re-encoding changed the bytes:\n in % x\nout % x", data, again)

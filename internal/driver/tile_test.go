@@ -80,7 +80,7 @@ func TestTilePipelineWireIdentity(t *testing.T) {
 func TestTilePipelineReportsOverlap(t *testing.T) {
 	cfg := testConfig(t, 32, 8000, 20)
 	cfg.Telemetry = true
-	res, err := RunBaseline(4, cfg)
+	res, err := NewBaselineEngine(cfg).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestTilePipelineReportsOverlap(t *testing.T) {
 	}
 
 	// A single rank exchanges with nobody and must report none.
-	r, err := RunBaseline(1, cfg)
+	r, err := NewBaselineEngine(cfg).Run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestTileValidation(t *testing.T) {
 	for _, tile := range []int{-2, -1, 8, 64} {
 		cfg := testConfig(t, 8, 100, 2)
 		cfg.Tile = tile
-		if _, err := RunBaseline(2, cfg); err == nil {
+		if _, err := NewBaselineEngine(cfg).Run(2); err == nil {
 			t.Fatalf("tile=%d accepted", tile)
 		}
 	}

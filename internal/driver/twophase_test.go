@@ -17,7 +17,7 @@ func TestTwoPhaseMatchesSequential(t *testing.T) {
 	ref := sequentialReference(t, cfg)
 	params := diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2, TwoPhase: true}
 	for _, p := range []int{1, 4, 6} {
-		res, err := RunDiffusion(p, cfg, params)
+		res, err := must(NewDiffusionEngine(cfg, params)).Run(p)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -38,11 +38,11 @@ func TestTwoPhaseBalancesVerticalSkew(t *testing.T) {
 	cfg.Dist = dist.Patch{X0: 0, X1: 32, Y0: 0, Y1: 8}
 	cfg.M = 0
 
-	xOnly, err := RunDiffusion(4, cfg, diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2})
+	xOnly, err := must(NewDiffusionEngine(cfg, diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2})).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := RunDiffusion(4, cfg, diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2, TwoPhase: true})
+	two, err := must(NewDiffusionEngine(cfg, diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2, TwoPhase: true})).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTwoPhaseWithEvents(t *testing.T) {
 		{Step: 20, Region: dist.Rect{X0: 4, X1: 12, Y0: 4, Y1: 12}, Remove: true},
 	}
 	ref := sequentialReference(t, cfg)
-	res, err := RunDiffusion(6, cfg, diffusion.Params{Every: 4, Threshold: 0.05, Width: 1, MinWidth: 2, TwoPhase: true})
+	res, err := must(NewDiffusionEngine(cfg, diffusion.Params{Every: 4, Threshold: 0.05, Width: 1, MinWidth: 2, TwoPhase: true})).Run(6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,19 +10,30 @@ import (
 	"github.com/parres/picprk/internal/particle"
 )
 
-// tamperSub lets a test edit rank 0's particle columns after the last step,
-// and counts Particles calls on every rank.
+// tamperSub lets a test edit rank 0's particle columns after the last step
+// and rename particle IDs on every rank (each key of rename becomes its
+// value), and counts Particles calls on every rank.
 type tamperSub struct {
 	Substrate
 	last      int
 	tamper    func(b *blockSubstrate)
+	rename    map[uint64]uint64
 	particles *atomic.Int32
 }
 
 func (s *tamperSub) CheckOwnership(step int) error {
 	err := s.Substrate.CheckOwnership(step)
-	if b := s.Substrate.(*blockSubstrate); step == s.last && b.c.Rank() == 0 && s.tamper != nil {
+	if step != s.last {
+		return err
+	}
+	b := s.Substrate.(*blockSubstrate)
+	if b.c.Rank() == 0 && s.tamper != nil {
 		s.tamper(b)
+	}
+	for i, m := range b.soa.Meta {
+		if id, ok := s.rename[m.ID]; ok {
+			b.soa.Meta[i].ID = id
+		}
 	}
 	return err
 }
@@ -122,6 +133,43 @@ func TestUnverifiedRunSkipsGather(t *testing.T) {
 		}
 		if res.Verified != verify || (res.Particles != nil) != verify {
 			t.Errorf("verify=%v: Verified=%v with %d particles in the result", verify, res.Verified, len(res.Particles))
+		}
+	}
+}
+
+// TestVerifyAndDistributedVerifyAgree pins that both verification modes
+// apply one rule set, at P = 1 and P = 2: an ID pair forged so that count,
+// checksum and uniqueness all still hold (ID 1 → 0, the last ID → one past
+// it) fails as outside the run's range, and a run whose Config leaves Dist
+// nil (uniform) verifies with a removal event firing.
+func TestVerifyAndDistributedVerifyAgree(t *testing.T) {
+	for _, distributed := range []bool{false, true} {
+		for _, p := range []int{1, 2} {
+			cfg := testConfig(t, 16, 1500, 6)
+			cfg.DistributedVerify = distributed
+			var particles atomic.Int32
+			eng := NewBaselineEngine(cfg)
+			real := eng.Substrate
+			eng.Substrate = func(c *comm.Comm, cfg Config) (Substrate, error) {
+				sub, err := real(c, cfg)
+				if err != nil {
+					return nil, err
+				}
+				return &tamperSub{Substrate: sub, last: cfg.Steps, rename: map[uint64]uint64{1: 0, 1500: 1501}, particles: &particles}, nil
+			}
+			const want = "outside the run's range"
+			if _, err := eng.Run(p); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("distributed=%v P=%d: forged ID pair: got %v, want an error containing %q", distributed, p, err, want)
+			}
+			cfg.Dist = nil
+			cfg.Schedule = dist.Schedule{{Step: 3, Region: dist.Rect{X0: 0, X1: 8, Y0: 0, Y1: 16}, Remove: true}}
+			res, err := NewBaselineEngine(cfg).Run(p)
+			if err != nil {
+				t.Errorf("distributed=%v P=%d: nil Dist with a removal: %v", distributed, p, err)
+			} else if !res.Verified || res.FinalParticles >= cfg.N {
+				t.Errorf("distributed=%v P=%d: nil Dist with a removal: verified %v with %d of %d particles left",
+					distributed, p, res.Verified, res.FinalParticles, cfg.N)
+			}
 		}
 	}
 }

@@ -20,12 +20,16 @@ func driverMatrix(p int, cfg Config) []struct {
 		name string
 		fn   func() (*Result, error)
 	}{
-		{"baseline", func() (*Result, error) { return RunBaseline(p, cfg) }},
+		{"baseline", func() (*Result, error) { return NewBaselineEngine(cfg).Run(p) }},
 		{"diffusion", func() (*Result, error) {
-			return RunDiffusion(p, cfg, diffusion.Params{Every: 4, Threshold: 0.05, Width: 1, MinWidth: 2, TwoPhase: true})
+			return must(NewDiffusionEngine(cfg, diffusion.Params{Every: 4, Threshold: 0.05, Width: 1, MinWidth: 2, TwoPhase: true})).Run(p)
 		}},
-		{"ampi", func() (*Result, error) { return RunAMPI(p, cfg, AMPIParams{Overdecompose: 4, Every: 6}) }},
-		{"worksteal", func() (*Result, error) { return RunWorkSteal(p, cfg, WorkStealParams{Overdecompose: 4, Every: 6}) }},
+		{"ampi", func() (*Result, error) {
+			return must(NewAMPIEngine(p, cfg, AMPIParams{Overdecompose: 4, Every: 6})).Run(p)
+		}},
+		{"worksteal", func() (*Result, error) {
+			return must(NewWorkStealEngine(cfg, WorkStealParams{Overdecompose: 4, Every: 6})).Run(p)
+		}},
 	}
 }
 
@@ -113,7 +117,7 @@ func TestWireTransportTelemetry(t *testing.T) {
 	cfg := testConfig(t, 16, 600, 10)
 	cfg.Transport = TransportTCP
 	cfg.Telemetry = true
-	res, err := RunBaseline(4, cfg)
+	res, err := NewBaselineEngine(cfg).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +138,7 @@ func TestWireTransportTelemetry(t *testing.T) {
 func TestTransportValidation(t *testing.T) {
 	cfg := testConfig(t, 8, 100, 2)
 	cfg.Transport = "carrier-pigeon"
-	if _, err := RunBaseline(2, cfg); err == nil {
+	if _, err := NewBaselineEngine(cfg).Run(2); err == nil {
 		t.Fatal("unknown transport accepted")
 	}
 	cfg.Transport = ""
@@ -142,7 +146,7 @@ func TestTransportValidation(t *testing.T) {
 	if got := cfg.ResolveTransport(); got != "osmosis" {
 		t.Fatalf("env transport not picked up: %q", got)
 	}
-	if _, err := RunBaseline(2, cfg); err == nil {
+	if _, err := NewBaselineEngine(cfg).Run(2); err == nil {
 		t.Fatal("unknown env transport accepted")
 	}
 	cfg.Transport = TransportInproc

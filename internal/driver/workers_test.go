@@ -23,15 +23,15 @@ func TestWorkerCountBitwiseMatrix(t *testing.T) {
 		name string
 		run  func(Config) (*Result, error)
 	}{
-		{"baseline", func(c Config) (*Result, error) { return RunBaseline(p, c) }},
+		{"baseline", func(c Config) (*Result, error) { return NewBaselineEngine(c).Run(p) }},
 		{"diffusion", func(c Config) (*Result, error) {
-			return RunDiffusion(p, c, diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2})
+			return must(NewDiffusionEngine(c, diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2})).Run(p)
 		}},
 		{"ampi", func(c Config) (*Result, error) {
-			return RunAMPI(p, c, AMPIParams{Overdecompose: 4, Every: 10})
+			return must(NewAMPIEngine(p, c, AMPIParams{Overdecompose: 4, Every: 10})).Run(p)
 		}},
 		{"worksteal", func(c Config) (*Result, error) {
-			return RunWorkSteal(p, c, WorkStealParams{Overdecompose: 4, Every: 10})
+			return must(NewWorkStealEngine(c, WorkStealParams{Overdecompose: 4, Every: 10})).Run(p)
 		}},
 	}
 	for _, d := range drivers {
@@ -58,7 +58,7 @@ func TestEngineWithWorkersUnderRace(t *testing.T) {
 	cfg := testConfig(t, 32, 8000, 12)
 	cfg.Workers = 3
 	ref := sequentialReference(t, cfg)
-	res, err := RunBaseline(2, cfg)
+	res, err := NewBaselineEngine(cfg).Run(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,21 +34,12 @@ func (p WorkStealParams) Validate() error {
 	return nil
 }
 
-// RunWorkSteal executes the PIC PRK with the fourth driver: demand-driven
+// NewWorkStealEngine builds the engine of the fourth driver: demand-driven
 // work stealing over the VP substrate, the runtime style the paper's §VI
 // future work targets (task-based runtimes like Charm++, HPX, Legion).
 // Unlike the ampi driver's global reassignment, only underloaded cores act:
 // each steals VPs from the currently heaviest core, bounding migration
 // volume by the number of hungry cores per round.
-func RunWorkSteal(p int, cfg Config, params WorkStealParams) (*Result, error) {
-	eng, err := NewWorkStealEngine(cfg, params)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(p)
-}
-
-// NewWorkStealEngine builds the work-stealing engine without running it.
 func NewWorkStealEngine(cfg Config, params WorkStealParams) (*Engine, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err

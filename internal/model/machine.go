@@ -90,7 +90,7 @@ func Edison() Machine {
 	}
 }
 
-func (m Machine) nodes(p int) float64 {
+func (m *Machine) nodes(p int) float64 {
 	nodes := (p + m.CoresPerNode - 1) / m.CoresPerNode
 	if nodes < 1 {
 		nodes = 1
@@ -102,13 +102,13 @@ func (m Machine) nodes(p int) float64 {
 // the given intra-node and inter-node payload volumes: each class is limited
 // by its aggregate throughput, which scales with the number of nodes the
 // run occupies.
-func (m Machine) MigrationEpochTime(p int, intraBytes, interBytes float64) float64 {
+func (m *Machine) MigrationEpochTime(p int, intraBytes, interBytes float64) float64 {
 	n := m.nodes(p)
 	return intraBytes/(m.MigrationIntraBwPerNode*n) + interBytes/(m.MigrationAggBwPerNode*n)
 }
 
 // SameNode reports whether two cores share a node.
-func (m Machine) SameNode(a, b int) bool { return a/m.CoresPerNode == b/m.CoresPerNode }
+func (m *Machine) SameNode(a, b int) bool { return a/m.CoresPerNode == b/m.CoresPerNode }
 
 // FatNode returns a hypothetical modern fat-node machine: 128 cores per
 // node and a faster network. Regenerating the figures against it shows how
@@ -136,7 +136,7 @@ const (
 	interNode
 )
 
-func (m Machine) class(a, b int) distanceClass {
+func (m *Machine) class(a, b int) distanceClass {
 	switch {
 	case a == b:
 		return sameCore
@@ -152,7 +152,7 @@ func (m Machine) class(a, b int) distanceClass {
 // MsgCost returns the cost of moving `bytes` between two cores as one
 // message. Same-core transfers are free (a memcpy the compute term already
 // covers).
-func (m Machine) MsgCost(a, b int, bytes float64) float64 {
+func (m *Machine) MsgCost(a, b int, bytes float64) float64 {
 	switch m.class(a, b) {
 	case sameCore:
 		return 0
@@ -166,7 +166,7 @@ func (m Machine) MsgCost(a, b int, bytes float64) float64 {
 }
 
 // SyncCost returns the per-step synchronization overhead for P ranks.
-func (m Machine) SyncCost(p int) float64 {
+func (m *Machine) SyncCost(p int) float64 {
 	if p <= 1 {
 		return 0
 	}
@@ -176,7 +176,7 @@ func (m Machine) SyncCost(p int) float64 {
 // AllreduceCost models a tree allreduce of the given payload among P ranks:
 // 2·ceil(log2 P) rounds, each paying the worst-case (inter-node) message
 // cost for the payload.
-func (m Machine) AllreduceCost(p int, bytes float64) float64 {
+func (m *Machine) AllreduceCost(p int, bytes float64) float64 {
 	if p <= 1 {
 		return 0
 	}

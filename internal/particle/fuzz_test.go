@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// FuzzDecode feeds arbitrary bytes to the KindParticles payload decoder —
-// the one a socket reaches: it must never panic, and any buffer it accepts
-// must re-encode to the same bytes.
+// FuzzDecode feeds arbitrary bytes to a length-prefixed Particle.PUP
+// traversal — the particle part of what a socket delivers: it must never
+// panic, and any buffer it accepts must re-encode to the same bytes.
 func FuzzDecode(f *testing.F) {
 	f.Add(encode(f, []Particle{{ID: 1, X: 0.5, Y: 0.5, Q: -0.35, X0: 0.5, Y0: 0.5, Dir: 1}}))
 	f.Add([]byte{})

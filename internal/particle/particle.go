@@ -1,8 +1,8 @@
 // Package particle defines the charged particles of the PIC PRK, together
 // with the bookkeeping needed for the closed-form verification of paper
 // §III-D and the one byte encoding of a particle: the PUP traversal, which
-// carries a []Particle (KindParticles) across a socket and a Simulation
-// into a checkpoint.
+// carries a rank's final particles to rank 0 in the driver's end-of-run
+// report.
 package particle
 
 import (

@@ -16,31 +16,36 @@ func sample() Particle {
 	}
 }
 
-// wireSize is what one particle occupies in a KindParticles payload: ID,
-// seven float64 and four int32. A payload is the 8-byte length prefix plus
-// that per particle.
+// wireSize is what one particle occupies on the wire: ID, seven float64
+// and four int32. A payload is the 8-byte length prefix plus that per
+// particle.
 const wireSize = 8 + 7*8 + 4*4
 
-// encode and decode are the one particle codec, as a socket or a
-// checkpoint reaches it: the registered []Particle payload.
+// particles is a length-prefixed []Particle through Particle.PUP, the
+// traversal the driver's end-of-run report carries particles with.
+type particles []Particle
+
+func (ps *particles) PUP(p *pup.PUPer) {
+	pup.Slice(p, (*[]Particle)(ps), wireSize, func(p *pup.PUPer, e *Particle) { e.PUP(p) })
+}
+
+// encode and decode are that traversal, as a socket reaches it.
 func encode(t testing.TB, ps []Particle) []byte {
 	t.Helper()
-	buf, kind, err := pup.EncodePayload(nil, ps)
+	v := particles(ps)
+	buf, err := pup.Pack(&v)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if kind != KindParticles {
-		t.Fatalf("[]Particle encoded as kind %d, want %d", kind, KindParticles)
 	}
 	return buf
 }
 
 func decode(buf []byte) ([]Particle, error) {
-	v, err := pup.DecodePayload(KindParticles, buf)
-	if err != nil {
+	var v particles
+	if err := pup.Unpack(&v, buf); err != nil {
 		return nil, err
 	}
-	return v.([]Particle), nil
+	return v, nil
 }
 
 func TestEncodeDecodeRoundtrip(t *testing.T) {

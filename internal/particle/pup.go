@@ -4,7 +4,7 @@ import "github.com/parres/picprk/internal/pup"
 
 // PUP serializes the particle with the pack/unpack framework: little-endian,
 // fixed-size, 80 bytes (ID, seven float64, four int32). Used by the
-// KindParticles payload codec (verification gathers).
+// driver's end-of-run report, which gathers a verified run's final state.
 func (p *Particle) PUP(pp *pup.PUPer) {
 	pp.Uint64(&p.ID)
 	pp.Float64(&p.X)

@@ -419,9 +419,10 @@ func (p *PUPer) ByteSlice(v *[]byte) {
 
 // Slice serializes a slice of arbitrary elements, length-prefixed, using the
 // provided per-element function, which must write every field it reads back
-// (see SliceLen) and serialize at least one byte per element.
-func Slice[T any](p *PUPer, v *[]T, elem func(p *PUPer, e *T)) {
-	if !SliceLen(p, v, 1) {
+// (see SliceLen) and serialize at least width bytes per element: the
+// decoder checks the length prefix against it before sizing the slice.
+func Slice[T any](p *PUPer, v *[]T, width int, elem func(p *PUPer, e *T)) {
+	if !SliceLen(p, v, width) {
 		return
 	}
 	for i := range *v {

@@ -30,7 +30,7 @@ func (d *demo) PUP(p *PUPer) {
 	p.Bool(&d.E)
 	p.Float64s(&d.F)
 	p.String(&d.G)
-	Slice(p, &d.Sub, func(p *PUPer, e *pair) {
+	Slice(p, &d.Sub, 16, func(p *PUPer, e *pair) {
 		p.Int(&e.X)
 		p.Int(&e.Y)
 	})

@@ -291,10 +291,10 @@ func init() {
 	RegisterCodec[string](KindString, func(p *PUPer, v *string) { p.String(v) })
 	RegisterCodec[[]byte](KindBytes, func(p *PUPer, v *[]byte) { p.ByteSlice(v) })
 	RegisterCodec[[]int](KindInts, func(p *PUPer, v *[]int) {
-		Slice(p, v, func(p *PUPer, e *int) { p.Int(e) })
+		Slice(p, v, 8, func(p *PUPer, e *int) { p.Int(e) })
 	})
 	RegisterCodec[[]int64](KindInt64s, func(p *PUPer, v *[]int64) {
-		Slice(p, v, func(p *PUPer, e *int64) {
+		Slice(p, v, 8, func(p *PUPer, e *int64) {
 			u := uint64(*e)
 			p.Uint64(&u)
 			if p.Mode() == Unpacking {
@@ -303,10 +303,10 @@ func init() {
 		})
 	})
 	RegisterCodec[[]uint64](KindUint64s, func(p *PUPer, v *[]uint64) {
-		Slice(p, v, func(p *PUPer, e *uint64) { p.Uint64(e) })
+		Slice(p, v, 8, func(p *PUPer, e *uint64) { p.Uint64(e) })
 	})
 	RegisterCodec[[]float64](KindF64s, func(p *PUPer, v *[]float64) { p.Float64s(v) })
 	RegisterCodec[[]int32](KindInt32s, func(p *PUPer, v *[]int32) {
-		Slice(p, v, func(p *PUPer, e *int32) { p.Int32(e) })
+		Slice(p, v, 4, func(p *PUPer, e *int32) { p.Int32(e) })
 	})
 }
