@@ -64,7 +64,7 @@ func main() {
 		threshold = flag.Float64("threshold", 0.05, "diffusion: trigger threshold (fraction of mean load)")
 		d         = flag.Int("d", 4, "ampi: over-decomposition degree")
 		interval  = flag.Int("F", 50, "ampi: steps between load balancer invocations")
-		strategy  = flag.String("strategy", "refine", "ampi: refine | greedy | hinted | steal | rotate | null")
+		strategy  = flag.String("strategy", "refine", "ampi: refine | greedy | hinted | rotate | null")
 		stealTh   = flag.Float64("steal-threshold", 0, "worksteal: hunger trigger fraction (0 = default 0.25)")
 		verify    = flag.Bool("verify", true, "verify against the closed-form solution")
 		workers   = flag.Int("workers", 0, "move-phase worker goroutines per rank (0 = GOMAXPROCS/p, min 1)")
@@ -240,8 +240,6 @@ func makeEngine(impl string, p int, cfg driver.Config, o implOptions) (*driver.E
 			s = ampi.RotateLB{}
 		case "hinted":
 			s = &ampi.HintedGreedyLB{}
-		case "steal":
-			s = ampi.WorkStealLB{}
 		case "null":
 			s = ampi.NullLB{}
 		default:

@@ -201,6 +201,7 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		{[]string{"-impl=baseline", "-steps=-5"}, "-steps"},
 		{[]string{"-impl=baseline", "-transport=pigeon"}, "-transport"},
 		{[]string{"-impl=baseline", "-workers=-1"}, "-workers"},
+		{[]string{"-impl=ampi", "-strategy=steal"}, `unknown strategy "steal"`},
 	} {
 		cmd := exec.Command(exe, tc.args...)
 		cmd.Env = append(os.Environ(), "PICRUN_BE_MAIN=1")

@@ -75,11 +75,7 @@ func main() {
 }
 
 func printReport(w io.Writer, tl *telemetry.Timeline, top, rows int) {
-	fmt.Fprintf(w, "timeline: %s  P=%d  steps=%d  samples=%d", tl.Name, tl.P, tl.Steps, len(tl.Samples))
-	if tl.Dropped > 0 {
-		fmt.Fprintf(w, "  (dropped %d oldest samples; raise the ring cap for full coverage)", tl.Dropped)
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "timeline: %s  P=%d  steps=%d  samples=%d\n", tl.Name, tl.P, tl.Steps, len(tl.Samples))
 	ss := tl.StepStats()
 	if len(ss) == 0 {
 		fmt.Fprintln(w, "no samples")

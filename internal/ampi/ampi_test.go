@@ -117,8 +117,7 @@ func TestStrategiesProperty(t *testing.T) {
 		// is bounded by avg + maxItem. (The tighter 4/3·OPT bound needs the
 		// NP-hard OPT.)
 		bound := total/float64(ncores) + maxItem
-		h := &HintedGreedyLB{}
-		h.SetTopology(GridNeighbors(len(loads), 1), 2)
+		h := (&HintedGreedyLB{}).WithTopology(GridNeighbors(len(loads), 1), 2)
 		for _, s := range []Strategy{NullLB{}, RotateLB{}, GreedyLB{}, RefineLB{}, WorkStealLB{}, h} {
 			got := s.Plan(loads, owner, ncores)
 			if len(got) != len(owner) {

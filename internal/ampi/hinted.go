@@ -8,41 +8,35 @@ import "sort"
 // subdomain compactness "unless it is properly hinted" — this interface is
 // that hint.
 type TopologyAware interface {
-	// SetTopology provides, for every VP, the ids of its spatial neighbor
-	// VPs, and the number of cores per node.
-	SetTopology(neighbors [][]int, coresPerNode int)
+	// WithTopology returns a copy of the strategy hinted with, for every
+	// VP, the ids of its spatial neighbor VPs, and the number of cores per
+	// node. The receiver is left unchanged, so one value can seed engines
+	// of different shapes.
+	WithTopology(neighbors [][]int, coresPerNode int) Strategy
 }
 
+// hintSlack is the relative load headroom within which HintedGreedyLB lets
+// locality override pure load order.
+const hintSlack = 0.05
+
 // HintedGreedyLB is GreedyLB with a locality hint: among cores whose load
-// is within Slack of the least-loaded candidate, it prefers the core on the
-// node that already hosts the most spatial neighbors of the VP being
+// is within hintSlack of the least-loaded candidate, it prefers the core on
+// the node that already hosts the most spatial neighbors of the VP being
 // placed. Balance quality stays greedy-class while subdomain fragmentation
 // — and with it the inter-node boundary traffic the paper blames for the
 // AMPI strong-scaling gap — is greatly reduced.
 type HintedGreedyLB struct {
-	// Slack is the relative load headroom within which locality may
-	// override pure load order (default 0.05).
-	Slack float64
-
 	neighbors    [][]int
 	coresPerNode int
 }
 
-// Name implements Strategy.
-func (h *HintedGreedyLB) Name() string { return "HintedGreedyLB" }
-
-// SetTopology implements TopologyAware.
-func (h *HintedGreedyLB) SetTopology(neighbors [][]int, coresPerNode int) {
-	h.neighbors = neighbors
-	h.coresPerNode = coresPerNode
+// WithTopology implements TopologyAware.
+func (*HintedGreedyLB) WithTopology(neighbors [][]int, coresPerNode int) Strategy {
+	return &HintedGreedyLB{neighbors: neighbors, coresPerNode: coresPerNode}
 }
 
 // Plan implements Strategy.
 func (h *HintedGreedyLB) Plan(loads []float64, owner []int, ncores int) []int {
-	slack := h.Slack
-	if slack <= 0 {
-		slack = 0.05
-	}
 	cpn := h.coresPerNode
 	if cpn <= 0 {
 		cpn = 1
@@ -77,7 +71,7 @@ func (h *HintedGreedyLB) Plan(loads []float64, owner []int, ncores int) []int {
 				min = l
 			}
 		}
-		band := min + slack*total/float64(ncores)
+		band := min + hintSlack*total/float64(ncores)
 		best := -1
 		bestAffinity := -1
 		for c := 0; c < ncores; c++ {

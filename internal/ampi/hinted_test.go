@@ -70,8 +70,7 @@ func TestHintedGreedyBalancesLikeGreedy(t *testing.T) {
 		loads[i] = float64(1 + i%7)
 		owner[i] = i % 8
 	}
-	h := &HintedGreedyLB{}
-	h.SetTopology(GridNeighbors(8, 8), 4)
+	h := (&HintedGreedyLB{}).WithTopology(GridNeighbors(8, 8), 4)
 	got := h.Plan(loads, owner, 8)
 	if len(got) != 64 {
 		t.Fatalf("plan length %d", len(got))
@@ -101,8 +100,7 @@ func TestHintedGreedyReducesFragmentation(t *testing.T) {
 		loads[vp] = float64(1 + (vp%vx)*(vp%vx)) // skewed in x
 		owner[vp] = place(vp)
 	}
-	h := &HintedGreedyLB{}
-	h.SetTopology(nbs, cpn)
+	h := (&HintedGreedyLB{}).WithTopology(nbs, cpn)
 	hinted := h.Plan(loads, owner, ncores)
 	greedy := GreedyLB{}.Plan(loads, owner, ncores)
 
@@ -120,10 +118,8 @@ func TestHintedGreedyReducesFragmentation(t *testing.T) {
 func TestHintedGreedyDeterministic(t *testing.T) {
 	loads := []float64{5, 5, 5, 5, 5, 5, 5, 5}
 	owner := make([]int, 8)
-	h1 := &HintedGreedyLB{}
-	h1.SetTopology(GridNeighbors(4, 2), 2)
-	h2 := &HintedGreedyLB{}
-	h2.SetTopology(GridNeighbors(4, 2), 2)
+	h1 := (&HintedGreedyLB{}).WithTopology(GridNeighbors(4, 2), 2)
+	h2 := (&HintedGreedyLB{}).WithTopology(GridNeighbors(4, 2), 2)
 	a := h1.Plan(loads, owner, 4)
 	b := h2.Plan(loads, owner, 4)
 	for i := range a {
@@ -134,7 +130,7 @@ func TestHintedGreedyDeterministic(t *testing.T) {
 }
 
 func TestHintedGreedyWithoutTopology(t *testing.T) {
-	// Without SetTopology the strategy must still produce a valid plan.
+	// Without WithTopology the strategy must still produce a valid plan.
 	h := &HintedGreedyLB{}
 	loads := []float64{3, 1, 4, 1, 5}
 	got := h.Plan(loads, make([]int, 5), 2)

@@ -20,8 +20,6 @@ import (
 // same Plan on the same globally-reduced inputs and must reach the same
 // assignment without further coordination.
 type Strategy interface {
-	// Name identifies the strategy in logs and experiment tables.
-	Name() string
 	// Plan returns the new owner core of every VP. loads[vp] is the
 	// measured load of VP vp; owner[vp] its current core; ncores the number
 	// of cores. The returned slice is freshly allocated.
@@ -31,9 +29,6 @@ type Strategy interface {
 // NullLB never migrates anything (the no-load-balancing reference point).
 type NullLB struct{}
 
-// Name implements Strategy.
-func (NullLB) Name() string { return "NullLB" }
-
 // Plan implements Strategy.
 func (NullLB) Plan(loads []float64, owner []int, ncores int) []int {
 	return append([]int(nil), owner...)
@@ -42,9 +37,6 @@ func (NullLB) Plan(loads []float64, owner []int, ncores int) []int {
 // RotateLB shifts every VP to the next core; useless for balancing but
 // maximally stressful for the migration machinery, so tests use it.
 type RotateLB struct{}
-
-// Name implements Strategy.
-func (RotateLB) Name() string { return "RotateLB" }
 
 // Plan implements Strategy.
 func (RotateLB) Plan(loads []float64, owner []int, ncores int) []int {
@@ -61,9 +53,6 @@ func (RotateLB) Plan(loads []float64, owner []int, ncores int) []int {
 // migration volume — the behaviour the paper's strong-scaling discussion
 // blames for fragmenting subdomains (§V-B).
 type GreedyLB struct{}
-
-// Name implements Strategy.
-func (GreedyLB) Name() string { return "GreedyLB" }
 
 // Plan implements Strategy.
 func (GreedyLB) Plan(loads []float64, owner []int, ncores int) []int {
@@ -104,9 +93,6 @@ type RefineLB struct {
 	// 4·len(VPs).
 	MaxMoves int
 }
-
-// Name implements Strategy.
-func (RefineLB) Name() string { return "RefineLB" }
 
 // Plan implements Strategy.
 func (r RefineLB) Plan(loads []float64, owner []int, ncores int) []int {

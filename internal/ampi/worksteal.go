@@ -17,9 +17,6 @@ type WorkStealLB struct {
 	Threshold float64
 }
 
-// Name implements Strategy.
-func (w WorkStealLB) Name() string { return "WorkStealLB" }
-
 // Plan implements Strategy.
 func (w WorkStealLB) Plan(loads []float64, owner []int, ncores int) []int {
 	out := append([]int(nil), owner...)

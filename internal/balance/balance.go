@@ -6,15 +6,14 @@
 // paper's guarantee that model and drivers make identical decisions for
 // identical load histories is structural, not by convention.
 //
-// Four policies mirror the paper's implementation matrix:
+// Three adapters cover the paper's implementation matrix:
 //
 //   - NullBalancer: no balancing (the "mpi-2d" baseline).
 //   - DiffusionBalancer: the application-specific diffusion scheme of
 //     §IV-B, editing block-decomposition cut arrays (optionally two-phase).
-//   - AMPIBalancer: a runtime strategy (RefineLB by default) reassigning
-//     over-decomposed virtual processors to cores, as in §IV-C.
-//   - WorkStealBalancer: demand-driven VP stealing, the §VI future-work
-//     direction, promoted to a first-class policy.
+//   - StrategyBalancer: an ampi.Strategy reassigning over-decomposed
+//     virtual processors to cores — RefineLB for the paper's "ampi" driver
+//     (§IV-C), WorkStealLB for demand-driven stealing (§VI future work).
 package balance
 
 import (
@@ -105,8 +104,6 @@ func ownerDigest(owner []int) string {
 // history. Implementations are used by one rank loop at a time and need not
 // be safe for concurrent use; each rank constructs its own instance.
 type Balancer interface {
-	// Name identifies the policy in logs and experiment tables.
-	Name() string
 	// Interval is the number of steps between balancing actions; 0 disables
 	// balancing entirely.
 	Interval() int
@@ -139,9 +136,6 @@ type HistoryRestorer interface {
 
 // NullBalancer is the baseline policy: never balance.
 type NullBalancer struct{}
-
-// Name implements Balancer.
-func (NullBalancer) Name() string { return "null" }
 
 // Interval implements Balancer: 0 disables balancing.
 func (NullBalancer) Interval() int { return 0 }

@@ -12,9 +12,6 @@ import (
 
 func TestNullBalancerIsInert(t *testing.T) {
 	var b NullBalancer
-	if b.Name() != "null" {
-		t.Errorf("name %q", b.Name())
-	}
 	if b.Interval() != 0 {
 		t.Errorf("interval %d, want 0 (balancing disabled)", b.Interval())
 	}
@@ -128,10 +125,7 @@ func TestDiffusionBalancerTwoPhaseNeedsRows(t *testing.T) {
 }
 
 func TestStrategyBalancerEmptyPlanOnZeroMoves(t *testing.T) {
-	b := NewAMPIBalancer(ampi.NullLB{}, 4)
-	if b.Name() != "NullLB" {
-		t.Errorf("name %q", b.Name())
-	}
+	b := NewStrategyBalancer(ampi.NullLB{}, 4)
 	if b.Interval() != 4 {
 		t.Errorf("interval %d", b.Interval())
 	}
@@ -149,7 +143,7 @@ func TestStrategyBalancerEmptyPlanOnZeroMoves(t *testing.T) {
 }
 
 func TestStrategyBalancerPlansAndLogs(t *testing.T) {
-	b := NewAMPIBalancer(ampi.RotateLB{}, 2)
+	b := NewStrategyBalancer(ampi.RotateLB{}, 2)
 	b.Observe(Loads{Units: []float64{1, 1, 1, 1}, Owner: []int{0, 0, 1, 1}, Cores: 2})
 	plan := b.Plan(2)
 	if plan.Owner == nil {
@@ -165,17 +159,8 @@ func TestStrategyBalancerPlansAndLogs(t *testing.T) {
 	}
 }
 
-func TestAMPIBalancerDefaultsToRefineLB(t *testing.T) {
-	if name := NewAMPIBalancer(nil, 5).Name(); name != "RefineLB" {
-		t.Errorf("default strategy %q, want RefineLB", name)
-	}
-}
-
 func TestWorkStealBalancerSteals(t *testing.T) {
-	b := NewWorkStealBalancer(0, 6)
-	if b.Name() != "WorkStealLB" {
-		t.Errorf("name %q", b.Name())
-	}
+	b := NewStrategyBalancer(ampi.WorkStealLB{}, 6)
 	if b.Interval() != 6 {
 		t.Errorf("interval %d", b.Interval())
 	}

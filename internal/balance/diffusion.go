@@ -21,9 +21,6 @@ type DiffusionBalancer struct {
 	history  []string
 }
 
-// Name implements Balancer.
-func (b *DiffusionBalancer) Name() string { return "diffusion" }
-
 // Interval implements Balancer.
 func (b *DiffusionBalancer) Interval() int { return b.Params.Every }
 

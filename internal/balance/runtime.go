@@ -6,10 +6,11 @@ import (
 	"github.com/parres/picprk/internal/ampi"
 )
 
-// strategyBalancer adapts an ampi.Strategy — a pure function from measured
+// StrategyBalancer adapts an ampi.Strategy — a pure function from measured
 // per-VP loads to a new owner table — to the Balancer interface. It is the
-// common core of AMPIBalancer and WorkStealBalancer.
-type strategyBalancer struct {
+// policy of both VP drivers: the paper's "ampi" (§IV-C, RefineLB by
+// default) and demand-driven work stealing (§VI future work, WorkStealLB).
+type StrategyBalancer struct {
 	strategy ampi.Strategy
 	every    int
 
@@ -19,21 +20,24 @@ type strategyBalancer struct {
 	history   []string
 }
 
-// Name implements Balancer.
-func (b *strategyBalancer) Name() string { return b.strategy.Name() }
+// NewStrategyBalancer builds the policy: every steps, s reassigns VPs to
+// cores from the globally-reduced per-VP loads. s must be non-nil.
+func NewStrategyBalancer(s ampi.Strategy, every int) *StrategyBalancer {
+	return &StrategyBalancer{strategy: s, every: every}
+}
 
 // Interval implements Balancer.
-func (b *strategyBalancer) Interval() int { return b.every }
+func (b *StrategyBalancer) Interval() int { return b.every }
 
 // Needs implements Balancer.
-func (b *strategyBalancer) Needs() Needs { return Needs{Units: true} }
+func (b *StrategyBalancer) Needs() Needs { return Needs{Units: true} }
 
 // Observe implements Balancer.
-func (b *strategyBalancer) Observe(l Loads) { b.loads = l }
+func (b *StrategyBalancer) Observe(l Loads) { b.loads = l }
 
 // Plan implements Balancer: run the strategy and return its owner table,
 // or an empty plan when nothing would move.
-func (b *strategyBalancer) Plan(step int) Plan {
+func (b *StrategyBalancer) Plan(step int) Plan {
 	b.lastStep = step
 	newOwner := b.strategy.Plan(b.loads.Units, b.loads.Owner, b.loads.Cores)
 	if len(newOwner) == len(b.loads.Owner) {
@@ -46,7 +50,7 @@ func (b *strategyBalancer) Plan(step int) Plan {
 }
 
 // Apply implements Balancer.
-func (b *strategyBalancer) Apply(p Plan) {
+func (b *StrategyBalancer) Apply(p Plan) {
 	if p.Empty() {
 		return
 	}
@@ -54,32 +58,7 @@ func (b *strategyBalancer) Apply(p Plan) {
 }
 
 // History implements Balancer.
-func (b *strategyBalancer) History() []string { return b.history }
+func (b *StrategyBalancer) History() []string { return b.history }
 
 // RestoreHistory implements HistoryRestorer.
-func (b *strategyBalancer) RestoreHistory(h []string) { b.history = h }
-
-// AMPIBalancer is the paper's "ampi" policy (§IV-C): every Interval steps
-// a runtime strategy reassigns over-decomposed VPs to cores from the
-// globally-reduced per-VP loads.
-type AMPIBalancer struct{ strategyBalancer }
-
-// NewAMPIBalancer builds the policy. A nil strategy selects the paper's
-// choice, RefineLB.
-func NewAMPIBalancer(s ampi.Strategy, every int) *AMPIBalancer {
-	if s == nil {
-		s = ampi.RefineLB{}
-	}
-	return &AMPIBalancer{strategyBalancer{strategy: s, every: every}}
-}
-
-// WorkStealBalancer is the demand-driven policy of the paper's §VI future
-// work: cores whose load falls below a threshold fraction of the mean
-// steal VPs from the heaviest cores. It wraps ampi.WorkStealLB.
-type WorkStealBalancer struct{ strategyBalancer }
-
-// NewWorkStealBalancer builds the policy; threshold 0 selects the
-// WorkStealLB default (0.25).
-func NewWorkStealBalancer(threshold float64, every int) *WorkStealBalancer {
-	return &WorkStealBalancer{strategyBalancer{strategy: ampi.WorkStealLB{Threshold: threshold}, every: every}}
-}
+func (b *StrategyBalancer) RestoreHistory(h []string) { b.history = h }

@@ -28,8 +28,6 @@ type Distribution interface {
 	Weights(c int) []float64
 	// RowRange returns the half-open range of allowed cell rows.
 	RowRange(c int) (lo, hi int)
-	// Name returns a short identifier used in logs and experiment tables.
-	Name() string
 }
 
 // Geometric is the skewed "exponential" distribution of paper §III-E1: a
@@ -53,9 +51,6 @@ func (g Geometric) Weights(c int) []float64 {
 // RowRange implements Distribution: the full domain height.
 func (g Geometric) RowRange(c int) (int, int) { return 0, c }
 
-// Name implements Distribution.
-func (g Geometric) Name() string { return fmt.Sprintf("geometric(r=%g)", g.R) }
-
 // Sinusoidal is the smooth distribution of paper §III-E2:
 // p(i) ∝ 1 + cos(2πi/(c−1)).
 type Sinusoidal struct{}
@@ -75,9 +70,6 @@ func (Sinusoidal) Weights(c int) []float64 {
 
 // RowRange implements Distribution.
 func (Sinusoidal) RowRange(c int) (int, int) { return 0, c }
-
-// Name implements Distribution.
-func (Sinusoidal) Name() string { return "sinusoidal" }
 
 // Linear is the distribution of paper §III-E3: p(i) ∝ β − α·i/(c−1).
 // Alpha and Beta control the slope; Beta must be positive and
@@ -104,9 +96,6 @@ func (l Linear) Weights(c int) []float64 {
 // RowRange implements Distribution.
 func (l Linear) RowRange(c int) (int, int) { return 0, c }
 
-// Name implements Distribution.
-func (l Linear) Name() string { return fmt.Sprintf("linear(a=%g,b=%g)", l.Alpha, l.Beta) }
-
 // Uniform spreads particles evenly over all columns (the degenerate r=1
 // case of Geometric, provided for clarity).
 type Uniform struct{}
@@ -122,9 +111,6 @@ func (Uniform) Weights(c int) []float64 {
 
 // RowRange implements Distribution.
 func (Uniform) RowRange(c int) (int, int) { return 0, c }
-
-// Name implements Distribution.
-func (Uniform) Name() string { return "uniform" }
 
 // Patch is the restricted-subdomain distribution of paper §III-E4: particles
 // are placed uniformly inside the rectangle of cells
@@ -153,11 +139,6 @@ func (p Patch) RowRange(c int) (int, int) {
 		hi = c
 	}
 	return lo, hi
-}
-
-// Name implements Distribution.
-func (p Patch) Name() string {
-	return fmt.Sprintf("patch([%d,%d)x[%d,%d))", p.X0, p.X1, p.Y0, p.Y1)
 }
 
 // Apportion converts relative column weights into exact integer particle

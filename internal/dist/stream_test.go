@@ -86,10 +86,14 @@ func legacyInject(m grid.Mesh, ev Event, seed uint64, firstID uint64, dir int) [
 // IDs included, so skipped columns still advance the ID cursor.
 func TestStreamMatchesLegacyPlacement(t *testing.T) {
 	m := mesh(t, 32)
-	for _, d := range []Distribution{
-		Geometric{R: 0.9}, Sinusoidal{}, Linear{Alpha: 1, Beta: 1.5}, Uniform{},
-		Patch{X0: 3, X1: 20, Y0: 5, Y1: 17},
+	for _, tc := range []struct {
+		name string
+		d    Distribution
+	}{
+		{"geometric", Geometric{R: 0.9}}, {"sinusoidal", Sinusoidal{}}, {"linear", Linear{Alpha: 1, Beta: 1.5}},
+		{"uniform", Uniform{}}, {"patch", Patch{X0: 3, X1: 20, Y0: 5, Y1: 17}},
 	} {
+		d := tc.d
 		for _, cfg := range []Config{
 			{Mesh: m, N: 5000, K: 2, M: -3, Dist: d, Seed: 11},
 			{Mesh: m, N: 777, K: 0, M: 1, Dir: -1, Dist: d, Seed: 3, FirstID: 1000},
@@ -99,7 +103,7 @@ func TestStreamMatchesLegacyPlacement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameParticles(t, d.Name()+" unfiltered", got, want)
+			assertSameParticles(t, tc.name+" unfiltered", got, want)
 
 			cols := func(cx int) bool { return cx%3 == 1 || cx >= 24 }
 			var wantF, gotF []particle.Particle
@@ -110,14 +114,14 @@ func TestStreamMatchesLegacyPlacement(t *testing.T) {
 			}
 			err = Each(cfg, cols, func(cx, cy int, p *particle.Particle) {
 				if gx, gy := m.CellOf(p.X, p.Y); gx != cx || gy != cy {
-					t.Fatalf("%s: emitted cell (%d,%d) for a particle in (%d,%d)", d.Name(), cx, cy, gx, gy)
+					t.Fatalf("%s: emitted cell (%d,%d) for a particle in (%d,%d)", tc.name, cx, cy, gx, gy)
 				}
 				gotF = append(gotF, *p)
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameParticles(t, d.Name()+" column-filtered", gotF, wantF)
+			assertSameParticles(t, tc.name+" column-filtered", gotF, wantF)
 		}
 	}
 }

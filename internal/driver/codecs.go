@@ -140,7 +140,6 @@ func pupRankReport(p *pup.PUPer, r *rankReport) {
 	p.Int(&r.Count)
 	p.Uint64(&r.IDSum)
 	pup.Slice(p, &r.Samples, sampleWireBytes, pupSample)
-	p.Int(&r.Dropped)
 	pup.Slice(p, &r.PeerBytes, 8, pupInt64)
 	pup.Slice(p, &r.PeerMsgs, 8, pupInt64)
 	pup.Slice(p, &r.Particles, 80, func(p *pup.PUPer, e *particle.Particle) { e.PUP(p) })

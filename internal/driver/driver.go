@@ -4,17 +4,18 @@
 // MPI. One Engine owns the per-rank step pipeline (init → move → exchange →
 // events → balance → verify); each driver is the engine instantiated with a
 // Substrate (how particles and mesh data physically live on ranks) and a
-// balance.Balancer (the policy deciding when and what to move):
+// balance.Balancer (the policy deciding when and what to move), built in
+// drivers.go by one builder per substrate:
 //
 //   - Baseline (paper "mpi-2d"): block substrate + NullBalancer — static
 //     2D block decomposition, no load balancing.
 //   - Diffusion (paper "mpi-2d-LB"): block substrate + DiffusionBalancer —
 //     application-specific diffusion of the decomposition cuts.
-//   - AMPI (paper "ampi"): VP substrate + AMPIBalancer — over-decomposition
-//     into virtual processors with runtime-orchestrated load balancing and
-//     PUP-serialized migration.
-//   - WorkSteal (paper §VI future work): VP substrate + WorkStealBalancer —
-//     demand-driven stealing by underloaded cores.
+//   - AMPI (paper "ampi"): VP substrate + StrategyBalancer over RefineLB
+//     (or any ampi.Strategy) — over-decomposition into virtual processors
+//     with runtime-orchestrated load balancing and PUP-serialized migration.
+//   - WorkSteal (paper §VI future work): VP substrate + StrategyBalancer
+//     over WorkStealLB — demand-driven stealing by underloaded cores.
 //
 // All four produce bitwise-identical particle states to the sequential
 // reference simulation (asserted by the test suite) and self-verify against
@@ -90,13 +91,9 @@ type Config struct {
 	// Timeline. Off by default; the steady-state step then stays
 	// allocation-free and results are bitwise identical either way.
 	Telemetry bool
-	// TelemetryCap bounds the per-rank sample ring; 0 keeps one slot per
-	// step. A full ring evicts the oldest samples (Timeline.Dropped counts
-	// them), bounding memory on very long runs.
-	TelemetryCap int
 	// Live, when non-nil, receives every rank's per-step samples for the
-	// /metrics endpoint — independently of Telemetry, so a capped or
-	// disabled timeline still feeds live gauges.
+	// /metrics endpoint — independently of Telemetry, so a run without a
+	// timeline still feeds live gauges.
 	Live *telemetry.Live
 	// CheckpointEvery, when positive, ends an epoch every N steps with a
 	// distributed checkpoint barrier: every rank serializes its full
@@ -211,9 +208,6 @@ func (cfg *Config) validate(p int) error {
 	}
 	if cfg.Tile != 0 {
 		return fmt.Errorf("driver: tile setting %d: the step has one form and the setting selects nothing (leave it 0)", cfg.Tile)
-	}
-	if cfg.TelemetryCap < 0 {
-		return fmt.Errorf("driver: negative telemetry ring cap %d", cfg.TelemetryCap)
 	}
 	switch tr := cfg.ResolveTransport(); tr {
 	case TransportInproc, TransportTCP, TransportUnix:

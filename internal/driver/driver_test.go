@@ -250,30 +250,39 @@ func TestAMPIImprovesBalanceOverBaseline(t *testing.T) {
 func TestAMPIStrategies(t *testing.T) {
 	cfg := testConfig(t, 16, 1000, 20)
 	ref := sequentialReference(t, cfg)
-	for _, s := range []ampi.Strategy{ampi.NullLB{}, ampi.RotateLB{}, ampi.GreedyLB{}, ampi.RefineLB{}, &ampi.HintedGreedyLB{}, ampi.WorkStealLB{}} {
-		res, err := must(NewAMPIEngine(3, cfg, AMPIParams{Overdecompose: 4, Every: 6, Strategy: s})).Run(3)
+	for _, tc := range []struct {
+		name string
+		s    ampi.Strategy
+	}{
+		{"NullLB", ampi.NullLB{}}, {"RotateLB", ampi.RotateLB{}}, {"GreedyLB", ampi.GreedyLB{}},
+		{"RefineLB", ampi.RefineLB{}}, {"HintedGreedyLB", &ampi.HintedGreedyLB{}}, {"WorkStealLB", ampi.WorkStealLB{}},
+	} {
+		res, err := must(NewAMPIEngine(3, cfg, AMPIParams{Overdecompose: 4, Every: 6, Strategy: tc.s})).Run(3)
 		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		assertBitwiseEqual(t, ref, res.Particles, s.Name())
+		assertBitwiseEqual(t, ref, res.Particles, tc.name)
 	}
 }
 
 func TestSinusoidalAndPatchDistributions(t *testing.T) {
-	for _, d := range []dist.Distribution{
-		dist.Sinusoidal{},
-		dist.Linear{Alpha: 1, Beta: 2},
-		dist.Patch{X0: 3, X1: 9, Y0: 3, Y1: 9},
-		dist.Uniform{},
+	for _, tc := range []struct {
+		name string
+		d    dist.Distribution
+	}{
+		{"sinusoidal", dist.Sinusoidal{}},
+		{"linear", dist.Linear{Alpha: 1, Beta: 2}},
+		{"patch", dist.Patch{X0: 3, X1: 9, Y0: 3, Y1: 9}},
+		{"uniform", dist.Uniform{}},
 	} {
 		cfg := testConfig(t, 16, 1200, 25)
-		cfg.Dist = d
+		cfg.Dist = tc.d
 		ref := sequentialReference(t, cfg)
 		res, err := NewBaselineEngine(cfg).Run(4)
 		if err != nil {
-			t.Fatalf("%s: %v", d.Name(), err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		assertBitwiseEqual(t, ref, res.Particles, d.Name())
+		assertBitwiseEqual(t, ref, res.Particles, tc.name)
 	}
 }
 

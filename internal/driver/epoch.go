@@ -75,12 +75,13 @@ type epochRunner struct {
 	rec *trace.Recorder
 
 	// Telemetry: when sampling, each step appends the difference between
-	// two counter readings (spans included) to the per-rank ring and/or the
-	// live aggregate. Both sinks are nil-safe, and when sampling is off the
-	// step path touches none of this — the steady-state step stays
-	// allocation-free and the run is bitwise identical to an unsampled one.
-	// prev is the counter reading the last sample was taken against.
-	ring     *telemetry.Ring
+	// two counter readings (spans included) to samples (under
+	// cfg.Telemetry, pre-sized to the step count) and/or the live aggregate.
+	// When sampling is off the step path touches none of this — the
+	// steady-state step stays allocation-free and the run is bitwise
+	// identical to an unsampled one. prev is the counter reading the last
+	// sample was taken against.
+	samples  []telemetry.Sample
 	sampling bool
 	prev     [telemetry.NumCounters]int64
 	lastWall int64
@@ -135,13 +136,9 @@ func (r *epochRunner) init() error {
 	r.rec.ObserveParticles(sub.Count())
 
 	if r.cfg.Telemetry {
-		capacity := r.cfg.TelemetryCap
-		if capacity == 0 {
-			capacity = r.cfg.Steps
-		}
-		r.ring = telemetry.NewRing(capacity)
+		r.samples = make([]telemetry.Sample, 0, r.cfg.Steps)
 	}
-	r.sampling = r.ring != nil || r.cfg.Live != nil
+	r.sampling = r.cfg.Telemetry || r.cfg.Live != nil
 	r.interval = r.bal.Interval()
 	r.needs = r.bal.Needs()
 	return nil
@@ -300,7 +297,9 @@ func (r *epochRunner) oneStep(step int) error {
 			}
 		}
 		r.prev = cur
-		r.ring.Append(s)
+		if cfg.Telemetry {
+			r.samples = append(r.samples, s)
+		}
 		cfg.Live.Observe(s)
 	}
 	return nil
@@ -324,7 +323,8 @@ func (r *epochRunner) counters() (v [telemetry.NumCounters]int64) {
 }
 
 // rankReport is everything one rank sends rank 0 when its run ends, in the
-// run's one end-of-run gather. Every slice is the report's own copy.
+// run's one end-of-run gather. No slice aliases state the rank still
+// writes.
 type rankReport struct {
 	// Counters is the rank's final counter reading; MaxParticles its
 	// particle high-water mark.
@@ -334,10 +334,9 @@ type rankReport struct {
 	// zero when the run does not verify.
 	Count int
 	IDSum uint64
-	// Samples and Dropped are the rank's sample ring, and PeerBytes and
-	// PeerMsgs its row of the exchange matrix, when Telemetry is on.
+	// Samples are the rank's per-step samples, and PeerBytes and PeerMsgs
+	// its row of the exchange matrix, when Telemetry is on.
 	Samples             []telemetry.Sample
-	Dropped             int
 	PeerBytes, PeerMsgs []int64
 	// Particles is the rank's final state, under Verify without
 	// DistributedVerify.
@@ -359,9 +358,9 @@ func (r *epochRunner) finalize() (*Result, error) {
 		}
 		rep.Count, rep.IDSum = v.Count, v.IDSum
 	}
-	if r.ring != nil {
+	if cfg.Telemetry {
 		bytes, msgs := r.sub.PeerExchange()
-		rep.Samples, rep.Dropped = r.ring.Samples(), r.ring.Dropped()
+		rep.Samples = r.samples
 		rep.PeerBytes, rep.PeerMsgs = append([]int64(nil), bytes...), append([]int64(nil), msgs...)
 	}
 	if cfg.Verify && !cfg.DistributedVerify {
@@ -398,17 +397,15 @@ func (r *epochRunner) finalize() (*Result, error) {
 		}
 		sort.Slice(res.Particles, func(i, j int) bool { return res.Particles[i].ID < res.Particles[j].ID })
 	}
-	if r.ring != nil {
+	if cfg.Telemetry {
 		samples := make([][]telemetry.Sample, len(all))
 		rows := make([]telemetry.PeerXchg, len(all))
-		dropped := 0
 		for i := range all {
 			samples[i] = all[i].Samples
 			rows[i] = telemetry.PeerXchg{Rank: i, Bytes: all[i].PeerBytes, Msgs: all[i].PeerMsgs}
-			dropped += all[i].Dropped
 		}
 		res.Timeline = telemetry.New(r.e.Name, len(all), cfg.Steps, samples...)
-		res.Timeline.Dropped, res.Timeline.PeerXchg = dropped, rows
+		res.Timeline.PeerXchg = rows
 	}
 	if st := r.e.store; st != nil {
 		stats, events := st.summary()

@@ -39,9 +39,13 @@ func TestFillLocalMatchesStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dists := []dist.Distribution{
-		dist.Geometric{R: 0.9}, dist.Sinusoidal{}, dist.Linear{Alpha: 1, Beta: 1.5},
-		dist.Uniform{}, dist.Patch{X0: 7, X1: 23, Y0: 11, Y1: 19},
+	dists := []struct {
+		name string
+		d    dist.Distribution
+	}{
+		{"geometric(r=0.9)", dist.Geometric{R: 0.9}}, {"sinusoidal", dist.Sinusoidal{}},
+		{"linear(a=1,b=1.5)", dist.Linear{Alpha: 1, Beta: 1.5}}, {"uniform", dist.Uniform{}},
+		{"patch([7,23)x[11,19))", dist.Patch{X0: 7, X1: 23, Y0: 11, Y1: 19}},
 	}
 	rng := rand.New(rand.NewSource(7))
 	type layout struct {
@@ -61,8 +65,8 @@ func TestFillLocalMatchesStream(t *testing.T) {
 		owners := lay.px * lay.py
 		for di, d := range dists {
 			dir := 1 - 2*(di%2)
-			cfg := Config{Mesh: m, N: 3001, K: 1 + di%2, M: 2*di - 3, Dir: dir, Dist: d, Seed: uint64(40 + di)}
-			t.Run(fmt.Sprintf("%s/%s", lay.name, d.Name()), func(t *testing.T) {
+			cfg := Config{Mesh: m, N: 3001, K: 1 + di%2, M: 2*di - 3, Dir: dir, Dist: d.d, Seed: uint64(40 + di)}
+			t.Run(fmt.Sprintf("%s/%s", lay.name, d.name), func(t *testing.T) {
 				all, err := dist.Initialize(cfg.distConfig())
 				if err != nil {
 					t.Fatal(err)

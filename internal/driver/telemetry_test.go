@@ -52,9 +52,6 @@ func TestTimelineRecordedByAllDrivers(t *testing.T) {
 		if len(tl.Samples) != p*cfg.Steps {
 			t.Fatalf("%s: %d samples, want %d", run.name, len(tl.Samples), p*cfg.Steps)
 		}
-		if tl.Dropped != 0 {
-			t.Errorf("%s: dropped %d samples with an uncapped ring", run.name, tl.Dropped)
-		}
 		for i, s := range tl.Samples {
 			step, rank := i/p+1, i%p
 			if s.Step != step || s.Rank != rank {
@@ -144,32 +141,6 @@ func TestTelemetryPreservesResults(t *testing.T) {
 	}
 }
 
-// TestTimelineRingCap asserts a capped ring keeps the most recent steps and
-// accounts the evictions.
-func TestTimelineRingCap(t *testing.T) {
-	cfg := testConfig(t, 16, 1000, 30)
-	cfg.Telemetry = true
-	cfg.TelemetryCap = 10
-	const p = 3
-	res, err := NewBaselineEngine(cfg).Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl := res.Timeline
-	if len(tl.Samples) != p*cfg.TelemetryCap {
-		t.Fatalf("%d samples, want %d", len(tl.Samples), p*cfg.TelemetryCap)
-	}
-	if tl.Dropped != p*(cfg.Steps-cfg.TelemetryCap) {
-		t.Errorf("dropped %d, want %d", tl.Dropped, p*(cfg.Steps-cfg.TelemetryCap))
-	}
-	if first := tl.Samples[0].Step; first != cfg.Steps-cfg.TelemetryCap+1 {
-		t.Errorf("oldest retained step %d, want %d", first, cfg.Steps-cfg.TelemetryCap+1)
-	}
-	if last := tl.Samples[len(tl.Samples)-1].Step; last != cfg.Steps {
-		t.Errorf("newest retained step %d, want %d", last, cfg.Steps)
-	}
-}
-
 // TestTimelinePhaseAccounting sanity-checks the sample deltas: summing
 // every sample's timed rows reproduces the run's cumulative per-rank stats.
 func TestTimelinePhaseAccounting(t *testing.T) {
@@ -204,8 +175,8 @@ func TestTimelinePhaseAccounting(t *testing.T) {
 // whatever a socket delivers — from a report carrying every part: counters,
 // verifier tally, samples, its exchange-matrix row and particles.
 func FuzzDecodeRankReport(f *testing.F) {
-	rep := rankReport{Samples: fuzzSamples(), Dropped: 4, MaxParticles: 900, Count: 2, IDSum: 7,
-		PeerBytes: []int64{0, 4096, 1 << 40}, PeerMsgs: []int64{0, 3, 1},
+	rep := rankReport{Samples: fuzzSamples(), MaxParticles: 900, Count: 2, IDSum: 7,
+		PeerBytes: []int64{0, 4096, 1 << 40, 12}, PeerMsgs: []int64{0, 3, 1, 2},
 		Particles: []particle.Particle{
 			{ID: 3, X: 0.5, Y: 1.5, VY: 1, Q: -0.35, X0: 0.5, Y0: 0.5, K: 0, M: 1, Dir: 1},
 			{ID: 4, X: 7.5, Y: 2.5, VX: -6, VY: -1, Q: 1.05, X0: 6.5, Y0: 3.5, K: 1, M: -1, Dir: -1, Born: 3},
@@ -216,10 +187,11 @@ func FuzzDecodeRankReport(f *testing.F) {
 	fuzzRankReport(f, rep)
 }
 
-// FuzzDecodeTimeline is FuzzDecodeRankReport from the report a telemetry
-// run adds a timeline to: samples and a dropped count, the rest zero.
+// FuzzDecodeTimeline is FuzzDecodeRankReport from the part of the report
+// a telemetry run adds: samples and the rank's exchange-matrix row, the
+// rest zero.
 func FuzzDecodeTimeline(f *testing.F) {
-	fuzzRankReport(f, rankReport{Samples: fuzzSamples(), Dropped: 4})
+	fuzzRankReport(f, rankReport{Samples: fuzzSamples(), PeerBytes: []int64{0, 4096}, PeerMsgs: []int64{0, 3}})
 }
 
 // fuzzSamples is three steps of one rank's samples, one with a decision.

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/parres/picprk/internal/ampi"
@@ -119,13 +120,16 @@ func TestTwoPhaseCostsButDoesNotHelpOnYUniformWorkload(t *testing.T) {
 func BenchmarkAblationLBStrategies(b *testing.B) {
 	mach := Edison()
 	mk := func() *Workload { return workload(b, 1498, 600000, 0.999, nil) }
-	strategies := []ampi.Strategy{ampi.GreedyLB{}, ampi.RefineLB{}, &ampi.HintedGreedyLB{}}
+	strategies := []struct {
+		name string
+		s    ampi.Strategy
+	}{{"GreedyLB", ampi.GreedyLB{}}, {"RefineLB", ampi.RefineLB{}}, {"HintedGreedyLB", &ampi.HintedGreedyLB{}}}
 	for i := 0; i < b.N; i++ {
-		for _, s := range strategies {
-			o := SimulateAMPI(mach, mk(), 96, 1500, AMPIModelParams{Overdecompose: 8, Every: 160, Strategy: s})
+		for _, st := range strategies {
+			o := SimulateAMPI(mach, mk(), 96, 1500, AMPIModelParams{Overdecompose: 8, Every: 160, Strategy: st.s})
 			if i == 0 {
 				b.Logf("%-16s %7.2fs (compute %.2f, comm %.2f, lb %.2f, migrations %d)",
-					s.Name(), o.Seconds, o.ComputeSeconds, o.CommSeconds, o.LBSeconds, o.Migrations)
+					st.name, o.Seconds, o.ComputeSeconds, o.CommSeconds, o.LBSeconds, o.Migrations)
 			}
 		}
 	}
@@ -186,5 +190,33 @@ func BenchmarkAblationOverdecomposition(b *testing.B) {
 					d, o.Seconds, o.ComputeSeconds, o.CommSeconds, o.MaxFinalLoad, o.IdealLoad)
 			}
 		}
+	}
+}
+
+// TestSimulateAMPIDefaultsToGreedyLB pins where the model's default strategy
+// lives: AMPIModelParams without a Strategy decides exactly as GreedyLB.
+func TestSimulateAMPIDefaultsToGreedyLB(t *testing.T) {
+	m := Edison()
+	run := func(s ampi.Strategy) []string {
+		_, log := SimulateAMPITraced(m, workload(t, 128, 200000, 0.97, nil), 16, 200, AMPIModelParams{Overdecompose: 4, Every: 20, Strategy: s})
+		return log
+	}
+	got, want := run(nil), run(ampi.GreedyLB{})
+	if len(want) == 0 {
+		t.Fatal("GreedyLB never moved a VP; the comparison would be vacuous")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("nil strategy logged\n%v\nGreedyLB logged\n%v", got, want)
+	}
+}
+
+// TestSimulateAMPILeavesStrategyUnchanged checks that the model hints a
+// topology-aware strategy in a copy, as the driver does: the caller's value
+// stays unhinted.
+func TestSimulateAMPILeavesStrategyUnchanged(t *testing.T) {
+	h := &ampi.HintedGreedyLB{}
+	SimulateAMPI(Edison(), workload(t, 128, 200000, 0.97, nil), 16, 50, AMPIModelParams{Overdecompose: 4, Every: 20, Strategy: h})
+	if !reflect.DeepEqual(h, &ampi.HintedGreedyLB{}) {
+		t.Errorf("SimulateAMPI wrote into the caller's strategy: %+v", h)
 	}
 }

@@ -251,13 +251,14 @@ func SimulateAMPI(m Machine, w *Workload, p, steps int, params AMPIModelParams) 
 }
 
 // SimulateAMPITraced is SimulateAMPI returning, alongside the outcome, the
-// balancing history of the policy — the same balance.AMPIBalancer the real
-// driver runs, fed analytic per-VP loads.
+// balancing history of the policy — the same balance.StrategyBalancer the
+// real driver runs, fed analytic per-VP loads. A topology-aware strategy is
+// hinted in a copy; params.Strategy is unchanged.
 func SimulateAMPITraced(m Machine, w *Workload, p, steps int, params AMPIModelParams) (Outcome, []string) {
-	if params.Strategy == nil {
-		params.Strategy = ampi.GreedyLB{}
+	strategy := params.Strategy
+	if strategy == nil {
+		strategy = ampi.GreedyLB{}
 	}
-	bal := balance.NewAMPIBalancer(params.Strategy, params.Every)
 	px, py := comm.Dims2D(p)
 	dx, dy := comm.Dims2D(params.Overdecompose)
 	vx, vy := px*dx, py*dy
@@ -266,9 +267,10 @@ func SimulateAMPITraced(m Machine, w *Workload, p, steps int, params AMPIModelPa
 		vx = w.L
 	}
 	vxb := decomp.MustUniformBounds(w.L, vx)
-	if ta, ok := params.Strategy.(ampi.TopologyAware); ok {
-		ta.SetTopology(ampi.GridNeighbors(vx, vy), m.CoresPerNode)
+	if ta, ok := strategy.(ampi.TopologyAware); ok {
+		strategy = ta.WithTopology(ampi.GridNeighbors(vx, vy), m.CoresPerNode)
 	}
+	bal := balance.NewStrategyBalancer(strategy, params.Every)
 	place, err := ampi.BlockPlacement(vx, vy, px, py)
 	if err != nil {
 		// vx was clamped; fall back to a contiguous striping that is still

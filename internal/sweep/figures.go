@@ -234,8 +234,8 @@ func Fig7(mach model.Machine, s Scale) *Figure {
 // as future work, run on the model: the VP substrate driven by GreedyLB
 // (Charm++'s classic full reassignment), RefineLB (the paper's choice) and
 // WorkStealLB (demand-driven stealing) across LB intervals F. The same
-// ampi.Strategy code runs in the real WorkSteal driver via
-// balance.WorkStealBalancer, so this figure rates the policies the drivers
+// ampi.Strategy code runs in the real VP drivers via
+// balance.StrategyBalancer, so this figure rates the policies the drivers
 // actually execute.
 func FigWorkSteal(mach model.Machine, s Scale) *Figure {
 	L := scaled(s, 5998, 1498)

@@ -48,7 +48,6 @@ func TestJSONLGolden(t *testing.T) {
 
 func TestJSONLRoundTrip(t *testing.T) {
 	tl := fixtureTimeline()
-	tl.Dropped = 4
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, tl); err != nil {
 		t.Fatal(err)

@@ -14,11 +14,10 @@ const Schema = "picprk/timeline/v8"
 
 // metaJSON is the first line of a timeline file.
 type metaJSON struct {
-	Schema  string `json:"schema"`
-	Impl    string `json:"impl"`
-	Ranks   int    `json:"ranks"`
-	Steps   int    `json:"steps"`
-	Dropped int    `json:"dropped,omitempty"`
+	Schema string `json:"schema"`
+	Impl   string `json:"impl"`
+	Ranks  int    `json:"ranks"`
+	Steps  int    `json:"steps"`
 }
 
 // sampleJSON is one sample line. Every row of the counter table, the phase
@@ -135,7 +134,7 @@ func UnmarshalSample(b []byte) (Sample, error) {
 func WriteJSONL(w io.Writer, tl *Timeline) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	meta := metaJSON{Schema: Schema, Impl: tl.Name, Ranks: tl.P, Steps: tl.Steps, Dropped: tl.Dropped}
+	meta := metaJSON{Schema: Schema, Impl: tl.Name, Ranks: tl.P, Steps: tl.Steps}
 	if err := enc.Encode(meta); err != nil {
 		return err
 	}
@@ -177,7 +176,7 @@ func ReadJSONL(r io.Reader) (*Timeline, error) {
 	if meta.Schema != Schema {
 		return nil, fmt.Errorf("telemetry: schema %q, this reader understands %q", meta.Schema, Schema)
 	}
-	tl := &Timeline{Name: meta.Impl, P: meta.Ranks, Steps: meta.Steps, Dropped: meta.Dropped}
+	tl := &Timeline{Name: meta.Impl, P: meta.Ranks, Steps: meta.Steps}
 	for line := 2; sc.Scan(); line++ {
 		if len(sc.Bytes()) == 0 {
 			continue

@@ -15,9 +15,10 @@
 //     pprof) backed by the lock-free Live aggregate,
 //   - the analysis helpers cmd/picstat builds its report from.
 //
-// Everything on the recording side is nil-safe and allocation-free: a nil
-// *Ring or *Live accepts samples as no-ops, so the engine's steady-state
-// step stays off the allocator when telemetry is disabled.
+// Everything on the recording side is allocation-free: a nil *Live accepts
+// samples as a no-op, and the engine appends each rank's samples to a slice
+// sized to the step count, so the steady-state step stays off the
+// allocator.
 package telemetry
 
 import "sort"
@@ -51,71 +52,6 @@ type Sample struct {
 	Decision string
 }
 
-// Ring is a fixed-capacity per-rank sample store that keeps the most recent
-// samples once full. Each rank owns one; it is not safe for concurrent use.
-// A nil *Ring ignores appends and reports no samples.
-type Ring struct {
-	buf []Sample
-	n   int // total samples ever appended
-}
-
-// NewRing returns a ring holding at most capacity samples. Capacity must be
-// positive; size it to the step count to keep every sample.
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Sample, 0, capacity)}
-}
-
-// Append records one sample, evicting the oldest if the ring is full. It is
-// allocation-free after the ring reaches capacity, and a no-op on nil.
-func (r *Ring) Append(s Sample) {
-	if r == nil {
-		return
-	}
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, s)
-	} else {
-		r.buf[r.n%len(r.buf)] = s
-	}
-	r.n++
-}
-
-// Len returns the number of samples currently held.
-func (r *Ring) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
-// Dropped returns how many samples were evicted because the ring was full.
-func (r *Ring) Dropped() int {
-	if r == nil {
-		return 0
-	}
-	return r.n - len(r.buf)
-}
-
-// Samples returns the held samples in append order (oldest first), as a
-// fresh slice.
-func (r *Ring) Samples() []Sample {
-	if r == nil || len(r.buf) == 0 {
-		return nil
-	}
-	out := make([]Sample, 0, len(r.buf))
-	if r.n > len(r.buf) {
-		// The ring wrapped: the oldest sample sits at the write cursor.
-		at := r.n % len(r.buf)
-		out = append(out, r.buf[at:]...)
-		out = append(out, r.buf[:at]...)
-	} else {
-		out = append(out, r.buf...)
-	}
-	return out
-}
-
 // Timeline is the merged per-step record of one run: every rank's samples,
 // sorted by (step, rank). Rank 0's Result carries one when the run sampled.
 type Timeline struct {
@@ -123,10 +59,7 @@ type Timeline struct {
 	Name string
 	// P is the rank count; Steps the configured step count.
 	P, Steps int
-	// Dropped counts samples evicted from capped rings across all ranks;
-	// zero means the timeline is complete.
-	Dropped int
-	// Samples holds every retained sample, sorted by (Step, Rank).
+	// Samples holds every sample, sorted by (Step, Rank).
 	Samples []Sample
 	// Events holds the epoch lifecycle events of a checkpointed run, in
 	// occurrence order: commits, rollbacks, re-admissions. Empty when

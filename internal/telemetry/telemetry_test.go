@@ -5,46 +5,9 @@ import (
 	"time"
 )
 
-func TestRingKeepsMostRecent(t *testing.T) {
-	r := NewRing(3)
-	for step := 1; step <= 5; step++ {
-		r.Append(Sample{Step: step})
-	}
-	if r.Len() != 3 {
-		t.Fatalf("len %d, want 3", r.Len())
-	}
-	if r.Dropped() != 2 {
-		t.Errorf("dropped %d, want 2", r.Dropped())
-	}
-	got := r.Samples()
-	for i, want := range []int{3, 4, 5} {
-		if got[i].Step != want {
-			t.Errorf("sample %d is step %d, want %d (oldest-first order after wrap)", i, got[i].Step, want)
-		}
-	}
-}
-
-func TestRingUnderCapacity(t *testing.T) {
-	r := NewRing(10)
-	r.Append(Sample{Step: 1})
-	r.Append(Sample{Step: 2})
-	if r.Dropped() != 0 {
-		t.Errorf("dropped %d, want 0", r.Dropped())
-	}
-	got := r.Samples()
-	if len(got) != 2 || got[0].Step != 1 || got[1].Step != 2 {
-		t.Errorf("samples %+v", got)
-	}
-}
-
 func TestNilSinksAreNoOps(t *testing.T) {
-	var r *Ring
 	var l *Live
-	r.Append(Sample{Step: 1}) // must not panic
-	l.Observe(Sample{Step: 1})
-	if r.Len() != 0 || r.Dropped() != 0 || r.Samples() != nil {
-		t.Error("nil ring reports samples")
-	}
+	l.Observe(Sample{Step: 1}) // must not panic
 }
 
 func TestNewSortsByStepThenRank(t *testing.T) {
@@ -196,11 +159,12 @@ func TestWorstSteps(t *testing.T) {
 
 // TestSamplingDisabledAllocationFree pins the tentpole constraint: the
 // per-step telemetry path must not allocate when telemetry is disabled —
-// nil sinks swallow samples and a sample is the difference of two counter
-// readings, a value copy — so enabling the engine's sampling hooks costs
-// nothing on unsampled runs.
+// no sample is kept, a nil Live swallows it, and a sample is the difference
+// of two counter readings, a value copy — so enabling the engine's sampling
+// hooks costs nothing on unsampled runs.
 func TestSamplingDisabledAllocationFree(t *testing.T) {
-	var ring *Ring
+	const keep = false
+	var samples []Sample
 	var live *Live
 	var prev, cur [NumCounters]int64
 	cur[Compute] = time.Second.Nanoseconds()
@@ -212,7 +176,9 @@ func TestSamplingDisabledAllocationFree(t *testing.T) {
 			s.Counters[c] = cur[c] - prev[c]
 		}
 		prev = cur
-		ring.Append(s)
+		if keep {
+			samples = append(samples, s)
+		}
 		live.Observe(s)
 	}); avg != 0 {
 		t.Errorf("disabled telemetry: %v allocs per step, want 0", avg)
@@ -220,25 +186,26 @@ func TestSamplingDisabledAllocationFree(t *testing.T) {
 }
 
 // TestSamplingEnabledAllocationFree goes further: even with telemetry on,
-// the steady-state step stays off the allocator once the ring reached
-// capacity (Live is atomic stores throughout).
+// the step stays off the allocator, because samples append into a slice
+// sized to the step count up front (Live is atomic stores throughout).
 func TestSamplingEnabledAllocationFree(t *testing.T) {
-	ring := NewRing(8)
+	const runs = 100
+	samples := make([]Sample, 0, runs+1) // AllocsPerRun adds one warm-up call
 	live := NewLive(1)
 	var prev, cur [NumCounters]int64
-	for i := 0; i < 8; i++ {
-		ring.Append(Sample{Step: i})
-	}
-	if avg := testing.AllocsPerRun(100, func() {
+	if avg := testing.AllocsPerRun(runs, func() {
 		cur[Compute] += time.Millisecond.Nanoseconds()
-		s := Sample{Step: 9, Rank: 0}
+		s := Sample{Step: len(samples) + 1, Rank: 0}
 		for c := range NumCounters {
 			s.Counters[c] = cur[c] - prev[c]
 		}
 		prev = cur
-		ring.Append(s)
+		samples = append(samples, s)
 		live.Observe(s)
 	}); avg != 0 {
 		t.Errorf("enabled telemetry: %v allocs per step, want 0", avg)
+	}
+	if len(samples) != runs+1 {
+		t.Errorf("kept %d samples, want %d", len(samples), runs+1)
 	}
 }
