@@ -1,12 +1,15 @@
 // Command picrun executes one PIC PRK simulation with any of the four
 // parallel drivers of paper §IV running on goroutine ranks — or "serial",
 // the engine on one rank with one worker — and reports timing, per-rank
-// statistics, and the self-verification verdict.
+// statistics, and the self-verification verdict. A run writes at most two
+// files: the per-step timeline (-timeline), from which picstat renders the
+// report, the balance log and the Chrome trace, and the final state
+// (-dumpstate) for bitwise comparison.
 //
 // Examples:
 //
 //	picrun -impl serial -L 64 -n 100000 -steps 500
-//	picrun -impl diffusion -p 8 -L 128 -n 200000 -steps 1000 -r 0.95 -every 10
+//	picrun -impl diffusion -p 8 -L 128 -n 200000 -steps 1000 -r 0.95 -every 10 -timeline tl.jsonl
 //	picrun -impl ampi -p 4 -d 8 -F 50 -L 64 -n 50000 -steps 500
 //	picrun -impl worksteal -p 4 -d 8 -F 25 -steal-threshold 0.25
 package main
@@ -29,23 +32,15 @@ import (
 	"github.com/parres/picprk/internal/telemetry"
 )
 
-// obsOpts carries the observability flags to the run reporters.
+// obsOpts carries the run's two output files to the reporter.
 type obsOpts struct {
-	// timeline and chrome are output paths for the JSONL timeline and the
-	// Chrome trace-event export ("" = off).
-	timeline, chrome string
-	// clock picks the Chrome-trace clock: telemetry.ClockBSP (synthetic
-	// step-aligned, deterministic) or telemetry.ClockWall (recorded
-	// offset-corrected wall-clock stamps).
-	clock string
-	// balanceLog dumps the executed balancing decisions after the run.
-	balanceLog bool
+	// timeline is the output path for the JSONL timeline ("" = off);
+	// picstat renders the report, balance log and Chrome trace from it.
+	timeline string
 	// dumpState writes the final particle state (float bits in hex) and the
 	// balance log to this path, for bitwise run-to-run comparison.
 	dumpState string
 }
-
-func (o obsOpts) sampling() bool { return o.timeline != "" || o.chrome != "" }
 
 func main() {
 	var (
@@ -71,10 +66,7 @@ func main() {
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		timeline  = flag.String("timeline", "", "write the per-step telemetry timeline (JSONL) to this file")
-		chrome    = flag.String("chrometrace", "", "write the timeline as Chrome trace-event JSON (chrome://tracing, Perfetto) to this file")
-		clockName = flag.String("clock", telemetry.ClockBSP, "chrome trace clock: bsp (synthetic step-aligned) | wall (offset-corrected wall-clock stamps)")
 		httpAddr  = flag.String("http", "", "serve /metrics, /debug/vars, and /debug/pprof on this address during the run (e.g. :6060)")
-		balLog    = flag.Bool("balancelog", false, "print one line per executed load-balancing decision after the run")
 		transport = flag.String("transport", driver.TransportInproc, "comm substrate: inproc (goroutine ranks) | tcp | unix (one process per rank)")
 		join      = flag.String("join", "", "worker mode: join the rendezvous at this address instead of coordinating a run")
 		listen    = flag.String("listen", "", "coordinator: rendezvous listen address (default: an ephemeral loopback address; set host:port to accept remote -join workers)")
@@ -83,7 +75,6 @@ func main() {
 		ckptEvery = flag.Int("checkpoint-every", 0, "end an epoch every N steps with a distributed checkpoint (0 = off)")
 		recovery  = flag.Bool("recover", false, "survive rank failures: roll back to the last checkpoint, re-admit a replacement -join worker, and resume (needs -checkpoint-every and a wire transport)")
 	)
-	flag.IntVar(p, "ranks", 4, "alias for -p")
 	flag.Parse()
 
 	opts := runOptions{
@@ -123,19 +114,16 @@ func main() {
 		d: *d, interval: *interval, strategy: *strategy, stealTh: *stealTh,
 	}
 
-	obs := obsOpts{timeline: *timeline, chrome: *chrome, clock: *clockName, balanceLog: *balLog, dumpState: *dumpState}
-	if obs.clock != telemetry.ClockBSP && obs.clock != telemetry.ClockWall {
-		fatal(fmt.Errorf("unknown -clock %q (want %s or %s)", obs.clock, telemetry.ClockBSP, telemetry.ClockWall))
-	}
+	obs := obsOpts{timeline: *timeline, dumpState: *dumpState}
 	// Every process — coordinator, in-process run, -join worker — builds the
 	// identical engine from the identical flags. cfg.Telemetry must match on
 	// every rank (the timeline gather is collective), so workers get the
-	// -timeline/-chrometrace flags and record samples; only rank 0 writes.
+	// -timeline flag and record samples; only rank 0 writes.
 	cfg := driver.Config{
 		Mesh: mesh, N: *n, K: *k, M: *mVert,
 		Dist: d0, Seed: *seed, Steps: *steps, Verify: *verify,
 		Workers:         *workers,
-		Telemetry:       obs.sampling(),
+		Telemetry:       *timeline != "",
 		Transport:       *transport,
 		CheckpointEvery: *ckptEvery, Recover: *recovery,
 	}
@@ -253,29 +241,6 @@ func makeEngine(impl string, p int, cfg driver.Config, o implOptions) (*driver.E
 	}
 }
 
-// writeObservability writes the requested timeline exports.
-func writeObservability(tl *telemetry.Timeline, obs obsOpts) {
-	if tl == nil {
-		return
-	}
-	if obs.timeline != "" {
-		if err := writeFileWith(obs.timeline, func(f *os.File) error { return telemetry.WriteJSONL(f, tl) }); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("timeline: wrote %d samples to %s (analyze with picstat)\n", len(tl.Samples), obs.timeline)
-	}
-	if obs.chrome != "" {
-		clock := obs.clock
-		if clock == "" {
-			clock = telemetry.ClockBSP
-		}
-		if err := writeFileWith(obs.chrome, func(f *os.File) error { return telemetry.WriteChromeTraceClock(f, tl, clock) }); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("chrome trace: wrote %s on the %s clock (load in Perfetto or chrome://tracing)\n", obs.chrome, clock)
-	}
-}
-
 func writeFileWith(path string, write func(*os.File) error) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -332,13 +297,12 @@ func reportParallel(res *driver.Result, err error, obs obsOpts) {
 			}
 		}
 	}
-	if obs.balanceLog {
-		fmt.Printf("balance log: %d executed decision(s)\n", len(res.BalanceLog))
-		for _, line := range res.BalanceLog {
-			fmt.Printf("  %s\n", line)
+	if res.Timeline != nil && obs.timeline != "" {
+		if err := writeFileWith(obs.timeline, func(f *os.File) error { return telemetry.WriteJSONL(f, res.Timeline) }); err != nil {
+			fatal(err)
 		}
+		fmt.Printf("timeline: wrote %d samples to %s (analyze with picstat)\n", len(res.Timeline.Samples), obs.timeline)
 	}
-	writeObservability(res.Timeline, obs)
 	if obs.dumpState != "" {
 		if err := writeState(obs.dumpState, res); err != nil {
 			fatal(err)

@@ -30,8 +30,8 @@ func TestValidateOptions(t *testing.T) {
 		mut  func(o *runOptions)
 		want string
 	}{
-		{"zero ranks", func(o *runOptions) { o.ranks = 0 }, "-ranks"},
-		{"negative ranks", func(o *runOptions) { o.ranks = -2 }, "-ranks"},
+		{"zero ranks", func(o *runOptions) { o.ranks = 0 }, "-p must be positive"},
+		{"negative ranks", func(o *runOptions) { o.ranks = -2 }, "-p must be positive"},
 		{"zero steps", func(o *runOptions) { o.steps = 0 }, "-steps"},
 		{"negative steps", func(o *runOptions) { o.steps = -1 }, "-steps"},
 		{"zero particles", func(o *runOptions) { o.n = 0 }, "-n"},
@@ -85,7 +85,7 @@ func TestMultiProcessBitwiseIdentity(t *testing.T) {
 	tcpState := filepath.Join(dir, "tcp.txt")
 	inState := filepath.Join(dir, "inproc.txt")
 	common := []string{
-		"-impl=diffusion", "-ranks=3", "-L=16", "-n=3000", "-steps=30",
+		"-impl=diffusion", "-p=3", "-L=16", "-n=3000", "-steps=30",
 		"-r=0.9", "-every=5", "-seed=7",
 	}
 	out := runPicrun(t, append(common, "-transport=tcp", "-dumpstate="+tcpState)...)
@@ -123,7 +123,7 @@ func TestRecoveryEndToEnd(t *testing.T) {
 	recState := filepath.Join(dir, "recovered.txt")
 	refState := filepath.Join(dir, "reference.txt")
 	common := []string{
-		"-impl=diffusion", "-ranks=3", "-L=16", "-n=3000", "-steps=40",
+		"-impl=diffusion", "-p=3", "-L=16", "-n=3000", "-steps=40",
 		"-r=0.9", "-every=5", "-seed=7",
 	}
 	runPicrun(t, append(common, "-dumpstate="+refState)...)
@@ -171,7 +171,7 @@ func TestMultiProcessLossWithoutRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(exe, "-impl=diffusion", "-ranks=3", "-L=16", "-n=3000", "-steps=30",
+	cmd := exec.Command(exe, "-impl=diffusion", "-p=3", "-L=16", "-n=3000", "-steps=30",
 		"-r=0.9", "-every=5", "-seed=7", "-transport=tcp")
 	cmd.Env = append(os.Environ(), "PICRUN_BE_MAIN=1", "PICRUN_CHAOS_KILL=2:15")
 	out, err := cmd.CombinedOutput()
@@ -197,7 +197,7 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-impl=baseline", "-ranks=0"}, "-ranks"},
+		{[]string{"-impl=baseline", "-p=0"}, "-p must be positive"},
 		{[]string{"-impl=baseline", "-steps=-5"}, "-steps"},
 		{[]string{"-impl=baseline", "-transport=pigeon"}, "-transport"},
 		{[]string{"-impl=baseline", "-workers=-1"}, "-workers"},

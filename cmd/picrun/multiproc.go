@@ -47,7 +47,7 @@ type runOptions struct {
 // before any listener is opened or process forked.
 func validateOptions(o runOptions) error {
 	if o.ranks <= 0 {
-		return fmt.Errorf("-ranks must be positive, got %d", o.ranks)
+		return fmt.Errorf("-p must be positive, got %d", o.ranks)
 	}
 	if o.steps <= 0 {
 		return fmt.Errorf("-steps must be positive, got %d", o.steps)
@@ -107,13 +107,13 @@ func (o runOptions) effectiveSpawn() int {
 // through (rather than a serialized config) keeps workers runnable by hand
 // on other hosts with the exact same invocation.
 func workerArgs(rendezvousAddr string) []string {
-	// Coordinator-only flags are withheld; -timeline/-chrometrace pass
-	// through because cfg.Telemetry must match on every rank (the timeline
-	// gather is collective) — workers record samples, only rank 0 writes.
+	// Coordinator-only flags are withheld; -timeline passes through because
+	// cfg.Telemetry must match on every rank (the timeline gather is
+	// collective) — workers record samples, only rank 0 writes.
 	skip := map[string]bool{
 		"join": true, "listen": true, "spawn": true,
 		"http": true, "cpuprofile": true, "memprofile": true,
-		"balancelog": true, "dumpstate": true, "clock": true,
+		"dumpstate": true,
 	}
 	var args []string
 	flag.Visit(func(f *flag.Flag) {

@@ -1,9 +1,10 @@
 // Command picstat analyzes a per-step telemetry timeline written by
 // `picrun -timeline`: per-phase time totals, how the load imbalance evolved
-// over the run, and the steps that cost the most wall time — the §V-B lens
-// on a run, from a file instead of a live cluster. With -follow it tails a
-// running picrun's /events stream instead, printing one line per sample as
-// it lands.
+// over the run, the balance log of executed decisions, and the steps that
+// cost the most wall time — the §V-B lens on a run, from a file instead of
+// a live cluster. -chrome renders the same timeline as a Chrome trace on
+// either clock. With -follow it tails a running picrun's /events stream
+// instead, printing one line per sample as it lands.
 //
 // Usage:
 //
@@ -38,6 +39,10 @@ func main() {
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: picstat [-top N] [-rows N] [-chrome out.json] [-clock bsp|wall] timeline.jsonl\n       picstat -follow [-retry 1m] host:port")
 		os.Exit(2)
+	}
+
+	if *clock != telemetry.ClockBSP && *clock != telemetry.ClockWall {
+		fatal(fmt.Errorf("unknown -clock %q (want %s or %s)", *clock, telemetry.ClockBSP, telemetry.ClockWall))
 	}
 
 	if *follow {
@@ -122,22 +127,30 @@ func printReport(w io.Writer, tl *telemetry.Timeline, top, rows int) {
 			st.Step, st.Load.Max, st.Load.Mean, st.Load.Imbalance, st.Load.Gini, st.Decision)
 	}
 	first, last := ss[0], ss[len(ss)-1]
-	lo, hi, decisions := first.Load.Imbalance, first.Load.Imbalance, 0
+	lo, hi := first.Load.Imbalance, first.Load.Imbalance
+	var decisions []string
 	for _, st := range ss {
 		lo = min(lo, st.Load.Imbalance)
 		hi = max(hi, st.Load.Imbalance)
 		if st.Decision != "" {
-			decisions++
+			decisions = append(decisions, st.Decision)
 		}
 	}
 	fmt.Fprintf(w, "  imbalance first %.3f, last %.3f, min %.3f, max %.3f; %d balancing decision(s)\n",
-		first.Load.Imbalance, last.Load.Imbalance, lo, hi, decisions)
+		first.Load.Imbalance, last.Load.Imbalance, lo, hi, len(decisions))
 	fmt.Fprintf(w, "  exchanged %d bytes on the wire (framed columnar), migrated %d bytes for balancing\n",
 		tot[telemetry.ExchangeBytes], tot[telemetry.MigratedBytes])
 	if msgsSent, msgsElided := tot[telemetry.MsgsSent], tot[telemetry.MsgsElided]; msgsSent+msgsElided > 0 {
 		share := 100 * float64(msgsElided) / float64(msgsSent+msgsElided)
 		fmt.Fprintf(w, "  exchange messages: %d sent, %d elided by the sparse neighbor schedule (%.0f%% of the full ring)\n",
 			msgsSent, msgsElided, share)
+	}
+
+	// The balance log: every executed decision in step order, the lines
+	// Result.BalanceLog holds and picrun -dumpstate ends with.
+	fmt.Fprintf(w, "\nbalance log: %d executed decision(s)\n", len(decisions))
+	for _, d := range decisions {
+		fmt.Fprintf(w, "  %s\n", d)
 	}
 
 	if len(tl.PeerXchg) > 0 {

@@ -14,8 +14,9 @@ var update = flag.Bool("update", false, "rewrite testdata/report.golden")
 
 // TestReportGolden renders the report for the telemetry package's timeline
 // golden. The timeline fixture exercises every section — phase totals,
-// overlap, a balancing decision, the peer matrix and an epoch event — so a
-// change to how the report reads the timeline shows here as a diff.
+// overlap, a balancing decision and the balance log, the peer matrix and an
+// epoch event — so a change to how the report reads the timeline shows here
+// as a diff.
 func TestReportGolden(t *testing.T) {
 	f, err := os.Open(filepath.Join("..", "..", "internal", "telemetry", "testdata", "timeline.golden.jsonl"))
 	if err != nil {

@@ -101,3 +101,22 @@ func TestClusterClockSyncAndWireReport(t *testing.T) {
 		t.Fatalf("frame counters empty: sent %d recv %d", sent, recv)
 	}
 }
+
+// FuzzDecodePong feeds arbitrary bytes to the clock-sync pong decoder, the
+// payload a node reads off its connection to node 0 during the handshake and
+// on every resync tick: it must never panic, must reject every length but
+// 16, and must return what encodePong wrote.
+func FuzzDecodePong(f *testing.F) {
+	f.Add([]byte{}, int64(0), int64(0))
+	f.Add(make([]byte, 15), int64(1), int64(-1))
+	f.Add(encodePong(123456789, -987654321), int64(123456789), int64(-987654321))
+	f.Add(make([]byte, 17), int64(-1)<<63, int64(1)<<62)
+	f.Fuzz(func(t *testing.T, in []byte, a, b int64) {
+		if t1, t2, ok := decodePong(encodePong(a, b)); !ok || t1 != a || t2 != b {
+			t.Fatalf("encodePong(%d, %d) decodes to (%d, %d, %v)", a, b, t1, t2, ok)
+		}
+		if _, _, ok := decodePong(in); ok != (len(in) == 16) {
+			t.Fatalf("%d-byte payload: ok %v", len(in), ok)
+		}
+	})
+}

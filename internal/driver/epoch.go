@@ -262,7 +262,7 @@ func (r *epochRunner) oneStep(step int) error {
 			bal.Apply(plan)
 			if r.sampling {
 				// Tag the step with the policy's own history line so the
-				// timeline and -balancelog agree verbatim.
+				// timeline and Result.BalanceLog agree verbatim.
 				if h := bal.History(); len(h) > 0 {
 					decision = h[len(h)-1]
 				}

@@ -50,8 +50,9 @@ func NewMesh(L int, q float64) (Mesh, error) {
 	return Mesh{L: L, Q: q}, nil
 }
 
-// MustMesh is NewMesh that panics on error; intended for tests and examples
-// with known-good constants.
+// MustMesh is NewMesh that panics on error, for callers whose L and q are
+// fixed by the program (a verification scenario, a figure, a benchmark
+// workload) rather than read from input: an error there is a bug.
 func MustMesh(L int, q float64) Mesh {
 	m, err := NewMesh(L, q)
 	if err != nil {
