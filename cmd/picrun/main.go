@@ -116,12 +116,13 @@ func main() {
 
 	obs := obsOpts{timeline: *timeline, dumpState: *dumpState}
 	// Every process — coordinator, in-process run, -join worker — builds the
-	// identical engine from the identical flags. cfg.Telemetry must match on
-	// every rank (the timeline gather is collective), so workers get the
-	// -timeline flag and record samples; only rank 0 writes.
+	// identical engine from the identical flags: -timeline and -dumpstate
+	// decide what the collective end-of-run gather carries (samples; the
+	// state, which only a dump gathers), so workers get both; rank 0 writes.
 	cfg := driver.Config{
 		Mesh: mesh, N: *n, K: *k, M: *mVert,
-		Dist: d0, Seed: *seed, Steps: *steps, Verify: *verify,
+		Dist: d0, Seed: *seed, Steps: *steps,
+		Verify: *verify, DistributedVerify: *verify && *dumpState == "",
 		Workers:         *workers,
 		Telemetry:       *timeline != "",
 		Transport:       *transport,
@@ -266,12 +267,16 @@ func reportParallel(res *driver.Result, err error, obs obsOpts) {
 	fmt.Printf("final load: %v\n", stats.Summarize(loads))
 	fmt.Printf("max particles/rank: %d final, %d high-water\n", res.MaxFinalParticles, res.MaxParticlesHighWater())
 	var migrations int
-	var bytes int64
+	var bytes, msgs, elided, xbytes int64
 	for _, s := range res.PerRank {
 		migrations += s.Migrations
 		bytes += s.BytesMigrated
+		msgs += s.MsgsSent
+		elided += s.MsgsElided
+		xbytes += s.BytesExchanged
 	}
 	fmt.Printf("LB activity: %d migrations, %d payload bytes\n", migrations, bytes)
+	fmt.Printf("exchange: %d messages (%d elided), %d bytes framed\n", msgs, elided, xbytes)
 	if rc := res.Recovery; rc != nil {
 		fmt.Printf("epochs: %d commit(s)", rc.Commits)
 		if rc.Rollbacks > 0 {

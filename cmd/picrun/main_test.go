@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -183,6 +187,63 @@ func TestMultiProcessLossWithoutRecover(t *testing.T) {
 	}
 	if strings.Contains(string(out), "rollback") {
 		t.Errorf("run without -recover rolled back:\n%s", out)
+	}
+}
+
+// TestMismatchedJoinWorkerFails: only a run that dumps its state gathers it
+// to rank 0, so a -join worker started by hand without the coordinator's
+// -dumpstate keeps its particles. The coordinator must refuse the partial
+// state — non-zero exit, the refusal named, no dump written — rather than
+// write it.
+func TestMismatchedJoinWorkerFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks a process tree")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump := filepath.Join(t.TempDir(), "state.txt")
+	common := []string{"-impl=baseline", "-p=2", "-L=16", "-n=2000", "-steps=5", "-transport=tcp"}
+	coord := exec.Command(exe, append(common, "-spawn=0", "-listen=127.0.0.1:0", "-dumpstate="+dump)...)
+	coord.Env = append(os.Environ(), "PICRUN_BE_MAIN=1")
+	var out, errOut bytes.Buffer // stdout is read here, stderr by exec's copier
+	coord.Stderr = &errOut
+	stdout, err := coord.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// The coordinator names its rendezvous address before it waits.
+	var addr string
+	sc := bufio.NewScanner(stdout)
+	for addr == "" && sc.Scan() {
+		fmt.Fprintln(&out, sc.Text())
+		if rest, ok := strings.CutPrefix(sc.Text(), "rendezvous: tcp "); ok {
+			addr, _, _ = strings.Cut(rest, " ")
+		}
+	}
+	if addr == "" {
+		coord.Process.Kill()
+		coord.Wait()
+		t.Fatalf("coordinator named no rendezvous address:\n%s%s", out.String(), errOut.String())
+	}
+	worker := exec.Command(exe, append(common, "-join="+addr)...)
+	worker.Env = append(os.Environ(), "PICRUN_BE_MAIN=1")
+	wout, _ := worker.CombinedOutput()
+	io.Copy(&out, stdout)
+	err = coord.Wait()
+	out.Write(errOut.Bytes())
+	if err == nil {
+		t.Fatalf("coordinator accepted a partial state:\n%s\nworker:\n%s", out.String(), wout)
+	}
+	if !strings.Contains(out.String(), "every rank must run the same Config") {
+		t.Errorf("coordinator output does not name the refusal:\n%s", out.String())
+	}
+	if _, err := os.Stat(dump); err == nil {
+		t.Error("coordinator wrote a state dump from a partial state")
 	}
 }
 

@@ -107,13 +107,13 @@ func (o runOptions) effectiveSpawn() int {
 // through (rather than a serialized config) keeps workers runnable by hand
 // on other hosts with the exact same invocation.
 func workerArgs(rendezvousAddr string) []string {
-	// Coordinator-only flags are withheld; -timeline passes through because
-	// cfg.Telemetry must match on every rank (the timeline gather is
-	// collective) — workers record samples, only rank 0 writes.
+	// Coordinator-only flags are withheld; -timeline and -dumpstate pass
+	// through because cfg.Telemetry and cfg.DistributedVerify must match on
+	// every rank (both decide what the end-of-run gather carries) — workers
+	// record samples and send their particles, only rank 0 writes.
 	skip := map[string]bool{
 		"join": true, "listen": true, "spawn": true,
 		"http": true, "cpuprofile": true, "memprofile": true,
-		"dumpstate": true,
 	}
 	var args []string
 	flag.Visit(func(f *flag.Flag) {

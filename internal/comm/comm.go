@@ -127,9 +127,6 @@ func (w *World) Size() int { return w.size }
 // LocalRanks returns the world ranks hosted by this process.
 func (w *World) LocalRanks() []int { return w.local }
 
-// Wired reports whether the world's transport serializes payloads.
-func (w *World) Wired() bool { return w.tr.Wired() }
-
 // Incoming implements Handler: the transport delivers a matched message to
 // a locally-hosted rank's mailbox.
 func (w *World) Incoming(dst int, m Message) {
@@ -279,11 +276,6 @@ type Comm struct {
 	xchgMask   []bool
 	xchgFence  int
 	xchgSparse bool
-	// xchgSent counts messages actually posted by ExchangePtrStart on this
-	// communicator; xchgElided counts the nil sends the sparse schedule
-	// skipped (full ring would have sent P-1 per call).
-	xchgSent   int64
-	xchgElided int64
 	chaos      *rand.Rand
 	// chaosTail[dst] is closed once the last chaos-delayed send to dst has
 	// been delivered; the next one waits on it, keeping send order.
@@ -297,14 +289,10 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return c.world.size }
 
 // OnWire reports whether this communicator's messages are serialized onto a
-// byte stream. Substrates use it to decide between measured and estimated
-// exchange byte accounting, and tests use it to skip in-process-only
-// invariants (zero-alloc pins, pointer-identity checks).
+// byte stream. Substrates use it to recycle the shards a wire decoded for
+// them, and tests use it to skip in-process-only invariants (zero-alloc
+// pins, pointer-identity checks).
 func (c *Comm) OnWire() bool { return c.world.tr.Wired() }
-
-// TransportBytes returns the cumulative framed bytes the transport shipped
-// on behalf of this rank (0 in-process, where nothing is serialized).
-func (c *Comm) TransportBytes() int64 { return c.world.tr.SentBytes(c.rank) }
 
 // WallClockNS returns the current wall-clock time in nanoseconds on the
 // world's common timeline: rank 0's clock. On a transport that estimates

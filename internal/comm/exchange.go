@@ -23,9 +23,10 @@ const tagXchgBase = -5000000
 const xchgFenceCalls = 2
 
 // ExchangePtr sends send[i] to rank i and fills recv[j] with the pointer
-// received from rank j. Both slices must have length Size(). A nil pointer
-// is a valid payload ("nothing for you") and is delivered like any other;
-// recv[rank] is set to send[rank] locally.
+// received from rank j, and returns the number of messages it posted. Both
+// slices must have length Size(). A nil pointer is a valid payload
+// ("nothing for you") and is delivered like any other; recv[rank] is set to
+// send[rank] locally.
 //
 // Schedule. By default the schedule is the full ring: every rank sends to
 // every other rank each call, nil payloads included. When a neighbor
@@ -35,7 +36,8 @@ const xchgFenceCalls = 2
 // non-nil payload for a rank outside the schedule is a routing bug, not a
 // message to drop), and recv[j] is nil for every non-neighbor j. The result
 // visible to the caller is bitwise identical to the full ring; only the
-// message count changes, from P-1 per rank to |neighbors| per rank.
+// message count changes, from P-1 per rank to |neighbors| per rank, and the
+// P-1-|neighbors| messages the ring would have sent are elided.
 //
 // Double-buffering contract: ownership of *send[i] passes to the receiver
 // until the caller's NEXT ExchangePtr call on this communicator completes.
@@ -64,9 +66,10 @@ const xchgFenceCalls = 2
 // and compute while the messages are in flight; the double-buffering
 // contract is unchanged because it is defined in terms of the caller's next
 // *completed* exchange.
-func ExchangePtr[T any](c *Comm, send, recv []*T) {
-	ExchangePtrStart(c, send)
+func ExchangePtr[T any](c *Comm, send, recv []*T) int {
+	n := ExchangePtrStart(c, send)
 	ExchangePtrFinish(c, send, recv)
+	return n
 }
 
 // SetExchangeNeighbors installs a sparse exchange schedule on this
@@ -91,9 +94,15 @@ func ExchangePtr[T any](c *Comm, send, recv []*T) {
 // call k+2 on, only payloads staged under the new schedule are in flight
 // and the sparse argument on ExchangePtr applies. On a communicator with no
 // completed exchange yet (fresh world, or restore into a fresh world) there
-// are no outstanding pointers and the schedule takes effect immediately.
-func (c *Comm) SetExchangeNeighbors(peers []int) {
+// are no outstanding pointers, and the schedule takes effect after fence
+// (0 to 2) full-ring exchanges: a restored rank passes what it owed when
+// checkpointed, so it posts what the uninterrupted run did. It returns the
+// number of full-ring exchanges now owed.
+func (c *Comm) SetExchangeNeighbors(peers []int, fence int) int {
 	p := c.Size()
+	if fence < 0 || fence > xchgFenceCalls {
+		panic(fmt.Sprintf("comm: exchange fence %d out of range [0,%d]", fence, xchgFenceCalls))
+	}
 	for i, r := range peers {
 		if r < 0 || r >= p {
 			panic(fmt.Sprintf("comm: exchange neighbor %d out of range [0,%d)", r, p))
@@ -121,25 +130,20 @@ func (c *Comm) SetExchangeNeighbors(peers []int) {
 	}
 	c.xchgMask = mask
 	c.xchgNbrs = true
+	c.xchgFence = fence
 	if c.xchgSeq > 0 {
 		c.xchgFence = xchgFenceCalls
 	}
-}
-
-// ExchangeMsgStats returns cumulative ExchangePtr message accounting for
-// this communicator: messages actually sent, and messages the sparse
-// schedule elided relative to the full ring (nil sends never posted).
-func (c *Comm) ExchangeMsgStats() (sent, elided int64) {
-	return c.xchgSent, c.xchgElided
+	return c.xchgFence
 }
 
 // ExchangePtrStart initiates an exchange: it posts the send to every rank
-// in the active schedule (Send is asynchronous, so Start never blocks) and
-// marks the exchange open. Exactly one ExchangePtrFinish must follow on
-// this communicator before any other exchange starts; the payloads handed
-// over — including send itself — must not be mutated until that Finish
-// returns.
-func ExchangePtrStart[T any](c *Comm, send []*T) {
+// in the active schedule (Send is asynchronous, so Start never blocks),
+// marks the exchange open and returns the number of messages posted.
+// Exactly one ExchangePtrFinish must follow on this communicator before any
+// other exchange starts; the payloads handed over — including send itself —
+// must not be mutated until that Finish returns.
+func ExchangePtrStart[T any](c *Comm, send []*T) int {
 	p := c.Size()
 	if len(send) != p {
 		panic("comm: ExchangePtr send length must equal communicator size")
@@ -159,8 +163,7 @@ func ExchangePtrStart[T any](c *Comm, send []*T) {
 		for i := 1; i < p; i++ {
 			c.Send((c.rank+i)%p, c.xchgTag, send[(c.rank+i)%p])
 		}
-		c.xchgSent += int64(p - 1)
-		return
+		return p - 1
 	}
 	for dst := 0; dst < p; dst++ {
 		if send[dst] != nil && dst != c.rank && !c.xchgMask[dst] {
@@ -171,8 +174,7 @@ func ExchangePtrStart[T any](c *Comm, send []*T) {
 	for _, dst := range c.xchgPeers {
 		c.Send(dst, c.xchgTag, send[dst])
 	}
-	c.xchgSent += int64(len(c.xchgPeers))
-	c.xchgElided += int64(p - 1 - len(c.xchgPeers))
+	return len(c.xchgPeers)
 }
 
 // ExchangePtrFinish completes the exchange opened by ExchangePtrStart:

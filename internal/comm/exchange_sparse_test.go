@@ -40,13 +40,14 @@ func TestExchangePtrSparseSchedule(t *testing.T) {
 	w := NewWorld(p)
 	err := w.Run(func(c *Comm) error {
 		peers := ringPeers(c.Rank(), p)
-		c.SetExchangeNeighbors(peers)
+		c.SetExchangeNeighbors(peers, 0)
 		var gens [2][]int
 		for g := range gens {
 			gens[g] = make([]int, p)
 		}
 		send := make([]*int, p)
 		recv := make([]*int, p)
+		sent := 0
 		for round := 0; round < rounds; round++ {
 			buf := gens[round%2]
 			for i := range send {
@@ -56,7 +57,7 @@ func TestExchangePtrSparseSchedule(t *testing.T) {
 				buf[dst] = round*100 + c.Rank()*10 + dst
 				send[dst] = &buf[dst]
 			}
-			ExchangePtr(c, send, recv)
+			sent += ExchangePtr(c, send, recv)
 			for src := 0; src < p; src++ {
 				if src == c.Rank() {
 					continue
@@ -79,12 +80,11 @@ func TestExchangePtrSparseSchedule(t *testing.T) {
 				}
 			}
 		}
-		sent, elided := c.ExchangeMsgStats()
-		if want := int64(rounds * len(peers)); sent != want {
+		if want := rounds * len(peers); sent != want {
 			return fmt.Errorf("rank %d: sent %d messages, want %d", c.Rank(), sent, want)
 		}
-		if want := int64(rounds * (p - 1 - len(peers))); elided != want {
-			return fmt.Errorf("rank %d: elided %d messages, want %d", c.Rank(), elided, want)
+		if want := rounds * (p - 1 - len(peers)); rounds*(p-1)-sent != want {
+			return fmt.Errorf("rank %d: elided %d messages, want %d", c.Rank(), rounds*(p-1)-sent, want)
 		}
 		return nil
 	})
@@ -108,13 +108,15 @@ func TestExchangePtrScheduleFence(t *testing.T) {
 		for g := range gens {
 			gens[g] = make([]int, p)
 		}
+		sent, calls := 0, 0
 		full := func(round int) error {
 			vals := gens[round%2]
 			for dst := 0; dst < p; dst++ {
 				vals[dst] = round*100 + c.Rank()*10 + dst
 				send[dst] = &vals[dst]
 			}
-			ExchangePtr(c, send, recv)
+			sent += ExchangePtr(c, send, recv)
+			calls++
 			for src := 0; src < p; src++ {
 				if src == c.Rank() {
 					continue
@@ -129,15 +131,14 @@ func TestExchangePtrScheduleFence(t *testing.T) {
 		if err := full(0); err != nil { // schedule-free warmup call
 			return err
 		}
-		c.SetExchangeNeighbors(ringPeers(c.Rank(), p))
+		c.SetExchangeNeighbors(ringPeers(c.Rank(), p), 0)
 		// Fence calls 1 and 2: all-to-all payloads must still deliver.
 		for round := 1; round <= 2; round++ {
 			if err := full(round); err != nil {
 				return err
 			}
 		}
-		sent, elided := c.ExchangeMsgStats()
-		if sent != int64(3*(p-1)) || elided != 0 {
+		if elided := calls*(p-1) - sent; sent != 3*(p-1) || elided != 0 {
 			return fmt.Errorf("rank %d: during fence sent=%d elided=%d, want %d/0", c.Rank(), sent, elided, 3*(p-1))
 		}
 		// Call 3: the sparse schedule is active; a non-neighbor payload is
@@ -151,24 +152,62 @@ func TestExchangePtrScheduleFence(t *testing.T) {
 			vals[dst] = 300 + c.Rank()*10 + dst
 			send[dst] = &vals[dst]
 		}
-		ExchangePtr(c, send, recv)
+		sent += ExchangePtr(c, send, recv)
+		calls++
 		for _, src := range peers {
 			want := 300 + src*10 + c.Rank()
 			if recv[src] == nil || *recv[src] != want {
 				return fmt.Errorf("post-fence rank %d: from %d got %v, want %d", c.Rank(), src, recv[src], want)
 			}
 		}
-		sent, elided = c.ExchangeMsgStats()
-		if want := int64(3*(p-1) + len(peers)); sent != want {
+		if want := 3*(p-1) + len(peers); sent != want {
 			return fmt.Errorf("rank %d: sent=%d, want %d", c.Rank(), sent, want)
 		}
-		if want := int64(p - 1 - len(peers)); elided != want {
-			return fmt.Errorf("rank %d: elided=%d, want %d", c.Rank(), elided, want)
+		if want := p - 1 - len(peers); calls*(p-1)-sent != want {
+			return fmt.Errorf("rank %d: elided=%d, want %d", c.Rank(), calls*(p-1)-sent, want)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExchangePtrRestoredFence pins the fence a fresh communicator is
+// asked for — what a rank restored from a checkpoint passes: the first
+// fence calls run the full ring, the next the sparse schedule, and the call
+// returns the fence it armed. One the communicator could never owe panics.
+func TestExchangePtrRestoredFence(t *testing.T) {
+	const p = 4
+	for fence := 0; fence <= 2; fence++ {
+		err := NewWorld(p).Run(func(c *Comm) error {
+			peers := ringPeers(c.Rank(), p)
+			if got := c.SetExchangeNeighbors(peers, fence); got != fence {
+				return fmt.Errorf("fresh communicator armed fence %d, asked for %d", got, fence)
+			}
+			send := make([]*int, p)
+			recv := make([]*int, p)
+			for call := 0; call < 3; call++ {
+				want := len(peers)
+				if call < fence {
+					want = p - 1
+				}
+				if got := ExchangePtr(c, send, recv); got != want {
+					return fmt.Errorf("fence %d call %d posted %d messages, want %d", fence, call, got, want)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := NewWorld(2).Run(func(c *Comm) error {
+		c.SetExchangeNeighbors([]int{1 - c.Rank()}, 3)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "fence 3 out of range") {
+		t.Fatalf("want a fence-range panic, got %v", err)
 	}
 }
 
@@ -179,7 +218,7 @@ func TestExchangePtrSparseNonNeighborPanics(t *testing.T) {
 	const p = 4
 	w := NewWorld(p)
 	err := w.Run(func(c *Comm) error {
-		c.SetExchangeNeighbors(ringPeers(c.Rank(), p))
+		c.SetExchangeNeighbors(ringPeers(c.Rank(), p), 0)
 		send := make([]*int, p)
 		recv := make([]*int, p)
 		if c.Rank() == 0 {
@@ -206,7 +245,7 @@ func TestExchangePtrSparseChaosBufferReuse(t *testing.T) {
 	w := NewWorld(p, Options{ChaosDelay: 2 * time.Millisecond, ChaosSeed: 17})
 	err := w.Run(func(c *Comm) error {
 		peers := ringPeers(c.Rank(), p)
-		c.SetExchangeNeighbors(peers)
+		c.SetExchangeNeighbors(peers, 0)
 		var gens [2][]int
 		for g := range gens {
 			gens[g] = make([]int, p)
@@ -219,7 +258,7 @@ func TestExchangePtrSparseChaosBufferReuse(t *testing.T) {
 				// Rebalance mid-run: reinstall the same schedule, as a
 				// substrate's topology rebuild does — the next two calls
 				// fence as full rings.
-				c.SetExchangeNeighbors(peers)
+				c.SetExchangeNeighbors(peers, 0)
 			}
 			sparse = round < 15 || round >= 17
 			buf := gens[round%2]
@@ -293,7 +332,7 @@ func TestSetExchangeNeighborsValidation(t *testing.T) {
 		w := NewWorld(3)
 		err := w.Run(func(c *Comm) error {
 			if c.Rank() == 0 {
-				c.SetExchangeNeighbors(tc.peers)
+				c.SetExchangeNeighbors(tc.peers, 0)
 			}
 			return nil
 		})

@@ -57,12 +57,9 @@ type Transport interface {
 	// MPI_Isend with an unbounded buffer.
 	Ship(dst int, m Message)
 	// Wired reports whether payloads are serialized onto a byte stream
-	// (true for socket transports, false in-process). Telemetry uses it
-	// to choose between measured and estimated exchange byte counts.
+	// (true for socket transports, false in-process): a payload that
+	// crossed one is the receiver's own decoded copy, not the sender's.
 	Wired() bool
-	// SentBytes returns the cumulative framed bytes shipped on behalf of
-	// world rank src, 0 for transports that do not serialize.
-	SentBytes(src int) int64
 	// Abort asks the transport to propagate an abort to every other
 	// process of the world (a no-op in-process, where all ranks share
 	// the World's abort flag).
@@ -111,6 +108,5 @@ func (t *inproc) LocalRanks() []int         { return t.local }
 func (t *inproc) Start(h Handler)           { t.h = h }
 func (t *inproc) Ship(dst int, m Message)   { t.h.Incoming(dst, m) }
 func (t *inproc) Wired() bool               { return false }
-func (t *inproc) SentBytes(src int) int64   { return 0 }
 func (t *inproc) Abort(err error)           {}
 func (t *inproc) Finish(aborted bool) error { return nil }

@@ -188,7 +188,7 @@ func TestExchangeBorrowEndsAtFence(t *testing.T) {
 						peers = append(peers, r)
 					}
 				}
-				c.SetExchangeNeighbors(peers)
+				c.SetExchangeNeighbors(peers, 0)
 				salt := func(call, src, dst int) float64 { return float64(1 + call*100 + src*10 + dst) }
 				var gens [2][]*core.SoA
 				for g := range gens {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/parres/picprk/internal/comm"
@@ -39,7 +38,6 @@ type Node struct {
 	ln    net.Listener
 	peers []*peer // write side per rank; peers[index] is the self-dial
 	conns []net.Conn
-	sent  atomic.Int64 // framed bytes shipped
 
 	hsTimeout time.Duration // handshake/mesh deadline (JoinOptions.Timeout)
 
@@ -90,14 +88,6 @@ func (n *Node) LocalRanks() []int { return []int{n.index} }
 // Wired implements comm.Transport: payloads are serialized.
 func (n *Node) Wired() bool { return true }
 
-// SentBytes implements comm.Transport.
-func (n *Node) SentBytes(src int) int64 {
-	if src != n.index {
-		return 0
-	}
-	return n.sent.Load()
-}
-
 // Start implements comm.Transport: readers hold delivery until the world's
 // handler is registered. Nodes other than 0 also start the clock-resync
 // loop here, once a handler exists to own the world's lifetime.
@@ -146,7 +136,6 @@ func (n *Node) Ship(dst int, m comm.Message) {
 	}
 	f := frame{typ: frameData, kind: kind, src: uint32(m.Src), tag: int64(m.Tag), sendNS: n.WallClockNS()}
 	f.putHeader(segs[0], size-headerBytes)
-	n.sent.Add(int64(size))
 	n.peers[dst].enqueueFrame(segs, g)
 }
 

@@ -98,9 +98,6 @@ func collectiveWorkout(c *comm.Comm) error {
 		}
 	}
 
-	if c.TransportBytes() == 0 {
-		return errors.New("wire world shipped 0 transport bytes")
-	}
 	return nil
 }
 
@@ -158,9 +155,6 @@ func chaosWorkout(c *comm.Comm) error {
 		}
 	}
 
-	if c.TransportBytes() == 0 {
-		return errors.New("wire world shipped 0 transport bytes")
-	}
 	return nil
 }
 

@@ -30,12 +30,8 @@ func (s *SoA) AppendFrom(src *SoA, i int) {
 // overwrites, and returns the old length. A column whose capacity falls
 // short is reallocated once (extended): asked for more than append would
 // have grown it to — a cold shard — it gets what is needed and no more,
-// instead of climbing the growth chain to it one particle at a time (~5× the
-// final bytes for a 100k-particle shard); asked for less, it amortises as
-// append always did. Two simpler policies measured worse on skew_ampi's
-// alloc_mb_per_run, where per-VP shards set a new high-water mark every few
-// steps: sizing to exactly what is needed +7%, max(needed, cap+cap/4) +0.15%
-// (it lacks the doubling of small slices).
+// instead of climbing the growth chain to it one particle at a time; asked
+// for less, it amortises as append always did.
 func (s *SoA) extend(n int) int {
 	at := s.Len()
 	s.Resize(at + n)

@@ -24,8 +24,8 @@ import (
 // an unrelated buffer) with a clear error instead of silent corruption. The
 // trailing digit is the format version (testdata/checkpoint_*.golden).
 const (
-	blockCheckpointMagic uint64 = 0x50494350524b4232 // "PICPRKB2"
-	vpCheckpointMagic    uint64 = 0x50494350524b5632 // "PICPRKV2"
+	blockCheckpointMagic uint64 = 0x50494350524b4233 // "PICPRKB3"
+	vpCheckpointMagic    uint64 = 0x50494350524b5633 // "PICPRKV3"
 )
 
 // pupIntSlice serializes a length-prefixed []int whose length is checked at 8
@@ -40,7 +40,7 @@ func pupIntSlice(p *pup.PUPer, v *[]int) {
 
 // PUP implements pup.PUPable: the block substrate's dynamic state is the
 // cut arrays (the decomposition the balancer has evolved), the local SoA
-// particle container, and the migration/exchange accounting. Unpacking
+// particle container, the migration accounting and the exchange ledger. Unpacking
 // reinstalls the cuts — rebuilding the mesh block, owner table and
 // frontier, and zeroing the ownership prefix — before the restored particles are
 // trusted.
@@ -77,7 +77,7 @@ func (s *blockSubstrate) PUP(p *pup.PUPer) {
 	core.PUPColumns(p, s.soa)
 	p.Int(&s.migrations)
 	pupInt64(p, &s.bytes)
-	pupInt64(p, &s.xbytes)
+	s.pupLedger(p)
 	if p.Mode() == pup.Unpacking && p.Err() == nil {
 		if err := s.installCuts(xcuts, ycuts); err != nil {
 			p.Fail(err)
@@ -125,7 +125,7 @@ func (s *blockSubstrate) Restore(buf []byte) error {
 // placement, the migration counters and every locally hosted VP in
 // ascending id order, serialized through its own PUP routine (particles and
 // grid data column-wise, recycled shells on unpack), plus the exchange
-// accounting. It is the rank's checkpoint shard: pack it on every rank and
+// ledger. It is the rank's checkpoint shard: pack it on every rank and
 // the union reconstructs the world. Unpacking first retires the hosted VPs
 // into the shell free list (the path migration uses, so a restore stays off
 // the allocator once warm), then rebuilds the hosted set from the stream,
@@ -200,7 +200,7 @@ func (s *vpSubstrate) PUP(p *pup.PUPer) {
 			s.vps = append(s.vps, v)
 		}
 	}
-	pupInt64(p, &s.xbytes)
+	s.pupLedger(p)
 	if p.Mode() == pup.Unpacking && p.Err() == nil {
 		s.placed()
 	}

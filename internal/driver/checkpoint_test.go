@@ -2,6 +2,7 @@ package driver
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -73,7 +74,7 @@ func stepN(s Substrate, n int) error {
 }
 
 // TestSubstrateCheckpointGolden pins the bytes a checkpointing run commits
-// for each substrate (PICPRKB2 block, PICPRKV2 VP): a fixed tiny run's
+// for each substrate (PICPRKB3 block, PICPRKV3 VP): a fixed tiny run's
 // checkpoint must match testdata/checkpoint_*.golden exactly. Drift means
 // every stored checkpoint changed format — bump the magic and regenerate
 // with -update rather than silently breaking restores. The golden bytes
@@ -142,6 +143,49 @@ func TestSubstrateCheckpointGolden(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesForeignLedger: the exchange ledger closes both
+// checkpoint formats. A row for another world size (or an implausible one)
+// is refused before the row is read, and so is a fence comm could not owe.
+func TestRestoreRefusesForeignLedger(t *testing.T) {
+	cfg := goldenConfig(t)
+	// On one rank the ledger is seven words: two rows of one count, each
+	// behind its length, the two message totals and the fence.
+	const words = 7
+	cases := []struct {
+		word int // from the ledger's start
+		val  uint64
+		want string
+	}{
+		{0, 0, "exchange ledger has a row for 0 ranks"},
+		{0, 2, "exchange ledger has a row for 2 ranks"},
+		{2, 1 << 62, "exchange ledger has a row for"},
+		{6, 3, "owes 3 full-ring exchanges"},
+		{6, 1 << 63, "full-ring exchanges"},
+	}
+	for _, tc := range checkpointFixtures() {
+		dump, err := os.ReadFile(goldenPath(tc.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := undump(t, dump)
+		for _, c := range cases {
+			blob := bytes.Clone(golden)
+			binary.LittleEndian.PutUint64(blob[len(blob)-(words-c.word)*8:], c.val)
+			err := comm.NewWorld(1).Run(func(cm *comm.Comm) error {
+				s, err := tc.mk(cm, cfg)
+				if err != nil {
+					return err
+				}
+				defer s.Close()
+				return s.Restore(blob)
+			})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: ledger word %d = %d restored with %v, want %q", tc.name, c.word, c.val, err, c.want)
+			}
+		}
+	}
+}
+
 // FuzzRestoreCheckpoint feeds arbitrary bytes to Substrate.Restore on both
 // substrates — what a rank reads back from its commit store. Whatever the
 // bytes, restoring must not panic, must not allocate more than a small
@@ -161,7 +205,7 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 			f.Add(golden[:n])
 		}
 		old := bytes.Clone(golden)
-		old[0] = '1' // the magic's version digit (little-endian, so first): PICPRKB1/V1
+		old[0] = '2' // the magic's version digit (little-endian, so first): PICPRKB2/V2
 		f.Add(old)
 	}
 	cfg := goldenConfig(f)

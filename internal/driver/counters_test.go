@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"github.com/parres/picprk/internal/diffusion"
@@ -29,8 +28,6 @@ func counterConfig(t testing.TB, L, n, k, m int, d dist.Distribution, steps int)
 	cfg.K, cfg.M, cfg.Dist, cfg.Seed = k, m, d, 5
 	cfg.Workers = 1
 	cfg.Telemetry = true
-	// Explicit, so PICPRK_TRANSPORT cannot reroute a golden onto the wire.
-	cfg.Transport = TransportInproc
 	return cfg
 }
 
@@ -150,8 +147,9 @@ func TestCounterGoldens(t *testing.T) {
 }
 
 // TestCounterGoldenTCP runs fastdrift_block's input over loopback tcp — the
-// fastdrift_tcp workload — and checks it against fastdrift_block's golden on
-// every column but exchange_bytes, which counts the wire's framing too.
+// fastdrift_tcp workload — and checks it against fastdrift_block's golden,
+// every column included: the exchange ledger counts the same on every
+// transport.
 func TestCounterGoldenTCP(t *testing.T) {
 	var w counterWorkload
 	for _, c := range counterWorkloads() {
@@ -161,35 +159,12 @@ func TestCounterGoldenTCP(t *testing.T) {
 	}
 	cfg := w.cfg(t)
 	cfg.Transport = TransportTCP
-	got := strings.Split(string(runCounterWorkload(t, w, cfg)), "\n")
-	blob, err := os.ReadFile(counterGoldenPath(w.name))
+	got := runCounterWorkload(t, w, cfg)
+	want, err := os.ReadFile(counterGoldenPath(w.name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := strings.Split(string(blob), "\n")
-	if len(got) != len(want) {
-		t.Fatalf("tcp run has %d golden lines, fastdrift_block %d", len(got), len(want))
-	}
-	skip := -1
-	for i := range want {
-		wf, gf := strings.Fields(want[i]), strings.Fields(got[i])
-		if skip < 0 {
-			for j, f := range wf {
-				if f == "exchange_bytes" && len(wf) > 2 && wf[0] == "step" {
-					skip = j
-				}
-			}
-		}
-		if len(wf) != len(gf) {
-			t.Fatalf("line %d: tcp %q, block %q", i+1, got[i], want[i])
-		}
-		for j := range wf {
-			if j != skip && wf[j] != gf[j] {
-				t.Fatalf("line %d column %d: tcp %q, block %q", i+1, j+1, got[i], want[i])
-			}
-		}
-	}
-	if skip < 0 {
-		t.Fatal("golden has no exchange_bytes column")
+	if !bytes.Equal(got, want) {
+		t.Errorf("tcp run drifted from fastdrift_block's golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -69,6 +70,42 @@ func assertBitwiseEqual(t *testing.T, want, got []particle.Particle, label strin
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("%s: particle %d differs:\nref: %+v\ngot: %+v", label, want[i].ID, want[i], got[i])
+		}
+	}
+}
+
+// assertSameCounts fails unless got counted exactly what ref did: every
+// RankStats field but the phase times, and the per-peer exchange rows, each
+// of which sums to its rank's BytesExchanged.
+func assertSameCounts(t *testing.T, ref, got *Result, what string) {
+	t.Helper()
+	counts := func(st RankStats) RankStats {
+		st.Compute, st.Exchange, st.Balance, st.Migrate, st.Overlap = 0, 0, 0, 0, 0
+		return st
+	}
+	if len(got.PerRank) != len(ref.PerRank) {
+		t.Fatalf("%s: %d ranks, reference %d", what, len(got.PerRank), len(ref.PerRank))
+	}
+	for r := range ref.PerRank {
+		if a, b := counts(ref.PerRank[r]), counts(got.PerRank[r]); a != b {
+			t.Fatalf("%s rank %d: counts diverged:\nreference %+v\ngot       %+v", what, r, a, b)
+		}
+	}
+	if ref.Timeline == nil || got.Timeline == nil {
+		t.Fatalf("%s: no timeline to compare the exchange rows of", what)
+	}
+	if !reflect.DeepEqual(ref.Timeline.PeerXchg, got.Timeline.PeerXchg) {
+		t.Fatalf("%s: exchange rows diverged:\nreference %+v\ngot       %+v", what, ref.Timeline.PeerXchg, got.Timeline.PeerXchg)
+	}
+	for _, res := range []*Result{ref, got} {
+		for _, row := range res.Timeline.PeerXchg {
+			var sum int64
+			for _, b := range row.Bytes {
+				sum += b
+			}
+			if want := res.PerRank[row.Rank].BytesExchanged; sum != want {
+				t.Fatalf("%s rank %d: exchange row sums to %d bytes, BytesExchanged is %d", what, row.Rank, sum, want)
+			}
 		}
 	}
 }

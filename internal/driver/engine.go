@@ -63,13 +63,11 @@ type Substrate interface {
 	// MigrationStats reports accumulated LB data movement: actions that
 	// moved data to or from this rank, and payload bytes sent.
 	MigrationStats() (migrations int, bytes int64)
-	// ExchangeBytes reports accumulated particle-exchange payload bytes sent
-	// by this rank, in the framed columnar wire size.
-	ExchangeBytes() int64
-	// PeerExchange reports the accumulated per-destination exchange matrix:
-	// framed payload bytes and payload messages sent to each peer rank. The
-	// slices are the substrate's own storage — read-only, valid until Close.
-	PeerExchange() (bytes, msgs []int64)
+	// PeerExchange reports the rank's exchange ledger over the run, the
+	// same on every transport: per destination rank the payload bytes sent
+	// (framed columnar size) and payload messages, and the messages posted
+	// and elided in all. The slices are the substrate's, read-only.
+	PeerExchange() (bytes, msgs []int64, sent, elided int64)
 	// Checkpoint serializes the rank's full dynamic state — everything not
 	// derivable from the Config — through the PUP paths. Called only at
 	// epoch boundaries, so the steady-state step stays allocation-free.

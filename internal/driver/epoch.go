@@ -308,7 +308,7 @@ func (r *epochRunner) oneStep(step int) error {
 // counters reads the rank's cumulative counters (a gauge's current level)
 // in the telemetry table's order; a sample is the difference between two
 // readings, and the run's statistics are the last. The recorder holds the
-// timed rows, the substrate and the comm the rest.
+// timed rows, the substrate the rest (exchange_bytes sums its ledger's row).
 func (r *epochRunner) counters() (v [telemetry.NumCounters]int64) {
 	for c := range telemetry.NumCounters {
 		v[c] = r.rec.Get(c).Nanoseconds()
@@ -317,8 +317,11 @@ func (r *epochRunner) counters() (v [telemetry.NumCounters]int64) {
 	v[telemetry.Particles] = int64(r.sub.Count())
 	v[telemetry.Migrations] = int64(migrations)
 	v[telemetry.MigratedBytes] = bytes
-	v[telemetry.ExchangeBytes] = r.sub.ExchangeBytes()
-	v[telemetry.MsgsSent], v[telemetry.MsgsElided] = r.c.ExchangeMsgStats()
+	peerBytes, _, sent, elided := r.sub.PeerExchange()
+	for _, b := range peerBytes {
+		v[telemetry.ExchangeBytes] += b
+	}
+	v[telemetry.MsgsSent], v[telemetry.MsgsElided] = sent, elided
 	return v
 }
 
@@ -359,11 +362,12 @@ func (r *epochRunner) finalize() (*Result, error) {
 		rep.Count, rep.IDSum = v.Count, v.IDSum
 	}
 	if cfg.Telemetry {
-		bytes, msgs := r.sub.PeerExchange()
+		bytes, msgs, _, _ := r.sub.PeerExchange()
 		rep.Samples = r.samples
 		rep.PeerBytes, rep.PeerMsgs = append([]int64(nil), bytes...), append([]int64(nil), msgs...)
 	}
-	if cfg.Verify && !cfg.DistributedVerify {
+	gather := cfg.Verify && !cfg.DistributedVerify
+	if gather {
 		rep.Particles = append([]particle.Particle(nil), r.sub.Particles()...)
 	}
 	all := comm.Gather(r.c, 0, rep)
@@ -390,7 +394,10 @@ func (r *epochRunner) finalize() (*Result, error) {
 			return nil, fmt.Errorf("driver: verification failed: %w", err)
 		}
 	}
-	if n > 0 {
+	if gather {
+		if n != res.FinalParticles {
+			return nil, fmt.Errorf("driver: gathered %d particles of the final %d: every rank must run the same Config", n, res.FinalParticles)
+		}
 		res.Particles = make([]particle.Particle, 0, n)
 		for i := range all {
 			res.Particles = append(res.Particles, all[i].Particles...)

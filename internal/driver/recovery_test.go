@@ -3,6 +3,7 @@ package driver
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -38,11 +39,13 @@ func recoveryFactories() []engineFactory {
 }
 
 // TestCheckpointingPreservesResults: arming epochs must not change a single
-// bit of the physics — every driver produces identical particles with
-// checkpointing on and off, and the commit count matches the schedule.
+// bit of the physics or of the counts — every driver produces identical
+// particles and counters with checkpointing on and off, and the commit
+// count matches the schedule.
 func TestCheckpointingPreservesResults(t *testing.T) {
 	const ranks = 3
 	cfg := testConfig(t, 16, 2000, 40)
+	cfg.Telemetry = true
 	for _, f := range recoveryFactories() {
 		t.Run(f.name, func(t *testing.T) {
 			plain, err := f.make(cfg, ranks)
@@ -71,6 +74,7 @@ func TestCheckpointingPreservesResults(t *testing.T) {
 				t.Fatal("checkpointed run not verified")
 			}
 			assertBitwiseEqual(t, ref.Particles, res.Particles, f.name+" checkpointed")
+			assertSameCounts(t, ref, res, f.name+" checkpointed")
 			if res.Recovery == nil {
 				t.Fatal("checkpointed run has no recovery stats")
 			}
@@ -87,8 +91,9 @@ func TestCheckpointingPreservesResults(t *testing.T) {
 // TestRecoveryBitwiseIdentical is the acceptance pin for the epoch
 // lifecycle: a run where one rank's process is abruptly killed mid-epoch
 // and a replacement is re-admitted must finish with bitwise-identical
-// particles and balance decisions to an uninterrupted run — for all four
-// drivers. Three "processes" (the coordinator and two workers, each with
+// particles, balance decisions and counts to an uninterrupted run — for all
+// four drivers — and its timeline holds the steps after the commit it
+// resumed from. Three "processes" (the coordinator and two workers, each with
 // its own Engine and wire node over real loopback sockets) form the world;
 // the victim severs its node with no handshake at step 25, between the
 // commits at 20 and 30.
@@ -100,6 +105,7 @@ func TestRecoveryBitwiseIdentical(t *testing.T) {
 	)
 	cfg := testConfig(t, 16, 2000, 40)
 	cfg.CheckpointEvery = every
+	cfg.Telemetry = true
 
 	for _, f := range recoveryFactories() {
 		t.Run(f.name, func(t *testing.T) {
@@ -187,6 +193,16 @@ func TestRecoveryBitwiseIdentical(t *testing.T) {
 			if got, want := fmt.Sprint(res.BalanceLog), fmt.Sprint(ref.BalanceLog); got != want {
 				t.Errorf("balance log diverged:\nref: %s\ngot: %s", want, got)
 			}
+			assertSameCounts(t, ref, res, f.name+" recovered")
+			const resumed = killStep / every * every
+			if got, want := len(res.Timeline.Samples), ranks*(cfg.Steps-resumed); got != want {
+				t.Errorf("recovered timeline holds %d samples, want %d (steps %d-%d)", got, want, resumed+1, cfg.Steps)
+			}
+			for _, s := range res.Timeline.Samples {
+				if s.Step <= resumed {
+					t.Fatalf("recovered timeline has a sample of step %d, before the resumed commit at %d", s.Step, resumed)
+				}
+			}
 			if res.Recovery == nil {
 				t.Fatal("recovered run has no recovery stats")
 			}
@@ -196,6 +212,53 @@ func TestRecoveryBitwiseIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRollbackReplaysExchangeCounts: a world lost after a commit that left
+// the exchange schedule's fence pending (the diffusion plan executed on the
+// commit step changes the schedule, and comm owes full-ring exchanges after
+// it) resumes in a fresh world, where comm owes nothing, and must still send
+// exactly the messages the uninterrupted run sends. The fence travels in
+// the exchange ledger. In-process: the lost world is one whose rank panics,
+// and the rollback is the next world on the same engine's commit store.
+func TestRollbackReplaysExchangeCounts(t *testing.T) {
+	const p, every, lost = 4, 10, 15
+	cfg := testConfig(t, 32, 4000, 30)
+	cfg.CheckpointEvery, cfg.Telemetry = every, true
+	mk := func() *Engine {
+		return must(NewDiffusionEngine(cfg, diffusion.Params{Every: 5, Threshold: 0.05, Width: 1, MinWidth: 2}))
+	}
+	ref, err := mk().Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := false
+	for _, line := range ref.BalanceLog {
+		planned = planned || strings.HasPrefix(line, fmt.Sprintf("step=%d ", every))
+	}
+	if !planned || ref.PerRank[0].MsgsElided == 0 {
+		t.Fatalf("no plan on the commit step (%q) or no elided message: the test is trivial", ref.BalanceLog)
+	}
+
+	eng := mk()
+	if err := eng.start(p); err != nil {
+		t.Fatal(err)
+	}
+	eng.StepHook = func(c *comm.Comm, step int) {
+		if step == lost && c.Rank() == 1 {
+			panic("rank lost")
+		}
+	}
+	if _, err := eng.runWorld(comm.NewWorld(p, cfg.WorldOptions())); err == nil {
+		t.Fatal("the world survived its lost rank")
+	}
+	eng.StepHook = nil
+	res, err := eng.runWorld(comm.NewWorld(p, cfg.WorldOptions()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitwiseEqual(t, ref.Particles, res.Particles, "rolled back")
+	assertSameCounts(t, ref, res, "rolled back")
 }
 
 // TestRunElasticValidation: the supervisor runs a world without Recover

@@ -9,6 +9,7 @@ import (
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/grid"
 	"github.com/parres/picprk/internal/particle"
+	"github.com/parres/picprk/internal/pup"
 	"github.com/parres/picprk/internal/telemetry"
 	"github.com/parres/picprk/internal/trace"
 )
@@ -44,8 +45,8 @@ type parcel struct {
 
 // stepper is the step, once: what a rank does to the cells it hosts every
 // time step, whichever decomposition put them there. It owns the exchange
-// state — shards, parcel lists, send/receive pointers, byte and message
-// accounting — and implements the part of Substrate that is a pure function
+// state — shards, parcel lists, send/receive pointers, and the exchange
+// ledger — and implements the part of Substrate that is a pure function
 // of the hosted cells. The two substrates embed it and add what differs:
 // construction, Measure, Execute, Checkpoint/Restore, and which cells the
 // rank hosts. The block substrate is the one-cell case (owners are ranks,
@@ -91,14 +92,14 @@ type stepper struct {
 	lgen               int
 	sendPtrs, recvPtrs []*[]parcel
 
-	// xbytes is the exchange volume: in-process the framed size the shards
-	// would occupy, on a wire transport the measured transport delta (same
-	// quantity, including per-message framing, exact rather than estimated;
-	// wireBase is the counter at start). peerBytes/peerMsgs accumulate the
-	// per-destination-rank matrix in framed columnar units on both
-	// transports, so the matrix is transport-invariant.
-	xbytes, wireBase    int64
-	peerBytes, peerMsgs []int64
+	// The exchange ledger, the same on every transport and carried by
+	// checkpoints: per destination rank the framed columnar bytes and the
+	// parcel lists sent; the messages posted and those the sparse schedule
+	// elided from the P-1 ring; and the fence, the full-ring exchanges comm
+	// owes after a schedule change, which decides what the next ones post.
+	peerBytes, peerMsgs  []int64
+	msgsSent, msgsElided int64
+	fence                int
 
 	psScratch []particle.Particle
 }
@@ -120,15 +121,16 @@ func (s *stepper) init(c *comm.Comm, cfg Config, unit string) {
 // rebuildTopology recomputes everything derived from ot, host and cells: the
 // frontier (and whether it leaves this rank any interior) and the sparse
 // exchange schedule over hosting ranks, both from one NbrSet.Rebuild, and
-// the owner index — and zeroes every
-// ownership prefix, which was established against the old decomposition.
-// Called at construction, after every Execute and after a checkpoint restore. Installing the schedule mid-run arms comm's
-// full-ring fence, which is exactly what a follow-up rehome exchange needs
-// (it can route particles outside both the old and the new neighbor sets).
+// the owner index — and zeroes every ownership prefix, which was
+// established against the old decomposition. Called at construction, after
+// every Execute and after a checkpoint restore. Installing the schedule
+// mid-run arms comm's full-ring fence, which a follow-up rehome exchange
+// needs (it can route particles outside both neighbor sets); a restore
+// rearms the fence the checkpoint owed.
 func (s *stepper) rebuildTopology() {
 	host := s.host
 	peers := s.nbr.Rebuild(s.ot, s.cfg.Mesh.L, s.rx, s.ry, s.c.Rank(), s.c.Size(), func(o int32) int { return host[o] })
-	s.c.SetExchangeNeighbors(peers)
+	s.fence = s.c.SetExchangeNeighbors(peers, s.fence)
 	if len(s.at) != len(s.host) {
 		s.at = make([]*cell, len(s.host))
 	}
@@ -241,11 +243,11 @@ func (s *stepper) Exchange(rec *trace.Recorder) error {
 // start groups the non-empty shards bound for other ranks into per-rank
 // parcel lists (ascending owner order — deterministic), accounts them and
 // posts them. A rank with nothing to receive gets a nil pointer: under the
-// sparse schedule the nils inside the neighbor set still travel, the ones
-// outside it are elided entirely. Shards for cells hosted here stay behind
-// for finish, so the caller may keep adding to them until then.
+// sparse schedule the nils inside the neighbor set still travel (and count
+// as sent), the ones outside it are elided. Shards for cells hosted here
+// stay behind for finish, so the caller may keep adding to them until then.
 func (s *stepper) start(cols []core.SoA) {
-	me, onWire := s.c.Rank(), s.c.OnWire()
+	me := s.c.Rank()
 	lists := s.lists[s.lgen]
 	s.lgen = 1 - s.lgen
 	for dst := range lists {
@@ -265,15 +267,12 @@ func (s *stepper) start(cols []core.SoA) {
 		s.peerMsgs[dst]++
 		for _, pc := range lists[dst] {
 			s.peerBytes[dst] += pc.Cols.FramedBytes()
-			if !onWire {
-				s.xbytes += pc.Cols.FramedBytes()
-			}
 		}
 	}
-	if onWire {
-		s.wireBase = s.c.TransportBytes()
-	}
-	comm.ExchangePtrStart(s.c, s.sendPtrs)
+	posted := comm.ExchangePtrStart(s.c, s.sendPtrs)
+	s.msgsSent += int64(posted)
+	s.msgsElided += int64(len(lists) - 1 - posted)
+	s.fence = max(s.fence-1, 0)
 }
 
 // finish completes the exchange start opened and appends the arrivals to
@@ -282,9 +281,6 @@ func (s *stepper) start(cols []core.SoA) {
 func (s *stepper) finish(cols []core.SoA) error {
 	me, onWire := s.c.Rank(), s.c.OnWire()
 	comm.ExchangePtrFinish(s.c, s.sendPtrs, s.recvPtrs)
-	if onWire {
-		s.xbytes += s.c.TransportBytes() - s.wireBase
-	}
 	for src, lp := range s.recvPtrs {
 		if src == me || lp == nil {
 			continue
@@ -381,11 +377,32 @@ func (s *stepper) Particles() []particle.Particle {
 	return s.psScratch
 }
 
-// ExchangeBytes implements Substrate.
-func (s *stepper) ExchangeBytes() int64 { return s.xbytes }
-
 // PeerExchange implements Substrate.
-func (s *stepper) PeerExchange() (bytes, msgs []int64) { return s.peerBytes, s.peerMsgs }
+func (s *stepper) PeerExchange() (bytes, msgs []int64, sent, elided int64) {
+	return s.peerBytes, s.peerMsgs, s.msgsSent, s.msgsElided
+}
+
+// pupLedger serializes the exchange ledger into the rows init sized, each
+// row's length checked against the world size before the row is read.
+func (s *stepper) pupLedger(p *pup.PUPer) {
+	for _, row := range [][]int64{s.peerBytes, s.peerMsgs} {
+		n := len(row)
+		p.Int(&n)
+		if p.Mode() == pup.Unpacking && n != len(row) {
+			p.Fail(fmt.Errorf("driver: checkpoint exchange ledger has a row for %d ranks, run has %d", n, len(row)))
+			return
+		}
+		for i := range row {
+			pupInt64(p, &row[i])
+		}
+	}
+	pupInt64(p, &s.msgsSent)
+	pupInt64(p, &s.msgsElided)
+	p.Int(&s.fence)
+	if p.Mode() == pup.Unpacking && (s.fence < 0 || s.fence > 2) {
+		p.Fail(fmt.Errorf("driver: checkpoint owes %d full-ring exchanges, comm owes at most 2", s.fence))
+	}
+}
 
 // Close implements Substrate.
 func (s *stepper) Close() { s.pool.Close() }

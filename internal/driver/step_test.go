@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/iotest"
@@ -81,12 +82,12 @@ func TestExchangeIsIdempotent(t *testing.T) {
 						return err
 					}
 				}
-				if s.ExchangeBytes() == 0 {
+				local := s.Count()
+				b, m, _, _ := s.PeerExchange()
+				shipped, sent := append([]int64(nil), b...), append([]int64(nil), m...)
+				if slices.Max(shipped) == 0 {
 					return fmt.Errorf("three steps exchanged nothing; the test is trivial")
 				}
-				local, xbytes := s.Count(), s.ExchangeBytes()
-				_, msgs := s.PeerExchange()
-				sent := append([]int64(nil), msgs...)
 				for call := 1; call <= 2; call++ {
 					if err := s.Exchange(rec); err != nil {
 						return err
@@ -94,11 +95,12 @@ func TestExchangeIsIdempotent(t *testing.T) {
 					if got := s.Count(); got != local {
 						return fmt.Errorf("Exchange call %d: %d local particles, had %d", call, got, local)
 					}
-					if got := s.ExchangeBytes(); got != xbytes {
-						return fmt.Errorf("Exchange call %d shipped %d bytes with every particle at home", call, got-xbytes)
+					b, m, _, _ := s.PeerExchange()
+					if !reflect.DeepEqual(b, shipped) {
+						return fmt.Errorf("Exchange call %d shipped bytes with every particle at home: %v, had %v", call, b, shipped)
 					}
-					if _, msgs := s.PeerExchange(); !reflect.DeepEqual(msgs, sent) {
-						return fmt.Errorf("Exchange call %d sent payload messages: %v, had %v", call, msgs, sent)
+					if !reflect.DeepEqual(m, sent) {
+						return fmt.Errorf("Exchange call %d sent payload messages: %v, had %v", call, m, sent)
 					}
 					if err := s.CheckOwnership(3); err != nil {
 						return err

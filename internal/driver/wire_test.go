@@ -36,12 +36,13 @@ func driverMatrix(p int, cfg Config) []struct {
 // TestWireTransportBitwiseIdentity is the acceptance gate for the wire
 // transport: every driver over loopback sockets — each rank its own wire
 // node, every payload serialized, framed, and decoded — must produce the
-// byte-for-byte final particle state and BalanceLog of the in-process run.
-// PerRank.BytesExchanged is deliberately not compared: in-process it is the
-// framed-size estimate, on the wire it is the measured socket volume.
+// byte-for-byte final particle state and BalanceLog of the in-process run,
+// and count the same: every non-duration RankStats field and the per-peer
+// exchange rows.
 func TestWireTransportBitwiseIdentity(t *testing.T) {
 	const p = 4
 	base := testConfig(t, 16, 900, 20)
+	base.Telemetry = true
 	base.Schedule = dist.Schedule{
 		{Step: 6, Region: dist.Rect{X0: 2, X1: 10, Y0: 2, Y1: 10}, Inject: 200, M: 1},
 		{Step: 14, Region: dist.Rect{X0: 0, X1: 8, Y0: 0, Y1: 16}, Remove: true},
@@ -72,15 +73,7 @@ func TestWireTransportBitwiseIdentity(t *testing.T) {
 				t.Fatalf("%s over %s: balance log diverged:\nin-process: %q\nwire:       %q",
 					name, network, ref.BalanceLog, got.BalanceLog)
 			}
-			if ref.FinalParticles != got.FinalParticles || ref.MaxFinalParticles != got.MaxFinalParticles {
-				t.Fatalf("%s over %s: totals diverged: %d/%d vs %d/%d", name, network,
-					ref.FinalParticles, ref.MaxFinalParticles, got.FinalParticles, got.MaxFinalParticles)
-			}
-			for r, st := range got.PerRank {
-				if st.FinalParticles != ref.PerRank[r].FinalParticles || st.MaxParticles != ref.PerRank[r].MaxParticles {
-					t.Fatalf("%s over %s rank %d: particle accounting diverged", name, network, r)
-				}
-			}
+			assertSameCounts(t, ref, got, name+" over "+network)
 		}
 	}
 }

@@ -46,8 +46,8 @@ type Particle struct {
 	Born int32
 }
 
-// Validate performs basic sanity checks used by property tests and by
-// drivers when receiving migrated particles.
+// Validate performs basic sanity checks on a particle. Only tests call it;
+// the drivers check what arrives with the owner table and the verifier.
 func (p *Particle) Validate(L float64) error {
 	if p.ID == 0 {
 		return fmt.Errorf("particle: zero ID")

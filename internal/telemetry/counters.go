@@ -32,8 +32,8 @@ const (
 	// MigratedBytes is the LB payload bytes this rank sent this step.
 	MigratedBytes
 	// ExchangeBytes is the particle-exchange payload bytes this rank sent
-	// this step, measured as the columnar path's framed wire size
-	// (core.SoA.FramedBytes), not a per-particle serialization estimate.
+	// this step, in the columnar path's framed wire size
+	// (core.SoA.FramedBytes) on every transport.
 	ExchangeBytes
 	// ExchangeOverlap is the compute time, in nanoseconds, this step spent
 	// while an exchange was in flight (the interior wave). It is not a span:
