@@ -312,7 +312,7 @@ func reportParallel(res *driver.Result, err error, obs obsOpts) {
 		if err := writeState(obs.dumpState, res); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("state dump: wrote %d particles to %s\n", len(res.Particles), obs.dumpState)
+		fmt.Printf("state dump: wrote %d particles to %s\n", res.Particles.Len(), obs.dumpState)
 	}
 	if res.Verified {
 		fmt.Println("verification: PASSED (closed-form positions + ID checksum)")

@@ -15,9 +15,9 @@ package main
 // elsewhere.
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/exec"
 	"strconv"
@@ -326,28 +326,24 @@ func runWorker(eng *driver.Engine, o runOptions) {
 }
 
 // writeState dumps the verified global final state and the balance log in a
-// deterministic text form — float bits in hex, one particle per line — so
-// two runs can be compared for bitwise identity with a file diff. Requires
-// -verify (the gather that assembles the global state).
+// deterministic text form — float bits in hex, one particle per line
+// (core.SoA.AppendStateLine) — so two runs can be compared for bitwise
+// identity with a file diff. Requires -verify (the gather that assembles the
+// global state).
 func writeState(path string, res *driver.Result) error {
 	if res.Particles == nil {
 		return fmt.Errorf("-dumpstate needs -verify=true (the gathered state)")
 	}
 	return writeFileWith(path, func(f *os.File) error {
-		for i := range res.Particles {
-			p := &res.Particles[i]
-			if _, err := fmt.Fprintf(f, "%d %016x %016x %016x %016x %016x %016x %016x %d %d %d %d\n",
-				p.ID, math.Float64bits(p.X), math.Float64bits(p.Y),
-				math.Float64bits(p.VX), math.Float64bits(p.VY), math.Float64bits(p.Q),
-				math.Float64bits(p.X0), math.Float64bits(p.Y0), p.K, p.M, p.Dir, p.Born); err != nil {
-				return err
-			}
+		w := bufio.NewWriter(f)
+		var line []byte
+		for i := range res.Particles.Len() {
+			line = res.Particles.AppendStateLine(line[:0], i)
+			w.Write(line)
 		}
 		for _, line := range res.BalanceLog {
-			if _, err := fmt.Fprintf(f, "balance %s\n", line); err != nil {
-				return err
-			}
+			fmt.Fprintf(w, "balance %s\n", line)
 		}
-		return nil
+		return w.Flush()
 	})
 }

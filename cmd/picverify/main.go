@@ -9,7 +9,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -18,7 +17,6 @@ import (
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/driver"
 	"github.com/parres/picprk/internal/grid"
-	"github.com/parres/picprk/internal/particle"
 )
 
 type scenario struct {
@@ -107,7 +105,8 @@ func main() {
 	}
 }
 
-func reference(cfg driver.Config) ([]particle.Particle, error) {
+// reference is the sequential simulation's final state, sorted by ID.
+func reference(cfg driver.Config) (*core.SoA, error) {
 	sim, err := core.NewSimulation(dist.Config{
 		Mesh: cfg.Mesh, N: cfg.N, K: cfg.K, M: cfg.M, Dir: cfg.Dir, Dist: cfg.Dist, Seed: cfg.Seed,
 	}, cfg.Schedule)
@@ -118,14 +117,14 @@ func reference(cfg driver.Config) ([]particle.Particle, error) {
 	if err := sim.Verify(0); err != nil {
 		return nil, err
 	}
-	ps := append([]particle.Particle(nil), sim.Particles...)
-	sortByID(ps)
-	return ps, nil
+	ref := core.NewSoA(sim.Particles)
+	ref.SortByID()
+	return ref, nil
 }
 
 // check runs eng on p ranks — or reports err, the error its constructor
 // returned — and compares the result with the sequential reference.
-func check(label string, ref []particle.Particle, p int, eng *driver.Engine, err error) int {
+func check(label string, ref *core.SoA, p int, eng *driver.Engine, err error) int {
 	var res *driver.Result
 	if err == nil {
 		res, err = eng.Run(p)
@@ -138,20 +137,16 @@ func check(label string, ref []particle.Particle, p int, eng *driver.Engine, err
 		fmt.Printf("FAIL %s: closed-form verification did not pass\n", label)
 		return 1
 	}
-	if len(res.Particles) != len(ref) {
-		fmt.Printf("FAIL %s: %d particles, sequential has %d\n", label, len(res.Particles), len(ref))
+	if got := res.Particles.Len(); got != ref.Len() {
+		fmt.Printf("FAIL %s: %d particles, sequential has %d\n", label, got, ref.Len())
 		return 1
 	}
-	for i := range ref {
-		if res.Particles[i] != ref[i] {
-			fmt.Printf("FAIL %s: particle %d differs from sequential reference\n", label, ref[i].ID)
+	for i := range ref.Len() {
+		if res.Particles.At(i) != ref.At(i) {
+			fmt.Printf("FAIL %s: particle %d differs from sequential reference\n", label, ref.Meta[i].ID)
 			return 1
 		}
 	}
 	fmt.Printf("PASS %s\n", label)
 	return 0
-}
-
-func sortByID(ps []particle.Particle) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].ID < ps[j].ID })
 }

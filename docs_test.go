@@ -74,12 +74,16 @@ func TestDocTestNamesExist(t *testing.T) {
 // (group 2): the places a document writes a command line.
 var codeSpan = regexp.MustCompile("(?s)```[a-z]*\n(.*?)```|`([^`]+)`")
 
-// commandArgs matches an invocation of picrun or picstat (group 2) and the
+// commands are the CLIs whose documented command lines TestDocFlagsExist
+// checks.
+var commands = []string{"picrun", "picstat", "picbench", "picverify"}
+
+// commandArgs matches an invocation of one of the commands (group 2) and the
 // rest of its command line (group 3), up to a comment, a pipe, a chain or
 // the end of the line. Group 1 catches a go tool that takes the command's
 // package as an argument (`go test ./cmd/picrun -race`): its flags are the
 // tool's, not the command's.
-var commandArgs = regexp.MustCompile(`(go (?:build|test|tool|vet)\b[^\n]*?)?\b(picrun|picstat)\b([^\n#|;&]*)`)
+var commandArgs = regexp.MustCompile(`(go (?:build|test|tool|vet)\b[^\n]*?)?\b(` + strings.Join(commands, "|") + `)\b([^\n#|;&]*)`)
 
 // passedFlag matches a -flag or --flag token in a command line's arguments.
 var passedFlag = regexp.MustCompile(`(?:^|[\s\[])--?([A-Za-z][\w-]*)`)
@@ -89,12 +93,13 @@ var passedFlag = regexp.MustCompile(`(?:^|[\s\[])--?([A-Za-z][\w-]*)`)
 var declaredFlag = regexp.MustCompile(`\bflag\.\w+\(\s*(?:[^,()"]+,\s*)?"([^"]+)"`)
 
 // TestDocFlagsExist fails on any -flag that a README or DESIGN command line
-// passes to picrun or picstat and the command does not declare, so a
+// passes to picrun, picstat, picbench or picverify and the command does not
+// declare, so a
 // deleted or renamed flag cannot leave a documented invocation that exits
 // with "flag provided but not defined".
 func TestDocFlagsExist(t *testing.T) {
 	declared := map[string]map[string]bool{}
-	for _, cmd := range []string{"picrun", "picstat"} {
+	for _, cmd := range commands {
 		files, err := filepath.Glob(filepath.Join("cmd", cmd, "*.go"))
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +121,7 @@ func TestDocFlagsExist(t *testing.T) {
 			t.Fatalf("cmd/%s declares %d flags: the pattern is broken", cmd, len(declared[cmd])-2)
 		}
 	}
-	passed := 0
+	passed := map[string]int{}
 	for _, doc := range []string{"DESIGN.md", "README.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
@@ -134,7 +139,7 @@ func TestDocFlagsExist(t *testing.T) {
 					continue
 				}
 				for _, f := range passedFlag.FindAllStringSubmatch(call[3], -1) {
-					passed++
+					passed[call[2]]++
 					if !declared[call[2]][f[1]] {
 						t.Errorf("%s passes -%s to %s, which cmd/%s does not declare: %s",
 							doc, f[1], call[2], call[2], strings.TrimSpace(call[0]))
@@ -143,7 +148,9 @@ func TestDocFlagsExist(t *testing.T) {
 			}
 		}
 	}
-	if passed == 0 {
-		t.Fatal("the documents pass no flags to picrun or picstat: the pattern is broken")
+	for _, cmd := range commands {
+		if passed[cmd] == 0 {
+			t.Errorf("the documents pass no flags to %s: the pattern is broken", cmd)
+		}
 	}
 }

@@ -1,6 +1,13 @@
 package core
 
-import "github.com/parres/picprk/internal/particle"
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+
+	"github.com/parres/picprk/internal/particle"
+)
 
 // SoA is a structure-of-arrays particle container: the hot fields the move
 // kernel touches every step (positions, velocities, charge) live in
@@ -51,17 +58,8 @@ func NewSoA(ps []particle.Particle) *SoA {
 // Len returns the particle count.
 func (s *SoA) Len() int { return len(s.X) }
 
-// Particles converts back to AoS in a fresh slice. Callers that convert
-// repeatedly should hold a scratch buffer and use AppendParticles instead —
-// this convenience form allocates the full copy every call.
-func (s *SoA) Particles() []particle.Particle {
-	return s.AppendParticles(make([]particle.Particle, 0, s.Len()))
-}
-
 // AppendParticles appends every particle, in AoS form, to dst and returns
-// the extended slice. Passing a reused scratch buffer (truncated to [:0])
-// makes repeated conversions allocation-free once the buffer reached the
-// particle-count high-water mark.
+// the extended slice.
 func (s *SoA) AppendParticles(dst []particle.Particle) []particle.Particle {
 	for i := range s.X {
 		m := s.Meta[i]
@@ -136,4 +134,33 @@ func (s *SoA) Filter(keep func(i int) bool) {
 		}
 	}
 	s.Truncate(w)
+}
+
+// SortByID orders the particles by ascending ID. IDs are taken to be
+// unique (a verified population's are), so the order is total.
+func (s *SoA) SortByID() {
+	perm := make([]int32, s.Len())
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(s.Meta[a].ID, s.Meta[b].ID) })
+	var out SoA
+	out.Resize(len(perm))
+	for k, i := range perm {
+		out.X[k], out.Y[k], out.VX[k], out.VY[k], out.Q[k] = s.X[i], s.Y[i], s.VX[i], s.VY[i], s.Q[i]
+		out.Meta[k] = s.Meta[i]
+	}
+	*s = out
+}
+
+// AppendStateLine appends particle i's line of a state dump (picrun
+// -dumpstate) to b: the ID, the seven float64 fields as hex bit patterns,
+// then K, M, Dir and Born, so two dumps compare bit for bit with a file
+// diff.
+func (s *SoA) AppendStateLine(b []byte, i int) []byte {
+	m := &s.Meta[i]
+	return fmt.Appendf(b, "%d %016x %016x %016x %016x %016x %016x %016x %d %d %d %d\n",
+		m.ID, math.Float64bits(s.X[i]), math.Float64bits(s.Y[i]),
+		math.Float64bits(s.VX[i]), math.Float64bits(s.VY[i]), math.Float64bits(s.Q[i]),
+		math.Float64bits(m.X0), math.Float64bits(m.Y0), m.K, m.M, m.Dir, m.Born)
 }

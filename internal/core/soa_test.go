@@ -24,7 +24,7 @@ func TestSoAMatchesAoSBitwise(t *testing.T) {
 		MoveAll(aos, m, m)
 		pool.Move(soa, block, m)
 	}
-	back := soa.Particles()
+	back := soa.AppendParticles(nil)
 	if len(back) != len(aos) {
 		t.Fatalf("length mismatch %d vs %d", len(back), len(aos))
 	}
@@ -41,7 +41,7 @@ func TestSoARoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := NewSoA(ps).Particles()
+	back := NewSoA(ps).AppendParticles(nil)
 	for i := range ps {
 		if ps[i] != back[i] {
 			t.Fatalf("roundtrip differs at %d", i)

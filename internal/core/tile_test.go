@@ -239,14 +239,14 @@ func TestPartitionedWavesMatchMoveClassify(t *testing.T) {
 	}
 
 	// Reference: one fused pass over the partitioned container.
-	ref := NewSoA(parted.Particles())
+	ref := NewSoA(parted.AppendParticles(nil))
 	refPool := NewMovePool(1)
 	var refLv Leavers
 	refPool.MoveClassify(ref, block, m, ot, self, &refLv)
 	refLeft := leaverSet(ref, &refLv)
 
 	for _, workers := range []int{1, 2, 7} {
-		got := NewSoA(parted.Particles())
+		got := NewSoA(parted.AppendParticles(nil))
 		pool := NewMovePool(workers)
 		var lv Leavers
 		pool.MoveClassifyRange(got, ni, got.Len(), block, m, ot, self, &lv)

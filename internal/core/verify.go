@@ -28,7 +28,8 @@ const DefaultTolerance = 1e-5
 // pattern implied by the spec: vy = M·h/dt always, and vx alternates between
 // 0 (after an even number of steps) and Dir·2·(2K+1)·h/dt (after an odd
 // number). A single miscomputed force anywhere in a parallel run breaks
-// these conditions.
+// these conditions, and so does a NaN anywhere in the state (each distance
+// must be at most tol, which NaN never is).
 func VerifyPositions(m grid.Mesh, ps []particle.Particle, steps int, tol float64) error {
 	L := m.Size()
 	for i := range ps {
@@ -51,20 +52,20 @@ func verifyParticle(m *SoAMeta, x, y, vx, vy float64, steps int, L, tol float64)
 		return fmt.Errorf("core: particle %d born at step %d but run is only %d steps", m.ID, m.Born, steps)
 	}
 	ex, ey := particle.ClosedForm(m.X0, m.Y0, m.K, m.M, m.Dir, s, L)
-	if d := periodicDist(x, ex, L); d > tol {
+	if d := periodicDist(x, ex, L); !(d <= tol) {
 		return fmt.Errorf("core: particle %d x=%v, expected %v after %d steps (|err|=%.3e)", m.ID, x, ex, s, d)
 	}
-	if d := periodicDist(y, ey, L); d > tol {
+	if d := periodicDist(y, ey, L); !(d <= tol) {
 		return fmt.Errorf("core: particle %d y=%v, expected %v after %d steps (|err|=%.3e)", m.ID, y, ey, s, d)
 	}
-	if d := math.Abs(vy - float64(m.M)); d > tol {
+	if d := math.Abs(vy - float64(m.M)); !(d <= tol) {
 		return fmt.Errorf("core: particle %d vy=%v, expected %d (|err|=%.3e)", m.ID, vy, m.M, d)
 	}
 	var evx float64
 	if s%2 == 1 {
 		evx = float64(m.Dir) * 2 * float64(2*m.K+1)
 	}
-	if d := math.Abs(vx - evx); d > tol {
+	if d := math.Abs(vx - evx); !(d <= tol) {
 		return fmt.Errorf("core: particle %d vx=%v, expected %v after %d steps (|err|=%.3e)", m.ID, vx, evx, s, d)
 	}
 	return nil

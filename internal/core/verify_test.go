@@ -258,8 +258,8 @@ func TestColumnVerifierRejectsWhatVerifyPositionsRejects(t *testing.T) {
 		if (tc.name == "clean") != (got == nil) {
 			t.Errorf("%s: columnar check returned %v", tc.name, got)
 		}
-		if got == nil && (v.Count != len(ps) || v.IDSum != particle.IDSum(ps)) {
-			t.Errorf("%s: count %d sum %d, want %d and %d", tc.name, v.Count, v.IDSum, len(ps), particle.IDSum(ps))
+		if got == nil && (v.Count != len(ps) || v.IDSum != idSum(ps)) {
+			t.Errorf("%s: count %d sum %d, want %d and %d", tc.name, v.Count, v.IDSum, len(ps), idSum(ps))
 		}
 	}
 }

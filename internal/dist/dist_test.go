@@ -222,8 +222,9 @@ func TestInitializeBasics(t *testing.T) {
 	base := BaseCharge(m.Q, 0.5)
 	for i := range ps {
 		p := &ps[i]
-		if err := p.Validate(m.Size()); err != nil {
-			t.Fatal(err)
+		if L := m.Size(); p.ID == 0 || !(p.X >= 0 && p.X < L && p.Y >= 0 && p.Y < L) ||
+			math.IsNaN(p.VX) || math.IsNaN(p.VY) || p.K < 0 || (p.Dir != 1 && p.Dir != -1) {
+			t.Fatalf("invalid placement: %+v", *p)
 		}
 		if seen[p.ID] {
 			t.Fatalf("duplicate ID %d", p.ID)

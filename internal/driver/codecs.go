@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"github.com/parres/picprk/internal/core"
-	"github.com/parres/picprk/internal/particle"
 	"github.com/parres/picprk/internal/pup"
 	"github.com/parres/picprk/internal/telemetry"
 )
@@ -142,7 +141,7 @@ func pupRankReport(p *pup.PUPer, r *rankReport) {
 	pup.Slice(p, &r.Samples, sampleWireBytes, pupSample)
 	pup.Slice(p, &r.PeerBytes, 8, pupInt64)
 	pup.Slice(p, &r.PeerMsgs, 8, pupInt64)
-	pup.Slice(p, &r.Particles, 80, func(p *pup.PUPer, e *particle.Particle) { e.PUP(p) })
+	core.PUPColumns(p, &r.State)
 }
 
 func pupRankShard(p *pup.PUPer, s *rankShard) {
@@ -152,6 +151,7 @@ func pupRankShard(p *pup.PUPer, s *rankShard) {
 	p.Int(&s.MaxParticles)
 	pup.Slice(p, &s.Bal, 8, func(p *pup.PUPer, line *string) { p.String(line) })
 	p.ByteSlice(&s.Sub)
+	pup.Slice(p, &s.Samples, sampleWireBytes, pupSample)
 }
 
 func pupResumeInfo(p *pup.PUPer, r *resumeInfo) {

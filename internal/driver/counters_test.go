@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -69,15 +68,13 @@ func counterGolden(t *testing.T, name string, res *Result) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	h := sha256.New()
-	for i := range res.Particles {
-		p := &res.Particles[i]
-		fmt.Fprintf(h, "%d %016x %016x %016x %016x %016x %016x %016x %d %d %d %d\n",
-			p.ID, math.Float64bits(p.X), math.Float64bits(p.Y),
-			math.Float64bits(p.VX), math.Float64bits(p.VY), math.Float64bits(p.Q),
-			math.Float64bits(p.X0), math.Float64bits(p.Y0), p.K, p.M, p.Dir, p.Born)
+	var line []byte
+	for i := range res.Particles.Len() {
+		line = res.Particles.AppendStateLine(line[:0], i)
+		h.Write(line)
 	}
 	fmt.Fprintf(&b, "# %s: go test ./internal/driver -run TestCounterGoldens -update\n", name)
-	fmt.Fprintf(&b, "state_sha256 %x\nparticles %d\n", h.Sum(nil), len(res.Particles))
+	fmt.Fprintf(&b, "state_sha256 %x\nparticles %d\n", h.Sum(nil), res.Particles.Len())
 	for _, line := range res.BalanceLog {
 		fmt.Fprintf(&b, "balance %s\n", line)
 	}

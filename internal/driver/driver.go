@@ -270,10 +270,11 @@ type Result struct {
 	// Verified is set when cfg.Verify or cfg.DistributedVerify was
 	// requested and passed.
 	Verified bool
-	// Particles holds the gathered global final state (sorted by ID) when
-	// cfg.Verify was requested without cfg.DistributedVerify; tests compare
-	// it bitwise against the sequential reference.
-	Particles []particle.Particle
+	// Particles holds the gathered global final state, sorted by ID, when
+	// cfg.Verify was requested without cfg.DistributedVerify: picrun
+	// -dumpstate writes it, and picverify and the tests compare it bitwise
+	// against the sequential reference.
+	Particles *core.SoA
 	// BalanceLog is rank 0's policy history: one line per executed
 	// (non-empty) balancing plan. Because plans are pure functions of
 	// globally-reduced loads, every rank's log is identical; tests compare

@@ -11,7 +11,6 @@ import (
 	"github.com/parres/picprk/internal/diffusion"
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/grid"
-	"github.com/parres/picprk/internal/particle"
 )
 
 func testConfig(t testing.TB, L, n, steps int) Config {
@@ -39,7 +38,7 @@ func must(eng *Engine, err error) *Engine {
 
 // sequentialReference runs the serial simulation and returns its particles
 // sorted by ID.
-func sequentialReference(t testing.TB, cfg Config) []particle.Particle {
+func sequentialReference(t testing.TB, cfg Config) *core.SoA {
 	t.Helper()
 	sim, err := core.NewSimulation(cfg.distConfig(), cfg.Schedule)
 	if err != nil {
@@ -49,27 +48,19 @@ func sequentialReference(t testing.TB, cfg Config) []particle.Particle {
 	if err := sim.Verify(core.DefaultTolerance); err != nil {
 		t.Fatalf("sequential reference failed verification: %v", err)
 	}
-	ps := append([]particle.Particle(nil), sim.Particles...)
-	sortByID(ps)
-	return ps
+	ref := core.NewSoA(sim.Particles)
+	ref.SortByID()
+	return ref
 }
 
-func sortByID(ps []particle.Particle) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].ID < ps[j-1].ID; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
-
-func assertBitwiseEqual(t *testing.T, want, got []particle.Particle, label string) {
+func assertBitwiseEqual(t *testing.T, want, got *core.SoA, label string) {
 	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: %d particles, reference has %d", label, len(got), len(want))
+	if want.Len() != got.Len() {
+		t.Fatalf("%s: %d particles, reference has %d", label, got.Len(), want.Len())
 	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("%s: particle %d differs:\nref: %+v\ngot: %+v", label, want[i].ID, want[i], got[i])
+	for i := range want.Len() {
+		if w, g := want.At(i), got.At(i); w != g {
+			t.Fatalf("%s: particle %d differs:\nref: %+v\ngot: %+v", label, w.ID, w, g)
 		}
 	}
 }

@@ -54,11 +54,13 @@ type Substrate interface {
 	// step's fused classify pass already found at home are not re-read; what
 	// entered since (arrivals, injections) always is.
 	CheckOwnership(step int) error
-	// VerifyLocal runs the per-rank half of verification over every local
-	// particle container, on the columns in place.
-	VerifyLocal(v *core.ColumnVerifier) error
-	// Particles returns the local particle set in AoS form, for the
-	// end-of-run gather of cfg.Verify.
+	// Local calls visit on each of the rank's particle containers in turn,
+	// stopping at the first error: the read-only view of the rank's
+	// particles, on their columns, that the end of a run verifies and, under
+	// cfg.Verify, gathers.
+	Local(visit func(*core.SoA) error) error
+	// Particles returns the local particle set in AoS form, freshly
+	// allocated. No run path calls it: it is the export bench/ wraps.
 	Particles() []particle.Particle
 	// MigrationStats reports accumulated LB data movement: actions that
 	// moved data to or from this rank, and payload bytes sent.

@@ -26,13 +26,11 @@ package driver
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/parres/picprk/internal/balance"
 	"github.com/parres/picprk/internal/comm"
 	"github.com/parres/picprk/internal/core"
-	"github.com/parres/picprk/internal/particle"
 	"github.com/parres/picprk/internal/telemetry"
 	"github.com/parres/picprk/internal/trace"
 )
@@ -53,6 +51,11 @@ type rankShard struct {
 	Bal []string
 	// Sub is the substrate's serialized dynamic state.
 	Sub []byte
+	// Samples are the rank's per-step samples since the previous commit,
+	// under Telemetry. The commit store keeps them across generations, so a
+	// recovered run's timeline holds every step, not only those after the
+	// commit it resumed from.
+	Samples []telemetry.Sample
 }
 
 // resumeInfo is the generation-start handshake rank 0 broadcasts: whether a
@@ -80,8 +83,9 @@ type epochRunner struct {
 	// When sampling is off the step path touches none of this — the
 	// steady-state step stays allocation-free and the run is bitwise
 	// identical to an unsampled one. prev is the counter reading the last
-	// sample was taken against.
+	// sample was taken against; samples[:sent] have left with a commit.
 	samples  []telemetry.Sample
+	sent     int
 	sampling bool
 	prev     [telemetry.NumCounters]int64
 	lastWall int64
@@ -207,7 +211,11 @@ func (r *epochRunner) commit(step int) error {
 		MaxParticles: r.rec.MaxParticles,
 		Bal:          r.bal.History(),
 		Sub:          blob,
+		Samples:      r.samples[r.sent:],
 	}
+	// The samples sent are never written again: later ones append behind
+	// them, into capacity init reserved for the whole run.
+	r.sent = len(r.samples)
 	shards := comm.Gather(r.c, 0, sh)
 	if r.c.Rank() == 0 && r.e.store != nil {
 		ev := r.e.store.commit(step, shards, r.c.WallClockNS())
@@ -337,38 +345,46 @@ type rankReport struct {
 	// zero when the run does not verify.
 	Count int
 	IDSum uint64
-	// Samples are the rank's per-step samples, and PeerBytes and PeerMsgs
-	// its row of the exchange matrix, when Telemetry is on.
+	// Samples are the rank's per-step samples since its last commit, and
+	// PeerBytes and PeerMsgs its row of the exchange matrix, when Telemetry
+	// is on.
 	Samples             []telemetry.Sample
 	PeerBytes, PeerMsgs []int64
-	// Particles is the rank's final state, under Verify without
-	// DistributedVerify.
-	Particles []particle.Particle
+	// State is a copy of the rank's final particles, under Verify without
+	// DistributedVerify; empty otherwise.
+	State core.SoA
 }
 
-// finalize ends the run with one collective: every rank checks its own
-// particles on their columns (when the run verifies) and sends rank 0 one
+// finalize ends the run with one collective: every rank walks its particle
+// containers once (when the run verifies), checking each on its columns and,
+// under Verify, copying it into its report, and sends rank 0 one
 // rankReport, from which rank 0 checks the global population and assembles
 // the Result. Other ranks return nil.
 func (r *epochRunner) finalize() (*Result, error) {
 	cfg := r.cfg
 	verify := cfg.Verify || cfg.DistributedVerify
+	gather := cfg.Verify && !cfg.DistributedVerify
 	rep := rankReport{Counters: r.counters(), MaxParticles: r.rec.MaxParticles}
 	if verify {
 		v := core.NewRunVerifier(cfg.distConfig(), cfg.Schedule, cfg.Steps, core.DefaultTolerance)
-		if err := r.sub.VerifyLocal(v); err != nil {
+		err := r.sub.Local(func(s *core.SoA) error {
+			if err := v.Check(s); err != nil {
+				return err
+			}
+			if gather {
+				rep.State.AppendColumns(s)
+			}
+			return nil
+		})
+		if err != nil {
 			return nil, fmt.Errorf("driver: verification failed: rank %d: %w", r.c.Rank(), err)
 		}
 		rep.Count, rep.IDSum = v.Count, v.IDSum
 	}
 	if cfg.Telemetry {
 		bytes, msgs, _, _ := r.sub.PeerExchange()
-		rep.Samples = r.samples
+		rep.Samples = r.samples[r.sent:]
 		rep.PeerBytes, rep.PeerMsgs = append([]int64(nil), bytes...), append([]int64(nil), msgs...)
-	}
-	gather := cfg.Verify && !cfg.DistributedVerify
-	if gather {
-		rep.Particles = append([]particle.Particle(nil), r.sub.Particles()...)
 	}
 	all := comm.Gather(r.c, 0, rep)
 	if r.c.Rank() != 0 {
@@ -387,7 +403,7 @@ func (r *epochRunner) finalize() (*Result, error) {
 		res.MaxFinalParticles = max(res.MaxFinalParticles, st.FinalParticles)
 		count += rep.Count
 		idSum += rep.IDSum
-		n += len(rep.Particles)
+		n += rep.State.Len()
 	}
 	if verify {
 		if err := core.VerifyPopulation(cfg.distConfig(), cfg.Schedule, cfg.Steps, count, idSum); err != nil {
@@ -398,28 +414,28 @@ func (r *epochRunner) finalize() (*Result, error) {
 		if n != res.FinalParticles {
 			return nil, fmt.Errorf("driver: gathered %d particles of the final %d: every rank must run the same Config", n, res.FinalParticles)
 		}
-		res.Particles = make([]particle.Particle, 0, n)
+		res.Particles = &core.SoA{}
 		for i := range all {
-			res.Particles = append(res.Particles, all[i].Particles...)
+			res.Particles.AppendColumns(&all[i].State)
 		}
-		sort.Slice(res.Particles, func(i, j int) bool { return res.Particles[i].ID < res.Particles[j].ID })
+		res.Particles.SortByID()
+	}
+	// The samples the commits carried, then each rank's since its last.
+	var events []telemetry.Event
+	var samples [][]telemetry.Sample
+	if st := r.e.store; st != nil {
+		var stats RecoveryStats
+		stats, events, samples = st.summary()
+		res.Recovery = &stats
 	}
 	if cfg.Telemetry {
-		samples := make([][]telemetry.Sample, len(all))
 		rows := make([]telemetry.PeerXchg, len(all))
 		for i := range all {
-			samples[i] = all[i].Samples
+			samples = append(samples, all[i].Samples)
 			rows[i] = telemetry.PeerXchg{Rank: i, Bytes: all[i].PeerBytes, Msgs: all[i].PeerMsgs}
 		}
 		res.Timeline = telemetry.New(r.e.Name, len(all), cfg.Steps, samples...)
-		res.Timeline.PeerXchg = rows
-	}
-	if st := r.e.store; st != nil {
-		stats, events := st.summary()
-		res.Recovery = &stats
-		if res.Timeline != nil {
-			res.Timeline.Events = events
-		}
+		res.Timeline.PeerXchg, res.Timeline.Events = rows, events
 	}
 	return res, nil
 }

@@ -35,18 +35,30 @@ type commitStore struct {
 	// shards means nothing committed yet (a rollback restarts from scratch).
 	step   int
 	shards []rankShard
+	// samples holds, per rank, the per-step samples every commit so far
+	// carried: with the final reports' samples, the whole run's timeline,
+	// whichever generation recorded each step.
+	samples [][]telemetry.Sample
 	// events is the run's epoch lifecycle record, in occurrence order.
 	events []telemetry.Event
 
 	commits, rollbacks, readmits int
 }
 
-// commit transactionally replaces the committed epoch. The caller (rank 0's
-// commit phase) only reaches it after the gather completed, so the store
-// never holds a partial epoch.
+// commit transactionally replaces the committed epoch and moves the samples
+// its shards carried into the store, so a resume scatters none back. The
+// caller (rank 0's commit phase) only reaches it after the gather completed,
+// so the store never holds a partial epoch.
 func (s *commitStore) commit(step int, shards []rankShard, wallNS int64) telemetry.Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(s.samples) < len(shards) {
+		s.samples = append(s.samples, make([][]telemetry.Sample, len(shards)-len(s.samples))...)
+	}
+	for i := range shards {
+		s.samples[i] = append(s.samples[i], shards[i].Samples...)
+		shards[i].Samples = nil
+	}
 	s.step = step
 	s.shards = shards
 	s.commits++
@@ -94,9 +106,9 @@ func (s *commitStore) noteReadmit(rank int, wallNS int64) telemetry.Event {
 	return ev
 }
 
-// summary returns the run's recovery counters and a copy of its event
-// record.
-func (s *commitStore) summary() (RecoveryStats, []telemetry.Event) {
+// summary returns the run's recovery counters, a copy of its event record
+// and of the per-rank sample lists the commits carried.
+func (s *commitStore) summary() (RecoveryStats, []telemetry.Event, [][]telemetry.Sample) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	stats := RecoveryStats{
@@ -105,7 +117,7 @@ func (s *commitStore) summary() (RecoveryStats, []telemetry.Event) {
 		Rollbacks:   s.rollbacks,
 		Readmits:    s.readmits,
 	}
-	return stats, append([]telemetry.Event(nil), s.events...)
+	return stats, append([]telemetry.Event(nil), s.events...), append([][]telemetry.Sample(nil), s.samples...)
 }
 
 // DefaultMaxRecoveries bounds the rollback/readmit cycles of a run with

@@ -88,12 +88,33 @@ func TestCheckpointingPreservesResults(t *testing.T) {
 	}
 }
 
+// assertSameSampleCounts fails unless got holds want samples, step by step
+// and rank by rank the same as ref's in decision and every counter that is
+// not a time.
+func assertSameSampleCounts(t *testing.T, ref, got *telemetry.Timeline, want int) {
+	t.Helper()
+	if len(ref.Samples) != want || len(got.Samples) != want {
+		t.Fatalf("timelines hold %d and %d samples, want %d", len(ref.Samples), len(got.Samples), want)
+	}
+	for i, g := range got.Samples {
+		r := ref.Samples[i]
+		if g.Step != r.Step || g.Rank != r.Rank || g.Decision != r.Decision {
+			t.Fatalf("sample %d: step %d rank %d %q, reference step %d rank %d %q", i, g.Step, g.Rank, g.Decision, r.Step, r.Rank, r.Decision)
+		}
+		for c := range telemetry.NumCounters {
+			if k := c.Kind(); k != telemetry.KindSpan && k != telemetry.KindDuration && g.Counters[c] != r.Counters[c] {
+				t.Fatalf("step %d rank %d: %s = %d, reference %d", g.Step, g.Rank, c, g.Counters[c], r.Counters[c])
+			}
+		}
+	}
+}
+
 // TestRecoveryBitwiseIdentical is the acceptance pin for the epoch
 // lifecycle: a run where one rank's process is abruptly killed mid-epoch
 // and a replacement is re-admitted must finish with bitwise-identical
 // particles, balance decisions and counts to an uninterrupted run — for all
-// four drivers — and its timeline holds the steps after the commit it
-// resumed from. Three "processes" (the coordinator and two workers, each with
+// four drivers — and its timeline holds every step of every rank with the
+// same counts, the steps before the commit it resumed from included. Three "processes" (the coordinator and two workers, each with
 // its own Engine and wire node over real loopback sockets) form the world;
 // the victim severs its node with no handshake at step 25, between the
 // commits at 20 and 30.
@@ -194,15 +215,7 @@ func TestRecoveryBitwiseIdentical(t *testing.T) {
 				t.Errorf("balance log diverged:\nref: %s\ngot: %s", want, got)
 			}
 			assertSameCounts(t, ref, res, f.name+" recovered")
-			const resumed = killStep / every * every
-			if got, want := len(res.Timeline.Samples), ranks*(cfg.Steps-resumed); got != want {
-				t.Errorf("recovered timeline holds %d samples, want %d (steps %d-%d)", got, want, resumed+1, cfg.Steps)
-			}
-			for _, s := range res.Timeline.Samples {
-				if s.Step <= resumed {
-					t.Fatalf("recovered timeline has a sample of step %d, before the resumed commit at %d", s.Step, resumed)
-				}
-			}
+			assertSameSampleCounts(t, ref.Timeline, res.Timeline, ranks*cfg.Steps)
 			if res.Recovery == nil {
 				t.Fatal("recovered run has no recovery stats")
 			}
@@ -311,7 +324,7 @@ func TestRunElasticValidation(t *testing.T) {
 	if fmt.Sprint(gens) != "[0]" {
 		t.Errorf("generations spawned: %v, want [0]", gens)
 	}
-	stats, events := eng.store.summary()
+	stats, events, _ := eng.store.summary()
 	if stats.Generations != 1 || stats.Rollbacks != 0 || stats.Readmits != 0 {
 		t.Errorf("recovery stats after an unrecovered loss: %+v", stats)
 	}

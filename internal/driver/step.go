@@ -100,8 +100,6 @@ type stepper struct {
 	peerBytes, peerMsgs  []int64
 	msgsSent, msgsElided int64
 	fence                int
-
-	psScratch []particle.Particle
 }
 
 func (s *stepper) init(c *comm.Comm, cfg Config, unit string) {
@@ -356,25 +354,25 @@ func (s *stepper) CheckOwnership(step int) error {
 	return nil
 }
 
-// VerifyLocal implements Substrate: one verifier over every hosted cell, so
-// a duplicate ID is caught across the cells of a rank as well as within one.
-func (s *stepper) VerifyLocal(v *core.ColumnVerifier) error {
+// Local implements Substrate: the hosted cells' containers in ascending
+// owner order, so one verifier sees them all and catches a duplicate ID
+// across the cells of a rank as well as within one.
+func (s *stepper) Local(visit func(*core.SoA) error) error {
 	for _, c := range s.cells {
-		if err := v.Check(c.soa); err != nil {
+		if err := visit(c.soa); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Particles implements Substrate. The returned slice is scratch, valid
-// until the next Particles call.
+// Particles implements Substrate.
 func (s *stepper) Particles() []particle.Particle {
-	s.psScratch = s.psScratch[:0]
+	var ps []particle.Particle
 	for _, c := range s.cells {
-		s.psScratch = c.soa.AppendParticles(s.psScratch)
+		ps = c.soa.AppendParticles(ps)
 	}
-	return s.psScratch
+	return ps
 }
 
 // PeerExchange implements Substrate.

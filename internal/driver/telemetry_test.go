@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/diffusion"
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/memtest"
@@ -173,14 +174,14 @@ func TestTimelinePhaseAccounting(t *testing.T) {
 // FuzzDecodeRankReport fuzzes the kindRankReport codec — a rank's
 // end-of-run report on its way to rank 0, which over the wire transport is
 // whatever a socket delivers — from a report carrying every part: counters,
-// verifier tally, samples, its exchange-matrix row and particles.
+// verifier tally, samples, its exchange-matrix row and particle columns.
 func FuzzDecodeRankReport(f *testing.F) {
 	rep := rankReport{Samples: fuzzSamples(), MaxParticles: 900, Count: 2, IDSum: 7,
 		PeerBytes: []int64{0, 4096, 1 << 40, 12}, PeerMsgs: []int64{0, 3, 1, 2},
-		Particles: []particle.Particle{
+		State: *core.NewSoA([]particle.Particle{
 			{ID: 3, X: 0.5, Y: 1.5, VY: 1, Q: -0.35, X0: 0.5, Y0: 0.5, K: 0, M: 1, Dir: 1},
 			{ID: 4, X: 7.5, Y: 2.5, VX: -6, VY: -1, Q: 1.05, X0: 6.5, Y0: 3.5, K: 1, M: -1, Dir: -1, Born: 3},
-		}}
+		})}
 	for c := range rep.Counters {
 		rep.Counters[c] = int64(c) * 1000
 	}

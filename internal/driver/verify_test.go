@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -44,8 +45,8 @@ func (s *tamperSub) Particles() []particle.Particle {
 }
 
 // TestDistributedVerifyOnColumns pins the distributed verification end to
-// end: a clean run passes without ever converting a rank's columns to AoS,
-// and each kind of damage is caught by the check that owns it — a moved
+// end, with and without the gather of Verify: a clean run passes without
+// ever converting a rank's columns to AoS, and each kind of damage is caught by the check that owns it — a moved
 // particle by the per-particle closed form, a duplicate by the rank's ID
 // bitset, a lost particle by the allreduced count, and an ID that collides
 // with another rank's particle (invisible to any one rank) by the allreduced
@@ -53,9 +54,8 @@ func (s *tamperSub) Particles() []particle.Particle {
 // never fires: the ID it would have minted first is outside the run's range.
 func TestDistributedVerifyOnColumns(t *testing.T) {
 	cfg := testConfig(t, 16, 1500, 12)
-	cfg.Verify, cfg.DistributedVerify = false, true
 	cfg.Schedule = dist.Schedule{{Step: 13, Region: dist.Rect{X0: 0, X1: 16, Y0: 0, Y1: 16}, Inject: 40}}
-	for _, tc := range []struct {
+	cases := []struct {
 		name, want string
 		tamper     func(b *blockSubstrate)
 	}{
@@ -76,35 +76,47 @@ func TestDistributedVerifyOnColumns(t *testing.T) {
 				}
 			}
 		}},
-	} {
-		var particles atomic.Int32
-		eng := NewBaselineEngine(cfg)
-		real := eng.Substrate
-		eng.Substrate = func(c *comm.Comm, cfg Config) (Substrate, error) {
-			sub, err := real(c, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return &tamperSub{Substrate: sub, last: cfg.Steps, tamper: tc.tamper, particles: &particles}, nil
-		}
-		res, err := eng.Run(4)
-		switch {
-		case tc.want == "" && (err != nil || !res.Verified):
-			t.Errorf("%s: run failed or unverified: %v", tc.name, err)
-		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
-		}
-		if n := particles.Load(); n != 0 {
-			t.Errorf("%s: Particles() called %d times in a DistributedVerify run", tc.name, n)
+	}
+	for _, distributed := range []bool{true, false} {
+		cfg.Verify, cfg.DistributedVerify = !distributed, distributed
+		for _, tc := range cases {
+			verifyDamaged(t, cfg, tc.name, tc.want, tc.tamper)
 		}
 	}
 }
 
+// verifyDamaged runs cfg at P = 4 with tamper applied to rank 0's columns
+// after the last step, and checks the run fails with an error containing
+// want (passes, when want is empty) without a Particles() call on any rank.
+func verifyDamaged(t *testing.T, cfg Config, name, want string, tamper func(b *blockSubstrate)) {
+	t.Helper()
+	name = fmt.Sprintf("%s (distributed=%v)", name, cfg.DistributedVerify)
+	var particles atomic.Int32
+	eng := NewBaselineEngine(cfg)
+	real := eng.Substrate
+	eng.Substrate = func(c *comm.Comm, cfg Config) (Substrate, error) {
+		sub, err := real(c, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &tamperSub{Substrate: sub, last: cfg.Steps, tamper: tamper, particles: &particles}, nil
+	}
+	res, err := eng.Run(4)
+	switch {
+	case want == "" && (err != nil || !res.Verified):
+		t.Errorf("%s: run failed or unverified: %v", name, err)
+	case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+		t.Errorf("%s: got %v, want an error containing %q", name, err, want)
+	}
+	if n := particles.Load(); n != 0 {
+		t.Errorf("%s: Particles() called %d times", name, n)
+	}
+}
+
 // TestUnverifiedRunSkipsGather pins that a run with neither Verify nor
-// DistributedVerify never converts a rank's columns to AoS for the
-// end-of-run gather, since nothing would read the result: no Particles()
-// call on any rank and no Result.Particles. With Verify the gather runs
-// once per rank and the result carries the verified state.
+// DistributedVerify gathers no final state, since nothing would read it: no
+// Result.Particles. With Verify the result carries the verified state,
+// gathered on its columns: in neither case does any rank call Particles().
 func TestUnverifiedRunSkipsGather(t *testing.T) {
 	for _, verify := range []bool{false, true} {
 		cfg := testConfig(t, 16, 1500, 6)
@@ -124,15 +136,13 @@ func TestUnverifiedRunSkipsGather(t *testing.T) {
 		if err != nil {
 			t.Fatalf("verify=%v: %v", verify, err)
 		}
-		calls, want := particles.Load(), int32(0)
-		if verify {
-			want = ranks
-		}
-		if calls != want {
-			t.Errorf("verify=%v: Particles() called %d times, want %d", verify, calls, want)
+		if calls := particles.Load(); calls != 0 {
+			t.Errorf("verify=%v: Particles() called %d times", verify, calls)
 		}
 		if res.Verified != verify || (res.Particles != nil) != verify {
-			t.Errorf("verify=%v: Verified=%v with %d particles in the result", verify, res.Verified, len(res.Particles))
+			t.Errorf("verify=%v: Verified=%v, state gathered: %v", verify, res.Verified, res.Particles != nil)
+		} else if verify && res.Particles.Len() != res.FinalParticles {
+			t.Errorf("verify=%v: %d particles gathered of %d", verify, res.Particles.Len(), res.FinalParticles)
 		}
 	}
 }

@@ -5,25 +5,6 @@ import (
 	"testing"
 )
 
-// FuzzDecode feeds arbitrary bytes to a length-prefixed Particle.PUP
-// traversal — the particle part of what a socket delivers: it must never
-// panic, and any buffer it accepts must re-encode to the same bytes.
-func FuzzDecode(f *testing.F) {
-	f.Add(encode(f, []Particle{{ID: 1, X: 0.5, Y: 0.5, Q: -0.35, X0: 0.5, Y0: 0.5, Dir: 1}}))
-	f.Add([]byte{})
-	f.Add(make([]byte, 8+wireSize-1))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ps, err := decode(data)
-		if err != nil {
-			return
-		}
-		if got := encode(t, ps); string(got) != string(data) {
-			t.Fatalf("accepted buffer does not round-trip")
-		}
-	})
-}
-
 // modExpectedAt is ExpectedAt as it stood before the lattice reduction and
 // the shared branch-first wrap: the math.Mod form, the reference the
 // closed form must equal bit for bit.

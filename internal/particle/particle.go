@@ -1,12 +1,10 @@
-// Package particle defines the charged particles of the PIC PRK, together
-// with the bookkeeping needed for the closed-form verification of paper
-// §III-D and the one byte encoding of a particle: the PUP traversal, which
-// carries a rank's final particles to rank 0 in the driver's end-of-run
-// report.
+// Package particle defines the charged particles of the PIC PRK and their
+// closed-form trajectories (paper eqs. 5–6), the rule the verification of
+// paper §III-D checks every particle against. A particle crosses a socket or
+// lands in a checkpoint only as a row of core.SoA columns.
 package particle
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/parres/picprk/internal/grid"
@@ -44,27 +42,6 @@ type Particle struct {
 	// Born is the time step at which the particle entered the simulation
 	// (0 for initial particles, t' for injected ones).
 	Born int32
-}
-
-// Validate performs basic sanity checks on a particle. Only tests call it;
-// the drivers check what arrives with the owner table and the verifier.
-func (p *Particle) Validate(L float64) error {
-	if p.ID == 0 {
-		return fmt.Errorf("particle: zero ID")
-	}
-	if p.X < 0 || p.X >= L || p.Y < 0 || p.Y >= L {
-		return fmt.Errorf("particle %d: position (%v,%v) outside [0,%v)", p.ID, p.X, p.Y, L)
-	}
-	if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsNaN(p.VX) || math.IsNaN(p.VY) {
-		return fmt.Errorf("particle %d: NaN state", p.ID)
-	}
-	if p.K < 0 {
-		return fmt.Errorf("particle %d: negative K=%d", p.ID, p.K)
-	}
-	if p.Dir != 1 && p.Dir != -1 {
-		return fmt.Errorf("particle %d: Dir must be ±1, got %d", p.ID, p.Dir)
-	}
-	return nil
 }
 
 // ExpectedAt returns the closed-form position of the particle after it has
@@ -109,15 +86,4 @@ func advance(v0, d, L float64) float64 {
 		v = v0 + float64(r)
 	}
 	return grid.Wrap(v, L)
-}
-
-// IDSum returns the sum of particle IDs, the cheap lost-particle checksum of
-// paper §III-D: for n surviving particles with IDs 1..n it must equal
-// n·(n+1)/2.
-func IDSum(ps []Particle) uint64 {
-	var s uint64
-	for i := range ps {
-		s += ps[i].ID
-	}
-	return s
 }

@@ -36,7 +36,7 @@ import (
 //	0         untyped nil (built in, no registration)
 //	1–19      pup: Go builtins and primitive slices
 //	20–29     internal/comm
-//	30–39     internal/particle
+//	30–39     retired: a particle travels only as internal/core columns
 //	40–49     internal/core
 //	50–69     internal/driver
 //	90–99     internal/comm/wire control frames

@@ -1,6 +1,10 @@
 package sweep
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -67,6 +71,58 @@ func TestPlot(t *testing.T) {
 // tests share: the sweeps dominate the package's run time, so none is
 // computed twice.
 var quickAll = sync.OnceValue(func() []*Figure { return All(model.Edison(), Quick) })
+
+var update = flag.Bool("update", false, "rewrite testdata/quick_figures.golden")
+
+// TestQuickFiguresGolden pins every Quick figure as `picbench -fig all
+// -quick` renders it, so a change to the model or a sweep fails with a diff
+// instead of passing the shape tests unnoticed. It renders the figures the
+// package's tests compute anyway (quickAll) and is skipped under -short,
+// which skips the sweeps. Regenerate with
+// `go test ./internal/sweep -run TestQuickFiguresGolden -update` and say in
+// the change why the figures moved.
+func TestQuickFiguresGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the Quick sweeps are skipped under -short")
+	}
+	var got bytes.Buffer
+	for _, f := range quickAll() {
+		f.Render(&got)
+	}
+	path := filepath.Join("testdata", "quick_figures.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	shown := 0
+	for i := 0; i < max(len(gl), len(wl)) && shown < 20; i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Errorf("line %d:\n-%s\n+%s", i+1, w, g)
+			shown++
+		}
+	}
+	t.Error("the Quick figures moved from testdata/quick_figures.golden (-update rewrites it)")
+}
 
 // quickFigure returns the Quick figure with the given ID from quickAll.
 // Under -short, which skips the expensive sweeps, it computes just this
