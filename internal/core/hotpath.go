@@ -13,31 +13,51 @@ import (
 // The AoS kernel (Force + Move) pays four interface-dispatched Charge calls
 // per particle per step and stays as the reference the identity tests
 // compare against. moveRange reads the four corner charges of an owned cell
-// as two adjacent pairs in the block's row-major charge array and feeds them
-// to the same forceCorners, so the floating-point operations and their order
-// are literally the same code and results are bitwise identical to the
-// reference (TestKernelLoopMatchesReference) — which the verification scheme
-// and the cross-driver identity tests rely on.
+// as two adjacent pairs in the block's row-major charge array and evaluates
+// the force a block of particles at a time (force.go), two particles per
+// packed instruction where the architecture has one. Every lane performs
+// the reference's IEEE operations in the reference's order, so results are
+// bitwise identical to it (TestKernelLoopMatchesReference,
+// TestForceLanesMatchesReference) — which the verification scheme and the
+// cross-driver identity tests rely on.
 
 // moveRange advances particles [lo, hi) of s by one step against the block
 // that owns their cells (the engine's ownership invariant). With lv non-nil
 // it also classifies: a particle whose new cell's owner in ot differs from
 // self is recorded, with that owner, on leaver chunk w. Classification only
 // adds reads after the update, so the particle states do not depend on it.
+//
+// It works in blocks of laneBlock particles, in three passes: gather each
+// particle's cell-relative position and charge products into a stack
+// buffer, evaluate the forces over the block, then update and classify.
 func moveRange(s *SoA, lo, hi int, b *grid.Block, m grid.Mesh, ot *OwnerTable, self int32, lv *Leavers, w int) {
-	xs, ys, vxs, vys, qs := s.X, s.Y, s.VX, s.VY, s.Q
-	for i := lo; i < hi; i++ {
-		cx, cy := m.CellOf(xs[i], ys[i])
-		q00, q10, q01, q11 := b.CornerCharges(cx, cy)
-		ax, ay := forceCorners(q00, q10, q01, q11, qs[i], xs[i]-float64(cx), ys[i]-float64(cy))
-		xs[i] = m.WrapCoord(xs[i] + vxs[i] + 0.5*ax)
-		ys[i] = m.WrapCoord(ys[i] + vys[i] + 0.5*ay)
-		vxs[i] += ax
-		vys[i] += ay
-		if lv != nil {
-			ncx, ncy := m.CellOf(xs[i], ys[i])
-			if o := ot.Owner(ncx, ncy); o != self {
-				lv.Add(w, int32(i), o)
+	var buf forceBuf
+	for ; lo < hi; lo += laneBlock {
+		n := min(hi-lo, laneBlock)
+		xs, ys, qs := s.X[lo:lo+n], s.Y[lo:lo+n], s.Q[lo:lo+n]
+		rx, ry := buf.rx[:n], buf.ry[:n]
+		qq00, qq10, qq01, qq11 := buf.qq00[:n], buf.qq10[:n], buf.qq01[:n], buf.qq11[:n]
+		for j := range xs {
+			cx, cy := m.CellOf(xs[j], ys[j])
+			c00, c10, c01, c11 := b.CornerCharges(cx, cy)
+			q := qs[j]
+			rx[j], ry[j] = xs[j]-float64(cx), ys[j]-float64(cy)
+			qq00[j], qq10[j], qq01[j], qq11[j] = q*c00, q*c10, q*c01, q*c11
+		}
+		force(&buf, n)
+		vxs, vys := s.VX[lo:lo+n], s.VY[lo:lo+n]
+		fx, fy := buf.fx[:n], buf.fy[:n]
+		for j := range xs {
+			ax, ay := fx[j], fy[j]
+			xs[j] = m.WrapCoord(xs[j] + vxs[j] + 0.5*ax)
+			ys[j] = m.WrapCoord(ys[j] + vys[j] + 0.5*ay)
+			vxs[j] += ax
+			vys[j] += ay
+			if lv != nil {
+				ncx, ncy := m.CellOf(xs[j], ys[j])
+				if o := ot.Owner(ncx, ncy); o != self {
+					lv.Add(w, int32(lo+j), o)
+				}
 			}
 		}
 	}

@@ -166,22 +166,37 @@ func TestChunkBounds(t *testing.T) {
 	}
 }
 
-// TestMovePhaseAllocationFree pins that a Move on a persistent pool
-// performs zero heap allocations, at one and several workers.
+// TestMovePhaseAllocationFree pins that a move on a persistent pool
+// performs zero heap allocations, at one and several workers: a plain Move
+// of the whole set, and a MoveClassifyRange into a leaver list over a range
+// whose chunks are not whole blocks of laneBlock particles. The force
+// kernel's scratch buffer must stay on the stack: were it to escape, every
+// moveRange call would allocate it.
 func TestMovePhaseAllocationFree(t *testing.T) {
 	m := mesh(t, 64)
 	block, err := grid.NewBlock(m, 0, 0, m.L, m.L)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ot := testOwnerTable(m.L, 2, 2)
 	soa := NewSoA(hotpathParticles(t, m, 4096))
-	for _, workers := range []int{1, 3} {
+	lo, hi := 5, soa.Len()-2
+	for _, workers := range []int{1, 2, 3} {
 		pool := NewMovePool(workers)
-		pool.Move(soa, block, m) // warm up
-		if avg := testing.AllocsPerRun(20, func() {
-			pool.Move(soa, block, m)
-		}); avg != 0 {
-			t.Errorf("workers=%d: %v allocs per Move, want 0", workers, avg)
+		var lv Leavers
+		for _, tc := range []struct {
+			name string
+			move func()
+		}{
+			{"Move", func() { pool.Move(soa, block, m) }},
+			{"MoveClassifyRange", func() { pool.MoveClassifyRange(soa, lo, hi, block, m, ot, 0, &lv) }},
+		} {
+			for i := 0; i < 10; i++ {
+				tc.move() // warm up: the leaver lists reach their high water
+			}
+			if avg := testing.AllocsPerRun(20, tc.move); avg != 0 {
+				t.Errorf("workers=%d: %v allocs per %s, want 0", workers, avg, tc.name)
+			}
 		}
 		pool.Close()
 	}

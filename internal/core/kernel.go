@@ -28,28 +28,30 @@ type ChargeSource interface {
 func Force(src ChargeSource, q, x, y float64, cx, cy int) (fx, fy float64) {
 	relx := x - float64(cx)
 	rely := y - float64(cy)
-	return forceCorners(src.Charge(cx, cy), src.Charge(cx+1, cy), src.Charge(cx, cy+1), src.Charge(cx+1, cy+1),
-		q, relx, rely)
+	return forceQQ(q*src.Charge(cx, cy), q*src.Charge(cx+1, cy), q*src.Charge(cx, cy+1), q*src.Charge(cx+1, cy+1),
+		relx, rely)
 }
 
-// forceCorners evaluates the four corner contributions given the corner
-// charges in fixed order — (0,0), (1,0), (0,1), (1,1) — and sums them in a
-// fixed association. The AoS reference (Force) and the SoA move loop
-// (hotpath.go) both funnel through this one function, so the floating-point
-// result is bitwise identical regardless of how the corner charges were
-// obtained.
-func forceCorners(q00, q10, q01, q11, q, relx, rely float64) (fx, fy float64) {
-	fx0, fy0 := corner(q00, q, relx, rely)
-	fx1, fy1 := corner(q10, q, relx-1, rely)
-	fx2, fy2 := corner(q01, q, relx, rely-1)
-	fx3, fy3 := corner(q11, q, relx-1, rely-1)
+// forceQQ evaluates the four corner contributions given the products q·Qc
+// of the particle's charge with the corner charges, in fixed corner order —
+// (0,0), (1,0), (0,1), (1,1) — and sums them in a fixed association. Go
+// parses q*qc/r2 as (q*qc)/r2, so handing corner the product is exact. The
+// AoS reference (Force) funnels through this function, and the move loop's
+// batched kernel (force.go) performs its IEEE operations, in its order, on
+// every lane, so the result is bitwise identical however the corner charges
+// were obtained and however many particles are evaluated at once.
+func forceQQ(qq00, qq10, qq01, qq11, relx, rely float64) (fx, fy float64) {
+	fx0, fy0 := corner(qq00, relx, rely)
+	fx1, fy1 := corner(qq10, relx-1, rely)
+	fx2, fy2 := corner(qq01, relx, rely-1)
+	fx3, fy3 := corner(qq11, relx-1, rely-1)
 	return ((fx0 + fx1) + (fx2 + fx3)), ((fy0 + fy1) + (fy2 + fy3))
 }
 
-func corner(qc, q, rx, ry float64) (fx, fy float64) {
+func corner(qq, rx, ry float64) (fx, fy float64) {
 	r2 := rx*rx + ry*ry
 	r := math.Sqrt(r2)
-	f := q * qc / r2
+	f := qq / r2
 	return f * (rx / r), f * (ry / r)
 }
 

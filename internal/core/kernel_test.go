@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/parres/picprk/internal/dist"
@@ -182,6 +183,39 @@ func BenchmarkForce(b *testing.B) {
 		sink += fx + fy
 	}
 	_ = sink
+}
+
+// BenchmarkForceLanes reports the force kernel's cost per particle on a
+// block of particles in random cells' interiors: batched (force, the move
+// loop's kernel) and one particle at a time (forceQQ, the reference's).
+func BenchmarkForceLanes(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	var buf forceBuf
+	for j := 0; j < laneBlock; j++ {
+		for k, in := range buf.inputs(j) {
+			*in = rng.Float64()
+			if k < 4 {
+				*in = 0.5 - *in
+			}
+		}
+	}
+	perParticle := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/laneBlock, "ns/particle")
+	}
+	b.Run("force", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			force(&buf, laneBlock)
+		}
+		perParticle(b)
+	})
+	b.Run("forceQQ", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < laneBlock; j++ {
+				buf.fx[j], buf.fy[j] = buf.scalar(j)
+			}
+		}
+		perParticle(b)
+	})
 }
 
 func BenchmarkMoveAll(b *testing.B) {
