@@ -17,17 +17,14 @@ import (
 // ceded mesh columns/rows to the ranks gaining them ("mpi-2d-LB").
 //
 // It is the one-cell case of the shared step (step.go): owners are ranks,
-// every owner hosts itself, and the rank's rectangle is the only cell.
+// the owner grid is the rank grid, whose cuts move, every owner hosts
+// itself, and the rank's rectangle is the only cell.
 type blockSubstrate struct {
 	stepper
 	cell
-	g *decomp.Grid2D
 
 	// Reused load histograms for Measure.
 	hist, rhist []int64
-
-	migrations int
-	bytes      int64
 }
 
 func newBlockSubstrate(c *comm.Comm, cfg Config, px, py int) (*blockSubstrate, error) {
@@ -42,11 +39,10 @@ func newBlockSubstrate(c *comm.Comm, cfg Config, px, py int) (*blockSubstrate, e
 	}
 	s := &blockSubstrate{
 		cell:  cell{id: c.Rank(), block: block, soa: &core.SoA{}},
-		g:     g,
 		hist:  make([]int64, cfg.Mesh.L),
 		rhist: make([]int64, cfg.Mesh.L),
 	}
-	s.ot = core.NewOwnerTable(g.X.Cuts, g.Y.Cuts)
+	s.g, s.ot = g, core.NewOwnerTable(g.X.Cuts, g.Y.Cuts)
 	self := int32(c.Rank())
 	err = fillLocal(cfg, s.ot, c.Size(), func(o int32) *core.SoA {
 		if o == self {
@@ -57,7 +53,7 @@ func newBlockSubstrate(c *comm.Comm, cfg Config, px, py int) (*blockSubstrate, e
 	if err != nil {
 		return nil, err
 	}
-	s.init(c, cfg, "rank")
+	s.init(c, cfg, "rank", s)
 	s.cells = []*cell{&s.cell}
 	s.host = make([]int, c.Size())
 	for r := range s.host {
@@ -115,8 +111,18 @@ func (s *blockSubstrate) Execute(plan balance.Plan) (bool, error) {
 	return true, nil
 }
 
-// MigrationStats implements Substrate.
-func (s *blockSubstrate) MigrationStats() (int, int64) { return s.migrations, s.bytes }
+// admit implements cellHome: every rank hosts its own rectangle.
+func (s *blockSubstrate) admit(_ *decomp.Grid2D, host []int) error {
+	for id, r := range host {
+		if r != id {
+			return fmt.Errorf("driver: checkpoint hosts rank %d's rectangle on rank %d", id, r)
+		}
+	}
+	return nil
+}
+
+// home implements cellHome: the one cell is the rank's own.
+func (s *blockSubstrate) home(int) *cell { return &s.cell }
 
 // rectParcel carries ceded mesh points between ranks after a cut moved: the
 // row-major charges of the global rectangle [X0, X0+W) × [Y0, Y0+H).
@@ -157,7 +163,7 @@ func (s *blockSubstrate) migrate(nw *decomp.Grid2D) error {
 		}
 		data := s.block.AppendRect(make([]float64, 0, w*h), x0, y0, w, h)
 		s.c.Send(r, tagMigrate, &rectParcel{X0: x0, Y0: y0, W: w, H: h, Data: data})
-		s.bytes += int64(8 * len(data))
+		s.migratedBytes += int64(8 * len(data))
 	}
 	x0, y0, nx, ny := nw.RankRect(me)
 	block, err := grid.NewBlock(s.cfg.Mesh, x0, y0, nx, ny)

@@ -1,14 +1,15 @@
 package driver
 
-// Substrate checkpoints: the full per-rank dynamic state of each execution
-// model, its particles serialized through core.PUPColumns — the traversal
-// the exchange and VP migration use. The static configuration (mesh,
-// decomposition shape, schedule, seed) is not part of a checkpoint — a
-// restoring rank rebuilds it from its own Config and validates the
-// checkpoint against it. Derived state (materialized mesh blocks,
-// owner tables, frontiers) is likewise rebuilt rather than
-// shipped: block charge data is formulaic, and the lookup structures are
-// pure functions of the cuts / VP placement that do travel.
+// The checkpoint: a rank's full dynamic state, in one format for both
+// substrates, written by one stepper traversal — the owner grid, the host
+// table, the migration ledger, each hosted cell's id and particle columns
+// (core.PUPColumns, the traversal the exchange and VP migration use) and
+// the exchange ledger. The static configuration (mesh, schedule, seed) is
+// not part of it — a restoring rank rebuilds it from its own Config and
+// validates the checkpoint against it. Derived state (materialized mesh
+// blocks, owner tables, frontiers) is likewise rebuilt rather than
+// shipped: mesh charge data is formulaic, and the lookup structures are
+// pure functions of the owner grid and host table that do travel.
 
 import (
 	"fmt"
@@ -20,13 +21,20 @@ import (
 	"github.com/parres/picprk/internal/pup"
 )
 
-// Checkpoint magics guard against restoring the wrong substrate family (or
-// an unrelated buffer) with a clear error instead of silent corruption. The
-// trailing digit is the format version (testdata/checkpoint_*.golden).
-const (
-	blockCheckpointMagic uint64 = 0x50494350524b4233 // "PICPRKB3"
-	vpCheckpointMagic    uint64 = 0x50494350524b5633 // "PICPRKV3"
-)
+// checkpointMagic guards against restoring an unrelated buffer with a clear
+// error instead of silent corruption. The trailing digit is the format
+// version (testdata/checkpoint_*.golden).
+const checkpointMagic uint64 = 0x50494350524b5334 // "PICPRKS4"
+
+// A cellHome is what a restore leaves to the substrate: the decompositions
+// it can run, and where each restored cell goes.
+type cellHome interface {
+	// admit refuses an owner grid and host table the substrate cannot
+	// run; admitting them, it gives up its hosted cells to the restore.
+	admit(g *decomp.Grid2D, host []int) error
+	// home returns the cell owner id restores into, hosted from now on.
+	home(id int) *cell
+}
 
 // pupIntSlice serializes a length-prefixed []int whose length is checked at 8
 // bytes per element, so a corrupt prefix sizes no more than the bytes present.
@@ -38,179 +46,127 @@ func pupIntSlice(p *pup.PUPer, v *[]int) {
 	}
 }
 
-// PUP implements pup.PUPable: the block substrate's dynamic state is the
-// cut arrays (the decomposition the balancer has evolved), the local SoA
-// particle container, the migration accounting and the exchange ledger. Unpacking
-// reinstalls the cuts — rebuilding the mesh block, owner table and
-// frontier, and zeroing the ownership prefix — before the restored particles are
-// trusted.
-func (s *blockSubstrate) PUP(p *pup.PUPer) {
-	magic := blockCheckpointMagic
+// PUP implements pup.PUPable: the checkpoint traversal. Unpacking reads the
+// owner grid and host table into fresh values and installs them only once
+// the whole checkpoint has checked out, rebuilding the owner table when the
+// cuts changed and then every structure rebuildTopology derives (which
+// zeroes the ownership prefixes) before the restored particles are trusted.
+func (s *stepper) PUP(p *pup.PUPer) {
+	magic := checkpointMagic
 	p.Uint64(&magic)
-	if p.Mode() == pup.Unpacking && magic != blockCheckpointMagic {
-		p.Fail(fmt.Errorf("driver: not a block-substrate checkpoint (magic %#x)", magic))
+	unpacking := p.Mode() == pup.Unpacking
+	if unpacking && magic != checkpointMagic {
+		p.Fail(fmt.Errorf("driver: not a checkpoint (magic %#x)", magic))
 		return
 	}
-	px, py, L := s.g.PX, s.g.PY, s.cfg.Mesh.L
-	p.Int(&px)
-	p.Int(&py)
-	p.Int(&L)
-	if p.Mode() == pup.Unpacking {
-		if L != s.cfg.Mesh.L {
-			p.Fail(fmt.Errorf("driver: checkpoint is for L=%d, run has L=%d", L, s.cfg.Mesh.L))
-			return
-		}
-		if px != s.g.PX || py != s.g.PY {
-			p.Fail(fmt.Errorf("driver: checkpoint is for a %dx%d decomposition, run has %dx%d", px, py, s.g.PX, s.g.PY))
-			return
-		}
+	g, host := s.g, s.host
+	if unpacking {
+		g, host = &decomp.Grid2D{}, nil
 	}
-	// Cuts travel as values; packing must not alias the live grid (a wire
-	// Ship may serialize concurrently with the owner still reading it), and
-	// unpacking builds the new grid from fresh slices.
-	var xcuts, ycuts []int
-	if p.Mode() != pup.Unpacking {
-		xcuts, ycuts = s.g.X.Cuts, s.g.Y.Cuts
-	}
-	pupIntSlice(p, &xcuts)
-	pupIntSlice(p, &ycuts)
-	core.PUPColumns(p, s.soa)
-	p.Int(&s.migrations)
-	pupInt64(p, &s.bytes)
-	s.pupLedger(p)
-	if p.Mode() == pup.Unpacking && p.Err() == nil {
-		if err := s.installCuts(xcuts, ycuts); err != nil {
+	p.Int(&g.PX)
+	p.Int(&g.PY)
+	pupIntSlice(p, &g.X.Cuts)
+	pupIntSlice(p, &g.Y.Cuts)
+	pupIntSlice(p, &host)
+	if unpacking && p.Err() == nil {
+		if err := s.checkDecomposition(g, host); err != nil {
 			p.Fail(err)
-		}
-	}
-}
-
-// installCuts validates and installs restored cut arrays, rebuilding every
-// structure derived from the decomposition (mirror of Execute's tail, minus
-// the neighbor charge migration — the rebuilt block's charge is formulaic).
-func (s *blockSubstrate) installCuts(xcuts, ycuts []int) error {
-	g := &decomp.Grid2D{PX: s.g.PX, PY: s.g.PY, X: decomp.Bounds{Cuts: xcuts}, Y: decomp.Bounds{Cuts: ycuts}}
-	if err := g.X.Validate(s.cfg.Mesh.L); err != nil {
-		return fmt.Errorf("driver: checkpoint x-cuts: %w", err)
-	}
-	if err := g.Y.Validate(s.cfg.Mesh.L); err != nil {
-		return fmt.Errorf("driver: checkpoint y-cuts: %w", err)
-	}
-	if g.X.N() != g.PX || g.Y.N() != g.PY {
-		return fmt.Errorf("driver: checkpoint cuts describe %dx%d blocks, run has %dx%d", g.X.N(), g.Y.N(), g.PX, g.PY)
-	}
-	x0, y0, nx, ny := g.RankRect(s.c.Rank())
-	block, err := grid.NewBlock(s.cfg.Mesh, x0, y0, nx, ny)
-	if err != nil {
-		return err
-	}
-	s.g, s.block = g, block
-	s.ot = core.NewOwnerTable(g.X.Cuts, g.Y.Cuts)
-	s.rebuildTopology()
-	return nil
-}
-
-// Checkpoint implements Substrate.
-func (s *blockSubstrate) Checkpoint() ([]byte, error) { return pup.Pack(s) }
-
-// Restore implements Substrate.
-func (s *blockSubstrate) Restore(buf []byte) error {
-	if err := pup.Unpack(s, buf); err != nil {
-		return err
-	}
-	return s.checkRestored()
-}
-
-// PUP implements pup.PUPable: the VP substrate's dynamic state is the
-// placement, the migration counters and every locally hosted VP in
-// ascending id order, serialized through its own PUP routine (particles and
-// grid data column-wise, recycled shells on unpack), plus the exchange
-// ledger. It is the rank's checkpoint shard: pack it on every rank and
-// the union reconstructs the world. Unpacking first retires the hosted VPs
-// into the shell free list (the path migration uses, so a restore stays off
-// the allocator once warm), then rebuilds the hosted set from the stream,
-// checking the placement against the world and against each restored VP's
-// id. The frontier depends on the placement and is rebuilt after restore.
-func (s *vpSubstrate) PUP(p *pup.PUPer) {
-	magic := vpCheckpointMagic
-	p.Uint64(&magic)
-	if p.Mode() == pup.Unpacking && magic != vpCheckpointMagic {
-		p.Fail(fmt.Errorf("driver: not a VP-substrate checkpoint (magic %#x)", magic))
-		return
-	}
-	L := s.cfg.Mesh.L
-	p.Int(&L)
-	if p.Mode() == pup.Unpacking && L != s.cfg.Mesh.L {
-		p.Fail(fmt.Errorf("driver: checkpoint is for L=%d, run has L=%d", L, s.cfg.Mesh.L))
-		return
-	}
-	nvp := len(s.host)
-	p.Int(&nvp)
-	if p.Mode() == pup.Unpacking && nvp != len(s.host) {
-		p.Fail(fmt.Errorf("driver: checkpoint has %d VPs, run has %d", nvp, len(s.host)))
-		return
-	}
-	pupIntSlice(p, &s.host)
-	p.Int(&s.measures)
-	p.Int(&s.sent)
-	p.Int(&s.received)
-	pupInt64(p, &s.sentBytes)
-	pupInt64(p, &s.recvBytes)
-
-	me, hosted := s.c.Rank(), 0
-	if p.Mode() == pup.Unpacking {
-		if len(s.host) != nvp {
-			p.Fail(fmt.Errorf("driver: checkpoint placement has %d entries for %d VPs", len(s.host), nvp))
 			return
 		}
-		for id, c := range s.host {
-			if c < 0 || c >= s.c.Size() {
-				p.Fail(fmt.Errorf("driver: checkpoint places VP %d on core %d of %d", id, c, s.c.Size()))
-				return
-			}
-			if c == me {
-				hosted++
-			}
-		}
-		s.free = append(s.free, s.vps...)
-		clear(s.vps)
-		s.vps = s.vps[:0]
 	}
-	n := len(s.vps)
+	p.Int(&s.migrations)
+	pupInt64(p, &s.migratedBytes)
+	s.pupCells(p, g, host)
+	s.pupLedger(p)
+	if unpacking && p.Err() == nil {
+		if !g.Equal(s.g) {
+			s.g, s.ot = g, core.NewOwnerTable(g.X.Cuts, g.Y.Cuts)
+		}
+		copy(s.host, host)
+		s.rebuildTopology()
+	}
+}
+
+// checkDecomposition refuses a restored owner grid or host table this run
+// cannot take — another shape, invalid cuts, an owner hosted on a rank that
+// does not exist — and then asks the substrate for its own rule.
+func (s *stepper) checkDecomposition(g *decomp.Grid2D, host []int) error {
+	if g.PX != s.g.PX || g.PY != s.g.PY {
+		return fmt.Errorf("driver: checkpoint is for a %dx%d owner grid, run has %dx%d", g.PX, g.PY, s.g.PX, s.g.PY)
+	}
+	if err := g.Validate(s.cfg.Mesh.L); err != nil {
+		return fmt.Errorf("driver: checkpoint cuts: %w", err)
+	}
+	if len(host) != len(s.host) {
+		return fmt.Errorf("driver: checkpoint host table has %d entries for %d %ss", len(host), len(s.host), s.unit)
+	}
+	for id, r := range host {
+		if r < 0 || r >= s.c.Size() {
+			return fmt.Errorf("driver: checkpoint hosts %s %d on rank %d of %d", s.unit, id, r, s.c.Size())
+		}
+	}
+	return s.home.admit(g, host)
+}
+
+// pupCells serializes the hosted cells in ascending id order, each its id
+// and its particle columns. Unpacking takes exactly the ids host places on
+// this rank, in order, each into the cell the substrate homes it in, whose
+// mesh block is re-materialized from the formula over g's rectangle for it.
+func (s *stepper) pupCells(p *pup.PUPer, g *decomp.Grid2D, host []int) {
+	n := len(s.cells)
 	p.Int(&n)
 	if p.Mode() != pup.Unpacking {
-		for _, v := range s.vps {
-			v.PUP(p)
+		for _, c := range s.cells {
+			id := c.id
+			p.Int(&id)
+			core.PUPColumns(p, c.soa)
 		}
-	} else {
-		if n != hosted {
-			p.Fail(fmt.Errorf("driver: checkpoint carries %d VPs, its placement puts %d on core %d", n, hosted, me))
-			return
-		}
-		for i := 0; i < n; i++ {
-			v := s.shell()
-			v.PUP(p)
-			if p.Err() != nil {
-				return
-			}
-			if s.host[v.id] != me || (i > 0 && v.id <= s.vps[i-1].id) {
-				p.Fail(fmt.Errorf("driver: checkpoint VP %d does not belong on core %d (or is out of order)", v.id, me))
-				return
-			}
-			s.vps = append(s.vps, v)
+		return
+	}
+	if p.Err() != nil {
+		return
+	}
+	me, hosted := s.c.Rank(), 0
+	for _, r := range host {
+		if r == me {
+			hosted++
 		}
 	}
-	s.pupLedger(p)
-	if p.Mode() == pup.Unpacking && p.Err() == nil {
-		s.placed()
+	if n != hosted {
+		p.Fail(fmt.Errorf("driver: checkpoint carries %d %ss, its host table places %d on rank %d", n, s.unit, hosted, me))
+		return
+	}
+	s.cells = s.cells[:0]
+	for i := 0; i < n; i++ {
+		var id int
+		p.Int(&id)
+		if p.Err() != nil {
+			return
+		}
+		if id < 0 || id >= len(host) || host[id] != me || (i > 0 && id <= s.cells[i-1].id) {
+			p.Fail(fmt.Errorf("driver: checkpoint %s %d does not belong on rank %d (or is out of order)", s.unit, id, me))
+			return
+		}
+		c := s.home.home(id)
+		c.id = id
+		if c.block == nil {
+			c.block = &grid.Block{}
+		}
+		x0, y0, nx, ny := g.RankRect(id)
+		if err := c.block.Reinit(s.cfg.Mesh, x0, y0, nx, ny); err != nil {
+			p.Fail(err)
+			return
+		}
+		core.PUPColumns(p, c.soa)
+		s.cells = append(s.cells, c)
 	}
 }
 
 // Checkpoint implements Substrate.
-func (s *vpSubstrate) Checkpoint() ([]byte, error) { return pup.Pack(s) }
+func (s *stepper) Checkpoint() ([]byte, error) { return pup.Pack(s) }
 
 // Restore implements Substrate.
-func (s *vpSubstrate) Restore(buf []byte) error {
+func (s *stepper) Restore(buf []byte) error {
 	if err := pup.Unpack(s, buf); err != nil {
 		return err
 	}

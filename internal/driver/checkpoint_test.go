@@ -12,8 +12,10 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/parres/picprk/internal/balance"
 	"github.com/parres/picprk/internal/comm"
 	"github.com/parres/picprk/internal/memtest"
+	"github.com/parres/picprk/internal/pup"
 	"github.com/parres/picprk/internal/trace"
 )
 
@@ -74,7 +76,7 @@ func stepN(s Substrate, n int) error {
 }
 
 // TestSubstrateCheckpointGolden pins the bytes a checkpointing run commits
-// for each substrate (PICPRKB3 block, PICPRKV3 VP): a fixed tiny run's
+// for each substrate (one format, PICPRKS4): a fixed tiny run's
 // checkpoint must match testdata/checkpoint_*.golden exactly. Drift means
 // every stored checkpoint changed format — bump the magic and regenerate
 // with -update rather than silently breaking restores. The golden bytes
@@ -143,8 +145,8 @@ func TestSubstrateCheckpointGolden(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesForeignLedger: the exchange ledger closes both
-// checkpoint formats. A row for another world size (or an implausible one)
+// TestRestoreRefusesForeignLedger: the exchange ledger closes the
+// checkpoint. A row for another world size (or an implausible one)
 // is refused before the row is read, and so is a fence comm could not owe.
 func TestRestoreRefusesForeignLedger(t *testing.T) {
 	cfg := goldenConfig(t)
@@ -205,7 +207,7 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 			f.Add(golden[:n])
 		}
 		old := bytes.Clone(golden)
-		old[0] = '2' // the magic's version digit (little-endian, so first): PICPRKB2/V2
+		old[0] = '3' // the magic's version digit (little-endian, so first): PICPRKS3
 		f.Add(old)
 	}
 	cfg := goldenConfig(f)
@@ -303,11 +305,12 @@ func TestRestoreRefusesAnotherRanksState(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesForeignVP restores a checkpoint in which VP 0 carries VP
-// 1's rectangle, with charge data consistent with that rectangle. The static
-// VP grid fixes every id's rectangle, so the restore must refuse it;
-// accepted, the next step would read VP 0's particles' charges outside the
-// block it carries.
+// TestRestoreRefusesForeignVP: the static VP grid fixes every VP's
+// rectangle, so neither path that carries a VP into a rank takes another
+// VP's state under its id. A migration parcel whose header gives VP 0 VP
+// 1's rectangle is refused by its header check; a checkpoint in which VP 0
+// holds VP 1's particles is refused by the particle sweep. Accepted, the
+// next step would read VP 0's particles' charges outside its block.
 func TestRestoreRefusesForeignVP(t *testing.T) {
 	cfg := testConfig(t, 16, 400, 0)
 	cfg.Verify = false
@@ -318,7 +321,19 @@ func TestRestoreRefusesForeignVP(t *testing.T) {
 		}
 		defer s.Close()
 		v0, v1 := s.vps[0], s.vps[1]
-		v0.x0, v0.y0, v0.nx, v0.ny, v0.block = v1.x0, v1.y0, v1.nx, v1.ny, v1.block
+		if v1.soa.Len() == 0 {
+			return fmt.Errorf("fixture: VP 1 holds no particles")
+		}
+		buf, err := pup.Pack(v1)
+		if err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint64(buf, 0) // the header's first word is the id
+		if err := pup.Unpack(s.shell(), buf); err == nil || !strings.Contains(err.Error(), "the VP grid gives it") {
+			return fmt.Errorf("VP 0 with VP 1's rectangle unpacked with %v", err)
+		}
+
+		v0.soa, v1.soa = v1.soa, v0.soa
 		blob, err := s.Checkpoint()
 		if err != nil {
 			return err
@@ -328,15 +343,107 @@ func TestRestoreRefusesForeignVP(t *testing.T) {
 			return err
 		}
 		defer fresh.Close()
-		if err := fresh.Restore(blob); err == nil {
-			return fmt.Errorf("restored VP 0 with VP 1's rectangle")
-		} else if !strings.Contains(err.Error(), "the VP grid gives it") {
-			return fmt.Errorf("refused for another reason: %v", err)
+		if err := fresh.Restore(blob); err == nil || !strings.Contains(err.Error(), "not owned by VP 0") {
+			return fmt.Errorf("VP 0 holding VP 1's particles restored with %v", err)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreRefusesOtherSubstrate: both substrates write one format, so
+// nothing but the decomposition keeps one substrate's checkpoint out of the
+// other, and the refusal names what differs. The goldens disagree on the
+// owner grid's shape. On two ranks, one VP per rank has the rank grid's
+// shape, cuts and hosts: there a block checkpoint is refused once the
+// diffusion cuts have moved (the VP grid is static), and a VP checkpoint
+// once a VP has moved (a block rank hosts only itself).
+func TestRestoreRefusesOtherSubstrate(t *testing.T) {
+	cfg := goldenConfig(t)
+	fixtures := checkpointFixtures()
+	for i, tc := range fixtures {
+		dump, err := os.ReadFile(goldenPath(tc.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		other := fixtures[1-i]
+		err = comm.NewWorld(1).Run(func(c *comm.Comm) error {
+			s, err := other.mk(c, cfg)
+			if err != nil {
+				return err
+			}
+			defer s.Close()
+			return s.Restore(undump(t, dump))
+		})
+		if err == nil || !strings.Contains(err.Error(), "owner grid") {
+			t.Errorf("%s golden restored into the %s substrate with %v, want a refusal naming the owner grid", tc.name, other.name, err)
+		}
+	}
+
+	cfg = testConfig(t, 16, 2000, 0)
+	cfg.Verify = false
+	cases := []struct {
+		name  string
+		from  func(c *comm.Comm) (Substrate, error)
+		plan  func(s Substrate) balance.Plan
+		into  func(c *comm.Comm) (Substrate, error)
+		wants string
+	}{
+		{"moved cuts into vp",
+			func(c *comm.Comm) (Substrate, error) { return newBlockSubstrate(c, cfg, 2, 1) },
+			func(s Substrate) balance.Plan {
+				x := s.(*blockSubstrate).g.X.Clone()
+				x.Cuts[1]++
+				return balance.Plan{X: &x}
+			},
+			func(c *comm.Comm) (Substrate, error) { return newVPSubstrate(c, cfg, 1) },
+			"are not the VP grid's"},
+		{"moved vp into block",
+			func(c *comm.Comm) (Substrate, error) { return newVPSubstrate(c, cfg, 1) },
+			func(Substrate) balance.Plan { return balance.Plan{Owner: []int{1, 1}} },
+			func(c *comm.Comm) (Substrate, error) { return newBlockSubstrate(c, cfg, 2, 1) },
+			"hosts rank 0's rectangle on rank 1"},
+	}
+	for _, tc := range cases {
+		err := comm.NewWorld(2).Run(func(c *comm.Comm) error {
+			from, err := tc.from(c)
+			if err != nil {
+				return err
+			}
+			defer from.Close()
+			into, err := tc.into(c)
+			if err != nil {
+				return err
+			}
+			defer into.Close()
+			// Before the move the two checkpoints are one state.
+			blob, err := from.Checkpoint()
+			if err != nil {
+				return err
+			}
+			if err := into.Restore(blob); err != nil {
+				return fmt.Errorf("unmoved: %w", err)
+			}
+			rehome, err := from.Execute(tc.plan(from))
+			if err == nil && rehome {
+				err = from.Exchange(&trace.Recorder{})
+			}
+			if err != nil {
+				return err
+			}
+			if blob, err = from.Checkpoint(); err != nil {
+				return err
+			}
+			if err := into.Restore(blob); err == nil || !strings.Contains(err.Error(), tc.wants) {
+				return fmt.Errorf("rank %d restored with %v, want %q", c.Rank(), err, tc.wants)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 

@@ -61,8 +61,9 @@ func ownershipHarnesses() []ownershipHarness {
 				return v.soa, fmt.Sprintf("VP %d", v.id)
 			},
 			foreign: func(s Substrate) (float64, float64) {
-				v := firstVP(s.(*vpSubstrate))
-				return float64((v.x0+v.nx)%v.mesh.L) + 0.5, float64(v.y0) + 0.5
+				vs := s.(*vpSubstrate)
+				x0, y0, nx, _ := vs.g.RankRect(firstVP(vs).id)
+				return float64((x0+nx)%vs.cfg.Mesh.L) + 0.5, float64(y0) + 0.5
 			},
 			migrate: func(s Substrate) balance.Plan {
 				// Hand core 0's last VP to core 1; every other VP stays.

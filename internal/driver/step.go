@@ -6,6 +6,7 @@ import (
 
 	"github.com/parres/picprk/internal/comm"
 	"github.com/parres/picprk/internal/core"
+	"github.com/parres/picprk/internal/decomp"
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/grid"
 	"github.com/parres/picprk/internal/particle"
@@ -44,13 +45,14 @@ type parcel struct {
 }
 
 // stepper is the step, once: what a rank does to the cells it hosts every
-// time step, whichever decomposition put them there. It owns the exchange
-// state — shards, parcel lists, send/receive pointers, and the exchange
-// ledger — and implements the part of Substrate that is a pure function
-// of the hosted cells. The two substrates embed it and add what differs:
-// construction, Measure, Execute, Checkpoint/Restore, and which cells the
-// rank hosts. The block substrate is the one-cell case (owners are ranks,
-// every owner hosts itself); the VP substrate is the many-cell case.
+// time step, whichever decomposition put them there. It owns the
+// decomposition, the exchange state — shards, parcel lists, send/receive
+// pointers — and both ledgers, and implements the part of Substrate that is
+// a pure function of the hosted cells, the checkpoint included
+// (checkpoint.go). The two substrates embed it and add what differs:
+// construction, Measure, Execute, and which cells the rank hosts. The block
+// substrate is the one-cell case (owners are ranks, every owner hosts
+// itself); the VP substrate is the many-cell case.
 //
 // Every buffer is double-buffered and reused, so a steady-state step (no
 // events, no balancing) stays off the allocator entirely, and no particle is
@@ -61,10 +63,15 @@ type stepper struct {
 	pool *core.MovePool
 	// unit names an owner in error messages: "rank" or "VP".
 	unit string
+	// home is the embedding substrate's say in a restore.
+	home cellHome
 
 	// The decomposition, installed by the substrate before rebuildTopology:
-	// ot maps a mesh cell to its owner index, host[owner] is the rank
-	// hosting that owner, and cells are the owners hosted here, ascending.
+	// g is the owner grid, which fixes every owner's rectangle, ot maps a
+	// mesh cell to its owner index (built from g's cuts), host[owner] is
+	// the rank hosting that owner, and cells are the owners hosted here,
+	// ascending.
+	g     *decomp.Grid2D
 	ot    *core.OwnerTable
 	host  []int
 	cells []*cell
@@ -100,11 +107,16 @@ type stepper struct {
 	peerBytes, peerMsgs  []int64
 	msgsSent, msgsElided int64
 	fence                int
+
+	// The migration ledger, carried by checkpoints: the moves the balancer
+	// made this rank take part in and the payload bytes it sent for them.
+	migrations    int
+	migratedBytes int64
 }
 
-func (s *stepper) init(c *comm.Comm, cfg Config, unit string) {
+func (s *stepper) init(c *comm.Comm, cfg Config, unit string, home cellHome) {
 	p := c.Size()
-	s.c, s.cfg, s.unit = c, cfg, unit
+	s.c, s.cfg, s.unit, s.home = c, cfg, unit, home
 	s.pool = core.NewMovePool(cfg.effectiveWorkers(p))
 	s.rx, s.ry = cfg.ringWidths()
 	for g := range s.lists {
@@ -374,6 +386,9 @@ func (s *stepper) Particles() []particle.Particle {
 	}
 	return ps
 }
+
+// MigrationStats implements Substrate.
+func (s *stepper) MigrationStats() (int, int64) { return s.migrations, s.migratedBytes }
 
 // PeerExchange implements Substrate.
 func (s *stepper) PeerExchange() (bytes, msgs []int64, sent, elided int64) {

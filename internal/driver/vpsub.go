@@ -18,26 +18,28 @@ import (
 // particles and grid data — mirroring the paper's PUP routines.
 type picVP struct {
 	cell
-	mesh   grid.Mesh
-	x0, y0 int
-	nx, ny int
-	// vg is the static VP grid, which fixes every VP's rectangle; an
-	// unpacked VP is checked against it. Not part of the PUPed state.
-	vg *decomp.Grid2D
+	// run is the stepper hosting the VP: its mesh and owner grid (the
+	// static VP grid) fix the VP's rectangle. Not part of the PUPed state.
+	run *stepper
 	// gdata is the reused grid-data staging buffer for pack and unpack; it
 	// is not part of the PUPed state.
 	gdata []float64
 }
 
-// PUP implements pup.PUPable. Particles travel column-wise through
-// core.PUPColumns: the SoA slices serialize directly, with no AoS staging, and
-// unpacking resizes into whatever storage the shell still holds — a recycled
-// shell (the substrate's free list) makes steady-state migration nearly
-// allocation-free. Unpacking refuses a VP that is not one of this run's: a
-// mesh other than the run's, or a rectangle other than the static VP grid's
-// for its id.
+// PUP implements pup.PUPable. The header is the VP's id, the run's mesh and
+// the rectangle the VP grid gives the id. Particles travel column-wise
+// through core.PUPColumns: the SoA slices serialize directly, with no AoS
+// staging, and unpacking resizes into whatever storage the shell still
+// holds — a recycled shell (the substrate's free list) makes steady-state
+// migration nearly allocation-free. Unpacking refuses a VP that is not one
+// of this run's: a mesh other than the run's, or a rectangle other than the
+// static VP grid's for its id.
 func (v *picVP) PUP(p *pup.PUPer) {
-	id, mesh, x0, y0, nx, ny := v.id, v.mesh, v.x0, v.y0, v.nx, v.ny
+	id, mesh := v.id, v.run.cfg.Mesh
+	var x0, y0, nx, ny int
+	if p.Mode() != pup.Unpacking {
+		x0, y0, nx, ny = v.run.g.RankRect(id)
+	}
 	p.Int(&id)
 	p.Int(&mesh.L)
 	p.Float64(&mesh.Q)
@@ -50,36 +52,34 @@ func (v *picVP) PUP(p *pup.PUPer) {
 			p.Fail(err)
 			return
 		}
-		v.id, v.x0, v.y0, v.nx, v.ny = id, x0, y0, nx, ny
+		v.id = id
 	} else {
-		v.gdata = v.block.AppendRect(v.gdata[:0], v.x0, v.y0, v.nx, v.ny)
+		v.gdata = v.block.AppendRect(v.gdata[:0], x0, y0, nx, ny)
 	}
 	p.Float64s(&v.gdata)
-	if v.soa == nil {
-		v.soa = &core.SoA{}
-	}
 	core.PUPColumns(p, v.soa)
 	if p.Mode() == pup.Unpacking && p.Err() == nil {
 		if v.block == nil {
 			v.block = &grid.Block{}
 		}
-		if err := v.block.ReinitFromData(v.mesh, v.x0, v.y0, v.nx, v.ny, v.gdata); err != nil {
+		if err := v.block.ReinitFromData(mesh, x0, y0, nx, ny, v.gdata); err != nil {
 			p.Fail(err)
 		}
 	}
 }
 
-// checkHome checks an unpacked VP's header against the run, which the
-// receiving shell carries: its mesh, and the VP grid that fixes the
-// rectangle of every id.
+// checkHome checks an unpacked VP's header against the run the receiving
+// shell belongs to: its mesh, and the VP grid that fixes the rectangle of
+// every id.
 func (v *picVP) checkHome(id int, mesh grid.Mesh, x0, y0, nx, ny int) error {
-	if n := v.vg.PX * v.vg.PY; id < 0 || id >= n {
+	vg, run := v.run.g, v.run.cfg.Mesh
+	if n := vg.PX * vg.PY; id < 0 || id >= n {
 		return fmt.Errorf("driver: VP id %d outside [0,%d)", id, n)
 	}
-	if mesh != v.mesh {
-		return fmt.Errorf("driver: VP %d is for mesh L=%d q=%v, run has L=%d q=%v", id, mesh.L, mesh.Q, v.mesh.L, v.mesh.Q)
+	if mesh != run {
+		return fmt.Errorf("driver: VP %d is for mesh L=%d q=%v, run has L=%d q=%v", id, mesh.L, mesh.Q, run.L, run.Q)
 	}
-	wx, wy, wnx, wny := v.vg.RankRect(id)
+	wx, wy, wnx, wny := vg.RankRect(id)
 	if x0 != wx || y0 != wy || nx != wnx || ny != wny {
 		return fmt.Errorf("driver: VP %d carries rectangle %dx%d at (%d,%d), the VP grid gives it %dx%d at (%d,%d)",
 			id, nx, ny, x0, y0, wnx, wny, wx, wy)
@@ -93,12 +93,12 @@ func (v *picVP) checkHome(id int, mesh grid.Mesh, x0, y0, nx, ny int) error {
 // It backs both the "ampi" and the "worksteal" drivers.
 //
 // It is the many-cell case of the shared step (step.go): owners are VPs,
-// the static cell→VP owner table is built once, and the stepper's host
-// table is the placement — the same on every rank, so which VPs a rank
-// hosts, the frontier and the exchange schedule all follow from it.
+// the owner grid is the static VP grid, so the cell→VP owner table is built
+// once, and the stepper's host table is the placement — the same on every
+// rank, so which VPs a rank hosts, the frontier and the exchange schedule
+// all follow from it.
 type vpSubstrate struct {
 	stepper
-	vg *decomp.Grid2D
 	// vps are the VPs hosted here, in ascending id order.
 	vps []*picVP
 	// free holds shells of departed VPs; arrivals unpack into one instead
@@ -108,10 +108,6 @@ type vpSubstrate struct {
 	free []*picVP
 	// loads is the reused local input vector for Measure.
 	loads []float64
-	// Migration counters: load measurements, VPs sent and received, and
-	// the PUP bytes they took.
-	measures, sent, received int
-	sentBytes, recvBytes     int64
 }
 
 func newVPSubstrate(c *comm.Comm, cfg Config, overdecompose int) (*vpSubstrate, error) {
@@ -131,7 +127,7 @@ func newVPSubstrate(c *comm.Comm, cfg Config, overdecompose int) (*vpSubstrate, 
 		return nil, err
 	}
 	nvp := vx * vy
-	s := &vpSubstrate{vg: vg, loads: make([]float64, nvp)}
+	s := &vpSubstrate{loads: make([]float64, nvp)}
 	host := make([]int, nvp)
 	local := make([]*core.SoA, nvp)
 	for id := range host {
@@ -143,7 +139,7 @@ func newVPSubstrate(c *comm.Comm, cfg Config, overdecompose int) (*vpSubstrate, 
 		if err != nil {
 			return nil, err
 		}
-		v := &picVP{cell: cell{id: id, block: block, soa: &core.SoA{}}, mesh: cfg.Mesh, vg: vg, x0: x0, y0: y0, nx: nx, ny: ny}
+		v := &picVP{cell: cell{id: id, block: block, soa: &core.SoA{}}, run: &s.stepper}
 		s.vps = append(s.vps, v)
 		local[id] = v.soa
 	}
@@ -152,18 +148,18 @@ func newVPSubstrate(c *comm.Comm, cfg Config, overdecompose int) (*vpSubstrate, 
 	if err := fillLocal(cfg, vot, nvp, func(o int32) *core.SoA { return local[o] }); err != nil {
 		return nil, err
 	}
-	s.init(c, cfg, "VP")
-	s.ot, s.host = vot, host
+	s.init(c, cfg, "VP", s)
+	s.g, s.ot, s.host = vg, vot, host
 	s.placed()
 	return s, nil
 }
 
 // placed hands the step the VPs hosted here and rebuilds what derives from
-// the placement. Called at construction, after every migration and after a
-// checkpoint restore. A migration does not rehome particles, but it does put
-// the pre-migration schedule's pointers in flight, so installing the
-// refreshed schedule arms comm's full-ring fence; it also re-checks every
-// hosted particle, arrivals or not.
+// the placement. Called at construction and after every migration. A
+// migration does not rehome particles, but it does put the pre-migration
+// schedule's pointers in flight, so installing the refreshed schedule arms
+// comm's full-ring fence; it also re-checks every hosted particle, arrivals
+// or not.
 func (s *vpSubstrate) placed() {
 	s.cells = s.cells[:0]
 	for _, v := range s.vps {
@@ -181,17 +177,35 @@ func (s *vpSubstrate) shell() *picVP {
 		s.free = s.free[:n-1]
 		return v
 	}
-	return &picVP{mesh: s.cfg.Mesh, vg: s.vg}
+	return &picVP{cell: cell{soa: &core.SoA{}}, run: &s.stepper}
+}
+
+// admit implements cellHome: the cuts are the static VP grid's; the hosted
+// VPs retire into the shell free list, as departing ones do.
+func (s *vpSubstrate) admit(g *decomp.Grid2D, _ []int) error {
+	if !g.Equal(s.g) {
+		return fmt.Errorf("driver: checkpoint cuts %v x %v are not the VP grid's %v x %v", g.X.Cuts, g.Y.Cuts, s.g.X.Cuts, s.g.Y.Cuts)
+	}
+	s.free = append(s.free, s.vps...)
+	clear(s.vps)
+	s.vps = s.vps[:0]
+	return nil
+}
+
+// home implements cellHome: a restored VP unpacks into a shell.
+func (s *vpSubstrate) home(id int) *cell {
+	v := s.shell()
+	v.id = id
+	s.vps = append(s.vps, v)
+	return &v.cell
 }
 
 // Measure implements Substrate: the collective reduction of the per-VP
 // particle counts (work is exactly proportional to them) plus a copy of the
-// placement. It counts as a load-balancer invocation whether or not
-// anything then moves.
+// placement.
 func (s *vpSubstrate) Measure(n balance.Needs) balance.Loads {
 	loads := balance.Loads{Cores: s.c.Size()}
 	if n.Units {
-		s.measures++
 		clear(s.loads)
 		for _, v := range s.vps {
 			s.loads[v.id] = float64(v.soa.Len())
@@ -240,8 +254,8 @@ func (s *vpSubstrate) Execute(plan balance.Plan) (bool, error) {
 		}
 		s.c.Send(to, tagMigrate+v.id, buf)
 		s.free = append(s.free, v)
-		s.sent++
-		s.sentBytes += int64(len(buf))
+		s.migrations++
+		s.migratedBytes += int64(len(buf))
 	}
 	s.vps = kept
 	for id, to := range plan.Owner {
@@ -262,14 +276,10 @@ func (s *vpSubstrate) Execute(plan balance.Plan) (bool, error) {
 			return false, fmt.Errorf("driver: rank %d sent VP %d where VP %d was due", from, v.id, id)
 		}
 		s.vps = append(s.vps, v)
-		s.received++
-		s.recvBytes += int64(len(buf))
+		s.migrations++
 	}
 	slices.SortFunc(s.vps, func(a, b *picVP) int { return a.id - b.id })
 	copy(s.host, plan.Owner)
 	s.placed()
 	return false, nil
 }
-
-// MigrationStats implements Substrate.
-func (s *vpSubstrate) MigrationStats() (int, int64) { return s.sent + s.received, s.sentBytes }
