@@ -36,8 +36,9 @@ type Machine struct {
 	// VPOverheadPerStep is the scheduler cost per virtual processor per
 	// step (user-level context switch + message dispatch in AMPI).
 	VPOverheadPerStep float64
-	// BytesPerParticle is the particle wire size (matches
-	// core.ColumnsBytesPerParticle, the 80 B the exchange frames).
+	// BytesPerParticle is what the model charges per particle that crosses
+	// to a neighbor or migrates. Edison's 92 B is not the 80 B a real
+	// exchange frames per particle (core.ColumnsBytesPerParticle).
 	BytesPerParticle float64
 	// BytesPerCell is the migrated mesh data per cell.
 	BytesPerCell float64

@@ -273,3 +273,20 @@ func TestModelDiffusionDecisionMatchesDriverDecision(t *testing.T) {
 		}
 	}
 }
+
+func TestBlockIsOneVPPerRank(t *testing.T) {
+	// The block substrate is the VP substrate at one VP per rank with no
+	// balancing and no scheduling overhead: one owner grid, one host table
+	// and one cost pass make the two outcomes equal bit for bit.
+	m := Edison()
+	m.VPOverheadPerStep = 0
+	const steps = 300
+	for _, p := range []int{1, 2, 4, 6, 8, 16} {
+		block := SimulateBaseline(m, workload(t, 128, 200000, 0.97, nil), p, steps)
+		vp := SimulateAMPI(m, workload(t, 128, 200000, 0.97, nil), p, steps,
+			AMPIModelParams{Overdecompose: 1, Every: steps + 1, Strategy: ampi.NullLB{}})
+		if block != vp {
+			t.Errorf("P=%d: block and one-VP-per-rank outcomes differ:\nblock %+v\nvp    %+v", p, block, vp)
+		}
+	}
+}

@@ -33,17 +33,7 @@ func DiffusionGrid(speed int) []diffusion.Params {
 // TuneDiffusion runs the modeled diffusion implementation over the grid and
 // returns the best parameters and outcome.
 func TuneDiffusion(m Machine, wf WorkloadFactory, p, steps int, grid []diffusion.Params) (diffusion.Params, Outcome) {
-	var bestP diffusion.Params
-	var best Outcome
-	first := true
-	for _, params := range grid {
-		o := SimulateDiffusion(m, wf(), p, steps, params)
-		if first || o.Seconds < best.Seconds {
-			best, bestP = o, params
-			first = false
-		}
-	}
-	return bestP, best
+	return tune(grid, func(params diffusion.Params) Outcome { return SimulateDiffusion(m, wf(), p, steps, params) })
 }
 
 // AMPIGrid returns the (d, F) grid for the modeled AMPI implementation,
@@ -65,14 +55,16 @@ func AMPIGrid() []AMPIModelParams {
 // TuneAMPI runs the modeled AMPI implementation over the grid and returns
 // the best parameters and outcome.
 func TuneAMPI(m Machine, wf WorkloadFactory, p, steps int, grid []AMPIModelParams) (AMPIModelParams, Outcome) {
-	var bestP AMPIModelParams
+	return tune(grid, func(params AMPIModelParams) Outcome { return SimulateAMPI(m, wf(), p, steps, params) })
+}
+
+// tune returns the grid point whose run is fastest; ties go to the first.
+func tune[P any](grid []P, sim func(P) Outcome) (P, Outcome) {
+	var bestP P
 	var best Outcome
-	first := true
-	for _, params := range grid {
-		o := SimulateAMPI(m, wf(), p, steps, params)
-		if first || o.Seconds < best.Seconds {
+	for i, params := range grid {
+		if o := sim(params); i == 0 || o.Seconds < best.Seconds {
 			best, bestP = o, params
-			first = false
 		}
 	}
 	return bestP, best
