@@ -285,9 +285,8 @@ func reportParallel(res *driver.Result, err error, obs obsOpts) {
 		fmt.Println()
 	}
 	for _, s := range res.PerRank {
-		fmt.Printf("  rank %2d: compute %-10v exchange %-10v overlap %-10v balance %-10v migrate %-10v particles %d\n",
+		fmt.Printf("  rank %2d: compute %-10v exchange %-10v balance %-10v migrate %-10v particles %d\n",
 			s.Rank, s.Compute.Round(time.Microsecond), s.Exchange.Round(time.Microsecond),
-			s.Overlap.Round(time.Microsecond),
 			s.Balance.Round(time.Microsecond), s.Migrate.Round(time.Microsecond), s.FinalParticles)
 	}
 	if res.Wire != nil {

@@ -111,14 +111,6 @@ func printReport(w io.Writer, tl *telemetry.Timeline, top, rows int) {
 		}
 		fmt.Fprintf(w, "  %-9s %12v  %5.1f%%\n", c, time.Duration(tot[c]).Round(time.Microsecond), pct)
 	}
-	if overlap := tot[telemetry.ExchangeOverlap]; overlap > 0 {
-		// Overlap is not a span of its own — the time is already inside
-		// compute — so it reports as the fraction of the total exchange the
-		// tile pipeline hid behind interior work.
-		hidden := 100 * float64(overlap) / float64(overlap+tot[telemetry.Exchange])
-		fmt.Fprintf(w, "  overlap   %12v  (%.0f%% of exchange hidden behind compute)\n",
-			time.Duration(overlap).Round(time.Microsecond), hidden)
-	}
 
 	fmt.Fprintln(w, "\nimbalance over time (per-rank particle loads):")
 	fmt.Fprintf(w, "  %6s  %9s  %9s  %7s  %6s  %s\n", "step", "max", "mean", "imb", "gini", "decision")
@@ -186,15 +178,15 @@ func printReport(w io.Writer, tl *telemetry.Timeline, top, rows int) {
 	}
 
 	fmt.Fprintf(w, "\nworst %d step(s) by wall time (slowest rank sets the pace):\n", min(top, len(ss)))
-	fmt.Fprintf(w, "  %6s  %10s  %10s  %10s  %10s  %10s  %10s  %7s\n",
-		"step", "wall", telemetry.Compute, telemetry.Exchange, "overlap", telemetry.Balance, telemetry.Migrate, "imb")
+	fmt.Fprintf(w, "  %6s  %10s  %10s  %10s  %10s  %10s  %7s\n",
+		"step", "wall", telemetry.Compute, telemetry.Exchange, telemetry.Balance, telemetry.Migrate, "imb")
 	us := func(st telemetry.StepStat, c telemetry.Counter) time.Duration {
 		return time.Duration(st.Counters[c]).Round(time.Microsecond)
 	}
 	for _, st := range telemetry.WorstSteps(ss, top) {
-		fmt.Fprintf(w, "  %6d  %10v  %10v  %10v  %10v  %10v  %10v  %7.3f\n",
+		fmt.Fprintf(w, "  %6d  %10v  %10v  %10v  %10v  %10v  %7.3f\n",
 			st.Step, st.Wall.Round(time.Microsecond),
-			us(st, telemetry.Compute), us(st, telemetry.Exchange), us(st, telemetry.ExchangeOverlap),
+			us(st, telemetry.Compute), us(st, telemetry.Exchange),
 			us(st, telemetry.Balance), us(st, telemetry.Migrate),
 			st.Load.Imbalance)
 	}

@@ -14,7 +14,7 @@ var update = flag.Bool("update", false, "rewrite testdata/report.golden")
 
 // TestReportGolden renders the report for the telemetry package's timeline
 // golden. The timeline fixture exercises every section — phase totals,
-// overlap, a balancing decision and the balance log, the peer matrix and an
+// a balancing decision and the balance log, the peer matrix and an
 // epoch event — so a change to how the report reads the timeline shows here
 // as a diff.
 func TestReportGolden(t *testing.T) {

@@ -180,14 +180,6 @@ func (l *Leavers) Add(w int, i, dst int32) {
 	l.dst[w] = append(l.dst[w], dst)
 }
 
-// Chunks returns the active chunk count of the last pass.
-func (l *Leavers) Chunks() int { return l.n }
-
-// Chunk returns chunk w's (index, destination) lists. The
-// step reads them to assert invariants (interior leavers must stay local)
-// before handing the list to ScatterRemove.
-func (l *Leavers) Chunk(w int) (idx, dst []int32) { return l.idx[w], l.dst[w] }
-
 // cursors returns the per-destination scratch, zeroed, for p destinations.
 func (l *Leavers) cursors(p int) []int {
 	if cap(l.at) < p {
@@ -196,15 +188,6 @@ func (l *Leavers) cursors(p int) []int {
 	l.at = l.at[:p]
 	clear(l.at)
 	return l.at
-}
-
-// Count returns the total number of recorded leavers.
-func (l *Leavers) Count() int {
-	n := 0
-	for w := 0; w < l.n; w++ {
-		n += len(l.idx[w])
-	}
-	return n
 }
 
 // ScatterRemove removes the recorded leavers from s — compacting the

@@ -12,8 +12,8 @@ import (
 // the same range copies.
 func refScatterRemove(s *SoA, lv *Leavers, out []SoA) {
 	w, read := 0, 0
-	for c := 0; c < lv.Chunks(); c++ {
-		ids, ds := lv.Chunk(c)
+	for c := 0; c < lv.n; c++ {
+		ids, ds := lv.idx[c], lv.dst[c]
 		for j := range ids {
 			i := int(ids[j])
 			out[ds[j]].AppendFrom(s, i)

@@ -91,17 +91,16 @@ type MovePool struct {
 	wake    []chan struct{}
 	busy    sync.WaitGroup
 
-	// In-flight job — moveRange's arguments, with [lo, hi) split into even
-	// static chunks — written by run before the wake sends and read by the
-	// workers; the channel send/receive and WaitGroup edges order the
+	// In-flight job — moveRange's arguments, with the container split into
+	// even static chunks — written by run before the wake sends and read by
+	// the workers; the channel send/receive and WaitGroup edges order the
 	// accesses (no locks on the hot path).
-	s      *SoA
-	lo, hi int
-	b      *grid.Block
-	m      grid.Mesh
-	ot     *OwnerTable
-	self   int32
-	lv     *Leavers
+	s    *SoA
+	b    *grid.Block
+	m    grid.Mesh
+	ot   *OwnerTable
+	self int32
+	lv   *Leavers
 }
 
 // NewMovePool starts a pool with the given number of workers (minimum 1).
@@ -125,28 +124,28 @@ func NewMovePool(workers int) *MovePool {
 
 func (p *MovePool) worker(w int, wake <-chan struct{}) {
 	for range wake {
-		lo, hi := chunkBounds(p.hi-p.lo, p.workers, w)
-		moveRange(p.s, lo+p.lo, hi+p.lo, p.b, p.m, p.ot, p.self, p.lv, w)
+		lo, hi := chunkBounds(p.s.Len(), p.workers, w)
+		moveRange(p.s, lo, hi, p.b, p.m, p.ot, p.self, p.lv, w)
 		p.busy.Done()
 	}
 }
 
-// run advances particles [lo, hi) of s, classifying into lv when it is
-// non-nil. It blocks until all chunks are done; the pool must not be shared
-// by concurrent callers. Small ranges run inline (see parallelThreshold).
-func (p *MovePool) run(s *SoA, lo, hi int, b *grid.Block, m grid.Mesh, ot *OwnerTable, self int32, lv *Leavers) {
+// run advances every particle of s, classifying into lv when it is non-nil.
+// It blocks until all chunks are done; the pool must not be shared by
+// concurrent callers. Small containers run inline (see parallelThreshold).
+func (p *MovePool) run(s *SoA, b *grid.Block, m grid.Mesh, ot *OwnerTable, self int32, lv *Leavers) {
 	chunks := p.workers
-	if hi-lo < parallelThreshold {
+	if s.Len() < parallelThreshold {
 		chunks = 1
 	}
 	if lv != nil {
 		lv.Reset(chunks)
 	}
 	if chunks == 1 {
-		moveRange(s, lo, hi, b, m, ot, self, lv, 0)
+		moveRange(s, 0, s.Len(), b, m, ot, self, lv, 0)
 		return
 	}
-	p.s, p.lo, p.hi, p.b, p.m = s, lo, hi, b, m
+	p.s, p.b, p.m = s, b, m
 	p.ot, p.self, p.lv = ot, self, lv
 	p.busy.Add(p.workers)
 	for _, ch := range p.wake {
@@ -159,7 +158,7 @@ func (p *MovePool) run(s *SoA, lo, hi int, b *grid.Block, m grid.Mesh, ot *Owner
 // Move advances every particle of s by one step against the block that
 // owns their cells.
 func (p *MovePool) Move(s *SoA, b *grid.Block, m grid.Mesh) {
-	p.run(s, 0, s.Len(), b, m, nil, 0, nil)
+	p.run(s, b, m, nil, 0, nil)
 }
 
 // MoveClassify is Move fused with destination classification: every
@@ -170,16 +169,7 @@ func (p *MovePool) Move(s *SoA, b *grid.Block, m grid.Mesh) {
 // the call performs zero heap allocations once lv reached its high-water
 // capacity, and results are bitwise identical at any worker count.
 func (p *MovePool) MoveClassify(s *SoA, b *grid.Block, m grid.Mesh, ot *OwnerTable, self int32, lv *Leavers) {
-	p.run(s, 0, s.Len(), b, m, ot, self, lv)
-}
-
-// MoveClassifyRange is MoveClassify restricted to particles [lo, hi). The
-// leaver chunks cover only the range, in ascending index order, so they
-// still feed SoA.ScatterRemove directly; particles outside the range are
-// untouched. The step runs its two waves through it (frontier tail first,
-// interior head after).
-func (p *MovePool) MoveClassifyRange(s *SoA, lo, hi int, b *grid.Block, m grid.Mesh, ot *OwnerTable, self int32, lv *Leavers) {
-	p.run(s, lo, hi, b, m, ot, self, lv)
+	p.run(s, b, m, ot, self, lv)
 }
 
 // Close terminates the worker goroutines. The pool must be idle; Move must

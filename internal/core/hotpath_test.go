@@ -34,8 +34,8 @@ func assertSoAEqual(t *testing.T, want, got *SoA, label string) {
 // leaverSet flattens a leaver list into particle ID -> destination.
 func leaverSet(s *SoA, lv *Leavers) map[uint64]int32 {
 	left := make(map[uint64]int32)
-	for w := 0; w < lv.Chunks(); w++ {
-		idx, dst := lv.Chunk(w)
+	for w := 0; w < lv.n; w++ {
+		idx, dst := lv.idx[w], lv.dst[w]
 		for j := range idx {
 			left[s.Meta[idx[j]].ID] = dst[j]
 		}
@@ -91,7 +91,7 @@ func TestKernelLoopMatchesReference(t *testing.T) {
 					}
 					lv.Reset(1)
 					moveRange(got, lo, hi, block, m, ot, 0, &lv, 0)
-					idx, dst := lv.Chunk(0)
+					idx, dst := lv.idx[0], lv.dst[0]
 					for j := range idx {
 						if int(idx[j]) < lo || int(idx[j]) >= hi {
 							t.Fatalf("leaver index %d outside its range [%d,%d)", idx[j], lo, hi)
@@ -168,7 +168,7 @@ func TestChunkBounds(t *testing.T) {
 
 // TestMovePhaseAllocationFree pins that a move on a persistent pool
 // performs zero heap allocations, at one and several workers: a plain Move
-// of the whole set, and a MoveClassifyRange into a leaver list over a range
+// of the whole set, and a MoveClassify into a leaver list over a container
 // whose chunks are not whole blocks of laneBlock particles. The force
 // kernel's scratch buffer must stay on the stack: were it to escape, every
 // moveRange call would allocate it.
@@ -179,8 +179,7 @@ func TestMovePhaseAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	ot := testOwnerTable(m.L, 2, 2)
-	soa := NewSoA(hotpathParticles(t, m, 4096))
-	lo, hi := 5, soa.Len()-2
+	soa := NewSoA(hotpathParticles(t, m, 4089))
 	for _, workers := range []int{1, 2, 3} {
 		pool := NewMovePool(workers)
 		var lv Leavers
@@ -189,7 +188,7 @@ func TestMovePhaseAllocationFree(t *testing.T) {
 			move func()
 		}{
 			{"Move", func() { pool.Move(soa, block, m) }},
-			{"MoveClassifyRange", func() { pool.MoveClassifyRange(soa, lo, hi, block, m, ot, 0, &lv) }},
+			{"MoveClassify", func() { pool.MoveClassify(soa, block, m, ot, 0, &lv) }},
 		} {
 			for i := 0; i < 10; i++ {
 				tc.move() // warm up: the leaver lists reach their high water

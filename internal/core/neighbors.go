@@ -20,18 +20,15 @@ import "slices"
 // It is the same derivation as the frontier, made in the same pass: the
 // class pairs (tile.go's preamble) whose home block is local reach exactly
 // the blocks some local cell's window touches, and their owners' groups
-// are the peers. Rebuild therefore fills Frontier too, so one call answers
-// all three topology questions — which cells are frontier, whether any
-// local cell is not, and whom to exchange with.
+// are the peers.
 //
 // A NbrSet value is reusable: Rebuild keeps the backing storage, so a
 // per-rebalance refresh allocates nothing once the buffers are warm.
 type NbrSet struct {
-	// Frontier is the frontier of this group's cells (remote meaning owned
-	// by another group), derived by the same Rebuild.
-	Frontier Frontier
-	member   []bool
-	peers    []int
+	// front is the class-pair pass's state, kept for its storage.
+	front  Frontier
+	member []bool
+	peers  []int
 }
 
 // Rebuild recomputes the neighbor set for one group over an L×L domain.
@@ -50,7 +47,7 @@ func (s *NbrSet) Rebuild(ot *OwnerTable, L, rx, ry, self, groups int, groupOf fu
 		s.member[g] = false
 	}
 	s.peers = s.peers[:0]
-	s.Frontier.rebuild(ot, L, rx, ry,
+	s.front.rebuild(ot, L, rx, ry,
 		func(o int32) bool { return groupOf(o) != self },
 		func(o int32) {
 			if g := groupOf(o); g != self && !s.member[g] {

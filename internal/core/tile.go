@@ -1,25 +1,14 @@
 package core
 
-import (
-	"slices"
-
-	"github.com/parres/picprk/internal/grid"
-)
+import "slices"
 
 // This file is the spatial side of the step: Frontier, which marks every
-// cell from which one move could reach remotely-owned territory, and
-// PartitionFrontier, which splits a particle container into an interior
-// head (no particle there can leave this step) and a frontier tail.
-//
-// The pipeline they enable: the frontier tail moves first and its leavers
-// go on the wire immediately, and the interior head moves while that
-// exchange is in flight. The split is sound because the kernel's
-// trajectories have an exact per-step displacement bound — (2K+1) cells in
-// x and |M| cells in y (verify.go's closed form: both half-steps advance
-// Dir·(2K+1) in x, and VY is constant M) — so a particle in a cell farther
-// than that from any remote cell cannot leave this step. The driver still
-// classifies interior particles and hard-errors if one tries to leave, so a
-// wrong ring width is a loud failure, never silent corruption.
+// cell from which one move could reach remotely-owned territory. The
+// kernel's trajectories have an exact per-step displacement bound — (2K+1)
+// cells in x and |M| cells in y (verify.go's closed form: both half-steps
+// advance Dir·(2K+1) in x, and VY is constant M) — so a particle in a cell
+// farther than that from any remote cell cannot leave this step. NbrSet
+// (neighbors.go) derives the sparse exchange schedule from the same pass.
 //
 // The answer is derived at the owner table's granularity, never per mesh
 // cell. The table is a Cartesian product, so each axis is a short list of
@@ -44,8 +33,7 @@ type Frontier struct {
 	// front[xc·len(y.classes) + yc] answers class pair (xc, yc); x.class
 	// holds xc already multiplied by the y class count, so At is two reads
 	// and a sum.
-	front    []bool
-	interior bool
+	front []bool
 }
 
 // ringAxis is one axis of the derivation: its owner runs, its classes, and
@@ -81,8 +69,7 @@ func (f *Frontier) Rebuild(ot *OwnerTable, L, rx, ry int, remote func(owner int3
 }
 
 // rebuild is the one class-pair pass behind Frontier.Rebuild and
-// NbrSet.Rebuild. It fills the frontier table and the interior flag, and
-// hands reached every owner whose block a window of a local cell touches
+// NbrSet.Rebuild. It fills the frontier table and hands reached every owner whose block a window of a local cell touches
 // (owners may repeat).
 func (f *Frontier) rebuild(ot *OwnerTable, L, rx, ry int, remote func(owner int32) bool, reached func(owner int32)) {
 	f.y.rebuild(ot.yOwner[:L], ry, 1)
@@ -90,7 +77,6 @@ func (f *Frontier) rebuild(ot *OwnerTable, L, rx, ry int, remote func(owner int3
 	nx, ny := len(f.x.runs), len(f.y.runs)
 	pairs := len(f.x.classes) * len(f.y.classes)
 	f.front = slices.Grow(f.front[:0], pairs)[:pairs]
-	f.interior = false
 	k := 0
 	for _, xc := range f.x.classes {
 		for _, yc := range f.y.classes {
@@ -106,7 +92,6 @@ func (f *Frontier) rebuild(ot *OwnerTable, L, rx, ry int, remote func(owner int3
 						reached(o)
 					}
 				}
-				f.interior = f.interior || !front
 			}
 			f.front[k] = front
 			k++
@@ -163,54 +148,10 @@ func (a *ringAxis) rebuild(owner []int32, r, stride int) {
 // At reports whether cell (cx, cy) is a frontier cell.
 func (f *Frontier) At(cx, cy int) bool { return f.front[f.x.class[cx]+f.y.class[cy]] }
 
-// Interior reports whether any cell with a local owner is not a frontier
-// cell — whether a PartitionFrontier pass can find any interior particle.
-func (f *Frontier) Interior() bool { return f.interior }
-
-// PartitionFrontier reorders s in place so that every particle in a
-// non-frontier cell precedes every particle in a frontier cell, and returns
-// the number of interior particles: [0, n) is the interior head, [n, Len)
-// the frontier tail. It is a two-ended swap partition — each particle is
-// classified once and only one whose class disagrees with its end of the
-// container moves — so a step costs one pass over the positions plus a swap
-// per particle that drifted across the ring's edge since the last step, not
-// a full reorder. Order within a container is no contract: updates are
-// per-particle independent, and every identity test and verification is
-// order-free or sorts by ID.
-func PartitionFrontier(s *SoA, m grid.Mesh, f *Frontier) int {
-	frontier := func(i int) bool {
-		cx, cy := m.CellOf(s.X[i], s.Y[i])
-		return f.At(cx, cy)
-	}
-	i, j := 0, s.Len()-1
-	for {
-		for i <= j && !frontier(i) {
-			i++
-		}
-		for i < j && frontier(j) {
-			j--
-		}
-		if i >= j {
-			return i
-		}
-		s.swap(i, j)
-		i++
-		j--
-	}
-}
-
-func (s *SoA) swap(i, j int) {
-	s.X[i], s.X[j] = s.X[j], s.X[i]
-	s.Y[i], s.Y[j] = s.Y[j], s.Y[i]
-	s.VX[i], s.VX[j] = s.VX[j], s.VX[i]
-	s.VY[i], s.VY[j] = s.VY[j], s.VY[i]
-	s.Q[i], s.Q[j] = s.Q[j], s.Q[i]
-	s.Meta[i], s.Meta[j] = s.Meta[j], s.Meta[i]
-}
-
-// TilePlan and SortByTile below are called only by bench/micro.go; delete
-// them with the core.sort_by_tile_ns_per_particle row in the next benchmark
-// PR. The step partitions with PartitionFrontier instead.
+// TilePlan and SortByTile below are called only by bench/micro.go, and
+// TilePlan is the last reader of Frontier.At; delete them with the
+// core.sort_by_tile_ns_per_particle row in the next benchmark change. The
+// step moves every particle in one pass and orders nothing.
 
 // TilePlan partitions the cell rectangle [x0, x0+nx) × [y0, y0+ny) into
 // tiles. The rectangle is covered by a grid of size×size cell tiles (ragged

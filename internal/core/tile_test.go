@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/parres/picprk/internal/grid"
-	"github.com/parres/picprk/internal/particle"
 )
 
 // testOwnerTable builds a px×py uniform decomposition owner table over an
@@ -25,8 +24,7 @@ func testOwnerTable(L, px, py int) *OwnerTable {
 
 // TestFrontierMatchesBruteForce pins the class-pair derivation against the
 // direct definition: a cell is frontier iff some cell within the
-// displacement ring (|dx| ≤ rx, |dy| ≤ ry, wrapped) has a remote owner, and
-// the interior flag is set iff some locally owned cell is not frontier. The
+// displacement ring (|dx| ≤ rx, |dy| ≤ ry, wrapped) has a remote owner. The
 // cases cover uniform and random non-uniform cuts (1-cell runs included),
 // owners placed on cores the way VP placements put them, and ring widths
 // from 0 to past half the axis.
@@ -62,7 +60,6 @@ func TestFrontierMatchesBruteForce(t *testing.T) {
 	for _, tc := range cases {
 		ot := NewOwnerTable(tc.xCuts, tc.yCuts)
 		fr.Rebuild(ot, tc.L, tc.rx, tc.ry, tc.remote)
-		interior := false
 		for cy := 0; cy < tc.L; cy++ {
 			for cx := 0; cx < tc.L; cx++ {
 				want := false
@@ -78,12 +75,7 @@ func TestFrontierMatchesBruteForce(t *testing.T) {
 					t.Fatalf("L=%d cuts %v×%v ring(%d,%d): cell (%d,%d) frontier=%v, brute force says %v",
 						tc.L, tc.xCuts, tc.yCuts, tc.rx, tc.ry, cx, cy, got, want)
 				}
-				interior = interior || !want && !tc.remote(ot.Owner(cx, cy))
 			}
-		}
-		if fr.Interior() != interior {
-			t.Fatalf("L=%d cuts %v×%v ring(%d,%d): interior=%v, brute force says %v",
-				tc.L, tc.xCuts, tc.yCuts, tc.rx, tc.ry, fr.Interior(), interior)
 		}
 	}
 }
@@ -214,127 +206,6 @@ func TestSortByTileStableGrouping(t *testing.T) {
 	}
 }
 
-// TestPartitionedWavesMatchMoveClassify pins the pipeline's two waves
-// against the plain fused pass: after PartitionFrontier, moving the frontier
-// tail and then the interior head through MoveClassifyRange must produce
-// bitwise the same particle states and the same leaver set as one
-// MoveClassify over the same container, at every worker count — and no
-// interior particle may leave.
-func TestPartitionedWavesMatchMoveClassify(t *testing.T) {
-	L := 32
-	m := mesh(t, L)
-	block, err := grid.NewBlock(m, 0, 0, L, L)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ot := testOwnerTable(L, 2, 2)
-	self := int32(0)
-	var fr Frontier
-	fr.Rebuild(ot, L, 3, 1, func(o int32) bool { return o != self })
-
-	parted := NewSoA(hotpathParticles(t, m, 4*parallelThreshold+11))
-	ni := PartitionFrontier(parted, m, &fr)
-	if ni == 0 || ni == parted.Len() {
-		t.Fatalf("degenerate partition: %d interior of %d", ni, parted.Len())
-	}
-
-	// Reference: one fused pass over the partitioned container.
-	ref := NewSoA(parted.AppendParticles(nil))
-	refPool := NewMovePool(1)
-	var refLv Leavers
-	refPool.MoveClassify(ref, block, m, ot, self, &refLv)
-	refLeft := leaverSet(ref, &refLv)
-
-	for _, workers := range []int{1, 2, 7} {
-		got := NewSoA(parted.AppendParticles(nil))
-		pool := NewMovePool(workers)
-		var lv Leavers
-		pool.MoveClassifyRange(got, ni, got.Len(), block, m, ot, self, &lv)
-		gotLeft := leaverSet(got, &lv)
-		pool.MoveClassifyRange(got, 0, ni, block, m, ot, self, &lv)
-		if k := lv.Count(); k != 0 {
-			t.Fatalf("workers=%d: %d interior particles left", workers, k)
-		}
-		pool.Close()
-		assertSoAEqual(t, ref, got, "two waves vs fused pass")
-		if len(gotLeft) != len(refLeft) {
-			t.Fatalf("workers=%d: %d leavers, want %d", workers, len(gotLeft), len(refLeft))
-		}
-		for id, dst := range refLeft {
-			if gotLeft[id] != dst {
-				t.Fatalf("workers=%d: particle %d leaves for %d, want %d", workers, id, gotLeft[id], dst)
-			}
-		}
-	}
-	refPool.Close()
-}
-
-// TestPartitionFrontierProperty pins the partition's contract on random
-// containers against assorted frontiers, the three degenerate ones included:
-// every interior particle precedes every frontier one, the returned count
-// is exact, and the multiset of particles (ID and every field) is unchanged.
-func TestPartitionFrontierProperty(t *testing.T) {
-	const L = 16
-	m := mesh(t, L)
-	none := func(int32) bool { return false }
-	all := func(int32) bool { return true }
-	for _, tc := range []struct {
-		name   string
-		px, py int
-		rx, ry int
-		remote func(int32) bool
-	}{
-		{"all interior", 2, 2, 3, 1, none},
-		{"all frontier", 2, 2, 3, 1, all},
-		{"2x2 self=0", 2, 2, 3, 1, func(o int32) bool { return o != 0 }},
-		{"4x1 self=2", 4, 1, 1, 0, func(o int32) bool { return o != 2 }},
-		{"2x2 thin ring", 2, 2, 0, 0, func(o int32) bool { return o == 3 }},
-	} {
-		var fr Frontier
-		fr.Rebuild(testOwnerTable(L, tc.px, tc.py), L, tc.rx, tc.ry, tc.remote)
-		for _, n := range []int{0, 1, 2, 3, 257, 1000} {
-			for seed := int64(0); seed < 4; seed++ {
-				rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
-				s := &SoA{}
-				for i := 0; i < n; i++ {
-					s.Append(particle.Particle{
-						ID: uint64(i + 1), X: rng.Float64() * L, Y: rng.Float64() * L,
-						VX: rng.Float64(), VY: rng.Float64(), Q: rng.Float64(),
-						X0: rng.Float64(), Y0: rng.Float64(), K: int32(i), M: -int32(i), Dir: 1, Born: int32(i % 7),
-					})
-				}
-				before := make(map[uint64]particle.Particle, n)
-				wantInterior := 0
-				for i := 0; i < n; i++ {
-					p := s.At(i)
-					before[p.ID] = p
-					if cx, cy := m.CellOf(p.X, p.Y); !fr.At(cx, cy) {
-						wantInterior++
-					}
-				}
-				ni := PartitionFrontier(s, m, &fr)
-				if ni != wantInterior {
-					t.Fatalf("%s n=%d: returned %d interior, counted %d", tc.name, n, ni, wantInterior)
-				}
-				if s.Len() != n {
-					t.Fatalf("%s n=%d: length became %d", tc.name, n, s.Len())
-				}
-				for i := 0; i < n; i++ {
-					p := s.At(i)
-					cx, cy := m.CellOf(p.X, p.Y)
-					if fr.At(cx, cy) != (i >= ni) {
-						t.Fatalf("%s n=%d: slot %d (split at %d) holds a particle with frontier=%v", tc.name, n, i, ni, fr.At(cx, cy))
-					}
-					if want, ok := before[p.ID]; !ok || want != p {
-						t.Fatalf("%s n=%d: particle %d altered or duplicated by the partition", tc.name, n, p.ID)
-					}
-					delete(before, p.ID)
-				}
-			}
-		}
-	}
-}
-
 // TestScatterRemoveConservesParticles pins the compaction the ownership
 // prefix trusts: after ScatterRemove the stayers plus the shards are exactly
 // the particles that were there, none dropped or doubled.
@@ -367,8 +238,12 @@ func TestScatterRemoveConservesParticles(t *testing.T) {
 				delete(ids, meta.ID)
 			}
 		}
-		if total != before || lv.Count() != before-s.Len() {
-			t.Fatalf("frac=%g: %d stayers + shards = %d particles, had %d (%d leavers)", frac, s.Len(), total, before, lv.Count())
+		left := 0
+		for w := 0; w < lv.n; w++ {
+			left += len(lv.idx[w])
+		}
+		if total != before || left != before-s.Len() {
+			t.Fatalf("frac=%g: %d stayers + shards = %d particles, had %d (%d leavers)", frac, s.Len(), total, before, left)
 		}
 		if len(ids) != 0 {
 			t.Fatalf("frac=%g: %d particle IDs vanished", frac, len(ids))

@@ -306,6 +306,102 @@ func TestColumnVerifierRejectsBadIDs(t *testing.T) {
 	}
 }
 
+// TestColumnVerifierFastPathMatchesRule holds Check's per-run fast path to
+// the rule it shortcuts: on every particle, Check of that particle alone and
+// verifyParticle give the same verdict, error text included, and Check of a
+// whole state stops at the rule's first failing particle. The states are
+// closed-form runs of random inputs — either direction, M < 0, steps and K
+// from a fraction of a period to displacements many periods long, past a
+// 32-bit int and past the lattice bound — with particles corrupted at
+// random: NaN and infinite coordinates, X0 off the half-cell lattice or
+// outside [0, L) with X where the rule puts it (so the rule passes, and
+// the fast path must defer), Born past the run, a wrong K, a nudged
+// velocity, and an earlier Born with the state to match (a new run of
+// alike particles mid-container).
+func TestColumnVerifierFastPathMatchesRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	var passed, failed int
+	for trial := 0; trial < 300; trial++ {
+		L := []int{2, 4, 16, 64, 2998}[rng.Intn(5)]
+		m := mesh(t, L)
+		steps := rng.Intn(3 * L)
+		k := rng.Intn(20)
+		switch rng.Intn(5) {
+		case 0:
+			steps = 1<<20 + rng.Intn(1000) // thousands of periods
+		case 1:
+			steps, k = 1<<20+rng.Intn(1000), 1<<29+rng.Intn(1000) // |d| past 2^50
+		case 2:
+			steps, k = 1<<20+rng.Intn(1000), 1<<14+rng.Intn(1000) // |d| past 2^31
+		}
+		cfg := dist.Config{Mesh: m, N: 40, K: k, M: rng.Intn(9) - 4, Dir: 1 - 2*rng.Intn(2),
+			Dist: dist.Geometric{R: 0.9}, Seed: uint64(trial)}
+		ps := closedFormState(t, cfg, steps)
+		size := m.Size()
+		place := func(p *particle.Particle) {
+			s := steps - int(p.Born)
+			p.X, p.Y = p.ExpectedAt(s, size)
+			p.VX, p.VY = 0, float64(p.M)
+			if s%2 == 1 {
+				p.VX = float64(p.Dir) * 2 * float64(2*p.K+1)
+			}
+		}
+		for i := range ps {
+			p := &ps[i]
+			switch rng.Intn(12) {
+			case 0:
+				p.X = math.NaN()
+			case 1:
+				p.Y = math.Inf(-1)
+			case 2:
+				p.X0 += 0.25
+				place(p)
+			case 3:
+				p.Y0 -= 0.125
+				place(p)
+			case 4:
+				p.X0 += float64(L) * float64(1-2*rng.Intn(2))
+				place(p)
+			case 5:
+				p.Born = int32(steps) + 1 + rng.Int31n(3)
+			case 6:
+				p.K++
+			case 7:
+				p.VX += 2 * DefaultTolerance
+			case 8:
+				p.Born = rng.Int31n(int32(steps) + 1)
+				place(p)
+			}
+		}
+		first, _ := cfg.IDRange()
+		var firstErr error
+		for i := range ps {
+			p := &ps[i]
+			meta := metaOf(p)
+			want := verifyParticle(&meta, p.X, p.Y, p.VX, p.VY, steps, size, DefaultTolerance)
+			got := NewColumnVerifier(m, steps, 0, first, len(ps)).Check(NewSoA(ps[i : i+1]))
+			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+				t.Fatalf("L=%d steps=%d particle %+v: Check says %v, the rule %v", L, steps, *p, got, want)
+			}
+			if want == nil {
+				passed++
+			} else {
+				failed++
+				if firstErr == nil {
+					firstErr = want
+				}
+			}
+		}
+		got := NewColumnVerifier(m, steps, 0, first, len(ps)).Check(NewSoA(ps))
+		if (got == nil) != (firstErr == nil) || (got != nil && got.Error() != firstErr.Error()) {
+			t.Fatalf("L=%d steps=%d: Check of the state says %v, the rule's first failure is %v", L, steps, got, firstErr)
+		}
+	}
+	if passed < 1000 || failed < 1000 {
+		t.Fatalf("%d particles passed and %d failed; the comparison is one-sided", passed, failed)
+	}
+}
+
 // closedFormState returns cfg's initial population as it stands after
 // steps steps: every particle on its closed-form trajectory, vx by the
 // parity of the step count, vy = M.

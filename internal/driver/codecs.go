@@ -14,14 +14,14 @@ import (
 	"github.com/parres/picprk/internal/telemetry"
 )
 
-// Driver payload kinds (range 50–69, see pup.Kind). 51 (the rows parcel)
-// and 53, 54 and 57 (the timeline, stats and exchange-matrix gathers the
-// end-of-run report replaced) are retired and stay unused.
+// Driver payload kinds (range 50–69, see pup.Kind). 51 (the rows parcel),
+// 53, 54 and 57 (the timeline, stats and exchange-matrix gathers the
+// end-of-run report replaced) and 56 (the resume handshake the shard
+// scatter replaced) are retired and stay unused.
 const (
 	kindRectParcel pup.Kind = 50
 	kindVPParcels  pup.Kind = 52
 	kindRankShard  pup.Kind = 55
-	kindResumeInfo pup.Kind = 56
 	kindRankReport pup.Kind = 58
 )
 
@@ -154,15 +154,9 @@ func pupRankShard(p *pup.PUPer, s *rankShard) {
 	pup.Slice(p, &s.Samples, sampleWireBytes, pupSample)
 }
 
-func pupResumeInfo(p *pup.PUPer, r *resumeInfo) {
-	p.Bool(&r.Resume)
-	p.Int(&r.Step)
-}
-
 func init() {
 	pup.RegisterPtrCodec[rectParcel](kindRectParcel, pupRectParcel)
 	pup.RegisterPtrCodec[[]parcel](kindVPParcels, pupParcels)
 	pup.RegisterCodec[rankShard](kindRankShard, pupRankShard)
-	pup.RegisterCodec[resumeInfo](kindResumeInfo, pupResumeInfo)
 	pup.RegisterCodec[rankReport](kindRankReport, pupRankReport)
 }

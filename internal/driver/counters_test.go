@@ -81,7 +81,7 @@ func counterGolden(t *testing.T, name string, res *Result) []byte {
 	var cols []telemetry.Counter
 	b.WriteString("step rank")
 	for c := range telemetry.NumCounters {
-		if k := c.Kind(); k != telemetry.KindSpan && k != telemetry.KindDuration {
+		if c.Kind() != telemetry.KindSpan {
 			cols = append(cols, c)
 			fmt.Fprintf(&b, " %s", c)
 		}

@@ -234,10 +234,10 @@ type RankStats struct {
 	// moves, particle exchange, LB decisions (reductions + planning), and
 	// LB data movement (mesh or VP migration).
 	Compute, Exchange, Balance, Migrate time.Duration
-	// Overlap is the exchange time hidden behind compute by the two-wave
-	// step: wall time of interior-wave moves that ran while the
-	// boundary exchange was in flight. It is included in Compute (the time
-	// was spent computing); Exchange holds only the exposed remainder.
+	// Overlap is always zero: the step is one pass, then the exchange, and
+	// hides no exchange behind compute. The field exists only because
+	// bench/metrics.go, which a product change may not touch, reads it.
+	// Delete it with the next benchmark change.
 	Overlap time.Duration
 	// FinalParticles is the local particle count at the end of the run;
 	// MaxParticles the high-water mark over all steps (§V-B metric).

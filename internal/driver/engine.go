@@ -24,11 +24,9 @@ import (
 // moves them.
 type Substrate interface {
 	// MoveExchange advances every local particle one time step and delivers
-	// the ones that crossed a boundary to their owners: frontier particles
-	// move first and their leavers go on the wire, interior particles move
-	// while the exchange is in flight. It is collective. Compute/Exchange
-	// time splits are accounted on rec, plus the overlap credit
-	// (telemetry.ExchangeOverlap).
+	// the ones that crossed a boundary to their owners: one move pass, then
+	// one exchange. It is collective, and accounts the pass as
+	// telemetry.Compute and the exchange as telemetry.Exchange on rec.
 	MoveExchange(rec *trace.Recorder) error
 	// Exchange rehomes particles without moving them: whatever a
 	// classification sweep finds outside its owner's subdomain is delivered

@@ -7,10 +7,10 @@ package driver
 //
 // init constructs the substrate and policy from the Config (replayable by
 // construction, so every world generation starts from the identical
-// state). restore is the generation-start handshake: rank 0 broadcasts
-// whether a committed epoch exists, and if so scatters the per-rank shards
-// so every rank — survivor or replacement alike — adopts the committed
-// state and resumes at the step after it. commit serializes each rank's
+// state). restore is the generation-start scatter: rank 0 sends every rank
+// its shard of the committed epoch — empty when there is none — so every
+// rank, survivor or replacement alike, adopts the committed state and
+// resumes at the step after it. commit serializes each rank's
 // full substrate state and gathers the shards to rank 0. Nothing loops back
 // within a rank: a lost rank unwinds every survivor's world with
 // comm.ErrPeerLost, and the supervisor (RunElastic in recovery.go) starts
@@ -20,7 +20,7 @@ package driver
 // every piece of divergent state (particles, cuts or VP placement, event ID
 // cursor, balancer history, counters).
 //
-// With CheckpointEvery == 0 there is no handshake and no commit, and the
+// With CheckpointEvery == 0 there is no scatter and no commit, and the
 // steady-state step stays allocation-free either way (checkpoint work is
 // confined to boundary steps).
 
@@ -56,13 +56,6 @@ type rankShard struct {
 	// recovered run's timeline holds every step, not only those after the
 	// commit it resumed from.
 	Samples []telemetry.Sample
-}
-
-// resumeInfo is the generation-start handshake rank 0 broadcasts: whether a
-// committed epoch exists to resume from, and which step it ended on.
-type resumeInfo struct {
-	Resume bool
-	Step   int
 }
 
 // epochRunner is one rank's pass through the lifecycle: the state its
@@ -148,29 +141,25 @@ func (r *epochRunner) init() error {
 	return nil
 }
 
-// restore is the generation-start handshake of a checkpointed run: rank 0
-// consults the commit store and broadcasts whether there is a committed
-// epoch to resume from; if so, it scatters the per-rank shards and every
-// rank adopts its own. Survivors and replacements are indistinguishable
-// here — both just initialized from scratch, and both adopt a shard. It
-// returns the first step to run.
+// restore is the generation-start collective of a checkpointed run: rank 0
+// scatters the committed epoch's shards, or an empty shard per rank when
+// nothing is committed, and a rank whose shard carries a checkpoint adopts
+// it. Survivors and replacements are indistinguishable here — both just
+// initialized from scratch. It returns the first step to run.
 func (r *epochRunner) restore() (int, error) {
-	var info resumeInfo
 	var shards []rankShard
-	if r.c.Rank() == 0 && r.e.store != nil {
-		info, shards = r.e.store.resume()
-	}
-	info = comm.Bcast(r.c, 0, info)
-	if !info.Resume {
-		return 1, nil
-	}
-	if r.c.Rank() == 0 && len(shards) != r.c.Size() {
-		return 0, fmt.Errorf("driver: committed epoch has %d shards for %d ranks", len(shards), r.c.Size())
+	if r.c.Rank() == 0 {
+		var err error
+		if shards, err = r.e.store.resume(r.c.Size()); err != nil {
+			return 0, err
+		}
 	}
 	sh := comm.Scatter(r.c, 0, shards)
-	if sh.Rank != r.c.Rank() || sh.Step != info.Step {
-		return 0, fmt.Errorf("driver: rank %d received shard for rank %d step %d (resuming step %d)",
-			r.c.Rank(), sh.Rank, sh.Step, info.Step)
+	if len(sh.Sub) == 0 {
+		return 1, nil
+	}
+	if sh.Rank != r.c.Rank() {
+		return 0, fmt.Errorf("driver: rank %d received the shard of rank %d", r.c.Rank(), sh.Rank)
 	}
 	return sh.Step + 1, r.adopt(sh)
 }
@@ -449,7 +438,6 @@ func rankStats(rank int, v *[telemetry.NumCounters]int64, maxParticles int) Rank
 		Exchange:       time.Duration(v[telemetry.Exchange]),
 		Balance:        time.Duration(v[telemetry.Balance]),
 		Migrate:        time.Duration(v[telemetry.Migrate]),
-		Overlap:        time.Duration(v[telemetry.ExchangeOverlap]),
 		FinalParticles: int(v[telemetry.Particles]),
 		MaxParticles:   maxParticles,
 		Migrations:     int(v[telemetry.Migrations]),

@@ -8,8 +8,8 @@ import (
 	"github.com/parres/picprk/internal/trace"
 )
 
-// TestSteadyStateStepAllocationFree pins that a steady-state step — frontier
-// partition, two-wave fused move+classify, scatter into reused shards, split
+// TestSteadyStateStepAllocationFree pins that a steady-state step — one
+// fused move+classify pass, scatter into reused shards, split
 // Start/Finish pointer exchange, columnar append — performs zero
 // allocations, with the move pool both on its inline path (workers=1) and
 // genuinely parallel (workers=3, particle counts above the chunking

@@ -67,15 +67,28 @@ func (s *commitStore) commit(step int, shards []rankShard, wallNS int64) telemet
 	return ev
 }
 
-// resume reports whether a committed epoch exists to restore from, and its
-// shards — the rank-0 side of the generation-start handshake.
-func (s *commitStore) resume() (resumeInfo, []rankShard) {
+// resume returns the shards the generation-start scatter sends to p ranks:
+// the committed epoch's, each checked to be of the epoch's step and to carry
+// a checkpoint, or p empty shards when nothing is committed.
+func (s *commitStore) resume(p int) ([]rankShard, error) {
+	if s == nil {
+		return make([]rankShard, p), nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.shards == nil {
-		return resumeInfo{}, nil
+		return make([]rankShard, p), nil
 	}
-	return resumeInfo{Resume: true, Step: s.step}, s.shards
+	if len(s.shards) != p {
+		return nil, fmt.Errorf("driver: committed epoch has %d shards for %d ranks", len(s.shards), p)
+	}
+	for i, sh := range s.shards {
+		if sh.Step != s.step || len(sh.Sub) == 0 {
+			return nil, fmt.Errorf("driver: committed shard %d is of step %d with a %d-byte checkpoint, epoch is step %d",
+				i, sh.Step, len(sh.Sub), s.step)
+		}
+	}
+	return s.shards, nil
 }
 
 // noteRollback records a lost world: survivors will roll back to the last

@@ -102,7 +102,7 @@ func assertSameSampleCounts(t *testing.T, ref, got *telemetry.Timeline, want int
 			t.Fatalf("sample %d: step %d rank %d %q, reference step %d rank %d %q", i, g.Step, g.Rank, g.Decision, r.Step, r.Rank, r.Decision)
 		}
 		for c := range telemetry.NumCounters {
-			if k := c.Kind(); k != telemetry.KindSpan && k != telemetry.KindDuration && g.Counters[c] != r.Counters[c] {
+			if c.Kind() != telemetry.KindSpan && g.Counters[c] != r.Counters[c] {
 				t.Fatalf("step %d rank %d: %s = %d, reference %d", g.Step, g.Rank, c, g.Counters[c], r.Counters[c])
 			}
 		}
@@ -521,5 +521,51 @@ func TestSubstrateCheckpointRejectsMismatch(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResumeScattersCheckedShards pins what the generation-start scatter
+// sends: one empty shard per rank when nothing is committed (no store
+// included), the committed shards as they are, and an error instead of a
+// scatter when the epoch has the wrong shard count, a shard of another step
+// or one without a checkpoint.
+func TestResumeScattersCheckedShards(t *testing.T) {
+	var none *commitStore
+	for _, s := range []*commitStore{none, {}} {
+		shards, err := s.resume(3)
+		if err != nil || len(shards) != 3 {
+			t.Fatalf("no commit: %d shards, %v; want 3 empty ones", len(shards), err)
+		}
+		for _, sh := range shards {
+			if len(sh.Sub) != 0 {
+				t.Fatalf("no commit: shard carries a %d-byte checkpoint", len(sh.Sub))
+			}
+		}
+	}
+	epoch := func() []rankShard {
+		return []rankShard{{Rank: 0, Step: 10, Sub: []byte{1}}, {Rank: 1, Step: 10, Sub: []byte{2}}}
+	}
+	s := &commitStore{}
+	s.commit(10, epoch(), 0)
+	if shards, err := s.resume(2); err != nil || len(shards) != 2 || shards[1].Sub[0] != 2 {
+		t.Fatalf("committed epoch: %v, %v", shards, err)
+	}
+	for _, tc := range []struct {
+		name string
+		p    int
+		edit func([]rankShard)
+		want string
+	}{
+		{"shard count", 3, func([]rankShard) {}, "2 shards for 3 ranks"},
+		{"step", 2, func(sh []rankShard) { sh[1].Step = 9 }, "shard 1 is of step 9"},
+		{"no checkpoint", 2, func(sh []rankShard) { sh[0].Sub = nil }, "shard 0 is of step 10 with a 0-byte checkpoint"},
+	} {
+		sh := epoch()
+		tc.edit(sh)
+		s := &commitStore{}
+		s.commit(10, sh, 0)
+		if _, err := s.resume(tc.p); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: resume returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -79,16 +79,12 @@ type stepper struct {
 	at []*cell
 
 	// nbr derives, from one step's displacement (rx, ry), the sparse
-	// exchange schedule and the frontier: the mesh cells within reach of a
-	// cell hosted on another rank, and whether any cell hosted here is not
-	// one (when none is — a ring as wide as the blocks — every particle is a
-	// frontier particle and the partition pass is skipped). ni holds each
-	// hosted cell's interior count between the two waves.
+	// exchange schedule: the ranks hosting a cell within reach of a cell
+	// hosted here.
 	rx, ry int
 	nbr    core.NbrSet
-	ni     []int
 
-	// lv is the move pass's leaver list (reset per cell and wave); shards
+	// lv is the move pass's leaver list (reset per cell); shards
 	// holds the double-buffered per-owner shards the leavers scatter into;
 	// lists groups the remote-bound shards per hosting rank, double-buffered
 	// because ExchangePtr transfers ownership of the pointed-to slices until
@@ -129,9 +125,8 @@ func (s *stepper) init(c *comm.Comm, cfg Config, unit string, home cellHome) {
 }
 
 // rebuildTopology recomputes everything derived from ot, host and cells: the
-// frontier (and whether it leaves this rank any interior) and the sparse
-// exchange schedule over hosting ranks, both from one NbrSet.Rebuild, and
-// the owner index — and zeroes every ownership prefix, which was
+// sparse exchange schedule over hosting ranks (NbrSet.Rebuild) and the
+// owner index — and zeroes every ownership prefix, which was
 // established against the old decomposition. Called at construction, after
 // every Execute and after a checkpoint restore. Installing the schedule
 // mid-run arms comm's full-ring fence, which a follow-up rehome exchange
@@ -149,77 +144,35 @@ func (s *stepper) rebuildTopology() {
 		s.at[c.id] = c
 		c.owned = 0
 	}
-	if cap(s.ni) < len(s.cells) {
-		s.ni = make([]int, len(s.cells))
-	}
-	s.ni = s.ni[:len(s.cells)]
 }
 
-// MoveExchange implements Substrate: partition, frontier wave, start,
-// interior wave, finish. PartitionFrontier swaps each cell's particles in
-// frontier mesh cells into one contiguous tail (per mesh cell, not per
-// hosted cell — over-decomposed, most VPs touch another rank's territory
-// somewhere, but only a band of their mesh cells can reach it in one step).
-// When the frontier covers every mesh cell hosted here the answer is known
-// to be "no interior" and the pass is not run.
-// The tails move and classify first, their leavers scatter into the
-// outgoing shards and the exchange STARTS; the interior heads move while
-// the parcels are in flight, and only then does the exchange FINISH. The
-// interior wave's wall time is credited as overlap.
+// MoveExchange implements Substrate: one pass, then the exchange. Each
+// hosted cell's particles move and classify in one fused pass, the leavers
+// scatter into the outgoing shards, and every particle still there was
+// classified as staying, so it becomes the cell's ownership prefix. Then the
+// exchange starts and finishes once. ScatterRemove keeps the stayers in
+// order, and arrivals append behind them, so a particle's place in its cell
+// changes only by the leavers removed ahead of it.
 //
-// Correctness: the frontier ring is the exact per-step displacement bound,
-// so no interior particle can leave the rank this step. An interior leaver
-// bound for another cell hosted here is legal and rides the local shards,
-// which deliver after both waves; one bound for another rank is a hard error
-// rather than a silent mishoming — its shard is already in flight. Each tail
-// is compacted before its interior wave starts (interior indices never
-// shift: wave 1's leaver indices all sit in the tail), and arrivals append
-// only after both waves. Particle updates are independent, so the split
-// changes only the order in which they run, never a result.
+// The pass is booked as compute and the exchange as exchange: the two tile
+// the step. A leaver bound for a rank outside the neighbor schedule (a
+// displacement ring too narrow) makes comm.ExchangePtrStart panic, which
+// the world turns into the run's error.
 func (s *stepper) MoveExchange(rec *trace.Recorder) error {
-	mesh, me := s.cfg.Mesh, s.c.Rank()
-
+	mesh := s.cfg.Mesh
 	t0 := time.Now()
 	cols := s.shards.next(len(s.host))
-	for k, c := range s.cells {
-		s.ni[k] = 0
-		if s.nbr.Frontier.Interior() {
-			s.ni[k] = core.PartitionFrontier(c.soa, mesh, &s.nbr.Frontier)
-		}
-		s.pool.MoveClassifyRange(c.soa, s.ni[k], c.soa.Len(), c.block, mesh, s.ot, int32(c.id), &s.lv)
+	for _, c := range s.cells {
+		s.pool.MoveClassify(c.soa, c.block, mesh, s.ot, int32(c.id), &s.lv)
 		c.soa.ScatterRemove(&s.lv, cols)
+		c.owned = c.soa.Len()
 	}
 	rec.Add(telemetry.Compute, time.Since(t0))
 
 	t1 := time.Now()
 	s.start(cols)
-	rec.Add(telemetry.Exchange, time.Since(t1))
-
-	t2 := time.Now()
-	for k, c := range s.cells {
-		s.pool.MoveClassifyRange(c.soa, 0, s.ni[k], c.block, mesh, s.ot, int32(c.id), &s.lv)
-		for w := 0; w < s.lv.Chunks(); w++ {
-			_, ds := s.lv.Chunk(w)
-			for _, d := range ds {
-				if s.host[d] != me {
-					return fmt.Errorf("driver: interior particle of %s %d left for %s %d on rank %d in one step (displacement ring rx=%d ry=%d violated)",
-						s.unit, c.id, s.unit, d, s.host[d], s.rx, s.ry)
-				}
-			}
-		}
-		c.soa.ScatterRemove(&s.lv, cols)
-		// Both waves classified every particle still here as staying.
-		c.owned = c.soa.Len()
-	}
-	d2 := time.Since(t2)
-	rec.Add(telemetry.Compute, d2)
-	if s.c.Size() > 1 {
-		rec.Add(telemetry.ExchangeOverlap, d2)
-	}
-
-	t3 := time.Now()
 	err := s.finish(cols)
-	rec.Add(telemetry.Exchange, time.Since(t3))
+	rec.Add(telemetry.Exchange, time.Since(t1))
 	return err
 }
 

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/iotest"
 
@@ -15,7 +16,6 @@ import (
 	"github.com/parres/picprk/internal/comm"
 	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/dist"
-	"github.com/parres/picprk/internal/grid"
 	"github.com/parres/picprk/internal/memtest"
 	"github.com/parres/picprk/internal/pup"
 	"github.com/parres/picprk/internal/trace"
@@ -240,103 +240,108 @@ func randomCuts(rng *rand.Rand, L, blocks int) []int {
 	return append(cuts, L)
 }
 
-// TestPartitionSkippedOnlyWithoutInterior pins the one thing that decides
-// whether a step runs PartitionFrontier. Over random cut arrays, ring widths
-// and owner placements, the flag rebuildTopology records equals a brute-force
-// reading of the definition — some mesh cell hosted here has no remotely
-// hosted cell within the ring, wrapped — computed cell by cell. Then one
-// run on each side of the flag, on both substrates, matches the serial
-// reference bit for bit.
-func TestPartitionSkippedOnlyWithoutInterior(t *testing.T) {
-	const L, p = 16, 3
-	mesh := grid.MustMesh(L, grid.DefaultCharge)
-	var with, without int
-	err := comm.NewWorld(p).Run(func(c *comm.Comm) error {
-		me := c.Rank()
-		rng := rand.New(rand.NewSource(41)) // same draws on every rank
-		for trial := 0; trial < 200; trial++ {
-			px, py := 1+rng.Intn(4), 1+rng.Intn(4)
-			s := &stepper{c: c, cfg: Config{Mesh: mesh}, rx: rng.Intn(L/2 + 2), ry: rng.Intn(L/2 + 2)}
-			s.ot = core.NewOwnerTable(randomCuts(rng, L, px), randomCuts(rng, L, py))
-			s.host = make([]int, px*py)
-			for o := range s.host {
-				s.host[o] = rng.Intn(p)
-				if rng.Intn(3) == 0 {
-					s.host[o] = 0 // lopsided placements: whole rows of one rank
+// TestStepKeepsStayerOrder pins the order the one-pass step keeps: across
+// every step, the particles a cell holds both before and after it keep their
+// relative order, on both substrates. The skew input at L = 32 with a ring
+// of one cell leaves every rank interior as well as frontier particles, so
+// a step that reordered either group, or moved one group behind the other,
+// fails here.
+func TestStepKeepsStayerOrder(t *testing.T) {
+	const p, steps = 2, 12
+	cfg := testConfig(t, 32, 6000, steps)
+	cfg.K, cfg.M = 0, 1
+	for _, tc := range []struct {
+		name string
+		mk   func(c *comm.Comm) (Substrate, error)
+	}{
+		{"block", func(c *comm.Comm) (Substrate, error) { return newBlockSubstrate(c, cfg, p, 1) }},
+		{"vp", func(c *comm.Comm) (Substrate, error) { return newVPSubstrate(c, cfg, 4) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := comm.NewWorld(p).Run(func(c *comm.Comm) error {
+				sub, err := tc.mk(c)
+				if err != nil {
+					return err
 				}
-				if s.host[o] == me {
-					s.cells = append(s.cells, &cell{id: o})
+				defer sub.Close()
+				var s *stepper
+				switch sub := sub.(type) {
+				case *blockSubstrate:
+					s = &sub.stepper
+				case *vpSubstrate:
+					s = &sub.stepper
 				}
-			}
-			s.rebuildTopology()
-
-			hostedAt := func(cx, cy int) int {
-				return s.host[s.ot.Owner(grid.WrapIndex(cx, L), grid.WrapIndex(cy, L))]
-			}
-			want := false
-			for cy := 0; cy < L; cy++ {
-				for cx := 0; cx < L; cx++ {
-					if hostedAt(cx, cy) != me {
-						continue
+				rec := &trace.Recorder{}
+				kept := 0
+				for step := 1; step <= steps; step++ {
+					before := make(map[int]map[uint64]int, len(s.cells))
+					for _, cl := range s.cells {
+						at := make(map[uint64]int, cl.soa.Len())
+						for i, m := range cl.soa.Meta {
+							at[m.ID] = i
+						}
+						before[cl.id] = at
 					}
-					reach := false
-					for dy := -s.ry; dy <= s.ry; dy++ {
-						for dx := -s.rx; dx <= s.rx; dx++ {
-							reach = reach || hostedAt(cx+dx, cy+dy) != me
+					if err := sub.MoveExchange(rec); err != nil {
+						return err
+					}
+					for _, cl := range s.cells {
+						last := -1
+						for _, m := range cl.soa.Meta {
+							i, ok := before[cl.id][m.ID]
+							if !ok {
+								continue
+							}
+							if i < last {
+								return fmt.Errorf("step %d rank %d cell %d: particle %d was at %d, behind a stayer that was at %d",
+									step, c.Rank(), cl.id, m.ID, i, last)
+							}
+							last = i
+							kept++
 						}
 					}
-					want = want || !reach
 				}
+				if kept == 0 {
+					return fmt.Errorf("rank %d: no particle stayed in its cell", c.Rank())
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := s.nbr.Frontier.Interior(); got != want {
-				return fmt.Errorf("trial %d rank %d (%d×%d owners, ring %d,%d, hosts %v): interior recorded %v, brute force %v",
-					trial, me, px, py, s.rx, s.ry, s.host, got, want)
-			}
-			if me == 0 && want {
-				with++
-			} else if me == 0 {
-				without++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		})
 	}
-	if without < 20 || with < 20 {
-		t.Fatalf("trials landed %d without and %d with interior; the comparison is one-sided", without, with)
-	}
+}
 
-	for _, k := range []int{0, 4} { // ring 1 of 16 cells: interior; ring 9: none
-		cfg := testConfig(t, L, 3000, 12)
-		cfg.K, cfg.M = k, 1
-		ref := sequentialReference(t, cfg)
-		block := NewBaselineEngine(cfg)
-		vp, err := NewAMPIEngine(2, cfg, AMPIParams{Overdecompose: 4, Every: 5})
-		if err != nil {
-			t.Fatal(err)
+// TestShortRingFailsLoudly pins what a displacement ring narrower than the
+// kernel's step becomes: an error, never a mishomed particle. A 2×2 block
+// run with M = 1 whose ry is forced to 0 leaves the other row's ranks out
+// of every neighbor schedule; once comm's full-ring fence has run out, the
+// first particle crossing a row boundary is a payload for a rank outside
+// the schedule, and the run must fail naming it, with no Result.
+func TestShortRingFailsLoudly(t *testing.T) {
+	for _, tr := range []string{TransportInproc, TransportTCP} {
+		cfg := testConfig(t, 16, 2000, 8)
+		cfg.K, cfg.M = 0, 1
+		cfg.Transport = tr
+		eng := NewBaselineEngine(cfg)
+		mk := eng.Substrate
+		eng.Substrate = func(c *comm.Comm, cfg Config) (Substrate, error) {
+			sub, err := mk(c, cfg)
+			if err != nil {
+				return nil, err
+			}
+			b := sub.(*blockSubstrate)
+			b.ry = 0
+			b.rebuildTopology()
+			return b, nil
 		}
-		for _, eng := range []*Engine{block, vp} {
-			var interior [2]bool
-			mk := eng.Substrate
-			eng.Substrate = func(c *comm.Comm, cfg Config) (Substrate, error) {
-				s, err := mk(c, cfg)
-				switch s := s.(type) {
-				case *blockSubstrate:
-					interior[c.Rank()] = s.nbr.Frontier.Interior()
-				case *vpSubstrate:
-					interior[c.Rank()] = s.nbr.Frontier.Interior()
-				}
-				return s, err
-			}
-			res, err := eng.Run(2)
-			if err != nil || !res.Verified {
-				t.Fatalf("%s k=%d: run failed or unverified: %v", eng.Name, k, err)
-			}
-			if want := k == 0; interior != [2]bool{want, want} {
-				t.Fatalf("%s k=%d: interior flags %v, want %v on both ranks", eng.Name, k, interior, want)
-			}
-			assertBitwiseEqual(t, ref, res.Particles, fmt.Sprintf("%s k=%d", eng.Name, k))
+		res, err := eng.Run(4)
+		if err == nil || !strings.Contains(err.Error(), "outside the neighbor schedule") {
+			t.Fatalf("%s: run with a short ring returned %v, want an error naming the neighbor schedule", tr, err)
+		}
+		if res != nil {
+			t.Fatalf("%s: failed run returned a Result", tr)
 		}
 	}
 }

@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"github.com/parres/picprk/internal/dist"
-	"github.com/parres/picprk/internal/telemetry"
 )
 
 // TestTilePipelineBitwiseMatrix is the determinism matrix of the step: every
 // driver must produce bitwise the same final state and the same balance log
-// at every worker count, all against the sequential reference. The two-wave
-// split changes only the order in which independent particle updates run, so
-// any divergence is a routing bug. TestTilePipelineWireIdentity is the same
+// at every worker count, all against the sequential reference. The worker
+// count changes only how independent particle updates are chunked, so any
+// divergence is a routing bug. TestTilePipelineWireIdentity is the same
 // matrix over tcp.
 func TestTilePipelineBitwiseMatrix(t *testing.T) {
 	cfg := testConfig(t, 16, 4000, 30)
@@ -61,8 +60,8 @@ func tilePipelineMatrix(t *testing.T, p int, cfg Config, workers []int, drivers 
 // TestTilePipelineWireIdentity runs the matrix over real sockets: the
 // Start/Finish exchange split must survive serialization and framing with
 // bitwise-identical results, for the block and the VP substrate. This is
-// also the test CI runs under -race to exercise the overlap between the
-// transport goroutines and the interior move wave.
+// also the test CI runs under -race to exercise the transport goroutines
+// beside the move workers.
 func TestTilePipelineWireIdentity(t *testing.T) {
 	cfg := testConfig(t, 16, 900, 16)
 	cfg.Schedule = dist.Schedule{
@@ -71,41 +70,6 @@ func TestTilePipelineWireIdentity(t *testing.T) {
 	cfg.Transport = TransportTCP
 	// One driver per substrate: baseline (block), worksteal (VP).
 	tilePipelineMatrix(t, 4, cfg, []int{1, 2}, 0, 3)
-}
-
-// TestTilePipelineReportsOverlap asserts the overlap metric is actually
-// produced on a multi-rank run: some step of some rank must spend compute
-// time while an exchange is in flight, the per-rank totals must surface in
-// RankStats, and the timeline samples must sum to them.
-func TestTilePipelineReportsOverlap(t *testing.T) {
-	cfg := testConfig(t, 32, 8000, 20)
-	cfg.Telemetry = true
-	res, err := NewBaselineEngine(cfg).Run(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total, sampled int64
-	for _, st := range res.PerRank {
-		total += st.Overlap.Nanoseconds()
-	}
-	if total == 0 {
-		t.Fatal("4-rank run reported zero exchange overlap")
-	}
-	for _, s := range res.Timeline.Samples {
-		sampled += s.Counters[telemetry.ExchangeOverlap]
-	}
-	if sampled != total {
-		t.Fatalf("timeline overlap sums to %d ns, RankStats to %d ns", sampled, total)
-	}
-
-	// A single rank exchanges with nobody and must report none.
-	r, err := NewBaselineEngine(cfg).Run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o := r.PerRank[0].Overlap; o != 0 {
-		t.Fatalf("p=1 reports overlap %v, want 0", o)
-	}
 }
 
 // TestTileValidation pins what is left of the tile knob: Config.Tile is

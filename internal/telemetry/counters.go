@@ -13,8 +13,8 @@ type Counter int
 // row, and rows sharing a Prometheus family are adjacent
 // (TestCounterTableLayout).
 const (
-	// Compute is the time spent moving particles: partition, frontier and
-	// interior waves, and the scatter of leavers into outgoing shards.
+	// Compute is the time spent moving particles: the fused move and
+	// classify pass and the scatter of leavers into outgoing shards.
 	Compute Counter = iota
 	// Exchange is the time spent posting and completing particle exchanges,
 	// the rehome exchange after a decomposition change included.
@@ -35,12 +35,6 @@ const (
 	// this step, in the columnar path's framed wire size
 	// (core.SoA.FramedBytes) on every transport.
 	ExchangeBytes
-	// ExchangeOverlap is the compute time, in nanoseconds, this step spent
-	// while an exchange was in flight (the interior wave). It is not a span:
-	// the same wall time is already inside Compute. The ratio
-	// overlap/(overlap+exchange) is how much of the exchange the step hid
-	// behind compute.
-	ExchangeOverlap
 	// MsgsSent is the number of exchange messages this rank posted this
 	// step; MsgsElided the number the sparse neighbor schedule skipped
 	// relative to the full P-1 ring (nil sends never posted). Their sum per
@@ -62,10 +56,6 @@ const (
 	// KindGauge is a level read at the end of the step; aggregates keep the
 	// latest value instead of a sum.
 	KindGauge
-	// KindDuration is a per-step delta of cumulative nanoseconds that does
-	// not tile the step (it overlaps a span); Prometheus renders it, like a
-	// span, in seconds.
-	KindDuration
 	// KindSpan is a per-step delta of cumulative nanoseconds spent in one
 	// phase. A step's spans tile its wall time: they are laid end to end in
 	// the Chrome trace, and their sum is the step's time on a rank.
@@ -83,17 +73,16 @@ type counterDesc struct {
 }
 
 var counterTable = [NumCounters]counterDesc{
-	Compute:         {"compute", KindSpan, "picprk_phase_seconds_total", "Time spent per rank per phase."},
-	Exchange:        {"exchange", KindSpan, "picprk_phase_seconds_total", "Time spent per rank per phase."},
-	Balance:         {"balance", KindSpan, "picprk_phase_seconds_total", "Time spent per rank per phase."},
-	Migrate:         {"migrate", KindSpan, "picprk_phase_seconds_total", "Time spent per rank per phase."},
-	Particles:       {"particles", KindGauge, "picprk_particles", "Local particle count per rank."},
-	Migrations:      {"migrations", KindCount, "picprk_migrations_total", "LB data movements per rank."},
-	MigratedBytes:   {"migrated_bytes", KindCount, "picprk_migrated_bytes_total", "LB payload bytes sent per rank."},
-	ExchangeBytes:   {"exchange_bytes", KindCount, "picprk_exchange_bytes_total", "Particle-exchange payload bytes sent per rank (framed columnar wire size)."},
-	ExchangeOverlap: {"exchange_overlap_ns", KindDuration, "picprk_exchange_overlap_seconds_total", "Compute time spent while an exchange was in flight, per rank (tile pipeline)."},
-	MsgsSent:        {"msgs_sent", KindCount, "picprk_exchange_messages_total", "Exchange messages posted per rank (sparse neighbor schedule)."},
-	MsgsElided:      {"msgs_elided", KindCount, "picprk_exchange_messages_elided_total", "Exchange messages the sparse neighbor schedule skipped per rank, relative to the full P-1 ring."},
+	Compute:       {"compute", KindSpan, "picprk_phase_seconds_total", "Time spent per rank per phase."},
+	Exchange:      {"exchange", KindSpan, "picprk_phase_seconds_total", "Time spent per rank per phase."},
+	Balance:       {"balance", KindSpan, "picprk_phase_seconds_total", "Time spent per rank per phase."},
+	Migrate:       {"migrate", KindSpan, "picprk_phase_seconds_total", "Time spent per rank per phase."},
+	Particles:     {"particles", KindGauge, "picprk_particles", "Local particle count per rank."},
+	Migrations:    {"migrations", KindCount, "picprk_migrations_total", "LB data movements per rank."},
+	MigratedBytes: {"migrated_bytes", KindCount, "picprk_migrated_bytes_total", "LB payload bytes sent per rank."},
+	ExchangeBytes: {"exchange_bytes", KindCount, "picprk_exchange_bytes_total", "Particle-exchange payload bytes sent per rank (framed columnar wire size)."},
+	MsgsSent:      {"msgs_sent", KindCount, "picprk_exchange_messages_total", "Exchange messages posted per rank (sparse neighbor schedule)."},
+	MsgsElided:    {"msgs_elided", KindCount, "picprk_exchange_messages_elided_total", "Exchange messages the sparse neighbor schedule skipped per rank, relative to the full P-1 ring."},
 }
 
 // String returns the counter's table name, the key it travels under in a

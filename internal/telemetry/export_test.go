@@ -81,11 +81,11 @@ func TestReadJSONLRejectsDrift(t *testing.T) {
 }
 
 // TestReadJSONLAcceptsLegacy pins what the reader accepts of the legacy
-// schemas: nothing. There is one timeline format; a v1–v7 meta line is
+// schemas: nothing. There is one timeline format; a v1–v8 meta line is
 // turned away with the error that names the version this reader
 // understands, however well-formed the rest of the file is.
 func TestReadJSONLAcceptsLegacy(t *testing.T) {
-	for v := 1; v <= 7; v++ {
+	for v := 1; v <= 8; v++ {
 		schema := fmt.Sprintf("picprk/timeline/v%d", v)
 		in := `{"schema":"` + schema + `","impl":"x","ranks":1,"steps":1}` + "\n" +
 			`{"step":1,"rank":0,"counters":{"compute":5,"particles":1}}` + "\n"
@@ -133,7 +133,7 @@ func FuzzReadJSONL(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for n := 0; n < len(golden); n += 41 {
+	for n := 0; n < len(golden); n += 37 {
 		f.Add(golden[:n])
 	}
 	f.Add(golden)
@@ -210,9 +210,9 @@ func TestChromeTraceValid(t *testing.T) {
 	}
 	// One duration event per nonzero phase, one instant per decision step,
 	// metadata for the process and both rank threads, and one counter event
-	// per change of a rank's counter (from an implicit zero): 4+5+4 per rank
+	// per change of a rank's counter (from an implicit zero): 3+4+4 per rank
 	// over the fixture's three steps, plus rank 1's clock offset.
-	if counts["X"] == 0 || counts["M"] != 3 || counts["i"] != 1 || counts["C"] != 27 {
+	if counts["X"] == 0 || counts["M"] != 3 || counts["i"] != 1 || counts["C"] != 23 {
 		t.Errorf("event mix %v", counts)
 	}
 }

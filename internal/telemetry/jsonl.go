@@ -10,7 +10,7 @@ import (
 // Schema identifies the timeline wire format. Readers reject any other
 // value — the files of earlier versions included — so an incompatible change
 // must bump the version, and the CI round-trip job fails on silent drift.
-const Schema = "picprk/timeline/v8"
+const Schema = "picprk/timeline/v9"
 
 // metaJSON is the first line of a timeline file.
 type metaJSON struct {

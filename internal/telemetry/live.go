@@ -184,8 +184,6 @@ func (l *Live) WritePrometheus(w io.Writer) {
 				switch counterTable[c].kind {
 				case KindSpan:
 					fmt.Fprintf(w, "%s{rank=\"%d\",phase=\"%s\"} %g\n", d.family, rank, c, float64(v)/1e9)
-				case KindDuration:
-					fmt.Fprintf(w, "%s{rank=\"%d\"} %g\n", d.family, rank, float64(v)/1e9)
 				default:
 					fmt.Fprintf(w, "%s{rank=\"%d\"} %d\n", d.family, rank, v)
 				}

@@ -26,13 +26,12 @@ func TestNewSortsByStepThenRank(t *testing.T) {
 // and analysis tests share: rank 1 is overloaded, a balancing decision
 // fires at step 2 and evens the loads out by step 3.
 func fixtureTimeline() *Timeline {
-	mk := func(step, rank int, c, e, b, m, ov time.Duration, particles, migrations int, bytes, xbytes int64, decision string) Sample {
+	mk := func(step, rank int, c, e, b, m time.Duration, particles, migrations int, bytes, xbytes int64, decision string) Sample {
 		s := Sample{Step: step, Rank: rank, Decision: decision}
 		s.Counters[Particles] = int64(particles)
 		s.Counters[Migrations] = int64(migrations)
 		s.Counters[MigratedBytes] = bytes
 		s.Counters[ExchangeBytes] = xbytes
-		s.Counters[ExchangeOverlap] = ov.Nanoseconds()
 		s.Counters[Compute] = c.Nanoseconds()
 		s.Counters[Exchange] = e.Nanoseconds()
 		s.Counters[Balance] = b.Nanoseconds()
@@ -41,14 +40,14 @@ func fixtureTimeline() *Timeline {
 	}
 	ms := time.Millisecond
 	rank0 := []Sample{
-		mk(1, 0, 2*ms, 1*ms, 0, 0, 1*ms, 100, 0, 0, 4096, ""),
-		mk(2, 0, 2*ms, 1*ms, 1*ms, 3*ms, 0, 150, 1, 2048, 2128, "step=2 x=[0 5 8]"),
-		mk(3, 0, 3*ms, 1*ms, 0, 0, 0, 200, 0, 0, 128, ""),
+		mk(1, 0, 2*ms, 1*ms, 0, 0, 100, 0, 0, 4096, ""),
+		mk(2, 0, 2*ms, 1*ms, 1*ms, 3*ms, 150, 1, 2048, 2128, "step=2 x=[0 5 8]"),
+		mk(3, 0, 3*ms, 1*ms, 0, 0, 200, 0, 0, 128, ""),
 	}
 	rank1 := []Sample{
-		mk(1, 1, 6*ms, 1*ms, 0, 0, 500*time.Microsecond, 300, 0, 0, 8192, ""),
-		mk(2, 1, 5*ms, 1*ms, 1*ms, 2*ms, 0, 250, 1, 1024, 1648, "step=2 x=[0 5 8]"),
-		mk(3, 1, 3*ms, 1*ms, 0, 0, 0, 200, 0, 0, 128, ""),
+		mk(1, 1, 6*ms, 1*ms, 0, 0, 300, 0, 0, 8192, ""),
+		mk(2, 1, 5*ms, 1*ms, 1*ms, 2*ms, 250, 1, 1024, 1648, "step=2 x=[0 5 8]"),
+		mk(3, 1, 3*ms, 1*ms, 0, 0, 200, 0, 0, 128, ""),
 	}
 	// Wall stamps on a fixed epoch: rank 1's process clock runs 150µs behind
 	// rank 0's, so its corrected stamps carry the offset and its steps start
@@ -107,10 +106,6 @@ func TestStepStats(t *testing.T) {
 	}
 	if ss[2].Load.Imbalance != 1 {
 		t.Errorf("step 3 imbalance %v, want 1 (balanced)", ss[2].Load.Imbalance)
-	}
-	// Overlap sums over ranks: step 1 has 1ms + 0.5ms of hidden exchange.
-	if ss[0].Counters[ExchangeOverlap] != 1_500_000 || ss[1].Counters[ExchangeOverlap] != 0 {
-		t.Errorf("overlap per step: %d, %d ns; want 1.5ms, 0", ss[0].Counters[ExchangeOverlap], ss[1].Counters[ExchangeOverlap])
 	}
 	// Span sums over ranks.
 	if ss[0].Counters[Compute] != 8_000_000 {

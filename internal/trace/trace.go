@@ -1,6 +1,6 @@
 // Package trace is the per-rank accumulator the step path charges its time
 // to: nanoseconds per timed row of the telemetry counter table (the four
-// phase spans and the exchange overlap), plus the particle high-water mark.
+// phase spans), plus the particle high-water mark.
 // The engine reads the accumulated durations together with its other
 // counters, so per-step telemetry and the end-of-run statistics are both
 // differences of, or final values of, one reading.

@@ -24,12 +24,12 @@ func TestAddAndGet(t *testing.T) {
 	r.Add(telemetry.Compute, time.Second)
 	r.Add(telemetry.Exchange, 2*time.Second)
 	r.Add(telemetry.Balance, 3*time.Second)
-	r.Add(telemetry.ExchangeOverlap, 4*time.Second)
+	r.Add(telemetry.Migrate, 4*time.Second)
 	if r.Get(telemetry.Compute) != time.Second || r.Get(telemetry.Exchange) != 2*time.Second ||
-		r.Get(telemetry.Balance) != 3*time.Second || r.Get(telemetry.Migrate) != 0 ||
-		r.Get(telemetry.ExchangeOverlap) != 4*time.Second {
+		r.Get(telemetry.Balance) != 3*time.Second || r.Get(telemetry.Migrate) != 4*time.Second ||
+		r.Get(telemetry.Particles) != 0 {
 		t.Errorf("rows %v %v %v %v %v", r.Get(telemetry.Compute), r.Get(telemetry.Exchange),
-			r.Get(telemetry.Balance), r.Get(telemetry.Migrate), r.Get(telemetry.ExchangeOverlap))
+			r.Get(telemetry.Balance), r.Get(telemetry.Migrate), r.Get(telemetry.Particles))
 	}
 }
 
