@@ -2,7 +2,7 @@ package core
 
 // This file is the columnar side of the exchange hot path: leaver particles
 // travel between ranks as SoA shards — the container's own six dense slices —
-// instead of being materialized one particle.Particle at a time.
+// instead of being materialized one AoS particle at a time.
 // Classification happens inside the move loops (hotpath.go) via an
 // OwnerTable lookup, the per-chunk results accumulate in a Leavers list, and
 // ScatterRemove splits the SoA into per-destination shards with bulk range

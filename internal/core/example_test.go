@@ -30,6 +30,6 @@ func Example() {
 		fmt.Println("verification failed:", err)
 		return
 	}
-	fmt.Printf("%d particles verified after %d steps\n", len(sim.Particles), sim.Steps())
+	fmt.Printf("%d particles verified after %d steps\n", sim.Particles.Len(), sim.Steps())
 	// Output: 10000 particles verified after 500 steps
 }

@@ -8,18 +8,16 @@ import (
 
 // This file is the multicore, allocation-free hot path of the move phase:
 // one loop, which every decomposition unit (a rank's block, a virtual
-// processor's block) runs through a MovePool.
+// processor's block, a Simulation's whole mesh) runs through a MovePool.
 //
-// The AoS kernel (Force + Move) pays four interface-dispatched Charge calls
-// per particle per step and stays as the reference the identity tests
-// compare against. moveRange reads the four corner charges of an owned cell
-// as two adjacent pairs in the block's row-major charge array and evaluates
-// the force a block of particles at a time (force.go), two particles per
-// packed instruction where the architecture has one. Every lane performs
-// the reference's IEEE operations in the reference's order, so results are
-// bitwise identical to it (TestKernelLoopMatchesReference,
-// TestForceLanesMatchesReference) — which the verification scheme and the
-// cross-driver identity tests rely on.
+// moveRange reads the four corner charges of an owned cell as two adjacent
+// pairs in the block's row-major charge array and evaluates the force a
+// block of particles at a time (force.go), two particles per packed
+// instruction where the architecture has one. Every lane performs forceQQ's
+// IEEE operations in its order, so results are bitwise identical to the
+// one-particle AoS kernel the tests keep as the reference
+// (TestKernelLoopMatchesReference, TestForceLanesMatchesReference) — which
+// the verification scheme and the cross-driver identity tests rely on.
 
 // moveRange advances particles [lo, hi) of s by one step against the block
 // that owns their cells (the engine's ownership invariant). With lv non-nil

@@ -62,7 +62,7 @@ func TestKernelLoopMatchesReference(t *testing.T) {
 	viaMesh := append([]particle.Particle(nil), ps...)
 	viaBlock := append([]particle.Particle(nil), ps...)
 	for step := 0; step < steps; step++ {
-		MoveAll(viaMesh, m, m)
+		MoveAll(viaMesh, meshField(m), m)
 		MoveAll(viaBlock, block, m)
 	}
 	ref := NewSoA(viaMesh)
@@ -130,7 +130,7 @@ func TestParallelMoveBitwiseIdentity(t *testing.T) {
 	ps := hotpathParticles(t, m, 4*parallelThreshold+37)
 	ref := append([]particle.Particle(nil), ps...)
 	for step := 0; step < 25; step++ {
-		MoveAll(ref, m, m)
+		MoveAll(ref, meshField(m), m)
 	}
 	for _, workers := range []int{1, 2, 7} {
 		soa := NewSoA(ps)

@@ -38,7 +38,7 @@ func TestForceAtCellCenterIsHorizontal(t *testing.T) {
 	m := mesh(t, 8)
 	for cx := 0; cx < 8; cx++ {
 		p := centerParticle(m, cx, 3, 0, 0, 1, 1)
-		fx, fy := Force(m, p.Q, p.X, p.Y, cx, 3)
+		fx, fy := Force(meshField(m), p.Q, p.X, p.Y, cx, 3)
 		if fy != 0 {
 			t.Errorf("col %d: vertical force %v, want exactly 0", cx, fy)
 		}
@@ -52,7 +52,7 @@ func TestForceDirectionFollowsChargeSign(t *testing.T) {
 	m := mesh(t, 8)
 	// dir=-1 flips the charge sign, so acceleration points -x.
 	p := centerParticle(m, 2, 2, 0, 0, -1, 1)
-	fx, _ := Force(m, p.Q, p.X, p.Y, 2, 2)
+	fx, _ := Force(meshField(m), p.Q, p.X, p.Y, 2, 2)
 	if fx >= 0 {
 		t.Errorf("leftward particle has non-negative force %v", fx)
 	}
@@ -62,7 +62,7 @@ func TestForceScalesWithK(t *testing.T) {
 	m := mesh(t, 8)
 	for k := 0; k <= 5; k++ {
 		p := centerParticle(m, 0, 0, k, 0, 1, 1)
-		fx, _ := Force(m, p.Q, p.X, p.Y, 0, 0)
+		fx, _ := Force(meshField(m), p.Q, p.X, p.Y, 0, 0)
 		want := 2 * float64(2*k+1)
 		if math.Abs(fx-want) > 1e-11 {
 			t.Errorf("k=%d: force %v, want %v", k, fx, want)
@@ -73,7 +73,7 @@ func TestForceScalesWithK(t *testing.T) {
 func TestMoveSingleStepOneCell(t *testing.T) {
 	m := mesh(t, 10)
 	p := centerParticle(m, 2, 5, 0, 0, 1, 1)
-	Move(&p, m, m)
+	Move(&p, meshField(m), m)
 	if math.Abs(p.X-3.5) > 1e-12 {
 		t.Errorf("x=%v, want 3.5", p.X)
 	}
@@ -84,7 +84,7 @@ func TestMoveSingleStepOneCell(t *testing.T) {
 		t.Errorf("vx=%v, want 2", p.VX)
 	}
 	// Second step decelerates back to rest one cell further.
-	Move(&p, m, m)
+	Move(&p, meshField(m), m)
 	if math.Abs(p.X-4.5) > 1e-12 || math.Abs(p.VX) > 1e-12 {
 		t.Errorf("after 2 steps: x=%v vx=%v, want 4.5, 0", p.X, p.VX)
 	}
@@ -93,7 +93,7 @@ func TestMoveSingleStepOneCell(t *testing.T) {
 func TestMovePeriodicWrap(t *testing.T) {
 	m := mesh(t, 4)
 	p := centerParticle(m, 3, 3, 0, 1, 1, 1) // moving right and up from last column/row
-	Move(&p, m, m)
+	Move(&p, meshField(m), m)
 	if math.Abs(p.X-0.5) > 1e-12 {
 		t.Errorf("x=%v, want wrap to 0.5", p.X)
 	}
@@ -117,7 +117,7 @@ func TestMoveMatchesClosedFormManySteps(t *testing.T) {
 	for _, c := range cases {
 		p := centerParticle(m, c.cx, c.cy, c.k, c.mv, c.dir, 1)
 		for s := 1; s <= steps; s++ {
-			Move(&p, m, m)
+			Move(&p, meshField(m), m)
 			ex, ey := p.ExpectedAt(s, m.Size())
 			if d := periodicDist(p.X, ex, m.Size()); d > 1e-7 {
 				t.Fatalf("case %+v step %d: x err %.3e", c, s, d)
@@ -141,7 +141,7 @@ func TestErrorStaysBoundedLongRun(t *testing.T) {
 	const steps = 10000
 	var worst float64
 	for s := 1; s <= steps; s++ {
-		Move(&p, m, m)
+		Move(&p, meshField(m), m)
 		ex, ey := p.ExpectedAt(s, m.Size())
 		d := math.Max(periodicDist(p.X, ex, m.Size()), periodicDist(p.Y, ey, m.Size()))
 		if d > worst {
@@ -165,7 +165,7 @@ func TestForceDeterministicAcrossSources(t *testing.T) {
 	for cy := 4; cy < 10; cy++ {
 		for cx := 3; cx < 8; cx++ {
 			x, y := float64(cx)+0.5, float64(cy)+0.5
-			fx1, fy1 := Force(m, 0.25, x, y, cx, cy)
+			fx1, fy1 := Force(meshField(m), 0.25, x, y, cx, cy)
 			fx2, fy2 := Force(b, 0.25, x, y, cx, cy)
 			if fx1 != fx2 || fy1 != fy2 {
 				t.Fatalf("cell (%d,%d): mesh force (%v,%v) != block force (%v,%v)", cx, cy, fx1, fy1, fx2, fy2)
@@ -179,7 +179,7 @@ func BenchmarkForce(b *testing.B) {
 	p := centerParticle(m, 5, 5, 0, 0, 1, 1)
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		fx, fy := Force(m, p.Q, p.X, p.Y, 5, 5)
+		fx, fy := Force(meshField(m), p.Q, p.X, p.Y, 5, 5)
 		sink += fx + fy
 	}
 	_ = sink
@@ -226,7 +226,7 @@ func BenchmarkMoveAll(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MoveAll(ps, m, m)
+		MoveAll(ps, meshField(m), m)
 	}
 	b.ReportMetric(float64(len(ps)), "particles/op")
 }

@@ -5,86 +5,50 @@ import (
 
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/grid"
-	"github.com/parres/picprk/internal/particle"
 )
 
-// Simulation is the sequential reference implementation of the PIC PRK.
-// Parallel drivers must produce bitwise-identical particle states, which
-// the test suite asserts.
+// Simulation is the sequential reference of the PIC PRK: the column path
+// every rank runs — Fill, MovePool.Move, Events.Fire — at one owner that
+// holds the whole mesh. Parallel runs must produce its particle states bit
+// for bit, which the test suite asserts; the closed form and the ID
+// checksum (Verify) are the oracle independent of that path.
 type Simulation struct {
-	Mesh      grid.Mesh
-	Particles []particle.Particle
-	Schedule  dist.Schedule
-	// Seed and Dir are needed to materialize injection events exactly as
-	// every parallel rank does.
-	Seed uint64
-	Dir  int
+	// Particles is the population: the one owner's container.
+	Particles *SoA
 
 	cfg    dist.Config
+	sched  dist.Schedule
+	field  *grid.Block
+	pool   *MovePool
+	events Events
 	step   int
-	nextID uint64
-	// Removed accumulates the IDs of particles deleted by removal events,
-	// for checksum accounting.
-	Removed []uint64
 }
 
 // NewSimulation builds a sequential simulation from an initialization
-// config and an event schedule. The returned simulation owns its particle
-// slice.
+// config and an event schedule.
 func NewSimulation(cfg dist.Config, sched dist.Schedule) (*Simulation, error) {
 	if err := sched.Validate(cfg.Mesh); err != nil {
 		return nil, err
 	}
-	ps, err := dist.Initialize(cfg)
-	if err != nil {
+	s := &Simulation{Particles: &SoA{}, cfg: cfg, sched: sched, pool: NewMovePool(1), events: NewEvents(cfg, sched)}
+	L := cfg.Mesh.L
+	whole := NewOwnerTable([]int{0, L}, []int{0, L})
+	if err := Fill(cfg, whole, 1, func(int32) *SoA { return s.Particles }); err != nil {
 		return nil, err
 	}
-	dir := cfg.Dir
-	if dir == 0 {
-		dir = 1
+	var err error
+	if s.field, err = grid.NewBlock(cfg.Mesh, 0, 0, L, L); err != nil {
+		return nil, err
 	}
-	_, nextID := cfg.IDRange()
-	return &Simulation{
-		Mesh:      cfg.Mesh,
-		Particles: ps,
-		Schedule:  sched.Sorted(),
-		Seed:      cfg.Seed,
-		Dir:       dir,
-		cfg:       cfg,
-		nextID:    nextID,
-	}, nil
+	return s, nil
 }
 
-// Step advances the simulation by one time step: every particle moves, then
-// any events scheduled for the new step fire (removal before injection, so
-// particles injected at step s are never removed by the same step's event).
+// Step advances the simulation by one time step: every particle moves,
+// then the events scheduled for the new step fire.
 func (s *Simulation) Step() {
-	MoveAll(s.Particles, s.Mesh, s.Mesh)
+	s.pool.Move(s.Particles, s.field, s.cfg.Mesh)
 	s.step++
-	s.applyEvents(s.step)
-}
-
-// applyEvents fires all events scheduled at the given step.
-func (s *Simulation) applyEvents(step int) {
-	for _, ev := range s.Schedule.At(step) {
-		if ev.Remove {
-			kept := s.Particles[:0]
-			for i := range s.Particles {
-				p := &s.Particles[i]
-				if ev.Region.ContainsPos(p.X, p.Y, s.Mesh) {
-					s.Removed = append(s.Removed, p.ID)
-				} else {
-					kept = append(kept, *p)
-				}
-			}
-			s.Particles = kept
-		}
-		if ev.Inject > 0 {
-			inj := dist.InjectParticles(s.Mesh, ev, s.Seed, s.nextID, s.Dir)
-			s.Particles = append(s.Particles, inj...)
-			s.nextID += uint64(ev.Inject)
-		}
-	}
+	s.events.Fire(s.step, func(visit func(*SoA)) { visit(s.Particles) }, func(int, int) *SoA { return s.Particles })
 }
 
 // Run advances the simulation by n steps.
@@ -97,16 +61,18 @@ func (s *Simulation) Run(n int) {
 // Steps returns the number of steps taken so far.
 func (s *Simulation) Steps() int { return s.step }
 
-// NextID returns the next unassigned particle ID.
-func (s *Simulation) NextID() uint64 { return s.nextID }
-
-// Verify checks the final state against the closed-form solution; see
-// the package-level Verify for the rules.
+// Verify checks the population by the rules every parallel run applies:
+// the run's ColumnVerifier (closed-form positions and velocities, IDs
+// unique and inside the run's range), then VerifyPopulation.
 func (s *Simulation) Verify(tol float64) error {
-	return Verify(s.cfg, s.Schedule, s.Particles, s.step, tol)
+	v := NewRunVerifier(s.cfg, s.sched, s.step, tol)
+	if err := v.Check(s.Particles); err != nil {
+		return err
+	}
+	return VerifyPopulation(s.cfg, s.sched, s.step, v.Count, v.IDSum)
 }
 
 // String summarizes the simulation state.
 func (s *Simulation) String() string {
-	return fmt.Sprintf("sim{step=%d particles=%d removed=%d}", s.step, len(s.Particles), len(s.Removed))
+	return fmt.Sprintf("sim{step=%d particles=%d}", s.step, s.Particles.Len())
 }

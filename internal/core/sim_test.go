@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,15 +40,15 @@ func TestSimulationInjection(t *testing.T) {
 	}
 	sim := newSim(t, 16, 1000, 0, 0, dist.Uniform{}, sched)
 	sim.Run(5)
-	if len(sim.Particles) != 1000 {
-		t.Fatalf("before injection: %d", len(sim.Particles))
+	if sim.Particles.Len() != 1000 {
+		t.Fatalf("before injection: %d", sim.Particles.Len())
 	}
 	sim.Run(10)
-	if len(sim.Particles) != 1300 {
-		t.Fatalf("after injection: %d", len(sim.Particles))
+	if sim.Particles.Len() != 1300 {
+		t.Fatalf("after injection: %d", sim.Particles.Len())
 	}
-	if sim.NextID() != 1301 {
-		t.Fatalf("nextID %d", sim.NextID())
+	if sim.events.NextID != 1301 {
+		t.Fatalf("nextID %d", sim.events.NextID)
 	}
 	sim.Run(15)
 	if err := sim.Verify(0); err != nil {
@@ -63,11 +64,8 @@ func TestSimulationRemoval(t *testing.T) {
 	for _, d := range []dist.Distribution{dist.Uniform{}, nil} {
 		sim := newSim(t, 16, 2000, 0, 0, d, sched)
 		sim.Run(20)
-		if len(sim.Particles) >= 2000 {
-			t.Fatalf("%v: removal did not happen: %d", d, len(sim.Particles))
-		}
-		if len(sim.Removed)+len(sim.Particles) != 2000 {
-			t.Fatalf("%v: removed+left = %d+%d", d, len(sim.Removed), len(sim.Particles))
+		if sim.Particles.Len() >= 2000 {
+			t.Fatalf("%v: removal did not happen: %d", d, sim.Particles.Len())
 		}
 		if err := sim.Verify(0); err != nil {
 			t.Fatalf("%v: %v", d, err)
@@ -85,8 +83,8 @@ func TestSimulationRemovalThenInjectionSameStep(t *testing.T) {
 	}
 	sim := newSim(t, 16, 500, 0, 0, dist.Uniform{}, sched)
 	sim.Run(5)
-	if len(sim.Particles) != 123 {
-		t.Fatalf("expected only injected to survive, have %d", len(sim.Particles))
+	if sim.Particles.Len() != 123 {
+		t.Fatalf("expected only injected to survive, have %d", sim.Particles.Len())
 	}
 	sim.Run(10)
 	if err := sim.Verify(0); err != nil {
@@ -117,24 +115,26 @@ func TestExpectedPopulationMatchesSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pop.Count != len(sim.Particles) {
-		t.Fatalf("predicted %d particles, simulation has %d", pop.Count, len(sim.Particles))
+	if pop.Count != sim.Particles.Len() {
+		t.Fatalf("predicted %d particles, simulation has %d", pop.Count, sim.Particles.Len())
 	}
 	if pop.IDSum != idSum(sim.Particles) {
 		t.Fatalf("predicted checksum %d, simulation %d", pop.IDSum, idSum(sim.Particles))
 	}
-	// Removed IDs must agree too.
-	removed := map[uint64]bool{}
-	for _, id := range sim.Removed {
-		removed[id] = true
+	// Removed IDs must agree too: every minted ID the simulation no longer
+	// holds, ascending.
+	alive := map[uint64]bool{}
+	for _, m := range sim.Particles.Meta {
+		alive[m.ID] = true
 	}
-	if len(pop.RemovedIDs) != len(sim.Removed) {
-		t.Fatalf("predicted %d removed, simulation removed %d", len(pop.RemovedIDs), len(sim.Removed))
-	}
-	for _, id := range pop.RemovedIDs {
-		if !removed[id] {
-			t.Fatalf("predicted removal of %d which survived", id)
+	var removed []uint64
+	for id := uint64(1); id < sim.events.NextID; id++ {
+		if !alive[id] {
+			removed = append(removed, id)
 		}
+	}
+	if !slices.Equal(pop.RemovedIDs, removed) {
+		t.Fatalf("predicted removals %v, simulation removed %v", pop.RemovedIDs, removed)
 	}
 }
 
@@ -143,15 +143,15 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 		name string
 		mut  func(*Simulation)
 	}{
-		{"position", func(s *Simulation) { s.Particles[7].X += 1 }},
-		{"velocity", func(s *Simulation) { s.Particles[3].VY += 0.5 }},
-		{"lost particle", func(s *Simulation) { s.Particles = s.Particles[:len(s.Particles)-1] }},
-		{"duplicated particle", func(s *Simulation) { s.Particles = append(s.Particles, s.Particles[0]) }},
-		{"forged id", func(s *Simulation) { s.Particles[5].ID = 99999 }},
+		{"position", func(s *Simulation) { s.Particles.X[7] += 1 }},
+		{"velocity", func(s *Simulation) { s.Particles.VY[3] += 0.5 }},
+		{"lost particle", func(s *Simulation) { s.Particles.Truncate(s.Particles.Len() - 1) }},
+		{"duplicated particle", func(s *Simulation) { s.Particles.AppendFrom(s.Particles, 0) }},
+		{"forged id", func(s *Simulation) { s.Particles.Meta[5].ID = 99999 }},
 		// Count, checksum and uniqueness all still hold; the range does not.
 		{"forged id pair", func(s *Simulation) {
-			for i := range s.Particles {
-				switch p := &s.Particles[i]; p.ID {
+			for i := range s.Particles.Meta {
+				switch p := &s.Particles.Meta[i]; p.ID {
 				case 1:
 					p.ID = 0
 				case 500:
@@ -196,15 +196,15 @@ func BenchmarkSequentialStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim.Step()
 	}
-	b.ReportMetric(float64(len(sim.Particles)), "particles")
+	b.ReportMetric(float64(sim.Particles.Len()), "particles")
 }
 
 // idSum returns the sum of particle IDs, the lost-particle checksum of paper
 // §III-D: n survivors with IDs 1..n sum to n(n+1)/2.
-func idSum(ps []particle.Particle) uint64 {
-	var s uint64
-	for i := range ps {
-		s += ps[i].ID
+func idSum(s *SoA) uint64 {
+	var sum uint64
+	for _, m := range s.Meta {
+		sum += m.ID
 	}
-	return s
+	return sum
 }

@@ -80,16 +80,6 @@ func (s *SoA) At(i int) particle.Particle {
 	}
 }
 
-// Append adds one particle.
-func (s *SoA) Append(p particle.Particle) {
-	s.X = append(s.X, p.X)
-	s.Y = append(s.Y, p.Y)
-	s.VX = append(s.VX, p.VX)
-	s.VY = append(s.VY, p.VY)
-	s.Q = append(s.Q, p.Q)
-	s.Meta = append(s.Meta, metaOf(&p))
-}
-
 // Copy copies slot i onto slot w (the in-place compaction primitive).
 func (s *SoA) Copy(w, i int) {
 	if w == i {

@@ -21,7 +21,7 @@ func TestSoAMatchesAoSBitwise(t *testing.T) {
 	soa := NewSoA(aos)
 	pool := NewMovePool(1)
 	for step := 0; step < 100; step++ {
-		MoveAll(aos, m, m)
+		MoveAll(aos, meshField(m), m)
 		pool.Move(soa, block, m)
 	}
 	back := soa.AppendParticles(nil)
@@ -60,7 +60,7 @@ func BenchmarkMoveAoS(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MoveAll(ps, m, m)
+		MoveAll(ps, meshField(m), m)
 	}
 	b.ReportMetric(float64(len(ps))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mparticles/s")
 }

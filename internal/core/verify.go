@@ -215,30 +215,33 @@ type Population struct {
 // over without drawing its placements, so is an injection no later removal
 // reaches; every other particle costs its placement draws and one lookup.
 func ExpectedPopulation(cfg dist.Config, sched dist.Schedule, steps int) (Population, error) {
-	evs := sched.Fired(steps)
-	dir := cfg.Dir
-	if dir == 0 {
-		dir = 1
+	plan, err := dist.NewPlan(cfg)
+	if err != nil {
+		return Population{}, err
 	}
+	evs := sched.Fired(steps)
 	var f fates
 	var pop Population
-	drop := func(cx, cy int, p *particle.Particle) {
+	drop := func(cx, cy int, id uint64) {
 		if f.removed(cx, cy) {
-			pop.RemovedIDs = append(pop.RemovedIDs, p.ID)
+			pop.RemovedIDs = append(pop.RemovedIDs, id)
 		}
 	}
 	L := cfg.Mesh.L
-	f.build(cfg.Mesh, particle.Particle{K: int32(cfg.K), M: int32(cfg.M), Dir: int32(dir)}, evs, dist.Rect{X1: L, Y1: L})
-	if err := dist.Each(cfg, f.reached, drop); err != nil {
-		return Population{}, err
-	}
+	b := cfg.Initial()
+	f.build(cfg.Mesh, &b, evs, dist.Rect{X1: L, Y1: L})
+	plan.Columns(f.reached, func(c *dist.Column) {
+		for k, row := range c.Rows {
+			drop(c.X, int(row), c.First+uint64(k))
+		}
+	})
 	first, nextID := cfg.IDRange()
 	for i, ev := range evs {
 		// An event removes before it injects, so its own removal cannot
 		// reach the particles it adds.
-		batch := particle.Particle{K: int32(ev.K), M: int32(ev.M), Dir: int32(dir), Born: int32(ev.Step)}
-		if ev.Inject > 0 && f.build(cfg.Mesh, batch, evs[i+1:], ev.Region) {
-			dist.EachInjected(cfg.Mesh, ev, cfg.Seed, nextID, dir, drop)
+		b := cfg.Injection(ev)
+		if ev.Inject > 0 && f.build(cfg.Mesh, &b, evs[i+1:], ev.Region) {
+			dist.EachInjected(ev, cfg.Seed, nextID, drop)
 		}
 		nextID += uint64(ev.Inject)
 	}
@@ -266,10 +269,10 @@ type fates struct {
 	set, prev []int   // the removal events reaching the current and the previous column
 }
 
-// build fills f for the batch whose particles share p's K, M, Dir and Born,
+// build fills f for the particles of batch b (their K, M, Dir and Born)
 // starting in window, against the events evs (only removals count). It
 // reports whether any particle of the batch is removed.
-func (f *fates) build(m grid.Mesh, p particle.Particle, evs dist.Schedule, window dist.Rect) bool {
+func (f *fates) build(m grid.Mesh, b *dist.Batch, evs dist.Schedule, window dist.Rect) bool {
 	w, h := max(window.X1-window.X0, 0), max(window.Y1-window.Y0, 0)
 	f.x0, f.y0, f.h = window.X0, window.Y0, h
 	f.class, f.rows, f.reach = slices.Grow(f.class[:0], w)[:w], f.rows[:0], f.reach[:0]
@@ -277,8 +280,7 @@ func (f *fates) build(m grid.Mesh, p particle.Particle, evs dist.Schedule, windo
 	// the closed form and the cell rule of Rect.ContainsPos, as the
 	// engine's removal sees it.
 	cell := func(ev dist.Event, cx, cy int) (int, int) {
-		p.X0, p.Y0 = float64(cx)+0.5, float64(cy)+0.5
-		x, y := p.ExpectedAt(ev.Step-int(p.Born), m.Size())
+		x, y := particle.ClosedForm(dist.Center(cx), dist.Center(cy), b.K, b.M, b.Dir, ev.Step-int(b.Born), m.Size())
 		return m.CellOf(x, y)
 	}
 	for _, ev := range evs {
@@ -333,7 +335,7 @@ func (f *fates) table() int32 {
 }
 
 // reached reports whether a removal reaches any particle starting in window
-// column cx: dist.Each's column filter.
+// column cx: dist.Plan.Columns' column filter.
 func (f *fates) reached(cx int) bool { return f.class[cx-f.x0] >= 0 }
 
 // removed reports whether the particles starting in window cell (cx, cy)
@@ -367,16 +369,4 @@ func VerifyPopulation(cfg dist.Config, sched dist.Schedule, steps, count int, id
 		return fmt.Errorf("core: global ID checksum %d, expected %d", idSum, pop.IDSum)
 	}
 	return nil
-}
-
-// Verify is the full verification of a final population held in one slice
-// — the sequential simulation's check — by the rules every parallel run
-// applies: ColumnVerifier over the particles (closed-form positions and
-// velocities, IDs unique and inside the run's range), then VerifyPopulation.
-func Verify(cfg dist.Config, sched dist.Schedule, ps []particle.Particle, steps int, tol float64) error {
-	v := NewRunVerifier(cfg, sched, steps, tol)
-	if err := v.Check(NewSoA(ps)); err != nil {
-		return err
-	}
-	return VerifyPopulation(cfg, sched, steps, v.Count, v.IDSum)
 }

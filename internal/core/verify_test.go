@@ -55,7 +55,7 @@ func legacyExpectedPopulation(t *testing.T, cfg dist.Config, sched dist.Schedule
 			ps = kept
 		}
 		if ev.Inject > 0 {
-			ps = append(ps, dist.InjectParticles(cfg.Mesh, ev, cfg.Seed, nextID, dir)...)
+			ps = append(ps, aosInject(cfg.Mesh, ev, cfg.Seed, nextID, dir)...)
 			nextID += uint64(ev.Inject)
 		}
 	}
@@ -211,10 +211,10 @@ func TestInjectedIDsFollowFirstID(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run(6)
-	if sim.NextID() != 1340 {
-		t.Fatalf("next ID %d after 300 initial + 40 injected from 1000, want 1340", sim.NextID())
+	if sim.events.NextID != 1340 {
+		t.Fatalf("next ID %d after 300 initial + 40 injected from 1000, want 1340", sim.events.NextID)
 	}
-	for _, p := range sim.Particles {
+	for _, p := range sim.Particles.Meta {
 		if p.ID < 1000 || p.ID >= 1340 {
 			t.Fatalf("particle ID %d outside [1000, 1340)", p.ID)
 		}
@@ -235,7 +235,7 @@ func TestColumnVerifierRejectsWhatVerifyPositionsRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run(steps)
-	clean := sim.Particles
+	clean := sim.Particles.AppendParticles(nil)
 	for _, tc := range []struct {
 		name    string
 		perturb func(p *particle.Particle)
@@ -258,8 +258,8 @@ func TestColumnVerifierRejectsWhatVerifyPositionsRejects(t *testing.T) {
 		if (tc.name == "clean") != (got == nil) {
 			t.Errorf("%s: columnar check returned %v", tc.name, got)
 		}
-		if got == nil && (v.Count != len(ps) || v.IDSum != idSum(ps)) {
-			t.Errorf("%s: count %d sum %d, want %d and %d", tc.name, v.Count, v.IDSum, len(ps), idSum(ps))
+		if got == nil && (v.Count != len(ps) || v.IDSum != idSum(NewSoA(ps))) {
+			t.Errorf("%s: count %d sum %d, want %d and %d", tc.name, v.Count, v.IDSum, len(ps), idSum(NewSoA(ps)))
 		}
 	}
 }
@@ -424,7 +424,8 @@ func closedFormState(t testing.TB, cfg dist.Config, steps int) []particle.Partic
 
 // legacyCheck is ColumnVerifier.Check as it stood before it read the
 // columns in place: an AoS copy per slot through SoA.At, the Particle rule,
-// and the math.Mod closed form. It returns the verifier's Count and IDSum
+// and the math.Mod closed form. Its comparisons are !(d <= tol), as
+// verifyParticle's, so a NaN distance fails here too. It returns the verifier's Count and IDSum
 // afterwards, and the error.
 func legacyCheck(m grid.Mesh, steps int, first uint64, n int, s *SoA) (int, uint64, error) {
 	L, tol := m.Size(), DefaultTolerance
@@ -445,20 +446,20 @@ func legacyCheck(m grid.Mesh, steps int, first uint64, n int, s *SoA) (int, uint
 		}
 		ex := wrap(p.X0 + float64(p.Dir)*float64(2*int64(p.K)+1)*float64(s))
 		ey := wrap(p.Y0 + float64(p.M)*float64(s))
-		if d := periodicDist(p.X, ex, L); d > tol {
+		if d := periodicDist(p.X, ex, L); !(d <= tol) {
 			return fmt.Errorf("core: particle %d x=%v, expected %v after %d steps (|err|=%.3e)", p.ID, p.X, ex, s, d)
 		}
-		if d := periodicDist(p.Y, ey, L); d > tol {
+		if d := periodicDist(p.Y, ey, L); !(d <= tol) {
 			return fmt.Errorf("core: particle %d y=%v, expected %v after %d steps (|err|=%.3e)", p.ID, p.Y, ey, s, d)
 		}
-		if d := math.Abs(p.VY - float64(p.M)); d > tol {
+		if d := math.Abs(p.VY - float64(p.M)); !(d <= tol) {
 			return fmt.Errorf("core: particle %d vy=%v, expected %d (|err|=%.3e)", p.ID, p.VY, p.M, d)
 		}
 		var evx float64
 		if s%2 == 1 {
 			evx = float64(p.Dir) * 2 * float64(2*p.K+1)
 		}
-		if d := math.Abs(p.VX - evx); d > tol {
+		if d := math.Abs(p.VX - evx); !(d <= tol) {
 			return fmt.Errorf("core: particle %d vx=%v, expected %v after %d steps (|err|=%.3e)", p.ID, p.VX, evx, s, d)
 		}
 		return nil

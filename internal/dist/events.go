@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/parres/picprk/internal/grid"
-	"github.com/parres/picprk/internal/particle"
 )
 
 // Rect is a rectangle of cells, [X0, X1) × [Y0, Y1), used to delimit
@@ -123,37 +122,20 @@ func (s Schedule) TotalInjected() int {
 	return n
 }
 
-// EachInjected streams the particles one event adds to emit, in ID order
-// (firstID, firstID+1, …), with the same contract as Each. Placement is
-// uniform over the region's cells, drawn from one RNG stream derived from
-// seed and the event's step, so every rank sees the identical global
-// sequence and keeps the particles landing in its own subdomain; the
-// single stream is why no cell column can be skipped here.
-func EachInjected(m grid.Mesh, ev Event, seed, firstID uint64, dir int, emit func(cx, cy int, p *particle.Particle)) {
-	if ev.Inject <= 0 {
-		return
-	}
-	if dir == 0 {
-		dir = 1
-	}
+// EachInjected streams the start cell and ID of every particle one event
+// adds to emit, in ID order (firstID, firstID+1, …); the event's batch
+// (Config.Injection) is the rest of each particle. Placement is uniform over
+// the region's cells, drawn from one RNG stream derived from seed and the
+// event's step, so every rank sees the identical global sequence and keeps
+// the particles landing in its own subdomain; the single stream is why no
+// cell column can be skipped here.
+func EachInjected(ev Event, seed, firstID uint64, emit func(cx, cy int, id uint64)) {
 	rng := NewRNG(seed, 0x696e6a /* "inj" */, uint64(ev.Step))
-	pl := newPlacer(m, ev.K, ev.M, dir, ev.Step)
 	w := ev.Region.X1 - ev.Region.X0
 	h := ev.Region.Y1 - ev.Region.Y0
-	for i := 0; i < ev.Inject; i++ {
+	for i := range ev.Inject {
 		cx := ev.Region.X0 + rng.Intn(w)
 		cy := ev.Region.Y0 + rng.Intn(h)
-		emit(cx, cy, pl.at(cx, cy, firstID+uint64(i)))
+		emit(cx, cy, firstID+uint64(i))
 	}
-}
-
-// InjectParticles materializes the particles added by one event:
-// EachInjected, collected.
-func InjectParticles(m grid.Mesh, ev Event, seed uint64, firstID uint64, dir int) []particle.Particle {
-	if ev.Inject <= 0 {
-		return nil
-	}
-	ps := make([]particle.Particle, 0, ev.Inject)
-	EachInjected(m, ev, seed, firstID, dir, func(_, _ int, p *particle.Particle) { ps = append(ps, *p) })
-	return ps
 }

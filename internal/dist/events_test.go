@@ -104,7 +104,8 @@ func TestScheduleSortedAndAt(t *testing.T) {
 func TestInjectParticles(t *testing.T) {
 	m := mesh(t, 16)
 	ev := Event{Step: 7, Region: Rect{4, 8, 2, 6}, Inject: 50, K: 1, M: 2}
-	ps := InjectParticles(m, ev, 42, 1001, 1)
+	cfg := Config{Mesh: m, Seed: 42, Dir: 1}
+	ps := injected(cfg, ev, 1001)
 	if len(ps) != 50 {
 		t.Fatalf("injected %d", len(ps))
 	}
@@ -121,14 +122,14 @@ func TestInjectParticles(t *testing.T) {
 		}
 	}
 	// Deterministic.
-	ps2 := InjectParticles(m, ev, 42, 1001, 1)
+	ps2 := injected(cfg, ev, 1001)
 	for i := range ps {
 		if ps[i] != ps2[i] {
 			t.Fatal("injection not deterministic")
 		}
 	}
 	// Zero-injection events produce nothing.
-	if got := InjectParticles(m, Event{Step: 1, Region: Rect{0, 1, 0, 1}}, 1, 1, 1); got != nil {
+	if got := injected(cfg, Event{Step: 1, Region: Rect{0, 1, 0, 1}}, 1); len(got) != 0 {
 		t.Errorf("empty event injected %d particles", len(got))
 	}
 }

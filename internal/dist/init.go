@@ -8,56 +8,49 @@ import (
 	"github.com/parres/picprk/internal/particle"
 )
 
-// placer is the one place a particle is built from the cell it starts in.
+// Batch is what every particle of one batch — the initial population, or
+// the particles one injection event adds — shares, and the rule for the
+// rest: a particle is its batch, an ID and a start cell.
 //
 // Placement follows the paper's scheme exactly: a particle starts at the
-// center of a cell, (cx + h/2, cy + h/2), which puts it on the horizontal
-// axis of symmetry with xπ = h/2. Its signed charge is ±(2K+1)·qπ from
-// eq. 3 (sign chosen from the parity of the starting column so that the
-// initial acceleration points in dir), and its velocity is (0, M·h/dt)
-// from eq. 4. Everything a batch (the initial population, or one injection
-// event) shares sits in the template p; at fills in the rest.
-type placer struct {
-	mesh grid.Mesh
-	dir  int
-	mag  float64 // (2K+1)·qπ, unsigned
-	p    particle.Particle
+// centre of its cell (Center), which puts it on the horizontal axis of
+// symmetry with xπ = h/2. Its signed charge is ±(2K+1)·qπ from eq. 3, the
+// sign chosen from the parity of the starting column so that the initial
+// acceleration points in Dir (Charge), and its velocity is (0, VY) =
+// (0, M·h/dt) from eq. 4.
+type Batch struct {
+	VY              float64
+	K, M, Dir, Born int32
+	mesh            grid.Mesh
+	mag             float64 // (2K+1)·qπ, unsigned
 }
 
-func newPlacer(m grid.Mesh, k, mv, dir, born int) placer {
-	return placer{
-		mesh: m, dir: dir,
-		mag: float64(2*k+1) * BaseCharge(m.Q, 0.5),
-		p: particle.Particle{
-			VY: float64(mv),
-			K:  int32(k), M: int32(mv),
-			Dir: int32(dir), Born: int32(born),
-		},
+func newBatch(m grid.Mesh, k, mv, dir, born int) Batch {
+	return Batch{
+		VY: float64(mv),
+		K:  int32(k), M: int32(mv), Dir: int32(dir), Born: int32(born),
+		mesh: m, mag: float64(2*k+1) * BaseCharge(m.Q, 0.5),
 	}
 }
 
-// at returns the batch's particle id placed in cell (cx, cy). The pointer is
-// the placer's own scratch, overwritten by the next call.
-func (pl *placer) at(cx, cy int, id uint64) *particle.Particle {
-	p := &pl.p
-	p.ID = id
-	p.X, p.Y = center(cx), center(cy)
-	p.X0, p.Y0 = p.X, p.Y
-	p.Q = float64(pl.dir*pl.mesh.ColumnSign(cx)) * pl.mag
-	return p
+// Charge returns the charge of the batch's particles that start in cell
+// column cx.
+func (b *Batch) Charge(cx int) float64 {
+	return float64(int(b.Dir)*b.mesh.ColumnSign(cx)) * b.mag
 }
 
-// center is the coordinate of the centre of cell c along either axis.
-func center(c int) float64 { return float64(c) + 0.5 }
+// Center is the coordinate of the centre of cell c along either axis: where
+// a particle placed in the cell starts.
+func Center(c int) float64 { return float64(c) + 0.5 }
 
 // Plan is the initial population of a Config prepared for streaming: the
-// per-column counts, the row range and the placer, built once and walked by
+// per-column counts, the row range and the batch, built once and walked by
 // Columns as often as a caller needs (a count pass, then a fill pass).
 type Plan struct {
 	counts       []int
 	rowLo, rowHi int
 	seed, first  uint64
-	pl           placer
+	batch        Batch
 	col          Column
 }
 
@@ -79,34 +72,23 @@ func NewPlan(cfg Config) (*Plan, error) {
 	p := &Plan{
 		counts: counts, rowLo: rowLo, rowHi: rowHi,
 		seed: c.Seed, first: c.FirstID,
-		pl: newPlacer(c.Mesh, c.K, c.M, c.Dir, 0),
+		batch: c.Initial(),
 	}
-	p.col.pl = &p.pl
+	p.col.Batch = &p.batch
 	return p, nil
 }
 
 // Column is one non-empty cell column of the initial population, as Columns
-// hands it over: its particles are IDs First, First+1, … in the cells
-// (X, Rows[k]).
+// hands it over: its particles are IDs First, First+1, … starting in the
+// cells (X, Rows[k]), all of them of Batch.
 type Column struct {
 	X     int
 	First uint64
 	// Rows holds the drawn cell row of each particle, in ID order. It is
 	// the plan's buffer, overwritten by the next column.
-	Rows []int32
-	pl   *placer
+	Rows  []int32
+	Batch *Batch
 }
-
-// At returns the column's particle k, placed: the placer's scratch,
-// overwritten by the next call. Every particle of a column shares all but
-// its ID and its row, so At(0) serves as the column's template and Y gives
-// the rest.
-func (c *Column) At(k int) *particle.Particle {
-	return c.pl.at(c.X, int(c.Rows[k]), c.First+uint64(k))
-}
-
-// Y returns particle k's starting y coordinate, its Y and Y0.
-func (c *Column) Y(k int) float64 { return center(int(c.Rows[k])) }
 
 // Columns calls fn with every non-empty cell column for which want returns
 // true (nil wants every column), in ascending order. A column not wanted is
@@ -134,33 +116,39 @@ func (p *Plan) Columns(want func(cx int) bool, fn func(c *Column)) {
 	}
 }
 
-// Each streams the initial population to emit in ID order (FirstID, +1, …
-// column-major, so the survivor checksum applies) without materializing it:
-// emit receives the particle's starting cell and a pointer to scratch that
-// the next particle overwrites. cols filters columns as Plan.Columns' want
-// does.
-func Each(cfg Config, cols func(cx int) bool, emit func(cx, cy int, p *particle.Particle)) error {
-	p, err := NewPlan(cfg)
-	if err != nil {
-		return err
-	}
-	p.Columns(cols, func(c *Column) {
-		for k, row := range c.Rows {
-			emit(c.X, int(row), c.At(k))
-		}
-	})
-	return nil
-}
-
-// Initialize materializes the initial particle population according to cfg:
-// Each, collected.
+// Initialize materializes the initial particle population according to
+// cfg, in ID order (FirstID, +1, … column-major, so the survivor checksum
+// applies).
 func Initialize(cfg Config) ([]particle.Particle, error) {
-	ps := make([]particle.Particle, 0, max(cfg.N, 0))
-	err := Each(cfg, nil, func(_, _ int, p *particle.Particle) { ps = append(ps, *p) })
+	p, err := NewPlan(cfg)
 	if err != nil {
 		return nil, err
 	}
+	ps := make([]particle.Particle, 0, cfg.N)
+	b := &p.batch
+	p.Columns(nil, func(c *Column) {
+		x, q := Center(c.X), b.Charge(c.X)
+		for k, row := range c.Rows {
+			y := Center(int(row))
+			ps = append(ps, particle.Particle{
+				ID: c.First + uint64(k), X: x, Y: y, VY: b.VY, Q: q, X0: x, Y0: y,
+				K: b.K, M: b.M, Dir: b.Dir, Born: b.Born,
+			})
+		}
+	})
 	return ps, nil
+}
+
+// Initial returns the batch of cfg's initial population.
+func (c *Config) Initial() Batch {
+	d := c.withDefaults()
+	return newBatch(d.Mesh, d.K, d.M, d.Dir, 0)
+}
+
+// Injection returns the batch of the particles ev adds.
+func (c *Config) Injection(ev Event) Batch {
+	d := c.withDefaults()
+	return newBatch(d.Mesh, ev.K, ev.M, d.Dir, ev.Step)
 }
 
 // IDRange returns the IDs the initial population occupies, [first, next);

@@ -51,7 +51,8 @@ func legacyInitialize(t *testing.T, cfg Config) []particle.Particle {
 	return ps
 }
 
-// legacyInject is the materializing InjectParticles loop, verbatim.
+// legacyInject is the materializing InjectParticles loop, verbatim; the
+// streaming generator (EachInjected, Config.Injection) replaced it.
 func legacyInject(m grid.Mesh, ev Event, seed uint64, firstID uint64, dir int) []particle.Particle {
 	rng := NewRNG(seed, 0x696e6a, uint64(ev.Step))
 	base := BaseCharge(m.Q, 0.5)
@@ -112,15 +113,15 @@ func TestStreamMatchesLegacyPlacement(t *testing.T) {
 					wantF = append(wantF, want[i])
 				}
 			}
-			err = Each(cfg, cols, func(cx, cy int, p *particle.Particle) {
-				if gx, gy := m.CellOf(p.X, p.Y); gx != cx || gy != cy {
-					t.Fatalf("%s: emitted cell (%d,%d) for a particle in (%d,%d)", tc.name, cx, cy, gx, gy)
-				}
-				gotF = append(gotF, *p)
-			})
+			plan, err := NewPlan(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			plan.Columns(cols, func(c *Column) {
+				for k, row := range c.Rows {
+					gotF = append(gotF, placed(c.Batch, c.X, int(row), c.First+uint64(k)))
+				}
+			})
 			assertSameParticles(t, tc.name+" column-filtered", gotF, wantF)
 		}
 	}
@@ -141,8 +142,28 @@ func TestStreamMatchesLegacyInjection(t *testing.T) {
 			dir = 1
 		}
 		want := legacyInject(m, tc.ev, 42, 1001, dir)
-		assertSameParticles(t, "injection", InjectParticles(m, tc.ev, 42, 1001, tc.dir), want)
+		assertSameParticles(t, "injection", injected(Config{Mesh: m, Seed: 42, Dir: tc.dir}, tc.ev, 1001), want)
 	}
+}
+
+// placed is particle id of batch b, starting in cell (cx, cy).
+func placed(b *Batch, cx, cy int, id uint64) particle.Particle {
+	x, y := Center(cx), Center(cy)
+	return particle.Particle{
+		ID: id, X: x, Y: y, VY: b.VY, Q: b.Charge(cx), X0: x, Y0: y,
+		K: b.K, M: b.M, Dir: b.Dir, Born: b.Born,
+	}
+}
+
+// injected materializes the particles ev adds in a run of cfg, IDs from
+// firstID on.
+func injected(cfg Config, ev Event, firstID uint64) []particle.Particle {
+	var ps []particle.Particle
+	b := cfg.Injection(ev)
+	EachInjected(ev, cfg.Seed, firstID, func(cx, cy int, id uint64) {
+		ps = append(ps, placed(&b, cx, cy, id))
+	})
+	return ps
 }
 
 func assertSameParticles(t *testing.T, label string, got, want []particle.Particle) {

@@ -44,7 +44,7 @@ func newBlockSubstrate(c *comm.Comm, cfg Config, px, py int) (*blockSubstrate, e
 	}
 	s.g, s.ot = g, core.NewOwnerTable(g.X.Cuts, g.Y.Cuts)
 	self := int32(c.Rank())
-	err = fillLocal(cfg, s.ot, c.Size(), func(o int32) *core.SoA {
+	err = core.Fill(cfg.distConfig(), s.ot, c.Size(), func(o int32) *core.SoA {
 		if o == self {
 			return s.soa
 		}

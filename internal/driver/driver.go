@@ -34,7 +34,6 @@ import (
 	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/grid"
-	"github.com/parres/picprk/internal/particle"
 	"github.com/parres/picprk/internal/telemetry"
 )
 
@@ -316,95 +315,6 @@ func (r *Result) MaxParticlesHighWater() int {
 		}
 	}
 	return m
-}
-
-// fillLocal streams the deterministic initial population into the
-// containers this rank hosts, never materializing the rest of the world. ot
-// maps a cell to one of owners owner indices (ranks, or VPs) and local
-// returns that owner's container, nil when it lives on another rank. The
-// cell columns a local owner reaches come from the owner table's axes,
-// O(L + owners); the others are skipped, RNG included. Over the rest the
-// plan is walked twice, two row draws per particle: a count pass that
-// tallies owners from the drawn rows alone, then, every container sized
-// exactly, a fill pass that writes each particle's columns by index from
-// its column's placed template. Placement stays bitwise independent of P,
-// which the verification scheme relies on: every rank sees the same stream
-// and keeps its share.
-func fillLocal(cfg Config, ot *core.OwnerTable, owners int, local func(owner int32) *core.SoA) error {
-	dst := make([]*core.SoA, owners)
-	hosted := make([]bool, owners)
-	for o := range dst {
-		dst[o] = local(int32(o))
-		hosted[o] = dst[o] != nil
-	}
-	plan, err := dist.NewPlan(cfg.distConfig())
-	if err != nil {
-		return err
-	}
-	want := ot.ColumnsOf(hosted)
-	cols := func(cx int) bool { return want[cx] }
-	at := make([]int, owners) // owner o's particle count, then its fill cursor
-	plan.Columns(cols, func(c *dist.Column) {
-		for _, row := range c.Rows {
-			at[ot.Owner(c.X, int(row))]++
-		}
-	})
-	for o, s := range dst {
-		if s != nil {
-			s.Resize(at[o])
-		}
-		at[o] = 0
-	}
-	plan.Columns(cols, func(c *dist.Column) {
-		t := c.At(0)
-		m := core.SoAMeta{X0: t.X0, K: t.K, M: t.M, Dir: t.Dir, Born: t.Born}
-		for k, row := range c.Rows {
-			o := ot.Owner(c.X, int(row))
-			s := dst[o]
-			if s == nil {
-				continue
-			}
-			i, y := at[o], c.Y(k)
-			at[o]++
-			s.X[i], s.Y[i], s.VX[i], s.VY[i], s.Q[i] = t.X, y, t.VX, t.VY, t.Q
-			m.ID, m.Y0 = c.First+uint64(k), y
-			s.Meta[i] = m
-		}
-	})
-	return nil
-}
-
-// eventState tracks the globally-agreed ID counter for injections.
-type eventState struct {
-	nextID uint64
-}
-
-func newEventState(cfg Config) eventState {
-	dc := cfg.distConfig()
-	_, next := dc.IDRange()
-	return eventState{nextID: next}
-}
-
-// apply fires the events scheduled at the given step, removal before
-// injection: remove is called with each removal region, and place with
-// every particle an injection adds — the deterministic global sequence,
-// streamed, of which a rank keeps the particles landing in cells it owns.
-// Every rank advances nextID identically.
-func (es *eventState) apply(cfg Config, step int, remove func(region dist.Rect), place func(cx, cy int, p *particle.Particle)) {
-	for _, ev := range cfg.Schedule.At(step) {
-		if ev.Remove {
-			remove(ev.Region)
-		}
-		if ev.Inject > 0 {
-			dist.EachInjected(cfg.Mesh, ev, cfg.Seed, es.nextID, cfg.Dir, place)
-			es.nextID += uint64(ev.Inject)
-		}
-	}
-}
-
-// removeRegion deletes, in place, every particle of s inside region.
-func removeRegion(s *core.SoA, region dist.Rect, m grid.Mesh) {
-	s.Filter(func(i int) bool { return !region.ContainsPos(s.X[i], s.Y[i], m) })
 }
 
 // colShards is the double-buffered set of per-destination core.SoA

@@ -48,9 +48,8 @@ func sequentialReference(t testing.TB, cfg Config) *core.SoA {
 	if err := sim.Verify(core.DefaultTolerance); err != nil {
 		t.Fatalf("sequential reference failed verification: %v", err)
 	}
-	ref := core.NewSoA(sim.Particles)
-	ref.SortByID()
-	return ref
+	sim.Particles.SortByID()
+	return sim.Particles
 }
 
 func assertBitwiseEqual(t *testing.T, want, got *core.SoA, label string) {

@@ -35,7 +35,7 @@ type Substrate interface {
 	// on rec; when every particle is already home it ships nothing.
 	Exchange(rec *trace.Recorder) error
 	// ApplyEvents fires the injection/removal events scheduled for step.
-	ApplyEvents(es *eventState, step int)
+	ApplyEvents(ev *core.Events, step int)
 	// Count returns the local particle count.
 	Count() int
 	// Measure collectively gathers the load observations a policy asked

@@ -6,10 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/diffusion"
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/model"
-	"github.com/parres/picprk/internal/particle"
 )
 
 func TestWorkStealMatchesSequential(t *testing.T) {
@@ -144,32 +144,33 @@ func TestEventIDContinuitySameStep(t *testing.T) {
 	// [12,16) overlaps neither injection region, so rank 3 receives nothing
 	// and must still advance nextID past both batches.
 	const ranks = 4
-	states := make([]eventState, ranks)
-	got := make([][]particle.Particle, ranks)
+	states := make([]core.Events, ranks)
+	got := make([]core.SoA, ranks)
 	for r := 0; r < ranks; r++ {
-		states[r] = newEventState(cfg)
+		states[r] = core.NewEvents(cfg.distConfig(), cfg.Schedule)
 		lo, hi := r*4, (r+1)*4
-		states[r].apply(cfg, 1, func(dist.Rect) {}, func(cx, _ int, p *particle.Particle) {
+		states[r].Fire(1, func(func(*core.SoA)) {}, func(cx, _ int) *core.SoA {
 			if cx >= lo && cx < hi {
-				got[r] = append(got[r], *p)
+				return &got[r]
 			}
+			return nil
 		})
 	}
 	want := uint64(cfg.N) + 1 + 100 + 50
 	for r := 0; r < ranks; r++ {
-		if states[r].nextID != want {
-			t.Errorf("rank %d: nextID %d, want %d", r, states[r].nextID, want)
+		if states[r].NextID != want {
+			t.Errorf("rank %d: nextID %d, want %d", r, states[r].NextID, want)
 		}
 	}
-	if len(got[3]) != 0 {
-		t.Errorf("rank 3 owns no injection cells but received %d particles", len(got[3]))
+	if got[3].Len() != 0 {
+		t.Errorf("rank 3 owns no injection cells but received %d particles", got[3].Len())
 	}
 	// Every injected ID appears exactly once across ranks, and the two
 	// batches occupy contiguous, non-overlapping ID ranges.
 	seen := map[uint64]int{}
 	for r := 0; r < ranks; r++ {
-		for i := range got[r] {
-			seen[got[r][i].ID]++
+		for _, m := range got[r].Meta {
+			seen[m.ID]++
 		}
 	}
 	for id := uint64(cfg.N) + 1; id < want; id++ {

@@ -67,7 +67,7 @@ type epochRunner struct {
 
 	sub Substrate
 	bal balance.Balancer
-	es  eventState
+	es  core.Events
 	rec *trace.Recorder
 
 	// Telemetry: when sampling, each step appends the difference between
@@ -128,7 +128,7 @@ func (r *epochRunner) init() error {
 	}
 	r.sub = sub
 	r.bal = r.e.Balancer()
-	r.es = newEventState(r.cfg)
+	r.es = core.NewEvents(r.cfg.distConfig(), r.cfg.Schedule)
 	r.rec = &trace.Recorder{}
 	r.rec.ObserveParticles(sub.Count())
 
@@ -175,7 +175,7 @@ func (r *epochRunner) adopt(sh rankShard) error {
 	if hr, ok := r.bal.(balance.HistoryRestorer); ok {
 		hr.RestoreHistory(append([]string(nil), sh.Bal...))
 	}
-	r.es.nextID = sh.NextID
+	r.es.NextID = sh.NextID
 	if sh.MaxParticles > r.rec.MaxParticles {
 		r.rec.MaxParticles = sh.MaxParticles
 	}
@@ -196,7 +196,7 @@ func (r *epochRunner) commit(step int) error {
 	sh := rankShard{
 		Rank:         r.c.Rank(),
 		Step:         step,
-		NextID:       r.es.nextID,
+		NextID:       r.es.NextID,
 		MaxParticles: r.rec.MaxParticles,
 		Bal:          r.bal.History(),
 		Sub:          blob,

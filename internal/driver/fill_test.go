@@ -25,7 +25,8 @@ func bruteColumns(ot *core.OwnerTable, hosted []bool, L int) []bool {
 	return want
 }
 
-// TestFillLocalMatchesStream pins fillLocal to its definition: every hosted
+// TestFillLocalMatchesStream pins core.Fill, the set-up fill of both
+// substrates, to its definition: every hosted
 // container holds, bit for bit and in stream order, exactly the particles of
 // the full initial population whose start cell its owner owns, in columns
 // sized exactly (cap == len) from cold. Cuts are random and non-uniform, the
@@ -82,7 +83,7 @@ func TestFillLocalMatchesStream(t *testing.T) {
 					if got, want := ot.ColumnsOf(hosted), bruteColumns(ot, hosted, L); fmt.Sprint(got) != fmt.Sprint(want) {
 						t.Fatalf("rank %d: ColumnsOf = %v, L² sweep = %v", r, got, want)
 					}
-					if err := fillLocal(cfg, ot, owners, func(o int32) *core.SoA { return local[o] }); err != nil {
+					if err := core.Fill(cfg.distConfig(), ot, owners, func(o int32) *core.SoA { return local[o] }); err != nil {
 						t.Fatal(err)
 					}
 					for o, s := range local {

@@ -138,7 +138,7 @@ func TestCheckOwnershipCatchesForeignArrival(t *testing.T) {
 				cfg.Dist = nil
 				cfg.Schedule = dist.Schedule{{Step: 3, Region: dist.Rect{X0: 0, X1: 16, Y0: 0, Y1: 16}, Inject: 200}}
 				onTwoRanks(t, h, cfg, func(c *comm.Comm, s Substrate) error {
-					es, rec := newEventState(cfg), &trace.Recorder{}
+					es, rec := core.NewEvents(cfg.distConfig(), cfg.Schedule), &trace.Recorder{}
 					for step := 1; step <= 3; step++ {
 						if err := s.MoveExchange(rec); err != nil {
 							return err
@@ -152,11 +152,11 @@ func TestCheckOwnershipCatchesForeignArrival(t *testing.T) {
 					}
 					soa, owner := h.first(s)
 					plant := func() uint64 {
-						p := soa.At(0)
-						p.ID = 900000 + uint64(c.Rank())
-						p.X, p.Y = h.foreign(s)
-						soa.Append(p)
-						return p.ID
+						soa.AppendFrom(soa, 0)
+						i := soa.Len() - 1
+						soa.Meta[i].ID = 900000 + uint64(c.Rank())
+						soa.X[i], soa.Y[i] = h.foreign(s)
+						return soa.Meta[i].ID
 					}
 					var id uint64
 					if afterInjection {
@@ -181,20 +181,20 @@ func TestCheckOwnershipCatchesForeignArrival(t *testing.T) {
 func TestCheckOwnershipSweepsAllAfterReset(t *testing.T) {
 	resets := []struct {
 		name string
-		do   func(h ownershipHarness, s Substrate, es *eventState, rec *trace.Recorder) error
+		do   func(h ownershipHarness, s Substrate, es *core.Events, rec *trace.Recorder) error
 	}{
-		{"execute", func(h ownershipHarness, s Substrate, _ *eventState, rec *trace.Recorder) error {
+		{"execute", func(h ownershipHarness, s Substrate, _ *core.Events, rec *trace.Recorder) error {
 			rehome, err := s.Execute(h.migrate(s))
 			if err == nil && rehome {
 				err = s.Exchange(rec)
 			}
 			return err
 		}},
-		{"removal", func(_ ownershipHarness, s Substrate, es *eventState, _ *trace.Recorder) error {
+		{"removal", func(_ ownershipHarness, s Substrate, es *core.Events, _ *trace.Recorder) error {
 			s.ApplyEvents(es, 2)
 			return nil
 		}},
-		{"restore", func(_ ownershipHarness, s Substrate, _ *eventState, _ *trace.Recorder) error {
+		{"restore", func(_ ownershipHarness, s Substrate, _ *core.Events, _ *trace.Recorder) error {
 			blob, err := s.Checkpoint()
 			if err != nil {
 				return err
@@ -210,7 +210,7 @@ func TestCheckOwnershipSweepsAllAfterReset(t *testing.T) {
 				// A removal that leaves both ranks (and every VP) populated.
 				cfg.Schedule = dist.Schedule{{Step: 2, Region: dist.Rect{X0: 0, X1: 16, Y0: 0, Y1: 1}, Remove: true}}
 				onTwoRanks(t, h, cfg, func(c *comm.Comm, s Substrate) error {
-					es, rec := newEventState(cfg), &trace.Recorder{}
+					es, rec := core.NewEvents(cfg.distConfig(), cfg.Schedule), &trace.Recorder{}
 					for step := 1; step <= 2; step++ {
 						if err := s.MoveExchange(rec); err != nil {
 							return err

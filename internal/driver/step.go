@@ -7,7 +7,6 @@ import (
 	"github.com/parres/picprk/internal/comm"
 	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/decomp"
-	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/grid"
 	"github.com/parres/picprk/internal/particle"
 	"github.com/parres/picprk/internal/pup"
@@ -281,16 +280,17 @@ func (s *stepper) deliver(owner int, cols *core.SoA) error {
 
 // ApplyEvents implements Substrate: removal in every hosted cell;
 // injections routed to the owning cell if it is hosted here.
-func (s *stepper) ApplyEvents(es *eventState, step int) {
-	es.apply(s.cfg, step, func(region dist.Rect) {
+func (s *stepper) ApplyEvents(ev *core.Events, step int) {
+	ev.Fire(step, func(visit func(*core.SoA)) {
 		for _, c := range s.cells {
-			removeRegion(c.soa, region, s.cfg.Mesh)
+			visit(c.soa)
 			c.owned = 0
 		}
-	}, func(cx, cy int, p *particle.Particle) {
+	}, func(cx, cy int) *core.SoA {
 		if c := s.at[s.ot.Owner(cx, cy)]; c != nil {
-			c.soa.Append(*p)
+			return c.soa
 		}
+		return nil
 	})
 }
 

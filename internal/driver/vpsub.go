@@ -145,7 +145,7 @@ func newVPSubstrate(c *comm.Comm, cfg Config, overdecompose int) (*vpSubstrate, 
 	}
 	// Each core fills only the VPs placed on it, straight from the stream.
 	vot := core.NewOwnerTable(vg.X.Cuts, vg.Y.Cuts)
-	if err := fillLocal(cfg, vot, nvp, func(o int32) *core.SoA { return local[o] }); err != nil {
+	if err := core.Fill(cfg.distConfig(), vot, nvp, func(o int32) *core.SoA { return local[o] }); err != nil {
 		return nil, err
 	}
 	s.init(c, cfg, "VP", s)

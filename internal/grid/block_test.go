@@ -10,9 +10,6 @@ func TestMeshAccessors(t *testing.T) {
 	if m.Cells() != 144 {
 		t.Errorf("Cells = %v", m.Cells())
 	}
-	if m.Charge(3, 5) != m.PointCharge(3, 5) {
-		t.Error("Charge alias disagrees with PointCharge")
-	}
 }
 
 func TestMustMeshPanics(t *testing.T) {

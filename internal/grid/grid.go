@@ -78,11 +78,6 @@ func (m Mesh) PointCharge(i, j int) float64 {
 	return -m.Q
 }
 
-// Charge is an alias for PointCharge so that Mesh satisfies the kernel's
-// ChargeSource interface directly (the formulaic global field), just as a
-// materialized Block does (the per-rank field with ghosts).
-func (m Mesh) Charge(i, j int) float64 { return m.PointCharge(i, j) }
-
 // ColumnSign returns +1 for even cell-column index and -1 for odd, after
 // periodic wrapping. A particle in an even column sits between a +Q column
 // of points on its left and a -Q column on its right.

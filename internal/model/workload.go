@@ -36,14 +36,10 @@ func NewWorkload(cfg dist.Config, sched dist.Schedule) (*Workload, error) {
 	if err := sched.Validate(cfg.Mesh); err != nil {
 		return nil, err
 	}
-	dir := cfg.Dir
-	if dir == 0 {
-		dir = 1
-	}
 	w := &Workload{
 		L:      cfg.Mesh.L,
 		Speed:  2*cfg.K + 1,
-		Dir:    dir,
+		Dir:    int(cfg.Initial().Dir),
 		base:   make([]float64, cfg.Mesh.L),
 		events: sched.Sorted(),
 	}
