@@ -20,7 +20,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"time"
 
 	"github.com/parres/picprk/internal/ampi"
@@ -294,12 +293,6 @@ func reportParallel(res *driver.Result, err error, obs obsOpts) {
 			fmt.Printf("wire: %d data frames, one-way latency p50 ≤ %s, p99 ≤ %s\n",
 				h.Count(), telemetry.FmtNS(h.Quantile(0.5)), telemetry.FmtNS(h.Quantile(0.99)))
 		}
-		for _, node := range sortedOffsetNodes(res.Wire.Offsets) {
-			if node != 0 {
-				fmt.Printf("  clock offset node %d: %s (to node 0's clock)\n",
-					node, telemetry.FmtNS(res.Wire.Offsets[node]))
-			}
-		}
 	}
 	if res.Timeline != nil && obs.timeline != "" {
 		if err := writeFileWith(obs.timeline, func(f *os.File) error { return telemetry.WriteJSONL(f, res.Timeline) }); err != nil {
@@ -316,16 +309,6 @@ func reportParallel(res *driver.Result, err error, obs obsOpts) {
 	if res.Verified {
 		fmt.Println("verification: PASSED (closed-form positions + ID checksum)")
 	}
-}
-
-// sortedOffsetNodes yields the offset map's node indices in ascending order.
-func sortedOffsetNodes(m map[int]int64) []int {
-	nodes := make([]int, 0, len(m))
-	for n := range m {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	return nodes
 }
 
 func fatal(err error) {

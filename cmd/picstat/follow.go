@@ -2,13 +2,12 @@ package main
 
 // Live mode: picstat -follow host:port tails the /events Server-Sent Events
 // stream a `picrun -http` process serves, printing one line per sample as
-// the run produces it. A dropped connection no longer ends the session: the
-// follower reconnects with capped exponential backoff for up to -retry
-// (epoch recovery makes mid-run connection loss routine — the coordinator
-// keeps serving across world generations, but the stream it was feeding
-// dies with the old world). The session ends when the server closes the
-// stream cleanly (the run finished), on ctrl-C, or when no reconnect
-// succeeds within the retry window.
+// the run produces it. The stream outlives world generations, so an epoch
+// recovery shows as steps that repeat, not as a dropped connection. A
+// connection that does drop does not end the session: the follower
+// reconnects with capped exponential backoff for up to -retry. The session
+// ends when the server closes the stream cleanly (the run finished), on
+// ctrl-C, or when no reconnect succeeds within the retry window.
 
 import (
 	"bufio"

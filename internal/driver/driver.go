@@ -208,7 +208,8 @@ func (cfg *Config) validate(p int) error {
 	if cfg.Tile != 0 {
 		return fmt.Errorf("driver: tile setting %d: the step has one form and the setting selects nothing (leave it 0)", cfg.Tile)
 	}
-	switch tr := cfg.ResolveTransport(); tr {
+	tr := cfg.ResolveTransport()
+	switch tr {
 	case TransportInproc, TransportTCP, TransportUnix:
 	default:
 		return fmt.Errorf("driver: unknown transport %q (want %s, %s or %s)",
@@ -216,6 +217,9 @@ func (cfg *Config) validate(p int) error {
 	}
 	if cfg.CheckpointEvery < 0 {
 		return fmt.Errorf("driver: negative checkpoint interval %d", cfg.CheckpointEvery)
+	}
+	if cfg.Recover && tr == TransportInproc {
+		return fmt.Errorf("driver: recovery needs a wire transport (%s or %s): in-process ranks have no node to lose", TransportTCP, TransportUnix)
 	}
 	if cfg.Recover && cfg.CheckpointEvery == 0 {
 		return fmt.Errorf("driver: recovery requires a checkpoint interval (set CheckpointEvery)")
@@ -282,11 +286,11 @@ type Result struct {
 	// Timeline is the merged per-step, per-rank telemetry when
 	// cfg.Telemetry was set, nil otherwise.
 	Timeline *telemetry.Timeline
-	// Wire is the merged wire-transport accounting (per-peer frame counters,
-	// one-way latency histograms, clock offsets) for socket-transport runs
-	// where the caller owns every node (the in-process loopback cluster);
-	// nil for in-process transport and for multi-process workers, whose
-	// coordinator queries its own node directly.
+	// Wire is the wire-transport accounting (per-peer frame counters,
+	// one-way latency histograms, clock offsets) of a socket-transport run:
+	// the merged report of every node this process hosted in the world
+	// generation that finished the run — all p nodes under Run, node 0 alone
+	// under a multi-process RunElastic. Nil for the in-process transport.
 	Wire *telemetry.WireReport
 	// Recovery summarizes the epoch lifecycle of a checkpointed run:
 	// committed epochs, and — for elastic runs that survived rank failures —

@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"sync"
 	"time"
 
 	"github.com/parres/picprk/internal/balance"
@@ -9,7 +8,6 @@ import (
 	"github.com/parres/picprk/internal/comm/wire"
 	"github.com/parres/picprk/internal/core"
 	"github.com/parres/picprk/internal/particle"
-	"github.com/parres/picprk/internal/telemetry"
 	"github.com/parres/picprk/internal/trace"
 )
 
@@ -104,6 +102,9 @@ type Engine struct {
 	// (only rank 0 touches it mid-run, but every rank reads the pointer);
 	// RunElastic keeps it across generations so a new world can resume.
 	store *commitStore
+	// hosted is the set of wire nodes this process hosts in the running
+	// world generation. RunElastic installs it before any worker starts.
+	hosted *hostedNodes
 	// StepHook, when set, runs at the top of every step on every rank —
 	// fault-injection instrumentation: the chaos tests and picrun's
 	// PICRUN_CHAOS_KILL hook kill a rank from it mid-run.
@@ -111,20 +112,19 @@ type Engine struct {
 }
 
 // Run executes the engine on p ranks and returns rank 0's result. The
-// transport resolved from Cfg decides the substrate: in-process goroutine
-// ranks by default, or one wire node per rank over loopback sockets for
-// "tcp"/"unix" — the latter exercises the full serialize/frame/deserialize
-// path and must produce bitwise-identical results.
+// transport resolved from Cfg decides the world: in-process goroutine ranks
+// by default, or for "tcp"/"unix" a socket world run by the RunElastic
+// supervisor, with the other p-1 ranks joining as worker goroutines in this
+// process — one wire node per rank, every payload through the full
+// serialize/frame/deserialize path, bitwise identical to the in-process run.
 func (e *Engine) Run(p int) (*Result, error) {
+	if tr := e.Cfg.ResolveTransport(); wire.ValidNetwork(tr) {
+		return e.runSockets(tr, p)
+	}
 	if err := e.start(p); err != nil {
 		return nil, err
 	}
-	switch tr := e.Cfg.ResolveTransport(); tr {
-	case TransportInproc:
-		return e.runWorld(comm.NewWorld(p, e.Cfg.WorldOptions()))
-	default:
-		return e.runWire(tr, p)
-	}
+	return e.runWorld(comm.NewWorld(p, e.Cfg.WorldOptions()))
 }
 
 // start validates the Config for p ranks and installs the run's commit
@@ -169,44 +169,4 @@ func (e *Engine) runWorld(w *comm.World) (*Result, error) {
 	res.Name = e.Name
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// runWire runs the engine over a loopback socket cluster: p wire nodes in
-// this process, one rank each, every payload crossing a real socket.
-func (e *Engine) runWire(network string, p int) (*Result, error) {
-	nodes, err := wire.LoopbackCluster(network, p)
-	if err != nil {
-		return nil, err
-	}
-	if e.Cfg.Live != nil {
-		for _, n := range nodes {
-			e.Cfg.Live.AddWireSource(n.WireReport)
-		}
-	}
-	results := make([]*Result, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for i, n := range nodes {
-		go func(i int, n *wire.Node) {
-			defer wg.Done()
-			results[i], errs[i] = e.runWorld(comm.NewTransportWorld(n, e.Cfg.WorldOptions()))
-		}(i, n)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if results[0] != nil {
-		// Every node lives in this process, so rank 0's result can carry the
-		// whole cluster's wire accounting (all peers, all offsets).
-		rep := &telemetry.WireReport{}
-		for _, n := range nodes {
-			rep.Merge(n.WireReport())
-		}
-		results[0].Wire = rep
-	}
-	return results[0], nil
 }

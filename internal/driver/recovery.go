@@ -14,6 +14,7 @@ package driver
 // assignment), so survivors and replacements run the identical code path.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -133,6 +134,41 @@ func (s *commitStore) summary() (RecoveryStats, []telemetry.Event, [][]telemetry
 	return stats, append([]telemetry.Event(nil), s.events...), append([][]telemetry.Sample(nil), s.samples...)
 }
 
+// hostedNodes is the set of wire nodes this process hosts in the running
+// world generation: the coordinator's node 0 and, under Engine.Run, the
+// in-process workers' nodes. Live reads it at scrape time; the supervisor
+// merges it into the generation's Result.Wire once every node's world has
+// returned. A nil set (a worker's engine) hosts nothing.
+type hostedNodes struct {
+	mu      sync.Mutex
+	nodes   []*wire.Node
+	running sync.WaitGroup // the nodes whose world has not returned
+}
+
+// host adds a node that joined the running generation and returns the
+// function its caller calls once the node's world has returned.
+func (h *hostedNodes) host(n *wire.Node) (done func()) {
+	if h == nil {
+		return func() {}
+	}
+	h.mu.Lock()
+	h.nodes = append(h.nodes, n)
+	h.mu.Unlock()
+	h.running.Add(1)
+	return h.running.Done
+}
+
+// report merges the wire reports of the generation's nodes.
+func (h *hostedNodes) report() telemetry.WireReport {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var rep telemetry.WireReport
+	for _, n := range h.nodes {
+		rep.Merge(n.WireReport())
+	}
+	return rep
+}
+
 // DefaultMaxRecoveries bounds the rollback/readmit cycles of a run with
 // Config.Recover set; a run without it has a budget of 0.
 const DefaultMaxRecoveries = 3
@@ -166,7 +202,9 @@ type ElasticOptions struct {
 // starts a new generation that resumes from the last committed epoch, up
 // to DefaultMaxRecoveries times, so the final result is bitwise identical
 // to an uninterrupted run; without it a lost peer fails the run with the
-// loss error after the one generation.
+// loss error after the one generation. The result's Wire is the merged
+// report of the nodes this process hosted in the generation that finished
+// the run, and Cfg.Live reads the running generation's nodes.
 func (e *Engine) RunElastic(o ElasticOptions) (*Result, error) {
 	if err := e.start(o.Ranks); err != nil {
 		return nil, err
@@ -174,6 +212,8 @@ func (e *Engine) RunElastic(o ElasticOptions) (*Result, error) {
 	if !wire.ValidNetwork(o.Network) {
 		return nil, fmt.Errorf("driver: RunElastic requires a wire transport, got %q", o.Network)
 	}
+	e.hosted = &hostedNodes{}
+	e.Cfg.Live.SetWireSource(e.hosted.report)
 	budget := 0
 	if e.Cfg.Recover {
 		budget = DefaultMaxRecoveries
@@ -206,6 +246,9 @@ func (e *Engine) RunElastic(o ElasticOptions) (*Result, error) {
 // join, run. It returns the resolved rendezvous address so the caller can
 // pin it across generations even when this generation failed.
 func (e *Engine) runGeneration(o ElasticOptions, gen int, addr string, lostRank int) (*Result, string, error) {
+	e.hosted.mu.Lock()
+	e.hosted.nodes = nil
+	e.hosted.mu.Unlock()
 	rv, err := wire.StartRendezvous(o.Network, addr, o.Ranks)
 	if err != nil {
 		return nil, "", err
@@ -230,18 +273,15 @@ func (e *Engine) runGeneration(o ElasticOptions, gen int, addr string, lostRank 
 		ev := e.store.noteReadmit(lostRank, time.Now().UnixNano())
 		e.Cfg.Live.ObserveEvent(ev)
 	}
-	if e.Cfg.Live != nil {
-		e.Cfg.Live.AddWireSource(node.WireReport)
-	}
-	w := comm.NewTransportWorld(node, e.Cfg.WorldOptions())
-	res, runErr := e.runWorld(w)
+	done := e.hosted.host(node)
+	res, runErr := e.runWorld(comm.NewTransportWorld(node, e.Cfg.WorldOptions()))
+	done()
 	if runErr != nil {
 		return nil, addr, runErr
 	}
-	if res != nil {
-		rep := node.WireReport()
-		res.Wire = &rep
-	}
+	e.hosted.running.Wait()
+	rep := e.hosted.report()
+	res.Wire = &rep
 	return res, addr, nil
 }
 
@@ -257,16 +297,43 @@ func (e *Engine) RunElasticWorker(network, addr string) error {
 		if err != nil {
 			return err
 		}
-		w := comm.NewTransportWorld(node, e.Cfg.WorldOptions())
-		if _, err := e.runWorld(w); err != nil {
-			var pl comm.ErrPeerLost
-			if e.Cfg.Recover && errors.As(err, &pl) {
-				continue
-			}
+		done := e.hosted.host(node)
+		_, err = e.runWorld(comm.NewTransportWorld(node, e.Cfg.WorldOptions()))
+		done()
+		var pl comm.ErrPeerLost
+		if err == nil || !e.Cfg.Recover || !errors.As(err, &pl) {
 			return err
+		}
+	}
+}
+
+// runSockets runs a p-rank socket world inside this process: the RunElastic
+// supervisor hosts rank 0, and p-1 goroutines run RunElasticWorker's loop
+// on this engine, started once the generation-0 rendezvous listens. A lost
+// node cannot be replaced in process, so a later generation fails the run;
+// so does any worker's error. It returns after every worker has returned.
+func (e *Engine) runSockets(network string, p int) (*Result, error) {
+	var wg sync.WaitGroup
+	errs := make([]error, max(p-1, 0))
+	spawn := func(gen int, addr string) error {
+		if gen > 0 {
+			return fmt.Errorf("driver: the in-process %s world lost a node", network)
+		}
+		wg.Add(len(errs))
+		for i := range errs {
+			go func() {
+				defer wg.Done()
+				errs[i] = e.RunElasticWorker(network, addr)
+			}()
 		}
 		return nil
 	}
+	res, err := e.RunElastic(ElasticOptions{Network: network, Ranks: p, SpawnWorkers: spawn})
+	wg.Wait()
+	if err := cmp.Or(err, errors.Join(errs...)); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // joinRetryBudget bounds how long a worker keeps retrying the rendezvous

@@ -1,11 +1,15 @@
 package driver
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/parres/picprk/internal/comm"
 	"github.com/parres/picprk/internal/comm/wire"
@@ -109,24 +113,97 @@ func assertSameSampleCounts(t *testing.T, ref, got *telemetry.Timeline, want int
 	}
 }
 
+// runKilledAndRecovered runs a world of three "processes" — the
+// coordinator and two workers, each with its own Engine from mk and its own
+// wire node over real loopback tcp. The victim severs its node with no
+// handshake at killStep and never comes back; a replacement is admitted in
+// the second generation. live, when non-nil, is the coordinator's alone, as
+// in picrun. It returns the coordinator's result after every worker has
+// returned.
+func runKilledAndRecovered(t *testing.T, mk func() *Engine, live *telemetry.Live, killStep int) *Result {
+	t.Helper()
+	const ranks = 3
+	coord, healthy, victim, replacement := mk(), mk(), mk(), mk()
+	coord.Cfg.Live = live
+	var wg sync.WaitGroup
+	var healthyErr, replacementErr error
+	spawn := func(gen int, addr string) error {
+		switch gen {
+		case 0:
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				healthyErr = healthy.RunElasticWorker("tcp", addr)
+			}()
+			go func() {
+				defer wg.Done()
+				// The victim behaves like a process that is SIGKILLed
+				// mid-step: its node drops every connection with no
+				// handshake and the "process" never comes back.
+				node, err := wire.Join("tcp", addr, wire.JoinOptions{Rank: -1})
+				if err != nil {
+					return
+				}
+				victim.StepHook = func(c *comm.Comm, step int) {
+					if step == killStep {
+						node.Kill()
+					}
+				}
+				_, _ = victim.runWorld(comm.NewTransportWorld(node, victim.Cfg.WorldOptions()))
+			}()
+		case 1:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				replacementErr = replacement.RunElasticWorker("tcp", addr)
+			}()
+		default:
+			return fmt.Errorf("unexpected generation %d", gen)
+		}
+		return nil
+	}
+	res, err := coord.RunElastic(ElasticOptions{Network: "tcp", Ranks: ranks, SpawnWorkers: spawn})
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if healthyErr != nil {
+		t.Fatalf("surviving worker: %v", healthyErr)
+	}
+	if replacementErr != nil {
+		t.Fatalf("replacement worker: %v", replacementErr)
+	}
+	if !res.Verified {
+		t.Fatal("recovered run not verified")
+	}
+	if want := (RecoveryStats{Generations: 2, Commits: 4, Rollbacks: 1, Readmits: 1}); res.Recovery == nil || *res.Recovery != want {
+		t.Fatalf("recovery stats: got %+v, want %+v", res.Recovery, want)
+	}
+	return res
+}
+
+// recoveryConfig is the configuration the kill-and-recover tests share: 3
+// ranks, 40 steps, a commit every 10 steps, and the victim killed at step
+// 25, between the commits at 20 and 30.
+func recoveryConfig(t *testing.T) (cfg Config, killStep int) {
+	cfg = testConfig(t, 16, 2000, 40)
+	cfg.CheckpointEvery = 10
+	cfg.Telemetry = true
+	cfg.Recover, cfg.Transport = true, TransportTCP
+	return cfg, 25
+}
+
 // TestRecoveryBitwiseIdentical is the acceptance pin for the epoch
 // lifecycle: a run where one rank's process is abruptly killed mid-epoch
 // and a replacement is re-admitted must finish with bitwise-identical
 // particles, balance decisions and counts to an uninterrupted run — for all
 // four drivers — and its timeline holds every step of every rank with the
-// same counts, the steps before the commit it resumed from included. Three "processes" (the coordinator and two workers, each with
-// its own Engine and wire node over real loopback sockets) form the world;
-// the victim severs its node with no handshake at step 25, between the
-// commits at 20 and 30.
+// same counts, the steps before the commit it resumed from included.
 func TestRecoveryBitwiseIdentical(t *testing.T) {
-	const (
-		ranks    = 3
-		every    = 10
-		killStep = 25
-	)
-	cfg := testConfig(t, 16, 2000, 40)
-	cfg.CheckpointEvery = every
-	cfg.Telemetry = true
+	const ranks = 3
+	rcfg, killStep := recoveryConfig(t)
+	cfg := rcfg
+	cfg.Recover, cfg.Transport = false, ""
 
 	for _, f := range recoveryFactories() {
 		t.Run(f.name, func(t *testing.T) {
@@ -138,92 +215,146 @@ func TestRecoveryBitwiseIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			rcfg := cfg
-			rcfg.Recover = true
-			coord, err := f.make(rcfg, ranks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			healthy, err := f.make(rcfg, ranks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			victim, err := f.make(rcfg, ranks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			replacement, err := f.make(rcfg, ranks)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var wg sync.WaitGroup
-			var healthyErr, replacementErr error
-			spawn := func(gen int, addr string) error {
-				switch gen {
-				case 0:
-					wg.Add(2)
-					go func() {
-						defer wg.Done()
-						healthyErr = healthy.RunElasticWorker("tcp", addr)
-					}()
-					go func() {
-						defer wg.Done()
-						// The victim behaves like a process that is SIGKILLed
-						// mid-step: its node drops every connection with no
-						// handshake and the "process" never comes back.
-						node, err := wire.Join("tcp", addr, wire.JoinOptions{Rank: -1})
-						if err != nil {
-							return
-						}
-						victim.StepHook = func(c *comm.Comm, step int) {
-							if step == killStep {
-								node.Kill()
-							}
-						}
-						w := comm.NewTransportWorld(node, rcfg.WorldOptions())
-						_, _ = victim.runWorld(w)
-					}()
-				case 1:
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						replacementErr = replacement.RunElasticWorker("tcp", addr)
-					}()
-				default:
-					return fmt.Errorf("unexpected generation %d", gen)
+			mk := func() *Engine {
+				eng, err := f.make(rcfg, ranks)
+				if err != nil {
+					t.Fatal(err)
 				}
-				return nil
+				return eng
 			}
-			res, err := coord.RunElastic(ElasticOptions{Network: "tcp", Ranks: ranks, SpawnWorkers: spawn})
-			wg.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if healthyErr != nil {
-				t.Fatalf("surviving worker: %v", healthyErr)
-			}
-			if replacementErr != nil {
-				t.Fatalf("replacement worker: %v", replacementErr)
-			}
-			if !res.Verified {
-				t.Fatal("recovered run not verified")
-			}
+			res := runKilledAndRecovered(t, mk, nil, killStep)
 			assertBitwiseEqual(t, ref.Particles, res.Particles, f.name+" recovered")
 			if got, want := fmt.Sprint(res.BalanceLog), fmt.Sprint(ref.BalanceLog); got != want {
 				t.Errorf("balance log diverged:\nref: %s\ngot: %s", want, got)
 			}
 			assertSameCounts(t, ref, res, f.name+" recovered")
 			assertSameSampleCounts(t, ref.Timeline, res.Timeline, ranks*cfg.Steps)
-			if res.Recovery == nil {
-				t.Fatal("recovered run has no recovery stats")
-			}
-			want := RecoveryStats{Generations: 2, Commits: 4, Rollbacks: 1, Readmits: 1}
-			if *res.Recovery != want {
-				t.Errorf("recovery stats: got %+v, want %+v", *res.Recovery, want)
-			}
 		})
+	}
+}
+
+// TestRecoveredLiveRepeatsNoSeries: a Live that watched a run through a
+// rollback renders the running generation's wire nodes only, so its
+// exposition names every series once, the wire families included.
+func TestRecoveredLiveRepeatsNoSeries(t *testing.T) {
+	cfg, killStep := recoveryConfig(t)
+	live := telemetry.NewLive(3)
+	runKilledAndRecovered(t, func() *Engine { return NewBaselineEngine(cfg) }, live, killStep)
+	var sb strings.Builder
+	live.WritePrometheus(&sb)
+	seen := map[string]bool{}
+	wireSeries := 0
+	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		series := line[:strings.LastIndexByte(line, ' ')]
+		if seen[series] {
+			t.Errorf("series %s repeated", series)
+		}
+		seen[series] = true
+		if strings.HasPrefix(series, "picprk_wire_") {
+			wireSeries++
+		}
+	}
+	if wireSeries == 0 {
+		t.Fatalf("no wire series after the recovered run:\n%s", sb.String())
+	}
+}
+
+// TestEventsStreamSurvivesRollback: the Live and its sample stream outlive
+// world generations, so an /events subscriber opened before a run stays
+// open across its rollback and receives the re-run steps after the resumed
+// commit, through the last one; only the server's shutdown ends it.
+func TestEventsStreamSurvivesRollback(t *testing.T) {
+	cfg, killStep := recoveryConfig(t)
+	live := telemetry.NewLive(3)
+	addr, stop, err := telemetry.Serve("127.0.0.1:0", live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop() //nolint:errcheck
+	resp, err := http.Get("http://" + addr + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	steps := make(chan int, 1024)
+	go func() {
+		defer close(steps)
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			data, ok := strings.CutPrefix(sc.Text(), "data: ")
+			if !ok {
+				continue
+			}
+			var s struct{ Step, Rank int }
+			if err := json.Unmarshal([]byte(data), &s); err == nil && s.Rank == 0 {
+				steps <- s.Step
+			}
+		}
+	}()
+
+	runKilledAndRecovered(t, func() *Engine { return NewBaselineEngine(cfg) }, live, killStep)
+	var got []int
+	for len(got) == 0 || got[len(got)-1] < cfg.Steps {
+		select {
+		case s, open := <-steps:
+			if !open {
+				t.Fatalf("the /events stream ended with the run, after steps %v", got)
+			}
+			got = append(got, s)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no step %d on /events, got %v", cfg.Steps, got)
+		}
+	}
+	// Before the rollback the stream ran past the commit at step 20; after
+	// it, it carries steps 21..40 again, each once and in order.
+	rolled := 1
+	for rolled < len(got) && got[rolled] > got[rolled-1] {
+		rolled++
+	}
+	if rolled == len(got) || got[rolled-1] <= 20 {
+		t.Fatalf("no rollback past the commit at step 20 on /events: %v", got)
+	}
+	for i, s := range got[rolled:] {
+		if s != 21+i || len(got)-rolled != cfg.Steps-20 {
+			t.Fatalf("steps after the rollback: %v, want 21..%d", got[rolled:], cfg.Steps)
+		}
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case _, open := <-steps:
+		if open {
+			t.Error("a sample arrived after the last step")
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("the /events stream stayed open after the server stopped")
+	}
+}
+
+// TestRecoverNeedsWireTransport: Config.validate accepts Recover only where
+// a node can be lost and replaced, so Engine.Run refuses it in process and
+// runs it under the supervisor over a socket transport.
+func TestRecoverNeedsWireTransport(t *testing.T) {
+	t.Setenv("PICPRK_TRANSPORT", "")
+	cfg := testConfig(t, 16, 500, 10)
+	cfg.CheckpointEvery, cfg.Recover = 5, true
+	for _, tr := range []string{"", TransportInproc} {
+		cfg.Transport = tr
+		if _, err := NewBaselineEngine(cfg).Run(2); err == nil || !strings.Contains(err.Error(), "wire transport") {
+			t.Errorf("Recover on transport %q: got %v, want a wire-transport error", tr, err)
+		}
+	}
+	cfg.Transport = TransportTCP
+	res, err := NewBaselineEngine(cfg).Run(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verified || res.Recovery == nil || res.Recovery.Commits != 2 {
+		t.Errorf("Recover over tcp: verified %v, recovery %+v", res.Verified, res.Recovery)
 	}
 }
 

@@ -3,6 +3,7 @@ package driver
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -124,6 +125,34 @@ func TestWireTransportTelemetry(t *testing.T) {
 		if s.Step < 1 || s.Step > cfg.Steps || s.Rank < 0 || s.Rank >= 4 {
 			t.Fatalf("implausible sample %+v", s)
 		}
+	}
+}
+
+// TestRunWireReportCoversEveryNode: Engine.Run over tcp hosts every node in
+// this process, so its Result.Wire merges all of them — every node reports
+// a row for each node of the world (its own, idle, included) and has
+// exchanged frames with both others.
+func TestRunWireReportCoversEveryNode(t *testing.T) {
+	const p = 3
+	cfg := testConfig(t, 16, 600, 6)
+	cfg.Transport = TransportTCP
+	res, err := NewBaselineEngine(cfg).Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Wire == nil {
+		t.Fatal("no wire report")
+	}
+	var rows []string
+	for _, pw := range res.Wire.Peers {
+		if pw.Node != pw.Peer && (pw.FramesSent == 0 || pw.FramesRecv == 0) {
+			t.Errorf("node %d sent %d and received %d frames from peer %d", pw.Node, pw.FramesSent, pw.FramesRecv, pw.Peer)
+		}
+		rows = append(rows, fmt.Sprintf("%d>%d", pw.Node, pw.Peer))
+	}
+	slices.Sort(rows)
+	if got, want := fmt.Sprint(rows), "[0>0 0>1 0>2 1>0 1>1 1>2 2>0 2>1 2>2]"; got != want {
+		t.Errorf("peer rows %s, want %s", got, want)
 	}
 }
 

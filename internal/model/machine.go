@@ -17,7 +17,11 @@
 // histograms fully describe it (§III-E1).
 package model
 
-import "math"
+import (
+	"math"
+
+	"github.com/parres/picprk/internal/core"
+)
 
 // Machine describes the modeled cluster. All times are seconds, bandwidths
 // bytes/second.
@@ -37,8 +41,8 @@ type Machine struct {
 	// step (user-level context switch + message dispatch in AMPI).
 	VPOverheadPerStep float64
 	// BytesPerParticle is what the model charges per particle that crosses
-	// to a neighbor or migrates. Edison's 92 B is not the 80 B a real
-	// exchange frames per particle (core.ColumnsBytesPerParticle).
+	// to a neighbor or migrates. Edison's is the real exchange's framed
+	// size per particle, core.ColumnsBytesPerParticle.
 	BytesPerParticle float64
 	// BytesPerCell is the migrated mesh data per cell.
 	BytesPerCell float64
@@ -83,7 +87,7 @@ func Edison() Machine {
 		BwInterNode:             1e9,
 		SyncPerRound:            1.2e-6,
 		VPOverheadPerStep:       2e-6,
-		BytesPerParticle:        92,
+		BytesPerParticle:        core.ColumnsBytesPerParticle,
 		BytesPerCell:            8,
 		MigrationAggBwPerNode:   250e6,
 		MigrationIntraBwPerNode: 4e9,

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,10 +32,10 @@ type Live struct {
 	stream Stream
 
 	// mu guards the scrape-time extras: run identity for /healthz and the
-	// wire-transport stat sources rendered by WritePrometheus.
-	mu          sync.Mutex
-	info        RunInfo
-	wireSources []func() WireReport
+	// wire-transport stat source rendered by WritePrometheus.
+	mu         sync.Mutex
+	info       RunInfo
+	wireSource func() WireReport
 }
 
 // RunInfo identifies the run behind a Live aggregate, served by /healthz.
@@ -133,28 +134,15 @@ func (l *Live) Info() RunInfo {
 	return l.info
 }
 
-// AddWireSource registers a callback that snapshots wire-transport stats
-// (typically a wire.Node's WireReport method); WritePrometheus merges every
-// source at scrape time. Safe to call while scrapes run.
-func (l *Live) AddWireSource(fn func() WireReport) {
-	if l == nil || fn == nil {
+// SetWireSource sets the callback WritePrometheus snapshots the wire stats
+// from, replacing any earlier one. Safe to call while scrapes run.
+func (l *Live) SetWireSource(fn func() WireReport) {
+	if l == nil {
 		return
 	}
 	l.mu.Lock()
-	l.wireSources = append(l.wireSources, fn)
+	l.wireSource = fn
 	l.mu.Unlock()
-}
-
-// wireReport merges every registered source's snapshot.
-func (l *Live) wireReport() WireReport {
-	l.mu.Lock()
-	sources := l.wireSources
-	l.mu.Unlock()
-	rep := WireReport{Offsets: map[int]int64{}}
-	for _, fn := range sources {
-		rep.Merge(fn())
-	}
-	return rep
 }
 
 // WritePrometheus renders the aggregate in the Prometheus text exposition
@@ -206,73 +194,66 @@ func (l *Live) WritePrometheus(w io.Writer) {
 	l.writeWirePrometheus(w)
 }
 
-// writeWirePrometheus renders the wire-transport stats (frame counters,
-// writer-queue gauges, one-way latency histograms, clock offsets) when any
-// wire source is registered; in-process runs emit nothing here.
+// wireFamilies lists the per-peer wire families in exposition order, each
+// rendered with one sample per peer row of the report.
+var wireFamilies = []struct {
+	name, typ, help string
+	value           func(*PeerWire) int64 // nil for the latency histogram
+}{
+	{"picprk_wire_frames_sent_total", "counter", "Frames enqueued on the writer toward each peer node.", func(p *PeerWire) int64 { return p.FramesSent }},
+	{"picprk_wire_frames_received_total", "counter", "Frames read from each peer node.", func(p *PeerWire) int64 { return p.FramesRecv }},
+	{"picprk_wire_writes_total", "counter", "Vectored writes issued toward each peer node (frames_sent/writes = coalescing factor).", func(p *PeerWire) int64 { return p.Writes }},
+	{"picprk_wire_send_queue_depth", "gauge", "Writer-queue frames currently pending toward each peer node.", func(p *PeerWire) int64 { return p.QueueDepth }},
+	{"picprk_wire_send_queue_peak", "gauge", "High-water mark of the writer queue toward each peer node.", func(p *PeerWire) int64 { return p.QueuePeak }},
+	{"picprk_wire_latency_seconds", "histogram", "One-way data-frame latency from each peer node (send stamp vs offset-corrected receive; includes the sender's queue wait).", nil},
+}
+
+// writeWirePrometheus renders the wire-transport stats (clock offsets, then
+// the per-peer families) when a wire source is set; in-process runs emit
+// nothing here. A peer with no latency observations has no histogram.
 func (l *Live) writeWirePrometheus(w io.Writer) {
-	rep := l.wireReport()
+	l.mu.Lock()
+	source := l.wireSource
+	l.mu.Unlock()
+	if source == nil {
+		return
+	}
+	rep := source()
 	if len(rep.Peers) == 0 && len(rep.Offsets) == 0 {
 		return
 	}
 	fmt.Fprintf(w, "# HELP picprk_wire_clock_offset_seconds Estimated offset of node 0's clock minus this node's (NTP-style min-RTT sample).\n# TYPE picprk_wire_clock_offset_seconds gauge\n")
-	for _, node := range intKeysSorted(rep.Offsets) {
+	nodes := make([]int, 0, len(rep.Offsets))
+	for node := range rep.Offsets {
+		nodes = append(nodes, node)
+	}
+	slices.Sort(nodes)
+	for _, node := range nodes {
 		fmt.Fprintf(w, "picprk_wire_clock_offset_seconds{node=\"%d\"} %g\n", node, float64(rep.Offsets[node])/1e9)
 	}
-	fmt.Fprintf(w, "# HELP picprk_wire_frames_sent_total Frames enqueued on the writer toward each peer node.\n# TYPE picprk_wire_frames_sent_total counter\n")
-	for i := range rep.Peers {
-		p := &rep.Peers[i]
-		fmt.Fprintf(w, "picprk_wire_frames_sent_total{node=\"%d\",peer=\"%d\"} %d\n", p.Node, p.Peer, p.FramesSent)
-	}
-	fmt.Fprintf(w, "# HELP picprk_wire_frames_received_total Frames read from each peer node.\n# TYPE picprk_wire_frames_received_total counter\n")
-	for i := range rep.Peers {
-		p := &rep.Peers[i]
-		fmt.Fprintf(w, "picprk_wire_frames_received_total{node=\"%d\",peer=\"%d\"} %d\n", p.Node, p.Peer, p.FramesRecv)
-	}
-	fmt.Fprintf(w, "# HELP picprk_wire_writes_total Vectored writes issued toward each peer node (frames_sent/writes = coalescing factor).\n# TYPE picprk_wire_writes_total counter\n")
-	for i := range rep.Peers {
-		p := &rep.Peers[i]
-		fmt.Fprintf(w, "picprk_wire_writes_total{node=\"%d\",peer=\"%d\"} %d\n", p.Node, p.Peer, p.Writes)
-	}
-	fmt.Fprintf(w, "# HELP picprk_wire_send_queue_depth Writer-queue frames currently pending toward each peer node.\n# TYPE picprk_wire_send_queue_depth gauge\n")
-	for i := range rep.Peers {
-		p := &rep.Peers[i]
-		fmt.Fprintf(w, "picprk_wire_send_queue_depth{node=\"%d\",peer=\"%d\"} %d\n", p.Node, p.Peer, p.QueueDepth)
-	}
-	fmt.Fprintf(w, "# HELP picprk_wire_send_queue_peak High-water mark of the writer queue toward each peer node.\n# TYPE picprk_wire_send_queue_peak gauge\n")
-	for i := range rep.Peers {
-		p := &rep.Peers[i]
-		fmt.Fprintf(w, "picprk_wire_send_queue_peak{node=\"%d\",peer=\"%d\"} %d\n", p.Node, p.Peer, p.QueuePeak)
-	}
-	fmt.Fprintf(w, "# HELP picprk_wire_latency_seconds One-way data-frame latency from each peer node (send stamp vs offset-corrected receive; includes the sender's queue wait).\n# TYPE picprk_wire_latency_seconds histogram\n")
-	for i := range rep.Peers {
-		p := &rep.Peers[i]
-		if p.OneWay.Count() == 0 {
-			continue
-		}
-		var cum int64
-		for b := 0; b < LatencyBuckets; b++ {
-			cum += p.OneWay.Counts[b]
-			le := "+Inf"
-			if up := LatencyBucketUpperNS(b); up >= 0 {
-				le = fmt.Sprintf("%g", float64(up)/1e9)
+	for _, f := range wireFamilies {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		for i := range rep.Peers {
+			p := &rep.Peers[i]
+			labels := fmt.Sprintf("node=\"%d\",peer=\"%d\"", p.Node, p.Peer)
+			if f.value != nil {
+				fmt.Fprintf(w, "%s{%s} %d\n", f.name, labels, f.value(p))
+				continue
 			}
-			fmt.Fprintf(w, "picprk_wire_latency_seconds_bucket{node=\"%d\",peer=\"%d\",le=\"%s\"} %d\n", p.Node, p.Peer, le, cum)
-		}
-		fmt.Fprintf(w, "picprk_wire_latency_seconds_sum{node=\"%d\",peer=\"%d\"} %g\n", p.Node, p.Peer, float64(p.OneWay.SumNS)/1e9)
-		fmt.Fprintf(w, "picprk_wire_latency_seconds_count{node=\"%d\",peer=\"%d\"} %d\n", p.Node, p.Peer, p.OneWay.Count())
-	}
-}
-
-// intKeysSorted yields a map's keys in ascending order (stable scrapes).
-func intKeysSorted(m map[int]int64) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+			if p.OneWay.Count() == 0 {
+				continue
+			}
+			var cum int64
+			for b := 0; b < LatencyBuckets; b++ {
+				cum += p.OneWay.Counts[b]
+				le := "+Inf"
+				if up := LatencyBucketUpperNS(b); up >= 0 {
+					le = fmt.Sprintf("%g", float64(up)/1e9)
+				}
+				fmt.Fprintf(w, "%s_bucket{%s,le=\"%s\"} %d\n", f.name, labels, le, cum)
+			}
+			fmt.Fprintf(w, "%s_sum{%s} %g\n", f.name, labels, float64(p.OneWay.SumNS)/1e9)
+			fmt.Fprintf(w, "%s_count{%s} %d\n", f.name, labels, p.OneWay.Count())
 		}
 	}
-	return keys
 }

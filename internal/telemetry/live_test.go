@@ -115,3 +115,30 @@ func TestLivePrometheusGolden(t *testing.T) {
 	l.WritePrometheus(&buf)
 	checkGolden(t, "metrics.golden.txt", buf.Bytes())
 }
+
+// wireFixture is a fixed two-node wire report: each node's row for the
+// other, one latency histogram with observations in three buckets, and the
+// two nodes' clock offsets.
+func wireFixture() WireReport {
+	var lat LatencyHist
+	lat.Counts[0], lat.Counts[3], lat.Counts[LatencyBuckets-1] = 4, 2, 1
+	lat.SumNS = 4*800 + 2*6000 + 9e9
+	return WireReport{
+		Peers: []PeerWire{
+			{Node: 0, Peer: 1, FramesSent: 40, FramesRecv: 38, Writes: 12, QueueDepth: 0, QueuePeak: 5},
+			{Node: 1, Peer: 0, FramesSent: 38, FramesRecv: 40, Writes: 19, QueueDepth: 2, QueuePeak: 3, OneWay: lat},
+		},
+		Offsets: map[int]int64{1: -1500, 0: 0},
+	}
+}
+
+// TestLivePrometheusWireGolden pins the wire families of the exposition —
+// names, HELP and TYPE lines, label sets, histogram buckets and offsets —
+// for a fixed two-node wire source.
+func TestLivePrometheusWireGolden(t *testing.T) {
+	l := NewLive(2)
+	l.SetWireSource(wireFixture)
+	var buf bytes.Buffer
+	l.WritePrometheus(&buf)
+	checkGolden(t, "metrics_wire.golden.txt", buf.Bytes())
+}
