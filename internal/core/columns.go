@@ -142,6 +142,19 @@ func (t *OwnerTable) ColumnsOf(hosted []bool) []bool {
 	return want
 }
 
+// hostsRows reports whether hosted[o] holds for every owner of the cells
+// (cx, lo) … (cx, hi-1). The rows run through the y-blocks in order, so
+// those are the blocks from the first row's to the last's.
+func (t *OwnerTable) hostsRows(cx, lo, hi int, hosted []bool) bool {
+	bx := t.xOwner[cx]
+	for yb := t.yOwner[lo]; yb <= t.yOwner[hi-1]; yb++ {
+		if !hosted[yb*t.px+bx] {
+			return false
+		}
+	}
+	return true
+}
+
 // Leavers records the particles that left their owner during a fused
 // move+classify pass, as per-chunk (index, destination) lists: chunk w is
 // filled only by worker w, so the parallel pass needs no synchronization,

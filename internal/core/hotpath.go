@@ -11,7 +11,8 @@ import (
 // processor's block, a Simulation's whole mesh) runs through a MovePool.
 //
 // moveRange reads the four corner charges of an owned cell as two adjacent
-// pairs in the block's row-major charge array and evaluates the force a
+// pairs in the block's column-major charge array — in memory order for a
+// container in cell order, as Fill leaves it — and evaluates the force a
 // block of particles at a time (force.go), two particles per packed
 // instruction where the architecture has one. Every lane performs forceQQ's
 // IEEE operations in its order, so results are bitwise identical to the

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/parres/picprk/internal/dist"
@@ -87,10 +89,22 @@ func aosInject(m grid.Mesh, ev dist.Event, seed, firstID uint64, dir int) []part
 	return ps
 }
 
+// cellOrder sorts ps by the key Fill and an injection order a container
+// by: the particle's cell column, then its row, ties in ID order.
+func cellOrder(m grid.Mesh, ps []particle.Particle) {
+	slices.SortFunc(ps, func(a, b particle.Particle) int {
+		ax, ay := m.CellOf(a.X, a.Y)
+		bx, by := m.CellOf(b.X, b.Y)
+		return cmp.Or(cmp.Compare(ax, bx), cmp.Compare(ay, by), cmp.Compare(a.ID, b.ID))
+	})
+}
+
 // aosSim is the sequential simulation as it stood on the AoS kernel: the
 // initial population as dist.Initialize builds it, MoveAll against the
 // formulaic mesh field, removal by filtering the slice, injection by
-// appending aosInject's particles.
+// appending aosInject's particles. The initial population and each
+// injection's particles are put in cell order (cellOrder) first, the one
+// order Simulation's container differs by.
 type aosSim struct {
 	mesh   grid.Mesh
 	ps     []particle.Particle
@@ -112,6 +126,7 @@ func newAoSSim(t *testing.T, cfg dist.Config, sched dist.Schedule) *aosSim {
 		dir = 1
 	}
 	_, next := cfg.IDRange()
+	cellOrder(cfg.Mesh, ps)
 	return &aosSim{mesh: cfg.Mesh, ps: ps, sched: sched.Sorted(), seed: cfg.Seed, dir: dir, nextID: next}
 }
 
@@ -129,7 +144,9 @@ func (s *aosSim) Step() {
 			s.ps = kept
 		}
 		if ev.Inject > 0 {
-			s.ps = append(s.ps, aosInject(s.mesh, ev, s.seed, s.nextID, s.dir)...)
+			in := aosInject(s.mesh, ev, s.seed, s.nextID, s.dir)
+			cellOrder(s.mesh, in)
+			s.ps = append(s.ps, in...)
 			s.nextID += uint64(ev.Inject)
 		}
 	}
@@ -137,9 +154,11 @@ func (s *aosSim) Step() {
 
 // TestSimulationMatchesAoSReference pins Simulation — the ranks' fill,
 // move loop and event code at one owner — to the AoS simulation, bit for
-// bit and in order, after every step: both drift directions, K > 0, M < 0,
-// skewed, patch and smooth inputs, a non-default FirstID, and a removal and
-// an injection at the same step, mid-run and at the last step. The identity
+// bit and slot by slot (the reference's initial population and injections
+// put in cell order by cellOrder), after every step: both drift
+// directions, K > 0, M < 0, skewed, patch and smooth inputs, a non-default
+// FirstID, and a removal and an injection at the same step, mid-run and at
+// the last step. The identity
 // matrix compares the ranks with Simulation, so this is what keeps that
 // comparison anchored to a path the ranks do not share.
 func TestSimulationMatchesAoSReference(t *testing.T) {

@@ -91,6 +91,16 @@ func (s *SoA) Copy(w, i int) {
 	s.Meta[w] = s.Meta[i]
 }
 
+// swap exchanges slots i and j.
+func (s *SoA) swap(i, j int) {
+	s.X[i], s.X[j] = s.X[j], s.X[i]
+	s.Y[i], s.Y[j] = s.Y[j], s.Y[i]
+	s.VX[i], s.VX[j] = s.VX[j], s.VX[i]
+	s.VY[i], s.VY[j] = s.VY[j], s.VY[i]
+	s.Q[i], s.Q[j] = s.Q[j], s.Q[i]
+	s.Meta[i], s.Meta[j] = s.Meta[j], s.Meta[i]
+}
+
 // Truncate shortens the container to n particles, keeping capacity.
 func (s *SoA) Truncate(n int) {
 	s.X, s.Y = s.X[:n], s.Y[:n]

@@ -24,7 +24,8 @@ import (
 // rows (cell y-indices) particles may occupy; implementations covering the
 // full height return (0, c).
 type Distribution interface {
-	// Weights returns a slice of c non-negative column weights.
+	// Weights returns a new slice of c non-negative column weights,
+	// which the caller owns.
 	Weights(c int) []float64
 	// RowRange returns the half-open range of allowed cell rows.
 	RowRange(c int) (lo, hi int)
@@ -146,6 +147,13 @@ func (p Patch) RowRange(c int) (int, int) {
 // deterministic and independent of decomposition, which the verification
 // scheme requires.
 func Apportion(weights []float64, n int) ([]int, error) {
+	return apportion(slices.Clone(weights), n)
+}
+
+// apportion is Apportion on weights it owns: it leaves each column's
+// fractional part there, so a plan's set-up allocates no second L-length
+// float slice.
+func apportion(weights []float64, n int) ([]int, error) {
 	var total float64
 	for _, w := range weights {
 		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
@@ -157,31 +165,32 @@ func Apportion(weights []float64, n int) ([]int, error) {
 		return nil, fmt.Errorf("dist: all weights zero")
 	}
 	counts := make([]int, len(weights))
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]rem, len(weights))
+	frac := weights // from here on, column i's fractional part
 	assigned := 0
 	for i, w := range weights {
 		exact := float64(n) * w / total
 		c := int(math.Floor(exact))
 		counts[i] = c
 		assigned += c
-		rems[i] = rem{i, exact - float64(c)}
+		frac[i] = exact - float64(c)
 	}
 	// Distribute the leftover to the largest fractional parts, ties to the
-	// lower index: one sort on that total order, then the first left. The
-	// order is total, so the unstable sort is deterministic.
+	// lower index: one sort of the column indices on that total order, then
+	// the first left. The order is total, so the unstable sort is
+	// deterministic.
 	if left := n - assigned; left > 0 {
-		slices.SortFunc(rems, func(a, b rem) int {
-			if c := cmp.Compare(b.frac, a.frac); c != 0 {
+		order := make([]int32, len(weights))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			if c := cmp.Compare(frac[b], frac[a]); c != 0 {
 				return c
 			}
-			return a.idx - b.idx
+			return int(a - b)
 		})
-		for _, r := range rems[:left] {
-			counts[r.idx]++
+		for _, i := range order[:left] {
+			counts[i]++
 		}
 	}
 	return counts, nil

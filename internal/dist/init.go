@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/parres/picprk/internal/grid"
 	"github.com/parres/picprk/internal/particle"
@@ -61,7 +60,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 		return nil, err
 	}
 	L := c.Mesh.L
-	counts, err := Apportion(c.Dist.Weights(L), c.N)
+	counts, err := apportion(c.Dist.Weights(L), c.N)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +84,7 @@ type Column struct {
 	X     int
 	First uint64
 	// Rows holds the drawn cell row of each particle, in ID order. It is
-	// the plan's buffer, overwritten by the next column.
+	// the plan's buffer, overwritten by the next column; fn may write it.
 	Rows  []int32
 	Batch *Batch
 }
@@ -94,17 +93,24 @@ type Column struct {
 // true (nil wants every column), in ascending order. A column not wanted is
 // skipped entirely — its IDs are stepped over and its RNG stream, every
 // column having its own, is never drawn — so a rank pays only for the
-// columns it can own. The rows buffer is sized on first use to the largest
-// column and reused, so a walk allocates at most once per Plan.
+// columns it can own. The rows buffer is sized to the largest wanted column
+// and reused, so a walk allocates at most once, and none that fits a
+// buffer an earlier walk left.
 func (p *Plan) Columns(want func(cx int) bool, fn func(c *Column)) {
 	c := &p.col
 	c.First = p.first
+	most := 0
+	for col, n := range p.counts {
+		if n > most && (want == nil || want(col)) {
+			most = n
+		}
+	}
+	if cap(c.Rows) < most {
+		c.Rows = make([]int32, most)
+	}
 	span := p.rowHi - p.rowLo
 	for col, n := range p.counts {
 		if n > 0 && (want == nil || want(col)) {
-			if cap(c.Rows) < n {
-				c.Rows = make([]int32, slices.Max(p.counts))
-			}
 			c.X, c.Rows = col, c.Rows[:n]
 			rng := NewRNG(p.seed, 0x636f6c /* "col" */, uint64(col))
 			for k := range c.Rows {
@@ -115,6 +121,14 @@ func (p *Plan) Columns(want func(cx int) bool, fn func(c *Column)) {
 		c.First += uint64(n)
 	}
 }
+
+// Count returns the number of particles that start in cell column cx,
+// without drawing a row.
+func (p *Plan) Count(cx int) int { return p.counts[cx] }
+
+// RowRange returns the cell rows [lo, hi) every column's rows are drawn
+// from.
+func (p *Plan) RowRange() (lo, hi int) { return p.rowLo, p.rowHi }
 
 // Initialize materializes the initial particle population according to
 // cfg, in ID order (FirstID, +1, … column-major, so the survivor checksum
@@ -166,5 +180,5 @@ func ColumnCounts(cfg Config) ([]int, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	return Apportion(c.Dist.Weights(c.Mesh.L), c.N)
+	return apportion(c.Dist.Weights(c.Mesh.L), c.N)
 }

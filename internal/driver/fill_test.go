@@ -1,9 +1,11 @@
 package driver
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/parres/picprk/internal/comm"
@@ -27,9 +29,10 @@ func bruteColumns(ot *core.OwnerTable, hosted []bool, L int) []bool {
 
 // TestFillLocalMatchesStream pins core.Fill, the set-up fill of both
 // substrates, to its definition: every hosted
-// container holds, bit for bit and in stream order, exactly the particles of
-// the full initial population whose start cell its owner owns, in columns
-// sized exactly (cap == len) from cold. Cuts are random and non-uniform, the
+// container holds, bit for bit and in cell order (start column, then row,
+// ties in ID order), exactly the particles of the full initial population
+// whose start cell its owner owns, in columns sized exactly (cap == len)
+// from cold. Cuts are random and non-uniform, the
 // owner tables are block (one owner per rank) and VP (several per rank, a
 // scattered placement) ones at odd P, and every distribution runs with
 // nonzero K and M in both drift directions. The want derivation is checked
@@ -99,8 +102,9 @@ func TestFillLocalMatchesStream(t *testing.T) {
 	}
 }
 
-// checkFilled fails unless s holds exactly the particles of all that keep
-// accepts, bitwise and in order, with every column at capacity.
+// checkFilled fails unless s holds exactly the particles of all (in ID
+// order) that keep accepts, bitwise and in cell order, with every column at
+// capacity.
 func checkFilled(t *testing.T, s *core.SoA, all []particle.Particle, keep func(*particle.Particle) bool) {
 	t.Helper()
 	var want []particle.Particle
@@ -109,6 +113,9 @@ func checkFilled(t *testing.T, s *core.SoA, all []particle.Particle, keep func(*
 			want = append(want, all[i])
 		}
 	}
+	slices.SortStableFunc(want, func(a, b particle.Particle) int {
+		return cmp.Or(cmp.Compare(a.X0, b.X0), cmp.Compare(a.Y0, b.Y0))
+	})
 	if s.Len() != len(want) {
 		t.Fatalf("holds %d particles, stream gives it %d", s.Len(), len(want))
 	}

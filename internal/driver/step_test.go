@@ -264,13 +264,7 @@ func TestStepKeepsStayerOrder(t *testing.T) {
 					return err
 				}
 				defer sub.Close()
-				var s *stepper
-				switch sub := sub.(type) {
-				case *blockSubstrate:
-					s = &sub.stepper
-				case *vpSubstrate:
-					s = &sub.stepper
-				}
+				s := stepperOf(sub)
 				rec := &trace.Recorder{}
 				kept := 0
 				for step := 1; step <= steps; step++ {

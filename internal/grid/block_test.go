@@ -1,6 +1,11 @@
 package grid
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func TestMeshAccessors(t *testing.T) {
 	m := MustMesh(12, 1.5)
@@ -185,5 +190,44 @@ func TestCellOfNegativeAndEdge(t *testing.T) {
 	cx, cy := m.CellOf(-0.5, 4.0)
 	if cx != 3 || cy != 0 {
 		t.Errorf("CellOf(-0.5, 4.0) = (%d,%d), want (3,0)", cx, cy)
+	}
+}
+
+// BenchmarkCornerCharges reads the corner charges of a stream of cells from
+// a 512×512 block (a 2 MB charge array): in cell order (column, then row,
+// three particles a cell), the order a filled container holds its particles
+// in, and the same cells shuffled, the order a container drawn at random
+// would read them in. ns/op is per cell read.
+func BenchmarkCornerCharges(b *testing.B) {
+	const L, perCell = 512, 3
+	blk, err := NewBlock(MustMesh(L, DefaultCharge), 0, 0, L, L)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ordered := make([][2]int, 0, L*L*perCell)
+	for cx := range L {
+		for cy := range L {
+			for range perCell {
+				ordered = append(ordered, [2]int{cx, cy})
+			}
+		}
+	}
+	shuffled := slices.Clone(ordered)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, tc := range []struct {
+		name  string
+		cells [][2]int
+	}{{"cell-order", ordered}, {"shuffled", shuffled}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var sum float64
+			for i := 0; i < b.N; i++ {
+				c := tc.cells[i%len(tc.cells)]
+				q00, q10, q01, q11 := blk.CornerCharges(c[0], c[1])
+				sum += q00 + q10 + q01 + q11
+			}
+			if math.IsNaN(sum) {
+				b.Fatal("NaN charge")
+			}
+		})
 	}
 }

@@ -189,9 +189,12 @@ type Block struct {
 	// particle in owned cell (cx, cy) needs points up to (cx+1, cy+1), which
 	// the ghost ring provides.
 	NX, NY int
-	// charges holds (NX+2)·(NY+2) values in row-major order including the
-	// ghost ring: entry (gi, gj) with gi in [-1, NX] and gj in [-1, NY]
-	// lives at index (gj+1)*(NX+2) + (gi+1).
+	// charges holds (NX+2)·(NY+2) values in column-major order including
+	// the ghost ring: entry (gi, gj) with gi in [-1, NX] and gj in [-1, NY]
+	// lives at index (gi+1)*(NY+2) + (gj+1). That is the order particles
+	// sit in their containers (column, then row; core.Fill), so the
+	// kernel's charge reads walk the array front to back. What a block
+	// ships (AppendRect, CheckRect) stays row-major.
 	charges []float64
 }
 
@@ -222,15 +225,15 @@ func (b *Block) Reinit(m Mesh, x0, y0, nx, ny int) error {
 	}
 	b.charges = b.charges[:need]
 	b.mesh, b.X0, b.Y0, b.NX, b.NY = m, WrapIndex(x0, m.L), WrapIndex(y0, m.L), nx, ny
-	for gj := -1; gj <= ny; gj++ {
-		for gi := -1; gi <= nx; gi++ {
+	for gi := -1; gi <= nx; gi++ {
+		for gj := -1; gj <= ny; gj++ {
 			b.charges[b.idx(gi, gj)] = m.PointCharge(x0+gi, y0+gj)
 		}
 	}
 	return nil
 }
 
-func (b *Block) idx(gi, gj int) int { return (gj+1)*(b.NX+2) + (gi + 1) }
+func (b *Block) idx(gi, gj int) int { return (gi+1)*(b.NY+2) + (gj + 1) }
 
 // Mesh returns the global mesh this block was cut from.
 func (b *Block) Mesh() Mesh { return b.mesh }
@@ -266,11 +269,13 @@ func (b *Block) Charge(i, j int) float64 {
 // CornerCharges returns the charges at the four mesh-point corners of the
 // owned cell (cx, cy), in the kernel's fixed order: (cx,cy), (cx+1,cy),
 // (cx,cy+1), (cx+1,cy+1). It is the devirtualized fast path of the move
-// kernel: for an owned cell the four corners are two adjacent pairs in the
-// row-major charge array (the ghost ring guarantees the +1 neighbors are
-// materialized), so the lookup is four indexed loads with no per-corner
-// seam arithmetic. A cell outside the owned region falls back to the
-// generic Charge path, which diagnoses genuinely out-of-range requests.
+// kernel: for an owned cell the four corners are two adjacent pairs, one
+// per point column, in the column-major charge array (the ghost ring
+// guarantees the +1 neighbors are materialized), so the lookup is four
+// indexed loads with no per-corner seam arithmetic, and particles in cell
+// order read the pairs in memory order. A cell outside the owned region
+// falls back to the generic Charge path, which diagnoses genuinely
+// out-of-range requests.
 func (b *Block) CornerCharges(cx, cy int) (q00, q10, q01, q11 float64) {
 	gi := cx - b.X0
 	if gi < 0 {
@@ -283,9 +288,9 @@ func (b *Block) CornerCharges(cx, cy int) (q00, q10, q01, q11 float64) {
 	if gi >= b.NX || gj >= b.NY || gi < 0 || gj < 0 {
 		return b.Charge(cx, cy), b.Charge(cx+1, cy), b.Charge(cx, cy+1), b.Charge(cx+1, cy+1)
 	}
-	w := b.NX + 2
-	row := (gj+1)*w + gi + 1
-	return b.charges[row], b.charges[row+1], b.charges[row+w], b.charges[row+w+1]
+	h := b.NY + 2
+	c := (gi+1)*h + gj + 1
+	return b.charges[c], b.charges[c+h], b.charges[c+1], b.charges[c+h+1]
 }
 
 // rect locates the owned mesh points [x0, x0+w) × [y0, y0+h), given in
@@ -324,8 +329,9 @@ func (b *Block) AppendRect(dst []float64, x0, y0, w, h int) []float64 {
 		panic(err)
 	}
 	for k := 0; k < h; k++ {
-		row := b.idx(gi, gj+k)
-		dst = append(dst, b.charges[row:row+w]...)
+		for i := 0; i < w; i++ {
+			dst = append(dst, b.charges[b.idx(gi+i, gj+k)])
+		}
 	}
 	return dst
 }
@@ -344,9 +350,8 @@ func (b *Block) CheckRect(data []float64, x0, y0, w, h int) error {
 		return fmt.Errorf("grid: rectangle data length %d != %dx%d", len(data), w, h)
 	}
 	for k := 0; k < h; k++ {
-		row := b.idx(gi, gj+k)
-		for i, want := range b.charges[row : row+w] {
-			if got := data[k*w+i]; got != want {
+		for i := 0; i < w; i++ {
+			if got, want := data[k*w+i], b.charges[b.idx(gi+i, gj+k)]; got != want {
 				return fmt.Errorf("grid: migrated charge mismatch at point (%d,%d): got %v want %v",
 					WrapIndex(x0+i, b.mesh.L), WrapIndex(y0+k, b.mesh.L), got, want)
 			}
