@@ -57,40 +57,31 @@ func Bcast[T any](c *Comm, root int, v T) T {
 	return v
 }
 
-// Reduce combines each rank's slice elementwise with op and delivers the
-// result to root (other ranks get nil). All ranks must pass slices of the
-// same length. The reduction order is fixed by the binomial tree, so the
-// result is deterministic for a given P (bitwise, though not associative
-// across different P — same as MPI).
-func Reduce[T any](c *Comm, root int, v []T, op func(a, b T) T) []T {
-	p := c.Size()
-	vr := (c.rank - root + p) % p
+// Allreduce combines each rank's slice elementwise with op and returns the
+// result on every rank: a binomial-tree reduce to rank 0, then Bcast. All
+// ranks must pass slices of the same length. The reduction order is fixed
+// by the tree, so the result is deterministic for a given P (bitwise,
+// though not associative across different P — same as MPI).
+func Allreduce[T any](c *Comm, v []T, op func(a, b T) T) []T {
 	acc := append([]T(nil), v...) // own copy; received slices are owned already
-	for mask := 1; mask < p; mask <<= 1 {
-		if vr&mask != 0 {
-			c.Send(((vr-mask)+root)%p, tagReduce, acc)
-			return nil
+	for mask := 1; mask < c.Size(); mask <<= 1 {
+		if c.rank&mask != 0 {
+			c.Send(c.rank-mask, tagReduce, acc)
+			acc = nil
+			break
 		}
-		peer := vr + mask
-		if peer < p {
-			data, _ := c.Recv((peer+root)%p, tagReduce)
-			other := cast[[]T](data, "Reduce")
+		if peer := c.rank + mask; peer < c.Size() {
+			data, _ := c.Recv(peer, tagReduce)
+			other := cast[[]T](data, "Allreduce")
 			if len(other) != len(acc) {
-				panic(fmt.Sprintf("comm: reduce length mismatch %d vs %d", len(other), len(acc)))
+				panic(fmt.Sprintf("comm: allreduce length mismatch %d vs %d", len(other), len(acc)))
 			}
 			for i := range acc {
 				acc[i] = op(acc[i], other[i])
 			}
 		}
 	}
-	return acc
-}
-
-// Allreduce combines each rank's slice elementwise with op and returns the
-// result on every rank (reduce to rank 0, then broadcast).
-func Allreduce[T any](c *Comm, v []T, op func(a, b T) T) []T {
-	res := Reduce(c, 0, v, op)
-	return Bcast(c, 0, res)
+	return Bcast(c, 0, acc)
 }
 
 // Number covers the numeric types used in reductions.

@@ -1,7 +1,7 @@
 // Package comm is a message-passing runtime in the spirit of MPI. Each rank
 // runs as a goroutine; ranks exchange two-sided messages matched on
 // (source, tag) with wildcard-source receives, and the package
-// layers collectives (barrier, broadcast, reduce, allreduce, gather,
+// layers collectives (barrier, broadcast, allreduce, gather,
 // scatter, the pointer exchange) on top. There is one communicator, the
 // world: every rank addresses every other by its world rank.
 //
@@ -74,7 +74,7 @@ type World struct {
 // Options configures a World.
 type Options struct {
 	// RecvTimeout bounds how long a Recv may block; on expiry the rank
-	// panics with a diagnostic, which surfaces as an error from Run. Zero
+	// panics with an ErrRecvTimeout, which Run returns wrapped. Zero
 	// means a generous default (60s) to turn deadlocks into diagnosable
 	// failures; negative disables the timeout.
 	RecvTimeout time.Duration
@@ -178,7 +178,11 @@ func (w *World) Run(fn func(c *Comm) error) error {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					w.abort(fmt.Errorf("comm: rank %d panicked: %v", c.rank, p), true)
+					err, ok := p.(error)
+					if !ok {
+						err = fmt.Errorf("%v", p)
+					}
+					w.abort(fmt.Errorf("comm: rank %d panicked: %w", c.rank, err), true)
 				}
 			}()
 			if err := fn(c); err != nil {
@@ -342,8 +346,15 @@ func (c *Comm) Send(dst, tag int, data any) {
 	c.deliver(dst, tag, data)
 }
 
+// deliver hands a message to the transport, except one to the caller's own
+// rank: that goes straight to its inbox, by reference, on every transport.
 func (c *Comm) deliver(dst, tag int, data any) {
-	c.world.tr.Ship(dst, Message{Src: c.rank, Tag: tag, Data: data})
+	m := Message{Src: c.rank, Tag: tag, Data: data}
+	if dst == c.rank {
+		c.world.Incoming(dst, m)
+		return
+	}
+	c.world.tr.Ship(dst, m)
 }
 
 // Recv blocks until a message with a matching source and tag arrives and
@@ -374,8 +385,7 @@ func (c *Comm) Recv(src, tag int) (any, int) {
 			return data, from
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			panic(fmt.Sprintf("comm: rank %d recv(src=%d, tag=%d) timed out after %v",
-				c.rank, src, tag, c.world.opts.RecvTimeout))
+			panic(ErrRecvTimeout{Rank: c.rank, Src: src, Tag: tag, After: c.world.opts.RecvTimeout})
 		}
 		ib.cond.Wait()
 	}

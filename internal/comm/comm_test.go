@@ -127,15 +127,25 @@ func TestPanicIsCaptured(t *testing.T) {
 	}
 }
 
+// TestRecvTimeout: a receive nobody answers fails the run with a typed
+// ErrRecvTimeout naming the rank, the source and tag it waited on, and how
+// long it waited.
 func TestRecvTimeout(t *testing.T) {
-	w := NewWorld(1, Options{RecvTimeout: 200 * time.Millisecond})
+	const after = 200 * time.Millisecond
+	w := NewWorld(2, Options{RecvTimeout: after})
 	start := time.Now()
 	err := w.Run(func(c *Comm) error {
-		c.Recv(0, 1)
+		if c.Rank() == 1 {
+			c.Recv(0, 3)
+		}
 		return nil
 	})
-	if err == nil {
-		t.Fatal("expected timeout error")
+	var rt ErrRecvTimeout
+	if !errors.As(err, &rt) {
+		t.Fatalf("run error %v (%T) does not wrap an ErrRecvTimeout", err, err)
+	}
+	if want := (ErrRecvTimeout{Rank: 1, Src: 0, Tag: 3, After: after}); rt != want {
+		t.Fatalf("got %+v, want %+v", rt, want)
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("timeout took too long")

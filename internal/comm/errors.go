@@ -1,6 +1,9 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // ErrPeerLost reports that the process hosting a rank vanished mid-run:
 // its connection hit EOF without the orderly BYE handshake, a write to it
@@ -22,4 +25,18 @@ func (e ErrPeerLost) Error() string {
 		return "comm: peer lost (rank unknown)"
 	}
 	return fmt.Sprintf("comm: peer hosting rank %d lost", e.Rank)
+}
+
+// ErrRecvTimeout reports a Recv that waited longer than Options.RecvTimeout
+// for a matching message: Recv panics with it and World.Run returns it
+// wrapped, so errors.As finds it on the run's error.
+type ErrRecvTimeout struct {
+	Rank  int           // the receiving rank
+	Src   int           // the source it waited on (AnySource for any)
+	Tag   int           // the tag it waited on
+	After time.Duration // how long it waited
+}
+
+func (e ErrRecvTimeout) Error() string {
+	return fmt.Sprintf("comm: rank %d recv(src=%d, tag=%d) timed out after %v", e.Rank, e.Src, e.Tag, e.After)
 }

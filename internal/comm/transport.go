@@ -52,13 +52,15 @@ type Transport interface {
 	// Start registers the world's upcall handler. Messages arriving
 	// before Start must be held, not dropped.
 	Start(h Handler)
-	// Ship delivers m to world rank dst (which may be hosted locally or
-	// remotely). It must not block indefinitely: sends are buffered, as
-	// MPI_Isend with an unbounded buffer.
+	// Ship delivers m to world rank dst, never m's own sender: comm puts a
+	// message to the sending rank straight into its inbox. It must not
+	// block indefinitely: sends are buffered, as MPI_Isend with an
+	// unbounded buffer.
 	Ship(dst int, m Message)
 	// Wired reports whether payloads are serialized onto a byte stream
 	// (true for socket transports, false in-process): a payload that
 	// crossed one is the receiver's own decoded copy, not the sender's.
+	// A message to the sending rank itself is never serialized.
 	Wired() bool
 	// Abort asks the transport to propagate an abort to every other
 	// process of the world (a no-op in-process, where all ranks share

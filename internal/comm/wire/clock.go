@@ -166,15 +166,17 @@ func (n *Node) recordControl(src int) {
 }
 
 // WireReport snapshots this node's per-peer frame counters, writer-queue
-// gauges, latency histograms, and clock offset. The atomics stay readable
-// after the world shuts down, so callers can collect the report post-run.
+// gauges, latency histograms, and clock offset: one row per other node. The
+// atomics stay readable after the world shuts down, so callers can collect
+// the report post-run.
 func (n *Node) WireReport() telemetry.WireReport {
 	rep := telemetry.WireReport{Offsets: map[int]int64{n.index: atomic.LoadInt64(&n.clockOff)}}
 	for j, p := range n.peers {
-		pw := telemetry.PeerWire{Node: n.index, Peer: j}
-		if p != nil {
-			pw.FramesSent, pw.QueueDepth, pw.QueuePeak, pw.Writes = p.stats()
+		if p == nil {
+			continue // this node itself: no connection, no row
 		}
+		pw := telemetry.PeerWire{Node: n.index, Peer: j}
+		pw.FramesSent, pw.QueueDepth, pw.QueuePeak, pw.Writes = p.stats()
 		pw.FramesRecv = atomic.LoadInt64(&n.recvFrames[j])
 		pw.OneWay.SumNS = atomic.LoadInt64(&n.latSums[j])
 		for i := 0; i < telemetry.LatencyBuckets; i++ {

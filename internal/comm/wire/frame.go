@@ -8,10 +8,9 @@
 // Topology: a world of R ranks is R nodes (one process each, one rank per
 // node), and a node's index is its world rank. A rendezvous listener admits
 // R joining nodes, assigns their ranks, and broadcasts every rank's mesh
-// address; the nodes then build a full mesh — node i dials every node j < i
-// plus itself (the self-dial means a rank's messages to itself cross a real
-// socket too, so a loopback world exercises exactly the frames a
-// distributed one would). One connection carries one peer rank's traffic.
+// address; the nodes then build a full mesh — node i dials every node j < i,
+// one connection per pair of ranks, carrying that pair's traffic. A rank's
+// messages to itself never reach the wire: comm delivers them to its inbox.
 package wire
 
 import (

@@ -8,10 +8,10 @@ import (
 // LoopbackCluster assembles a ranks-rank world of single-rank nodes inside
 // this process, meshed over real sockets: the loopback interface for "tcp",
 // a temp-dir socket per node for "unix". Node i hosts world rank i. Every
-// frame crosses an actual socket (including self-dials), so a loopback
-// world exercises exactly the serialization, framing, and shutdown
-// handshake a distributed world would — it is the substrate for the wire
-// test suite and for running the engine tests with a socket transport.
+// message between two ranks crosses an actual socket, so a loopback world
+// exercises exactly the serialization, framing, and shutdown handshake a
+// distributed world would — it is the substrate for the wire test suite
+// and for running the engine tests with a socket transport.
 func LoopbackCluster(network string, ranks int) ([]*Node, error) {
 	if err := checkNetwork(network); err != nil {
 		return nil, err

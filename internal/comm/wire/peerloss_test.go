@@ -2,7 +2,6 @@ package wire
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -25,26 +24,15 @@ func killRank2(t *testing.T, blocked func(c *comm.Comm)) []error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	wg.Add(3)
-	for i, n := range nodes {
-		w := comm.NewTransportWorld(n, comm.Options{RecvTimeout: 30 * time.Second})
-		go func(i int, n *Node, w *comm.World) {
-			defer wg.Done()
-			errs[i] = w.Run(func(c *comm.Comm) error {
-				c.Barrier()
-				if c.Rank() == 2 {
-					n.Kill()
-					return nil
-				}
-				blocked(c)
-				return nil
-			})
-		}(i, n, w)
-	}
-	wg.Wait()
-	return errs
+	return runNodes(nodes, comm.Options{RecvTimeout: 30 * time.Second}, func(c *comm.Comm) error {
+		c.Barrier()
+		if c.Rank() == 2 {
+			nodes[2].Kill()
+			return nil
+		}
+		blocked(c)
+		return nil
+	})
 }
 
 // The two ways a survivor can be stuck when the peer dies: in a receive that

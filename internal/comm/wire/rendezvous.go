@@ -344,24 +344,22 @@ func rendezvousHandshake(network, addr string, h helloPayload, timeout time.Dura
 	return &w, nil
 }
 
-// mesh builds the full peer mesh: dial every lower-indexed node plus
-// ourselves (the self-dial carries this rank's messages to itself over a
-// real socket), then accept the higher-indexed nodes' dials and our own. The
-// dial to node 0 additionally runs the synchronous clock-sync rounds (see
-// clock.go) while the fresh connection still has no reader/writer
-// goroutines, so every node leaves the mesh with a first offset estimate.
+// mesh builds the full peer mesh, one connection per pair of nodes: dial
+// every lower-indexed node, then accept the higher-indexed nodes' dials. A
+// rank's messages to itself never reach the transport (comm delivers them
+// to its inbox), so no node connects to itself. The dial to node 0
+// additionally runs the synchronous clock-sync rounds (see clock.go) while
+// the fresh connection still has no reader/writer goroutines, so every node
+// leaves the mesh with a first offset estimate.
 func (n *Node) mesh() error {
-	for j := 0; j <= n.index; j++ {
+	for j := 0; j < n.index; j++ {
 		conn, err := net.DialTimeout(n.network, n.addrs[j], n.hsTimeout)
 		if err != nil {
 			// The rendezvous admitted this peer but its listener is gone: the
 			// process died between bootstrap and mesh. Surface the typed loss
 			// so supervisors treat it like a mid-run crash.
-			if j != n.index {
-				return fmt.Errorf("wire: node %d dial node %d (%s): %v: %w",
-					n.index, j, n.addrs[j], err, comm.ErrPeerLost{Rank: j})
-			}
-			return fmt.Errorf("wire: node %d dial node %d (%s): %w", n.index, j, n.addrs[j], err)
+			return fmt.Errorf("wire: node %d dial node %d (%s): %v: %w",
+				n.index, j, n.addrs[j], err, comm.ErrPeerLost{Rank: j})
 		}
 		f := frame{typ: frameHello, src: uint32(n.index)}
 		_ = conn.SetWriteDeadline(time.Now().Add(n.hsTimeout))
@@ -370,18 +368,17 @@ func (n *Node) mesh() error {
 			return fmt.Errorf("wire: node %d mesh hello to node %d: %w", n.index, j, err)
 		}
 		_ = conn.SetWriteDeadline(time.Time{})
-		if j == 0 && n.index != 0 {
+		if j == 0 {
 			if err := n.syncClockDial(conn); err != nil {
 				_ = conn.Close()
 				return err
 			}
 		}
 		n.peers[j] = newPeer(conn)
-		n.conns = append(n.conns, conn)
 		go n.readLoop(conn, j)
 	}
-	// Accepts: one from every node above us, plus our own self-dial.
-	for k := 0; k < len(n.addrs)-n.index; k++ {
+	// Accepts: one from every node above us.
+	for k := 0; k < len(n.addrs)-n.index-1; k++ {
 		conn, err := n.ln.Accept()
 		if err != nil {
 			return fmt.Errorf("wire: node %d mesh accept: %w", n.index, err)
@@ -394,28 +391,18 @@ func (n *Node) mesh() error {
 		}
 		_ = conn.SetReadDeadline(time.Time{})
 		from := int(f.src)
-		if n.index == 0 && from != 0 {
+		if from <= n.index || from >= len(n.addrs) || n.peers[from] != nil {
+			_ = conn.Close()
+			return fmt.Errorf("wire: node %d: unexpected mesh hello from node %d", n.index, from)
+		}
+		if n.index == 0 {
 			if err := answerClockSync(conn, n.index, n.hsTimeout); err != nil {
 				_ = conn.Close()
 				return fmt.Errorf("wire: node 0 clock sync with node %d: %w", from, err)
 			}
 		}
-		switch {
-		case from == n.index:
-			// Read end of our own self-dial; the write end is peers[index].
-		case from > n.index && from < len(n.addrs) && n.peers[from] == nil:
-			n.peers[from] = newPeer(conn)
-		default:
-			_ = conn.Close()
-			return fmt.Errorf("wire: node %d: unexpected mesh hello from node %d", n.index, from)
-		}
-		n.conns = append(n.conns, conn)
+		n.peers[from] = newPeer(conn)
 		go n.readLoop(conn, from)
-	}
-	for j, p := range n.peers {
-		if p == nil {
-			return fmt.Errorf("wire: node %d: mesh incomplete, no connection to node %d", n.index, j)
-		}
 	}
 	return nil
 }

@@ -21,7 +21,7 @@ const (
 
 // Node is this process's end of a wire world: a comm.Transport that hosts
 // one world rank — its index — and frames messages over one socket per
-// peer rank. Build one with Join (or LoopbackCluster for tests), then hand
+// other rank. Build one with Join (or LoopbackCluster for tests), then hand
 // it to comm.NewTransportWorld.
 //
 // Shutdown handshake: when a node's rank has returned, its Finish flushes
@@ -36,8 +36,7 @@ type Node struct {
 	addrs   []string // mesh listener address per rank
 
 	ln    net.Listener
-	peers []*peer // write side per rank; peers[index] is the self-dial
-	conns []net.Conn
+	peers []*peer // write side per rank; peers[index] is nil
 
 	hsTimeout time.Duration // handshake/mesh deadline (JoinOptions.Timeout)
 
@@ -93,7 +92,7 @@ func (n *Node) Wired() bool { return true }
 // loop here, once a handler exists to own the world's lifetime.
 func (n *Node) Start(h comm.Handler) {
 	n.handler = h
-	if n.index != 0 && len(n.addrs) > 1 {
+	if n.index != 0 {
 		go n.resyncLoop()
 	}
 	n.release()
@@ -116,9 +115,6 @@ var gatherPool = sync.Pool{New: func() any { return new(pup.Gather) }}
 // kernel's. The writer reads the columns until its writev returns; the
 // sender's promise not to mutate what it sent (comm.Send, and for the
 // exchange the two-generation rule, DESIGN §9) is what makes that safe.
-// Unlike the in-process substrate, even a message to this rank itself
-// crosses the socket (via the self-dial), so a loopback world exercises the
-// exact frames a distributed one would.
 func (n *Node) Ship(dst int, m comm.Message) {
 	g := gatherPool.Get().(*pup.Gather)
 	segs, kind, err := g.Encode(headerBytes, m.Data)
@@ -151,13 +147,7 @@ func (n *Node) Abort(err error) {
 		if errors.As(err, &pl) {
 			lost = pl.Rank
 		}
-		f := frame{typ: frameAbort, src: uint32(n.index), sendNS: n.WallClockNS(), payload: encodeAbort(lost, err.Error())}
-		b := f.encode(nil)
-		for i, p := range n.peers {
-			if i != n.index {
-				p.enqueue(b)
-			}
-		}
+		n.broadcast(frame{typ: frameAbort, src: uint32(n.index), sendNS: n.WallClockNS(), payload: encodeAbort(lost, err.Error())})
 	})
 	n.markAborted()
 }
@@ -218,18 +208,6 @@ func abortError(payload []byte, size int) error {
 	return errors.New(msg)
 }
 
-// peerLostError converts a broken mesh connection into the typed peer-loss
-// error. peerIdx is the node on the far end, and it is the lost rank. A
-// broken self-dial stream (or an unidentified connection) stays
-// a generic failure — it signals local teardown, not a vanished peer.
-func (n *Node) peerLostError(peerIdx int, cause error) error {
-	if peerIdx < 0 || peerIdx >= len(n.addrs) || peerIdx == n.index {
-		return fmt.Errorf("wire: node %d lost a peer connection: %w", n.index, cause)
-	}
-	return fmt.Errorf("wire: node %d lost node %d (%v): %w",
-		n.index, peerIdx, cause, comm.ErrPeerLost{Rank: peerIdx})
-}
-
 // Finish implements comm.Transport: run the shutdown handshake (or, when
 // aborted, a best-effort flush) and tear the mesh down.
 func (n *Node) Finish(aborted bool) error {
@@ -237,18 +215,16 @@ func (n *Node) Finish(aborted bool) error {
 		// Give in-flight abort/data frames a moment to reach the kernel so
 		// remote ranks wake promptly, then tear down; remote readers treat
 		// the EOF as an abort too, so nothing hangs if the flush times out.
-		for _, p := range n.peers {
-			_ = p.flush(abortFlushTimeout)
-		}
+		n.eachPeer(func(p *peer) { _ = p.flush(abortFlushTimeout) })
 		n.closeAll()
 		return nil
 	}
 	var ferr error
-	for _, p := range n.peers {
+	n.eachPeer(func(p *peer) {
 		if err := p.flush(finishTimeout); err != nil && ferr == nil {
 			ferr = err
 		}
-	}
+	})
 	if n.index == 0 {
 		n.noteDone(0)
 	} else {
@@ -264,16 +240,8 @@ func (n *Node) Finish(aborted bool) error {
 		// connection carries a BYE ahead of its EOF (same ordered stream),
 		// so whichever frame a reader sees first marks the shutdown. The
 		// flush puts the echoes on the wire before the sockets close.
-		f := frame{typ: frameBye, src: uint32(n.index), sendNS: n.WallClockNS()}
-		b := f.encode(nil)
-		for i, p := range n.peers {
-			if i != n.index {
-				p.enqueue(b)
-			}
-		}
-		for _, p := range n.peers {
-			_ = p.flush(abortFlushTimeout)
-		}
+		n.broadcast(frame{typ: frameBye, src: uint32(n.index), sendNS: n.WallClockNS()})
+		n.eachPeer(func(p *peer) { _ = p.flush(abortFlushTimeout) })
 	case <-n.abortedCh:
 	case <-time.After(finishTimeout):
 		if ferr == nil {
@@ -314,12 +282,23 @@ func (n *Node) closeAll() {
 	if n.ln != nil {
 		_ = n.ln.Close()
 	}
+	n.eachPeer((*peer).close)
+}
+
+// eachPeer calls fn on the write side of every mesh connection, one per
+// other node (a node discarded mid-mesh skips the ones it never opened).
+func (n *Node) eachPeer(fn func(*peer)) {
 	for _, p := range n.peers {
-		p.close()
+		if p != nil {
+			fn(p)
+		}
 	}
-	for _, c := range n.conns {
-		_ = c.Close()
-	}
+}
+
+// broadcast queues one control frame to every other node.
+func (n *Node) broadcast(f frame) {
+	b := f.encode(nil)
+	n.eachPeer(func(p *peer) { p.enqueue(b) })
 }
 
 // noteDone records a node's DONE at node 0 and broadcasts BYE once the
@@ -340,13 +319,7 @@ func (n *Node) noteDone(nodeIdx int) {
 	ready := n.doneCount == len(n.addrs)
 	n.mu.Unlock()
 	if ready {
-		f := frame{typ: frameBye, src: uint32(n.index), sendNS: n.WallClockNS()}
-		b := f.encode(nil)
-		for i, p := range n.peers {
-			if i != n.index {
-				p.enqueue(b)
-			}
-		}
+		n.broadcast(frame{typ: frameBye, src: uint32(n.index), sendNS: n.WallClockNS()})
 		n.noteBye()
 	}
 }
@@ -386,7 +359,8 @@ func (n *Node) readLoop(conn net.Conn, peerIdx int) {
 			// abort frame precedes this node's EOF on each ordered stream,
 			// so no survivor is left to infer the victim from whichever
 			// connection happened to break first.
-			n.fail(n.peerLostError(peerIdx, err))
+			n.fail(fmt.Errorf("wire: node %d lost node %d (%v): %w",
+				n.index, peerIdx, err, comm.ErrPeerLost{Rank: peerIdx}))
 		}
 	}
 	for {

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -21,9 +22,15 @@ func runCluster(t *testing.T, network string, p int, opts comm.Options, fn func(
 	if err != nil {
 		t.Fatalf("LoopbackCluster(%s, %d): %v", network, p, err)
 	}
-	errs := make([]error, p)
+	return runNodes(nodes, opts, fn)
+}
+
+// runNodes runs fn on every node's rank, one World per node, and returns
+// each node's Run error.
+func runNodes(nodes []*Node, opts comm.Options, fn func(c *comm.Comm) error) []error {
+	errs := make([]error, len(nodes))
 	var wg sync.WaitGroup
-	wg.Add(p)
+	wg.Add(len(nodes))
 	for i, n := range nodes {
 		w := comm.NewTransportWorld(n, opts)
 		go func(i int, w *comm.World) {
@@ -101,19 +108,114 @@ func collectiveWorkout(c *comm.Comm) error {
 	return nil
 }
 
+// The collective workouts also run a one-node world: a node with no peers
+// must bootstrap, run every collective and shut down.
 func TestWireCollectivesTCP(t *testing.T) {
-	for _, err := range runCluster(t, "tcp", 4, comm.Options{}, collectiveWorkout) {
-		if err != nil {
-			t.Fatal(err)
+	for _, p := range []int{1, 4} {
+		for _, err := range runCluster(t, "tcp", p, comm.Options{}, collectiveWorkout) {
+			if err != nil {
+				t.Fatalf("P=%d: %v", p, err)
+			}
 		}
 	}
 }
 
 func TestWireCollectivesUnix(t *testing.T) {
-	for _, err := range runCluster(t, "unix", 3, comm.Options{}, collectiveWorkout) {
-		if err != nil {
-			t.Fatal(err)
+	for _, p := range []int{1, 3} {
+		for _, err := range runCluster(t, "unix", p, comm.Options{}, collectiveWorkout) {
+			if err != nil {
+				t.Fatalf("P=%d: %v", p, err)
+			}
 		}
+	}
+}
+
+// TestWireSelfSendStaysLocal: a wire world holds one connection per pair of
+// ranks, P(P-1)/2 in all, and none from a node to itself. A message a rank
+// sends itself never reaches the transport: it arrives as the sender's own
+// slice, not a decoded copy, while the one to its peer crosses the socket.
+// Each node's wire report has one row per other node.
+func TestWireSelfSendStaysLocal(t *testing.T) {
+	for _, network := range []string{"tcp", "unix"} {
+		for _, p := range []int{2, 3} {
+			nodes, err := LoopbackCluster(network, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ends := 0
+			for i, n := range nodes {
+				for j, pe := range n.peers {
+					if (pe == nil) != (i == j) {
+						t.Errorf("%s P=%d: node %d's connection to node %d: %v", network, p, i, j, pe)
+					}
+					if pe != nil {
+						ends++
+					}
+				}
+			}
+			if ends != p*(p-1) {
+				t.Errorf("%s P=%d: %d connections, want %d", network, p, ends/2, p*(p-1)/2)
+			}
+			for i, err := range runNodes(nodes, comm.Options{}, func(c *comm.Comm) error {
+				r, next := c.Rank(), (c.Rank()+1)%c.Size()
+				mine, theirs := []int64{int64(r)}, []int64{int64(r), 1}
+				c.Send(r, 3, mine)
+				c.Send(next, 4, theirs)
+				self, _ := c.Recv(r, 3)
+				if got := self.([]int64); &got[0] != &mine[0] {
+					return fmt.Errorf("rank %d received a copy of its own message, not the slice it sent", r)
+				}
+				prev := (r - 1 + c.Size()) % c.Size()
+				peer, _ := c.Recv(prev, 4)
+				if got := peer.([]int64); len(got) != 2 || got[0] != int64(prev) || &got[0] == &theirs[0] {
+					return fmt.Errorf("rank %d received %v from rank %d", r, got, prev)
+				}
+				return nil
+			}) {
+				if err != nil {
+					t.Fatalf("%s P=%d node %d: %v", network, p, i, err)
+				}
+			}
+			for i, n := range nodes {
+				var rows []string
+				for _, pw := range n.WireReport().Peers {
+					rows = append(rows, fmt.Sprintf("%d>%d", pw.Node, pw.Peer))
+					if pw.Peer == i || pw.FramesSent == 0 {
+						t.Errorf("%s P=%d: node %d row %+v", network, p, i, pw)
+					}
+				}
+				if len(rows) != p-1 {
+					t.Errorf("%s P=%d: node %d reports rows %v, want %d", network, p, i, rows, p-1)
+				}
+			}
+		}
+	}
+}
+
+// TestWireMeshDialRefusedNamesPeer: the rendezvous admits node 0, but its
+// mesh listener is gone before node 1 dials it. Node 1's Join must return
+// the typed loss of rank 0 and tear its half-built mesh down cleanly.
+func TestWireMeshDialRefusedNamesPeer(t *testing.T) {
+	rv, err := StartRendezvous("tcp", "127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
+	go func() {
+		_, _ = rendezvousHandshake("tcp", rv.Addr(), helloPayload{Want: 0, Addr: deadAddr}, 5*time.Second)
+	}()
+	_, err = Join("tcp", rv.Addr(), JoinOptions{Rank: 1, Timeout: 5 * time.Second})
+	var pl comm.ErrPeerLost
+	if !errors.As(err, &pl) || pl.Rank != 0 {
+		t.Fatalf("join: %v, want a comm.ErrPeerLost naming rank 0", err)
+	}
+	if err := rv.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -200,24 +302,14 @@ func TestWireForgedSource(t *testing.T) {
 	if forged.payload, forged.kind, err = pup.EncodePayload(nil, []int64{7}); err != nil {
 		t.Fatal(err)
 	}
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	wg.Add(3)
-	for i, n := range nodes {
-		w := comm.NewTransportWorld(n, comm.Options{RecvTimeout: 30 * time.Second})
-		go func(i int, w *comm.World) {
-			defer wg.Done()
-			errs[i] = w.Run(func(c *comm.Comm) error {
-				if c.Rank() == 1 {
-					nodes[1].peers[2].enqueue(forged.encode(nil))
-					return nil
-				}
-				_, src := c.Recv(comm.AnySource, 5)
-				return fmt.Errorf("received a forged message as from rank %d", src)
-			})
-		}(i, w)
-	}
-	wg.Wait()
+	errs := runNodes(nodes, comm.Options{RecvTimeout: 30 * time.Second}, func(c *comm.Comm) error {
+		if c.Rank() == 1 {
+			nodes[1].peers[2].enqueue(forged.encode(nil))
+			return nil
+		}
+		_, src := c.Recv(comm.AnySource, 5)
+		return fmt.Errorf("received a forged message as from rank %d", src)
+	})
 	if err := errs[2]; err == nil || !strings.Contains(err.Error(), "rank 0") || !strings.Contains(err.Error(), "rank 1") {
 		t.Fatalf("rank 2: %v, want an error naming the claimed rank 0 and the sending rank 1", err)
 	}
